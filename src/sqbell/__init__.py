@@ -7,7 +7,10 @@ function is a finite sum of polynomial-times-Gaussian terms
 :mod:`sqbell.symplectic`, detector conditioning in :mod:`sqbell.conditioning`,
 resource-state factories in :mod:`sqbell.resources`, the fidelity functional
 in :mod:`sqbell.teleport`, optimization and sweeps in :mod:`sqbell.optimize`,
-and a truncated-Fock brute-force oracle in :mod:`sqbell.fock_sim`.
+and a truncated-Fock brute-force oracle in :mod:`sqbell.fock_sim`.  The
+scheme's heralding probability and fidelity, which optimization, sweeps and
+datasets need in bulk, come from the batched determinant kernel of
+:mod:`sqbell.kernel`, which the polynomial-Gaussian path cross-checks.
 """
 
 __version__ = "0.1.0"

@@ -30,8 +30,10 @@ from .resources import (
     SchemeConfig,
     delta_equivalent,
     effective_squeezing,
+    scheme_pf,
     scheme_state,
     squeezing_db,
+    status_error,
     theoretical_state,
 )
 from .teleport import fidelity
@@ -225,7 +227,7 @@ def cmd_sweep(args) -> int:
     detector = "on-off" if args.family == "scheme-realistic" else "ideal"
     spec = SweepSpec(base=cfg, axis=args.axis, grid=_parse_grid(args.grid),
                      detector=detector, optimize_s_at_each=args.optimize)
-    rows = sweep(spec, jobs=args.jobs)
+    rows = sweep(spec)
     header = [args.axis, "fidelity", "success_prob", "s_star", "error"]
     data = [[row.value, row.fidelity, row.success_prob, row.s_star, row.error]
             for row in rows]
@@ -306,10 +308,14 @@ def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
 
 
 def _safe_scheme_fidelity(cfg: SchemeConfig, detector: str = "ideal"):
-    try:
-        return fidelity(scheme_state(cfg, detector)).fidelity
-    except DegeneratePostselectionError:
+    """Closed-form fidelity of one configuration; None where it is degenerate."""
+    P, F, status = scheme_pf([cfg], detector)
+    exc = status_error(P[0], status[0])
+    if isinstance(exc, DegeneratePostselectionError):
         return None
+    if exc is not None:
+        raise exc
+    return float(F[0])
 
 
 def _reproduce_fig7(outdir: Path) -> Path:
@@ -395,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True, help="start:stop:step")
     p_sweep.add_argument("--optimize", action="store_true",
                          help="optimize s at each grid point")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -13,7 +13,6 @@ raw 1/pi and 1/eta prefactors are kept exact until then.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,14 +24,11 @@ from .errors import (
     DivergentIntegralError,
     PhysicalityError,
 )
+from .kernel import LossyProjectorWarning  # noqa: F401  (re-exported)
+from .kernel import degenerate_below, warn_if_lossy
 from .symplectic import GaussianChar
 
 DEFAULT_EFFICIENCY = 0.15
-MIN_SUCCESS_PROB = 1e-300
-
-
-class LossyProjectorWarning(UserWarning):
-    """Ideal single-photon projectors combined with a lossy source function."""
 
 
 @dataclass(frozen=True)
@@ -61,6 +57,21 @@ class DetectorKernel:
             ((2.0 - efficiency) / efficiency) * np.eye(2),
             coeff=-1.0 / efficiency)
         return DetectorKernel("on-off", efficiency, delta_part + gauss_part)
+
+    def magnitude(self) -> "DetectorKernel":
+        """The kernel with every signed piece replaced by its magnitude.
+
+        Integrated against a positive Gaussian it gives the sum of the
+        magnitudes of the signed terms that the kernel itself adds up.
+        """
+        terms = [gp.GaussPolyTerm(
+                     abs(t.coeff),
+                     gp.Polynomial(t.poly.n_vars,
+                                   {k: abs(c) for k, c in t.poly.coeffs.items()}),
+                     t.quad, t.lin, t.deltas)
+                 for t in self.kernel.terms]
+        return DetectorKernel(self.kind, self.efficiency,
+                              gp.PolyGaussFunction(self.kernel.n_vars, terms))
 
 
 @dataclass(frozen=True)
@@ -96,21 +107,20 @@ def condition(chi4: GaussianChar, d3: DetectorKernel,
 
     Returns the normalized two-mode characteristic function together with the
     success probability of the conditioning event (the value of the raw
-    integral at the origin).
+    integral at the origin).  The event is degenerate, and raises
+    DegeneratePostselectionError, when that probability is at or below
+    :func:`sqbell.kernel.degenerate_below` of the same integral taken with
+    the magnitudes of the kernels' signed pieces.
     """
     if d3.kind == "ideal-projector" or d4.kind == "ideal-projector":
-        # purity of exp(-1/2 v^T S v) is det(S)^{-1/2}; loss makes det(S) > 1
-        logdet = np.linalg.slogdet(chi4.exponent)[1]
-        if logdet > 1e-9:
-            warnings.warn(
-                "ideal single-photon projectors combined with a lossy source",
-                LossyProjectorWarning, stacklevel=2)
+        warn_if_lossy(chi4.exponent[None])
     raw = _raw_conditioned(chi4, d3, d4)
     norm = gp.evaluate(raw, np.zeros(4))
     if abs(norm.imag) > 1e-10 * max(1.0, abs(norm.real)):
         raise PhysicalityError(f"success probability is not real: {norm}")
     success = norm.real
-    if success <= MIN_SUCCESS_PROB:
+    if success <= degenerate_below(
+            success_probability(chi4, d3.magnitude(), d4.magnitude())):
         raise DegeneratePostselectionError(
             f"conditioning probability {success:.3e} is degenerate")
     if success > 1.0 + 1e-9:

@@ -10,6 +10,7 @@ desk-scale validation, not performance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,8 +24,8 @@ from .resources import SchemeConfig
 from .symplectic import SqueezeParam
 
 DEFAULT_LEAK_TOL = 1e-8
-
-_unitary_cache: dict = {}
+# pair unitaries kept per process; one oracle cross-check campaign uses ~10
+UNITARY_CACHE_SIZE = 64
 
 
 @dataclass
@@ -108,11 +109,15 @@ def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]) -> sparse.
     The generator conserves n_i - n_j, so the exponential is taken block by
     block; the result is exactly unitary on the truncated space.
     """
-    key = ("sq", round(p.amplitude, 14), round(p.phase % (2 * np.pi), 14), dims)
-    if key in _unitary_cache:
-        return _unitary_cache[key]
+    return _two_mode_squeeze_operator(round(p.amplitude, 14),
+                                      round(p.phase % (2 * np.pi), 14), dims)
+
+
+@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
+def _two_mode_squeeze_operator(amplitude: float, phase: float,
+                               dims: tuple[int, int]) -> sparse.csr_matrix:
     d1, d2 = dims
-    z = p.amplitude * np.exp(1j * p.phase)
+    z = amplitude * np.exp(1j * phase)
     rows, cols, vals = [], [], []
     for q in range(-(d2 - 1), d1):
         if q >= 0:
@@ -138,9 +143,7 @@ def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]) -> sparse.
                     cols.append(idx[b])
                     vals.append(U[a, b])
     D = d1 * d2
-    out = sparse.csr_matrix((vals, (rows, cols)), shape=(D, D))
-    _unitary_cache[key] = out
-    return out
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(D, D))
 
 
 def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
@@ -151,9 +154,11 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    key = ("bs", round(T, 14), dims)
-    if key in _unitary_cache:
-        return _unitary_cache[key]
+    return _beam_splitter_operator(round(T, 14), dims)
+
+
+@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
+def _beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
     d1, d2 = dims
     kappa = np.arctan2(np.sqrt(1.0 - T), np.sqrt(T))
     rows, cols, vals = [], [], []
@@ -178,9 +183,7 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix
                     cols.append(idx[b])
                     vals.append(U[a, b])
     D = d1 * d2
-    out = sparse.csr_matrix((vals, (rows, cols)), shape=(D, D))
-    _unitary_cache[key] = out
-    return out
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(D, D))
 
 
 def _apply_pair_operator(amps: np.ndarray, modes: tuple[int, int],

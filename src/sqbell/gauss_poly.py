@@ -174,11 +174,6 @@ class Polynomial:
             total += v
         return total
 
-    def canonical_key(self) -> tuple:
-        return tuple(sorted(
-            (m, round(c.real, 14), round(c.imag, 14)) for m, c in self.coeffs.items()
-        ))
-
 
 @dataclass(frozen=True)
 class GaussPolyTerm:

@@ -1,0 +1,248 @@
+"""Batched closed form of the scheme's heralding probability and fidelity.
+
+The source function of the scheme is the Gaussian chi(v) = exp(-1/2 v^T S v)
+with an 8x8 exponent S over (Re b1, Im b1, ..., Re b4, Im b4).  Conditioning
+on both ancilla detectors and the fidelity integral
+
+    P    = (1/pi^2) Int d^2b3 d^2b4 chi(0, 0, b3, b4) k3(b3) k4(b4)
+    P F  = (1/pi^3) Int d^2lam d^2b3 d^2b4 e^{-|lam|^2}
+                        chi(-conj(lam), -lam, b3, b4) k3(b3) k4(b4)
+
+are then finite sums of Gaussian determinants, evaluated here with numpy
+over a whole batch of exponents at once:
+
+* on/off detectors, k = pi delta^2(b) - (1/eta) e^{-(2-eta)|b|^2 / 2 eta}:
+  a four-term inclusion-exclusion over the set K of modes that take the
+  Gaussian piece, each term (-1)^|K| 2^|K| / sqrt(det) of the eta-scaled
+  ancilla block (the torontonian structure of threshold detection);
+* ideal single-photon projectors, k = (1 - |b|^2) e^{-|b|^2/2}
+  = (1 + 2 d/dt) e^{-t|b|^2/2} at t = 1: with M(t) the integrated block,
+  g = det(M)^{-1/2}, a = tr(M^-1 E3), b = tr(M^-1 E4) and
+  c = tr(M^-1 E3 M^-1 E4) (Ek projects on mode k), Jacobi's formula gives
+  (1 + 2 d/dt3)(1 + 2 d/dt4) g = g [(1 - a)(1 - b) + 2c].
+
+For P the ancilla block is that of S; for P F, integrating lam first leaves
+the Schur complement of the lam block of the 6x6 exponent over
+(lam, b3, b4), and P F = 2 P(Schur complement) / sqrt(det(lam block)).
+
+This module imports nothing beyond numpy.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+MIN_SUCCESS_PROB = 1e-300
+# P is indistinguishable from roundoff when it is at or below this many
+# machine epsilons times the sum of the magnitudes of its signed terms
+DEGENERACY_ULPS = 64.0
+
+OK, DEGENERATE, UNPHYSICAL = 0, 1, 2
+
+SOURCE_FIELDS = ("r", "s", "phi_zeta", "phi_xi", "T1", "T2", "T_loss",
+                 "n_thermal", "loss_on_detector_modes")
+
+# (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v
+_LAMBDA_MAP = np.zeros((8, 6))
+_LAMBDA_MAP[:4, :2] = [[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+_LAMBDA_MAP[4:, 2:] = np.eye(4)
+
+
+class LossyProjectorWarning(UserWarning):
+    """Ideal single-photon projectors combined with a lossy source function."""
+
+
+def degenerate_below(scale):
+    """Largest success probability counted as degenerate, given the sum of
+    the magnitudes of the signed terms that were added to form it."""
+    return np.maximum(MIN_SUCCESS_PROB,
+                      DEGENERACY_ULPS * np.finfo(float).eps * np.asarray(scale))
+
+
+def warn_if_lossy(S) -> None:
+    """Warn when ideal projectors see a mixed source: the purity of
+    exp(-1/2 v^T S v) is det(S)^{-1/2}, and loss makes det(S) > 1."""
+    if np.any(np.linalg.slogdet(S)[1] > 1e-9):
+        warnings.warn("ideal single-photon projectors combined with a lossy source",
+                      LossyProjectorWarning, stacklevel=3)
+
+
+# ---------------------------------------------------------------------------
+# source exponents
+# ---------------------------------------------------------------------------
+
+
+def squeeze_into(L, amplitude, phase, i: int, j: int) -> None:
+    """Write the two-mode squeezer on modes (i, j) into the variable map L
+    (shape (..., 2n, 2n), amplitude and phase broadcasting over `...`).
+
+    Each transformed amplitude is  b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|.
+    """
+    c, s = np.cosh(amplitude), np.sinh(amplitude)
+    sc, ss = s * np.cos(phase), s * np.sin(phase)
+    for a, b in ((i, j), (j, i)):
+        L[..., 2 * a, 2 * a] = c
+        L[..., 2 * a + 1, 2 * a + 1] = c
+        L[..., 2 * a, 2 * b] = sc
+        L[..., 2 * a, 2 * b + 1] = ss
+        L[..., 2 * a + 1, 2 * b] = ss
+        L[..., 2 * a + 1, 2 * b + 1] = -sc
+
+
+def mix_into(B, T, k: int, l: int) -> None:
+    """Write the beam splitter b_k -> sqrt(T) b_k - sqrt(1-T) b_l,
+    b_l -> sqrt(T) b_l + sqrt(1-T) b_k into the variable map B."""
+    rt, rr = np.sqrt(T), np.sqrt(1.0 - T)
+    for d in range(2):
+        B[..., 2 * k + d, 2 * k + d] = rt
+        B[..., 2 * k + d, 2 * l + d] = -rr
+        B[..., 2 * l + d, 2 * l + d] = rt
+        B[..., 2 * l + d, 2 * k + d] = rr
+
+
+def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
+                     loss_on_detector_modes) -> np.ndarray:
+    """Exponents S, shape (n, 8, 8), of the scheme's four-mode source function.
+
+    Arguments broadcast to one batch.  Squeezers r on modes (1, 2) and s on
+    (3, 4); a loss channel of transmissivity T_loss and thermal occupation
+    n_thermal on modes 1, 2 (and 3, 4 where loss_on_detector_modes); then
+    beam splitters T1 on (1, 3) and T2 on (2, 4).
+    """
+    r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal, on_det = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (
+            r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
+            loss_on_detector_modes)))
+    n = r.shape[0]
+    L = np.zeros((n, 8, 8))
+    squeeze_into(L, r, phi_zeta, 0, 1)
+    squeeze_into(L, s, phi_xi, 2, 3)
+    S = np.swapaxes(L, 1, 2) @ L
+
+    # loss: S -> D S D + (2 n + 1)(1 - T) on each lossy mode's diagonal
+    lossy = np.ones((n, 8))
+    lossy[:, 4:] = on_det[:, None]
+    scale = np.where(lossy > 0, np.sqrt(T_loss)[:, None], 1.0)
+    S = S * scale[:, :, None] * scale[:, None, :]
+    add = ((2.0 * n_thermal + 1.0) * (1.0 - T_loss))[:, None] * lossy
+    S[:, np.arange(8), np.arange(8)] += add
+
+    B = np.zeros((n, 8, 8))
+    mix_into(B, T1, 0, 2)
+    mix_into(B, T2, 1, 3)
+    S = np.swapaxes(B, 1, 2) @ S @ B
+    return 0.5 * (S + np.swapaxes(S, 1, 2))
+
+
+def exponents_of(cfgs) -> np.ndarray:
+    """source_exponents over a sequence of objects carrying SOURCE_FIELDS."""
+    return source_exponents(*(np.array([getattr(c, f) for c in cfgs], dtype=float)
+                              for f in SOURCE_FIELDS))
+
+
+# ---------------------------------------------------------------------------
+# heralding probability and fidelity
+# ---------------------------------------------------------------------------
+
+
+def _det2(X):
+    return X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
+
+
+def _inv2(X):
+    adj = np.stack([np.stack([X[:, 1, 1], -X[:, 0, 1]], -1),
+                    np.stack([-X[:, 1, 0], X[:, 0, 0]], -1)], -2)
+    return adj / _det2(X)[:, None, None]
+
+
+def _onoff_prob(M, eta3, eta4):
+    """P of on/off detectors on the ancilla block M (shape (n, 4, 4), modes
+    b3 then b4), and the sum of the magnitudes of its four signed terms.
+
+    The term of the set K of modes taking the Gaussian piece is
+    (-1)^|K| x_K with x_K = det(I + Delta_K)^{-1/2}, where
+    Delta = D (M - I) D / 2 and D scales mode k by sqrt(eta_k).  The sum is
+    formed as (1 - x3)(1 - x4) + x3 x4 expm1(log x34 - log x3 - log x4),
+    with every small difference taken by log1p and expm1, so that it keeps
+    its relative accuracy when the heralding probability is small.
+    """
+    d = np.sqrt(np.concatenate([np.repeat(eta3[:, None], 2, 1),
+                                np.repeat(eta4[:, None], 2, 1)], 1))
+    delta = 0.5 * (M - np.eye(4)) * d[:, :, None] * d[:, None, :]
+    D3, D4 = delta[:, :2, :2], delta[:, 2:, 2:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l3 = -0.5 * np.log1p(np.trace(D3, axis1=1, axis2=2) + _det2(D3))
+        l4 = -0.5 * np.log1p(np.trace(D4, axis1=1, axis2=2) + _det2(D4))
+        # log x34 - log x3 - log x4 = -1/2 log det(I - X) by the Schur complement
+        X = _inv2(np.eye(2) + D4) @ delta[:, 2:, :2] @ _inv2(np.eye(2) + D3) \
+            @ delta[:, :2, 2:]
+        l34 = -0.5 * np.log1p(_det2(X) - np.trace(X, axis1=1, axis2=2))
+    x3, x4 = np.exp(l3), np.exp(l4)
+    total = np.expm1(l3) * np.expm1(l4) + x3 * x4 * np.expm1(l34)
+    scale = 1.0 + x3 + x4 + x3 * x4 * np.exp(l34)
+    return total, scale
+
+
+def _ideal_prob(M):
+    """P of ideal projectors on the ancilla block M (shape (n, 4, 4)), and
+    the sum of the magnitudes of its signed terms.
+
+    P = 4 (1 + 2 d/dt3)(1 + 2 d/dt4) det(M + t3 E3 + t4 E4)^{-1/2} at t = 1
+    = 4 g [(1 - a)(1 - b) + 2c]; the magnitudes sum to
+    4 g [(1 + a)(1 + b) + 2c].  With A = M + I, 1 - a = tr(E3 A^-1 (M - I)) / 2
+    keeps its relative accuracy near the vacuum, where a -> 1.
+    """
+    delta = M - np.eye(4)
+    A = delta + 2.0 * np.eye(4)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = 1.0 / np.sqrt(np.linalg.det(A))
+    Ainv = np.linalg.inv(A)
+    R = 0.5 * Ainv @ delta
+    one_minus_a = np.trace(R[:, :2, :2], axis1=1, axis2=2)
+    one_minus_b = np.trace(R[:, 2:, 2:], axis1=1, axis2=2)
+    c = np.sum(Ainv[:, :2, 2:] ** 2, axis=(1, 2))
+    total = 4.0 * g * (one_minus_a * one_minus_b + 2.0 * c)
+    scale = 4.0 * g * ((2.0 - one_minus_a) * (2.0 - one_minus_b) + 2.0 * c)
+    return total, scale
+
+
+def scheme_pf(S, detector: str, eta3=None, eta4=None):
+    """Heralding probability P, fidelity F and status of each source exponent.
+
+    `S` has shape (n, 8, 8); `detector` is 'ideal' or 'on-off' ('onoff');
+    `eta3`, `eta4` (on/off only) broadcast to n.  Status is OK, DEGENERATE
+    (P at or below `degenerate_below` of its term magnitudes) or UNPHYSICAL
+    (a block that is not positive definite, P above one, or F outside
+    (0, 1]); F is capped at one and is NaN wherever status is not OK.
+    """
+    S = np.asarray(S, dtype=float)
+    if detector == "ideal":
+        warn_if_lossy(S)
+        prob = _ideal_prob
+    elif detector in ("on-off", "onoff"):
+        n = S.shape[0]
+        eta3 = np.broadcast_to(np.asarray(eta3, dtype=float), (n,))
+        eta4 = np.broadcast_to(np.asarray(eta4, dtype=float), (n,))
+
+        def prob(M):
+            return _onoff_prob(M, eta3, eta4)
+    else:
+        raise ValueError(f"unknown detector kind {detector!r}")
+    P, p_scale = prob(S[:, 4:, 4:])
+
+    # P F: the lam integral first, which leaves the Schur complement of its
+    # block as the ancilla block and a factor (2 pi) / sqrt(det) / pi
+    MF = np.swapaxes(_LAMBDA_MAP, 0, 1) @ S @ _LAMBDA_MAP
+    MF[:, 0, 0] += 2.0  # e^{-|lam|^2}
+    MF[:, 1, 1] += 2.0
+    lam, C = MF[:, :2, :2], MF[:, :2, 2:]
+    schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
+    with np.errstate(invalid="ignore", divide="ignore"):
+        F = 2.0 * prob(schur)[0] / np.sqrt(_det2(lam)) / P
+    status = np.full(P.shape, OK)
+    status[~(F > 0.0) | ~(F <= 1.0 + 1e-9) | ~(P <= 1.0 + 1e-9)] = UNPHYSICAL
+    status[P <= degenerate_below(p_scale)] = DEGENERATE
+    F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
+    return P, F, status

@@ -1,8 +1,9 @@
 """Fidelity maximization over the ancillary squeezing, and sweep campaigns.
 
-The optimizer is a deterministic coarse grid followed by golden-section
-refinement of the bracket around the grid maximum.  Sweeps evaluate one row
-per grid point, optionally nesting the optimizer, and record per-point errors
+The optimizer is a deterministic coarse grid, evaluated in one batched call
+of the closed-form kernel, followed by golden-section refinement of the
+bracket around the grid maximum.  Sweeps evaluate all their rows in one
+batched call, optionally nesting the optimizer, and record per-point errors
 without aborting the campaign.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegeneratePostselectionError
-from .resources import ResourceState, SchemeConfig, scheme_state, theoretical_state
+from .resources import SchemeConfig, scheme_pf, status_error, theoretical_state
 from .teleport import fidelity_closed_form
 
 COARSE_POINTS = 41
@@ -88,8 +89,15 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     return x_star, f(x_star), (a, b)
 
 
-def _scheme_fidelity(cfg: SchemeConfig, detector: str) -> float:
-    return fidelity_closed_form(scheme_state(cfg, detector))
+def _scheme_fidelities(cfgs: list[SchemeConfig], detector: str) -> list[float]:
+    """Fidelities of a batch of configurations; raises the error of the first
+    configuration whose conditioning or fidelity fails."""
+    P, F, status = scheme_pf(cfgs, detector)
+    for p, st in zip(P, status):
+        exc = status_error(p, st)
+        if exc is not None:
+            raise exc
+    return [float(f) for f in F]
 
 
 def optimize_s(cfg: SchemeConfig, detector: str = "ideal",
@@ -97,18 +105,19 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal",
                bracket_tol: float = BRACKET_TOL) -> OptResult:
     """Maximize the teleportation fidelity over the ancillary squeezing s in [0, r]."""
     if cfg.r == 0.0:
-        f0 = _scheme_fidelity(cfg.with_(s=0.0), detector)
+        f0 = _scheme_fidelities([cfg.with_(s=0.0)], detector)[0]
         return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
 
     grid = np.linspace(0.0, cfg.r, coarse_points)
-    trace: list[tuple[float, float]] = []
+    values = np.array(_scheme_fidelities(
+        [cfg.with_(s=float(s)) for s in grid], detector))
+    trace = [(float(s), float(f)) for s, f in zip(grid, values)]
 
     def ev(s: float) -> float:
-        f = _scheme_fidelity(cfg.with_(s=float(s)), detector)
+        f = _scheme_fidelities([cfg.with_(s=float(s))], detector)[0]
         trace.append((float(s), f))
         return f
 
-    values = np.array([ev(s) for s in grid])
     i_best = int(np.argmax(values))
     spread = float(values.max() - values.min())
     if spread < 1e-12:
@@ -132,20 +141,27 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal",
                      plateau=False, multi_peak=multi_peak)
 
 
-def optimize_delta(r: float, bracket_tol: float = BRACKET_TOL) -> OptResult:
-    """Maximize the fidelity of the analytic squeezed Bell family over its angle."""
-    trace: list[tuple[float, float]] = []
+def optimize_delta(r: float) -> OptResult:
+    """Maximize the fidelity of the analytic squeezed Bell family over its angle.
 
-    def ev(d: float) -> float:
-        f = fidelity_closed_form(theoretical_state("squeezed-bell", r, float(d)))
-        trace.append((float(d), f))
-        return f
-
-    d_star, f_star, bracket = golden_section_max(ev, 0.0, np.pi / 2.0, bracket_tol)
-    best_d, best_f = max(trace, key=lambda t: t[1])
-    if best_f > f_star:
-        d_star, f_star = best_d, best_f
-    return OptResult(float(d_star), float(f_star), tuple(trace), bracket)
+    The family is cos(d)|0,0> + sin(d)|1,1> squeezed, so its fidelity is the
+    quadratic form A cos^2 d + B sin^2 d + 2 C sin d cos d, fixed by the
+    fidelities at d = 0, pi/2 and pi/4 (the trace).  The optimum is the top
+    eigenpair of [[A, C], [C, B]], or the better end of [0, pi/2] when that
+    eigenvector points outside the quadrant.
+    """
+    trace = tuple(
+        (d, fidelity_closed_form(theoretical_state("squeezed-bell", r, d)))
+        for d in (0.0, np.pi / 2.0, np.pi / 4.0))
+    (_, A), (_, B), (_, F45) = trace
+    C = F45 - 0.5 * (A + B)
+    w, v = np.linalg.eigh(np.array([[A, C], [C, B]]))
+    c, s = v[:, 1]
+    if c * s >= 0.0:
+        d_star, f_star = float(np.arctan2(abs(s), abs(c))), float(w[1])
+    else:
+        d_star, f_star = max(trace[:2], key=lambda t: t[1])
+    return OptResult(d_star, float(f_star), trace, (d_star, d_star))
 
 
 @dataclass
@@ -158,29 +174,44 @@ class SweepRow:
     error: Optional[str] = None
 
 
-def _sweep_point(spec: SweepSpec, value: float) -> SweepRow:
-    row = SweepRow(axis=spec.axis, value=float(value))
-    try:
-        cfg = spec.config_at(value)
+def _describe(exc: Exception) -> str:
+    if isinstance(exc, DegeneratePostselectionError):
+        return f"degenerate-postselection: {exc}"
+    return f"{type(exc).__name__}: {exc}"
+
+
+def sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate every grid point of the spec; rows keep their grid order.
+
+    All points go through the closed-form kernel in one batched call (after
+    the per-point optimizer when `optimize_s_at_each`); a point that fails
+    records its error in its own row.
+    """
+    rows = [SweepRow(axis=spec.axis, value=v) for v in spec.grid]
+    todo: list[tuple[SweepRow, SchemeConfig]] = []
+    for row in rows:
+        cfg = spec.config_at(row.value)
         if spec.optimize_s_at_each:
-            opt = optimize_s(cfg, spec.detector)
+            try:
+                opt = optimize_s(cfg, spec.detector)
+            except Exception as exc:  # recorded in-row, sweep continues
+                row.error = _describe(exc)
+                continue
             cfg = cfg.with_(s=opt.s_star)
             row.s_star = opt.s_star
-        state: ResourceState = scheme_state(cfg, spec.detector)
-        row.fidelity = fidelity_closed_form(state)
-        row.success_prob = state.success_prob
-    except DegeneratePostselectionError as exc:
-        row.error = f"degenerate-postselection: {exc}"
-    except Exception as exc:  # recorded in-row, sweep continues
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate every grid point of the spec; rows keep their grid order."""
-    if jobs <= 1:
-        return [_sweep_point(spec, v) for v in spec.grid]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda v: _sweep_point(spec, v), spec.grid))
+        todo.append((row, cfg))
+    if not todo:
+        return rows
+    try:
+        P, F, status = scheme_pf([cfg for _, cfg in todo], spec.detector)
+    except Exception as exc:  # recorded in every row, sweep returns
+        for row, _ in todo:
+            row.error = _describe(exc)
+        return rows
+    for (row, _), p, f, st in zip(todo, P, F, status):
+        exc = status_error(p, st)
+        if exc is not None:
+            row.error = _describe(exc)
+        else:
+            row.fidelity, row.success_prob = float(f), float(p)
+    return rows

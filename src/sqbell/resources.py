@@ -20,13 +20,14 @@ from typing import Optional
 import numpy as np
 
 from . import gauss_poly as gp
+from . import kernel
 from .conditioning import (
     DEFAULT_EFFICIENCY,
     ConditionedState,
     DetectorKernel,
     condition,
 )
-from .errors import ZeroNormStateError
+from .errors import DegeneratePostselectionError, PhysicalityError, ZeroNormStateError
 from .symplectic import (
     GaussianChar,
     SqueezeParam,
@@ -221,6 +222,30 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
     cond: ConditionedState = condition(chi4, d3, d4, provenance={"config": cfg})
     return ResourceState(family, cond.chi, cfg, cond.success_prob,
                          extra={"detector": detector})
+
+
+def scheme_pf(cfgs, detector: str = "ideal"):
+    """Heralding probability, fidelity and status of each configuration.
+
+    One batched call of :func:`sqbell.kernel.scheme_pf`; it agrees with
+    :func:`scheme_state` followed by the closed-form fidelity, which stays
+    the independent cross-check.  Turn a status into an error with
+    :func:`status_error`.
+    """
+    cfgs = list(cfgs)
+    return kernel.scheme_pf(kernel.exponents_of(cfgs), detector,
+                            [c.eta3 for c in cfgs], [c.eta4 for c in cfgs])
+
+
+def status_error(success_prob: float, status: int) -> Exception | None:
+    """The error `scheme_state` and the fidelity would raise for one status."""
+    if status == kernel.DEGENERATE:
+        return DegeneratePostselectionError(
+            f"conditioning probability {success_prob:.3e} is degenerate")
+    if status == kernel.UNPHYSICAL:
+        return PhysicalityError(
+            f"success probability {success_prob} or its fidelity is unphysical")
+    return None
 
 
 def delta_equivalent(cfg: SchemeConfig) -> float:

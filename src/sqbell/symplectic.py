@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gauss_poly as gp
 from .errors import DimensionMismatchError, PhysicalityError
+from .kernel import exponents_of, mix_into, squeeze_into
 
 if TYPE_CHECKING:
     from .resources import SchemeConfig
@@ -95,18 +96,8 @@ def squeeze_matrix(p: SqueezeParam, modes: tuple[int, int], n_modes: int) -> np.
 
     Each transformed amplitude is  b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|.
     """
-    i, j = modes
-    c = np.cosh(p.amplitude)
-    s = np.sinh(p.amplitude)
-    cp, sp = np.cos(p.phase), np.sin(p.phase)
     L = np.eye(2 * n_modes)
-    for a, b in ((i, j), (j, i)):
-        L[2 * a, 2 * a] = c
-        L[2 * a + 1, 2 * a + 1] = c
-        L[2 * a, 2 * b] = s * cp
-        L[2 * a, 2 * b + 1] = s * sp
-        L[2 * a + 1, 2 * b] = s * sp
-        L[2 * a + 1, 2 * b + 1] = -s * cp
+    squeeze_into(L, p.amplitude, p.phase, *modes)
     return L
 
 
@@ -115,14 +106,8 @@ def beam_splitter_matrix(modes: tuple[int, int], T: float, n_modes: int) -> np.n
     first named mode and b_l -> sqrt(T) b_l + sqrt(R) b_k on the second."""
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    k, l = modes
-    rt, rr = np.sqrt(T), np.sqrt(1.0 - T)
     M = np.eye(2 * n_modes)
-    for d in range(2):
-        M[2 * k + d, 2 * k + d] = rt
-        M[2 * k + d, 2 * l + d] = -rr
-        M[2 * l + d, 2 * l + d] = rt
-        M[2 * l + d, 2 * k + d] = rr
+    mix_into(M, T, *modes)
     return M
 
 
@@ -184,17 +169,7 @@ def scheme_four_mode_char(cfg: "SchemeConfig") -> GaussianChar:
 
     Two independent two-mode squeezers feed modes (1,2) and (3,4); per-mode
     loss is applied on the source beams, then the two mixing beam splitters
-    couple (1,3) and (2,4).
+    couple (1,3) and (2,4).  A batch of one of
+    :func:`sqbell.kernel.source_exponents`.
     """
-    chi = vacuum_char(4)
-    chi = apply_linear(chi, squeeze_matrix(
-        SqueezeParam(cfg.r, cfg.phi_zeta), (0, 1), 4))
-    chi = apply_linear(chi, squeeze_matrix(
-        SqueezeParam(cfg.s, cfg.phi_xi), (2, 3), 4))
-    if cfg.T_loss < 1.0 or cfg.n_thermal > 0.0:
-        lossy_modes = range(4) if cfg.loss_on_detector_modes else range(2)
-        for mode in lossy_modes:
-            chi = loss_channel(chi, mode, cfg.T_loss, cfg.n_thermal)
-    chi = beam_splitter_substitute(chi, (0, 2), cfg.T1)
-    chi = beam_splitter_substitute(chi, (1, 3), cfg.T2)
-    return chi
+    return GaussianChar(4, exponents_of([cfg])[0])

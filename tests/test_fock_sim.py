@@ -93,6 +93,16 @@ def test_beam_splitter_identity():
     assert np.allclose(out.amps, st.amps)
 
 
+def test_pair_unitary_cache_is_bounded():
+    # repeated parameters hit the cache; distinct ones evict beyond the bound
+    U = fs.beam_splitter_operator(0.7, (4, 4))
+    assert fs.beam_splitter_operator(0.7 + 1e-16, (4, 4)) is U
+    for k in range(fs.UNITARY_CACHE_SIZE + 5):
+        fs.beam_splitter_operator(0.5 + 1e-3 * k, (3, 3))
+    info = fs._beam_splitter_operator.cache_info()
+    assert info.currsize == info.maxsize == fs.UNITARY_CACHE_SIZE
+
+
 def test_beam_splitter_single_photon():
     T = 0.7
     kappa = np.arctan(np.sqrt((1 - T) / T))

@@ -1,0 +1,178 @@
+"""The batched closed-form kernel against the polynomial-Gaussian path."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sqbell import conditioning as cd
+from sqbell import kernel
+from sqbell import optimize as op
+from sqbell import resources as rs
+from sqbell.conditioning import LossyProjectorWarning
+from sqbell.errors import DegeneratePostselectionError
+from sqbell.symplectic import scheme_four_mode_char
+from sqbell.teleport import fidelity_closed_form
+
+P_RTOL = 1e-9
+F_ATOL = 1e-10
+# The polynomial-Gaussian reference adds up signed terms whose magnitudes
+# sum to `scale`, so its own roundoff is a few eps * scale / P; where that
+# exceeds the tolerances above (tiny P, e.g. s = 0 with lossy on/off
+# detectors), the comparison allows it.  A 50-digit evaluation of the same
+# determinant sums put the kernel within 1e-15 of the exact F on those grids.
+REFERENCE_ULPS = 8.0
+
+TABLE2_S = {0.6: 0.00057, 0.8: 0.0046, 1.0: 0.011, 1.2: 0.022,
+            1.4: 0.036, 1.6: 0.056, 1.8: 0.082, 2.0: 0.12}
+
+# the scheme configurations the acceptance criteria evaluate
+ACCEPTANCE = (
+    [("ideal", rs.SchemeConfig(r=r, s=s)) for r, s in TABLE2_S.items()]
+    + [("on-off", rs.SchemeConfig(r=1.6, s=s, T_loss=1.0 - ell))
+       for ell in (0.0, 0.1, 0.2, 0.3) for s in (0.0, 0.05, 1.6)]
+    + [("ideal", rs.SchemeConfig(r=0.6, s=0.01)),
+       ("ideal", rs.SchemeConfig(r=0.8, s=0.005, T1=0.995, T2=0.995)),
+       ("ideal", rs.SchemeConfig(r=0.6, s=0.01, T_loss=0.85)),
+       ("on-off", rs.SchemeConfig(r=0.6, s=0.01)),
+       ("on-off", rs.SchemeConfig(r=0.8, s=0.05, eta3=0.3, eta4=0.2)),
+       ("on-off", rs.SchemeConfig(r=0.6, s=0.01, T_loss=0.85)),
+       ("on-off", rs.SchemeConfig(r=0.8, s=0.02, T_loss=0.85))]
+)
+
+
+def _reference(cfg, detector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        state = rs.scheme_state(cfg, detector)
+    return state.success_prob, fidelity_closed_form(state)
+
+
+def _reference_roundoff(cfg, detector):
+    if detector == "ideal":
+        d3 = d4 = cd.DetectorKernel.ideal()
+    else:
+        d3, d4 = cd.DetectorKernel.on_off(cfg.eta3), cd.DetectorKernel.on_off(cfg.eta4)
+    chi4 = scheme_four_mode_char(cfg)
+    scale = cd.success_probability(chi4, d3.magnitude(), d4.magnitude())
+    P = cd.success_probability(chi4, d3, d4)
+    return REFERENCE_ULPS * np.finfo(float).eps * scale / P
+
+
+def _assert_matches(cfgs, detector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        P, F, status = rs.scheme_pf(cfgs, detector)
+    assert list(status) == [kernel.OK] * len(cfgs)
+    for cfg, p, f in zip(cfgs, P, F):
+        p_ref, f_ref = _reference(cfg, detector)
+        roundoff = _reference_roundoff(cfg, detector)
+        assert p == pytest.approx(p_ref, rel=max(P_RTOL, roundoff), abs=0.0), cfg
+        assert f == pytest.approx(f_ref, rel=0.0, abs=max(F_ATOL, roundoff)), cfg
+
+
+def test_source_exponents_match_stepwise_construction():
+    from sqbell import symplectic as sy
+
+    cfg = rs.SchemeConfig(r=0.9, s=0.3, phi_zeta=0.4, phi_xi=2.1, T1=0.93,
+                          T2=0.97, T_loss=0.8, n_thermal=0.2)
+    chi = sy.vacuum_char(4)
+    chi = sy.apply_linear(chi, sy.squeeze_matrix(sy.SqueezeParam(cfg.r, cfg.phi_zeta), (0, 1), 4))
+    chi = sy.apply_linear(chi, sy.squeeze_matrix(sy.SqueezeParam(cfg.s, cfg.phi_xi), (2, 3), 4))
+    for mode in range(4):
+        chi = sy.loss_channel(chi, mode, cfg.T_loss, cfg.n_thermal)
+    chi = sy.beam_splitter_substitute(chi, (0, 2), cfg.T1)
+    chi = sy.beam_splitter_substitute(chi, (1, 3), cfg.T2)
+    assert np.allclose(scheme_four_mode_char(cfg).exponent, chi.exponent,
+                       rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_acceptance_configurations(detector):
+    _assert_matches([cfg for det, cfg in ACCEPTANCE if det == detector], detector)
+
+
+@pytest.mark.parametrize("r", [0.6, 1.2, 2.0])
+def test_fig3_fig6_grids(r):
+    grid = np.linspace(0.0, r, 61)[::6]
+    _assert_matches([rs.SchemeConfig(r=r, s=float(s)) for s in grid], "ideal")
+    _assert_matches([rs.SchemeConfig(r=r, s=float(s), T_loss=0.85) for s in grid],
+                    "on-off")
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.2, 1.8), s=st.floats(0.0, 1.0),
+       phi_zeta=st.floats(0.0, 2 * np.pi), phi_xi=st.floats(0.0, 2 * np.pi),
+       T1=st.floats(0.85, 0.995), T2=st.floats(0.85, 0.995),
+       T_loss=st.floats(0.6, 1.0), n_thermal=st.floats(0.0, 0.3),
+       on_det=st.booleans(), eta3=st.floats(0.1, 1.0), eta4=st.floats(0.1, 1.0),
+       detector=st.sampled_from(["ideal", "on-off"]))
+def test_kernel_matches_gauss_poly_property(r, s, phi_zeta, phi_xi, T1, T2, T_loss,
+                                            n_thermal, on_det, eta3, eta4, detector):
+    cfg = rs.SchemeConfig(r=r, s=s, phi_zeta=phi_zeta, phi_xi=phi_xi, T1=T1, T2=T2,
+                          T_loss=T_loss, n_thermal=n_thermal, eta3=eta3, eta4=eta4,
+                          loss_on_detector_modes=on_det)
+    _assert_matches([cfg], detector)
+
+
+def test_lossy_projector_warning_on_kernel_path():
+    with pytest.warns(LossyProjectorWarning):
+        rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "ideal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LossyProjectorWarning)
+        rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02)], "ideal")
+        rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "on-off")
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.3, 0.5, 0.77])
+def test_vacuum_ancillas_degenerate_on_both_paths(eta):
+    # r = 0 and s = 0: nothing reaches the detectors, whatever the roundoff
+    cfg = rs.SchemeConfig(r=0.0, s=0.0, T1=0.9, T2=0.9, eta3=eta, eta4=eta)
+    with pytest.raises(DegeneratePostselectionError):
+        rs.scheme_state(cfg, "on-off")
+    P, F, status = rs.scheme_pf([cfg], "on-off")
+    assert status[0] == kernel.DEGENERATE and np.isnan(F[0])
+    with pytest.raises(DegeneratePostselectionError):
+        op.optimize_s(cfg, "on-off")
+
+
+def test_ideal_vacuum_ancillas_degenerate_on_both_paths():
+    cfg = rs.SchemeConfig(r=0.0, s=0.0, T1=0.9, T2=0.9)
+    with pytest.raises(DegeneratePostselectionError):
+        rs.scheme_state(cfg, "ideal")
+    assert rs.scheme_pf([cfg], "ideal")[2][0] == kernel.DEGENERATE
+
+
+def test_unknown_detector_rejected():
+    with pytest.raises(ValueError):
+        rs.scheme_pf([rs.SchemeConfig(r=1.0)], "pnr")
+
+
+def test_optimize_s_trace_order_and_length():
+    cfg = rs.SchemeConfig(r=1.2, T_loss=0.9)
+    res = op.optimize_s(cfg, "on-off")
+    grid = np.linspace(0.0, cfg.r, op.COARSE_POINTS)
+    assert [s for s, _ in res.trace[:op.COARSE_POINTS]] == list(grid)
+    # golden section: two interior points, one per step until the bracket
+    # is narrower than the tolerance, then the midpoint
+    lo, hi = res.bracket
+    steps = int(np.ceil(np.log(op.BRACKET_TOL / (2 * cfg.r / (op.COARSE_POINTS - 1)))
+                        / np.log(op._INV_PHI)))
+    assert len(res.trace) == op.COARSE_POINTS + 2 + steps + 1
+    assert res.trace[-1][0] == pytest.approx(0.5 * (lo + hi), abs=0.0)
+    for s, f in res.trace[::7]:
+        assert f == pytest.approx(_reference(cfg.with_(s=s), "on-off")[1],
+                                  abs=F_ATOL)
+
+
+def test_optimize_delta_closed_form():
+    r = 1.1
+    res = op.optimize_delta(r)
+    assert [d for d, _ in res.trace] == [0.0, np.pi / 2, np.pi / 4]
+    assert res.bracket == (res.s_star, res.s_star)
+    f_at = fidelity_closed_form(rs.theoretical_state("squeezed-bell", r, res.s_star))
+    assert res.f_star == pytest.approx(f_at, abs=1e-12)
+    for d in np.linspace(0.0, np.pi / 2, 13):
+        f = fidelity_closed_form(rs.theoretical_state("squeezed-bell", r, float(d)))
+        assert f <= res.f_star + 1e-12

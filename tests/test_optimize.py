@@ -119,13 +119,15 @@ def test_sweep_spec_validation():
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="T", grid=(0.5, 1.5))
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_batched_rows_match_pointwise():
     spec = op.SweepSpec(base=rs.SchemeConfig(r=1.3, eta3=0.15, eta4=0.15),
                         axis="loss", grid=(0.0, 0.1, 0.2), detector="on-off")
-    serial = op.sweep(spec, jobs=1)
-    parallel = op.sweep(spec, jobs=3)
-    assert [(r.value, r.fidelity) for r in serial] == \
-        [(r.value, r.fidelity) for r in parallel]
+    for row in op.sweep(spec):
+        state = rs.scheme_state(spec.config_at(row.value), "on-off")
+        assert row.error is None
+        assert row.success_prob == pytest.approx(state.success_prob, rel=1e-9)
+        assert row.fidelity == pytest.approx(tp.fidelity_closed_form(state),
+                                             abs=1e-10)
 
 
 def test_nested_optimization_column():
