@@ -10,7 +10,10 @@ in :mod:`sqbell.teleport`, optimization and sweeps in :mod:`sqbell.optimize`,
 and a truncated-Fock brute-force oracle in :mod:`sqbell.fock_sim`.  The
 scheme's heralding probability and fidelity, which optimization, sweeps and
 datasets need in bulk, come from the batched determinant kernel of
-:mod:`sqbell.kernel`, which the polynomial-Gaussian path cross-checks.
+:mod:`sqbell.kernel`, which the polynomial-Gaussian path cross-checks.  The
+analytic reference families are all squeezed Bell states, built from one
+written-out polynomial; their fidelity is the closed form
+:func:`sqbell.kernel.squeezed_bell_fidelity`.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +25,6 @@ from .gauss_poly import (
     Polynomial,
     evaluate,
     evaluate_at_betas,
-    gaussian_moment,
     integrate_out,
     integrate_real,
     multiply,
@@ -57,9 +59,9 @@ __all__ = [
     "Polynomial", "ResourceState", "SchemeConfig", "SqueezeParam", "SweepSpec",
     "beam_splitter_substitute", "condition", "delta_equivalent",
     "effective_squeezing", "evaluate", "evaluate_at_betas", "fidelity",
-    "fidelity_alpha_explicit", "gaussian_moment", "integrate_out",
-    "integrate_real", "loss_channel", "multiply", "optimize_delta",
-    "optimize_s", "scheme_four_mode_char", "scheme_state", "substitute",
+    "fidelity_alpha_explicit", "integrate_out", "integrate_real",
+    "loss_channel", "multiply", "optimize_delta", "optimize_s",
+    "scheme_four_mode_char", "scheme_state", "substitute",
     "success_probability", "sweep", "theoretical_state", "thermal_char",
     "twin_beam_fidelity", "two_mode_squeezed_char", "vacuum_char",
 ]

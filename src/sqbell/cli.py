@@ -23,11 +23,13 @@ from .errors import (
     PhysicalityError,
     ZeroNormStateError,
 )
+from .kernel import squeezed_bell_fidelity
 from .optimize import SweepSpec, optimize_delta, optimize_s, sweep
 from .resources import (
     SCHEME_FAMILIES,
     THEORETICAL_FAMILIES,
     SchemeConfig,
+    bell_angle,
     delta_equivalent,
     effective_squeezing,
     scheme_pf,
@@ -75,7 +77,6 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta3", type=float, default=0.15)
     p.add_argument("--eta4", type=float, default=0.15)
     p.add_argument("--n-thermal", type=float, default=0.0)
-    p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--signal-loss-only", action="store_true",
                    help="apply the loss channel to the signal modes only")
 
@@ -92,7 +93,7 @@ def _config_from_args(args) -> SchemeConfig:
     return SchemeConfig(
         r=args.r, s=args.s, phi_zeta=args.phi_zeta, phi_xi=args.phi_xi,
         T1=T1, T2=T2, T_loss=1.0 - args.loss, eta3=eta3, eta4=eta4,
-        n_thermal=args.n_thermal, cutoff=args.cutoff,
+        n_thermal=args.n_thermal,
         loss_on_detector_modes=not args.signal_loss_only)
 
 
@@ -127,8 +128,6 @@ def _config_flags(cfg: SchemeConfig, **extra) -> dict:
         "T1": cfg.T1, "T2": cfg.T2, "loss": round(1.0 - cfg.T_loss, 12),
         "eta3": cfg.eta3, "eta4": cfg.eta4, "n-thermal": cfg.n_thermal,
     }
-    if cfg.cutoff is not None:
-        flags["cutoff"] = cfg.cutoff
     if not cfg.loss_on_detector_modes:
         flags["signal-loss-only"] = True
     flags.update(extra)
@@ -292,10 +291,9 @@ def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
         rows.append(["scheme-s0", r, _safe_scheme_fidelity(SchemeConfig(r=r, s=0.0))])
         sb = optimize_delta(r)
         rows.append(["theory-squeezed-bell-opt", r, sb.f_star])
-        rows.append(["theory-photon-subtracted", r,
-                     fidelity(theoretical_state("photon-subtracted", r)).fidelity])
-        rows.append(["theory-twin-beam", r,
-                     fidelity(theoretical_state("twin-beam", r)).fidelity])
+        for family in ("photon-subtracted", "twin-beam"):
+            rows.append([f"theory-{family}", r, float(
+                squeezed_bell_fidelity(r, bell_angle(family, r)))])
     path = outdir / f"{name}.csv"
     _write_rows(path, ["series", "r", "fidelity"], rows)
     _write_sidecar(outdir / f"{name}.config.json", {
@@ -412,13 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Load --config JSON defaults; explicit command-line flags still win."""
-    if "--config" not in argv:
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            if idx + 1 == len(argv):
+                raise ValueError("--config needs a path")
+            path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+            break
+        if arg.startswith("--config="):
+            path, argv = arg[len("--config="):], argv[:idx] + argv[idx + 1:]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    path = Path(argv[idx + 1])
-    data = json.loads(path.read_text())
+    data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     if isinstance(data.get("flags"), dict):
@@ -426,27 +431,26 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     extra: list[str] = []
     for key, value in sorted(data.items()):
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if any(a == flag or a.startswith(flag + "=") for a in argv):
             continue
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
         else:
             extra.extend([flag, str(value)])
-    # insert defaults right after the subcommand so explicit flags override
-    return argv[:idx] + argv[idx + 2:] + extra
+    return argv + extra
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegeneratePostselectionError as exc:

@@ -505,8 +505,7 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     """
     if detector not in ("ideal", "on-off", "onoff"):
         raise ValueError(f"unknown detector kind {detector!r}")
-    c = cutoff if cutoff is not None else (
-        cfg.cutoff if cfg.cutoff is not None else default_cutoff(max(cfg.r, cfg.s)))
+    c = cutoff if cutoff is not None else default_cutoff(max(cfg.r, cfg.s))
     while True:
         try:
             return _scheme_oracle_at(cfg, detector, c, leak_tol)

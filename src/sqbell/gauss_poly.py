@@ -30,7 +30,6 @@ from .errors import (
 
 MAX_POLY_DEGREE = 16
 SYMMETRY_TOL = 1e-12
-MERGE_TOL = 1e-12
 
 PhaseVector = np.ndarray
 
@@ -114,17 +113,6 @@ class Polynomial:
                 f"polynomial degree {poly.degree()} exceeds cap {MAX_POLY_DEGREE}"
             )
         return poly
-
-    def derivative(self, i: int) -> "Polynomial":
-        out: dict[tuple, complex] = {}
-        for mono, c in self.coeffs.items():
-            if mono[i] == 0:
-                continue
-            new = list(mono)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + c * mono[i]
-        return Polynomial(self.n_vars, out)
 
     def substitute_zero(self, coords: Iterable[int]) -> "Polynomial":
         """Set the named coordinates to zero (drop monomials that contain them)."""
@@ -319,26 +307,6 @@ def evaluate_at_betas(f: PolyGaussFunction, betas: Sequence[complex]) -> complex
     return evaluate(f, complex_to_real(betas))
 
 
-def differentiate(f: PolyGaussFunction, coord: int) -> PolyGaussFunction:
-    """Partial derivative with respect to one real coordinate."""
-    terms = []
-    for t in f.terms:
-        for k in t.deltas:
-            if coord in (2 * k, 2 * k + 1):
-                raise UnsupportedEvaluationError(
-                    "cannot differentiate across a delta factor"
-                )
-        # d/dx_i of the exponent is b_i - (A x)_i, a degree-1 polynomial
-        exp_grad = Polynomial.constant(f.n_vars, t.lin[coord])
-        for j in range(f.n_vars):
-            if t.quad[coord, j] != 0.0:
-                exp_grad = exp_grad + Polynomial.coordinate(
-                    f.n_vars, j, -t.quad[coord, j])
-        new_poly = t.poly.derivative(coord) + t.poly * exp_grad
-        terms.append(GaussPolyTerm(t.coeff, new_poly, t.quad, t.lin, t.deltas))
-    return PolyGaussFunction(f.n_vars, terms)
-
-
 def substitute(f: PolyGaussFunction, mat: np.ndarray) -> PolyGaussFunction:
     """Return g(z) = f(M z) for a real matrix M of shape (n_vars, n_new).
 
@@ -387,44 +355,6 @@ def embed(f: PolyGaussFunction, n_vars_new: int, offset: int) -> PolyGaussFuncti
             t.coeff, Polynomial(n_vars_new, coeffs), A, b,
             frozenset(k + offset // 2 for k in t.deltas)))
     return PolyGaussFunction(n_vars_new, terms)
-
-
-def gaussian_moment(A: np.ndarray, b: np.ndarray, exponents: Sequence[int]) -> complex:
-    """Closed form of integral x^exponents exp(-1/2 x^T A x + b^T x) dx over R^d."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=complex)
-    d = A.shape[0]
-    try:
-        chol = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise DivergentIntegralError("quadratic form is not positive definite") from exc
-    Ainv = np.linalg.inv(A)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    base = np.exp(0.5 * d * np.log(2.0 * np.pi) - 0.5 * logdet + 0.5 * b @ Ainv @ b)
-    mu = Ainv @ b
-    moment = _central_moment_scalar(tuple(int(e) for e in exponents), mu, Ainv, {})
-    return base * moment
-
-
-def _central_moment_scalar(alpha: tuple, mu: np.ndarray, cov: np.ndarray,
-                           memo: dict) -> complex:
-    """E[x^alpha] for x ~ N(mu, cov) by the Stein recursion."""
-    if sum(alpha) == 0:
-        return 1.0
-    if alpha in memo:
-        return memo[alpha]
-    i = next(j for j, e in enumerate(alpha) if e > 0)
-    rest = list(alpha)
-    rest[i] -= 1
-    rest_t = tuple(rest)
-    total = mu[i] * _central_moment_scalar(rest_t, mu, cov, memo)
-    for j, e in enumerate(rest_t):
-        if e > 0 and cov[i, j] != 0.0:
-            rr = list(rest_t)
-            rr[j] -= 1
-            total += e * cov[i, j] * _central_moment_scalar(tuple(rr), mu, cov, memo)
-    memo[alpha] = total
-    return total
 
 
 def _moment_polynomial(alpha: tuple, mu_polys: list, cov: np.ndarray,

@@ -25,6 +25,9 @@ For P the ancilla block is that of S; for P F, integrating lam first leaves
 the Schur complement of the lam block of the 6x6 exponent over
 (lam, b3, b4), and P F = 2 P(Schur complement) / sqrt(det(lam block)).
 
+The squeezed Bell family, which holds every analytic reference resource,
+has a closed-form fidelity, :func:`squeezed_bell_fidelity`.
+
 This module imports nothing beyond numpy.
 """
 
@@ -246,3 +249,37 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     status[P <= degenerate_below(p_scale)] = DEGENERATE
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status
+
+
+# ---------------------------------------------------------------------------
+# squeezed Bell family
+# ---------------------------------------------------------------------------
+
+
+def squeezed_bell_fidelity(r, delta):
+    """Fidelity of S(r)[cos d|0,0> + sin d|1,1>] (squeezer phase pi), batched.
+
+    With c = cos d, s = sin d and x = e^{-2r},
+
+        F = c^2 / (1 + x) + s^2 (1 + x^2) / (1 + x)^3 + 2 c s x / (1 + x)^2.
+
+    The fidelity is (1/pi) Int d^2lam e^{-|lam|^2} chi(-conj(lam), -lam).  At
+    phase pi the squeezer maps b1 -> b1 cosh r - conj(b2) sinh r and
+    b2 -> b2 cosh r - conj(b1) sinh r, so (-conj(lam), -lam) becomes the bare
+    arguments e^{-r} (-conj(lam), -lam).  The bare characteristic function
+
+        e^{-(|b1|^2 + |b2|^2)/2} [c^2 + s^2 (1 - |b1|^2)(1 - |b2|^2)
+                                  + 2 c s Re(b1 b2)]
+
+    depends there only on t = |lam|^2, and d^2lam = pi dt, so
+
+        F = Int_0^inf e^{-(1+x) t} [c^2 + s^2 (1 - x t)^2 + 2 c s x t] dt,
+
+    and Int_0^inf t^n e^{-a t} dt = n! / a^{n+1} gives the formula, since
+    (1+x)^2 - 2x(1+x) + 2x^2 = 1 + x^2.  At d = 0 it is the twin beam's
+    1 / (1 + e^{-2r}).  Arguments broadcast; returns an array.
+    """
+    x = np.exp(-2.0 * np.asarray(r, dtype=float))
+    c, s = np.cos(delta), np.sin(delta)
+    a = 1.0 + x
+    return c * c / a + s * s * (1.0 + x * x) / a ** 3 + 2.0 * c * s * x / a ** 2

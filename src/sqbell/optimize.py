@@ -14,9 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernel
 from .errors import DegeneratePostselectionError
-from .resources import SchemeConfig, scheme_pf, status_error, theoretical_state
-from .teleport import fidelity_closed_form
+from .resources import SchemeConfig, scheme_pf, status_error
 
 COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
@@ -144,24 +144,22 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal",
 def optimize_delta(r: float) -> OptResult:
     """Maximize the fidelity of the analytic squeezed Bell family over its angle.
 
-    The family is cos(d)|0,0> + sin(d)|1,1> squeezed, so its fidelity is the
-    quadratic form A cos^2 d + B sin^2 d + 2 C sin d cos d, fixed by the
-    fidelities at d = 0, pi/2 and pi/4 (the trace).  The optimum is the top
-    eigenpair of [[A, C], [C, B]], or the better end of [0, pi/2] when that
-    eigenvector points outside the quadrant.
+    The fidelity of S(r)[cos d|0,0> + sin d|1,1>] is the quadratic form
+    A cos^2 d + B sin^2 d + 2 C sin d cos d of
+    :func:`sqbell.kernel.squeezed_bell_fidelity`, with A and B its values at
+    d = 0 and pi/2 and C = x / (1 + x)^2 > 0 (x = e^{-2r}); the trace holds
+    its values at d = 0, pi/2 and pi/4.  The optimum is the top eigenpair of
+    [[A, C], [C, B]]: d* = atan2(2C, A - B) / 2, which lies in (0, pi/2)
+    because C > 0, and F* = (A + B) / 2 + hypot((A - B) / 2, C).
     """
-    trace = tuple(
-        (d, fidelity_closed_form(theoretical_state("squeezed-bell", r, d)))
-        for d in (0.0, np.pi / 2.0, np.pi / 4.0))
+    angles = (0.0, np.pi / 2.0, np.pi / 4.0)
+    trace = tuple((d, float(f)) for d, f in
+                  zip(angles, kernel.squeezed_bell_fidelity(r, angles)))
     (_, A), (_, B), (_, F45) = trace
     C = F45 - 0.5 * (A + B)
-    w, v = np.linalg.eigh(np.array([[A, C], [C, B]]))
-    c, s = v[:, 1]
-    if c * s >= 0.0:
-        d_star, f_star = float(np.arctan2(abs(s), abs(c))), float(w[1])
-    else:
-        d_star, f_star = max(trace[:2], key=lambda t: t[1])
-    return OptResult(d_star, float(f_star), trace, (d_star, d_star))
+    d_star = float(0.5 * np.arctan2(2.0 * C, A - B))
+    f_star = float(0.5 * (A + B) + np.hypot(0.5 * (A - B), C))
+    return OptResult(d_star, f_star, trace, (d_star, d_star))
 
 
 @dataclass

@@ -5,16 +5,13 @@ and photon-added squeezed states, squeezed number state, squeezed Bell family)
 and the states produced by the generation scheme, ideal or realistic.  Every
 resource is exposed as a normalized two-mode characteristic function.
 
-Ladder operators act on characteristic functions through exact first-order
-rules: with chi(b) = Tr[rho D(b)],
-
-    a rho      -> (-b/2 - d/d conj(b)) chi        rho a      -> (+b/2 - d/d conj(b)) chi
-    adag rho   -> (d/db - conj(b)/2) chi          rho adag   -> (d/db + conj(b)/2) chi
+The analytic families are all points of the squeezed Bell family
+S(r)[cos d|0,0> + sin d|1,1>]; `bell_angle` gives each one's angle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -28,13 +25,7 @@ from .conditioning import (
     condition,
 )
 from .errors import DegeneratePostselectionError, PhysicalityError, ZeroNormStateError
-from .symplectic import (
-    GaussianChar,
-    SqueezeParam,
-    scheme_four_mode_char,
-    squeeze_matrix,
-    two_mode_squeezed_char,
-)
+from .symplectic import SqueezeParam, scheme_four_mode_char, squeeze_matrix
 
 THEORETICAL_FAMILIES = (
     "twin-beam", "photon-subtracted", "photon-added", "squeezed-number",
@@ -57,24 +48,16 @@ class SchemeConfig:
     eta3: float = DEFAULT_EFFICIENCY
     eta4: float = DEFAULT_EFFICIENCY
     n_thermal: float = 0.0
-    cutoff: Optional[int] = None
     loss_on_detector_modes: bool = True
 
     def __post_init__(self):
         if self.r < 0 or self.s < 0:
             raise ValueError("squeezing amplitudes must be nonnegative")
-        for name in ("T1", "T2", "T_loss"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        for name in ("eta3", "eta4"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
+        for name in ("T1", "T2", "T_loss", "eta3", "eta4"):
+            if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if self.n_thermal < 0:
             raise ValueError("n_thermal must be nonnegative")
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValueError("cutoff must be a positive integer")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -91,59 +74,9 @@ class ResourceState:
     chi: gp.PolyGaussFunction
     params: object
     success_prob: Optional[float] = None
-    extra: dict = field(default_factory=dict)
 
     def chi_at(self, beta1: complex, beta2: complex) -> complex:
         return gp.evaluate_at_betas(self.chi, [beta1, beta2])
-
-
-# ---------------------------------------------------------------------------
-# ladder-operator rules on characteristic functions
-# ---------------------------------------------------------------------------
-
-
-def _mult_beta(f: gp.PolyGaussFunction, mode: int, conjugate: bool) -> gp.PolyGaussFunction:
-    n = f.n_vars
-    sign = -1.0 if conjugate else 1.0
-    terms = []
-    for t in f.terms:
-        poly = t.poly * (gp.Polynomial.coordinate(n, 2 * mode)
-                         + gp.Polynomial.coordinate(n, 2 * mode + 1, sign * 1.0j))
-        terms.append(gp.GaussPolyTerm(t.coeff, poly, t.quad, t.lin, t.deltas))
-    return gp.PolyGaussFunction(n, terms)
-
-
-def _wirtinger(f: gp.PolyGaussFunction, mode: int, conjugate: bool) -> gp.PolyGaussFunction:
-    dx = gp.differentiate(f, 2 * mode)
-    dy = gp.differentiate(f, 2 * mode + 1)
-    sign = 1.0j if conjugate else -1.0j
-    return dx.scaled(0.5) + dy.scaled(0.5 * sign)
-
-
-def apply_ladder(f: gp.PolyGaussFunction, mode: int, op: str, side: str) -> gp.PolyGaussFunction:
-    """Apply a creation/annihilation operator to rho on the left or right."""
-    if op == "a" and side == "left":
-        out = _mult_beta(f, mode, conjugate=False).scaled(-0.5) \
-            + _wirtinger(f, mode, conjugate=True).scaled(-1.0)
-    elif op == "a" and side == "right":
-        out = _mult_beta(f, mode, conjugate=False).scaled(0.5) \
-            + _wirtinger(f, mode, conjugate=True).scaled(-1.0)
-    elif op == "adag" and side == "left":
-        out = _wirtinger(f, mode, conjugate=False) \
-            + _mult_beta(f, mode, conjugate=True).scaled(-0.5)
-    elif op == "adag" and side == "right":
-        out = _wirtinger(f, mode, conjugate=False) \
-            + _mult_beta(f, mode, conjugate=True).scaled(0.5)
-    else:
-        raise ValueError(f"unknown ladder action {op!r}/{side!r}")
-    return gp.canonicalize(out)
-
-
-def _normalized(chi: gp.PolyGaussFunction, zero_tol: float = 1e-14) -> gp.PolyGaussFunction:
-    norm = gp.evaluate(chi, np.zeros(chi.n_vars))
-    if abs(norm) < zero_tol:
-        raise ZeroNormStateError("state construction produced the zero operator")
-    return chi.scaled(1.0 / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -151,60 +84,65 @@ def _normalized(chi: gp.PolyGaussFunction, zero_tol: float = 1e-14) -> gp.PolyGa
 # ---------------------------------------------------------------------------
 
 
-def theoretical_state(family: str, r: float, delta: float | None = None,
-                      phase: float = np.pi) -> ResourceState:
-    """Analytic two-mode resource of one of the named families.
+def bell_angle(family: str, r: float, delta: float | None = None) -> float:
+    """Squeezed Bell angle of a theoretical family at squeezing amplitude r.
 
-    The squeezed Bell family takes the mixing angle `delta`; all other
-    families are fixed by the squeezing amplitude alone.
+    Every family is S(r)[cos d|0,0> + sin d|1,1>].  The phase-pi squeezer
+    moves a ladder operator past itself as a1 S = S(a1 cosh r + a2^dag sinh r)
+    (and 1 <-> 2), so on the twin beam S|0,0>
+
+        a1 a2 S|0,0>         = sinh r S(cosh r|0,0> + sinh r|1,1>),
+        a1^dag a2^dag S|0,0> = cosh r S(sinh r|0,0> + cosh r|1,1>):
+
+    tan d = tanh r for photon subtraction, coth r for photon addition, and
+    d = 0 and pi/2 for the twin beam and the squeezed number state.  Only
+    `squeezed-bell` takes delta.
     """
     if family not in THEORETICAL_FAMILIES:
         raise ValueError(f"unknown theoretical family {family!r}")
     if family == "squeezed-bell":
         if delta is None:
             raise ValueError("squeezed-bell requires the mixing angle delta")
-    elif delta is not None:
+        return float(delta)
+    if delta is not None:
         raise ValueError(f"family {family!r} does not take delta")
-    p = SqueezeParam(r, phase)
-
     if family == "twin-beam":
-        chi = two_mode_squeezed_char(p).to_polygauss()
-    elif family == "photon-subtracted":
-        chi = two_mode_squeezed_char(p).to_polygauss()
-        for mode in (0, 1):
-            chi = apply_ladder(chi, mode, "a", "left")
-            chi = apply_ladder(chi, mode, "adag", "right")
-        chi = _normalized(chi)
-    elif family == "photon-added":
-        chi = two_mode_squeezed_char(p).to_polygauss()
-        for mode in (0, 1):
-            chi = apply_ladder(chi, mode, "adag", "left")
-            chi = apply_ladder(chi, mode, "a", "right")
-        chi = _normalized(chi)
-    else:
-        # build on the bare two-mode vacuum, then squeeze by substitution
-        vac = GaussianChar(2, np.eye(4)).to_polygauss()
-        number = vac
-        for mode in (0, 1):
-            number = apply_ladder(number, mode, "adag", "left")
-            number = apply_ladder(number, mode, "a", "right")
-        if family == "squeezed-number":
-            bare = number
-        else:  # squeezed-bell
-            c0, c1 = np.cos(delta), np.sin(delta)
-            cross_lr = vac
-            for mode in (0, 1):
-                cross_lr = apply_ladder(cross_lr, mode, "adag", "left")
-            cross_rl = vac
-            for mode in (0, 1):
-                cross_rl = apply_ladder(cross_rl, mode, "a", "right")
-            bare = (vac.scaled(c0 ** 2) + number.scaled(c1 ** 2)
-                    + cross_lr.scaled(c0 * c1) + cross_rl.scaled(c0 * c1))
-        chi = gp.substitute(bare, squeeze_matrix(p, (0, 1), 2))
-        chi = _normalized(gp.canonicalize(chi))
+        return 0.0
+    if family == "photon-subtracted":
+        if np.sinh(r) == 0.0:
+            raise ZeroNormStateError("photon subtraction annihilates the vacuum")
+        return float(np.arctan2(np.sinh(r), np.cosh(r)))
+    if family == "photon-added":
+        return float(np.arctan2(np.cosh(r), np.sinh(r)))
+    return np.pi / 2.0  # squeezed-number
 
-    params = {"r": r, "delta": delta, "phase": phase}
-    return ResourceState(family, chi, params)
+
+def theoretical_state(family: str, r: float, delta: float | None = None) -> ResourceState:
+    """Analytic two-mode resource of one of the named families.
+
+    The squeezed Bell family takes the mixing angle `delta`; all other
+    families are fixed by the squeezing amplitude alone (see `bell_angle`).
+    The characteristic function of cos d|0,0> + sin d|1,1>, over
+    (x1, y1, x2, y2) = (Re b1, Im b1, Re b2, Im b2), is
+
+        e^{-(|b1|^2 + |b2|^2)/2} [c^2 + s^2 (1 - |b1|^2)(1 - |b2|^2)
+                                  + 2 c s (x1 x2 - y1 y2)],
+
+    which the two-mode squeezer of phase pi then maps by substitution.
+    """
+    d = bell_angle(family, r, delta)
+    c, s = np.cos(d), np.sin(d)
+    cc, ss, cs = c * c, s * s, 2.0 * c * s
+    bare = gp.Polynomial(4, {
+        (0, 0, 0, 0): cc + ss,
+        (2, 0, 0, 0): -ss, (0, 2, 0, 0): -ss, (0, 0, 2, 0): -ss, (0, 0, 0, 2): -ss,
+        (2, 0, 2, 0): ss, (2, 0, 0, 2): ss, (0, 2, 2, 0): ss, (0, 2, 0, 2): ss,
+        (1, 0, 1, 0): cs, (0, 1, 0, 1): -cs,
+    })
+    vac = gp.PolyGaussFunction(4, [gp.GaussPolyTerm(
+        1.0, bare, np.eye(4), np.zeros(4, dtype=complex))])
+    chi = gp.substitute(vac, squeeze_matrix(SqueezeParam(r, np.pi), (0, 1), 2))
+    return ResourceState(family, chi, {"r": r, "delta": delta, "phase": np.pi})
 
 
 def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
@@ -220,8 +158,7 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
     else:
         raise ValueError(f"unknown detector kind {detector!r}")
     cond: ConditionedState = condition(chi4, d3, d4, provenance={"config": cfg})
-    return ResourceState(family, cond.chi, cfg, cond.success_prob,
-                         extra={"detector": detector})
+    return ResourceState(family, cond.chi, cfg, cond.success_prob)
 
 
 def scheme_pf(cfgs, detector: str = "ideal"):

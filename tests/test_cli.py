@@ -139,6 +139,35 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     assert float(parse_kv(out)["fidelity"]) == pytest.approx(0.9615, abs=2e-3)
 
 
+def test_config_file_equals_form(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"family": "twin-beam", "r": 0.5}))
+    spaced = run(capsys, "--config", str(cfg_file), "fidelity", "--no-cross-check")
+    joined = run(capsys, f"--config={cfg_file}", "fidelity", "--no-cross-check")
+    assert spaced[0] == joined[0] == EXIT_OK
+    assert joined[1] == spaced[1]
+    assert float(parse_kv(joined[1])["fidelity"]) == pytest.approx(0.731, abs=1e-3)
+    # an explicit --flag=value still wins over the file value
+    code, out, _ = run(capsys, f"--config={cfg_file}", "fidelity",
+                       "--no-cross-check", "--r=0")
+    assert code == EXIT_OK
+    assert float(parse_kv(out)["fidelity"]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_config_without_path_exit_2(capsys):
+    code, _, err = run(capsys, "fidelity", "--config")
+    assert code == EXIT_USAGE
+    assert "--config" in err
+
+
+def test_config_path_unreadable_exit_2(tmp_path, capsys):
+    code, _, err = run(capsys, "fidelity", "--config", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "error" in err
+    code, _, _ = run(capsys, "fidelity", "--config", str(tmp_path / "missing.json"))
+    assert code == EXIT_USAGE
+
+
 def test_sidecar_reproduces_sweep(tmp_path, capsys):
     first = tmp_path / "first.csv"
     run(capsys, "sweep", "--family", "scheme-realistic", "--r", "1.3",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqbell import conditioning as cd
+from sqbell import fock_sim as fs
 from sqbell import kernel
 from sqbell import optimize as op
 from sqbell import resources as rs
@@ -176,3 +177,34 @@ def test_optimize_delta_closed_form():
     for d in np.linspace(0.0, np.pi / 2, 13):
         f = fidelity_closed_form(rs.theoretical_state("squeezed-bell", r, float(d)))
         assert f <= res.f_star + 1e-12
+
+
+def test_squeezed_bell_fidelity_matches_gauss_poly():
+    r = np.linspace(0.05, 2.5, 15)
+    d = np.linspace(-1.5, 1.5, 13)
+    closed = kernel.squeezed_bell_fidelity(r[:, None], d[None, :])
+    assert closed.shape == (15, 13)
+    for i, ri in enumerate(r):
+        for j, dj in enumerate(d):
+            ref = fidelity_closed_form(
+                rs.theoretical_state("squeezed-bell", float(ri), float(dj)))
+            assert closed[i, j] == pytest.approx(ref, rel=1e-11, abs=0.0), (ri, dj)
+
+
+@pytest.mark.parametrize("family", rs.THEORETICAL_FAMILIES)
+@pytest.mark.parametrize("r", [0.5, 0.8])
+def test_squeezed_bell_fidelity_matches_fock_oracle(family, r):
+    # (1/pi) Int d^2lam e^{-|lam|^2} chi(-conj(lam), -lam) by Gauss-Hermite
+    # quadrature over the characteristic function of the Fock construction
+    delta = 0.6 if family == "squeezed-bell" else None
+    oracle = fs.theoretical_oracle(family, r, delta, cutoff=30)
+    flat = oracle.amps.reshape(-1)
+    rho = fs.FockDensity(oracle.cutoffs, np.outer(flat, flat.conj()))
+    nodes, weights = np.polynomial.hermite.hermgauss(48)
+    u, v = np.meshgrid(nodes, nodes)
+    lam = (u + 1j * v).ravel()
+    chi = fs.char_function_batch(rho, -np.conj(lam), -lam)
+    f_oracle = (np.outer(weights, weights).ravel() @ chi).real / np.pi
+    f_closed = kernel.squeezed_bell_fidelity(r, rs.bell_angle(family, r, delta))
+    assert f_closed == pytest.approx(f_oracle, abs=1e-5)
+
