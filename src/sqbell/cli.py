@@ -21,6 +21,7 @@ from .errors import (
     DegeneratePostselectionError,
     DivergentIntegralError,
     PhysicalityError,
+    QuadratureConvergenceError,
     ZeroNormStateError,
 )
 from .kernel import squeezed_bell_fidelity
@@ -189,6 +190,14 @@ def cmd_fidelity(args) -> int:
     return EXIT_OK
 
 
+def _scheme_detector(family: str) -> str:
+    """Detector kind of a scheme family; other families have no s to tune."""
+    if family not in SCHEME_FAMILIES:
+        raise ValueError(f"family {family!r} has no ancillary squeezing s to "
+                         f"tune; use {' or '.join(SCHEME_FAMILIES)}")
+    return "on-off" if family == "scheme-realistic" else "ideal"
+
+
 def cmd_optimize(args) -> int:
     if args.family == "squeezed-bell":
         if args.r is None:
@@ -198,8 +207,8 @@ def cmd_optimize(args) -> int:
                   "delta_star": res.s_star, "fidelity": res.f_star,
                   "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1]}
     else:
+        detector = _scheme_detector(args.family)
         cfg = _config_from_args(args)
-        detector = "on-off" if args.family == "scheme-realistic" else "ideal"
         res = optimize_s(cfg, detector)
         record = {"family": args.family, "r": cfg.r,
                   "s_star": res.s_star, "fidelity": res.f_star,
@@ -222,8 +231,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
+    detector = _scheme_detector(args.family)
     cfg = _config_from_args(args)
-    detector = "on-off" if args.family == "scheme-realistic" else "ideal"
     spec = SweepSpec(base=cfg, axis=args.axis, grid=_parse_grid(args.grid),
                      detector=detector, optimize_s_at_each=args.optimize)
     rows = sweep(spec)
@@ -457,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"degenerate postselection: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (PhysicalityError, CutoffTooSmallError, DivergentIntegralError,
-            ZeroNormStateError) as exc:
+            QuadratureConvergenceError, ZeroNormStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

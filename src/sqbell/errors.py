@@ -29,6 +29,15 @@ class PhysicalityError(Exception):
     """A state or integrand violates a physicality requirement."""
 
 
+class QuadratureConvergenceError(Exception):
+    """Adaptive cubature reached its subdivision cap above the requested tolerance."""
+
+    def __init__(self, message: str, estimate: float, error: float):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error = error
+
+
 class DegeneratePostselectionError(Exception):
     """Conditioning succeeded with (numerically) zero probability."""
 

@@ -4,8 +4,11 @@ Everything the closed-form pipeline computes is re-derived here by dense/sparse
 linear algebra on photon-number tensors: squeezers and beam splitters as exact
 unitaries of the truncated generators (block-diagonalized by their conserved
 quantity), loss channels as Kraus maps, detectors as diagonal POVM weights,
-characteristic functions as displacement-operator traces.  Intended for
-desk-scale validation, not performance.
+characteristic functions as displacement-operator traces.  The operations
+are array code (block unitaries assembled from their nonzero entries, banded
+Kraus sums, displacement matrices by a recurrence vectorized over amplitudes)
+so that the cross-checks run at the default cutoffs in seconds; none of them
+assumes the structure of the states it is asked to check.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import CutoffTooSmallError, DegeneratePostselectionError
 from .resources import SchemeConfig
@@ -118,7 +120,7 @@ def _two_mode_squeeze_operator(amplitude: float, phase: float,
                                dims: tuple[int, int]) -> sparse.csr_matrix:
     d1, d2 = dims
     z = amplitude * np.exp(1j * phase)
-    rows, cols, vals = [], [], []
+    blocks = []
     for q in range(-(d2 - 1), d1):
         if q >= 0:
             n2s = np.arange(0, min(d2, d1 - q))
@@ -126,24 +128,10 @@ def _two_mode_squeeze_operator(amplitude: float, phase: float,
         else:
             n1s = np.arange(0, min(d1, d2 + q))
             n2s = n1s - q
-        size = len(n1s)
-        if size == 0:
-            continue
-        G = np.zeros((size, size), dtype=complex)
-        for t in range(size - 1):
-            amp = -z * np.sqrt((n1s[t] + 1.0) * (n2s[t] + 1.0))
-            G[t + 1, t] = amp
-            G[t, t + 1] = -np.conj(amp)
-        U = expm(G) if size > 1 else np.ones((1, 1), dtype=complex)
-        idx = n1s * d2 + n2s
-        for a in range(size):
-            for b in range(size):
-                if U[a, b] != 0.0:
-                    rows.append(idx[a])
-                    cols.append(idx[b])
-                    vals.append(U[a, b])
-    D = d1 * d2
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(D, D))
+        # raising both photon numbers by one within the block
+        amps = -z * np.sqrt((n1s[:-1] + 1.0) * (n2s[:-1] + 1.0))
+        blocks.append((n1s * d2 + n2s, amps, -np.conj(amps)))
+    return _block_unitary(blocks, d1 * d2)
 
 
 def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
@@ -161,29 +149,37 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix
 def _beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
     d1, d2 = dims
     kappa = np.arctan2(np.sqrt(1.0 - T), np.sqrt(T))
-    rows, cols, vals = [], [], []
+    blocks = []
     for N in range(d1 + d2 - 1):
         n1s = np.arange(max(0, N - d2 + 1), min(N, d1 - 1) + 1)
         n2s = N - n1s
-        size = len(n1s)
-        if size == 0:
-            continue
-        G = np.zeros((size, size), dtype=complex)
-        for t in range(size - 1):
-            # raising n1 by one lowers n2 by one within the block
-            amp = kappa * np.sqrt((n1s[t] + 1.0) * n2s[t])
-            G[t + 1, t] = amp
-            G[t, t + 1] = -amp
-        U = expm(G) if size > 1 else np.ones((1, 1), dtype=complex)
-        idx = n1s * d2 + n2s
-        for a in range(size):
-            for b in range(size):
-                if U[a, b] != 0.0:
-                    rows.append(idx[a])
-                    cols.append(idx[b])
-                    vals.append(U[a, b])
-    D = d1 * d2
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(D, D))
+        # raising n1 by one lowers n2 by one within the block
+        amps = kappa * np.sqrt((n1s[:-1] + 1.0) * n2s[:-1])
+        blocks.append((n1s * d2 + n2s, amps, -amps))
+    return _block_unitary(blocks, d1 * d2)
+
+
+def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
+    """Sparse exp(G) of a generator that is block diagonal in the pair basis.
+
+    Each block is (indices, lower, upper): the flat pair-basis indices of the
+    block and the sub- and superdiagonal of its tridiagonal generator.
+    """
+    rows, cols, vals = [], [], []
+    for idx, lower, upper in blocks:
+        size = len(idx)
+        if size == 1:
+            U = np.ones((1, 1), dtype=complex)
+        else:
+            G = np.diag(lower.astype(complex), -1) + np.diag(upper.astype(complex), 1)
+            U = expm(G)
+        a, b = np.nonzero(U)
+        rows.append(idx[a])
+        cols.append(idx[b])
+        vals.append(U[a, b])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(D, D))
 
 
 def _apply_pair_operator(amps: np.ndarray, modes: tuple[int, int],
@@ -242,23 +238,27 @@ def apply_beam_splitter(state: FockTensor, modes: tuple[int, int],
 # ---------------------------------------------------------------------------
 
 
-def loss_kraus_operators(T: float, dim: int) -> list[np.ndarray]:
-    """K_m = sqrt((1-T)^m / m!) T^(n/2) a^m for m = 0..dim-1."""
+def _loss_kraus_bands(T: float, dim: int) -> list[np.ndarray]:
+    """Nonzero band of each Kraus operator K_m, m = 0..dim-1 (m = 0 only at T = 1).
+
+    K_m = sqrt((1-T)^m / m!) T^(n/2) a^m has the single band
+    K_m[i, i + m] = sqrt((1-T)^m / m!) T^(i/2) sqrt((i + m)! / i!).
+    """
     if not 0.0 < T <= 1.0:
         raise ValueError("loss transmissivity must lie in (0, 1]")
-    a = annihilator(dim)
-    t_half = np.diag(T ** (0.5 * np.arange(dim))).astype(complex)
-    ops = []
-    a_pow = np.eye(dim, dtype=complex)
-    for m in range(dim):
-        if m > 0:
-            a_pow = a_pow @ a
-        w = np.exp(0.5 * (m * np.log(1.0 - T) - gammaln(m + 1))) if T < 1.0 else (
-            1.0 if m == 0 else 0.0)
-        if w == 0.0:
-            continue
-        ops.append(w * (t_half @ a_pow))
-    return ops
+    if T == 1.0:
+        return [np.ones(dim)]
+    bands = [T ** (0.5 * np.arange(dim))]
+    for m in range(1, dim):
+        i = np.arange(dim - m)
+        bands.append(bands[-1][:dim - m] * np.sqrt((1.0 - T) * (i + m) / m))
+    return bands
+
+
+def loss_kraus_operators(T: float, dim: int) -> list[np.ndarray]:
+    """K_m = sqrt((1-T)^m / m!) T^(n/2) a^m for m = 0..dim-1."""
+    return [np.diag(band, m).astype(complex)
+            for m, band in enumerate(_loss_kraus_bands(T, dim))]
 
 
 def _apply_single_mode_matrix(arr: np.ndarray, axis: int, M: np.ndarray) -> np.ndarray:
@@ -266,7 +266,11 @@ def _apply_single_mode_matrix(arr: np.ndarray, axis: int, M: np.ndarray) -> np.n
 
 
 def loss_kraus(obj, mode: int, T: float) -> FockDensity:
-    """Loss channel on one mode of a two-mode pure state or density operator."""
+    """Loss channel on one mode of a two-mode pure state or density operator.
+
+    Sum over m of K_m rho K_m^dag, each term a shifted-slice product since
+    K_m has a single nonzero band.
+    """
     if isinstance(obj, FockTensor):
         if obj.n_modes != 2:
             raise ValueError("loss_kraus expects a two-mode object")
@@ -276,10 +280,13 @@ def loss_kraus(obj, mode: int, T: float) -> FockDensity:
         rho = obj.as_tensor()
         cutoffs = obj.cutoffs
     dim = cutoffs[mode] + 1
-    out = np.zeros_like(rho)
-    for K in loss_kraus_operators(T, dim):
-        tmp = _apply_single_mode_matrix(rho, mode, K)
-        out += _apply_single_mode_matrix(tmp, mode + 2, K.conj())
+    # ket and bra index of the lossy mode in front
+    src = np.moveaxis(rho, (mode, mode + 2), (0, 1))
+    out = np.zeros_like(src)
+    for m, band in enumerate(_loss_kraus_bands(T, dim)):
+        n = dim - m
+        out[:n, :n] += np.outer(band, band)[:, :, None, None] * src[m:, m:]
+    out = np.moveaxis(out, (0, 1), (mode, mode + 2))
     d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
     return FockDensity(tuple(cutoffs), out.reshape(d, d))
 
@@ -389,72 +396,72 @@ def povm_condition(obj, eta3: float, eta4: float) -> tuple[FockDensity, float]:
 # ---------------------------------------------------------------------------
 
 
+def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
+    """Displacement matrices <m|D(alpha)|n>, shape (dim, dim, batch).
+
+    Associated-Laguerre closed form: for k = m - n >= 0,
+    <n+k|D|n> = alpha^k e^(-|alpha|^2/2) h_k(n) and
+    <n|D|n+k> = (-conj(alpha))^k e^(-|alpha|^2/2) h_k(n), with
+    h_k(n) = sqrt(n!/(n+k)!) L_n^(k)(|alpha|^2).  The normalized Laguerre
+    recurrence in n,
+
+        sqrt((n+1)(n+1+k)) h_k(n+1) = (2n+1+k-x) h_k(n) - sqrt(n(n+k)) h_k(n-1),
+
+    runs for every order k and every amplitude at once.
+    """
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    dim = cutoff + 1
+    x = np.abs(alphas) ** 2
+    k = np.arange(dim, dtype=float)[:, None]
+    powers = np.ones((dim, len(alphas)), dtype=complex)
+    for order in range(1, dim):
+        powers[order] = powers[order - 1] * alphas / np.sqrt(order)
+    damp = np.exp(-0.5 * x)
+    lower = powers * damp                                  # alpha^k e^(-x/2) / sqrt(k!)
+    upper = (-1.0) ** k * powers.conj() * damp             # (-conj alpha)^k ...
+    out = np.empty((dim, dim, len(alphas)), dtype=complex)
+    h_prev = np.zeros((dim, len(alphas)))
+    h = np.ones((dim, len(alphas)))                        # sqrt(k!) h_k(0)
+    diag = np.arange(dim)
+    for n in range(dim):
+        ks = dim - n                                       # orders with n + k <= cutoff
+        out[diag[:ks] + n, n] = lower[:ks] * h[:ks]
+        out[n, diag[1:ks] + n] = upper[1:ks] * h[1:ks]
+        h_next = ((2 * n + 1 + k - x) * h
+                  - np.sqrt(n * (n + k)) * h_prev) / np.sqrt((n + 1) * (n + 1 + k))
+        h_prev, h = h, h_next
+    return out
+
+
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Matrix elements <m|D(alpha)|n> via the associated-Laguerre closed form."""
-    dim = cutoff + 1
-    out = np.empty((dim, dim), dtype=complex)
-    x = abs(alpha) ** 2
-    damp = np.exp(-0.5 * x)
-    lg = gammaln(np.arange(dim) + 1)
-    for m in range(dim):
-        for n in range(dim):
-            if m >= n:
-                out[m, n] = (np.exp(0.5 * (lg[n] - lg[m])) * alpha ** (m - n)
-                             * damp * eval_genlaguerre(n, m - n, x))
-            else:
-                out[m, n] = (np.exp(0.5 * (lg[m] - lg[n]))
-                             * (-np.conj(alpha)) ** (n - m)
-                             * damp * eval_genlaguerre(m, n - m, x))
-    return out
-
-
-def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Stack of displacement matrices for a 1-D array of amplitudes."""
-    dim = cutoff + 1
-    B = len(alphas)
-    out = np.empty((B, dim, dim), dtype=complex)
-    x = np.abs(alphas) ** 2
-    damp = np.exp(-0.5 * x)
-    lg = gammaln(np.arange(dim) + 1)
-    for m in range(dim):
-        for n in range(dim):
-            if m >= n:
-                out[:, m, n] = (np.exp(0.5 * (lg[n] - lg[m])) * alphas ** (m - n)
-                                * damp * eval_genlaguerre(n, m - n, x))
-            else:
-                out[:, m, n] = (np.exp(0.5 * (lg[m] - lg[n]))
-                                * (-np.conj(alphas)) ** (n - m)
-                                * damp * eval_genlaguerre(m, n - m, x))
-    return out
+    return _displacement_batch(np.array([alpha]), cutoff)[:, :, 0]
 
 
 def char_function(rho: FockDensity, beta1: complex, beta2: complex) -> complex:
     """chi(b1, b2) = Tr[rho D1(b1) D2(b2)]."""
-    D1 = displacement_matrix(beta1, rho.cutoffs[0])
-    D2 = displacement_matrix(beta2, rho.cutoffs[1])
-    t = rho.as_tensor()
-    return complex(np.einsum("mnkl,km,ln->", t, D1, D2))
+    return complex(char_function_batch(rho, [beta1], [beta2])[0])
 
 
 def char_function_state(state: FockTensor, beta1: complex, beta2: complex) -> complex:
     """<psi| D1(b1) D2(b2) |psi> for a two-mode pure state."""
     D1 = displacement_matrix(beta1, state.cutoffs[0])
     D2 = displacement_matrix(beta2, state.cutoffs[1])
-    return complex(np.einsum("mn,mk,nl,kl->", state.amps.conj(), D1, D2, state.amps))
+    return complex(np.vdot(state.amps, D1 @ state.amps @ D2.T))
 
 
 def char_function_batch(rho: FockDensity, betas1: np.ndarray,
                         betas2: np.ndarray) -> np.ndarray:
     """Vectorized chi over paired arrays of amplitudes."""
-    betas1 = np.asarray(betas1, dtype=complex)
-    betas2 = np.asarray(betas2, dtype=complex)
     D1 = _displacement_batch(betas1, rho.cutoffs[0])
     D2 = _displacement_batch(betas2, rho.cutoffs[1])
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
-    t = rho.as_tensor()
-    # contract mode 1 first: A[b, n, l] = sum_{m,k} D1[b,k,m] rho[m,n,k,l]
-    A = np.einsum("bkm,mnkl->bnl", D1, t, optimize=True)
-    return np.einsum("bnl,bln->b", A, D2, optimize=True)
+    # rho as a (k m, n l) matrix for rho[m, n, k, l]
+    t = rho.as_tensor().transpose(2, 0, 1, 3).reshape(d0 * d0, d1 * d1)
+    # A[b, (n, l)] = sum_{k,m} D1[k, m, b] rho[m, n, k, l]
+    A = D1.reshape(d0 * d0, -1).T @ t
+    # chi[b] = sum_{n,l} A[b, (n, l)] D2[l, n, b]
+    return np.einsum("bi,ib->b", A, D2.transpose(1, 0, 2).reshape(d1 * d1, -1))
 
 
 # ---------------------------------------------------------------------------

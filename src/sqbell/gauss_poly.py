@@ -35,22 +35,32 @@ PhaseVector = np.ndarray
 
 
 def as_phase_vector(values: Sequence[float], n_vars: int) -> PhaseVector:
-    """Validate and coerce a real coordinate vector of the expected length."""
+    """Validate and coerce real coordinates: one vector of length n_vars, or an
+    (N, n_vars) array holding one point per row."""
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size != n_vars:
+    if x.ndim not in (1, 2) or x.shape[-1] != n_vars:
         raise DimensionMismatchError(
-            f"phase vector has length {x.size}, expected {n_vars}"
+            f"phase vector has shape {x.shape}, expected ({n_vars},) or (N, {n_vars})"
         )
     return x
 
 
 def complex_to_real(betas: Sequence[complex]) -> PhaseVector:
-    """Pack complex amplitudes into the interleaved (Re, Im) coordinate order."""
-    out = np.empty(2 * len(betas), dtype=float)
-    for k, b in enumerate(betas):
-        out[2 * k] = np.real(b)
-        out[2 * k + 1] = np.imag(b)
-    return out
+    """Pack complex amplitudes into the interleaved (Re, Im) coordinate order.
+
+    The last axis holds the amplitudes, so an (N, n) array packs row by row.
+    """
+    b = np.asarray(betas, dtype=complex)
+    return np.stack([b.real, b.imag], axis=-1).reshape(*b.shape[:-1], 2 * b.shape[-1])
+
+
+def _power_table(x: np.ndarray, degree: int) -> np.ndarray:
+    """x ** e for e = 0..degree, shape (degree + 1, N, n_vars), for N points x."""
+    table = np.empty((degree + 1,) + x.shape)
+    table[0] = 1.0
+    for e in range(1, degree + 1):
+        table[e] = table[e - 1] * x
+    return table
 
 
 class Polynomial:
@@ -152,13 +162,14 @@ class Polynomial:
             out[key] = out.get(key, 0.0) + c
         return Polynomial(len(keep), out)
 
-    def evaluate(self, x: np.ndarray) -> complex:
-        total = 0.0 + 0.0j
+    def evaluate(self, powers: np.ndarray) -> np.ndarray:
+        """Values at N points, given their `_power_table` of degree >= self.degree()."""
+        total = np.zeros(powers.shape[1], dtype=complex)
         for mono, c in self.coeffs.items():
             v = c
             for i, e in enumerate(mono):
                 if e:
-                    v = v * x[i] ** e
+                    v = v * powers[e, :, i]
             total += v
         return total
 
@@ -193,10 +204,6 @@ class GaussPolyTerm:
     @property
     def n_vars(self) -> int:
         return self.poly.n_vars
-
-    def value(self, x: np.ndarray) -> complex:
-        expo = -0.5 * x @ self.quad @ x + self.lin @ x
-        return self.coeff * self.poly.evaluate(x) * np.exp(expo)
 
 
 class PolyGaussFunction:
@@ -255,7 +262,7 @@ class PolyGaussFunction:
         """Value of a zero-variable function."""
         if self.n_vars != 0:
             raise DimensionMismatchError("constant_value requires zero variables")
-        return sum((t.coeff * t.poly.evaluate(np.empty(0)) for t in self.terms),
+        return sum((t.coeff * t.poly.coeffs.get((), 0.0) for t in self.terms),
                    0.0 + 0.0j)
 
     def scaled(self, factor: complex) -> "PolyGaussFunction":
@@ -293,17 +300,29 @@ def multiply(f: PolyGaussFunction, g: PolyGaussFunction) -> PolyGaussFunction:
     return canonicalize(PolyGaussFunction(f.n_vars, terms))
 
 
-def evaluate(f: PolyGaussFunction, x: Sequence[float]) -> complex:
-    """Sum of term values at the real coordinate vector x."""
+def evaluate(f: PolyGaussFunction, x: Sequence[float]) -> complex | np.ndarray:
+    """Sum of term values at the real coordinate vector x.
+
+    x may also be an (N, n_vars) array of points; the result is then an array
+    of N values.  One point is evaluated as a batch of one.
+    """
     if f.has_deltas():
         raise UnsupportedEvaluationError(
             "function carries point masses and cannot be evaluated pointwise"
         )
     xv = as_phase_vector(x, f.n_vars)
-    return sum((t.value(xv) for t in f.terms), 0.0 + 0.0j)
+    pts = xv.reshape(-1, f.n_vars)
+    powers = _power_table(pts, max((t.poly.degree() for t in f.terms), default=0))
+    total = np.zeros(len(pts), dtype=complex)
+    for t in f.terms:
+        expo = -0.5 * np.sum((pts @ t.quad) * pts, axis=1) + pts @ t.lin
+        total += t.coeff * t.poly.evaluate(powers) * np.exp(expo)
+    return total if xv.ndim == 2 else complex(total[0])
 
 
-def evaluate_at_betas(f: PolyGaussFunction, betas: Sequence[complex]) -> complex:
+def evaluate_at_betas(f: PolyGaussFunction,
+                      betas: Sequence[complex]) -> complex | np.ndarray:
+    """`evaluate` at complex amplitudes: one per variable, or an (N, n) array."""
     return evaluate(f, complex_to_real(betas))
 
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sqbell.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
+from sqbell import teleport as tp
+from sqbell.cli import EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -56,6 +57,44 @@ def test_optimize_command(capsys):
     assert code == EXIT_OK
     record = parse_kv(out)
     assert float(record["s_star"]) == pytest.approx(0.0046, abs=1e-3)
+
+
+@pytest.mark.parametrize("family", ["twin-beam", "photon-subtracted",
+                                    "photon-added", "squeezed-number"])
+def test_optimize_rejects_fixed_family_exit_2(capsys, family):
+    # a fixed family has nothing to optimize; it must not print the ideal
+    # scheme's optimum under its own label
+    code, out, err = run(capsys, "optimize", "--family", family, "--r", "1.0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert family in err
+
+
+def test_optimize_accepts_squeezed_bell_and_schemes(capsys):
+    for family in ("squeezed-bell", "scheme-ideal", "scheme-realistic"):
+        code, out, _ = run(capsys, "optimize", "--family", family, "--r", "1.0")
+        assert code == EXIT_OK
+        assert parse_kv(out)["family"] == family
+
+
+@pytest.mark.parametrize("family", ["twin-beam", "photon-subtracted",
+                                    "photon-added", "squeezed-number",
+                                    "squeezed-bell"])
+def test_sweep_rejects_non_scheme_family_exit_2(capsys, family):
+    code, out, err = run(capsys, "sweep", "--family", family, "--r", "1.0",
+                         "--axis", "s", "--grid", "0:0.1:0.05")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert family in err
+
+
+def test_quadrature_not_converged_exit_3(capsys, monkeypatch):
+    # the cross-check needs about ten subdivisions; one is not enough
+    monkeypatch.setattr(tp, "QUADRATURE_MAX_SUBDIVISIONS", 1)
+    code, out, err = run(capsys, "fidelity", "--family", "twin-beam", "--r", "1.0")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "subdivisions" in err
 
 
 def test_invalid_params_exit_2(capsys):

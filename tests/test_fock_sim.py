@@ -1,5 +1,6 @@
 """Tests for the truncated-Fock-space oracle."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -305,16 +306,83 @@ def test_char_function_tmsv_vs_closed_form():
             chi.evaluate([b1, b2]), abs=1e-8)
 
 
+def laguerre_displacement(alpha, cutoff):
+    """<m|D(alpha)|n> at 50 digits from the explicit Laguerre sum
+    L_j^(k)(x) = sum_i (-1)^i C(j+k, j-i) x^i / i!, independent of the
+    recurrence the package uses."""
+    with mp.workdps(50):
+        a = mp.mpc(alpha.real, alpha.imag)
+        x = abs(a) ** 2
+        damp = mp.exp(-x / 2)
+        fact = [mp.factorial(i) for i in range(2 * cutoff + 2)]
+        xpow = [x ** i / fact[i] for i in range(cutoff + 1)]
+        out = np.empty((cutoff + 1, cutoff + 1), dtype=complex)
+        for k in range(cutoff + 1):
+            lower, upper = a ** k, (-mp.conj(a)) ** k
+            for j in range(cutoff + 1 - k):
+                lag = mp.fsum((-1) ** i * fact[j + k] / (fact[j - i] * fact[k + i])
+                              * xpow[i] for i in range(j + 1))
+                base = mp.sqrt(fact[j] / fact[j + k]) * damp * lag
+                out[j + k, j] = complex(base * lower)
+                out[j, j + k] = complex(base * upper)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [25, 40])
+def test_displacement_batch_matches_mpmath_laguerre(cutoff):
+    alphas = np.array([0.0, 0.3 - 0.2j, -2.0 + 1.5j, 2.4 - 3.2j])
+    batch = fs._displacement_batch(alphas, cutoff)
+    for k, al in enumerate(alphas):
+        ref = laguerre_displacement(al, cutoff)
+        assert np.max(np.abs(batch[:, :, k] - ref)) < 1e-13, al
+
+
+def test_displacement_batch_finite_at_gauss_hermite_extreme():
+    # the fidelity's 48-point Gauss-Hermite grid reaches |lambda| ~ 12.8
+    node = np.polynomial.hermite.hermgauss(48)[0].max()
+    lam = node * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
+    assert np.abs(lam).max() > 12.6
+    for cutoff in (25, 40):
+        batch = fs._displacement_batch(lam, cutoff)
+        assert np.all(np.isfinite(batch))
+        assert np.abs(batch).max() <= 1.0
+        ref = laguerre_displacement(lam[2], cutoff)
+        assert np.max(np.abs(batch[:, :, 2] - ref)) < 1e-13
+
+
+def expm_displacement(alpha, cutoff, dim=40):
+    """Displacement block from exp(alpha a^dag - conj(alpha) a) on a larger space."""
+    a = fs.annihilator(dim)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)[:cutoff + 1, :cutoff + 1]
+
+
 def test_char_function_batch_matches_scalar():
+    # scalar chi is a batch of one, so both are held to Tr[rho D1 D2] with
+    # displacements from expm of the generator
     cfg = SchemeConfig(r=0.4, s=0.03)
     rho, _ = fs.scheme_oracle(cfg, "on-off", cutoff=12)
-    b1 = np.array([0.3 + 0.1j, -0.2j, 0.5])
-    b2 = np.array([0.1 - 0.4j, 0.25, -0.3 + 0.3j])
+    b1 = np.array([0.3 + 0.1j, -0.2j, 0.5, 0.0])
+    b2 = np.array([0.1 - 0.4j, 0.25, -0.3 + 0.3j, 0.0])
     batch = fs.char_function_batch(rho, b1, b2)
-    for k in range(3):
-        assert batch[k] == pytest.approx(fs.char_function(rho, b1[k], b2[k]),
-                                         rel=1e-12, abs=1e-12)
-    assert fs.char_function(rho, 0.0, 0.0) == pytest.approx(1.0)
+    t = rho.as_tensor()
+    for k in range(len(b1)):
+        ref = np.einsum("mnkl,km,ln->", t, expm_displacement(b1[k], 12),
+                        expm_displacement(b2[k], 12))
+        assert abs(batch[k] - ref) < 1e-12
+        assert fs.char_function(rho, b1[k], b2[k]) == pytest.approx(
+            batch[k], rel=1e-12, abs=1e-12)
+    assert batch[-1] == pytest.approx(1.0)
+
+
+def test_char_function_state_matches_batch_on_pure_density():
+    st = fs.theoretical_oracle("photon-subtracted", 0.6, cutoff=20)
+    flat = st.amps.reshape(-1)
+    rho = fs.FockDensity(st.cutoffs, np.outer(flat, flat.conj()))
+    b1 = np.array([0.35, -0.25 + 0.2j, 0.45 - 0.3j, 1.2j])
+    b2 = np.array([0.25j, 0.3 + 0.25j, -0.2 - 0.35j, -0.8])
+    batch = fs.char_function_batch(rho, b1, b2)
+    for k in range(len(b1)):
+        assert abs(fs.char_function_state(st, b1[k], b2[k]) - batch[k]) < 1e-13
 
 
 def test_cutoff_convergence_of_oracle_numbers():

@@ -143,6 +143,20 @@ def test_evaluate_matches_naive_oracle():
                                                   abs=1e-12)
 
 
+def test_evaluate_batch_matches_naive_oracle():
+    # an (N, n_vars) array evaluates every row; complex amplitudes pack row-wise
+    f = random_polygauss(4, 4, np.random.default_rng(12), max_degree=4)
+    x = RNG.normal(size=(30, 4))
+    values = gp.evaluate(f, x)
+    assert values.shape == (30,)
+    for k in range(30):
+        assert values[k] == pytest.approx(naive_value(f, x[k]), rel=1e-12, abs=1e-12)
+    betas = x[:, 0::2] + 1j * x[:, 1::2]
+    assert np.array_equal(gp.evaluate_at_betas(f, betas), values)
+    assert gp.evaluate(f, x[:1]).shape == (1,)
+    assert isinstance(gp.evaluate(f, x[0]), complex)
+
+
 def test_evaluate_rejects_point_mass():
     with pytest.raises(UnsupportedEvaluationError):
         gp.evaluate(gp.PolyGaussFunction.point_mass(2, 0), [0.0, 0.0])
@@ -151,6 +165,8 @@ def test_evaluate_rejects_point_mass():
 def test_evaluate_rejects_wrong_length():
     with pytest.raises(DimensionMismatchError):
         gp.evaluate(gp.PolyGaussFunction.constant(4), [0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        gp.evaluate(gp.PolyGaussFunction.constant(4), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

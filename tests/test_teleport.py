@@ -6,6 +6,7 @@ import pytest
 from sqbell import fock_sim as fs
 from sqbell import resources as rs
 from sqbell import teleport as tp
+from sqbell.errors import QuadratureConvergenceError
 from sqbell.optimize import optimize_delta
 
 
@@ -66,6 +67,20 @@ def test_alpha_explicit_matches_alpha_free():
     assert tp.fidelity_alpha_explicit(state, 0.0) == pytest.approx(base, abs=1e-8)
     assert tp.fidelity_alpha_explicit(state, 1.0 + 2.0j) == pytest.approx(
         base, abs=1e-8)
+
+
+def test_quadrature_raises_when_not_converged(monkeypatch):
+    # the subdivision cap is the only stopping rule besides the tolerance;
+    # a capped run must raise, not return its unconverged estimate
+    state = rs.theoretical_state("photon-subtracted", 0.8)
+    monkeypatch.setattr(tp, "QUADRATURE_MAX_SUBDIVISIONS", 2)
+    with pytest.raises(QuadratureConvergenceError) as err:
+        tp.fidelity_quadrature(state)
+    assert err.value.error > 1e-9
+    assert err.value.estimate / np.pi == pytest.approx(
+        tp.fidelity_closed_form(state), abs=1e-3)
+    with pytest.raises(QuadratureConvergenceError):
+        tp.fidelity_alpha_explicit(state, 0.5j)
 
 
 def test_alpha_independence_spread():
