@@ -1,35 +1,23 @@
 """Tunable two-mode non-Gaussian entangled resources and their
 Braunstein-Kimble-Vaidman teleportation fidelity.
 
-The package is organized around one representation: every characteristic
-function is a finite sum of polynomial-times-Gaussian terms
-(:mod:`sqbell.gauss_poly`).  Gaussian sources and linear optics live in
-:mod:`sqbell.symplectic`, detector conditioning in :mod:`sqbell.conditioning`,
-resource-state factories in :mod:`sqbell.resources`, the fidelity functional
-in :mod:`sqbell.teleport`, optimization and sweeps in :mod:`sqbell.optimize`,
-and a truncated-Fock brute-force oracle in :mod:`sqbell.fock_sim`.  The
-scheme's heralding probability and fidelity, which optimization, sweeps and
-datasets need in bulk, come from the batched determinant kernel of
-:mod:`sqbell.kernel`, which the polynomial-Gaussian path cross-checks.  The
-analytic reference families are all squeezed Bell states, built from one
-written-out polynomial; their fidelity is the closed form
-:func:`sqbell.kernel.squeezed_bell_fidelity`.
+Every number has one production path.  Gaussian sources and linear optics
+live in :mod:`sqbell.symplectic`; the batched array kernel of
+:mod:`sqbell.kernel` gives the scheme's heralding probability, fidelity and
+heralded characteristic function, and the closed-form characteristic
+function and fidelity of the analytic reference families, which are all
+squeezed Bell states.  Detector conditioning is :mod:`sqbell.conditioning`,
+resource-state factories :mod:`sqbell.resources`, the fidelity functional
+and its cubature cross-check :mod:`sqbell.teleport`, optimization and sweeps
+:mod:`sqbell.optimize`, and a truncated-Fock brute-force oracle
+:mod:`sqbell.fock_sim`.  The polynomial-Gaussian algebra of
+:mod:`sqbell.gauss_poly` is no longer a production path; the tests build
+their reference conditioning and fidelity from it.
 """
 
 __version__ = "0.1.0"
 
-from .conditioning import ConditionedState, DetectorKernel, condition, success_probability
-from .gauss_poly import (
-    GaussPolyTerm,
-    PolyGaussFunction,
-    Polynomial,
-    evaluate,
-    evaluate_at_betas,
-    integrate_out,
-    integrate_real,
-    multiply,
-    substitute,
-)
+from .conditioning import ConditionedState, DetectorKernel, condition
 from .optimize import OptResult, SweepSpec, optimize_delta, optimize_s, sweep
 from .resources import (
     ResourceState,
@@ -40,13 +28,11 @@ from .resources import (
     theoretical_state,
 )
 from .symplectic import (
-    ChannelParam,
     GaussianChar,
     SqueezeParam,
     beam_splitter_substitute,
     loss_channel,
     scheme_four_mode_char,
-    thermal_char,
     two_mode_squeezed_char,
     vacuum_char,
 )
@@ -54,14 +40,11 @@ from .teleport import FidelityResult, fidelity, fidelity_alpha_explicit, twin_be
 
 __all__ = [
     "__version__",
-    "ChannelParam", "ConditionedState", "DetectorKernel", "FidelityResult",
-    "GaussPolyTerm", "GaussianChar", "OptResult", "PolyGaussFunction",
-    "Polynomial", "ResourceState", "SchemeConfig", "SqueezeParam", "SweepSpec",
+    "ConditionedState", "DetectorKernel", "FidelityResult", "GaussianChar",
+    "OptResult", "ResourceState", "SchemeConfig", "SqueezeParam", "SweepSpec",
     "beam_splitter_substitute", "condition", "delta_equivalent",
-    "effective_squeezing", "evaluate", "evaluate_at_betas", "fidelity",
-    "fidelity_alpha_explicit", "integrate_out", "integrate_real",
-    "loss_channel", "multiply", "optimize_delta", "optimize_s",
-    "scheme_four_mode_char", "scheme_state", "substitute",
-    "success_probability", "sweep", "theoretical_state", "thermal_char",
-    "twin_beam_fidelity", "two_mode_squeezed_char", "vacuum_char",
+    "effective_squeezing", "fidelity", "fidelity_alpha_explicit",
+    "loss_channel", "optimize_delta", "optimize_s", "scheme_four_mode_char",
+    "scheme_state", "sweep", "theoretical_state", "twin_beam_fidelity",
+    "two_mode_squeezed_char", "vacuum_char",
 ]

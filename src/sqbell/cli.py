@@ -19,7 +19,6 @@ from . import __version__
 from .errors import (
     CutoffTooSmallError,
     DegeneratePostselectionError,
-    DivergentIntegralError,
     PhysicalityError,
     QuadratureConvergenceError,
     ZeroNormStateError,
@@ -465,8 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneratePostselectionError as exc:
         print(f"degenerate postselection: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (PhysicalityError, CutoffTooSmallError, DivergentIntegralError,
-            QuadratureConvergenceError, ZeroNormStateError) as exc:
+    except (PhysicalityError, CutoffTooSmallError, QuadratureConvergenceError,
+            ZeroNormStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

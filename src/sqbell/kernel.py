@@ -1,4 +1,5 @@
-"""Batched closed form of the scheme's heralding probability and fidelity.
+"""Batched closed form of the scheme's heralding probability, fidelity and
+heralded characteristic function.
 
 The source function of the scheme is the Gaussian chi(v) = exp(-1/2 v^T S v)
 with an 8x8 exponent S over (Re b1, Im b1, ..., Re b4, Im b4).  Conditioning
@@ -24,9 +25,15 @@ over a whole batch of exponents at once:
 For P the ancilla block is that of S; for P F, integrating lam first leaves
 the Schur complement of the lam block of the 6x6 exponent over
 (lam, b3, b4), and P F = 2 P(Schur complement) / sqrt(det(lam block)).
+The heralded P chi(b1, b2) is the same ancilla integral with the signal
+amplitudes held fixed, so each Gaussian gains a linear term in the
+ancillas (:func:`heralded_chi`): on/off detectors give a signed sum of four
+Gaussians in (b1, b2), ideal projectors one Gaussian times a Wick
+polynomial, each exponent and polynomial a quadratic form in (b1, b2).
 
 The squeezed Bell family, which holds every analytic reference resource,
-has a closed-form fidelity, :func:`squeezed_bell_fidelity`.
+has a closed-form characteristic function and fidelity,
+:func:`squeezed_bell_chi` and :func:`squeezed_bell_fidelity`.
 
 This module imports nothing beyond numpy.
 """
@@ -160,7 +167,22 @@ def _inv2(X):
     return adj / _det2(X)[:, None, None]
 
 
-def _onoff_prob(M, eta3, eta4):
+def _qform(x, Q):
+    """x^T Q x for each row of x (shape (m, 4)) and each Q (shape (n, 4, 4)),
+    shape (n, m)."""
+    return np.sum((x @ Q) * x, axis=-1)
+
+
+def _inclusion_exclusion(l3, l4, l34):
+    """(1 - x3)(1 - x4) + x3 x4 expm1(l34) with x_K = e^{l_K}, and the sum of
+    the magnitudes of its four terms."""
+    x3, x4 = np.exp(l3), np.exp(l4)
+    total = np.expm1(l3) * np.expm1(l4) + x3 * x4 * np.expm1(l34)
+    scale = 1.0 + x3 + x4 + x3 * x4 * np.exp(l34)
+    return total, scale
+
+
+def _onoff_prob(M, eta3, eta4, W=None):
     """P of on/off detectors on the ancilla block M (shape (n, 4, 4), modes
     b3 then b4), and the sum of the magnitudes of its four signed terms.
 
@@ -170,25 +192,52 @@ def _onoff_prob(M, eta3, eta4):
     formed as (1 - x3)(1 - x4) + x3 x4 expm1(log x34 - log x3 - log x4),
     with every small difference taken by log1p and expm1, so that it keeps
     its relative accuracy when the heralding probability is small.
+
+    Given the map W from the signal coordinates x to the ancillas' linear
+    terms w = W x, it returns instead the function x (shape (m, 4)) -> the
+    sum, shape (n, m), with each x_K times e^{u_K}, where
+    u_K = 1/2 z_K^T (I + Delta_K)^-1 z_K and z = D w / sqrt(2).  With
+    Z = I + Delta_4 - Delta_43 (I + Delta_3)^-1 Delta_34, the block inverse
+    gives u34 - u3 - u4 from Z^-1 - (I + Delta_4)^-1
+    = Z^-1 Delta_43 (I + Delta_3)^-1 Delta_34 (I + Delta_4)^-1, with no
+    difference of nearly equal quadratics.
     """
     d = np.sqrt(np.concatenate([np.repeat(eta3[:, None], 2, 1),
                                 np.repeat(eta4[:, None], 2, 1)], 1))
     delta = 0.5 * (M - np.eye(4)) * d[:, :, None] * d[:, None, :]
     D3, D4 = delta[:, :2, :2], delta[:, 2:, 2:]
+    D34, D43 = delta[:, :2, 2:], delta[:, 2:, :2]
     with np.errstate(invalid="ignore", divide="ignore"):
+        E3, E4 = _inv2(np.eye(2) + D3), _inv2(np.eye(2) + D4)
         l3 = -0.5 * np.log1p(np.trace(D3, axis1=1, axis2=2) + _det2(D3))
         l4 = -0.5 * np.log1p(np.trace(D4, axis1=1, axis2=2) + _det2(D4))
         # log x34 - log x3 - log x4 = -1/2 log det(I - X) by the Schur complement
-        X = _inv2(np.eye(2) + D4) @ delta[:, 2:, :2] @ _inv2(np.eye(2) + D3) \
-            @ delta[:, :2, 2:]
+        X = E4 @ D43 @ E3 @ D34
         l34 = -0.5 * np.log1p(_det2(X) - np.trace(X, axis1=1, axis2=2))
-    x3, x4 = np.exp(l3), np.exp(l4)
-    total = np.expm1(l3) * np.expm1(l4) + x3 * x4 * np.expm1(l34)
-    scale = 1.0 + x3 + x4 + x3 * x4 * np.exp(l34)
+        if W is None:
+            return _inclusion_exclusion(l3, l4, l34)
+        Z = W * d[:, :, None] / np.sqrt(2.0)
+        Z3, Z4 = Z[:, :2], Z[:, 2:]
+        K = D43 @ E3
+        Zinv = _inv2(np.eye(2) + D4 - K @ D34)
+        H = K @ Z3
+        Q3 = 0.5 * np.swapaxes(Z3, 1, 2) @ E3 @ Z3
+        Q4 = 0.5 * np.swapaxes(Z4, 1, 2) @ E4 @ Z4
+        Q34 = 0.5 * (np.swapaxes(Z4, 1, 2) @ Zinv @ K @ (D34 @ E4 @ Z4 - 2.0 * Z3)
+                     + np.swapaxes(H, 1, 2) @ Zinv @ H)
+    return lambda x: _inclusion_exclusion(
+        l3[:, None] + _qform(x, Q3), l4[:, None] + _qform(x, Q4),
+        l34[:, None] + _qform(x, Q34))[0]
+
+
+def _jacobi(g, one_minus_a, one_minus_b, c):
+    """4 g [(1 - a)(1 - b) + 2c], and the sum of the magnitudes of its terms."""
+    total = 4.0 * g * (one_minus_a * one_minus_b + 2.0 * c)
+    scale = 4.0 * g * ((2.0 - one_minus_a) * (2.0 - one_minus_b) + 2.0 * c)
     return total, scale
 
 
-def _ideal_prob(M):
+def _ideal_prob(M, W=None):
     """P of ideal projectors on the ancilla block M (shape (n, 4, 4)), and
     the sum of the magnitudes of its signed terms.
 
@@ -196,6 +245,11 @@ def _ideal_prob(M):
     = 4 g [(1 - a)(1 - b) + 2c]; the magnitudes sum to
     4 g [(1 + a)(1 + b) + 2c].  With A = M + I, 1 - a = tr(E3 A^-1 (M - I)) / 2
     keeps its relative accuracy near the vacuum, where a -> 1.
+
+    Given W as in `_onoff_prob`, the ancillas are Gaussian with mean
+    mu = -A^-1 w and covariance A^-1, and it returns the function of x that
+    Wick's theorem gives: 4 g e^{-w.mu/2} [(1 - a - |mu3|^2)
+    (1 - b - |mu4|^2) + 2c + 4 mu3^T (A^-1)_34 mu4].
     """
     delta = M - np.eye(4)
     A = delta + 2.0 * np.eye(4)
@@ -206,9 +260,61 @@ def _ideal_prob(M):
     one_minus_a = np.trace(R[:, :2, :2], axis1=1, axis2=2)
     one_minus_b = np.trace(R[:, 2:, 2:], axis1=1, axis2=2)
     c = np.sum(Ainv[:, :2, 2:] ** 2, axis=(1, 2))
-    total = 4.0 * g * (one_minus_a * one_minus_b + 2.0 * c)
-    scale = 4.0 * g * ((2.0 - one_minus_a) * (2.0 - one_minus_b) + 2.0 * c)
-    return total, scale
+    if W is None:
+        return _jacobi(g, one_minus_a, one_minus_b, c)
+    Mu = -Ainv @ W
+    Mu3, Mu4 = Mu[:, :2], Mu[:, 2:]
+    U = -0.5 * np.swapaxes(W, 1, 2) @ Mu
+    N3 = np.swapaxes(Mu3, 1, 2) @ Mu3
+    N4 = np.swapaxes(Mu4, 1, 2) @ Mu4
+    Q34 = 2.0 * np.swapaxes(Mu3, 1, 2) @ Ainv[:, :2, 2:] @ Mu4
+    return lambda x: _jacobi(
+        g[:, None] * np.exp(_qform(x, U)), one_minus_a[:, None] - _qform(x, N3),
+        one_minus_b[:, None] - _qform(x, N4), c[:, None] + _qform(x, Q34))[0]
+
+
+def _ancilla_prob(detector: str, eta3, eta4, n: int):
+    """`_ideal_prob` or `_onoff_prob` of one detector kind, as a function of
+    the ancilla block and the optional map W."""
+    if detector == "ideal":
+        return _ideal_prob
+    if detector in ("on-off", "onoff"):
+        eta3 = np.broadcast_to(np.asarray(eta3, dtype=float), (n,))
+        eta4 = np.broadcast_to(np.asarray(eta4, dtype=float), (n,))
+        return lambda M, W=None: _onoff_prob(M, eta3, eta4, W)
+    raise ValueError(f"unknown detector kind {detector!r}")
+
+
+def heralding_prob(S, detector: str, eta3=None, eta4=None):
+    """Heralding probability P of each source exponent (shape (n, 8, 8)) and
+    the sum of the magnitudes of its signed terms, for `degenerate_below`."""
+    S = np.asarray(S, dtype=float)
+    return _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:])
+
+
+def heralded_chi(S, detector: str, eta3=None, eta4=None):
+    """The function (b1, b2) -> P chi(b1, b2), shape (n,) + the broadcast
+    shape of b1 and b2, of the state heralded from each source exponent S
+    (shape (n, 8, 8)).
+
+    With x = (Re b1, Im b1, Re b2, Im b2) it is e^{-1/2 x^T S_xx x} times
+    the ancilla sum taken with the linear terms w = S_yx x; what does not
+    depend on x is computed once, here.  At b1 = b2 = 0 it is P, bit for
+    bit.  Unlike `scheme_pf`, it never warns.
+    """
+    S = np.asarray(S, dtype=float)
+    ancillas = _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:],
+                                                              S[:, 4:, :4])
+    Sxx = S[:, :4, :4]
+
+    def chi(b1, b2):
+        b1, b2 = np.broadcast_arrays(np.asarray(b1, dtype=complex),
+                                     np.asarray(b2, dtype=complex))
+        x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1).reshape(-1, 4)
+        values = np.exp(-0.5 * _qform(x, Sxx)) * ancillas(x)
+        return values.reshape(S.shape[:1] + b1.shape)
+
+    return chi
 
 
 def scheme_pf(S, detector: str, eta3=None, eta4=None):
@@ -221,18 +327,9 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     (0, 1]); F is capped at one and is NaN wherever status is not OK.
     """
     S = np.asarray(S, dtype=float)
+    prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])
     if detector == "ideal":
         warn_if_lossy(S)
-        prob = _ideal_prob
-    elif detector in ("on-off", "onoff"):
-        n = S.shape[0]
-        eta3 = np.broadcast_to(np.asarray(eta3, dtype=float), (n,))
-        eta4 = np.broadcast_to(np.asarray(eta4, dtype=float), (n,))
-
-        def prob(M):
-            return _onoff_prob(M, eta3, eta4)
-    else:
-        raise ValueError(f"unknown detector kind {detector!r}")
     P, p_scale = prob(S[:, 4:, 4:])
 
     # P F: the lam integral first, which leaves the Schur complement of its
@@ -283,3 +380,20 @@ def squeezed_bell_fidelity(r, delta):
     c, s = np.cos(delta), np.sin(delta)
     a = 1.0 + x
     return c * c / a + s * s * (1.0 + x * x) / a ** 3 + 2.0 * c * s * x / a ** 2
+
+
+def squeezed_bell_chi(r, delta, b1, b2):
+    """chi(b1, b2) of S(r)[cos d|0,0> + sin d|1,1>] (squeezer phase pi).
+
+    The bare characteristic function of the squeezed_bell_fidelity docstring,
+    at the squeezer-mapped arguments b1 cosh r - conj(b2) sinh r and
+    b2 cosh r - conj(b1) sinh r.  b1 and b2 broadcast; returns a real array.
+    """
+    ch, sh = np.cosh(r), np.sinh(r)
+    b1, b2 = np.asarray(b1, dtype=complex), np.asarray(b2, dtype=complex)
+    a1 = b1 * ch - np.conj(b2) * sh
+    a2 = b2 * ch - np.conj(b1) * sh
+    n1, n2 = np.abs(a1) ** 2, np.abs(a2) ** 2
+    c, s = np.cos(delta), np.sin(delta)
+    return np.exp(-0.5 * (n1 + n2)) * (c * c + s * s * (1.0 - n1) * (1.0 - n2)
+                                       + 2.0 * c * s * (a1 * a2).real)

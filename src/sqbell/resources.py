@@ -12,20 +12,15 @@ S(r)[cos d|0,0> + sin d|1,1>]; `bell_angle` gives each one's angle.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import gauss_poly as gp
 from . import kernel
-from .conditioning import (
-    DEFAULT_EFFICIENCY,
-    ConditionedState,
-    DetectorKernel,
-    condition,
-)
+from .conditioning import DEFAULT_EFFICIENCY, DetectorKernel, condition
 from .errors import DegeneratePostselectionError, PhysicalityError, ZeroNormStateError
-from .symplectic import SqueezeParam, scheme_four_mode_char, squeeze_matrix
+from .symplectic import scheme_four_mode_char
 
 THEORETICAL_FAMILIES = (
     "twin-beam", "photon-subtracted", "photon-added", "squeezed-number",
@@ -68,15 +63,18 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class ResourceState:
-    """A normalized two-mode characteristic function plus its provenance."""
+    """A normalized two-mode characteristic function plus its provenance.
+
+    `chi(b1, b2)` evaluates over arrays of amplitudes that broadcast together.
+    """
 
     family: str
-    chi: gp.PolyGaussFunction
+    chi: Callable
     params: object
     success_prob: Optional[float] = None
 
     def chi_at(self, beta1: complex, beta2: complex) -> complex:
-        return gp.evaluate_at_betas(self.chi, [beta1, beta2])
+        return complex(self.chi(beta1, beta2))
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +126,14 @@ def theoretical_state(family: str, r: float, delta: float | None = None) -> Reso
         e^{-(|b1|^2 + |b2|^2)/2} [c^2 + s^2 (1 - |b1|^2)(1 - |b2|^2)
                                   + 2 c s (x1 x2 - y1 y2)],
 
-    which the two-mode squeezer of phase pi then maps by substitution.
+    which :func:`sqbell.kernel.squeezed_bell_chi` evaluates at the arguments
+    mapped by the two-mode squeezer of phase pi.
     """
+    if r < 0:
+        raise ValueError("squeezing amplitude must be nonnegative")
     d = bell_angle(family, r, delta)
-    c, s = np.cos(d), np.sin(d)
-    cc, ss, cs = c * c, s * s, 2.0 * c * s
-    bare = gp.Polynomial(4, {
-        (0, 0, 0, 0): cc + ss,
-        (2, 0, 0, 0): -ss, (0, 2, 0, 0): -ss, (0, 0, 2, 0): -ss, (0, 0, 0, 2): -ss,
-        (2, 0, 2, 0): ss, (2, 0, 0, 2): ss, (0, 2, 2, 0): ss, (0, 2, 0, 2): ss,
-        (1, 0, 1, 0): cs, (0, 1, 0, 1): -cs,
-    })
-    vac = gp.PolyGaussFunction(4, [gp.GaussPolyTerm(
-        1.0, bare, np.eye(4), np.zeros(4, dtype=complex))])
-    chi = gp.substitute(vac, squeeze_matrix(SqueezeParam(r, np.pi), (0, 1), 2))
-    return ResourceState(family, chi, {"r": r, "delta": delta, "phase": np.pi})
+    return ResourceState(family, partial(kernel.squeezed_bell_chi, r, d),
+                         {"r": r, "delta": delta, "phase": np.pi})
 
 
 def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
@@ -157,17 +148,16 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
         family = "scheme-realistic"
     else:
         raise ValueError(f"unknown detector kind {detector!r}")
-    cond: ConditionedState = condition(chi4, d3, d4, provenance={"config": cfg})
+    cond = condition(chi4, d3, d4, provenance={"config": cfg})
     return ResourceState(family, cond.chi, cfg, cond.success_prob)
 
 
 def scheme_pf(cfgs, detector: str = "ideal"):
     """Heralding probability, fidelity and status of each configuration.
 
-    One batched call of :func:`sqbell.kernel.scheme_pf`; it agrees with
-    :func:`scheme_state` followed by the closed-form fidelity, which stays
-    the independent cross-check.  Turn a status into an error with
-    :func:`status_error`.
+    One batched call of :func:`sqbell.kernel.scheme_pf`, which also gives
+    the closed-form fidelity of a :func:`scheme_state`.  Turn a status into
+    an error with :func:`status_error`.
     """
     cfgs = list(cfgs)
     return kernel.scheme_pf(kernel.exponents_of(cfgs), detector,

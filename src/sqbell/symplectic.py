@@ -1,10 +1,10 @@
 """Zero-mean Gaussian characteristic functions and their linear-optics evolution.
 
 A GaussianChar stores the real symmetric exponent matrix S of
-chi(v) = exp(-1/2 v^T S v) in the interleaved (Re, Im) coordinate order of
-:mod:`sqbell.gauss_poly`.  Squeezers and beam splitters act as exact linear
-variable substitutions; loss channels rescale a mode and add the environment
-exponent.  The module ends in the four-mode source function feeding the
+chi(v) = exp(-1/2 v^T S v) in the interleaved coordinate order
+(Re b1, Im b1, ..., Re bn, Im bn).  Squeezers and beam splitters act as
+exact linear variable substitutions; loss channels rescale a mode and add
+the environment exponent.  The module ends in the four-mode source function feeding the
 detector-conditioning stage.
 """
 
@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import gauss_poly as gp
 from .errors import DimensionMismatchError, PhysicalityError
 from .kernel import exponents_of, mix_into, squeeze_into
 
@@ -35,20 +34,6 @@ class SqueezeParam:
             raise ValueError("squeezing amplitude must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ChannelParam:
-    """Loss-channel transmissivity and mean thermal occupation of the environment."""
-
-    transmissivity: float
-    thermal_occupation: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.transmissivity <= 1.0:
-            raise ValueError("transmissivity must lie in (0, 1]")
-        if self.thermal_occupation < 0:
-            raise ValueError("thermal occupation must be nonnegative")
-
-
 class GaussianChar:
     """chi(v) = exp(-1/2 v^T S v) for a zero-mean n-mode Gaussian state."""
 
@@ -66,11 +51,9 @@ class GaussianChar:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.exponent).min())
 
-    def to_polygauss(self) -> gp.PolyGaussFunction:
-        return gp.PolyGaussFunction.gaussian(self.exponent)
-
-    def evaluate(self, betas) -> complex:
-        v = gp.complex_to_real(betas)
+    def evaluate(self, betas) -> float:
+        b = np.asarray(betas, dtype=complex)
+        v = np.stack([b.real, b.imag], axis=-1).reshape(-1)
         return np.exp(-0.5 * v @ self.exponent @ v)
 
     def mean_photons(self, mode: int) -> float:
@@ -125,23 +108,10 @@ def two_mode_squeezed_char(p: SqueezeParam, modes: tuple[int, int] = (0, 1),
     return apply_linear(vacuum_char(n_modes), L)
 
 
-def thermal_char(n_thermal: float, mode: int = 0, n_modes: int = 1) -> GaussianChar:
-    """Single-mode thermal state, exponent (2 n + 1) on that mode's block."""
-    if n_thermal < 0:
-        raise ValueError("thermal occupation must be nonnegative")
-    S = np.eye(2 * n_modes)
-    S[2 * mode, 2 * mode] = 2.0 * n_thermal + 1.0
-    S[2 * mode + 1, 2 * mode + 1] = 2.0 * n_thermal + 1.0
-    return GaussianChar(n_modes, S)
-
-
-def beam_splitter_substitute(f, modes: tuple[int, int], T: float):
-    """Mix two modes of a GaussianChar or PolyGaussFunction; exact on both."""
-    if isinstance(f, GaussianChar):
-        M = beam_splitter_matrix(modes, T, f.n_modes)
-        return apply_linear(f, M)
-    M = beam_splitter_matrix(modes, T, f.n_vars // 2)
-    return gp.substitute(f, M)
+def beam_splitter_substitute(chi: GaussianChar, modes: tuple[int, int],
+                             T: float) -> GaussianChar:
+    """Mix two modes of a GaussianChar exactly."""
+    return apply_linear(chi, beam_splitter_matrix(modes, T, chi.n_modes))
 
 
 def loss_channel(chi: GaussianChar, mode: int, T_loss: float,

@@ -5,41 +5,30 @@ For the standard continuous-variable protocol the fidelity reduces to
     F = (1/pi) Int d^2 lam  exp(-|lam|^2) chi_res(-conj(lam), -lam),
 
 independent of the input amplitude (the input phase factors cancel pairwise).
-The closed-form path performs the two remaining Gaussian integrals inside the
-polynomial-Gaussian algebra; an adaptive cubature path (Gauss-Kronrod product
-rule over a square, the integrand evaluated on whole node arrays)
+The closed-form path is the kernel's: :func:`sqbell.kernel.scheme_pf` for
+scheme states and :func:`sqbell.kernel.squeezed_bell_fidelity` for the
+analytic families.  An adaptive cubature path (Gauss-Kronrod product rule
+over a square, the resource's chi evaluated on whole node arrays)
 cross-checks it.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import integrate
 
-from . import gauss_poly as gp
-from .errors import (
-    DivergentIntegralError,
-    PhysicalityError,
-    QuadratureConvergenceError,
-    UnsupportedEvaluationError,
-)
-from .resources import ResourceState
+from .errors import QuadratureConvergenceError
+from .kernel import LossyProjectorWarning, squeezed_bell_fidelity
+from .resources import SCHEME_FAMILIES, ResourceState, bell_angle, scheme_pf, status_error
 
 LAMBDA_MAX = 6.0
 # subdivisions allowed to the adaptive cubature before it raises
 # QuadratureConvergenceError; the cross-checks converge within about ten
 QUADRATURE_MAX_SUBDIVISIONS = 100
-
-# (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v
-_IDENTIFY = np.array([
-    [-1.0, 0.0],
-    [0.0, 1.0],
-    [-1.0, 0.0],
-    [0.0, -1.0],
-])
 
 
 @dataclass(frozen=True)
@@ -50,30 +39,24 @@ class FidelityResult:
     tail_bound: Optional[float] = None
 
 
-def _fidelity_integrand(res: ResourceState) -> gp.PolyGaussFunction:
-    chi = res.chi
-    if chi.n_vars != 4:
-        raise PhysicalityError("fidelity requires a two-mode resource")
-    if chi.has_deltas():
-        raise UnsupportedEvaluationError(
-            "resource characteristic function carries point masses")
-    reduced = gp.substitute(chi, _IDENTIFY)
-    damping = gp.PolyGaussFunction.gaussian(2.0 * np.eye(2))
-    return gp.multiply(reduced, damping)
-
-
 def fidelity_closed_form(res: ResourceState) -> float:
-    integrand = _fidelity_integrand(res)
-    try:
-        value = gp.integrate_real(integrand, [0, 1]).constant_value()
-    except DivergentIntegralError as exc:
-        raise PhysicalityError(f"fidelity integral diverges: {exc}") from exc
-    f = value.real / np.pi
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise PhysicalityError(f"fidelity integral is not real: {value}")
-    if not 0.0 < f <= 1.0 + 1e-9:
-        raise PhysicalityError(f"fidelity {f} outside (0, 1]")
-    return min(f, 1.0)
+    """The kernel's fidelity of a scheme state or an analytic family.
+
+    Raises the error of :func:`sqbell.resources.status_error` when the
+    kernel reports the scheme state degenerate or unphysical.
+    """
+    if res.family in SCHEME_FAMILIES:
+        detector = "ideal" if res.family == "scheme-ideal" else "on-off"
+        with warnings.catch_warnings():
+            # building the state already warned about a lossy source
+            warnings.simplefilter("ignore", LossyProjectorWarning)
+            P, F, status = scheme_pf([res.params], detector)
+        error = status_error(P[0], status[0])
+        if error is not None:
+            raise error
+        return float(F[0])
+    r = res.params["r"]
+    return float(squeezed_bell_fidelity(r, bell_angle(res.family, r, res.params["delta"])))
 
 
 def _cubature(integrand, lambda_max: float, tol: float) -> float:
@@ -99,10 +82,9 @@ def fidelity_quadrature(res: ResourceState, lambda_max: float = LAMBDA_MAX,
     QuadratureConvergenceError if the cubature does not reach `tol` within
     QUADRATURE_MAX_SUBDIVISIONS subdivisions.
     """
-    integrand = _fidelity_integrand(res)
-
     def real_part(uv: np.ndarray) -> np.ndarray:
-        return gp.evaluate(integrand, uv).real
+        lam = uv[:, 0] + 1j * uv[:, 1]
+        return np.exp(-np.abs(lam) ** 2) * res.chi(-np.conj(lam), -lam).real
 
     value = _cubature(real_part, lambda_max, tol)
     tail = float(np.exp(-lambda_max ** 2))
@@ -128,18 +110,13 @@ def fidelity_alpha_explicit(res: ResourceState, alpha: complex,
     without using the analytic cancellation of the alpha-dependent phases.
     Raises QuadratureConvergenceError as `fidelity_quadrature` does.
     """
-    chi = res.chi
-    if chi.has_deltas():
-        raise UnsupportedEvaluationError(
-            "resource characteristic function carries point masses")
-
     def integrand(uv: np.ndarray) -> np.ndarray:
         lam = uv[:, 0] + 1j * uv[:, 1]
         phase_in = np.exp(-0.5 * np.abs(lam) ** 2
                           + 2j * np.imag(lam * np.conj(alpha)))
         phase_out = np.exp(-0.5 * np.abs(lam) ** 2
                            + 2j * np.imag(-lam * np.conj(alpha)))
-        chi_res = gp.evaluate_at_betas(chi, np.stack([-np.conj(lam), -lam], axis=1))
+        chi_res = res.chi(-np.conj(lam), -lam)
         return (phase_in * phase_out * chi_res).real
 
     return _cubature(integrand, lambda_max, tol) / np.pi

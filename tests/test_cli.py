@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from sqbell import kernel
+from sqbell import resources as rs
 from sqbell import teleport as tp
 from sqbell.cli import EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
@@ -41,6 +43,39 @@ def test_fidelity_classical_baseline(capsys):
                        "--no-cross-check")
     assert code == EXIT_OK
     assert float(parse_kv(out)["fidelity"]) == pytest.approx(0.5, abs=1e-6)
+
+
+# r = 1, s = 0 behind nearly transmitting mixers: P is 3.2e-11
+EDGE_ARGS = ("--family", "scheme-realistic", "--r", "1", "--s", "0",
+             "--T", "0.99999", "--eta", "0.25", "--format", "json")
+
+
+def test_fidelity_and_state_at_small_heralding_probability(capsys):
+    cfg = rs.SchemeConfig(r=1.0, s=0.0, T1=0.99999, T2=0.99999, eta3=0.25, eta4=0.25)
+    P, F, status = rs.scheme_pf([cfg], "on-off")
+    assert status[0] == kernel.OK
+    code, out, _ = run(capsys, "fidelity", *EDGE_ARGS)
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["fidelity"] == pytest.approx(F[0], rel=0.0, abs=1e-12)
+    assert record["success_prob"] == P[0]
+    assert record["residual"] <= 1e-9
+    code, out, _ = run(capsys, "state", *EDGE_ARGS)
+    assert code == EXIT_OK
+    assert json.loads(out)["success_prob"] == P[0]
+
+
+@pytest.mark.parametrize("family", rs.THEORETICAL_FAMILIES)
+def test_fidelity_of_theoretical_families_is_squeezed_bell(capsys, family):
+    extra = ("--delta", "0.6") if family == "squeezed-bell" else ()
+    code, out, _ = run(capsys, "fidelity", "--family", family, "--r", "0.9",
+                       *extra, "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    delta = 0.6 if family == "squeezed-bell" else None
+    expected = kernel.squeezed_bell_fidelity(0.9, rs.bell_angle(family, 0.9, delta))
+    assert record["fidelity"] == pytest.approx(expected, rel=0.0, abs=1e-15)
+    assert record["residual"] <= 1e-9
 
 
 def test_state_reports_equivalent_angle(capsys):

@@ -1,13 +1,17 @@
-"""Tests for closed-form detector conditioning against the Fock oracle."""
+"""Tests for closed-form detector conditioning against the Fock oracle, the
+polynomial-Gaussian reference and a 50-digit evaluation."""
 
 import itertools
 
 import numpy as np
 import pytest
+from reference import mpgauss
+from reference import polygauss as ref
 
 from sqbell import conditioning as cd
 from sqbell import fock_sim as fs
 from sqbell import gauss_poly as gp
+from sqbell import kernel
 from sqbell.errors import DegeneratePostselectionError
 from sqbell.resources import SchemeConfig
 from sqbell.symplectic import scheme_four_mode_char
@@ -20,15 +24,15 @@ def beta_grid(radius, n=3):
 
 
 def test_kernel_shapes():
-    ideal = cd.DetectorKernel.ideal()
-    assert len(ideal.kernel.terms) == 1
-    term = ideal.kernel.terms[0]
+    ideal = ref.ideal_kernel()
+    assert len(ideal.terms) == 1
+    term = ideal.terms[0]
     assert np.allclose(term.quad, np.eye(2))
     assert term.poly.coeffs == {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}
 
-    onoff = cd.DetectorKernel.on_off(0.15)
-    assert onoff.kernel.point_masses == ((0, np.pi),)
-    gaussian_terms = [t for t in onoff.kernel.terms if not t.deltas]
+    onoff = ref.on_off_kernel(0.15)
+    assert onoff.point_masses == ((0, np.pi),)
+    gaussian_terms = [t for t in onoff.terms if not t.deltas]
     assert len(gaussian_terms) == 1
     t = gaussian_terms[0]
     assert np.allclose(t.quad, (2 - 0.15) / 0.15 * np.eye(2))
@@ -38,8 +42,8 @@ def test_kernel_shapes():
 def test_on_off_kernel_matches_povm_trace():
     # kernel Gaussian piece equals -Tr[(1-eta)^n D(-b)] for b != 0
     eta = 0.3
-    k = cd.DetectorKernel.on_off(eta)
-    smooth = gp.PolyGaussFunction(2, [t for t in k.kernel.terms if not t.deltas])
+    k = ref.on_off_kernel(eta)
+    smooth = gp.PolyGaussFunction(2, [t for t in k.terms if not t.deltas])
     dim = 130  # (1 - eta)^n tail must be negligible
     off_diag = np.diag((1 - eta) ** np.arange(dim)).astype(complex)
     for b in (0.4, 0.3 - 0.5j, 1.0j):
@@ -77,7 +81,7 @@ def test_on_off_expansion_matches_manual_four_terms():
     state = cd.condition(chi4, cd.DetectorKernel.on_off(eta3),
                          cd.DetectorKernel.on_off(eta4))
 
-    f = chi4.to_polygauss()
+    f = ref.gaussian(chi4.exponent)
 
     def smooth(eta):
         return gp.PolyGaussFunction.gaussian((2 - eta) / eta * np.eye(2),
@@ -99,28 +103,26 @@ def test_on_off_expansion_matches_manual_four_terms():
     for _ in range(10):
         x = rng.normal(size=4) * 0.6
         assert gp.evaluate(total, x) / norm == pytest.approx(
-            gp.evaluate(state.chi, x), rel=1e-10, abs=1e-10)
+            state.chi_at(x[0] + 1j * x[1], x[2] + 1j * x[3]), rel=1e-10, abs=1e-10)
 
 
 def test_success_probability_consistent_with_condition():
     cfg = SchemeConfig(r=0.8, s=0.03, T_loss=0.88)
     chi4 = scheme_four_mode_char(cfg)
-    d3, d4 = cd.DetectorKernel.on_off(0.15), cd.DetectorKernel.on_off(0.2)
-    full = cd.condition(chi4, d3, d4)
-    fast = cd.success_probability(chi4, d3, d4)
-    assert fast == pytest.approx(full.success_prob, abs=1e-12)
+    full = cd.condition(chi4, cd.DetectorKernel.on_off(0.15),
+                        cd.DetectorKernel.on_off(0.2))
+    reference = ref.success_probability(chi4.exponent, ref.on_off_kernel(0.15),
+                                        ref.on_off_kernel(0.2))
+    assert reference == pytest.approx(full.success_prob, abs=1e-12)
 
 
 def test_success_probability_monotone_in_eta():
-    cfg = SchemeConfig(r=0.8, s=0.05)
-    chi4 = scheme_four_mode_char(cfg)
-    probs = [cd.success_probability(chi4, cd.DetectorKernel.on_off(e),
-                                    cd.DetectorKernel.on_off(e))
+    S = scheme_four_mode_char(SchemeConfig(r=0.8, s=0.05)).exponent[None]
+    probs = [kernel.heralding_prob(S, "on-off", e, e)[0][0]
              for e in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)]
     assert all(b > a for a, b in zip(probs, probs[1:]))
     # eta -> 0 sends the success probability to zero
-    tiny = cd.success_probability(chi4, cd.DetectorKernel.on_off(1e-6),
-                                  cd.DetectorKernel.on_off(1e-6))
+    tiny = kernel.heralding_prob(S, "on-off", 1e-6, 1e-6)[0][0]
     assert tiny < 1e-9
 
 
@@ -128,10 +130,9 @@ def test_success_probability_no_mixing_matches_oracle():
     # T = 1: heralding rate equals the on/off coincidence rate of the bare
     # ancilla twin beam
     cfg = SchemeConfig(r=0.5, s=0.3, T1=1.0, T2=1.0)
-    chi4 = scheme_four_mode_char(cfg)
+    S = scheme_four_mode_char(cfg).exponent[None]
     eta = 0.35
-    p = cd.success_probability(chi4, cd.DetectorKernel.on_off(eta),
-                               cd.DetectorKernel.on_off(eta))
+    p = kernel.heralding_prob(S, "on-off", eta, eta)[0][0]
     anc = fs.apply_two_mode_squeeze(fs.vacuum_state((20, 20)), (0, 1),
                                     fs.SqueezeParam(0.3, np.pi))
     w = fs.on_off_weights(eta, 21)
@@ -178,6 +179,12 @@ def test_lossless_projector_no_warning():
         cd.condition(chi4, cd.DetectorKernel.ideal(), cd.DetectorKernel.ideal())
 
 
+def test_condition_requires_one_detector_kind():
+    chi4 = scheme_four_mode_char(SchemeConfig(r=0.5, s=0.02))
+    with pytest.raises(ValueError):
+        cd.condition(chi4, cd.DetectorKernel.ideal(), cd.DetectorKernel.on_off(0.3))
+
+
 def test_detector_kernel_validates_efficiency():
     with pytest.raises(ValueError):
         cd.DetectorKernel.on_off(0.0)
@@ -199,17 +206,19 @@ def test_conditioned_state_physicality_property(r, s, T, T_loss, eta, seed):
                              cd.DetectorKernel.on_off(eta),
                              cd.DetectorKernel.on_off(eta))
     except DegeneratePostselectionError:
-        assert r == pytest.approx(0.0, abs=0.06) or (s == 0.0 and T == 1.0)
+        # the documented contract, P <= max(1e-300, 64 eps S), with P and the
+        # sum S of the magnitudes of its terms taken to 50 digits
+        _, P, scale = mpgauss.onoff(scheme_four_mode_char(cfg).exponent, eta, eta, [])
+        assert (r == pytest.approx(0.0, abs=0.06)
+                or P <= max(1e-300, 64 * np.finfo(float).eps * scale))
         return
     assert 0.0 < state.success_prob <= 1.0
     assert state.chi_at(0, 0) == pytest.approx(1.0)
     rng = np.random.default_rng(seed)
-    # normalizing by a microscopic success probability amplifies roundoff,
-    # so the symmetry tolerance here is looser than in the fixed-regime test
     for _ in range(4):
         b1 = complex(*rng.normal(size=2)) * 0.4
         b2 = complex(*rng.normal(size=2)) * 0.4
         val = state.chi_at(b1, b2)
         assert abs(val) <= 1.0 + 1e-7
         assert state.chi_at(-np.conj(b1), -np.conj(b2)) == pytest.approx(
-            np.conj(val), abs=1e-7)
+            np.conj(val), abs=1e-10)

@@ -1,13 +1,16 @@
-"""The batched closed-form kernel against the polynomial-Gaussian path."""
+"""The batched closed-form kernel against the polynomial-Gaussian reference
+and a 50-digit evaluation of the same Gaussian sums."""
 
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import mpgauss
+from reference import polygauss as ref
 
-from sqbell import conditioning as cd
 from sqbell import fock_sim as fs
+from sqbell import gauss_poly as gp
 from sqbell import kernel
 from sqbell import optimize as op
 from sqbell import resources as rs
@@ -44,21 +47,9 @@ ACCEPTANCE = (
 
 
 def _reference(cfg, detector):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LossyProjectorWarning)
-        state = rs.scheme_state(cfg, detector)
-    return state.success_prob, fidelity_closed_form(state)
-
-
-def _reference_roundoff(cfg, detector):
-    if detector == "ideal":
-        d3 = d4 = cd.DetectorKernel.ideal()
-    else:
-        d3, d4 = cd.DetectorKernel.on_off(cfg.eta3), cd.DetectorKernel.on_off(cfg.eta4)
-    chi4 = scheme_four_mode_char(cfg)
-    scale = cd.success_probability(chi4, d3.magnitude(), d4.magnitude())
-    P = cd.success_probability(chi4, d3, d4)
-    return REFERENCE_ULPS * np.finfo(float).eps * scale / P
+    """P, F and the relative roundoff of the polynomial-Gaussian reference."""
+    chi, P, scale = ref.scheme(cfg, detector)
+    return P, ref.fidelity(chi), REFERENCE_ULPS * np.finfo(float).eps * scale / P
 
 
 def _assert_matches(cfgs, detector):
@@ -67,8 +58,7 @@ def _assert_matches(cfgs, detector):
         P, F, status = rs.scheme_pf(cfgs, detector)
     assert list(status) == [kernel.OK] * len(cfgs)
     for cfg, p, f in zip(cfgs, P, F):
-        p_ref, f_ref = _reference(cfg, detector)
-        roundoff = _reference_roundoff(cfg, detector)
+        p_ref, f_ref, roundoff = _reference(cfg, detector)
         assert p == pytest.approx(p_ref, rel=max(P_RTOL, roundoff), abs=0.0), cfg
         assert f == pytest.approx(f_ref, rel=0.0, abs=max(F_ATOL, roundoff)), cfg
 
@@ -115,6 +105,76 @@ def test_kernel_matches_gauss_poly_property(r, s, phi_zeta, phi_xi, T1, T2, T_lo
                           T_loss=T_loss, n_thermal=n_thermal, eta3=eta3, eta4=eta4,
                           loss_on_detector_modes=on_det)
     _assert_matches([cfg], detector)
+
+
+BETAS = [(b1, b2) for b1 in (0.0, 0.35, 0.35j, -0.25 + 0.2j, 0.45 - 0.3j)
+         for b2 in (0.0, -0.3, 0.25j, 0.3 + 0.25j, -0.2 - 0.35j)]
+# r = 1, s = 0 behind nearly transmitting mixers: P is down to 3e-11, and the
+# four on/off terms cancel to that fraction of their magnitudes
+EDGE = ([("on-off", rs.SchemeConfig(r=1.0, s=0.0, T1=T, T2=T, eta3=eta, eta4=eta))
+         for T in (0.99999, 0.99) for eta in (0.25, 0.515625, 1.0)]
+        + [("ideal", rs.SchemeConfig(r=1.0, s=s, T1=0.99999, T2=0.99999))
+           for s in (0.0, 1e-3)])
+
+
+def _assert_chi_matches_mpmath(detector, cfg):
+    """P chi within 1e-12 P of 50 digits on the beta grid; chi(0, 0) = 1."""
+    b1 = np.array([b for b, _ in BETAS])
+    b2 = np.array([b for _, b in BETAS])
+    S = scheme_four_mode_char(cfg).exponent
+    x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1)
+    if detector == "ideal":
+        exact, P, _ = mpgauss.ideal(S, x)
+    else:
+        exact, P, _ = mpgauss.onoff(S, cfg.eta3, cfg.eta4, x)
+    got = kernel.heralded_chi(S[None], detector, cfg.eta3, cfg.eta4)(b1, b2)[0]
+    worst = max(abs(mpgauss.mp.mpf(float(g)) - e) for g, e in zip(got, exact))
+    assert worst <= 1e-12 * P, (cfg, float(worst / P))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        state = rs.scheme_state(cfg, detector)
+    assert abs(state.chi_at(0, 0) - 1.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("detector, cfg", EDGE)
+def test_heralded_chi_matches_mpmath_at_edges(detector, cfg):
+    _assert_chi_matches_mpmath(detector, cfg)
+
+
+def test_heralded_chi_matches_mpmath_on_acceptance_configurations():
+    for detector, cfg in ACCEPTANCE:
+        _assert_chi_matches_mpmath(detector, cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.floats(0.2, 1.8), s=st.floats(0.0, 1.0),
+       phi_zeta=st.floats(0.0, 2 * np.pi), phi_xi=st.floats(0.0, 2 * np.pi),
+       T=st.floats(0.85, 0.995), T_loss=st.floats(0.6, 1.0),
+       eta3=st.floats(0.1, 1.0), eta4=st.floats(0.1, 1.0),
+       detector=st.sampled_from(["ideal", "on-off"]),
+       x=st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4))
+def test_heralded_chi_matches_gauss_poly_property(r, s, phi_zeta, phi_xi, T, T_loss,
+                                                  eta3, eta4, detector, x):
+    cfg = rs.SchemeConfig(r=r, s=s, phi_zeta=phi_zeta, phi_xi=phi_xi, T1=T, T2=T,
+                          T_loss=T_loss, eta3=eta3, eta4=eta4)
+    chi_ref, P, scale = ref.scheme(cfg, detector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        state = rs.scheme_state(cfg, detector)
+    expected = gp.evaluate(chi_ref, np.array(x)).real
+    tol = max(1e-10, REFERENCE_ULPS * np.finfo(float).eps * scale / P)
+    assert state.chi_at(x[0] + 1j * x[1], x[2] + 1j * x[3]) == pytest.approx(
+        expected, rel=0.0, abs=tol)
+
+
+def test_squeezed_bell_chi_matches_gauss_poly():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20, 4)) * 0.7
+    for r, d in ((0.0, 0.3), (0.7, 0.0), (1.3, -1.1), (2.2, 0.9)):
+        got = kernel.squeezed_bell_chi(r, d, x[:, 0] + 1j * x[:, 1],
+                                       x[:, 2] + 1j * x[:, 3])
+        expected = gp.evaluate(ref.squeezed_bell(r, d), x).real
+        assert np.max(np.abs(got - expected)) < 1e-13, (r, d)
 
 
 def test_lossy_projector_warning_on_kernel_path():
@@ -186,9 +246,8 @@ def test_squeezed_bell_fidelity_matches_gauss_poly():
     assert closed.shape == (15, 13)
     for i, ri in enumerate(r):
         for j, dj in enumerate(d):
-            ref = fidelity_closed_form(
-                rs.theoretical_state("squeezed-bell", float(ri), float(dj)))
-            assert closed[i, j] == pytest.approx(ref, rel=1e-11, abs=0.0), (ri, dj)
+            f_ref = ref.fidelity(ref.squeezed_bell(float(ri), float(dj)))
+            assert closed[i, j] == pytest.approx(f_ref, rel=1e-11, abs=0.0), (ri, dj)
 
 
 @pytest.mark.parametrize("family", rs.THEORETICAL_FAMILIES)

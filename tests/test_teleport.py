@@ -114,11 +114,3 @@ def test_lossy_twin_beam_fidelity_uses_effective_squeezing():
         r_eff = rs.effective_squeezing(1.6, T_loss)
         assert tp.fidelity_closed_form(state) == pytest.approx(
             tp.twin_beam_fidelity(r_eff), abs=1e-9)
-
-
-def test_fidelity_rejects_point_masses():
-    from sqbell import gauss_poly as gp
-    bogus = rs.ResourceState("twin-beam", gp.PolyGaussFunction.point_mass(4, 0),
-                             {})
-    with pytest.raises(Exception):
-        tp.fidelity_closed_form(bogus)
