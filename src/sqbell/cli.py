@@ -26,16 +26,16 @@ from .errors import (
 from .kernel import squeezed_bell_fidelity
 from .optimize import SweepSpec, optimize_delta, optimize_s, sweep
 from .resources import (
+    SCHEME_DETECTORS,
     SCHEME_FAMILIES,
     THEORETICAL_FAMILIES,
     SchemeConfig,
     bell_angle,
     delta_equivalent,
     effective_squeezing,
-    scheme_pf,
+    scheme_fidelities,
     scheme_state,
     squeezing_db,
-    status_error,
     theoretical_state,
 )
 from .teleport import fidelity
@@ -45,8 +45,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
 
+# the squeezing amplitudes of Table 2, also the series of Figs. 3 and 6
 TABLE2_R = (0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
-FIG_R_VALUES = (0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 
 
 def _fmt(x) -> str:
@@ -102,9 +102,7 @@ def _build_state(args):
         if args.r is None:
             raise ValueError("--r is required")
         return theoretical_state(args.family, args.r, args.delta)
-    cfg = _config_from_args(args)
-    detector = "ideal" if args.family == "scheme-ideal" else "on-off"
-    return scheme_state(cfg, detector)
+    return scheme_state(_config_from_args(args), SCHEME_DETECTORS[args.family])
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -191,10 +189,10 @@ def cmd_fidelity(args) -> int:
 
 def _scheme_detector(family: str) -> str:
     """Detector kind of a scheme family; other families have no s to tune."""
-    if family not in SCHEME_FAMILIES:
+    if family not in SCHEME_DETECTORS:
         raise ValueError(f"family {family!r} has no ancillary squeezing s to "
                          f"tune; use {' or '.join(SCHEME_FAMILIES)}")
-    return "on-off" if family == "scheme-realistic" else "ideal"
+    return SCHEME_DETECTORS[family]
 
 
 def cmd_optimize(args) -> int:
@@ -273,7 +271,7 @@ def _reproduce_table2(outdir: Path) -> Path:
 
 def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
     rows = []
-    for r in FIG_R_VALUES:
+    for r in TABLE2_R:
         base = SchemeConfig(r=r, T_loss=0.85 if lossy else 1.0)
         detector = "on-off" if lossy else "ideal"
         grid = np.linspace(0.0, r, 61)
@@ -285,7 +283,7 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
     _write_rows(path, ["series", "s", "fidelity", "success_prob", "error"], rows)
     _write_sidecar(outdir / f"{name}.config.json", {
         "target": name, "detector": "on-off" if lossy else "ideal",
-        "loss": 0.15 if lossy else 0.0, "r_values": list(FIG_R_VALUES),
+        "loss": 0.15 if lossy else 0.0, "r_values": list(TABLE2_R),
         "columns": ["series", "s", "fidelity", "success_prob", "error"]})
     return path
 
@@ -315,13 +313,10 @@ def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
 
 def _safe_scheme_fidelity(cfg: SchemeConfig, detector: str = "ideal"):
     """Closed-form fidelity of one configuration; None where it is degenerate."""
-    P, F, status = scheme_pf([cfg], detector)
-    exc = status_error(P[0], status[0])
-    if isinstance(exc, DegeneratePostselectionError):
+    try:
+        return scheme_fidelities([cfg], detector)[0]
+    except DegeneratePostselectionError:
         return None
-    if exc is not None:
-        raise exc
-    return float(F[0])
 
 
 def _reproduce_fig7(outdir: Path) -> Path:

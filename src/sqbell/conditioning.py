@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from . import kernel
 from .errors import DegeneratePostselectionError, PhysicalityError
 from .kernel import LossyProjectorWarning  # noqa: F401  (re-exported)
-from .kernel import degenerate_below, warn_if_lossy
 from .symplectic import GaussianChar
 
 DEFAULT_EFFICIENCY = 0.15
@@ -48,56 +47,57 @@ class DetectorKernel:
 
 @dataclass(frozen=True)
 class ConditionedState:
-    """Normalized two-mode characteristic function plus conditioning metadata.
+    """Normalized two-mode characteristic function and its success probability.
 
     `chi(b1, b2)` evaluates over arrays of amplitudes that broadcast together.
     """
 
     chi: Callable
     success_prob: float
-    provenance: dict
 
     def chi_at(self, beta1: complex, beta2: complex) -> complex:
         return complex(self.chi(beta1, beta2))
 
 
+def status_error(success_prob: float, status: int) -> Exception | None:
+    """The error a heralded point of one :mod:`sqbell.kernel` status raises:
+    DegeneratePostselectionError, PhysicalityError, or None when it is OK."""
+    if status == kernel.DEGENERATE:
+        return DegeneratePostselectionError(
+            f"conditioning probability {success_prob:.3e} is degenerate")
+    if status == kernel.UNPHYSICAL:
+        return PhysicalityError(
+            f"success probability {success_prob} or its fidelity is unphysical")
+    return None
+
+
 def condition(chi4: GaussianChar, d3: DetectorKernel,
-              d4: DetectorKernel, provenance: dict | None = None) -> ConditionedState:
+              d4: DetectorKernel) -> ConditionedState:
     """Condition the four-mode function on both detectors firing.
 
     Returns the normalized two-mode characteristic function together with the
     success probability of the conditioning event (the value of the raw
-    integral at the origin).  The event is degenerate, and raises
-    DegeneratePostselectionError, when that probability is at or below
-    :func:`sqbell.kernel.degenerate_below` of the sum of the magnitudes of
-    its signed terms; a probability that is not a number or exceeds one
-    raises PhysicalityError.  Both detectors must be of one kind.
+    integral at the origin).  A probability the kernel's
+    :func:`sqbell.kernel.heralding_prob` reports degenerate or unphysical
+    raises the error of :func:`status_error`.  Both detectors must be of
+    one kind.
     """
     if chi4.n_modes != 4:
         raise PhysicalityError("conditioning requires a four-mode source function")
     if d3.kind != d4.kind:
         raise ValueError("both detectors must be of one kind")
     S = chi4.exponent[None]
-    if d3.kind == "ideal-projector":
-        warn_if_lossy(S)
-        detector = "ideal"
-    else:
-        detector = "on-off"
+    detector = "ideal" if d3.kind == "ideal-projector" else "on-off"
     etas = (d3.efficiency, d4.efficiency)
-    P, scale = kernel.heralding_prob(S, detector, *etas)
+    P, status = kernel.heralding_prob(S, detector, *etas)
     success = float(P[0])
-    if success <= degenerate_below(scale[0]):
-        raise DegeneratePostselectionError(
-            f"conditioning probability {success:.3e} is degenerate")
-    if not success <= 1.0 + 1e-9:
-        raise PhysicalityError(f"success probability {success} is unphysical")
+    error = status_error(success, status[0])
+    if error is not None:
+        raise error
 
     heralded = kernel.heralded_chi(S, detector, *etas)
 
     def chi(beta1, beta2):
         return heralded(beta1, beta2)[0] / success
 
-    meta = dict(provenance or {})
-    meta.setdefault("detectors", (d3.kind, d4.kind))
-    meta.setdefault("efficiencies", etas)
-    return ConditionedState(chi, success, meta)
+    return ConditionedState(chi, success)

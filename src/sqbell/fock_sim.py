@@ -510,7 +510,7 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     restricted-loss configuration keeps the loss ahead of the beam splitters
     via an explicit Kraus ensemble.  Escalates the cutoff on leak violations.
     """
-    if detector not in ("ideal", "on-off", "onoff"):
+    if detector not in ("ideal", "on-off"):
         raise ValueError(f"unknown detector kind {detector!r}")
     c = cutoff if cutoff is not None else default_cutoff(max(cfg.r, cfg.s))
     while True:

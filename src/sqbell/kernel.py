@@ -64,13 +64,6 @@ class LossyProjectorWarning(UserWarning):
     """Ideal single-photon projectors combined with a lossy source function."""
 
 
-def degenerate_below(scale):
-    """Largest success probability counted as degenerate, given the sum of
-    the magnitudes of the signed terms that were added to form it."""
-    return np.maximum(MIN_SUCCESS_PROB,
-                      DEGENERACY_ULPS * np.finfo(float).eps * np.asarray(scale))
-
-
 def warn_if_lossy(S) -> None:
     """Warn when ideal projectors see a mixed source: the purity of
     exp(-1/2 v^T S v) is det(S)^{-1/2}, and loss makes det(S) > 1."""
@@ -278,18 +271,34 @@ def _ancilla_prob(detector: str, eta3, eta4, n: int):
     the ancilla block and the optional map W."""
     if detector == "ideal":
         return _ideal_prob
-    if detector in ("on-off", "onoff"):
+    if detector == "on-off":
         eta3 = np.broadcast_to(np.asarray(eta3, dtype=float), (n,))
         eta4 = np.broadcast_to(np.asarray(eta4, dtype=float), (n,))
         return lambda M, W=None: _onoff_prob(M, eta3, eta4, W)
     raise ValueError(f"unknown detector kind {detector!r}")
 
 
+def _status(P, p_scale, F=1.0):
+    """Status of each point: DEGENERATE where P is at or below the larger of
+    MIN_SUCCESS_PROB and DEGENERACY_ULPS eps times p_scale, the sum of the
+    magnitudes of its signed terms; else UNPHYSICAL where P is not a number
+    or above one, or F lies outside (0, 1]; else OK."""
+    status = np.full(P.shape, OK)
+    status[~((F > 0.0) & (F <= 1.0 + 1e-9) & (P <= 1.0 + 1e-9))] = UNPHYSICAL
+    status[P <= np.maximum(MIN_SUCCESS_PROB,
+                           DEGENERACY_ULPS * np.finfo(float).eps * p_scale)] = DEGENERATE
+    return status
+
+
 def heralding_prob(S, detector: str, eta3=None, eta4=None):
-    """Heralding probability P of each source exponent (shape (n, 8, 8)) and
-    the sum of the magnitudes of its signed terms, for `degenerate_below`."""
+    """Heralding probability P and status (`_status`, without F) of each
+    source exponent (shape (n, 8, 8)); warns as `scheme_pf` does."""
     S = np.asarray(S, dtype=float)
-    return _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:])
+    prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])
+    if detector == "ideal":
+        warn_if_lossy(S)
+    P, p_scale = prob(S[:, 4:, 4:])
+    return P, _status(P, p_scale)
 
 
 def heralded_chi(S, detector: str, eta3=None, eta4=None):
@@ -320,11 +329,11 @@ def heralded_chi(S, detector: str, eta3=None, eta4=None):
 def scheme_pf(S, detector: str, eta3=None, eta4=None):
     """Heralding probability P, fidelity F and status of each source exponent.
 
-    `S` has shape (n, 8, 8); `detector` is 'ideal' or 'on-off' ('onoff');
-    `eta3`, `eta4` (on/off only) broadcast to n.  Status is OK, DEGENERATE
-    (P at or below `degenerate_below` of its term magnitudes) or UNPHYSICAL
-    (a block that is not positive definite, P above one, or F outside
-    (0, 1]); F is capped at one and is NaN wherever status is not OK.
+    `S` has shape (n, 8, 8); `detector` is 'ideal' or 'on-off';
+    `eta3`, `eta4` (on/off only) broadcast to n.  Status is that of
+    `_status` (a block that is not positive definite makes P or F NaN, and
+    so UNPHYSICAL); F is capped at one and is NaN wherever status is not OK.
+    Ideal projectors on a lossy source warn LossyProjectorWarning.
     """
     S = np.asarray(S, dtype=float)
     prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])
@@ -341,9 +350,7 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
     with np.errstate(invalid="ignore", divide="ignore"):
         F = 2.0 * prob(schur)[0] / np.sqrt(_det2(lam)) / P
-    status = np.full(P.shape, OK)
-    status[~(F > 0.0) | ~(F <= 1.0 + 1e-9) | ~(P <= 1.0 + 1e-9)] = UNPHYSICAL
-    status[P <= degenerate_below(p_scale)] = DEGENERATE
+    status = _status(P, p_scale, F)
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status
 

@@ -15,8 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernel
+from .conditioning import status_error
 from .errors import DegeneratePostselectionError
-from .resources import SchemeConfig, scheme_pf, status_error
+from .resources import SchemeConfig, scheme_fidelities, scheme_pf
 
 COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
@@ -89,32 +90,20 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     return x_star, f(x_star), (a, b)
 
 
-def _scheme_fidelities(cfgs: list[SchemeConfig], detector: str) -> list[float]:
-    """Fidelities of a batch of configurations; raises the error of the first
-    configuration whose conditioning or fidelity fails."""
-    P, F, status = scheme_pf(cfgs, detector)
-    for p, st in zip(P, status):
-        exc = status_error(p, st)
-        if exc is not None:
-            raise exc
-    return [float(f) for f in F]
-
-
-def optimize_s(cfg: SchemeConfig, detector: str = "ideal",
-               coarse_points: int = COARSE_POINTS,
-               bracket_tol: float = BRACKET_TOL) -> OptResult:
-    """Maximize the teleportation fidelity over the ancillary squeezing s in [0, r]."""
+def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
+    """Maximize the teleportation fidelity over the ancillary squeezing s in
+    [0, r]: COARSE_POINTS grid points, then golden section to BRACKET_TOL."""
     if cfg.r == 0.0:
-        f0 = _scheme_fidelities([cfg.with_(s=0.0)], detector)[0]
+        f0 = scheme_fidelities([cfg.with_(s=0.0)], detector)[0]
         return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
 
-    grid = np.linspace(0.0, cfg.r, coarse_points)
-    values = np.array(_scheme_fidelities(
+    grid = np.linspace(0.0, cfg.r, COARSE_POINTS)
+    values = np.array(scheme_fidelities(
         [cfg.with_(s=float(s)) for s in grid], detector))
     trace = [(float(s), float(f)) for s, f in zip(grid, values)]
 
     def ev(s: float) -> float:
-        f = _scheme_fidelities([cfg.with_(s=float(s))], detector)[0]
+        f = scheme_fidelities([cfg.with_(s=float(s))], detector)[0]
         trace.append((float(s), f))
         return f
 
@@ -126,14 +115,14 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal",
 
     # unimodality on [0, r] is assumed by the bracketing step, not proven;
     # flag any coarse-grid evidence against it
-    peaks = sum(1 for k in range(1, coarse_points - 1)
+    peaks = sum(1 for k in range(1, COARSE_POINTS - 1)
                 if values[k] > values[k - 1] and values[k] > values[k + 1])
-    edge_max = i_best in (0, coarse_points - 1)
+    edge_max = i_best in (0, COARSE_POINTS - 1)
     multi_peak = peaks > 1 or (peaks == 1 and edge_max)
 
     lo = float(grid[max(0, i_best - 1)])
-    hi = float(grid[min(coarse_points - 1, i_best + 1)])
-    s_star, f_star, bracket = golden_section_max(ev, lo, hi, bracket_tol)
+    hi = float(grid[min(COARSE_POINTS - 1, i_best + 1)])
+    s_star, f_star, bracket = golden_section_max(ev, lo, hi, BRACKET_TOL)
     best_s, best_f = max(trace, key=lambda t: t[1])
     if best_f > f_star:
         s_star, f_star = best_s, best_f

@@ -11,22 +11,24 @@ S(r)[cos d|0,0> + sin d|1,1>]; `bell_angle` gives each one's angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernel
-from .conditioning import DEFAULT_EFFICIENCY, DetectorKernel, condition
-from .errors import DegeneratePostselectionError, PhysicalityError, ZeroNormStateError
+from .conditioning import DEFAULT_EFFICIENCY, DetectorKernel, condition, status_error
+from .errors import ZeroNormStateError
 from .symplectic import scheme_four_mode_char
 
 THEORETICAL_FAMILIES = (
     "twin-beam", "photon-subtracted", "photon-added", "squeezed-number",
     "squeezed-bell",
 )
-SCHEME_FAMILIES = ("scheme-ideal", "scheme-realistic")
+# detector kind of each scheme family
+SCHEME_DETECTORS = {"scheme-ideal": "ideal", "scheme-realistic": "on-off"}
+SCHEME_FAMILIES = tuple(SCHEME_DETECTORS)
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,6 @@ class SchemeConfig:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if self.n_thermal < 0:
             raise ValueError("n_thermal must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def with_(self, **kwargs) -> "SchemeConfig":
         return replace(self, **kwargs)
@@ -141,14 +140,13 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
     chi4 = scheme_four_mode_char(cfg)
     if detector == "ideal":
         d3 = d4 = DetectorKernel.ideal()
-        family = "scheme-ideal"
-    elif detector in ("on-off", "onoff"):
+    elif detector == "on-off":
         d3 = DetectorKernel.on_off(cfg.eta3)
         d4 = DetectorKernel.on_off(cfg.eta4)
-        family = "scheme-realistic"
     else:
         raise ValueError(f"unknown detector kind {detector!r}")
-    cond = condition(chi4, d3, d4, provenance={"config": cfg})
+    family = next(f for f, d in SCHEME_DETECTORS.items() if d == detector)
+    cond = condition(chi4, d3, d4)
     return ResourceState(family, cond.chi, cfg, cond.success_prob)
 
 
@@ -156,23 +154,23 @@ def scheme_pf(cfgs, detector: str = "ideal"):
     """Heralding probability, fidelity and status of each configuration.
 
     One batched call of :func:`sqbell.kernel.scheme_pf`, which also gives
-    the closed-form fidelity of a :func:`scheme_state`.  Turn a status into
-    an error with :func:`status_error`.
+    the closed-form fidelity of a :func:`scheme_state`.
     """
     cfgs = list(cfgs)
     return kernel.scheme_pf(kernel.exponents_of(cfgs), detector,
                             [c.eta3 for c in cfgs], [c.eta4 for c in cfgs])
 
 
-def status_error(success_prob: float, status: int) -> Exception | None:
-    """The error `scheme_state` and the fidelity would raise for one status."""
-    if status == kernel.DEGENERATE:
-        return DegeneratePostselectionError(
-            f"conditioning probability {success_prob:.3e} is degenerate")
-    if status == kernel.UNPHYSICAL:
-        return PhysicalityError(
-            f"success probability {success_prob} or its fidelity is unphysical")
-    return None
+def scheme_fidelities(cfgs, detector: str = "ideal") -> list[float]:
+    """Closed-form fidelity of each configuration; raises the
+    :func:`sqbell.conditioning.status_error` of the first configuration
+    that is degenerate or unphysical."""
+    P, F, status = scheme_pf(cfgs, detector)
+    for p, st in zip(P, status):
+        error = status_error(p, st)
+        if error is not None:
+            raise error
+    return [float(f) for f in F]
 
 
 def delta_equivalent(cfg: SchemeConfig) -> float:

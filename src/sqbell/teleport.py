@@ -23,9 +23,13 @@ from scipy import integrate
 
 from .errors import QuadratureConvergenceError
 from .kernel import LossyProjectorWarning, squeezed_bell_fidelity
-from .resources import SCHEME_FAMILIES, ResourceState, bell_angle, scheme_pf, status_error
+from .resources import SCHEME_DETECTORS, ResourceState, bell_angle, scheme_fidelities
 
+# the cubature covers [-LAMBDA_MAX, LAMBDA_MAX]^2, to atol = rtol of
+# QUADRATURE_TOL (fidelity_quadrature) or ALPHA_EXPLICIT_TOL
 LAMBDA_MAX = 6.0
+QUADRATURE_TOL = 1e-9
+ALPHA_EXPLICIT_TOL = 1e-10
 # subdivisions allowed to the adaptive cubature before it raises
 # QuadratureConvergenceError; the cross-checks converge within about ten
 QUADRATURE_MAX_SUBDIVISIONS = 100
@@ -42,27 +46,22 @@ class FidelityResult:
 def fidelity_closed_form(res: ResourceState) -> float:
     """The kernel's fidelity of a scheme state or an analytic family.
 
-    Raises the error of :func:`sqbell.resources.status_error` when the
+    Raises as :func:`sqbell.resources.scheme_fidelities` does when the
     kernel reports the scheme state degenerate or unphysical.
     """
-    if res.family in SCHEME_FAMILIES:
-        detector = "ideal" if res.family == "scheme-ideal" else "on-off"
+    if res.family in SCHEME_DETECTORS:
         with warnings.catch_warnings():
             # building the state already warned about a lossy source
             warnings.simplefilter("ignore", LossyProjectorWarning)
-            P, F, status = scheme_pf([res.params], detector)
-        error = status_error(P[0], status[0])
-        if error is not None:
-            raise error
-        return float(F[0])
+            return scheme_fidelities([res.params], SCHEME_DETECTORS[res.family])[0]
     r = res.params["r"]
     return float(squeezed_bell_fidelity(r, bell_angle(res.family, r, res.params["delta"])))
 
 
-def _cubature(integrand, lambda_max: float, tol: float) -> float:
+def _cubature(integrand, tol: float) -> float:
     """Integral of a real function of N x (u, v) rows over the square
-    [-lambda_max, lambda_max]^2, to atol = rtol = tol."""
-    result = integrate.cubature(integrand, [-lambda_max] * 2, [lambda_max] * 2,
+    [-LAMBDA_MAX, LAMBDA_MAX]^2, to atol = rtol = tol."""
+    result = integrate.cubature(integrand, [-LAMBDA_MAX] * 2, [LAMBDA_MAX] * 2,
                                 rule="gk21", atol=tol, rtol=tol,
                                 max_subdivisions=QUADRATURE_MAX_SUBDIVISIONS)
     if result.status != "converged":
@@ -73,21 +72,20 @@ def _cubature(integrand, lambda_max: float, tol: float) -> float:
     return float(result.estimate)
 
 
-def fidelity_quadrature(res: ResourceState, lambda_max: float = LAMBDA_MAX,
-                        tol: float = 1e-9) -> tuple[float, float]:
+def fidelity_quadrature(res: ResourceState) -> tuple[float, float]:
     """Adaptive 2-D cubature of the fidelity integrand; returns (F, tail bound).
 
     |chi| <= 1 for a characteristic function, so the neglected tail is bounded
     by (1/pi) times the mass of exp(-|lam|^2) outside the square.  Raises
-    QuadratureConvergenceError if the cubature does not reach `tol` within
+    QuadratureConvergenceError if the cubature does not reach QUADRATURE_TOL within
     QUADRATURE_MAX_SUBDIVISIONS subdivisions.
     """
     def real_part(uv: np.ndarray) -> np.ndarray:
         lam = uv[:, 0] + 1j * uv[:, 1]
         return np.exp(-np.abs(lam) ** 2) * res.chi(-np.conj(lam), -lam).real
 
-    value = _cubature(real_part, lambda_max, tol)
-    tail = float(np.exp(-lambda_max ** 2))
+    value = _cubature(real_part, QUADRATURE_TOL)
+    tail = float(np.exp(-LAMBDA_MAX ** 2))
     return value / np.pi, tail
 
 
@@ -101,9 +99,7 @@ def fidelity(res: ResourceState, cross_check: bool = False) -> FidelityResult:
                           residual=abs(f - fq), tail_bound=tail)
 
 
-def fidelity_alpha_explicit(res: ResourceState, alpha: complex,
-                            lambda_max: float = LAMBDA_MAX,
-                            tol: float = 1e-10) -> float:
+def fidelity_alpha_explicit(res: ResourceState, alpha: complex) -> float:
     """Fidelity with the input-amplitude phase factors evaluated explicitly.
 
     Integrates chi_in(lam) chi_in(-lam) chi_res(-conj(lam), -lam) by cubature
@@ -119,7 +115,7 @@ def fidelity_alpha_explicit(res: ResourceState, alpha: complex,
         chi_res = res.chi(-np.conj(lam), -lam)
         return (phase_in * phase_out * chi_res).real
 
-    return _cubature(integrand, lambda_max, tol) / np.pi
+    return _cubature(integrand, ALPHA_EXPLICIT_TOL) / np.pi
 
 
 def twin_beam_fidelity(r: float) -> float:

@@ -194,11 +194,14 @@ def test_reproduce_fig7_series(tmp_path, capsys):
     assert losses[0] == 0.0 and losses[-1] == pytest.approx(0.30)
 
 
-def test_byte_identical_reruns(tmp_path, capsys):
-    run(capsys, "reproduce", "table2", "--outdir", str(tmp_path / "a"))
-    run(capsys, "reproduce", "table2", "--outdir", str(tmp_path / "b"))
-    assert (tmp_path / "a" / "table2.csv").read_bytes() == \
-        (tmp_path / "b" / "table2.csv").read_bytes()
+@pytest.mark.parametrize("target", ["table2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_byte_identical_reruns(tmp_path, capsys, target):
+    for outdir in ("a", "b"):
+        assert run(capsys, "reproduce", target, "--outdir",
+                   str(tmp_path / outdir))[0] == EXIT_OK
+    for suffix in (".csv", ".config.json"):
+        assert (tmp_path / "a" / (target + suffix)).read_bytes() == \
+            (tmp_path / "b" / (target + suffix)).read_bytes()
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):

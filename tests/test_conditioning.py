@@ -12,9 +12,9 @@ from sqbell import conditioning as cd
 from sqbell import fock_sim as fs
 from sqbell import gauss_poly as gp
 from sqbell import kernel
-from sqbell.errors import DegeneratePostselectionError
+from sqbell.errors import DegeneratePostselectionError, PhysicalityError
 from sqbell.resources import SchemeConfig
-from sqbell.symplectic import scheme_four_mode_char
+from sqbell.symplectic import GaussianChar, scheme_four_mode_char
 
 
 def beta_grid(radius, n=3):
@@ -57,6 +57,21 @@ def test_condition_vacuum_ancillas_degenerate():
     k = cd.DetectorKernel.on_off(0.4)
     with pytest.raises(DegeneratePostselectionError):
         cd.condition(chi4, k, k)
+
+
+def test_unphysical_success_probability():
+    # an exponent below the vacuum's on the ancillas is no state: ideal
+    # projectors give P = 1.2346 > 1
+    S = np.eye(8)
+    S[4:, 4:] *= 0.2
+    P, status = kernel.heralding_prob(S[None], "ideal")
+    assert P[0] == pytest.approx(1.2346, abs=1e-4)
+    assert status[0] == kernel.UNPHYSICAL
+    P, F, status = kernel.scheme_pf(S[None], "ideal")
+    assert status[0] == kernel.UNPHYSICAL and np.isnan(F[0])
+    k = cd.DetectorKernel.ideal()
+    with pytest.raises(PhysicalityError, match="unphysical"):
+        cd.condition(GaussianChar(4, S), k, k)
 
 
 def test_conditioned_chi_is_normalized_and_hermitian():

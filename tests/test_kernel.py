@@ -206,8 +206,11 @@ def test_ideal_vacuum_ancillas_degenerate_on_both_paths():
 
 
 def test_unknown_detector_rejected():
-    with pytest.raises(ValueError):
-        rs.scheme_pf([rs.SchemeConfig(r=1.0)], "pnr")
+    cfg = rs.SchemeConfig(r=1.0)
+    for detector in ("pnr", "onoff"):
+        for build in (rs.scheme_pf, rs.scheme_state, fs.scheme_oracle):
+            with pytest.raises(ValueError, match="unknown detector kind"):
+                build([cfg] if build is rs.scheme_pf else cfg, detector)
 
 
 def test_optimize_s_trace_order_and_length():

@@ -35,10 +35,11 @@ def test_optimum_beats_both_endpoints():
         assert res.f_star >= max(f0, fr) - 1e-9
 
 
-def test_grid_refinement_invariance():
+def test_grid_refinement_invariance(monkeypatch):
     cfg = rs.SchemeConfig(r=1.4)
-    a = op.optimize_s(cfg, "ideal", coarse_points=41)
-    b = op.optimize_s(cfg, "ideal", coarse_points=81)
+    a = op.optimize_s(cfg, "ideal")
+    monkeypatch.setattr(op, "COARSE_POINTS", 81)
+    b = op.optimize_s(cfg, "ideal")
     assert abs(a.s_star - b.s_star) < op.BRACKET_TOL
 
 

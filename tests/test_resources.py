@@ -1,5 +1,6 @@
 """Tests for the resource-state factories."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -153,5 +154,5 @@ def test_scheme_config_validation():
 
 def test_scheme_config_roundtrip():
     cfg = rs.SchemeConfig(r=1.6, s=0.056, T_loss=0.85)
-    again = rs.SchemeConfig(**cfg.to_dict())
+    again = rs.SchemeConfig(**dataclasses.asdict(cfg))
     assert again == cfg
