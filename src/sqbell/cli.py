@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .conditioning import status_error
 from .errors import (
     CutoffTooSmallError,
     DegeneratePostselectionError,
@@ -24,7 +25,7 @@ from .errors import (
     ZeroNormStateError,
 )
 from .kernel import squeezed_bell_fidelity
-from .optimize import SweepSpec, optimize_delta, optimize_s, sweep
+from .optimize import SweepSpec, optimize_delta, optimize_s, optimize_s_many, sweep
 from .resources import (
     SCHEME_DETECTORS,
     SCHEME_FAMILIES,
@@ -33,7 +34,7 @@ from .resources import (
     bell_angle,
     delta_equivalent,
     effective_squeezing,
-    scheme_fidelities,
+    scheme_pf,
     scheme_state,
     squeezing_db,
     theoretical_state,
@@ -254,10 +255,33 @@ def cmd_sweep(args) -> int:
 # -- reproduction targets ----------------------------------------------------
 
 
+def _checked(result):
+    """A result of :func:`optimize_s_many` or `_scheme_points`; raises it
+    where it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _scheme_points(cfgs, detector: str = "ideal") -> list:
+    """Closed-form fidelity of each configuration, in one kernel call: None
+    where it is degenerate, the error where it is unphysical."""
+    P, F, status = scheme_pf(cfgs, detector)
+    points = []
+    for p, f, st in zip(P, F, status):
+        error = status_error(p, st)
+        if isinstance(error, DegeneratePostselectionError):
+            points.append(None)
+        else:
+            points.append(error or float(f))
+    return points
+
+
 def _reproduce_table2(outdir: Path) -> Path:
+    opts = optimize_s_many([SchemeConfig(r=r) for r in TABLE2_R], "ideal")
     rows = []
-    for r in TABLE2_R:
-        res = optimize_s(SchemeConfig(r=r), "ideal")
+    for r, opt in zip(TABLE2_R, opts):
+        res = _checked(opt)
         rows.append([r, res.s_star, res.f_star])
     path = outdir / "table2.csv"
     _write_rows(path, ["r", "s_star", "fidelity"], rows)
@@ -289,12 +313,13 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
 
 
 def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
+    rs = [round(float(r), 10) for r in r_grid]
+    opts = optimize_s_many([SchemeConfig(r=r) for r in rs], "ideal")
+    s0 = _scheme_points([SchemeConfig(r=r, s=0.0) for r in rs])
     rows = []
-    for r in r_grid:
-        r = round(float(r), 10)
-        opt = optimize_s(SchemeConfig(r=r), "ideal")
-        rows.append(["scheme-optimized", r, opt.f_star])
-        rows.append(["scheme-s0", r, _safe_scheme_fidelity(SchemeConfig(r=r, s=0.0))])
+    for r, opt, f0 in zip(rs, opts, s0):
+        rows.append(["scheme-optimized", r, _checked(opt).f_star])
+        rows.append(["scheme-s0", r, _checked(f0)])
         sb = optimize_delta(r)
         rows.append(["theory-squeezed-bell-opt", r, sb.f_star])
         for family in ("photon-subtracted", "twin-beam"):
@@ -311,26 +336,20 @@ def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
     return path
 
 
-def _safe_scheme_fidelity(cfg: SchemeConfig, detector: str = "ideal"):
-    """Closed-form fidelity of one configuration; None where it is degenerate."""
-    try:
-        return scheme_fidelities([cfg], detector)[0]
-    except DegeneratePostselectionError:
-        return None
-
-
 def _reproduce_fig7(outdir: Path) -> Path:
-    rows = []
     base = SchemeConfig(r=1.6, eta3=0.15, eta4=0.15)
-    for ell in np.arange(0.0, 0.301, 0.02):
-        ell = round(float(ell), 10)
-        cfg = base.with_(T_loss=1.0 - ell)
-        opt = optimize_s(cfg, "on-off")
+    losses = [round(float(ell), 10) for ell in np.arange(0.0, 0.301, 0.02)]
+    cfgs = [base.with_(T_loss=1.0 - ell) for ell in losses]
+    opts = optimize_s_many(cfgs, "on-off")
+    ends = _scheme_points([cfg.with_(s=0.0) for cfg in cfgs]
+                          + [cfg.with_(s=cfg.r) for cfg in cfgs], "on-off")
+    rows = []
+    for ell, cfg, opt, f0, fr in zip(losses, cfgs, opts, ends[:len(cfgs)],
+                                     ends[len(cfgs):]):
+        opt = _checked(opt)
         rows.append(["optimized", ell, opt.f_star, opt.s_star])
-        rows.append(["s=0", ell,
-                     _safe_scheme_fidelity(cfg.with_(s=0.0), "on-off"), 0.0])
-        rows.append(["s=r", ell,
-                     _safe_scheme_fidelity(cfg.with_(s=cfg.r), "on-off"), cfg.r])
+        rows.append(["s=0", ell, _checked(f0), 0.0])
+        rows.append(["s=r", ell, _checked(fr), cfg.r])
     path = outdir / "fig7.csv"
     _write_rows(path, ["series", "loss", "fidelity", "s"], rows)
     _write_sidecar(outdir / "fig7.config.json", {

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import CutoffTooSmallError, DegeneratePostselectionError
 from .resources import SchemeConfig
@@ -130,7 +130,7 @@ def _two_mode_squeeze_operator(amplitude: float, phase: float,
             n2s = n1s - q
         # raising both photon numbers by one within the block
         amps = -z * np.sqrt((n1s[:-1] + 1.0) * (n2s[:-1] + 1.0))
-        blocks.append((n1s * d2 + n2s, amps, -np.conj(amps)))
+        blocks.append((n1s * d2 + n2s, amps))
     return _block_unitary(blocks, d1 * d2)
 
 
@@ -155,24 +155,31 @@ def _beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matri
         n2s = N - n1s
         # raising n1 by one lowers n2 by one within the block
         amps = kappa * np.sqrt((n1s[:-1] + 1.0) * n2s[:-1])
-        blocks.append((n1s * d2 + n2s, amps, -amps))
+        blocks.append((n1s * d2 + n2s, amps))
     return _block_unitary(blocks, d1 * d2)
 
 
 def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
     """Sparse exp(G) of a generator that is block diagonal in the pair basis.
 
-    Each block is (indices, lower, upper): the flat pair-basis indices of the
-    block and the sub- and superdiagonal of its tridiagonal generator.
+    Each block is (indices, lower): the flat pair-basis indices of the block
+    and the subdiagonal of its generator, which is tridiagonal and
+    anti-Hermitian (its superdiagonal is -conj(lower)).
     """
     rows, cols, vals = [], [], []
-    for idx, lower, upper in blocks:
+    for idx, lower in blocks:
         size = len(idx)
         if size == 1:
             U = np.ones((1, 1), dtype=complex)
         else:
-            G = np.diag(lower.astype(complex), -1) + np.diag(upper.astype(complex), 1)
-            U = expm(G)
+            # iG = D T D^* with T real symmetric tridiagonal (off-diagonal
+            # |lower|) and D = diag(e^{i theta}), theta_k - theta_{k+1} the
+            # phase of iG's superdiagonal -i conj(lower); so
+            # exp(G) = D V e^{-i w} V^T D^* from the eigenpairs (w, V) of T
+            theta = np.concatenate([[0.0], -np.cumsum(np.angle(-1j * np.conj(lower)))])
+            w, V = eigh_tridiagonal(np.zeros(size), np.abs(lower))
+            DV = np.exp(1j * theta)[:, None] * V
+            U = (DV * np.exp(-1j * w)) @ DV.conj().T
         a, b = np.nonzero(U)
         rows.append(idx[a])
         cols.append(idx[b])

@@ -40,6 +40,8 @@ This module imports nothing beyond numpy.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -50,6 +52,8 @@ MIN_SUCCESS_PROB = 1e-300
 DEGENERACY_ULPS = 64.0
 
 OK, DEGENERATE, UNPHYSICAL = 0, 1, 2
+
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 SOURCE_FIELDS = ("r", "s", "phi_zeta", "phi_xi", "T1", "T2", "T_loss",
                  "n_thermal", "loss_on_detector_modes")
@@ -66,10 +70,15 @@ class LossyProjectorWarning(UserWarning):
 
 def warn_if_lossy(S) -> None:
     """Warn when ideal projectors see a mixed source: the purity of
-    exp(-1/2 v^T S v) is det(S)^{-1/2}, and loss makes det(S) > 1."""
+    exp(-1/2 v^T S v) is det(S)^{-1/2}, and loss makes det(S) > 1.
+
+    The warning points at the first caller outside this package."""
     if np.any(np.linalg.slogdet(S)[1] > 1e-9):
+        frame, level = sys._getframe(1), 2
+        while frame and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+            frame, level = frame.f_back, level + 1
         warnings.warn("ideal single-photon projectors combined with a lossy source",
-                      LossyProjectorWarning, stacklevel=3)
+                      LossyProjectorWarning, stacklevel=level)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
 """Fidelity maximization over the ancillary squeezing, and sweep campaigns.
 
-The optimizer is a deterministic coarse grid, evaluated in one batched call
-of the closed-form kernel, followed by golden-section refinement of the
-bracket around the grid maximum.  Sweeps evaluate all their rows in one
-batched call, optionally nesting the optimizer, and record per-point errors
-without aborting the campaign.
+The optimizer is a deterministic coarse grid followed by golden-section
+refinement of the bracket around the grid maximum.  The searches of many
+configurations run in lockstep, each stage of all of them one batched call
+of the closed-form kernel.  Sweeps evaluate all their rows in one batched
+call, optionally nesting the optimizer, and record per-point errors without
+aborting the campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import kernel
 from .conditioning import status_error
 from .errors import DegeneratePostselectionError
-from .resources import SchemeConfig, scheme_fidelities, scheme_pf
+from .resources import SCHEME_DETECTORS, SchemeConfig, scheme_pf
 
 COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
@@ -37,6 +38,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in ("s", "r", "loss", "T", "eta"):
             raise ValueError(f"unknown sweep axis {self.axis!r}")
+        if self.detector not in SCHEME_DETECTORS.values():
+            raise ValueError(f"unknown detector kind {self.detector!r}")
         g = tuple(float(v) for v in self.grid)
         if not g:
             raise ValueError("sweep grid is empty")
@@ -68,66 +71,141 @@ class OptResult:
     multi_peak: bool = False
 
 
-def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       tol: float) -> tuple[float, float, tuple[float, float]]:
-    """Deterministic golden-section maximization on [a, b] to bracket width tol.
+def _s_evaluator(cfgs, detector: str):
+    """The function (idx, s) -> (F, errors) of the configurations cfgs[idx]
+    with s replaced: one kernel call over the whole batch of points, whose
+    exponents are built from the configurations' field arrays.  `errors`
+    holds the :func:`status_error` of each point, or None where it is OK."""
+    fields = np.array([[getattr(c, f) for f in kernel.SOURCE_FIELDS] for c in cfgs],
+                      dtype=float)
+    eta3 = np.array([c.eta3 for c in cfgs], dtype=float)
+    eta4 = np.array([c.eta4 for c in cfgs], dtype=float)
+    s_col = kernel.SOURCE_FIELDS.index("s")
 
-    Returns (x_star, f(x_star), final bracket).
-    """
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x_star = 0.5 * (a + b)
-    return x_star, f(x_star), (a, b)
+    def evaluate(idx, s):
+        columns = fields[idx].T.copy()
+        columns[s_col] = s
+        P, F, status = kernel.scheme_pf(kernel.source_exponents(*columns), detector,
+                                        eta3[idx], eta4[idx])
+        return F, [status_error(p, st) for p, st in zip(P, status)]
+
+    return evaluate
 
 
 def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
     """Maximize the teleportation fidelity over the ancillary squeezing s in
-    [0, r]: COARSE_POINTS grid points, then golden section to BRACKET_TOL."""
-    if cfg.r == 0.0:
-        f0 = scheme_fidelities([cfg.with_(s=0.0)], detector)[0]
-        return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
+    [0, r]: COARSE_POINTS grid points, then golden section to BRACKET_TOL.
 
-    grid = np.linspace(0.0, cfg.r, COARSE_POINTS)
-    values = np.array(scheme_fidelities(
-        [cfg.with_(s=float(s)) for s in grid], detector))
-    trace = [(float(s), float(f)) for s, f in zip(grid, values)]
+    Raises the error of the first point that is degenerate or unphysical."""
+    (result,) = optimize_s_many([cfg], detector)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    def ev(s: float) -> float:
-        f = scheme_fidelities([cfg.with_(s=float(s))], detector)[0]
-        trace.append((float(s), f))
-        return f
 
-    i_best = int(np.argmax(values))
-    spread = float(values.max() - values.min())
-    if spread < 1e-12:
-        return OptResult(float(grid[0]), float(values[0]), tuple(trace),
-                         (float(grid[0]), float(grid[0])), plateau=True)
+def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception]:
+    """:func:`optimize_s` of each configuration, the searches run in lockstep.
 
-    # unimodality on [0, r] is assumed by the bracketing step, not proven;
-    # flag any coarse-grid evidence against it
-    peaks = sum(1 for k in range(1, COARSE_POINTS - 1)
-                if values[k] > values[k - 1] and values[k] > values[k + 1])
-    edge_max = i_best in (0, COARSE_POINTS - 1)
-    multi_peak = peaks > 1 or (peaks == 1 and edge_max)
+    One kernel call evaluates the coarse grids of all configurations, one
+    the opening points of every golden-section bracket, one each later step
+    of the brackets still wider than BRACKET_TOL, and one the final
+    midpoints.  The kernel is batch-invariant bit for bit, so each search
+    visits the same points, and returns the same result, as on its own.  A
+    configuration whose point is degenerate or unphysical gets that point's
+    error in place of its result; the other searches go on.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    evaluate = _s_evaluator(cfgs, detector)
+    results: list[OptResult | Exception | None] = [None] * len(cfgs)
 
-    lo = float(grid[max(0, i_best - 1)])
-    hi = float(grid[min(COARSE_POINTS - 1, i_best + 1)])
-    s_star, f_star, bracket = golden_section_max(ev, lo, hi, BRACKET_TOL)
-    best_s, best_f = max(trace, key=lambda t: t[1])
-    if best_f > f_star:
-        s_star, f_star = best_s, best_f
-    return OptResult(float(s_star), float(f_star), tuple(trace), bracket,
-                     plateau=False, multi_peak=multi_peak)
+    # one point at s = 0 where r = 0, else the coarse grid
+    grids = [np.linspace(0.0, c.r, COARSE_POINTS) if c.r != 0.0 else np.zeros(1)
+             for c in cfgs]
+    sizes = [len(g) for g in grids]
+    F, errors = evaluate(np.repeat(np.arange(len(cfgs)), sizes), np.concatenate(grids))
+    traces: list[list[tuple[float, float]]] = []
+    multi_peak: dict[int, bool] = {}
+    search = []  # (index, lo, hi) of each bracket to refine
+    for i, (grid, start) in enumerate(zip(grids, np.cumsum([0] + sizes[:-1]))):
+        values = F[start:start + len(grid)]
+        trace = [(float(s), float(f)) for s, f in zip(grid, values)]
+        traces.append(trace)
+        error = next((e for e in errors[start:start + len(grid)] if e is not None),
+                     None)
+        if error is not None:
+            results[i] = error
+            continue
+        if cfgs[i].r == 0.0:
+            results[i] = OptResult(0.0, trace[0][1], tuple(trace), (0.0, 0.0),
+                                   plateau=True)
+            continue
+        i_best = int(np.argmax(values))
+        if float(values.max() - values.min()) < 1e-12:
+            results[i] = OptResult(float(grid[0]), float(values[0]), tuple(trace),
+                                   (float(grid[0]), float(grid[0])), plateau=True)
+            continue
+        # unimodality on [0, r] is assumed by the bracketing step, not proven;
+        # flag any coarse-grid evidence against it
+        peaks = sum(1 for k in range(1, COARSE_POINTS - 1)
+                    if values[k] > values[k - 1] and values[k] > values[k + 1])
+        edge_max = i_best in (0, COARSE_POINTS - 1)
+        multi_peak[i] = peaks > 1 or (peaks == 1 and edge_max)
+        search.append((i, float(grid[max(0, i_best - 1)]),
+                       float(grid[min(COARSE_POINTS - 1, i_best + 1)])))
+    if not search:
+        return results
+
+    def step(ids, points):
+        """Evaluate points of the searches ids and trace them; a search's
+        first failing point ends it, with that point's error."""
+        f, errs = evaluate(ids, points)
+        for i, x, fx, e in zip(ids.tolist(), points, f, errs):
+            traces[i].append((float(x), float(fx)))
+            if e is not None and results[i] is None:
+                results[i] = e
+        return f, np.array([e is None for e in errs], dtype=bool)
+
+    ids = np.array([i for i, _, _ in search])
+    a = np.array([lo for _, lo, _ in search])
+    b = np.array([hi for _, _, hi in search])
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    # every c comes before every d, so an opening point c's error wins
+    f, ok = step(np.concatenate([ids, ids]), np.concatenate([c, d]))
+    fc, fd = f[:len(ids)], f[len(ids):]
+    keep = ok[:len(ids)] & ok[len(ids):]
+    brackets: dict[int, tuple[float, float]] = {}
+    while True:
+        ids, a, b, c, d, fc, fd = (x[keep] for x in (ids, a, b, c, d, fc, fd))
+        done = (b - a) <= BRACKET_TOL
+        brackets.update(zip(ids[done].tolist(), zip(a[done].tolist(),
+                                                    b[done].tolist())))
+        ids, a, b, c, d, fc, fd = (x[~done] for x in (ids, a, b, c, d, fc, fd))
+        if not len(ids):
+            break
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx, keep = step(ids, x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+
+    if not brackets:
+        return results
+    ids = np.array(sorted(brackets))
+    mid = [0.5 * (brackets[i][0] + brackets[i][1]) for i in ids.tolist()]
+    f_mid, ok = step(ids, np.array(mid))
+    for i, s_star, f_star, good in zip(ids.tolist(), mid, f_mid, ok):
+        if not good:
+            continue
+        best_s, best_f = max(traces[i], key=lambda t: t[1])
+        if best_f > f_star:
+            s_star, f_star = best_s, best_f
+        results[i] = OptResult(float(s_star), float(f_star), tuple(traces[i]),
+                               brackets[i], plateau=False, multi_peak=multi_peak[i])
+    return results
 
 
 def optimize_delta(r: float) -> OptResult:
@@ -171,22 +249,26 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point of the spec; rows keep their grid order.
 
     All points go through the closed-form kernel in one batched call (after
-    the per-point optimizer when `optimize_s_at_each`); a point that fails
-    records its error in its own row.
+    :func:`optimize_s_many` over all points when `optimize_s_at_each`); a
+    point that fails records its error in its own row.
     """
     rows = [SweepRow(axis=spec.axis, value=v) for v in spec.grid]
-    todo: list[tuple[SweepRow, SchemeConfig]] = []
-    for row in rows:
-        cfg = spec.config_at(row.value)
-        if spec.optimize_s_at_each:
-            try:
-                opt = optimize_s(cfg, spec.detector)
-            except Exception as exc:  # recorded in-row, sweep continues
+    cfgs = [spec.config_at(row.value) for row in rows]
+    todo = list(zip(rows, cfgs))
+    if spec.optimize_s_at_each:
+        try:
+            opts = optimize_s_many(cfgs, spec.detector)
+        except Exception as exc:  # recorded in every row, sweep returns
+            for row in rows:
                 row.error = _describe(exc)
-                continue
-            cfg = cfg.with_(s=opt.s_star)
-            row.s_star = opt.s_star
-        todo.append((row, cfg))
+            return rows
+        todo = []
+        for row, cfg, opt in zip(rows, cfgs, opts):
+            if isinstance(opt, Exception):  # recorded in-row, sweep continues
+                row.error = _describe(opt)
+            else:
+                row.s_star = opt.s_star
+                todo.append((row, cfg.with_(s=opt.s_star)))
     if not todo:
         return rows
     try:

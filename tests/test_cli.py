@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +203,19 @@ def test_byte_identical_reruns(tmp_path, capsys, target):
     for suffix in (".csv", ".config.json"):
         assert (tmp_path / "a" / (target + suffix)).read_bytes() == \
             (tmp_path / "b" / (target + suffix)).read_bytes()
+
+
+# the datasets and sidecars as written before the optimizer's searches ran
+# in lockstep; a change to the search must not move a byte of them
+DATASETS = Path(__file__).parent / "data" / "reproduce"
+
+
+@pytest.mark.parametrize("target", ["table2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_reproduce_matches_committed_datasets(tmp_path, capsys, target):
+    assert run(capsys, "reproduce", target, "--outdir", str(tmp_path))[0] == EXIT_OK
+    for suffix in (".csv", ".config.json"):
+        assert (tmp_path / (target + suffix)).read_bytes() == \
+            (DATASETS / (target + suffix)).read_bytes()
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):

@@ -104,6 +104,30 @@ def test_pair_unitary_cache_is_bounded():
     assert info.currsize == info.maxsize == fs.UNITARY_CACHE_SIZE
 
 
+@pytest.mark.parametrize("cutoff", [25, 40])
+def test_pair_unitaries_match_expm_blockwise(cutoff):
+    # each generator conserves n1 - n2 (squeezer) or n1 + n2 (beam splitter),
+    # so dense expm of its blocks is the whole exponential
+    dim = cutoff + 1
+    a = fs.annihilator(dim)
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    kappa = np.arctan(np.sqrt((1.0 - 0.7) / 0.7))
+    cases = [
+        (fs.two_mode_squeeze_operator(SqueezeParam(1.6, np.pi), (dim, dim)),
+         dense_squeeze_generator(1.6 * np.exp(1j * np.pi), dim), n1 - n2),
+        (fs.two_mode_squeeze_operator(SqueezeParam(0.7, 1.1), (dim, dim)),
+         dense_squeeze_generator(0.7 * np.exp(1.1j), dim), n1 - n2),
+        (fs.beam_splitter_operator(0.7, (dim, dim)),
+         kappa * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T)), n1 + n2),
+    ]
+    for U, G, conserved in cases:
+        expected = np.zeros(G.shape, dtype=complex)
+        for q in np.unique(conserved):
+            block = np.ix_(conserved == q, conserved == q)
+            expected[block] = expm(G[block])
+        assert np.abs(U.toarray() - expected).max() < 1e-13
+
+
 def test_beam_splitter_single_photon():
     T = 0.7
     kappa = np.arctan(np.sqrt((1 - T) / T))

@@ -186,6 +186,44 @@ def test_lossy_projector_warning_on_kernel_path():
         rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "on-off")
 
 
+def test_lossy_projector_warning_points_at_the_caller():
+    cfg = rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)
+    for call in (lambda: rs.scheme_state(cfg, "ideal"),
+                 lambda: rs.scheme_pf([cfg], "ideal"),
+                 lambda: op.optimize_s(cfg, "ideal"),
+                 lambda: op.optimize_s_many([cfg], "ideal")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught
+        assert {(w.category, w.filename) for w in caught} == {
+            (LossyProjectorWarning, __file__)}
+
+
+CONFIGS = st.builds(
+    rs.SchemeConfig, r=st.floats(0.0, 2.5), s=st.floats(0.0, 2.5),
+    phi_zeta=st.floats(0.0, 2 * np.pi), phi_xi=st.floats(0.0, 2 * np.pi),
+    T1=st.floats(0.5, 1.0), T2=st.floats(0.5, 1.0), T_loss=st.floats(0.3, 1.0),
+    eta3=st.floats(0.01, 1.0), eta4=st.floats(0.01, 1.0),
+    n_thermal=st.floats(0.0, 1.0), loss_on_detector_modes=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfgs=st.lists(CONFIGS, min_size=2, max_size=12),
+       detector=st.sampled_from(["ideal", "on-off"]))
+def test_scheme_pf_is_batch_invariant(cfgs, detector):
+    # the lockstep optimizer's traces equal the one-at-a-time ones because
+    # each point's P, F and status do not depend on the rest of its batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        batch = kernel.scheme_pf(kernel.exponents_of(cfgs), detector,
+                                 [c.eta3 for c in cfgs], [c.eta4 for c in cfgs])
+        singles = [kernel.scheme_pf(kernel.exponents_of([c]), detector,
+                                    [c.eta3], [c.eta4]) for c in cfgs]
+    for got, alone in zip(batch, zip(*singles)):
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+
+
 @pytest.mark.parametrize("eta", [0.15, 0.3, 0.5, 0.77])
 def test_vacuum_ancillas_degenerate_on_both_paths(eta):
     # r = 0 and s = 0: nothing reaches the detectors, whatever the roundoff

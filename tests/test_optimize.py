@@ -1,11 +1,15 @@
 """Tests for the fidelity optimizer and sweep campaigns."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sqbell import optimize as op
 from sqbell import resources as rs
 from sqbell import teleport as tp
+from sqbell.errors import DegeneratePostselectionError
+from sqbell.kernel import LossyProjectorWarning
 
 
 def test_optimize_anchor_r16():
@@ -65,6 +69,90 @@ def test_bracket_width_reported():
     assert lo <= res.s_star <= hi
 
 
+# every outcome of a search: thermal light at r = 0 (a one-point plateau);
+# vacuum ancillas (degenerate at the one point, or on the grid at s = 0);
+# decoupled signal modes behind thermal ancillas (a plateau at r > 0); a
+# lossy source; a squeezing too large to stay physical for ideal projectors
+MIXED = (rs.SchemeConfig(r=0.0, T_loss=0.8, n_thermal=0.5),
+         rs.SchemeConfig(r=0.0, T1=0.9, T2=0.9),
+         rs.SchemeConfig(r=1.2, T1=1.0, T2=1.0),
+         rs.SchemeConfig(r=1.0, T1=1.0, T2=1.0, T_loss=0.8, n_thermal=0.5),
+         rs.SchemeConfig(r=1.2, T_loss=0.9),
+         rs.SchemeConfig(r=1.6),
+         rs.SchemeConfig(r=1.6, T_loss=0.85, eta3=0.3, eta4=0.2),
+         rs.SchemeConfig(r=1e-9, T_loss=0.7, n_thermal=0.3),
+         rs.SchemeConfig(r=30.0))
+
+
+def _outcome(cfg, detector, optimize=op.optimize_s):
+    try:
+        return optimize(cfg, detector)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def scalar_optimize_s(cfg, detector):
+    """The optimizer one point per kernel call: the coarse grid, then a
+    golden-section loop on the bracket around its maximum."""
+    def f(s):
+        return rs.scheme_fidelities([cfg.with_(s=float(s))], detector)[0]
+
+    if cfg.r == 0.0:
+        f0 = f(0.0)
+        return op.OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
+    grid = np.linspace(0.0, cfg.r, op.COARSE_POINTS)
+    values = np.array(rs.scheme_fidelities([cfg.with_(s=float(s)) for s in grid],
+                                           detector))
+    trace = [(float(s), float(v)) for s, v in zip(grid, values)]
+    if values.max() - values.min() < 1e-12:
+        return op.OptResult(0.0, float(values[0]), tuple(trace), (0.0, 0.0),
+                            plateau=True)
+    k = int(np.argmax(values))
+    peaks = sum(1 for j in range(1, op.COARSE_POINTS - 1)
+                if values[j - 1] < values[j] > values[j + 1])
+    multi_peak = peaks > 1 or (peaks == 1 and k in (0, op.COARSE_POINTS - 1))
+    a, b = float(grid[max(0, k - 1)]), float(grid[min(op.COARSE_POINTS - 1, k + 1)])
+    c, d = b - op._INV_PHI * (b - a), a + op._INV_PHI * (b - a)
+    fc = f(c)
+    trace.append((float(c), fc))
+    fd = f(d)
+    trace.append((float(d), fd))
+    while b - a > op.BRACKET_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - op._INV_PHI * (b - a)
+            fc = f(c)
+            trace.append((float(c), fc))
+        else:
+            a, c, fc = c, d, fd
+            d = a + op._INV_PHI * (b - a)
+            fd = f(d)
+            trace.append((float(d), fd))
+    s_star = 0.5 * (a + b)
+    f_star = f(s_star)
+    trace.append((float(s_star), f_star))
+    best_s, best_f = max(trace, key=lambda t: t[1])
+    if best_f > f_star:
+        s_star, f_star = best_s, best_f
+    return op.OptResult(float(s_star), float(f_star), tuple(trace),
+                        (float(a), float(b)), multi_peak=multi_peak)
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_optimize_s_many_equals_optimize_s_and_the_scalar_loop(detector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        many = op.optimize_s_many(MIXED, detector)
+        single = [_outcome(cfg, detector) for cfg in MIXED]
+        scalar = [_outcome(cfg, detector, scalar_optimize_s) for cfg in MIXED]
+    assert [(type(m), str(m)) if isinstance(m, Exception) else m
+            for m in many] == single == scalar
+    kinds = {type(m).__name__ if isinstance(m, Exception) else m.plateau
+             for m in many}
+    assert {True, False, "DegeneratePostselectionError"} <= kinds
+    assert op.optimize_s_many([], detector) == []
+
+
 def test_optimize_delta_matches_scan():
     res = op.optimize_delta(1.6)
     deltas = np.linspace(0, np.pi / 2, 200)
@@ -120,6 +208,12 @@ def test_sweep_spec_validation():
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="T", grid=(0.5, 1.5))
 
 
+def test_sweep_spec_rejects_unknown_detector():
+    with pytest.raises(ValueError, match="unknown detector kind 'pnr'"):
+        op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="s", grid=(0.1,),
+                      detector="pnr")
+
+
 def test_sweep_batched_rows_match_pointwise():
     spec = op.SweepSpec(base=rs.SchemeConfig(r=1.3, eta3=0.15, eta4=0.15),
                         axis="loss", grid=(0.0, 0.1, 0.2), detector="on-off")
@@ -139,3 +233,26 @@ def test_nested_optimization_column():
     for row in rows:
         assert row.s_star is not None
         assert 0.0 < row.s_star < 1.6
+
+
+def test_nested_optimization_keeps_per_row_errors():
+    # r = 0 is degenerate and r = 30 unphysical; the row between optimizes
+    spec = op.SweepSpec(base=rs.SchemeConfig(r=1.0, T1=0.9, T2=0.9), axis="r",
+                        grid=(0.0, 1.0, 30.0), detector="ideal",
+                        optimize_s_at_each=True)
+    with warnings.catch_warnings():
+        # det S of the lossless source at r = 30 is lost to roundoff
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        rows = op.sweep(spec)
+        outcomes = [_outcome(spec.config_at(row.value), "ideal") for row in rows]
+    for row, outcome in zip(rows, outcomes):
+        if isinstance(outcome, op.OptResult):
+            assert row.error is None
+            assert (row.s_star, row.fidelity) == (outcome.s_star, outcome.f_star)
+        else:
+            kind, message = outcome
+            prefix = ("degenerate-postselection" if kind is DegeneratePostselectionError
+                      else kind.__name__)
+            assert row.error == f"{prefix}: {message}"
+            assert row.s_star is None and row.fidelity is None
+    assert [row.error is None for row in rows] == [False, True, False]
