@@ -30,6 +30,8 @@ def main(cutoff: int) -> int:
     vals = np.linspace(-0.45, 0.45, 3)
     grid = [(a + 1j * b, c + 1j * d)
             for a, b, c, d in itertools.product(vals, repeat=4)]
+    b1s = np.array([b1 for b1, _ in grid])
+    b2s = np.array([b2 for _, b2 in grid])
     print(f"cutoff {cutoff}, {len(grid)} grid points per configuration")
     print(f"{'detector':8s} {'r':>4s} {'s':>6s} {'T_loss':>6s}  "
           f"{'max |dchi|':>11s} {'dsuccess':>10s} {'seconds':>8s}")
@@ -40,10 +42,8 @@ def main(cutoff: int) -> int:
             warnings.simplefilter("ignore", LossyProjectorWarning)
             state = rs.scheme_state(cfg, detector)
             rho, succ = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
-        chi_o = fs.char_function_batch(rho, np.array([b1 for b1, _ in grid]),
-                                       np.array([b2 for _, b2 in grid]))
-        dev = max(abs(c - state.chi_at(b1, b2))
-                  for (b1, b2), c in zip(grid, chi_o))
+        chi_o = fs.char_function_batch(rho, b1s, b2s)
+        dev = float(np.max(np.abs(chi_o - state.chi(b1s, b2s))))
         dsucc = abs(succ - state.success_prob)
         worst = max(worst, dev)
         print(f"{detector:8s} {cfg.r:4.1f} {cfg.s:6.3f} {cfg.T_loss:6.2f}  "

@@ -9,6 +9,19 @@ are array code (block unitaries assembled from their nonzero entries, banded
 Kraus sums, displacement matrices by a recurrence vectorized over amplitudes)
 so that the cross-checks run at the default cutoffs in seconds; none of them
 assumes the structure of the states it is asked to check.
+
+The states the oracle builds are mostly exact zeros: squeezers conserve
+n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
+POVMs shift ket and bra together, so a conditioned two-mode density is
+nonzero only where its ket and bra have the same n1 - n2.  The costly
+contractions skip exact zeros, and only them: pair operators multiply only
+the nonzero columns of the state, conditioning sums only over detector
+outcomes of nonzero weight, and the characteristic function contracts each
+shift block of the density only with its nonzero columns.  Their cost is
+set by the nonzero blocks (about (2/3) d^3 entries of a two-mode density of
+dimension d^2, instead of d^4), but the result is the full contraction's for
+any input, since every skipped term is an exact zero; a dense input costs
+what the full product costs.
 """
 
 from __future__ import annotations
@@ -191,11 +204,16 @@ def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
 
 def _apply_pair_operator(amps: np.ndarray, modes: tuple[int, int],
                          op: sparse.spmatrix, out_dims: tuple[int, int]) -> np.ndarray:
+    """op on the named pair of modes, multiplying only the nonzero columns of
+    the state (one per occupation of the other modes): an all-zero column
+    maps to zero exactly, so the result is that of the full product."""
     i, j = modes
     x = np.moveaxis(amps, (i, j), (0, 1))
-    lead = x.shape[:2]
     rest = x.shape[2:]
-    y = op @ x.reshape(lead[0] * lead[1], -1)
+    x = x.reshape(x.shape[0] * x.shape[1], -1)
+    cols = np.flatnonzero(x.any(axis=0))
+    y = np.zeros((op.shape[0], x.shape[1]), dtype=complex)
+    y[:, cols] = op @ x[:, cols]
     y = y.reshape(out_dims[0], out_dims[1], *rest)
     return np.moveaxis(y, (0, 1), (i, j))
 
@@ -357,21 +375,24 @@ def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
     """Condition a pure four-mode state on a diagonal POVM of each named mode.
 
     Returns the normalized reduced density operator on the other two modes and
-    the success probability Tr[rho (W3 x W4)].
+    the success probability Tr[rho (W3 x W4)].  With the amplitudes as a
+    matrix Psi[(a, b), (k, l)], rho = Psi W Psi^dag is summed over the (k, l)
+    of nonzero weight only (one for ideal projectors), and P is its trace.
     """
     if state.n_modes != 4:
         raise ValueError("conditioning expects a four-mode state")
     if modes != (2, 3):
         raise ValueError("detector modes must be the trailing pair")
-    amps = state.amps
-    success = float(np.einsum("abkl,abkl,k,l->", amps, amps.conj(), w3, w4).real)
+    d = (state.cutoffs[0] + 1) * (state.cutoffs[1] + 1)
+    weights = np.outer(w3, w4).reshape(-1)
+    cols = np.flatnonzero(weights)
+    psi = state.amps.reshape(d, -1)[:, cols]
+    rho = (psi * weights[cols]) @ psi.conj().T
+    success = float(np.trace(rho).real)
     if success <= 1e-300:
         raise DegeneratePostselectionError(
             f"conditioning probability {success:.3e} is degenerate")
-    rho = np.einsum("abkl,cdkl,k,l->abcd", amps, amps.conj(), w3, w4,
-                    optimize=True)
-    d = (state.cutoffs[0] + 1) * (state.cutoffs[1] + 1)
-    return FockDensity(state.cutoffs[:2], rho.reshape(d, d) / success), success
+    return FockDensity(state.cutoffs[:2], rho / success), success
 
 
 def povm_condition(obj, eta3: float, eta4: float) -> tuple[FockDensity, float]:
@@ -403,8 +424,18 @@ def povm_condition(obj, eta3: float, eta4: float) -> tuple[FockDensity, float]:
 # ---------------------------------------------------------------------------
 
 
-def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Displacement matrices <m|D(alpha)|n>, shape (dim, dim, batch).
+def _shift_order(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices row * dim + col of a dim x dim matrix ordered by the shift
+    row - col, from -(dim - 1) to dim - 1, and by col within a shift; and the
+    2 dim edges of the shift blocks in that order."""
+    rows, cols = np.indices((dim, dim)).reshape(2, -1)
+    sizes = dim - np.abs(np.arange(1 - dim, dim))
+    return np.lexsort((cols, rows - cols)), np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _displacement_diagonals(alphas: np.ndarray, cutoff: int) -> np.ndarray:
+    """Displacement matrix elements <m|D(alpha)|n> in `_shift_order` of
+    (m, n), shape (dim^2, batch).
 
     Associated-Laguerre closed form: for k = m - n >= 0,
     <n+k|D|n> = alpha^k e^(-|alpha|^2/2) h_k(n) and
@@ -414,7 +445,8 @@ def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
 
         sqrt((n+1)(n+1+k)) h_k(n+1) = (2n+1+k-x) h_k(n) - sqrt(n(n+k)) h_k(n-1),
 
-    runs for every order k and every amplitude at once.
+    runs for every order k and every amplitude at once; step n gives the
+    n-th element of every diagonal.
     """
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     dim = cutoff + 1
@@ -426,18 +458,30 @@ def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     damp = np.exp(-0.5 * x)
     lower = powers * damp                                  # alpha^k e^(-x/2) / sqrt(k!)
     upper = (-1.0) ** k * powers.conj() * damp             # (-conj alpha)^k ...
-    out = np.empty((dim, dim, len(alphas)), dtype=complex)
+    out = np.empty((dim * dim, len(alphas)), dtype=complex)
+    starts = _shift_order(dim)[1][:-1]
+    below = starts[dim - 1:]                               # start of shift +k
+    above = starts[dim - 1::-1]                            # start of shift -k
     h_prev = np.zeros((dim, len(alphas)))
     h = np.ones((dim, len(alphas)))                        # sqrt(k!) h_k(0)
-    diag = np.arange(dim)
     for n in range(dim):
         ks = dim - n                                       # orders with n + k <= cutoff
-        out[diag[:ks] + n, n] = lower[:ks] * h[:ks]
-        out[n, diag[1:ks] + n] = upper[1:ks] * h[1:ks]
-        h_next = ((2 * n + 1 + k - x) * h
-                  - np.sqrt(n * (n + k)) * h_prev) / np.sqrt((n + 1) * (n + 1 + k))
+        out[below[:ks] + n] = lower[:ks] * h
+        out[above[1:ks] + n] = upper[1:ks] * h[1:]
+        kn = k[:ks - 1]                                    # orders still needed at n + 1
+        h_next = ((2 * n + 1 + kn - x) * h[:-1] - np.sqrt(n * (n + kn)) * h_prev[:ks - 1]
+                  ) / np.sqrt((n + 1) * (n + 1 + kn))
         h_prev, h = h, h_next
     return out
+
+
+def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
+    """Displacement matrices <m|D(alpha)|n>, shape (dim, dim, batch)."""
+    dim = cutoff + 1
+    diagonals = _displacement_diagonals(alphas, cutoff)
+    out = np.empty_like(diagonals)
+    out[_shift_order(dim)[0]] = diagonals
+    return out.reshape(dim, dim, -1)
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
@@ -459,16 +503,52 @@ def char_function_state(state: FockTensor, beta1: complex, beta2: complex) -> co
 
 def char_function_batch(rho: FockDensity, betas1: np.ndarray,
                         betas2: np.ndarray) -> np.ndarray:
-    """Vectorized chi over paired arrays of amplitudes."""
-    D1 = _displacement_batch(betas1, rho.cutoffs[0])
-    D2 = _displacement_batch(betas2, rho.cutoffs[1])
+    """Vectorized chi over paired arrays of amplitudes.
+
+    chi[b] = sum t[(k, m), (l, n)] D1[k, m, b] D2[l, n, b] with
+    t[(k, m), (l, n)] = rho[m, n, k, l], both index pairs in `_shift_order`.
+    Each row block of t (one shift k - m) is contracted only over its
+    nonzero columns; consecutive blocks with the same columns share one
+    GEMM.  The cost is the batch size times the summed sizes of the
+    (shift block, nonzero columns) products: a dense density is one GEMM
+    over all d^4 entries, while every density the oracle builds is nonzero
+    only where k - m = l - n (ket and bra have the same n1 - n2), about
+    (2/3) d^3 entries in 2d - 1 small GEMMs.  Only exact zeros are skipped,
+    so the result is the full contraction's for any density, whatever its
+    structure.
+    """
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
-    # rho as a (k m, n l) matrix for rho[m, n, k, l]
-    t = rho.as_tensor().transpose(2, 0, 1, 3).reshape(d0 * d0, d1 * d1)
-    # A[b, (n, l)] = sum_{k,m} D1[k, m, b] rho[m, n, k, l]
-    A = D1.reshape(d0 * d0, -1).T @ t
-    # chi[b] = sum_{n,l} A[b, (n, l)] D2[l, n, b]
-    return np.einsum("bi,ib->b", A, D2.transpose(1, 0, 2).reshape(d1 * d1, -1))
+    order1, edges1 = _shift_order(d0)
+    order2 = _shift_order(d1)[0]
+    t = rho.as_tensor().transpose(2, 0, 3, 1).reshape(d0 * d0, d1 * d1)
+    t = t[np.ix_(order1, order2)]
+    D1 = _displacement_diagonals(betas1, rho.cutoffs[0])
+    D2 = _displacement_diagonals(betas2, rho.cutoffs[1])
+    chi = np.zeros(D1.shape[1], dtype=complex)
+    for rows, cols in _nonzero_blocks(t, edges1):
+        # A[b, (l, n)] = sum_{(k, m) in rows} D1[k, m, b] t[(k, m), (l, n)]
+        A = D1[rows].T @ t[rows, cols]
+        chi += np.einsum("bi,ib->b", A, D2[cols])
+    return chi
+
+
+def _nonzero_blocks(t: np.ndarray, edges: np.ndarray) -> list[tuple[slice, object]]:
+    """(rows, cols) pairs that cover every nonzero entry of t: one per run of
+    consecutive row blocks (between `edges`) with the same nonzero columns,
+    cols a slice where those columns are contiguous."""
+    support = np.logical_or.reduceat(t != 0, edges[:-1], axis=0)
+    blocks = []
+    start = 0
+    for stop in range(1, len(support) + 1):
+        if stop < len(support) and np.array_equal(support[stop], support[start]):
+            continue
+        cols = np.flatnonzero(support[start])
+        if len(cols):
+            if cols[-1] - cols[0] + 1 == len(cols):
+                cols = slice(cols[0], cols[-1] + 1)
+            blocks.append((slice(edges[start], edges[stop]), cols))
+        start = stop
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -288,14 +288,16 @@ def _ancilla_prob(detector: str, eta3, eta4, n: int):
 
 
 def _status(P, p_scale, F=1.0):
-    """Status of each point: DEGENERATE where P is at or below the larger of
-    MIN_SUCCESS_PROB and DEGENERACY_ULPS eps times p_scale, the sum of the
-    magnitudes of its signed terms; else UNPHYSICAL where P is not a number
-    or above one, or F lies outside (0, 1]; else OK."""
+    """Status of each point: UNPHYSICAL where P is not finite; else
+    DEGENERATE where P is at or below the larger of MIN_SUCCESS_PROB and
+    DEGENERACY_ULPS eps times p_scale, the sum of the magnitudes of its
+    signed terms; else UNPHYSICAL where P is above one, or F lies outside
+    (0, 1]; else OK."""
     status = np.full(P.shape, OK)
     status[~((F > 0.0) & (F <= 1.0 + 1e-9) & (P <= 1.0 + 1e-9))] = UNPHYSICAL
     status[P <= np.maximum(MIN_SUCCESS_PROB,
                            DEGENERACY_ULPS * np.finfo(float).eps * p_scale)] = DEGENERATE
+    status[~np.isfinite(P)] = UNPHYSICAL
     return status
 
 

@@ -150,6 +150,14 @@ def test_degenerate_postselection_exit_4(capsys):
     assert code == EXIT_DEGENERATE
 
 
+def test_overflowed_heralding_probability_exit_3(capsys):
+    code, out, err = run(capsys, "optimize", "--family", "scheme-realistic",
+                         "--r", "30")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "unphysical" in err
+
+
 def test_unknown_target_exit_2(capsys):
     code = main(["reproduce", "table9"])
     capsys.readouterr()

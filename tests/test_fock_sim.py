@@ -3,6 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from reference import fock_dense
 from scipy.linalg import expm
 
 from sqbell import fock_sim as fs
@@ -409,6 +410,71 @@ def test_char_function_state_matches_batch_on_pure_density():
         assert abs(fs.char_function_state(st, b1[k], b2[k]) - batch[k]) < 1e-13
 
 
+def _random_density(rng, cutoffs):
+    d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = M @ M.conj().T
+    return fs.FockDensity(cutoffs, rho / np.trace(rho))
+
+
+def _single_shift_pair_density(rng, cutoffs, j1, j2):
+    """Random entries rho[m, n, k, l] where k - m = j1 and l - n = j2, else 0."""
+    d0, d1 = cutoffs[0] + 1, cutoffs[1] + 1
+    m, n, k, l = np.indices((d0, d1, d0, d1))
+    t = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    t[(k - m != j1) | (l - n != j2)] = 0.0
+    return fs.FockDensity(cutoffs, t.reshape(d0 * d1, d0 * d1))
+
+
+def _lossy_oracle_density(detector):
+    return fs.scheme_oracle(SchemeConfig(r=0.6, s=0.01, T_loss=0.85),
+                            detector, cutoff=16)[0]
+
+
+@pytest.mark.parametrize("density", [
+    lambda rng: _random_density(rng, (8, 11)),
+    lambda rng: _lossy_oracle_density("ideal"),
+    lambda rng: _lossy_oracle_density("on-off"),
+    lambda rng: _single_shift_pair_density(rng, (9, 7), 2, -3),
+], ids=["dense", "ideal-lossy", "onoff-lossy", "shift-pair"])
+def test_char_function_batch_matches_dense_contraction(density):
+    rng = np.random.default_rng(11)
+    rho = density(rng)
+    # the fidelity's Gauss-Hermite grid, out to |lambda| ~ 12.8, and
+    # independent random amplitudes for the two modes
+    nodes = np.polynomial.hermite.hermgauss(48)[0]
+    lam = (nodes[:, None] + 1j * nodes[None, :]).ravel()
+    assert np.abs(lam).max() > 12.6
+    b1 = np.concatenate([-np.conj(lam), rng.normal(size=64) + 1j * rng.normal(size=64)])
+    b2 = np.concatenate([-lam, 2 * rng.normal(size=64) + 1j * rng.normal(size=64)])
+    got = fs.char_function_batch(rho, b1, b2)
+    ref = fock_dense.char_function_batch(rho, b1, b2)
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_char_function_batch_of_zero_density_is_zero():
+    rho = fs.FockDensity((4, 6), np.zeros((35, 35), dtype=complex))
+    assert not np.any(fs.char_function_batch(rho, [0.0, 0.3j], [0.5, -0.2]))
+
+
+def test_displacement_diagonals_follow_shift_order():
+    alphas = np.array([0.0, 0.4 - 1.1j, 3.0 + 2.0j])
+    for cutoff in (0, 1, 6):
+        dim = cutoff + 1
+        order, edges = fs._shift_order(dim)
+        rows, cols = np.divmod(order, dim)
+        shifts = rows - cols
+        assert list(edges) == [0] + list(np.cumsum(
+            [np.sum(shifts == q) for q in range(-cutoff, dim)]))
+        assert np.all(np.diff(shifts) >= 0)
+        full = fs._displacement_batch(alphas, cutoff)
+        assert np.array_equal(fs._displacement_diagonals(alphas, cutoff),
+                              full[rows, cols])
+        assert np.array_equal(fs.displacement_matrix(alphas[1], cutoff),
+                              full[:, :, 1])
+
+
 def test_cutoff_convergence_of_oracle_numbers():
     cfg = SchemeConfig(r=0.5, s=0.02)
     rho_a, succ_a = fs.scheme_oracle(cfg, "on-off", cutoff=14)
@@ -425,3 +491,65 @@ def test_density_validate():
     rho, _ = fs.scheme_oracle(cfg, "on-off", cutoff=12)
     rho.validate()
     assert rho.trace() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# skipped zeros: pair operators and conditioning
+# ---------------------------------------------------------------------------
+
+
+def _pair_states(rng):
+    """Four-mode amplitude tensors with and without all-zero columns."""
+    dims = (6, 6, 5, 4)
+    dense = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    sparse_cols = dense.copy()
+    sparse_cols[:, :, 1::2, :] = 0.0
+    vacuum = fs.vacuum_state(tuple(d - 1 for d in dims)).amps
+    squeezed = fs.apply_two_mode_squeeze(
+        fs.vacuum_state(tuple(d - 1 for d in dims)), (2, 3),
+        SqueezeParam(0.3, np.pi), leak_tol=1.0).amps
+    return [dense, sparse_cols, vacuum, squeezed]
+
+
+@pytest.mark.parametrize("modes", [(0, 1), (1, 0)])
+def test_pair_operator_skips_zero_columns_exactly(modes):
+    rng = np.random.default_rng(5)
+    ops = [fs.two_mode_squeeze_operator(SqueezeParam(0.7, 2.0), (6, 6)),
+           fs.beam_splitter_operator(0.8, (6, 6))]
+    for amps in _pair_states(rng):
+        x = np.moveaxis(amps, modes, (0, 1)).reshape(36, -1)
+        for op in ops:
+            got = fs._apply_pair_operator(amps, modes, op, (6, 6))
+            got = np.moveaxis(got, modes, (0, 1)).reshape(36, -1)
+            # the full sparse product, bit for bit
+            assert got.tobytes() == (op @ x).tobytes()
+            # a dense product sums in another order
+            assert np.max(np.abs(got - op.toarray() @ x)) < 1e-14
+
+
+def _conditioning_state():
+    cfg = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9)
+    return fs.scheme_proto_state(cfg, 10, leak_tol=1e-6)
+
+
+@pytest.mark.parametrize("weights", [
+    lambda dim: ((np.arange(dim) == 1).astype(float),) * 2,
+    lambda dim: (fs.on_off_weights(0.3, dim), fs.on_off_weights(0.7, dim)),
+    lambda dim: (fs.lossy_projector_weights(0.8, dim),) * 2,
+], ids=["ideal", "on-off", "lossy-projector"])
+def test_conditioning_matches_full_einsum(weights):
+    state = _conditioning_state()
+    w3, w4 = weights(11)
+    rho, success = fs.condition_with_diagonal_weights(state, w3, w4)
+    ref_rho, ref_success = fock_dense.condition_with_diagonal_weights(state, w3, w4)
+    assert success == pytest.approx(ref_success, rel=1e-14)
+    assert np.max(np.abs(rho.matrix - ref_rho)) < 1e-14
+
+
+def test_conditioning_on_zero_weights_is_degenerate():
+    state = _conditioning_state()
+    zero = np.zeros(11)
+    for conditioner in (fs.condition_with_diagonal_weights,
+                        fock_dense.condition_with_diagonal_weights):
+        with pytest.raises(DegeneratePostselectionError):
+            conditioner(state, zero, zero)

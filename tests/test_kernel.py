@@ -15,7 +15,7 @@ from sqbell import kernel
 from sqbell import optimize as op
 from sqbell import resources as rs
 from sqbell.conditioning import LossyProjectorWarning
-from sqbell.errors import DegeneratePostselectionError
+from sqbell.errors import DegeneratePostselectionError, PhysicalityError
 from sqbell.symplectic import scheme_four_mode_char
 from sqbell.teleport import fidelity_closed_form
 
@@ -241,6 +241,16 @@ def test_ideal_vacuum_ancillas_degenerate_on_both_paths():
     with pytest.raises(DegeneratePostselectionError):
         rs.scheme_state(cfg, "ideal")
     assert rs.scheme_pf([cfg], "ideal")[2][0] == kernel.DEGENERATE
+
+
+def test_overflowed_heralding_probability_is_unphysical():
+    # on/off heralding at r = 30 overflows P to inf, which is no degeneracy
+    cfg = rs.SchemeConfig(r=30.0)
+    P, F, status = rs.scheme_pf([cfg], "on-off")
+    assert np.isinf(P[0]) and np.isnan(F[0])
+    assert status[0] == kernel.UNPHYSICAL
+    with pytest.raises(PhysicalityError):
+        op.optimize_s(cfg, "on-off")
 
 
 def test_unknown_detector_rejected():
