@@ -22,6 +22,13 @@ set by the nonzero blocks (about (2/3) d^3 entries of a two-mode density of
 dimension d^2, instead of d^4), but the result is the full contraction's for
 any input, since every skipped term is an exact zero; a dense input costs
 what the full product costs.
+
+The scheme oracle models pure loss only and has one pipeline: squeezers,
+loss branches, beam splitters, heralded densities summed over branches.
+Loss on every mode needs one branch; loss on the signal modes alone needs
+one per pair of Kraus orders, which caps that path at cutoff 16 (48 for the
+others).  A leaking cutoff is escalated up to the cap of its path, and a
+leak at the cap is raised.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ from .symplectic import SqueezeParam
 DEFAULT_LEAK_TOL = 1e-8
 # pair unitaries kept per process; one oracle cross-check campaign uses ~10
 UNITARY_CACHE_SIZE = 64
+# largest scheme-oracle cutoff, with loss on the signal modes only / otherwise
+SIGNAL_LOSS_MAX_CUTOFF = 16
+MAX_CUTOFF = 48
 
 
 @dataclass
@@ -86,10 +96,10 @@ class FockDensity:
     def normalized(self) -> "FockDensity":
         return FockDensity(self.cutoffs, self.matrix / np.trace(self.matrix))
 
-    def validate(self, herm_tol: float = 1e-10, eig_floor: float = -1e-9) -> None:
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > herm_tol:
+    def validate(self) -> None:
+        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.matrix).min() < eig_floor:
+        if np.linalg.eigvalsh(self.matrix).min() < -1e-9:
             raise ValueError("density matrix has a negative eigenvalue")
 
     def as_tensor(self) -> np.ndarray:
@@ -219,8 +229,8 @@ def _apply_pair_operator(amps: np.ndarray, modes: tuple[int, int],
 
 
 def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
-                           p: SqueezeParam, leak_tol: float = DEFAULT_LEAK_TOL,
-                           pad: int | None = None) -> FockTensor:
+                           p: SqueezeParam,
+                           leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Apply the two-mode squeezer; measure the norm leaked above the cutoffs.
 
     The operator is exponentiated on an internally padded space and the result
@@ -228,9 +238,7 @@ def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
     pushed beyond the requested cutoffs.  The state is not renormalized.
     """
     i, j = modes
-    ci, cj = state.cutoffs[i], state.cutoffs[j]
-    if pad is None:
-        pad = max(8, max(ci, cj) // 2)
+    pad = max(8, max(state.cutoffs[i], state.cutoffs[j]) // 2)
     padded = list(state.cutoffs)
     padded[i] += pad
     padded[j] += pad
@@ -280,10 +288,13 @@ def _loss_kraus_bands(T: float, dim: int) -> list[np.ndarray]:
     return bands
 
 
-def loss_kraus_operators(T: float, dim: int) -> list[np.ndarray]:
-    """K_m = sqrt((1-T)^m / m!) T^(n/2) a^m for m = 0..dim-1."""
-    return [np.diag(band, m).astype(complex)
-            for m, band in enumerate(_loss_kraus_bands(T, dim))]
+def _apply_kraus_band(amps: np.ndarray, axis: int, m: int,
+                      band: np.ndarray) -> np.ndarray:
+    """K_m, whose only band is K_m[i, i + m] = band[i], on one axis of amps."""
+    x = np.moveaxis(amps, axis, 0)
+    out = np.zeros_like(x)
+    out[:len(band)] = band.reshape(-1, *(1,) * (x.ndim - 1)) * x[m:]
+    return np.moveaxis(out, 0, axis)
 
 
 def _apply_single_mode_matrix(arr: np.ndarray, axis: int, M: np.ndarray) -> np.ndarray:
@@ -336,20 +347,15 @@ def loss_via_ancilla(state: FockTensor, mode: int, T: float) -> FockDensity:
 # ---------------------------------------------------------------------------
 
 
-def project_single_photon(state: FockTensor,
-                          modes: tuple[int, int] = (2, 3)) -> tuple[FockTensor, float]:
-    """Contract the named modes against <1,1|; return overlap state and norm^2."""
+def project_single_photon(state: FockTensor) -> tuple[FockTensor, float]:
+    """Contract modes 3 and 4 against <1,1|; return overlap state and norm^2."""
     if state.n_modes != 4:
         raise ValueError("project_single_photon expects a four-mode state")
-    idx = [slice(None)] * 4
-    idx[modes[0]] = 1
-    idx[modes[1]] = 1
-    amps = state.amps[tuple(idx)].copy()
+    amps = state.amps[:, :, 1, 1].copy()
     norm2 = float(np.vdot(amps, amps).real)
     if norm2 <= 1e-300:
         raise DegeneratePostselectionError("single-photon overlap has zero norm")
-    keep = tuple(c for k, c in enumerate(state.cutoffs) if k not in modes)
-    return FockTensor(keep, amps, leak=state.leak), norm2
+    return FockTensor(state.cutoffs[:2], amps, leak=state.leak), norm2
 
 
 def on_off_weights(eta: float, dim: int) -> np.ndarray:
@@ -361,38 +367,43 @@ def on_off_weights(eta: float, dim: int) -> np.ndarray:
 
 def lossy_projector_weights(T: float, dim: int) -> np.ndarray:
     """Diagonal weights of a single-photon projector preceded by loss T:
-    the probability n T (1-T)^(n-1) that exactly one of n photons survives."""
+    the probability n T (1-T)^(n-1) that exactly one of n photons survives
+    (with 0^0 = 1, the single-photon projector at T = 1)."""
     n = np.arange(dim)
-    if T >= 1.0:
-        return (n == 1).astype(float)
     return n * T * (1.0 - T) ** np.clip(n - 1, 0, None)
 
 
 def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
-                                    w4: np.ndarray,
-                                    modes: tuple[int, int] = (2, 3)
-                                    ) -> tuple[FockDensity, float]:
-    """Condition a pure four-mode state on a diagonal POVM of each named mode.
+                                    w4: np.ndarray) -> tuple[FockDensity, float]:
+    """Condition a pure four-mode state on a diagonal POVM of modes 3 and 4.
 
-    Returns the normalized reduced density operator on the other two modes and
-    the success probability Tr[rho (W3 x W4)].  With the amplitudes as a
-    matrix Psi[(a, b), (k, l)], rho = Psi W Psi^dag is summed over the (k, l)
-    of nonzero weight only (one for ideal projectors), and P is its trace.
+    Returns the normalized reduced density operator on modes 1 and 2 and
+    the success probability Tr[rho (W3 x W4)].
     """
     if state.n_modes != 4:
         raise ValueError("conditioning expects a four-mode state")
-    if modes != (2, 3):
-        raise ValueError("detector modes must be the trailing pair")
+    return _normalized(state.cutoffs[:2], _heralded(state, w3, w4))
+
+
+def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, with the
+    amplitudes as a matrix Psi[(a, b), (k, l)], summed over the (k, l) of
+    nonzero weight only (one for ideal projectors)."""
     d = (state.cutoffs[0] + 1) * (state.cutoffs[1] + 1)
     weights = np.outer(w3, w4).reshape(-1)
     cols = np.flatnonzero(weights)
     psi = state.amps.reshape(d, -1)[:, cols]
-    rho = (psi * weights[cols]) @ psi.conj().T
+    return (psi * weights[cols]) @ psi.conj().T
+
+
+def _normalized(cutoffs: tuple[int, int],
+                rho: np.ndarray) -> tuple[FockDensity, float]:
+    """An unnormalized heralded density and its trace, the success probability."""
     success = float(np.trace(rho).real)
     if success <= 1e-300:
         raise DegeneratePostselectionError(
             f"conditioning probability {success:.3e} is degenerate")
-    return FockDensity(state.cutoffs[:2], rho / success), success
+    return FockDensity(cutoffs, rho / success), success
 
 
 def povm_condition(obj, eta3: float, eta4: float) -> tuple[FockDensity, float]:
@@ -409,14 +420,9 @@ def povm_condition(obj, eta3: float, eta4: float) -> tuple[FockDensity, float]:
     dims = rho.shape[:4]
     w3 = on_off_weights(eta3, dims[2])
     w4 = on_off_weights(eta4, dims[3])
-    success = float(np.einsum("abklabkl,k,l->", rho, w3, w4).real)
-    if success <= 1e-300:
-        raise DegeneratePostselectionError(
-            f"conditioning probability {success:.3e} is degenerate")
     red = np.einsum("abklcdkl,k,l->abcd", rho, w3, w4)
     d = dims[0] * dims[1]
-    cutoffs = (dims[0] - 1, dims[1] - 1)
-    return FockDensity(cutoffs, red.reshape(d, d) / success), success
+    return _normalized((dims[0] - 1, dims[1] - 1), red.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -560,118 +566,104 @@ def default_cutoff(amplitude: float) -> int:
     return 20 if amplitude <= 1.0 else 30
 
 
-def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
-                       leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Four-mode state after both squeezers and both mixing beam splitters."""
+def _squeezed(cfg: SchemeConfig, cutoff: int, leak_tol: float) -> FockTensor:
+    """Four-mode state after both squeezers, before any loss or mixing."""
     state = vacuum_state((cutoff,) * 4)
     state = apply_two_mode_squeeze(state, (0, 1),
                                    SqueezeParam(cfg.r, cfg.phi_zeta), leak_tol)
-    state = apply_two_mode_squeeze(state, (2, 3),
-                                   SqueezeParam(cfg.s, cfg.phi_xi), leak_tol)
+    return apply_two_mode_squeeze(state, (2, 3),
+                                  SqueezeParam(cfg.s, cfg.phi_xi), leak_tol)
+
+
+def _mixed(state: FockTensor, cfg: SchemeConfig) -> FockTensor:
+    """Both mixing beam splitters, signal mode i with detector mode i + 2."""
     state = apply_beam_splitter(state, (0, 2), cfg.T1)
-    state = apply_beam_splitter(state, (1, 3), cfg.T2)
-    return state
+    return apply_beam_splitter(state, (1, 3), cfg.T2)
 
 
-def _detector_weights(cfg: SchemeConfig, detector: str, dim: int) -> np.ndarray:
-    lossy = cfg.T_loss < 1.0 and cfg.loss_on_detector_modes
+def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
+                       leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
+    """Four-mode state after both squeezers and both mixing beam splitters."""
+    return _mixed(_squeezed(cfg, cutoff, leak_tol), cfg)
+
+
+def _signal_loss_only(cfg: SchemeConfig) -> bool:
+    return cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes
+
+
+def _detector_weights(cfg: SchemeConfig, detector: str,
+                      dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal POVM weights of modes 3 and 4, with the detector-mode loss
+    folded in when the loss is on every mode."""
+    T = cfg.T_loss if cfg.loss_on_detector_modes else 1.0
     if detector == "ideal":
-        if lossy:
-            return lossy_projector_weights(cfg.T_loss, dim)
-        n = np.arange(dim)
-        return (n == 1).astype(float)
-    eta3 = cfg.eta3 * (cfg.T_loss if lossy else 1.0)
-    eta4 = cfg.eta4 * (cfg.T_loss if lossy else 1.0)
-    return np.stack([on_off_weights(eta3, dim), on_off_weights(eta4, dim)])
+        w = lossy_projector_weights(T, dim)
+        return w, w
+    return on_off_weights(cfg.eta3 * T, dim), on_off_weights(cfg.eta4 * T, dim)
+
+
+def _branches(state: FockTensor, cfg: SchemeConfig):
+    """The pure states whose heralded densities sum to the scheme's: one Kraus
+    branch per pair of signal loss orders (m1, m2) with signal-only loss,
+    else the state itself."""
+    if not _signal_loss_only(cfg):
+        yield state
+        return
+    bands = _loss_kraus_bands(cfg.T_loss, state.cutoffs[0] + 1)
+    for m1, band1 in enumerate(bands):
+        amps = _apply_kraus_band(state.amps, 0, m1, band1)
+        for m2, band2 in enumerate(bands):
+            yield FockTensor(state.cutoffs, _apply_kraus_band(amps, 1, m2, band2),
+                             leak=state.leak)
 
 
 def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
-                  cutoff: int | None = None,
-                  leak_tol: float = DEFAULT_LEAK_TOL,
-                  max_cutoff: int = 48) -> tuple[FockDensity, float]:
-    """Conditioned two-mode density operator of the scheme, built in Fock space.
+                  cutoff: int | None = None) -> tuple[FockDensity, float]:
+    """Conditioned two-mode density operator of the scheme, built in Fock space,
+    and its success probability.
 
-    Loss channels of equal transmissivity on every mode commute with the mixing
-    beam splitters, so the detector-mode loss is folded into the diagonal POVM
-    weights and the signal-mode loss is applied after conditioning; the
-    restricted-loss configuration keeps the loss ahead of the beam splitters
-    via an explicit Kraus ensemble.  Escalates the cutoff on leak violations.
+    Pure loss only: `n_thermal > 0` raises ValueError.  Loss of equal
+    transmissivity on every mode commutes with the mixing beam splitters, so
+    the detector-mode loss is folded into the diagonal POVM weights and the
+    signal-mode loss is applied after conditioning.  Signal-only loss is kept
+    ahead of the beam splitters as a sum over Kraus branches, which limits
+    that path to cutoff 16 (48 otherwise).  A cutoff above that limit raises
+    ValueError; a leaking cutoff is escalated by half, clamped to the limit,
+    and CutoffTooSmallError is raised when the limit itself leaks.
     """
     if detector not in ("ideal", "on-off"):
         raise ValueError(f"unknown detector kind {detector!r}")
-    c = cutoff if cutoff is not None else default_cutoff(max(cfg.r, cfg.s))
+    if cfg.n_thermal > 0:
+        raise ValueError("the Fock oracle models pure loss only (n_thermal = 0)")
+    cap = SIGNAL_LOSS_MAX_CUTOFF if _signal_loss_only(cfg) else MAX_CUTOFF
+    c = cutoff if cutoff is not None else min(default_cutoff(max(cfg.r, cfg.s)), cap)
+    if c > cap:
+        raise ValueError(f"cutoff {c} exceeds this configuration's limit {cap}")
     while True:
         try:
-            return _scheme_oracle_at(cfg, detector, c, leak_tol)
+            return _scheme_oracle_at(cfg, detector, c)
         except CutoffTooSmallError:
-            nxt = int(np.ceil(c * 1.5))
-            if nxt > max_cutoff:
+            if c >= cap:
                 raise
-            c = nxt
+            c = min(int(np.ceil(c * 1.5)), cap)
 
 
-def _scheme_oracle_at(cfg: SchemeConfig, detector: str, cutoff: int,
-                      leak_tol: float) -> tuple[FockDensity, float]:
-    dim = cutoff + 1
-    if cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes:
-        return _scheme_oracle_restricted_loss(cfg, detector, cutoff, leak_tol)
-    state = scheme_proto_state(cfg, cutoff, leak_tol)
-    w = _detector_weights(cfg, detector, dim)
-    if detector == "ideal":
-        rho, success = condition_with_diagonal_weights(state, w, w)
-    else:
-        rho, success = condition_with_diagonal_weights(state, w[0], w[1])
-    if cfg.T_loss < 1.0:
+def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
+                      cutoff: int) -> tuple[FockDensity, float]:
+    w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
+    branches = _branches(_squeezed(cfg, cutoff, DEFAULT_LEAK_TOL), cfg)
+    # reduce, not sum: a single branch's density is used as is, not copied
+    rho = functools.reduce(np.add, (_heralded(_mixed(b, cfg), w3, w4) for b in branches))
+    rho, success = _normalized((cutoff, cutoff), rho)
+    if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:
         rho = loss_kraus(rho, 0, cfg.T_loss)
         rho = loss_kraus(rho, 1, cfg.T_loss)
         rho = rho.normalized()
     return rho, success
 
 
-def _scheme_oracle_restricted_loss(cfg: SchemeConfig, detector: str, cutoff: int,
-                                   leak_tol: float) -> tuple[FockDensity, float]:
-    """Loss on the signal modes only, applied before the mixing beam splitters."""
-    if cutoff > 16:
-        raise ValueError("restricted-loss oracle is limited to small cutoffs")
-    dim = cutoff + 1
-    state = vacuum_state((cutoff,) * 4)
-    state = apply_two_mode_squeeze(state, (0, 1),
-                                   SqueezeParam(cfg.r, cfg.phi_zeta), leak_tol)
-    state = apply_two_mode_squeeze(state, (2, 3),
-                                   SqueezeParam(cfg.s, cfg.phi_xi), leak_tol)
-    if detector == "ideal":
-        n = np.arange(dim)
-        w3 = w4 = (n == 1).astype(float)
-    else:
-        w3 = on_off_weights(cfg.eta3, dim)
-        w4 = on_off_weights(cfg.eta4, dim)
-    kraus = loss_kraus_operators(cfg.T_loss, dim)
-    d2 = dim * dim
-    rho_sum = np.zeros((d2, d2), dtype=complex)
-    total = 0.0
-    for K0 in kraus:
-        branch0 = FockTensor(state.cutoffs,
-                             _apply_single_mode_matrix(state.amps, 0, K0))
-        for K1 in kraus:
-            branch = FockTensor(state.cutoffs,
-                                _apply_single_mode_matrix(branch0.amps, 1, K1))
-            if branch.norm_squared() < 1e-28:
-                continue
-            branch = apply_beam_splitter(branch, (0, 2), cfg.T1)
-            branch = apply_beam_splitter(branch, (1, 3), cfg.T2)
-            try:
-                rho_b, p_b = condition_with_diagonal_weights(branch, w3, w4)
-            except DegeneratePostselectionError:
-                continue
-            rho_sum += p_b * rho_b.matrix
-            total += p_b
-    if total <= 1e-300:
-        raise DegeneratePostselectionError("restricted-loss conditioning degenerate")
-    return FockDensity((cutoff, cutoff), rho_sum / total), total
-
-
 def theoretical_oracle(family: str, r: float, delta: float | None = None,
-                       phase: float = np.pi, cutoff: int | None = None,
+                       cutoff: int | None = None,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Fock-space construction of the analytic two-mode resource families."""
     c = cutoff if cutoff is not None else default_cutoff(r)
@@ -687,7 +679,7 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
         bare = basis_state((c, c), (1, 1))
     elif family in ("photon-subtracted", "photon-added"):
         sq = apply_two_mode_squeeze(vacuum_state((c, c)), (0, 1),
-                                    SqueezeParam(r, phase), leak_tol)
+                                    SqueezeParam(r, np.pi), leak_tol)
         a = annihilator(c + 1)
         op = a if family == "photon-subtracted" else a.conj().T
         amps = _apply_single_mode_matrix(sq.amps, 0, op)
@@ -698,4 +690,4 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
         return FockTensor((c, c), amps / nrm, leak=sq.leak)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return apply_two_mode_squeeze(bare, (0, 1), SqueezeParam(r, phase), leak_tol)
+    return apply_two_mode_squeeze(bare, (0, 1), SqueezeParam(r, np.pi), leak_tol)

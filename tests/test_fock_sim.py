@@ -1,14 +1,20 @@
 """Tests for the truncated-Fock-space oracle."""
 
+import itertools
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
 from reference import fock_dense
 from scipy.linalg import expm
+from test_acceptance import BETA_GRID_1, BETA_GRID_2, oracle_fidelity
 
 from sqbell import fock_sim as fs
+from sqbell import teleport as tp
+from sqbell.conditioning import LossyProjectorWarning
 from sqbell.errors import CutoffTooSmallError, DegeneratePostselectionError
-from sqbell.resources import SchemeConfig, delta_equivalent
+from sqbell.resources import SchemeConfig, delta_equivalent, scheme_state
 from sqbell.symplectic import SqueezeParam, two_mode_squeezed_char
 
 
@@ -484,6 +490,50 @@ def test_cutoff_convergence_of_oracle_numbers():
     for b1, b2 in pts:
         assert fs.char_function(rho_a, b1, b2) == pytest.approx(
             fs.char_function(rho_b, b1, b2), abs=1e-8)
+
+
+def _signal_loss(r, s):
+    return SchemeConfig(r=r, s=s, T_loss=0.85, loss_on_detector_modes=False)
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_signal_only_loss_oracle_matches_kernel(detector):
+    # criterion 6's grid and tolerances, on the Kraus-branch path it omits
+    cfg = _signal_loss(0.6, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        state = scheme_state(cfg, detector)
+    # cutoff 12 leaks: escalation lands on 16, the cap of this path, not past it
+    rho, success = fs.scheme_oracle(cfg, detector, cutoff=12)
+    assert rho.cutoffs == (16, 16)
+    b1, b2 = np.array(list(itertools.product(BETA_GRID_1, BETA_GRID_2))).T
+    chi = fs.char_function_batch(rho, b1, b2)
+    assert np.max(np.abs(chi - state.chi(b1, b2))) <= 1e-6
+    assert oracle_fidelity(rho) == pytest.approx(tp.fidelity_closed_form(state),
+                                                 abs=1e-5)
+    assert success == pytest.approx(state.success_prob, rel=1e-6)
+
+
+def test_oracle_refuses_thermal_noise():
+    cfg = SchemeConfig(r=0.5, s=0.05, T_loss=0.85, n_thermal=0.3)
+    with pytest.raises(ValueError, match="pure loss"):
+        fs.scheme_oracle(cfg, "ideal", cutoff=12)
+
+
+def test_leak_at_the_signal_loss_cap_is_raised():
+    with pytest.raises(CutoffTooSmallError):
+        fs.scheme_oracle(_signal_loss(0.8, 0.05), "on-off", cutoff=12)
+    with pytest.raises(CutoffTooSmallError):
+        fs.scheme_oracle(_signal_loss(0.8, 0.05), "on-off", cutoff=16)
+
+
+@pytest.mark.parametrize("cfg, cutoff", [
+    (_signal_loss(0.6, 0.01), 17),
+    (SchemeConfig(r=0.6, s=0.01, T_loss=0.85), 49),
+], ids=["signal-loss", "all-mode-loss"])
+def test_cutoff_above_the_cap_is_refused(cfg, cutoff):
+    with pytest.raises(ValueError, match="exceeds"):
+        fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)
 
 
 def test_density_validate():

@@ -38,3 +38,9 @@ def test_only_gauss_poly_imports_gauss_poly(module):
 def test_conditioning_imports_no_higher_layer():
     higher = {f"sqbell.{m}" for m in ("resources", "teleport", "optimize", "cli")}
     assert not imported("conditioning") & higher
+
+
+def test_fock_oracle_imports_none_of_the_paths_it_checks():
+    checked = {f"sqbell.{m}" for m in ("kernel", "conditioning", "teleport",
+                                       "optimize", "cli")}
+    assert not imported("fock_sim") & checked
