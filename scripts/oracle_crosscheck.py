@@ -3,6 +3,8 @@
 
 Builds a handful of conditioned states both ways and prints the worst
 characteristic-function and success-probability deviations, plus timings.
+Exits 1 when either exceeds criterion 6's tolerance: 1e-6 on |dchi|, and
+1e-6 on the success probability's relative deviation.
 
 Usage: python scripts/oracle_crosscheck.py [cutoff]
 """
@@ -34,8 +36,8 @@ def main(cutoff: int) -> int:
     b2s = np.array([b2 for _, b2 in grid])
     print(f"cutoff {cutoff}, {len(grid)} grid points per configuration")
     print(f"{'detector':8s} {'r':>4s} {'s':>6s} {'T_loss':>6s}  "
-          f"{'max |dchi|':>11s} {'dsuccess':>10s} {'seconds':>8s}")
-    worst = 0.0
+          f"{'max |dchi|':>11s} {'dsuccess':>10s} {'rel':>9s} {'seconds':>8s}")
+    worst, worst_rel = 0.0, 0.0
     for detector, cfg in CONFIGS:
         t0 = time.time()
         with warnings.catch_warnings():
@@ -45,11 +47,14 @@ def main(cutoff: int) -> int:
         chi_o = fs.char_function_batch(rho, b1s, b2s)
         dev = float(np.max(np.abs(chi_o - state.chi(b1s, b2s))))
         dsucc = abs(succ - state.success_prob)
+        rel = dsucc / state.success_prob
         worst = max(worst, dev)
+        worst_rel = max(worst_rel, rel)
         print(f"{detector:8s} {cfg.r:4.1f} {cfg.s:6.3f} {cfg.T_loss:6.2f}  "
-              f"{dev:11.3e} {dsucc:10.3e} {time.time() - t0:8.2f}")
+              f"{dev:11.3e} {dsucc:10.3e} {rel:9.2e} {time.time() - t0:8.2f}")
     print(f"worst characteristic-function deviation: {worst:.3e}")
-    return 0 if worst < 1e-6 else 1
+    print(f"worst relative success deviation: {worst_rel:.3e}")
+    return 0 if worst < 1e-6 and worst_rel <= 1e-6 else 1
 
 
 if __name__ == "__main__":

@@ -5,23 +5,29 @@ linear algebra on photon-number tensors: squeezers and beam splitters as exact
 unitaries of the truncated generators (block-diagonalized by their conserved
 quantity), loss channels as Kraus maps, detectors as diagonal POVM weights,
 characteristic functions as displacement-operator traces.  The operations
-are array code (block unitaries assembled from their nonzero entries, banded
-Kraus sums, displacement matrices by a recurrence vectorized over amplitudes)
-so that the cross-checks run at the default cutoffs in seconds; none of them
-assumes the structure of the states it is asked to check.
+are array code (block unitaries assembled from their nonzero entries, Kraus
+terms scattered from the nonzero density entries, displacement matrices by
+a recurrence vectorized over amplitudes) so that the cross-checks run at
+the default cutoffs in seconds; none of them assumes the structure of the
+states it is asked to check.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
-POVMs shift ket and bra together, so a conditioned two-mode density is
-nonzero only where its ket and bra have the same n1 - n2.  The costly
-contractions skip exact zeros, and only them: pair operators multiply only
-the nonzero columns of the state, conditioning sums only over detector
-outcomes of nonzero weight, and the characteristic function contracts each
-shift block of the density only with its nonzero columns.  Their cost is
-set by the nonzero blocks (about (2/3) d^3 entries of a two-mode density of
-dimension d^2, instead of d^4), but the result is the full contraction's for
-any input, since every skipped term is an exact zero; a dense input costs
-what the full product costs.
+POVMs shift ket and bra together.  So the scheme's four-mode state is
+nonzero only where n0 + n2 = n1 + n3 (11.7k of 457k amplitudes at cutoff
+25), and a conditioned two-mode density only where its ket and bra have the
+same n1 - n2.  Every costly contraction runs over the nonzero entries, and
+skips only exact zeros: pair operators are sparse products with the state's
+nonzero amplitudes, and the squeezer builds no padded dense state;
+conditioning is a sparse product over the detector outcomes of nonzero
+weight; the loss channel scatters each nonzero density entry through its
+Kraus orders; and the characteristic function contracts each shift block of
+the density only with its nonzero columns.  Their cost is set by the
+nonzero entries (about (2/3) d^3 of a two-mode density of dimension d^2,
+instead of d^4), not by the dense tensors, which are only allocated to hold
+the results; yet the result is the full contraction's for any input, since
+every skipped term is an exact zero, and a dense input is contracted in
+full.
 
 The scheme oracle models pure loss only and has one pipeline: squeezers,
 loss branches, beam splitters, heralded densities summed over branches.
@@ -212,20 +218,50 @@ def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
         shape=(D, D))
 
 
+def _pair_matrix(amps: np.ndarray, modes: tuple[int, int]) -> sparse.csr_matrix:
+    """The nonzero entries of amps as a sparse (pair x rest) matrix: row
+    n_i d_j + n_j for the named pair, column the flat index of the other
+    modes' occupations in their order."""
+    i, j = modes
+    flat = np.flatnonzero(amps != 0)
+    idx = np.unravel_index(flat, amps.shape)
+    row = idx[i] * amps.shape[j] + idx[j]
+    col = np.zeros_like(row)
+    n_cols = 1
+    for k in range(amps.ndim):
+        if k not in modes:
+            col = col * amps.shape[k] + idx[k]
+            n_cols *= amps.shape[k]
+    return sparse.csr_matrix((amps.reshape(-1)[flat], (row, col)),
+                             shape=(amps.shape[i] * amps.shape[j], n_cols))
+
+
+def _from_pair_matrix(y: sparse.spmatrix, modes: tuple[int, int],
+                      shape: tuple[int, ...]) -> np.ndarray:
+    """Dense amplitude tensor of the given shape from its (pair x rest)
+    matrix, the inverse of `_pair_matrix`."""
+    y = y.tocoo()
+    i, j = modes
+    idx = [None] * len(shape)
+    idx[i], idx[j] = np.divmod(y.row, shape[j])
+    col = y.col
+    for k in reversed(range(len(shape))):
+        if k not in modes:
+            col, idx[k] = np.divmod(col, shape[k])
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(idx)] = y.data
+    return out
+
+
 def _apply_pair_operator(amps: np.ndarray, modes: tuple[int, int],
                          op: sparse.spmatrix, out_dims: tuple[int, int]) -> np.ndarray:
-    """op on the named pair of modes, multiplying only the nonzero columns of
-    the state (one per occupation of the other modes): an all-zero column
-    maps to zero exactly, so the result is that of the full product."""
-    i, j = modes
-    x = np.moveaxis(amps, (i, j), (0, 1))
-    rest = x.shape[2:]
-    x = x.reshape(x.shape[0] * x.shape[1], -1)
-    cols = np.flatnonzero(x.any(axis=0))
-    y = np.zeros((op.shape[0], x.shape[1]), dtype=complex)
-    y[:, cols] = op @ x[:, cols]
-    y = y.reshape(out_dims[0], out_dims[1], *rest)
-    return np.moveaxis(y, (0, 1), (i, j))
+    """op on the named pair of modes, as the sparse product of op with the
+    state's nonzero entries (`_pair_matrix`).  A skipped entry is an exact
+    zero, and each sum runs over op's row in the order of the full product
+    `op @ x`, so the result is that product's, bit for bit."""
+    shape = list(amps.shape)
+    shape[modes[0]], shape[modes[1]] = out_dims
+    return _from_pair_matrix(op @ _pair_matrix(amps, modes), modes, tuple(shape))
 
 
 def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
@@ -233,28 +269,32 @@ def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
                            leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Apply the two-mode squeezer; measure the norm leaked above the cutoffs.
 
-    The operator is exponentiated on an internally padded space and the result
-    projected back, so the reported deficit is the actual squared-norm mass
-    pushed beyond the requested cutoffs.  The state is not renormalized.
+    The operator is exponentiated on an internally padded pair space, and
+    its columns of the requested pair space are applied to the state's
+    nonzero entries.  The reported deficit is the squared norm of that
+    product outside the requested cutoffs, the actual mass pushed beyond
+    them, summed directly rather than as a difference of two norms near 1.
+    No padded dense state is built: cost and memory are those of the nonzero
+    entries and of the dense result.  The state is not renormalized.
     """
     i, j = modes
+    dims = (state.cutoffs[i] + 1, state.cutoffs[j] + 1)
     pad = max(8, max(state.cutoffs[i], state.cutoffs[j]) // 2)
-    padded = list(state.cutoffs)
-    padded[i] += pad
-    padded[j] += pad
-    big = np.zeros(tuple(c + 1 for c in padded), dtype=complex)
-    big[tuple(slice(0, c + 1) for c in state.cutoffs)] = state.amps
-    U = two_mode_squeeze_operator(p, (padded[i] + 1, padded[j] + 1))
-    big = _apply_pair_operator(big, modes, U, (padded[i] + 1, padded[j] + 1))
-    before = float(np.vdot(big, big).real)
-    small = big[tuple(slice(0, c + 1) for c in state.cutoffs)].copy()
-    after = float(np.vdot(small, small).real)
-    deficit = before - after
+    padded = (dims[0] + pad, dims[1] + pad)
+    # flat indices of the requested pair space within the padded one
+    inner = (np.arange(dims[0])[:, None] * padded[1] + np.arange(dims[1])).ravel()
+    U = two_mode_squeeze_operator(p, padded)
+    big = U[:, inner] @ _pair_matrix(state.amps, modes)
+    outside = np.ones(big.shape[0], dtype=bool)
+    outside[inner] = False
+    leaked = big[outside].data
+    deficit = float(np.vdot(leaked, leaked).real)
     if deficit > leak_tol:
         raise CutoffTooSmallError(
             f"squeezing leaked {deficit:.3e} above cutoffs {state.cutoffs}",
             deficit=deficit)
-    return FockTensor(state.cutoffs, small, leak=state.leak + deficit)
+    amps = _from_pair_matrix(big[inner], modes, state.amps.shape)
+    return FockTensor(state.cutoffs, amps, leak=state.leak + deficit)
 
 
 def apply_beam_splitter(state: FockTensor, modes: tuple[int, int],
@@ -304,8 +344,12 @@ def _apply_single_mode_matrix(arr: np.ndarray, axis: int, M: np.ndarray) -> np.n
 def loss_kraus(obj, mode: int, T: float) -> FockDensity:
     """Loss channel on one mode of a two-mode pure state or density operator.
 
-    Sum over m of K_m rho K_m^dag, each term a shifted-slice product since
-    K_m has a single nonzero band.
+    Sum over m of K_m rho K_m^dag.  K_m has the single band K_m[i, i + m],
+    so a nonzero entry whose lossy-mode ket and bra photon numbers are p and
+    q feeds the entry (p - m, q - m) of every order m <= min(p, q); all
+    those terms are scattered with one `np.bincount`.  The cost is set by
+    the nonzero entries times their orders, not d^4 per order, and each
+    output entry sums its orders in turn, as the order-by-order sum would.
     """
     if isinstance(obj, FockTensor):
         if obj.n_modes != 2:
@@ -316,15 +360,28 @@ def loss_kraus(obj, mode: int, T: float) -> FockDensity:
         rho = obj.as_tensor()
         cutoffs = obj.cutoffs
     dim = cutoffs[mode] + 1
-    # ket and bra index of the lossy mode in front
-    src = np.moveaxis(rho, (mode, mode + 2), (0, 1))
-    out = np.zeros_like(src)
-    for m, band in enumerate(_loss_kraus_bands(T, dim)):
-        n = dim - m
-        out[:n, :n] += np.outer(band, band)[:, :, None, None] * src[m:, m:]
-    out = np.moveaxis(out, (0, 1), (mode, mode + 2))
+    bands = _loss_kraus_bands(T, dim)
+    table = np.zeros((len(bands), dim))
+    for m, band in enumerate(bands):
+        table[m, :len(band)] = band
+    flat = np.flatnonzero(rho != 0)
+    idx = np.unravel_index(flat, rho.shape)
+    p, q = idx[mode], idx[mode + 2]
+    # entry e feeds orders 0..n_orders[e] - 1, as consecutive terms; with the
+    # entries in C order, the terms of one output entry come by rising m
+    n_orders = np.minimum(np.minimum(p, q) + 1, len(bands))
+    e = np.repeat(np.arange(len(flat)), n_orders)
+    m = np.arange(len(e)) - np.repeat(np.cumsum(n_orders) - n_orders, n_orders)
+    terms = table[m, p[e] - m] * table[m, q[e] - m] * rho.reshape(-1)[flat[e]]
+    # order m lowers the ket and bra photon numbers of the lossy mode by m
+    shift = np.zeros(4, dtype=int)
+    shift[[mode, mode + 2]] = 1
+    dest = flat[e] - m * np.ravel_multi_index(shift, rho.shape)
+    # real and imaginary parts interleaved, one bin each
+    out = np.bincount(np.stack([2 * dest, 2 * dest + 1], axis=-1).ravel(),
+                      weights=terms.view(float), minlength=2 * rho.size)
     d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
-    return FockDensity(tuple(cutoffs), out.reshape(d, d))
+    return FockDensity(tuple(cutoffs), out.view(complex).reshape(d, d))
 
 
 def loss_via_ancilla(state: FockTensor, mode: int, T: float) -> FockDensity:
@@ -387,13 +444,15 @@ def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
 
 def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, with the
-    amplitudes as a matrix Psi[(a, b), (k, l)], summed over the (k, l) of
-    nonzero weight only (one for ideal projectors)."""
-    d = (state.cutoffs[0] + 1) * (state.cutoffs[1] + 1)
-    weights = np.outer(w3, w4).reshape(-1)
-    cols = np.flatnonzero(weights)
-    psi = state.amps.reshape(d, -1)[:, cols]
-    return (psi * weights[cols]) @ psi.conj().T
+    amplitudes as a sparse matrix Psi[(a, b), (k, l)] of their nonzero
+    entries, summed over the (k, l) of nonzero weight only (one for ideal
+    projectors).  The cost is set by the nonzero products, not by a
+    d^2 x d^2 x d^2 GEMM."""
+    psi = _pair_matrix(state.amps, (0, 1))
+    weighted = psi.copy()
+    weighted.data *= np.outer(w3, w4).reshape(-1)[weighted.indices]
+    weighted.eliminate_zeros()
+    return (weighted @ psi.conj().T).toarray()
 
 
 def _normalized(cutoffs: tuple[int, int],

@@ -1,14 +1,18 @@
 """The Fock oracle's contractions as dense products over every entry.
 
-`sqbell.fock_sim` skips the exact zeros of its characteristic-function and
-conditioning contractions; these are the same sums taken in full, one GEMM
-or one einsum each, for the tests to compare against.
+`sqbell.fock_sim` contracts only over the nonzero entries of its states;
+these are the same sums taken in full on dense tensors, one GEMM, einsum or
+shifted-slice product each, for the tests to compare against: the
+characteristic function, the conditioning, the pair operators, the padded
+squeezer with its leak, the loss channel, and the scheme pipeline built
+from them.
 """
 
 import numpy as np
 
 from sqbell import fock_sim as fs
 from sqbell.errors import DegeneratePostselectionError
+from sqbell.symplectic import SqueezeParam
 
 
 def char_function_batch(rho: fs.FockDensity, betas1, betas2) -> np.ndarray:
@@ -38,3 +42,95 @@ def condition_with_diagonal_weights(state: fs.FockTensor, w3, w4
                     optimize=True)
     d = (state.cutoffs[0] + 1) * (state.cutoffs[1] + 1)
     return rho.reshape(d, d) / success, success
+
+
+# ---------------------------------------------------------------------------
+# the scheme pipeline's steps on dense tensors
+# ---------------------------------------------------------------------------
+
+
+def apply_pair_operator(amps: np.ndarray, modes, op, out_dims) -> np.ndarray:
+    """op on the named pair of modes as the full product `op @ x`, every
+    column of the state included."""
+    i, j = modes
+    x = np.moveaxis(amps, (i, j), (0, 1))
+    rest = x.shape[2:]
+    y = op @ x.reshape(x.shape[0] * x.shape[1], -1)
+    return np.moveaxis(y.reshape(*out_dims, *rest), (0, 1), (i, j))
+
+
+def apply_two_mode_squeeze(state: fs.FockTensor, modes, p) -> tuple[np.ndarray, float]:
+    """The squeezer on a dense state padded in both modes of the pair, and
+    the squared norm that the padded result holds outside the requested
+    cutoffs."""
+    i, j = modes
+    pad = max(8, max(state.cutoffs[i], state.cutoffs[j]) // 2)
+    padded = list(state.cutoffs)
+    padded[i] += pad
+    padded[j] += pad
+    big = np.zeros(tuple(c + 1 for c in padded), dtype=complex)
+    inner = tuple(slice(0, c + 1) for c in state.cutoffs)
+    big[inner] = state.amps
+    dims = (padded[i] + 1, padded[j] + 1)
+    big = apply_pair_operator(big, modes, fs.two_mode_squeeze_operator(p, dims), dims)
+    small = big[inner].copy()
+    big[inner] = 0.0
+    return small, float(np.vdot(big, big).real)
+
+
+def loss_kraus(rho: fs.FockDensity, mode: int, T: float) -> np.ndarray:
+    """Loss on one mode of a two-mode density, one shifted-slice product of
+    the whole d^4 tensor per Kraus order."""
+    dim = rho.cutoffs[mode] + 1
+    src = np.moveaxis(rho.as_tensor(), (mode, mode + 2), (0, 1))
+    out = np.zeros_like(src)
+    for m, band in enumerate(fs._loss_kraus_bands(T, dim)):
+        n = dim - m
+        out[:n, :n] += np.outer(band, band)[:, :, None, None] * src[m:, m:]
+    return np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(rho.matrix.shape)
+
+
+def heralded(amps: np.ndarray, w3, w4) -> np.ndarray:
+    """Unnormalized heralded density Psi W Psi^dag as one dense GEMM over
+    every detector outcome."""
+    psi = amps.reshape(amps.shape[0] * amps.shape[1], -1)
+    return (psi * np.outer(w3, w4).reshape(-1)) @ psi.conj().T
+
+
+def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
+    """Normalized density matrix and success probability of the scheme at a
+    fixed cutoff, built from the dense steps above: squeezers, signal-loss
+    Kraus branches, mixing beam splitters, heralding, then the signal-mode
+    loss when the loss is on every mode (its detector part folded into the
+    weights)."""
+    state = fs.vacuum_state((cutoff,) * 4)
+    for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
+                     ((2, 3), SqueezeParam(cfg.s, cfg.phi_xi))):
+        state = fs.FockTensor(state.cutoffs, apply_two_mode_squeeze(state, modes, p)[0])
+    dim = cutoff + 1
+    lossy_detectors = cfg.T_loss < 1.0 and cfg.loss_on_detector_modes
+    T_det = cfg.T_loss if lossy_detectors else 1.0
+    if detector == "ideal":
+        w3 = w4 = fs.lossy_projector_weights(T_det, dim)
+    else:
+        w3 = fs.on_off_weights(cfg.eta3 * T_det, dim)
+        w4 = fs.on_off_weights(cfg.eta4 * T_det, dim)
+    signal_only = cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes
+    bands = fs._loss_kraus_bands(cfg.T_loss if signal_only else 1.0, dim)
+    rho = 0.0
+    for m1, band1 in enumerate(bands):
+        for m2, band2 in enumerate(bands):
+            branch = np.zeros_like(state.amps)
+            lost = band1[:, None, None, None] * state.amps[m1:]
+            branch[:dim - m1, :dim - m2] = band2[:, None, None] * lost[:, m2:]
+            for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
+                branch = apply_pair_operator(
+                    branch, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
+            rho = rho + heralded(branch, w3, w4)
+    success = float(np.trace(rho).real)
+    rho = fs.FockDensity((cutoff, cutoff), rho / success)
+    if lossy_detectors:
+        for mode in (0, 1):
+            rho = fs.FockDensity(rho.cutoffs, loss_kraus(rho, mode, cfg.T_loss))
+        rho = rho.normalized()
+    return rho.matrix, success

@@ -1,6 +1,7 @@
 """Tests for the truncated-Fock-space oracle."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -603,3 +604,115 @@ def test_conditioning_on_zero_weights_is_degenerate():
                         fock_dense.condition_with_diagonal_weights):
         with pytest.raises(DegeneratePostselectionError):
             conditioner(state, zero, zero)
+
+
+# ---------------------------------------------------------------------------
+# sparse contractions against the dense references
+# ---------------------------------------------------------------------------
+
+
+def _random_four_mode(rng):
+    """A normalized four-mode state with every amplitude nonzero."""
+    dims = (6, 7, 5, 6)
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    return fs.FockTensor(tuple(d - 1 for d in dims), amps / np.linalg.norm(amps))
+
+
+def _four_mode_states():
+    """Oracle-structured states (squeezed vacuum, and squeezed and mixed)
+    and a dense random one."""
+    squeezed = fs.apply_two_mode_squeeze(fs.vacuum_state((10,) * 4), (0, 1),
+                                         SqueezeParam(0.5, np.pi), leak_tol=1e-6)
+    return [squeezed, _conditioning_state(), _random_four_mode(np.random.default_rng(3))]
+
+
+@pytest.mark.parametrize("modes", [(0, 1), (2, 3), (3, 1)])
+def test_squeeze_matches_padded_dense_reference(modes):
+    p = SqueezeParam(0.4, 2.5)
+    for state in _four_mode_states():
+        # a dense random state leaks a lot; the deficit is compared, not gated
+        got = fs.apply_two_mode_squeeze(state, modes, p, leak_tol=1.0)
+        amps, deficit = fock_dense.apply_two_mode_squeeze(state, modes, p)
+        assert np.max(np.abs(got.amps - amps)) < 1e-14
+        assert abs(got.leak - state.leak - deficit) < 1e-15
+
+
+def test_second_squeezer_builds_no_padded_dense_state():
+    # cutoff 25 pads each mode of the squeezed pair to 38 levels, so a padded
+    # dense state would hold 38^2 26^2 amplitudes, 14.9 MiB; the result is 7.0 MiB
+    cutoff = 25
+    p = SqueezeParam(0.05, np.pi)
+    state = fs.apply_two_mode_squeeze(fs.vacuum_state((cutoff,) * 4), (0, 1),
+                                      SqueezeParam(0.6, np.pi))
+    padded = cutoff + 1 + max(8, cutoff // 2)
+    fs.two_mode_squeeze_operator(p, (padded, padded))  # not the step measured
+    padded_bytes = padded ** 2 * (cutoff + 1) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        out = fs.apply_two_mode_squeeze(state, (2, 3), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.amps.nbytes <= peak < padded_bytes
+
+
+@pytest.mark.parametrize("modes", [(0, 2), (1, 3), (3, 0)])
+def test_pair_operator_matches_full_product_on_four_modes(modes):
+    for state in _four_mode_states():
+        dims = (state.amps.shape[modes[0]], state.amps.shape[modes[1]])
+        for op in (fs.beam_splitter_operator(0.8, dims),
+                   fs.two_mode_squeeze_operator(SqueezeParam(0.3, 1.0), dims)):
+            got = fs._apply_pair_operator(state.amps, modes, op, dims)
+            ref = fock_dense.apply_pair_operator(state.amps, modes, op, dims)
+            assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def _two_mode_densities():
+    """An oracle-structured heralded density and a dense random one."""
+    heralded, _ = fs.povm_condition(_conditioning_state(), 0.4, 0.3)
+    return [heralded, _random_density(np.random.default_rng(13), (6, 8))]
+
+
+@pytest.mark.parametrize("T", [0.85, 0.3, 1.0])
+def test_loss_kraus_matches_band_loop(T):
+    rng = np.random.default_rng(17)
+    amps = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+    pure = fs.FockTensor((6, 8), amps / np.linalg.norm(amps))
+    flat = pure.amps.reshape(-1)
+    pure_density = fs.FockDensity(pure.cutoffs, np.outer(flat, flat.conj()))
+    for mode in (0, 1):
+        for rho in _two_mode_densities():
+            ref = fock_dense.loss_kraus(rho, mode, T)
+            assert np.max(np.abs(fs.loss_kraus(rho, mode, T).matrix - ref)) < 1e-14
+        ref = fock_dense.loss_kraus(pure_density, mode, T)
+        assert np.max(np.abs(fs.loss_kraus(pure, mode, T).matrix - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("weights", [
+    lambda dim: ((np.arange(dim) == 1).astype(float),) * 2,
+    lambda dim: (fs.on_off_weights(0.3, dim), fs.on_off_weights(0.7, dim)),
+    lambda dim: (fs.lossy_projector_weights(0.8, dim),) * 2,
+    lambda dim: (np.arange(dim) % 2 * 0.5, np.linspace(0.0, 1.0, dim)),
+], ids=["ideal", "on-off", "lossy-projector", "gapped"])
+def test_heralded_matches_dense_gemm(weights):
+    # the squeezed vacuum has no detector photons to herald
+    for state in _four_mode_states()[1:]:
+        w3, w4 = weights(state.amps.shape[2])[0], weights(state.amps.shape[3])[1]
+        ref = fock_dense.heralded(state.amps, w3, w4)
+        assert np.max(np.abs(ref)) > 1e-5
+        assert np.max(np.abs(fs._heralded(state, w3, w4) - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("detector, cfg", [
+    ("ideal", SchemeConfig(r=0.5, s=0.02)),
+    ("on-off", SchemeConfig(r=0.5, s=0.05, eta3=0.3, eta4=0.2, T_loss=0.85)),
+    ("ideal", SchemeConfig(r=0.5, s=0.02, T_loss=0.85, loss_on_detector_modes=False)),
+], ids=["ideal-lossless", "onoff-all-mode-loss", "signal-only-loss"])
+def test_scheme_oracle_matches_dense_pipeline(detector, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        rho, success = fs.scheme_oracle(cfg, detector, cutoff=12)
+    assert rho.cutoffs == (12, 12)
+    ref_rho, ref_success = fock_dense.scheme_oracle(cfg, detector, 12)
+    assert success == pytest.approx(ref_success, rel=1e-14)
+    assert np.max(np.abs(rho.matrix - ref_rho)) < 1e-14
