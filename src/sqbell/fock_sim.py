@@ -1,33 +1,30 @@
 """Brute-force oracle in truncated Fock space.
 
-Everything the closed-form pipeline computes is re-derived here by dense/sparse
-linear algebra on photon-number tensors: squeezers and beam splitters as exact
-unitaries of the truncated generators (block-diagonalized by their conserved
-quantity), loss channels as Kraus maps, detectors as diagonal POVM weights,
-characteristic functions as displacement-operator traces.  The operations
-are array code (block unitaries assembled from their nonzero entries, Kraus
-terms scattered from the nonzero density entries, displacement matrices by
-a recurrence vectorized over amplitudes) so that the cross-checks run at
-the default cutoffs in seconds; none of them assumes the structure of the
-states it is asked to check.
+Everything the closed-form pipeline computes is re-derived here by array
+code on photon-number tensors, with one path per operation:
+
+- pair unitaries: `two_mode_squeeze_operator` and `beam_splitter_operator`,
+  exact exponentials of the truncated generators taken block by block of
+  their conserved quantity, cached on their exact arguments, and applied by
+  one step: `apply_two_mode_squeeze` on a padded pair space, its leak
+  measured, and `apply_beam_splitter` unpadded, leak-free;
+- loss: `loss_kraus`, banded Kraus maps (`loss_via_ancilla` cross-checks it);
+- conditioning: `condition_with_diagonal_weights` on diagonal POVM weights
+  (`lossy_projector_weights`, `on_off_weights`), normalized by
+  `FockDensity.normalized`, which raises on a zero heralding probability;
+- characteristic functions: `char_function_batch` (`char_function` and
+  `char_function_state` at one point), Tr[rho D1 D2] with displacement
+  matrices from the Laguerre closed form by a recurrence over amplitudes;
+- `scheme_oracle` and `theoretical_oracle`, built from the steps above.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
-POVMs shift ket and bra together.  So the scheme's four-mode state is
+POVMs shift ket and bra together, so the scheme's four-mode state is
 nonzero only where n0 + n2 = n1 + n3 (11.7k of 457k amplitudes at cutoff
-25), and a conditioned two-mode density only where its ket and bra have the
-same n1 - n2.  Every costly contraction runs over the nonzero entries, and
-skips only exact zeros: pair operators are sparse products with the state's
-nonzero amplitudes, and the squeezer builds no padded dense state;
-conditioning is a sparse product over the detector outcomes of nonzero
-weight; the loss channel scatters each nonzero density entry through its
-Kraus orders; and the characteristic function contracts each shift block of
-the density only with its nonzero columns.  Their cost is set by the
-nonzero entries (about (2/3) d^3 of a two-mode density of dimension d^2,
-instead of d^4), not by the dense tensors, which are only allocated to hold
-the results; yet the result is the full contraction's for any input, since
-every skipped term is an exact zero, and a dense input is contracted in
-full.
+25).  Every costly contraction runs over the nonzero entries only.  Each
+skipped term is an exact zero, so the result is the full contraction's for
+any input, and none of the steps assumes the structure of the states it is
+asked to check.
 
 The scheme oracle models pure loss only and has one pipeline: squeezers,
 loss branches, beam splitters, heralded densities summed over branches.
@@ -47,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import CutoffTooSmallError, DegeneratePostselectionError
+from .errors import CutoffTooSmallError, DegeneratePostselectionError, ZeroNormStateError
 from .resources import SchemeConfig
 from .symplectic import SqueezeParam
 
@@ -100,7 +97,13 @@ class FockDensity:
         return float(np.trace(self.matrix).real)
 
     def normalized(self) -> "FockDensity":
-        return FockDensity(self.cutoffs, self.matrix / np.trace(self.matrix))
+        """The density divided by its real trace; a trace of 1e-300 or less
+        (a heralding probability of zero) raises DegeneratePostselectionError."""
+        success = self.trace()
+        if success <= 1e-300:
+            raise DegeneratePostselectionError(
+                f"conditioning probability {success:.3e} is degenerate")
+        return FockDensity(self.cutoffs, self.matrix / success)
 
     def validate(self) -> None:
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
@@ -114,9 +117,7 @@ class FockDensity:
 
 
 def vacuum_state(cutoffs: Sequence[int]) -> FockTensor:
-    amps = np.zeros(tuple(c + 1 for c in cutoffs), dtype=complex)
-    amps[(0,) * len(cutoffs)] = 1.0
-    return FockTensor(tuple(cutoffs), amps)
+    return basis_state(cutoffs, (0,) * len(cutoffs))
 
 
 def basis_state(cutoffs: Sequence[int], occupations: Sequence[int]) -> FockTensor:
@@ -134,21 +135,15 @@ def annihilator(dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
 def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]) -> sparse.csr_matrix:
     """exp(-z adag_i adag_j + conj(z) a_i a_j) on the truncated pair space.
 
     The generator conserves n_i - n_j, so the exponential is taken block by
     block; the result is exactly unitary on the truncated space.
     """
-    return _two_mode_squeeze_operator(round(p.amplitude, 14),
-                                      round(p.phase % (2 * np.pi), 14), dims)
-
-
-@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def _two_mode_squeeze_operator(amplitude: float, phase: float,
-                               dims: tuple[int, int]) -> sparse.csr_matrix:
     d1, d2 = dims
-    z = amplitude * np.exp(1j * phase)
+    z = p.amplitude * np.exp(1j * p.phase)
     blocks = []
     for q in range(-(d2 - 1), d1):
         if q >= 0:
@@ -163,6 +158,7 @@ def _two_mode_squeeze_operator(amplitude: float, phase: float,
     return _block_unitary(blocks, d1 * d2)
 
 
+@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
 def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
     """exp(kappa (adag_l a_k - a_l adag_k)) with tan(kappa) = sqrt((1-T)/T).
 
@@ -171,11 +167,6 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    return _beam_splitter_operator(round(T, 14), dims)
-
-
-@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def _beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
     d1, d2 = dims
     kappa = np.arctan2(np.sqrt(1.0 - T), np.sqrt(T))
     blocks = []
@@ -253,38 +244,22 @@ def _from_pair_matrix(y: sparse.spmatrix, modes: tuple[int, int],
     return out
 
 
-def _apply_pair_operator(amps: np.ndarray, modes: tuple[int, int],
-                         op: sparse.spmatrix, out_dims: tuple[int, int]) -> np.ndarray:
-    """op on the named pair of modes, as the sparse product of op with the
-    state's nonzero entries (`_pair_matrix`).  A skipped entry is an exact
-    zero, and each sum runs over op's row in the order of the full product
-    `op @ x`, so the result is that product's, bit for bit."""
-    shape = list(amps.shape)
-    shape[modes[0]], shape[modes[1]] = out_dims
-    return _from_pair_matrix(op @ _pair_matrix(amps, modes), modes, tuple(shape))
-
-
-def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
-                           p: SqueezeParam,
-                           leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Apply the two-mode squeezer; measure the norm leaked above the cutoffs.
-
-    The operator is exponentiated on an internally padded pair space, and
-    its columns of the requested pair space are applied to the state's
-    nonzero entries.  The reported deficit is the squared norm of that
-    product outside the requested cutoffs, the actual mass pushed beyond
-    them, summed directly rather than as a difference of two norms near 1.
-    No padded dense state is built: cost and memory are those of the nonzero
-    entries and of the dense result.  The state is not renormalized.
+def _apply_pair_unitary(state: FockTensor, modes: tuple[int, int], operator,
+                        pad: int, leak_tol: float) -> FockTensor:
+    """The pair unitary `operator(dims)`, built on a pair space padded by
+    `pad` levels per mode, by its columns of the state's pair space times
+    the state's nonzero entries; scipy sums each entry over the operator's
+    row in the order of the full product, so the rows kept are that
+    product's bit for bit.  The deficit is the squared norm of the other
+    rows, the mass pushed above the cutoffs (exactly 0 without padding).
+    No padded dense state is built; the state is not renormalized.
     """
     i, j = modes
     dims = (state.cutoffs[i] + 1, state.cutoffs[j] + 1)
-    pad = max(8, max(state.cutoffs[i], state.cutoffs[j]) // 2)
     padded = (dims[0] + pad, dims[1] + pad)
     # flat indices of the requested pair space within the padded one
     inner = (np.arange(dims[0])[:, None] * padded[1] + np.arange(dims[1])).ravel()
-    U = two_mode_squeeze_operator(p, padded)
-    big = U[:, inner] @ _pair_matrix(state.amps, modes)
+    big = operator(padded)[:, inner] @ _pair_matrix(state.amps, modes)
     outside = np.ones(big.shape[0], dtype=bool)
     outside[inner] = False
     leaked = big[outside].data
@@ -297,13 +272,25 @@ def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
     return FockTensor(state.cutoffs, amps, leak=state.leak + deficit)
 
 
+def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
+                           p: SqueezeParam,
+                           leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
+    """Apply the two-mode squeezer, exponentiated on a pair space padded by
+    max(8, cutoff // 2) levels per mode; raise CutoffTooSmallError when the
+    norm leaked above the cutoffs exceeds `leak_tol`, else add it to `leak`."""
+    pad = max(8, max(state.cutoffs[i] for i in modes) // 2)
+    return _apply_pair_unitary(state, modes,
+                               functools.partial(two_mode_squeeze_operator, p),
+                               pad, leak_tol)
+
+
 def apply_beam_splitter(state: FockTensor, modes: tuple[int, int],
                         T: float) -> FockTensor:
-    i, j = modes
-    U = beam_splitter_operator(T, (state.cutoffs[i] + 1, state.cutoffs[j] + 1))
-    amps = _apply_pair_operator(state.amps, modes, U,
-                                (state.cutoffs[i] + 1, state.cutoffs[j] + 1))
-    return FockTensor(state.cutoffs, amps, leak=state.leak)
+    """Apply the beam splitter; it conserves photon number, so it needs no
+    padding and leaks nothing."""
+    return _apply_pair_unitary(state, modes,
+                               functools.partial(beam_splitter_operator, T),
+                               0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +338,13 @@ def loss_kraus(obj, mode: int, T: float) -> FockDensity:
     the nonzero entries times their orders, not d^4 per order, and each
     output entry sums its orders in turn, as the order-by-order sum would.
     """
+    cutoffs = obj.cutoffs
     if isinstance(obj, FockTensor):
         if obj.n_modes != 2:
             raise ValueError("loss_kraus expects a two-mode object")
         rho = np.einsum("ab,cd->abcd", obj.amps, obj.amps.conj())
-        cutoffs = obj.cutoffs
     else:
         rho = obj.as_tensor()
-        cutoffs = obj.cutoffs
     dim = cutoffs[mode] + 1
     bands = _loss_kraus_bands(T, dim)
     table = np.zeros((len(bands), dim))
@@ -404,17 +390,6 @@ def loss_via_ancilla(state: FockTensor, mode: int, T: float) -> FockDensity:
 # ---------------------------------------------------------------------------
 
 
-def project_single_photon(state: FockTensor) -> tuple[FockTensor, float]:
-    """Contract modes 3 and 4 against <1,1|; return overlap state and norm^2."""
-    if state.n_modes != 4:
-        raise ValueError("project_single_photon expects a four-mode state")
-    amps = state.amps[:, :, 1, 1].copy()
-    norm2 = float(np.vdot(amps, amps).real)
-    if norm2 <= 1e-300:
-        raise DegeneratePostselectionError("single-photon overlap has zero norm")
-    return FockTensor(state.cutoffs[:2], amps, leak=state.leak), norm2
-
-
 def on_off_weights(eta: float, dim: int) -> np.ndarray:
     """Diagonal weights of the on-POVM, 1 - (1 - eta)^n."""
     if not 0.0 < eta <= 1.0:
@@ -435,11 +410,14 @@ def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
     """Condition a pure four-mode state on a diagonal POVM of modes 3 and 4.
 
     Returns the normalized reduced density operator on modes 1 and 2 and
-    the success probability Tr[rho (W3 x W4)].
+    the success probability Tr[rho (W3 x W4)].  Ideal single-photon
+    projectors are `lossy_projector_weights(1.0, dim)`, on/off detectors
+    `on_off_weights(eta, dim)`.
     """
     if state.n_modes != 4:
         raise ValueError("conditioning expects a four-mode state")
-    return _normalized(state.cutoffs[:2], _heralded(state, w3, w4))
+    rho = FockDensity(state.cutoffs[:2], _heralded(state, w3, w4))
+    return rho.normalized(), rho.trace()
 
 
 def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
@@ -453,35 +431,6 @@ def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     weighted.data *= np.outer(w3, w4).reshape(-1)[weighted.indices]
     weighted.eliminate_zeros()
     return (weighted @ psi.conj().T).toarray()
-
-
-def _normalized(cutoffs: tuple[int, int],
-                rho: np.ndarray) -> tuple[FockDensity, float]:
-    """An unnormalized heralded density and its trace, the success probability."""
-    success = float(np.trace(rho).real)
-    if success <= 1e-300:
-        raise DegeneratePostselectionError(
-            f"conditioning probability {success:.3e} is degenerate")
-    return FockDensity(cutoffs, rho / success), success
-
-
-def povm_condition(obj, eta3: float, eta4: float) -> tuple[FockDensity, float]:
-    """On/off-POVM conditioning of the detector modes (modes 3 and 4).
-
-    Accepts a pure four-mode FockTensor or a small four-mode density tensor of
-    shape (d1, d2, d3, d4, d1, d2, d3, d4).
-    """
-    if isinstance(obj, FockTensor):
-        w3 = on_off_weights(eta3, obj.cutoffs[2] + 1)
-        w4 = on_off_weights(eta4, obj.cutoffs[3] + 1)
-        return condition_with_diagonal_weights(obj, w3, w4)
-    rho = np.asarray(obj)
-    dims = rho.shape[:4]
-    w3 = on_off_weights(eta3, dims[2])
-    w4 = on_off_weights(eta4, dims[3])
-    red = np.einsum("abklcdkl,k,l->abcd", rho, w3, w4)
-    d = dims[0] * dims[1]
-    return _normalized((dims[0] - 1, dims[1] - 1), red.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +635,10 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     the detector-mode loss is folded into the diagonal POVM weights and the
     signal-mode loss is applied after conditioning.  Signal-only loss is kept
     ahead of the beam splitters as a sum over Kraus branches, which limits
-    that path to cutoff 16 (48 otherwise).  A cutoff above that limit raises
-    ValueError; a leaking cutoff is escalated by half, clamped to the limit,
-    and CutoffTooSmallError is raised when the limit itself leaks.
+    that path to cutoff 16 (48 otherwise).  A cutoff above that limit, or
+    below 1 (heralding needs the n = 1 outcome), raises ValueError; a
+    leaking cutoff is escalated by half, clamped to the limit, and
+    CutoffTooSmallError is raised when the limit itself leaks.
     """
     if detector not in ("ideal", "on-off"):
         raise ValueError(f"unknown detector kind {detector!r}")
@@ -698,6 +648,8 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     c = cutoff if cutoff is not None else min(default_cutoff(max(cfg.r, cfg.s)), cap)
     if c > cap:
         raise ValueError(f"cutoff {c} exceeds this configuration's limit {cap}")
+    if c < 1:
+        raise ValueError(f"cutoff {c} is below 1, the photon number heralding needs")
     while True:
         try:
             return _scheme_oracle_at(cfg, detector, c)
@@ -712,8 +664,10 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
     w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
     branches = _branches(_squeezed(cfg, cutoff, DEFAULT_LEAK_TOL), cfg)
     # reduce, not sum: a single branch's density is used as is, not copied
-    rho = functools.reduce(np.add, (_heralded(_mixed(b, cfg), w3, w4) for b in branches))
-    rho, success = _normalized((cutoff, cutoff), rho)
+    rho = FockDensity((cutoff, cutoff), functools.reduce(
+        np.add, (_heralded(_mixed(b, cfg), w3, w4) for b in branches)))
+    success = rho.trace()
+    rho = rho.normalized()
     if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:
         rho = loss_kraus(rho, 0, cfg.T_loss)
         rho = loss_kraus(rho, 1, cfg.T_loss)
@@ -724,7 +678,13 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
 def theoretical_oracle(family: str, r: float, delta: float | None = None,
                        cutoff: int | None = None,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Fock-space construction of the analytic two-mode resource families."""
+    """Fock-space construction of the analytic two-mode resource families.
+
+    Only `squeezed-bell` takes delta; photon subtraction that annihilates
+    the state (from the vacuum, at r = 0) raises ZeroNormStateError.
+    """
+    if family != "squeezed-bell" and delta is not None:
+        raise ValueError(f"family {family!r} does not take delta")
     c = cutoff if cutoff is not None else default_cutoff(r)
     if family == "squeezed-bell":
         if delta is None:
@@ -745,7 +705,7 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
         amps = _apply_single_mode_matrix(amps, 1, op)
         nrm = np.linalg.norm(amps)
         if nrm < 1e-15:
-            raise DegeneratePostselectionError("ladder action annihilated the state")
+            raise ZeroNormStateError("ladder action annihilated the state")
         return FockTensor((c, c), amps / nrm, leak=sq.leak)
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -9,10 +9,8 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from sqbell import fock_sim as fs
-from sqbell import gauss_poly as gp
 from sqbell import resources as rs
 from sqbell import teleport as tp
 from sqbell.conditioning import LossyProjectorWarning

@@ -105,10 +105,13 @@ def test_beam_splitter_identity():
 def test_pair_unitary_cache_is_bounded():
     # repeated parameters hit the cache; distinct ones evict beyond the bound
     U = fs.beam_splitter_operator(0.7, (4, 4))
-    assert fs.beam_splitter_operator(0.7 + 1e-16, (4, 4)) is U
+    assert fs.beam_splitter_operator(0.7, (4, 4)) is U
+    p = SqueezeParam(0.3, 1.0)
+    assert fs.two_mode_squeeze_operator(SqueezeParam(0.3, 1.0), (4, 4)) is \
+        fs.two_mode_squeeze_operator(p, (4, 4))
     for k in range(fs.UNITARY_CACHE_SIZE + 5):
         fs.beam_splitter_operator(0.5 + 1e-3 * k, (3, 3))
-    info = fs._beam_splitter_operator.cache_info()
+    info = fs.beam_splitter_operator.cache_info()
     assert info.currsize == info.maxsize == fs.UNITARY_CACHE_SIZE
 
 
@@ -191,16 +194,21 @@ def test_loss_kraus_vs_ancilla_route():
 # ---------------------------------------------------------------------------
 
 
+def _single_photon(dim):
+    return (fs.lossy_projector_weights(1.0, dim),) * 2
+
+
 def test_project_single_photon_trivial_factor():
     st = fs.basis_state((3, 3, 3, 3), (2, 0, 1, 1))
-    psi, norm2 = fs.project_single_photon(st)
-    assert norm2 == pytest.approx(1.0)
-    assert psi.amps[2, 0] == pytest.approx(1.0)
+    rho, success = fs.condition_with_diagonal_weights(st, *_single_photon(4))
+    assert success == pytest.approx(1.0)
+    assert rho.as_tensor()[2, 0, 2, 0] == pytest.approx(1.0)
 
 
 def test_project_single_photon_degenerate():
     with pytest.raises(DegeneratePostselectionError):
-        fs.project_single_photon(fs.vacuum_state((3, 3, 3, 3)))
+        fs.condition_with_diagonal_weights(fs.vacuum_state((3, 3, 3, 3)),
+                                           *_single_photon(4))
 
 
 def test_small_kappa_amplitudes_match_leading_order():
@@ -210,7 +218,7 @@ def test_small_kappa_amplitudes_match_leading_order():
     s = 1.1 * kappa2
     cfg = SchemeConfig(r=r, s=s, T1=T, T2=T)
     st4 = fs.scheme_proto_state(cfg, 36)
-    psi, _ = fs.project_single_photon(st4)
+    psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
     un = fs.apply_two_mode_squeeze(psi, (0, 1), SqueezeParam(r, 0.0),
                                    leak_tol=1e-3)
     c00, c11 = un.amps[0, 0].real, un.amps[1, 1].real
@@ -230,7 +238,7 @@ def test_delta_formula_error_shrinks_with_kappa():
         kappa2 = np.arctan(np.sqrt((1 - T) / T)) ** 2
         cfg = SchemeConfig(r=r, s=1.1 * kappa2, T1=T, T2=T)
         st4 = fs.scheme_proto_state(cfg, 36)
-        psi, _ = fs.project_single_photon(st4)
+        psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
         un = fs.apply_two_mode_squeeze(psi, (0, 1), SqueezeParam(r, 0.0),
                                        leak_tol=1e-3)
         measured = np.arctan2(un.amps[1, 1].real, un.amps[0, 0].real)
@@ -242,7 +250,7 @@ def test_delta_formula_error_shrinks_with_kappa():
 def test_povm_degenerate_on_vacuum_ancillas():
     st = fs.vacuum_state((4, 4, 4, 4))
     with pytest.raises(DegeneratePostselectionError):
-        fs.povm_condition(st, 0.5, 0.5)
+        fs.condition_with_diagonal_weights(st, *(fs.on_off_weights(0.5, 5),) * 2)
 
 
 def test_on_povm_at_unit_efficiency():
@@ -254,8 +262,8 @@ def test_on_povm_at_unit_efficiency():
 def test_povm_majorizes_single_photon_projection():
     cfg = SchemeConfig(r=0.5, s=0.02)
     st4 = fs.scheme_proto_state(cfg, 14)
-    _, n_on = fs.povm_condition(st4, 1.0, 1.0)
-    _, n_11 = fs.project_single_photon(st4)
+    _, n_on = fs.condition_with_diagonal_weights(st4, *(fs.on_off_weights(1.0, 15),) * 2)
+    _, n_11 = fs.condition_with_diagonal_weights(st4, *_single_photon(15))
     assert n_on >= n_11
 
 
@@ -263,7 +271,8 @@ def test_povm_no_mixing_recovers_signal_tmsv():
     # T = 1: detectors see only the ancilla pair; signal stays a twin beam
     cfg = SchemeConfig(r=0.6, s=0.3, T1=1.0, T2=1.0)
     st4 = fs.scheme_proto_state(cfg, 16)
-    rho, success = fs.povm_condition(st4, 0.4, 0.4)
+    w = fs.on_off_weights(0.4, 17)
+    rho, success = fs.condition_with_diagonal_weights(st4, w, w)
     tb = fs.apply_two_mode_squeeze(fs.vacuum_state((16, 16)), (0, 1),
                                    SqueezeParam(0.6, np.pi))
     pure = np.outer(tb.amps.reshape(-1), tb.amps.conj().reshape(-1))
@@ -271,20 +280,22 @@ def test_povm_no_mixing_recovers_signal_tmsv():
     # heralding rate equals the on/off coincidence rate of the bare ancilla
     anc = fs.apply_two_mode_squeeze(fs.vacuum_state((16, 16)), (0, 1),
                                     SqueezeParam(0.3, np.pi))
-    w = fs.on_off_weights(0.4, 17)
     direct = np.einsum("kl,kl,k,l->", anc.amps, anc.amps.conj(), w, w).real
     assert success == pytest.approx(direct, rel=1e-8)
 
 
 def test_povm_on_explicit_density_matches_pure_route():
-    # both routes see the same truncated state, so they must agree exactly
+    # both routes see the same truncated state, so they must agree exactly;
+    # the explicit four-mode density is reduced here, by einsum
     cfg = SchemeConfig(r=0.4, s=0.05)
     st4 = fs.scheme_proto_state(cfg, 6, leak_tol=1e-5)
     rho4 = np.einsum("abcd,efgh->abcdefgh", st4.amps, st4.amps.conj())
-    r1, s1 = fs.povm_condition(st4, 0.3, 0.25)
-    r2, s2 = fs.povm_condition(rho4, 0.3, 0.25)
+    w3, w4 = fs.on_off_weights(0.3, 7), fs.on_off_weights(0.25, 7)
+    r1, s1 = fs.condition_with_diagonal_weights(st4, w3, w4)
+    red = np.einsum("abklcdkl,k,l->abcd", rho4, w3, w4).reshape(49, 49)
+    s2 = np.trace(red).real
     assert s1 == pytest.approx(s2, rel=1e-12)
-    assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-12
+    assert np.max(np.abs(r1.matrix - red / s2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +548,14 @@ def test_cutoff_above_the_cap_is_refused(cfg, cutoff):
         fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)
 
 
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_cutoff_below_one_is_refused(cutoff):
+    # heralding needs the n = 1 outcome; a cutoff of 0 used to escalate to
+    # ceil(0 * 1.5) = 0 for ever
+    with pytest.raises(ValueError, match="below 1"):
+        fs.scheme_oracle(SchemeConfig(r=0.5, s=0.05), "ideal", cutoff=cutoff)
+
+
 def test_density_validate():
     cfg = SchemeConfig(r=0.5, s=0.05, T_loss=0.85)
     rho, _ = fs.scheme_oracle(cfg, "on-off", cutoff=12)
@@ -565,13 +584,20 @@ def _pair_states(rng):
 @pytest.mark.parametrize("modes", [(0, 1), (1, 0)])
 def test_pair_operator_skips_zero_columns_exactly(modes):
     rng = np.random.default_rng(5)
-    ops = [fs.two_mode_squeeze_operator(SqueezeParam(0.7, 2.0), (6, 6)),
-           fs.beam_splitter_operator(0.8, (6, 6))]
+    p = SqueezeParam(0.7, 2.0)
+    # the squeezer is built on 6 + 8 levels per mode and applied by its
+    # columns and rows of the 6-level pair space
+    inner = (np.arange(6)[:, None] * 14 + np.arange(6)).ravel()
+    padded = fs.two_mode_squeeze_operator(p, (14, 14))
+    cases = [(lambda st: fs.apply_two_mode_squeeze(st, modes, p, leak_tol=np.inf),
+              padded[inner][:, inner]),
+             (lambda st: fs.apply_beam_splitter(st, modes, 0.8),
+              fs.beam_splitter_operator(0.8, (6, 6)))]
     for amps in _pair_states(rng):
         x = np.moveaxis(amps, modes, (0, 1)).reshape(36, -1)
-        for op in ops:
-            got = fs._apply_pair_operator(amps, modes, op, (6, 6))
-            got = np.moveaxis(got, modes, (0, 1)).reshape(36, -1)
+        state = fs.FockTensor(tuple(d - 1 for d in amps.shape), amps)
+        for apply, op in cases:
+            got = np.moveaxis(apply(state).amps, modes, (0, 1)).reshape(36, -1)
             # the full sparse product, bit for bit
             assert got.tobytes() == (op @ x).tobytes()
             # a dense product sums in another order
@@ -660,16 +686,17 @@ def test_second_squeezer_builds_no_padded_dense_state():
 def test_pair_operator_matches_full_product_on_four_modes(modes):
     for state in _four_mode_states():
         dims = (state.amps.shape[modes[0]], state.amps.shape[modes[1]])
-        for op in (fs.beam_splitter_operator(0.8, dims),
-                   fs.two_mode_squeeze_operator(SqueezeParam(0.3, 1.0), dims)):
-            got = fs._apply_pair_operator(state.amps, modes, op, dims)
-            ref = fock_dense.apply_pair_operator(state.amps, modes, op, dims)
-            assert np.max(np.abs(got - ref)) < 1e-14
+        got = fs.apply_beam_splitter(state, modes, 0.8)
+        ref = fock_dense.apply_pair_operator(
+            state.amps, modes, fs.beam_splitter_operator(0.8, dims), dims)
+        assert np.max(np.abs(got.amps - ref)) < 1e-14
+        assert got.leak == state.leak
 
 
 def _two_mode_densities():
     """An oracle-structured heralded density and a dense random one."""
-    heralded, _ = fs.povm_condition(_conditioning_state(), 0.4, 0.3)
+    heralded, _ = fs.condition_with_diagonal_weights(
+        _conditioning_state(), fs.on_off_weights(0.4, 11), fs.on_off_weights(0.3, 11))
     return [heralded, _random_density(np.random.default_rng(13), (6, 8))]
 
 

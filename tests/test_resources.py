@@ -74,6 +74,26 @@ def test_photon_addition_to_vacuum_is_two_photon_state():
     assert chi_distance(added, number) < 1e-12
 
 
+def _error_class(build, *args):
+    """The class of the error `build(*args)` raises, or None."""
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("family", rs.THEORETICAL_FAMILIES)
+def test_oracle_rejects_what_theoretical_state_rejects(family):
+    rejected = 0
+    for r, delta in itertools.product((0.0, 0.5, -0.2), (None, 0.3)):
+        expected = _error_class(rs.theoretical_state, family, r, delta)
+        got = _error_class(fs.theoretical_oracle, family, r, delta)
+        assert got is expected, (r, delta)
+        rejected += expected is not None
+    assert rejected >= 3
+
+
 def test_family_argument_validation():
     with pytest.raises(ValueError):
         rs.theoretical_state("squeezed-bell", 1.0)  # missing delta
