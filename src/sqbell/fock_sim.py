@@ -13,8 +13,9 @@ code on photon-number tensors, with one path per operation:
   (`lossy_projector_weights`, `on_off_weights`), normalized by
   `FockDensity.normalized`, which raises on a zero heralding probability;
 - characteristic functions: `char_function_batch` (`char_function` and
-  `char_function_state` at one point), Tr[rho D1 D2] with displacement
-  matrices from the Laguerre closed form by a recurrence over amplitudes;
+  `char_function_state` at one point), Tr[rho D1 D2] with every displacement
+  element a complex phase per amplitude times a real Laguerre factor per
+  distinct |beta|^2 (`_phases`, `_laguerre_factors`);
 - `scheme_oracle` and `theoretical_oracle`, built from the steps above.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
@@ -54,6 +55,12 @@ UNITARY_CACHE_SIZE = 64
 # largest scheme-oracle cutoff, with loss on the signal modes only / otherwise
 SIGNAL_LOSS_MAX_CUTOFF = 16
 MAX_CUTOFF = 48
+# smallest r the photon-subtracted oracle accepts.  a1 a2 leaves amplitudes
+# of order r, each carrying the squeezer's rounding of about 1e-16, so the
+# normalized state errs like 1e-32 / r^2: |amps[0, 0]| is off its exact value
+# by 1.8e-5 at r = 1e-13 and by 2.4e-13 at r = 1e-8 (cutoff 48), and by at
+# most 1.4e-14 from r = 1e-7 on (cutoffs 1 to 60)
+_MIN_SUBTRACTION_R = 1e-7
 
 
 @dataclass
@@ -447,46 +454,70 @@ def _shift_order(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.lexsort((cols, rows - cols)), np.concatenate([[0], np.cumsum(sizes)])
 
 
-def _displacement_diagonals(alphas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Displacement matrix elements <m|D(alpha)|n> in `_shift_order` of
-    (m, n), shape (dim^2, batch).
-
-    Associated-Laguerre closed form: for k = m - n >= 0,
-    <n+k|D|n> = alpha^k e^(-|alpha|^2/2) h_k(n) and
-    <n|D|n+k> = (-conj(alpha))^k e^(-|alpha|^2/2) h_k(n), with
-    h_k(n) = sqrt(n!/(n+k)!) L_n^(k)(|alpha|^2).  The normalized Laguerre
-    recurrence in n,
-
-        sqrt((n+1)(n+1+k)) h_k(n+1) = (2n+1+k-x) h_k(n) - sqrt(n(n+k)) h_k(n-1),
-
-    runs for every order k and every amplitude at once; step n gives the
-    n-th element of every diagonal.
-    """
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    dim = cutoff + 1
-    x = np.abs(alphas) ** 2
-    k = np.arange(dim, dtype=float)[:, None]
+def _phases(alphas: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
+    """The complex factor P_q of every displacement element of shift q = m - n,
+    row q + dim - 1 for q = -(dim - 1) .. dim - 1, one column per amplitude:
+    e^(-x/2) alpha^q / sqrt(q!) for q >= 0 and e^(-x/2) (-conj alpha)^|q| /
+    sqrt(|q|!) below, with x = |alpha|^2."""
     powers = np.ones((dim, len(alphas)), dtype=complex)
     for order in range(1, dim):
         powers[order] = powers[order - 1] * alphas / np.sqrt(order)
     damp = np.exp(-0.5 * x)
+    k = np.arange(dim, dtype=float)[:, None]
     lower = powers * damp                                  # alpha^k e^(-x/2) / sqrt(k!)
     upper = (-1.0) ** k * powers.conj() * damp             # (-conj alpha)^k ...
-    out = np.empty((dim * dim, len(alphas)), dtype=complex)
-    starts = _shift_order(dim)[1][:-1]
-    below = starts[dim - 1:]                               # start of shift +k
-    above = starts[dim - 1::-1]                            # start of shift -k
-    h_prev = np.zeros((dim, len(alphas)))
-    h = np.ones((dim, len(alphas)))                        # sqrt(k!) h_k(0)
-    for n in range(dim):
-        ks = dim - n                                       # orders with n + k <= cutoff
-        out[below[:ks] + n] = lower[:ks] * h
-        out[above[1:ks] + n] = upper[1:ks] * h[1:]
-        kn = k[:ks - 1]                                    # orders still needed at n + 1
-        h_next = ((2 * n + 1 + kn - x) * h[:-1] - np.sqrt(n * (n + kn)) * h_prev[:ks - 1]
-                  ) / np.sqrt((n + 1) * (n + 1 + kn))
+    return np.concatenate([upper[:0:-1], lower])
+
+
+def _tri_index(k, n, dim: int):
+    """Row of order k and step n in `_laguerre_factors`: the orders in turn,
+    steps 0 .. dim - 1 - k within each."""
+    return k * dim - k * (k - 1) // 2 + n
+
+
+def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
+    """The real factor R_k(n) = sqrt(k! n! / (n+k)!) L_n^(k)(x) of the
+    displacement elements <n+k|D|n> and <n|D|n+k>, for n + k < dim, rows in
+    `_tri_index` order, one column per x = |alpha|^2.
+
+    The normalized Laguerre recurrence in n,
+
+        sqrt((n+1)(n+1+k)) R_k(n+1) = (2n+1+k-x) R_k(n) - sqrt(n(n+k)) R_k(n-1),
+
+    runs for every order k and every x at once from R_k(0) = 1.
+    """
+    # the recurrence's coefficients, indexed [n, k, None]
+    n, k = np.indices((dim, dim), dtype=float)[..., None]
+    diagonal = 2 * n + 1 + k
+    back = np.sqrt(n * (n + k))
+    scale = np.sqrt((n + 1) * (n + 1 + k))
+    starts = _tri_index(np.arange(dim), 0, dim)
+    out = np.empty((dim * (dim + 1) // 2, len(x)))
+    h_prev = np.zeros((dim, len(x)))
+    h = np.ones((dim, len(x)))
+    for step in range(dim):
+        ks = dim - step                                    # orders with n + k <= cutoff
+        out[starts[:ks] + step] = h
+        kn = slice(ks - 1)                                 # orders still needed at n + 1
+        h_next = ((diagonal[step, kn] - x) * h[:-1] - back[step, kn] * h_prev[kn]
+                  ) / scale[step, kn]
         h_prev, h = h, h_next
     return out
+
+
+def _displacement_diagonals(alphas: np.ndarray, cutoff: int) -> np.ndarray:
+    """Displacement matrix elements <m|D(alpha)|n> = P_(m-n) R_|m-n|(min(m, n))
+    in `_shift_order` of (m, n), shape (dim^2, batch); R is computed once per
+    distinct |alpha|^2."""
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    dim = cutoff + 1
+    x = np.abs(alphas) ** 2
+    xs, point = np.unique(x, return_inverse=True)
+    rows, cols = np.divmod(_shift_order(dim)[0], dim)
+    shift = rows - cols
+    P = _phases(alphas, x, dim)[shift + dim - 1]
+    R = _laguerre_factors(xs, dim)[_tri_index(np.abs(shift), np.minimum(rows, cols), dim)]
+    return P * R[:, point]
 
 
 def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
@@ -519,50 +550,75 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
                         betas2: np.ndarray) -> np.ndarray:
     """Vectorized chi over paired arrays of amplitudes.
 
-    chi[b] = sum t[(k, m), (l, n)] D1[k, m, b] D2[l, n, b] with
-    t[(k, m), (l, n)] = rho[m, n, k, l], both index pairs in `_shift_order`.
-    Each row block of t (one shift k - m) is contracted only over its
-    nonzero columns; consecutive blocks with the same columns share one
-    GEMM.  The cost is the batch size times the summed sizes of the
-    (shift block, nonzero columns) products: a dense density is one GEMM
-    over all d^4 entries, while every density the oracle builds is nonzero
-    only where k - m = l - n (ket and bra have the same n1 - n2), about
-    (2/3) d^3 entries in 2d - 1 small GEMMs.  Only exact zeros are skipped,
-    so the result is the full contraction's for any density, whatever its
-    structure.
+    chi[b] = sum rho[m, n, k, l] D1[k, m, b] D2[l, n, b], with every
+    displacement element <k|D(beta)|m> = P_q(beta) R_|q|(min(k, m), |beta|^2)
+    for the shift q = k - m (`_phases`, `_laguerre_factors`).  So
+
+        chi[b] = sum_(q1, q2) P1_q1[b] P2_q2[b] S[q1, q2, |b1|^2, |b2|^2],
+        S = sum_(i, j) R1_|q1|(i) R2_|q2|(j) rho entries of shifts (q1, q2),
+
+    and the real factors are needed only per distinct |beta|^2 (R) and per
+    distinct (|beta1|^2, |beta2|^2) pair (S).  R is one recurrence over the
+    distinct |beta|^2 of both modes.  The nonzero entries of rho are grouped
+    by |q1|; each group is one real GEMM of R against the group's nonzero
+    columns (q1, q2, min(l, n)), whose product is multiplied by R2 per
+    distinct pair and summed by (q1, q2); the phases are applied per point
+    last.  The cost is the nonzero entries times the distinct |beta|^2, plus
+    their columns times the distinct pairs, plus the (q1, q2) blocks times
+    the batch; the fidelity's 48 x 48 Gauss-Hermite grid has 2304 points but
+    300 distinct pairs.  No (d^2, batch) displacement array is built.  Only
+    exact zeros are skipped and only exactly equal |beta|^2 merged, so the
+    result is the full contraction's for any density and any amplitudes.
+    Arrays of different sizes raise ValueError.
     """
+    b1 = np.asarray(betas1, dtype=complex).reshape(-1)
+    b2 = np.asarray(betas2, dtype=complex).reshape(-1)
+    if b1.size != b2.size:
+        raise ValueError(f"betas1 holds {b1.size} amplitudes and betas2 "
+                         f"{b2.size}; chi pairs them one to one")
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
-    order1, edges1 = _shift_order(d0)
-    order2 = _shift_order(d1)[0]
-    t = rho.as_tensor().transpose(2, 0, 3, 1).reshape(d0 * d0, d1 * d1)
-    t = t[np.ix_(order1, order2)]
-    D1 = _displacement_diagonals(betas1, rho.cutoffs[0])
-    D2 = _displacement_diagonals(betas2, rho.cutoffs[1])
-    chi = np.zeros(D1.shape[1], dtype=complex)
-    for rows, cols in _nonzero_blocks(t, edges1):
-        # A[b, (l, n)] = sum_{(k, m) in rows} D1[k, m, b] t[(k, m), (l, n)]
-        A = D1[rows].T @ t[rows, cols]
-        chi += np.einsum("bi,ib->b", A, D2[cols])
+    chi = np.zeros(b1.size, dtype=complex)
+    flat = np.flatnonzero(rho.matrix != 0)
+    if not flat.size or not b1.size:
+        return chi
+    m, n, k, l = np.unravel_index(flat, (d0, d1, d0, d1))
+    q = k - m
+    # one column per (q1, q2, min(l, n)), ordered by |q1|, then q1, then q2
+    key = ((2 * np.abs(q) + (q > 0)) * (2 * d1 - 1) + l - n + d1 - 1) * d1 + np.minimum(l, n)
+    keys, col = np.unique(key, return_inverse=True)
+    t = np.zeros((d0, len(keys)), dtype=complex)
+    t[np.minimum(k, m), col] = rho.matrix.reshape(-1)[flat]
+    # the (q1, q2) block, q1, q2 and min(l, n) of each column
+    block, j2 = np.divmod(keys, d1)
+    signed, q2 = np.divmod(block, 2 * d1 - 1)
+    q2 -= d1 - 1
+    order1, positive = np.divmod(signed, 2)
+    q1 = np.where(positive, order1, -order1)
+
+    # one recurrence over the distinct |beta|^2 of both modes
+    x1, x2 = np.abs(b1) ** 2, np.abs(b2) ** 2
+    xs, u = np.unique(np.concatenate([x1, x2]), return_inverse=True)
+    pairs, pair = np.unique(u[:b1.size] * len(xs) + u[b1.size:], return_inverse=True)
+    p1, p2 = np.divmod(pairs, len(xs))
+    dim = max(d0, d1)
+    R = _laguerre_factors(xs, dim)
+    P1, P2 = _phases(b1, x1, d0), _phases(b2, x2, d1)
+
+    rows2 = _tri_index(np.abs(q2), j2, dim)
+    R2 = R[:, p2]
+    # column edges of the |q1| groups, and of the (q1, q2) blocks in each
+    groups = np.flatnonzero(np.diff(order1, prepend=-1, append=d0))
+    blocks = np.flatnonzero(np.diff(block, prepend=-1))
+    within = np.searchsorted(blocks, groups)
+    shift1, shift2 = q1[blocks] + d0 - 1, q2[blocks] + d1 - 1
+    for a, z, first, last in zip(groups[:-1], groups[1:], within[:-1], within[1:]):
+        o = order1[a]
+        r1 = R[_tri_index(o, 0, dim):_tri_index(o, d0 - o, dim)]
+        # real GEMM on the interleaved real and imaginary parts of t
+        A = (r1.T @ t[:d0 - o, a:z].view(float)).view(complex)
+        S = np.add.reduceat(A[p1] * R2[rows2[a:z]].T, blocks[first:last] - a, axis=1)
+        chi += np.sum(P1[shift1[first:last]] * (P2[shift2[first:last]] * S[pair].T), axis=0)
     return chi
-
-
-def _nonzero_blocks(t: np.ndarray, edges: np.ndarray) -> list[tuple[slice, object]]:
-    """(rows, cols) pairs that cover every nonzero entry of t: one per run of
-    consecutive row blocks (between `edges`) with the same nonzero columns,
-    cols a slice where those columns are contiguous."""
-    support = np.logical_or.reduceat(t != 0, edges[:-1], axis=0)
-    blocks = []
-    start = 0
-    for stop in range(1, len(support) + 1):
-        if stop < len(support) and np.array_equal(support[stop], support[start]):
-            continue
-        cols = np.flatnonzero(support[start])
-        if len(cols):
-            if cols[-1] - cols[0] + 1 == len(cols):
-                cols = slice(cols[0], cols[-1] + 1)
-            blocks.append((slice(edges[start], edges[stop]), cols))
-        start = stop
-    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +736,16 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Fock-space construction of the analytic two-mode resource families.
 
-    Only `squeezed-bell` takes delta; photon subtraction that annihilates
-    the state (from the vacuum, at r = 0) raises ZeroNormStateError.
+    Only `squeezed-bell` takes delta.  Photon subtraction at r below 1e-7,
+    where the subtracted state would be the squeezer's rounding divided by
+    r (from the vacuum itself at r = 0), raises ZeroNormStateError.
     """
     if family != "squeezed-bell" and delta is not None:
         raise ValueError(f"family {family!r} does not take delta")
+    if family == "photon-subtracted" and 0.0 <= r < _MIN_SUBTRACTION_R:
+        raise ZeroNormStateError(
+            f"photon subtraction at r = {r:.3g} < {_MIN_SUBTRACTION_R:g} is lost "
+            "to rounding (at r = 0 it annihilates the vacuum)")
     c = cutoff if cutoff is not None else default_cutoff(r)
     if family == "squeezed-bell":
         if delta is None:

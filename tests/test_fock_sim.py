@@ -14,7 +14,7 @@ from test_acceptance import BETA_GRID_1, BETA_GRID_2, oracle_fidelity
 from sqbell import fock_sim as fs
 from sqbell import teleport as tp
 from sqbell.conditioning import LossyProjectorWarning
-from sqbell.errors import CutoffTooSmallError, DegeneratePostselectionError
+from sqbell.errors import CutoffTooSmallError, DegeneratePostselectionError, ZeroNormStateError
 from sqbell.resources import SchemeConfig, delta_equivalent, scheme_state
 from sqbell.symplectic import SqueezeParam, two_mode_squeezed_char
 
@@ -476,6 +476,80 @@ def test_char_function_batch_of_zero_density_is_zero():
     assert not np.any(fs.char_function_batch(rho, [0.0, 0.3j], [0.5, -0.2]))
 
 
+def _repeated_moduli_batches(rng):
+    """Batches whose amplitudes share |beta|^2 but not their phases."""
+    circle = 0.9 * np.exp(2j * np.pi * np.arange(24) / 24)
+    beta = rng.normal(size=12) + 1j * rng.normal(size=12)
+    beside = np.concatenate([beta, -np.conj(beta)])        # beta next to -conj(beta)
+    radii = np.array([0.0, 0.4, 1.3, 2.2])
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, 24)))
+    r1, r2 = np.meshgrid(radii, radii[::-1])
+    many = 1.7 * np.exp(2j * np.pi * rng.uniform(size=40))
+    return [
+        (circle, circle[::-1]),                            # one circle, both modes
+        (beside, beside[::-1]),
+        (np.repeat(radii, 6) * phases[0],                  # |beta1| != |beta2|
+         np.tile(radii, 6) * phases[1]),
+        (np.resize(r1.ravel(), 24) * phases[0], np.resize(r2.ravel(), 24) * phases[1]),
+        (np.full(40, 0.6 - 0.5j), many),                   # one beta1, many beta2
+        (many, np.full(40, -1.1j)),
+    ]
+
+
+@pytest.mark.parametrize("density", [
+    lambda rng: _random_density(rng, (8, 11)),
+    lambda rng: _lossy_oracle_density("on-off"),
+    lambda rng: _single_shift_pair_density(rng, (9, 7), -1, 2),
+], ids=["dense", "onoff-lossy", "shift-pair"])
+def test_char_function_batch_on_repeated_moduli_matches_dense(density):
+    rng = np.random.default_rng(5)
+    rho = density(rng)
+    for b1, b2 in _repeated_moduli_batches(rng):
+        moduli = np.concatenate([np.abs(b1) ** 2, np.abs(b2) ** 2])
+        assert len(np.unique(moduli)) < len(b1)
+        got = fs.char_function_batch(rho, b1, b2)
+        ref = fock_dense.char_function_batch(rho, b1, b2)
+        assert np.max(np.abs(ref)) > 1e-3
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_char_function_batch_matches_char_function_per_point():
+    # a 24 x 24 Gauss-Hermite batch shares 78 values of |lambda|^2 over its
+    # 576 points; each point's chi is the one a batch of one gives
+    rho = _lossy_oracle_density("on-off")
+    nodes = np.polynomial.hermite.hermgauss(24)[0]
+    lam = (nodes[:, None] + 1j * nodes[None, :]).ravel()
+    batch = fs.char_function_batch(rho, -np.conj(lam), -lam)
+    for k, point in enumerate(lam):
+        assert abs(batch[k] - fs.char_function(rho, -np.conj(point), -point)) < 1e-15
+
+
+def test_char_function_batch_sizes():
+    rho = _random_density(np.random.default_rng(2), (3, 4))
+    with pytest.raises(ValueError, match="3 amplitudes.* 2"):
+        fs.char_function_batch(rho, [0.1, 0.2j, -0.3], [0.4, 0.5])
+    assert fs.char_function_batch(rho, [], []).shape == (0,)
+    assert fs.char_function_batch(rho, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_char_function_batch_builds_no_displacement_array():
+    # one (d^2, batch) complex array for the 48 x 48 Gauss-Hermite grid at
+    # cutoff 25 holds 676 x 2304 elements, 24.9 MB
+    rho, _ = fs.scheme_oracle(SchemeConfig(r=0.6, s=0.01), "on-off", cutoff=25)
+    nodes = np.polynomial.hermite.hermgauss(48)[0]
+    lam = (nodes[:, None] + 1j * nodes[None, :]).ravel()
+    b1, b2 = -np.conj(lam), -lam
+    array_bytes = rho.matrix.shape[0] * lam.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        chi = fs.char_function_batch(rho, b1, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi.shape == lam.shape
+    assert peak < array_bytes
+
+
 def test_displacement_diagonals_follow_shift_order():
     alphas = np.array([0.0, 0.4 - 1.1j, 3.0 + 2.0j])
     for cutoff in (0, 1, 6):
@@ -524,6 +598,21 @@ def test_signal_only_loss_oracle_matches_kernel(detector):
     assert oracle_fidelity(rho) == pytest.approx(tp.fidelity_closed_form(state),
                                                  abs=1e-5)
     assert success == pytest.approx(state.success_prob, rel=1e-6)
+
+
+@pytest.mark.parametrize("cutoff", [8, 48])
+def test_photon_subtraction_refused_below_its_bound(cutoff):
+    # a1 a2 on the squeezed vacuum leaves n tanh(r)^(n-1) |n-1, n-1>
+    # before normalization, so |amps[0, 0]| is 1 - 2 r^2 + O(r^4)
+    bound = fs._MIN_SUBTRACTION_R
+    st = fs.theoretical_oracle("photon-subtracted", bound, cutoff=cutoff)
+    n = np.arange(1, cutoff + 1)
+    exact = 1.0 / np.sqrt(np.sum(n ** 2 * np.tanh(bound) ** (2 * n - 2)))
+    assert abs(abs(st.amps[0, 0]) - exact) < 1e-12
+    assert abs(abs(st.amps[0, 0]) - 1.0) < 1e-12
+    for r in (np.nextafter(bound, 0.0), 1e-13, 0.0):
+        with pytest.raises(ZeroNormStateError, match="photon subtraction"):
+            fs.theoretical_oracle("photon-subtracted", r, cutoff=cutoff)
 
 
 def test_oracle_refuses_thermal_noise():
