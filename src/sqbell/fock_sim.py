@@ -5,10 +5,11 @@ code on photon-number tensors, with one path per operation:
 
 - pair unitaries: `two_mode_squeeze_operator` and `beam_splitter_operator`,
   exact exponentials of the truncated generators taken block by block of
-  their conserved quantity, cached on their exact arguments, and applied by
-  one step: `apply_two_mode_squeeze` on a padded pair space, its leak
-  measured, and `apply_beam_splitter` unpadded, leak-free;
-- loss: `loss_kraus`, banded Kraus maps (`loss_via_ancilla` cross-checks it);
+  their conserved quantity, cached on their exact arguments;
+- the squeezer: `apply_two_mode_squeeze`, on two-mode states only, the
+  operator built on a padded pair space and the norm it pushes above the
+  cutoffs measured as the leak;
+- loss: `loss_kraus`, banded Kraus maps;
 - conditioning: `condition_with_diagonal_weights` on diagonal POVM weights
   (`lossy_projector_weights`, `on_off_weights`), normalized by
   `FockDensity.normalized`, which raises on a zero heralding probability;
@@ -17,6 +18,14 @@ code on photon-number tensors, with one path per operation:
   element a complex phase per amplitude times a real Laguerre factor per
   distinct |beta|^2 (`_phases`, `_laguerre_factors`);
 - `scheme_oracle` and `theoretical_oracle`, built from the steps above.
+
+The scheme is the paper's: linear optics and photon detection on a pair of
+uncorrelated two-mode squeezed states.  Its four-mode state is built from
+the signal twin beam t = S(r)|0,0> and the ancilla twin beam
+u = S(s)|0,0> as one sparse product B1 X B2^T, with
+X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] and B1, B2 the mixing beam
+splitters of modes (1, 3) and (2, 4); its leak is the twin beams' leaks
+summed.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
@@ -27,12 +36,12 @@ skipped term is an exact zero, so the result is the full contraction's for
 any input, and none of the steps assumes the structure of the states it is
 asked to check.
 
-The scheme oracle models pure loss only and has one pipeline: squeezers,
-loss branches, beam splitters, heralded densities summed over branches.
-Loss on every mode needs one branch; loss on the signal modes alone needs
-one per pair of Kraus orders, which caps that path at cutoff 16 (48 for the
-others).  A leaking cutoff is escalated up to the cap of its path, and a
-leak at the cap is raised.
+The scheme oracle models pure loss only and has one pipeline: twin beams,
+loss branches of the signal pair, the beam-splitter product, heralded
+densities summed over branches.  Loss on every mode needs one branch; loss
+on the signal modes alone needs one per pair of Kraus orders, which caps
+that path at cutoff 16 (48 for the others).  A leaking cutoff is escalated
+up to the cap of its path, and a leak at the cap is raised.
 """
 
 from __future__ import annotations
@@ -216,88 +225,46 @@ def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
         shape=(D, D))
 
 
-def _pair_matrix(amps: np.ndarray, modes: tuple[int, int]) -> sparse.csr_matrix:
-    """The nonzero entries of amps as a sparse (pair x rest) matrix: row
-    n_i d_j + n_j for the named pair, column the flat index of the other
-    modes' occupations in their order."""
-    i, j = modes
-    flat = np.flatnonzero(amps != 0)
-    idx = np.unravel_index(flat, amps.shape)
-    row = idx[i] * amps.shape[j] + idx[j]
-    col = np.zeros_like(row)
-    n_cols = 1
-    for k in range(amps.ndim):
-        if k not in modes:
-            col = col * amps.shape[k] + idx[k]
-            n_cols *= amps.shape[k]
-    return sparse.csr_matrix((amps.reshape(-1)[flat], (row, col)),
-                             shape=(amps.shape[i] * amps.shape[j], n_cols))
-
-
-def _from_pair_matrix(y: sparse.spmatrix, modes: tuple[int, int],
-                      shape: tuple[int, ...]) -> np.ndarray:
-    """Dense amplitude tensor of the given shape from its (pair x rest)
-    matrix, the inverse of `_pair_matrix`."""
-    y = y.tocoo()
-    i, j = modes
-    idx = [None] * len(shape)
-    idx[i], idx[j] = np.divmod(y.row, shape[j])
-    col = y.col
-    for k in reversed(range(len(shape))):
-        if k not in modes:
-            col, idx[k] = np.divmod(col, shape[k])
-    out = np.zeros(shape, dtype=complex)
-    out[tuple(idx)] = y.data
-    return out
-
-
-def _apply_pair_unitary(state: FockTensor, modes: tuple[int, int], operator,
-                        pad: int, leak_tol: float) -> FockTensor:
-    """The pair unitary `operator(dims)`, built on a pair space padded by
-    `pad` levels per mode, by its columns of the state's pair space times
-    the state's nonzero entries; scipy sums each entry over the operator's
-    row in the order of the full product, so the rows kept are that
-    product's bit for bit.  The deficit is the squared norm of the other
-    rows, the mass pushed above the cutoffs (exactly 0 without padding).
-    No padded dense state is built; the state is not renormalized.
-    """
-    i, j = modes
-    dims = (state.cutoffs[i] + 1, state.cutoffs[j] + 1)
+def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
+    """S(p) on a two-mode state, as amplitudes on its pair space padded by
+    max(8, cutoff // 2) levels per mode: the padded operator's columns of
+    the state's pair space times its amplitudes, each row summed by scipy
+    in the order of the full product.  A state of more modes raises
+    ValueError."""
+    if state.n_modes != 2:
+        raise ValueError("the two-mode squeezer expects a two-mode state")
+    dims = state.amps.shape
+    pad = max(8, max(state.cutoffs) // 2)
     padded = (dims[0] + pad, dims[1] + pad)
-    # flat indices of the requested pair space within the padded one
+    # flat indices of the state's pair space within the padded one
     inner = (np.arange(dims[0])[:, None] * padded[1] + np.arange(dims[1])).ravel()
-    big = operator(padded)[:, inner] @ _pair_matrix(state.amps, modes)
-    outside = np.ones(big.shape[0], dtype=bool)
-    outside[inner] = False
-    leaked = big[outside].data
+    big = two_mode_squeeze_operator(p, padded)[:, inner] @ state.amps.reshape(-1)
+    return big.reshape(padded)
+
+
+def _truncated(big: np.ndarray, cutoffs: tuple[int, int], leak: float,
+               leak_tol: float) -> FockTensor:
+    """The block of a two-mode amplitude array within the cutoffs, with the
+    squared norm outside it added to `leak`; CutoffTooSmallError when that
+    norm exceeds `leak_tol`.  Nothing is renormalized."""
+    box = (slice(cutoffs[0] + 1), slice(cutoffs[1] + 1))
+    outside = np.ones(big.shape, dtype=bool)
+    outside[box] = False
+    leaked = big[outside]
     deficit = float(np.vdot(leaked, leaked).real)
     if deficit > leak_tol:
         raise CutoffTooSmallError(
-            f"squeezing leaked {deficit:.3e} above cutoffs {state.cutoffs}",
-            deficit=deficit)
-    amps = _from_pair_matrix(big[inner], modes, state.amps.shape)
-    return FockTensor(state.cutoffs, amps, leak=state.leak + deficit)
+            f"{deficit:.3e} of the norm leaked above cutoffs {cutoffs}", deficit=deficit)
+    return FockTensor(cutoffs, big[box].copy(), leak=leak + deficit)
 
 
-def apply_two_mode_squeeze(state: FockTensor, modes: tuple[int, int],
-                           p: SqueezeParam,
+def apply_two_mode_squeeze(state: FockTensor, p: SqueezeParam,
                            leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Apply the two-mode squeezer, exponentiated on a pair space padded by
-    max(8, cutoff // 2) levels per mode; raise CutoffTooSmallError when the
-    norm leaked above the cutoffs exceeds `leak_tol`, else add it to `leak`."""
-    pad = max(8, max(state.cutoffs[i] for i in modes) // 2)
-    return _apply_pair_unitary(state, modes,
-                               functools.partial(two_mode_squeeze_operator, p),
-                               pad, leak_tol)
-
-
-def apply_beam_splitter(state: FockTensor, modes: tuple[int, int],
-                        T: float) -> FockTensor:
-    """Apply the beam splitter; it conserves photon number, so it needs no
-    padding and leaks nothing."""
-    return _apply_pair_unitary(state, modes,
-                               functools.partial(beam_splitter_operator, T),
-                               0, 0.0)
+    """Apply the two-mode squeezer to a two-mode state, exponentiated on a
+    pair space padded by max(8, cutoff // 2) levels per mode; raise
+    CutoffTooSmallError when the norm leaked above the cutoffs exceeds
+    `leak_tol`, else add it to `leak`."""
+    return _truncated(_squeezed_padded(state, p), state.cutoffs, state.leak, leak_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +287,6 @@ def _loss_kraus_bands(T: float, dim: int) -> list[np.ndarray]:
         i = np.arange(dim - m)
         bands.append(bands[-1][:dim - m] * np.sqrt((1.0 - T) * (i + m) / m))
     return bands
-
-
-def _apply_kraus_band(amps: np.ndarray, axis: int, m: int,
-                      band: np.ndarray) -> np.ndarray:
-    """K_m, whose only band is K_m[i, i + m] = band[i], on one axis of amps."""
-    x = np.moveaxis(amps, axis, 0)
-    out = np.zeros_like(x)
-    out[:len(band)] = band.reshape(-1, *(1,) * (x.ndim - 1)) * x[m:]
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_single_mode_matrix(arr: np.ndarray, axis: int, M: np.ndarray) -> np.ndarray:
-    return np.moveaxis(np.tensordot(M, arr, axes=(1, axis)), 0, axis)
 
 
 def loss_kraus(obj, mode: int, T: float) -> FockDensity:
@@ -377,21 +331,6 @@ def loss_kraus(obj, mode: int, T: float) -> FockDensity:
     return FockDensity(tuple(cutoffs), out.view(complex).reshape(d, d))
 
 
-def loss_via_ancilla(state: FockTensor, mode: int, T: float) -> FockDensity:
-    """Cross-check route: couple the mode to a vacuum ancilla and trace it out."""
-    if state.n_modes != 2:
-        raise ValueError("loss_via_ancilla expects a two-mode state")
-    cut = state.cutoffs[mode]
-    ext = FockTensor(state.cutoffs + (cut,),
-                     np.zeros(tuple(c + 1 for c in state.cutoffs) + (cut + 1,),
-                              dtype=complex))
-    ext.amps[..., 0] = state.amps
-    mixed = apply_beam_splitter(ext, (mode, 2), T)
-    rho = np.einsum("abj,cdj->abcd", mixed.amps, mixed.amps.conj())
-    d = (state.cutoffs[0] + 1) * (state.cutoffs[1] + 1)
-    return FockDensity(state.cutoffs, rho.reshape(d, d))
-
-
 # ---------------------------------------------------------------------------
 # conditioning
 # ---------------------------------------------------------------------------
@@ -433,7 +372,8 @@ def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     entries, summed over the (k, l) of nonzero weight only (one for ideal
     projectors).  The cost is set by the nonzero products, not by a
     d^2 x d^2 x d^2 GEMM."""
-    psi = _pair_matrix(state.amps, (0, 1))
+    d0, d1 = state.amps.shape[:2]
+    psi = sparse.csr_matrix(state.amps.reshape(d0 * d1, -1))
     weighted = psi.copy()
     weighted.data *= np.outer(w3, w4).reshape(-1)[weighted.indices]
     weighted.eliminate_zeros()
@@ -630,25 +570,44 @@ def default_cutoff(amplitude: float) -> int:
     return 20 if amplitude <= 1.0 else 30
 
 
-def _squeezed(cfg: SchemeConfig, cutoff: int, leak_tol: float) -> FockTensor:
-    """Four-mode state after both squeezers, before any loss or mixing."""
-    state = vacuum_state((cutoff,) * 4)
-    state = apply_two_mode_squeeze(state, (0, 1),
-                                   SqueezeParam(cfg.r, cfg.phi_zeta), leak_tol)
-    return apply_two_mode_squeeze(state, (2, 3),
-                                  SqueezeParam(cfg.s, cfg.phi_xi), leak_tol)
+def _twin_beams(cfg: SchemeConfig, cutoff: int,
+                leak_tol: float) -> tuple[FockTensor, FockTensor]:
+    """The signal twin beam S(r)|0,0> of modes 1, 2 and the ancilla twin
+    beam S(s)|0,0> of modes 3, 4."""
+    vacuum = vacuum_state((cutoff, cutoff))
+    return (apply_two_mode_squeeze(vacuum, SqueezeParam(cfg.r, cfg.phi_zeta), leak_tol),
+            apply_two_mode_squeeze(vacuum, SqueezeParam(cfg.s, cfg.phi_xi), leak_tol))
 
 
-def _mixed(state: FockTensor, cfg: SchemeConfig) -> FockTensor:
-    """Both mixing beam splitters, signal mode i with detector mode i + 2."""
-    state = apply_beam_splitter(state, (0, 2), cfg.T1)
-    return apply_beam_splitter(state, (1, 3), cfg.T2)
+def _mixed(t: np.ndarray, u: np.ndarray, cfg: SchemeConfig) -> FockTensor:
+    """The four-mode state after the mixing beam splitters B1 of modes
+    (1, 3) and B2 of modes (2, 4), from signal pair amplitudes t and
+    ancilla pair amplitudes u: the sparse product B1 X B2^T, with
+    X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] over the nonzero entries
+    of t and u."""
+    d = t.shape[0]
+    i, j = np.nonzero(t)
+    k, l = np.nonzero(u)
+    X = sparse.csr_matrix(((t[i, j][:, None] * u[k, l]).ravel(),
+                           ((i[:, None] * d + k).ravel(), (j[:, None] * d + l).ravel())),
+                          shape=(d * d, d * d))
+    Y = (beam_splitter_operator(cfg.T1, (d, d)) @ X
+         @ beam_splitter_operator(cfg.T2, (d, d)).T).tocoo()
+    amps = np.zeros((d,) * 4, dtype=complex)
+    n1, n3 = np.divmod(Y.row, d)
+    n2, n4 = np.divmod(Y.col, d)
+    amps[n1, n2, n3, n4] = Y.data
+    return FockTensor((d - 1,) * 4, amps)
 
 
 def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Four-mode state after both squeezers and both mixing beam splitters."""
-    return _mixed(_squeezed(cfg, cutoff, leak_tol), cfg)
+    """Four-mode state after both squeezers and both mixing beam splitters,
+    with the two twin beams' leaks summed."""
+    t, u = _twin_beams(cfg, cutoff, leak_tol)
+    state = _mixed(t.amps, u.amps, cfg)
+    state.leak = t.leak + u.leak
+    return state
 
 
 def _signal_loss_only(cfg: SchemeConfig) -> bool:
@@ -666,19 +625,20 @@ def _detector_weights(cfg: SchemeConfig, detector: str,
     return on_off_weights(cfg.eta3 * T, dim), on_off_weights(cfg.eta4 * T, dim)
 
 
-def _branches(state: FockTensor, cfg: SchemeConfig):
-    """The pure states whose heralded densities sum to the scheme's: one Kraus
-    branch per pair of signal loss orders (m1, m2) with signal-only loss,
-    else the state itself."""
+def _branches(t: FockTensor, cfg: SchemeConfig):
+    """The signal pair amplitudes whose mixed, heralded densities sum to the
+    scheme's: one Kraus branch of t per pair of signal loss orders (m1, m2)
+    with signal-only loss, else t's own."""
     if not _signal_loss_only(cfg):
-        yield state
+        yield t.amps
         return
-    bands = _loss_kraus_bands(cfg.T_loss, state.cutoffs[0] + 1)
+    bands = _loss_kraus_bands(cfg.T_loss, t.cutoffs[0] + 1)
     for m1, band1 in enumerate(bands):
-        amps = _apply_kraus_band(state.amps, 0, m1, band1)
         for m2, band2 in enumerate(bands):
-            yield FockTensor(state.cutoffs, _apply_kraus_band(amps, 1, m2, band2),
-                             leak=state.leak)
+            # K_m1 x K_m2, whose only entries are K_m[i, i + m] = band[i]
+            amps = np.zeros_like(t.amps)
+            amps[:len(band1), :len(band2)] = band1[:, None] * t.amps[m1:, m2:] * band2
+            yield amps
 
 
 def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
@@ -718,10 +678,10 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
 def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
                       cutoff: int) -> tuple[FockDensity, float]:
     w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
-    branches = _branches(_squeezed(cfg, cutoff, DEFAULT_LEAK_TOL), cfg)
+    t, u = _twin_beams(cfg, cutoff, DEFAULT_LEAK_TOL)
     # reduce, not sum: a single branch's density is used as is, not copied
     rho = FockDensity((cutoff, cutoff), functools.reduce(
-        np.add, (_heralded(_mixed(b, cfg), w3, w4) for b in branches)))
+        np.add, (_heralded(_mixed(b, u.amps, cfg), w3, w4) for b in _branches(t, cfg))))
     success = rho.trace()
     rho = rho.normalized()
     if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:
@@ -736,9 +696,13 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Fock-space construction of the analytic two-mode resource families.
 
-    Only `squeezed-bell` takes delta.  Photon subtraction at r below 1e-7,
-    where the subtracted state would be the squeezer's rounding divided by
-    r (from the vacuum itself at r = 0), raises ZeroNormStateError.
+    Only `squeezed-bell` takes delta.  A cutoff below 1 raises ValueError.
+    The ladder families apply a1 a2 or a1^dag a2^dag to the squeezed vacuum
+    on the squeezer's padded pair space and normalize there, so no amplitude
+    within the cutoff is missing and `leak` is the norm above it; above
+    `leak_tol` that norm raises CutoffTooSmallError.  Photon subtraction at r below 1e-7, where the
+    subtracted state would be the squeezer's rounding divided by r (from
+    the vacuum itself at r = 0), raises ZeroNormStateError.
     """
     if family != "squeezed-bell" and delta is not None:
         raise ValueError(f"family {family!r} does not take delta")
@@ -747,6 +711,9 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
             f"photon subtraction at r = {r:.3g} < {_MIN_SUBTRACTION_R:g} is lost "
             "to rounding (at r = 0 it annihilates the vacuum)")
     c = cutoff if cutoff is not None else default_cutoff(r)
+    if c < 1:
+        raise ValueError(f"cutoff {c} is below 1")
+    p = SqueezeParam(r, np.pi)
     if family == "squeezed-bell":
         if delta is None:
             raise ValueError("squeezed-bell requires delta")
@@ -758,16 +725,14 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
     elif family == "squeezed-number":
         bare = basis_state((c, c), (1, 1))
     elif family in ("photon-subtracted", "photon-added"):
-        sq = apply_two_mode_squeeze(vacuum_state((c, c)), (0, 1),
-                                    SqueezeParam(r, np.pi), leak_tol)
-        a = annihilator(c + 1)
+        sq = _squeezed_padded(vacuum_state((c, c)), p)
+        a = annihilator(len(sq))
         op = a if family == "photon-subtracted" else a.conj().T
-        amps = _apply_single_mode_matrix(sq.amps, 0, op)
-        amps = _apply_single_mode_matrix(amps, 1, op)
+        amps = op @ sq @ op.T
         nrm = np.linalg.norm(amps)
         if nrm < 1e-15:
             raise ZeroNormStateError("ladder action annihilated the state")
-        return FockTensor((c, c), amps / nrm, leak=sq.leak)
+        return _truncated(amps / nrm, (c, c), 0.0, leak_tol)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return apply_two_mode_squeeze(bare, (0, 1), SqueezeParam(r, np.pi), leak_tol)
+    return apply_two_mode_squeeze(bare, p, leak_tol)

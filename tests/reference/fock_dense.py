@@ -1,11 +1,14 @@
 """The Fock oracle's contractions as dense products over every entry.
 
-`sqbell.fock_sim` contracts only over the nonzero entries of its states;
-these are the same sums taken in full on dense tensors, one GEMM, einsum or
-shifted-slice product each, for the tests to compare against: the
-characteristic function, the conditioning, the pair operators, the padded
-squeezer with its leak, the loss channel, and the scheme pipeline built
-from them.
+`sqbell.fock_sim` contracts only over the nonzero entries of its states
+and builds the scheme from two twin beams and one sparse beam-splitter
+product; these are the same sums taken in full on dense tensors, one GEMM,
+einsum or shifted-slice product each, for the tests to compare against:
+the characteristic function, the conditioning, a pair operator on any two
+modes of a state, the padded squeezer with its leak, the loss channel (and
+loss by a beam splitter with a vacuum ancilla), and the scheme pipeline
+built from them, squeezing and mixing one pair of the four-mode state at a
+time.
 """
 
 import numpy as np
@@ -88,6 +91,21 @@ def loss_kraus(rho: fs.FockDensity, mode: int, T: float) -> np.ndarray:
         n = dim - m
         out[:n, :n] += np.outer(band, band)[:, :, None, None] * src[m:, m:]
     return np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(rho.matrix.shape)
+
+
+def loss_via_ancilla(state: fs.FockTensor, mode: int, T: float) -> np.ndarray:
+    """Loss on one mode of a two-mode pure state by a beam splitter with a
+    vacuum ancilla, the ancilla traced out.  The vacuum ancilla selects the
+    splitter's columns (n, 0): V[k, j, n] maps n photons in the mode to k
+    in the mode and j in the ancilla."""
+    d = state.cutoffs[mode] + 1
+    V = fs.beam_splitter_operator(T, (d, d)).toarray()[:, ::d].reshape(d, d, d)
+    mixed = np.tensordot(V, np.moveaxis(state.amps, mode, 0), axes=(2, 0))
+    # rho[k, o, l, p] with o, p the other mode, then back in mode order
+    rho = np.einsum("kjo,ljp->kolp", mixed, mixed.conj())
+    if mode == 1:
+        rho = rho.transpose(1, 0, 3, 2)
+    return rho.reshape(state.amps.size, state.amps.size)
 
 
 def heralded(amps: np.ndarray, w3, w4) -> np.ndarray:

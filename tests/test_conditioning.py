@@ -148,7 +148,7 @@ def test_success_probability_no_mixing_matches_oracle():
     S = scheme_four_mode_char(cfg).exponent[None]
     eta = 0.35
     p = kernel.heralding_prob(S, "on-off", eta, eta)[0][0]
-    anc = fs.apply_two_mode_squeeze(fs.vacuum_state((20, 20)), (0, 1),
+    anc = fs.apply_two_mode_squeeze(fs.vacuum_state((20, 20)),
                                     fs.SqueezeParam(0.3, np.pi))
     w = fs.on_off_weights(eta, 21)
     direct = np.einsum("kl,kl,k,l->", anc.amps, anc.amps.conj(), w, w).real

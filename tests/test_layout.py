@@ -1,7 +1,9 @@
 """The package's layering, read from the import statements of its sources."""
 
 import ast
+import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,32 @@ def test_no_unused_module_level_imports():
                    for f in (ROOT / d).rglob("*.py"))
     assert len(files) > 20
     assert [u for f in files for u in unused_imports(f)] == []
+
+
+def bench_module(name: str) -> types.ModuleType:
+    """A module of the benchmark, run from its source; no bytecode is
+    written next to it."""
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bench_tracer_finds_every_name_it_traces():
+    # the benchmark's tracer wraps sqbell functions by name, so a renamed or
+    # deleted one fails here, not only in the traced benchmark run
+    worker, tracing = bench_module("worker"), bench_module("tracing")
+    sq = importlib.import_module("sqbell")
+    modules = [importlib.import_module(f"sqbell.{name}") for name in worker.SQBELL_MODULES]
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer()
+    tracer.install(sq)
+    try:
+        wrapped = {m.__name__ for m, b in zip(modules, before)
+                   if any(v is not b.get(k) for k, v in vars(m).items())}
+    finally:
+        tracer.uninstall()
+    assert "sqbell.fock_sim" in wrapped
+    for m, b in zip(modules, before):
+        assert all(vars(m)[k] is v for k, v in b.items())
