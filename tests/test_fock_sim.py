@@ -686,8 +686,36 @@ def test_density_validate():
 
 
 # ---------------------------------------------------------------------------
-# skipped zeros: conditioning
+# skipped zeros: the squeezer and conditioning
 # ---------------------------------------------------------------------------
+
+
+def _pair_states(rng):
+    """Two-mode amplitude arrays with and without all-zero columns."""
+    dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    sparse_cols = dense.copy()
+    sparse_cols[:, 1::2] = 0.0
+    vacuum = fs.vacuum_state((5, 5)).amps
+    squeezed = fs.apply_two_mode_squeeze(fs.vacuum_state((5, 5)), SqueezeParam(0.3, np.pi),
+                                         leak_tol=1.0).amps
+    return [dense, sparse_cols, vacuum, squeezed]
+
+
+@pytest.mark.parametrize("modes", [(0, 1), (1, 0)])
+def test_pair_operator_skips_zero_columns_exactly(modes):
+    rng = np.random.default_rng(5)
+    p = SqueezeParam(0.7, 2.0)
+    # the squeezer is built on 6 + 8 levels per mode and applied by its
+    # columns of the 6-level pair space; the state is given in `modes` order
+    inner = (np.arange(6)[:, None] * 14 + np.arange(6)).ravel()
+    op = fs.two_mode_squeeze_operator(p, (14, 14))[inner][:, inner]
+    for amps in _pair_states(rng):
+        x = np.moveaxis(amps, modes, (0, 1))
+        got = fs.apply_two_mode_squeeze(fs.FockTensor((5, 5), x), p, leak_tol=np.inf)
+        # the full sparse product, bit for bit
+        assert got.amps.reshape(-1).tobytes() == (op @ x.reshape(-1)).tobytes()
+        # a dense product sums in another order
+        assert np.max(np.abs(got.amps.reshape(-1) - op.toarray() @ x.reshape(-1))) < 1e-14
 
 
 def _conditioning_state():
@@ -735,19 +763,36 @@ def _four_mode_states():
     return [_conditioning_state(), _random_four_mode(np.random.default_rng(3))]
 
 
-def test_squeeze_matches_padded_dense_reference():
-    p = SqueezeParam(0.4, 2.5)
+def _two_mode_states():
+    """A squeezed vacuum, a basis state and a dense random two-mode state."""
     rng = np.random.default_rng(3)
     dense = rng.normal(size=(11, 9)) + 1j * rng.normal(size=(11, 9))
-    states = [fs.apply_two_mode_squeeze(fs.vacuum_state((10, 10)), SqueezeParam(0.5, np.pi),
-                                        leak_tol=1e-6),
-              fs.basis_state((12, 9), (1, 1)),
-              fs.FockTensor((10, 8), dense / np.linalg.norm(dense))]
-    for state in states:
+    return [fs.apply_two_mode_squeeze(fs.vacuum_state((10, 10)), SqueezeParam(0.5, np.pi),
+                                      leak_tol=1e-6),
+            fs.basis_state((12, 9), (1, 1)),
+            fs.FockTensor((10, 8), dense / np.linalg.norm(dense))]
+
+
+@pytest.mark.parametrize("modes", [(0, 1), (2, 3), (3, 1)])
+def test_squeeze_matches_padded_dense_reference(modes):
+    # the twin beam squeezed on its own, then set on `modes` of a four-mode
+    # product state, against the dense squeezer padded on those modes
+    p = SqueezeParam(0.4, 2.5)
+    rng = np.random.default_rng(4)
+    spectator = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    spectator /= np.linalg.norm(spectator)
+    rest = tuple(m for m in range(4) if m not in modes)
+
+    def on_modes(pair):
+        return np.moveaxis(np.multiply.outer(pair, spectator), (0, 1, 2, 3), modes + rest)
+
+    for state in _two_mode_states():
         # a dense random state leaks a lot; the deficit is compared, not gated
         got = fs.apply_two_mode_squeeze(state, p, leak_tol=1.0)
-        amps, deficit = fock_dense.apply_two_mode_squeeze(state, (0, 1), p)
-        assert np.max(np.abs(got.amps - amps)) < 1e-14
+        amps = on_modes(state.amps)
+        four = fs.FockTensor(tuple(d - 1 for d in amps.shape), amps, leak=state.leak)
+        ref, deficit = fock_dense.apply_two_mode_squeeze(four, modes, p)
+        assert np.max(np.abs(on_modes(got.amps) - ref)) < 1e-14
         assert abs(got.leak - state.leak - deficit) < 1e-15
 
 
