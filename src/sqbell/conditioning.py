@@ -7,9 +7,9 @@ function into a two-mode non-Gaussian one:
     chi_out(b1, b2) = (1/(N pi^2)) Int d^2b3 d^2b4 chi_1234 k3(b3) k4(b4),
 
 where k is the detector kernel and N the success probability of the
-conditioning event.  The integral is the array code of
-:func:`sqbell.kernel.heralded_chi`; N is computed once, and normalization is
-applied exactly once, when chi is evaluated.
+conditioning event.  One :func:`sqbell.kernel.scheme_pf` call gives N, the
+fidelity and their status, and :func:`sqbell.kernel.heralded_chi` the
+integral; normalization is applied exactly once, when chi is evaluated.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ class DetectorKernel:
 
 @dataclass(frozen=True)
 class ConditionedState:
-    """Normalized two-mode characteristic function and its success probability.
+    """Normalized two-mode characteristic function, success probability and fidelity.
 
     `chi(b1, b2)` evaluates over arrays of amplitudes that broadcast together.
     """
 
     chi: Callable
     success_prob: float
+    fidelity: float
 
     def chi_at(self, beta1: complex, beta2: complex) -> complex:
         return complex(self.chi(beta1, beta2))
@@ -77,10 +78,10 @@ def condition(chi4: GaussianChar, d3: DetectorKernel,
 
     Returns the normalized two-mode characteristic function together with the
     success probability of the conditioning event (the value of the raw
-    integral at the origin).  A probability the kernel's
-    :func:`sqbell.kernel.heralding_prob` reports degenerate or unphysical
-    raises the error of :func:`status_error`.  Both detectors must be of
-    one kind.
+    integral at the origin) and the teleportation fidelity, both from one
+    :func:`sqbell.kernel.scheme_pf` call.  A point that call reports
+    degenerate or unphysical raises the error of :func:`status_error`.
+    Both detectors must be of one kind.
     """
     if chi4.n_modes != 4:
         raise PhysicalityError("conditioning requires a four-mode source function")
@@ -89,7 +90,7 @@ def condition(chi4: GaussianChar, d3: DetectorKernel,
     S = chi4.exponent[None]
     detector = "ideal" if d3.kind == "ideal-projector" else "on-off"
     etas = (d3.efficiency, d4.efficiency)
-    P, status = kernel.heralding_prob(S, detector, *etas)
+    P, F, status = kernel.scheme_pf(S, detector, *etas)
     success = float(P[0])
     error = status_error(success, status[0])
     if error is not None:
@@ -100,4 +101,4 @@ def condition(chi4: GaussianChar, d3: DetectorKernel,
     def chi(beta1, beta2):
         return heralded(beta1, beta2)[0] / success
 
-    return ConditionedState(chi, success)
+    return ConditionedState(chi, success, float(F[0]))

@@ -31,6 +31,10 @@ ancillas (:func:`heralded_chi`): on/off detectors give a signed sum of four
 Gaussians in (b1, b2), ideal projectors one Gaussian times a Wick
 polynomial, each exponent and polynomial a quadratic form in (b1, b2).
 
+`scheme_pf` alone decides each point's status, from its P and F together.
+Nothing that takes exponents warns; :func:`warn_if_lossy` reads a lossy
+source from the configurations.
+
 The squeezed Bell family, which holds every analytic reference resource,
 has a closed-form characteristic function and fidelity,
 :func:`squeezed_bell_chi` and :func:`squeezed_bell_fidelity`.
@@ -68,12 +72,12 @@ class LossyProjectorWarning(UserWarning):
     """Ideal single-photon projectors combined with a lossy source function."""
 
 
-def warn_if_lossy(S) -> None:
-    """Warn when ideal projectors see a mixed source: the purity of
-    exp(-1/2 v^T S v) is det(S)^{-1/2}, and loss makes det(S) > 1.
+def warn_if_lossy(detector: str, cfgs) -> None:
+    """Warn when ideal projectors see a mixed source: `detector` is 'ideal'
+    and any of the objects `cfgs` has T_loss < 1 or n_thermal > 0.
 
     The warning points at the first caller outside this package."""
-    if np.any(np.linalg.slogdet(S)[1] > 1e-9):
+    if detector == "ideal" and any(c.T_loss < 1.0 or c.n_thermal > 0.0 for c in cfgs):
         frame, level = sys._getframe(1), 2
         while frame and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
             frame, level = frame.f_back, level + 1
@@ -287,7 +291,7 @@ def _ancilla_prob(detector: str, eta3, eta4, n: int):
     raise ValueError(f"unknown detector kind {detector!r}")
 
 
-def _status(P, p_scale, F=1.0):
+def _status(P, p_scale, F):
     """Status of each point: UNPHYSICAL where P is not finite; else
     DEGENERATE where P is at or below the larger of MIN_SUCCESS_PROB and
     DEGENERACY_ULPS eps times p_scale, the sum of the magnitudes of its
@@ -301,17 +305,6 @@ def _status(P, p_scale, F=1.0):
     return status
 
 
-def heralding_prob(S, detector: str, eta3=None, eta4=None):
-    """Heralding probability P and status (`_status`, without F) of each
-    source exponent (shape (n, 8, 8)); warns as `scheme_pf` does."""
-    S = np.asarray(S, dtype=float)
-    prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])
-    if detector == "ideal":
-        warn_if_lossy(S)
-    P, p_scale = prob(S[:, 4:, 4:])
-    return P, _status(P, p_scale)
-
-
 def heralded_chi(S, detector: str, eta3=None, eta4=None):
     """The function (b1, b2) -> P chi(b1, b2), shape (n,) + the broadcast
     shape of b1 and b2, of the state heralded from each source exponent S
@@ -320,7 +313,7 @@ def heralded_chi(S, detector: str, eta3=None, eta4=None):
     With x = (Re b1, Im b1, Re b2, Im b2) it is e^{-1/2 x^T S_xx x} times
     the ancilla sum taken with the linear terms w = S_yx x; what does not
     depend on x is computed once, here.  At b1 = b2 = 0 it is P, bit for
-    bit.  Unlike `scheme_pf`, it never warns.
+    bit.
     """
     S = np.asarray(S, dtype=float)
     ancillas = _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:],
@@ -344,12 +337,9 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     `eta3`, `eta4` (on/off only) broadcast to n.  Status is that of
     `_status` (a block that is not positive definite makes P or F NaN, and
     so UNPHYSICAL); F is capped at one and is NaN wherever status is not OK.
-    Ideal projectors on a lossy source warn LossyProjectorWarning.
     """
     S = np.asarray(S, dtype=float)
     prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])
-    if detector == "ideal":
-        warn_if_lossy(S)
     P, p_scale = prob(S[:, 4:, 4:])
 
     # P F: the lam integral first, which leaves the Schur complement of its

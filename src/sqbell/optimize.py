@@ -112,11 +112,13 @@ def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception
     midpoints.  The kernel is batch-invariant bit for bit, so each search
     visits the same points, and returns the same result, as on its own.  A
     configuration whose point is degenerate or unphysical gets that point's
-    error in place of its result; the other searches go on.
+    error in place of its result; the other searches go on.  Warns as
+    :func:`sqbell.resources.scheme_pf` does.
     """
     cfgs = list(cfgs)
     if not cfgs:
         return []
+    kernel.warn_if_lossy(detector, cfgs)
     evaluate = _s_evaluator(cfgs, detector)
     results: list[OptResult | Exception | None] = [None] * len(cfgs)
 
@@ -219,6 +221,8 @@ def optimize_delta(r: float) -> OptResult:
     [[A, C], [C, B]]: d* = atan2(2C, A - B) / 2, which lies in (0, pi/2)
     because C > 0, and F* = (A + B) / 2 + hypot((A - B) / 2, C).
     """
+    if not 0.0 <= r < np.inf:
+        raise ValueError("squeezing amplitude must be finite and nonnegative")
     angles = (0.0, np.pi / 2.0, np.pi / 4.0)
     trace = tuple((d, float(f)) for d, f in
                   zip(angles, kernel.squeezed_bell_fidelity(r, angles)))

@@ -11,6 +11,7 @@ S(r)[cos d|0,0> + sin d|1,1>]; `bell_angle` gives each one's angle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernel
-from .conditioning import DEFAULT_EFFICIENCY, DetectorKernel, condition, status_error
+from .conditioning import DEFAULT_EFFICIENCY, DetectorKernel, condition
 from .errors import ZeroNormStateError
 from .symplectic import scheme_four_mode_char
 
@@ -48,13 +49,15 @@ class SchemeConfig:
     loss_on_detector_modes: bool = True
 
     def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError("squeezing amplitudes must be nonnegative")
+        for name in ("r", "s", "n_thermal"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("phi_zeta", "phi_xi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("T1", "T2", "T_loss", "eta3", "eta4"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.n_thermal < 0:
-            raise ValueError("n_thermal must be nonnegative")
 
     def with_(self, **kwargs) -> "SchemeConfig":
         return replace(self, **kwargs)
@@ -62,7 +65,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class ResourceState:
-    """A normalized two-mode characteristic function plus its provenance.
+    """A normalized two-mode characteristic function, its fidelity and provenance.
 
     `chi(b1, b2)` evaluates over arrays of amplitudes that broadcast together.
     """
@@ -70,6 +73,7 @@ class ResourceState:
     family: str
     chi: Callable
     params: object
+    fidelity: float
     success_prob: Optional[float] = None
 
     def chi_at(self, beta1: complex, beta2: complex) -> complex:
@@ -98,8 +102,8 @@ def bell_angle(family: str, r: float, delta: float | None = None) -> float:
     if family not in THEORETICAL_FAMILIES:
         raise ValueError(f"unknown theoretical family {family!r}")
     if family == "squeezed-bell":
-        if delta is None:
-            raise ValueError("squeezed-bell requires the mixing angle delta")
+        if delta is None or not math.isfinite(delta):
+            raise ValueError("squeezed-bell requires a finite mixing angle delta")
         return float(delta)
     if delta is not None:
         raise ValueError(f"family {family!r} does not take delta")
@@ -126,17 +130,20 @@ def theoretical_state(family: str, r: float, delta: float | None = None) -> Reso
                                   + 2 c s (x1 x2 - y1 y2)],
 
     which :func:`sqbell.kernel.squeezed_bell_chi` evaluates at the arguments
-    mapped by the two-mode squeezer of phase pi.
+    mapped by the two-mode squeezer of phase pi; its fidelity is
+    :func:`sqbell.kernel.squeezed_bell_fidelity` at the same angle.
     """
-    if r < 0:
-        raise ValueError("squeezing amplitude must be nonnegative")
+    if not 0.0 <= r < np.inf:
+        raise ValueError("squeezing amplitude must be finite and nonnegative")
     d = bell_angle(family, r, delta)
     return ResourceState(family, partial(kernel.squeezed_bell_chi, r, d),
-                         {"r": r, "delta": delta, "phase": np.pi})
+                         {"r": r, "delta": delta, "phase": np.pi},
+                         float(kernel.squeezed_bell_fidelity(r, d)))
 
 
 def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
-    """Resource generated by the scheme and conditioned on both detectors firing."""
+    """Resource generated by the scheme and conditioned on both detectors
+    firing; warns LossyProjectorWarning for ideal projectors on a lossy source."""
     chi4 = scheme_four_mode_char(cfg)
     if detector == "ideal":
         d3 = d4 = DetectorKernel.ideal()
@@ -145,32 +152,23 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
         d4 = DetectorKernel.on_off(cfg.eta4)
     else:
         raise ValueError(f"unknown detector kind {detector!r}")
+    kernel.warn_if_lossy(detector, [cfg])
     family = next(f for f, d in SCHEME_DETECTORS.items() if d == detector)
     cond = condition(chi4, d3, d4)
-    return ResourceState(family, cond.chi, cfg, cond.success_prob)
+    return ResourceState(family, cond.chi, cfg, cond.fidelity, cond.success_prob)
 
 
 def scheme_pf(cfgs, detector: str = "ideal"):
     """Heralding probability, fidelity and status of each configuration.
 
     One batched call of :func:`sqbell.kernel.scheme_pf`, which also gives
-    the closed-form fidelity of a :func:`scheme_state`.
+    the closed-form fidelity of a :func:`scheme_state`; warns as
+    :func:`scheme_state` does.
     """
     cfgs = list(cfgs)
+    kernel.warn_if_lossy(detector, cfgs)
     return kernel.scheme_pf(kernel.exponents_of(cfgs), detector,
                             [c.eta3 for c in cfgs], [c.eta4 for c in cfgs])
-
-
-def scheme_fidelities(cfgs, detector: str = "ideal") -> list[float]:
-    """Closed-form fidelity of each configuration; raises the
-    :func:`sqbell.conditioning.status_error` of the first configuration
-    that is degenerate or unphysical."""
-    P, F, status = scheme_pf(cfgs, detector)
-    for p, st in zip(P, status):
-        error = status_error(p, st)
-        if error is not None:
-            raise error
-    return [float(f) for f in F]
 
 
 def delta_equivalent(cfg: SchemeConfig) -> float:

@@ -98,14 +98,9 @@ def apply_linear(chi: GaussianChar, L: np.ndarray) -> GaussianChar:
     return GaussianChar(chi.n_modes, L.T @ chi.exponent @ L)
 
 
-def two_mode_squeezed_char(p: SqueezeParam, modes: tuple[int, int] = (0, 1),
-                           n_modes: int = 2) -> GaussianChar:
-    """Two-mode squeezed vacuum embedded in an n-mode vacuum background."""
-    i, j = modes
-    if i == j or not (0 <= i < n_modes and 0 <= j < n_modes):
-        raise ValueError("squeezer needs two distinct modes in range")
-    L = squeeze_matrix(p, modes, n_modes)
-    return apply_linear(vacuum_char(n_modes), L)
+def two_mode_squeezed_char(p: SqueezeParam) -> GaussianChar:
+    """Two-mode squeezed vacuum."""
+    return apply_linear(vacuum_char(2), squeeze_matrix(p, (0, 1), 2))
 
 
 def beam_splitter_substitute(chi: GaussianChar, modes: tuple[int, int],

@@ -5,16 +5,14 @@ For the standard continuous-variable protocol the fidelity reduces to
     F = (1/pi) Int d^2 lam  exp(-|lam|^2) chi_res(-conj(lam), -lam),
 
 independent of the input amplitude (the input phase factors cancel pairwise).
-The closed-form path is the kernel's: :func:`sqbell.kernel.scheme_pf` for
-scheme states and :func:`sqbell.kernel.squeezed_bell_fidelity` for the
-analytic families.  An adaptive cubature path (Gauss-Kronrod product rule
-over a square, the resource's chi evaluated on whole node arrays)
-cross-checks it.
+The closed form is the `fidelity` every resource state carries, computed by
+the kernel when the state was built.  An adaptive cubature path
+(Gauss-Kronrod product rule over a square, the resource's chi evaluated on
+whole node arrays) cross-checks it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureConvergenceError
-from .kernel import LossyProjectorWarning, squeezed_bell_fidelity
-from .resources import SCHEME_DETECTORS, ResourceState, bell_angle, scheme_fidelities
+from .resources import ResourceState
 
 # the cubature covers [-LAMBDA_MAX, LAMBDA_MAX]^2, to atol = rtol of
 # QUADRATURE_TOL (fidelity_quadrature) or ALPHA_EXPLICIT_TOL
@@ -44,18 +41,8 @@ class FidelityResult:
 
 
 def fidelity_closed_form(res: ResourceState) -> float:
-    """The kernel's fidelity of a scheme state or an analytic family.
-
-    Raises as :func:`sqbell.resources.scheme_fidelities` does when the
-    kernel reports the scheme state degenerate or unphysical.
-    """
-    if res.family in SCHEME_DETECTORS:
-        with warnings.catch_warnings():
-            # building the state already warned about a lossy source
-            warnings.simplefilter("ignore", LossyProjectorWarning)
-            return scheme_fidelities([res.params], SCHEME_DETECTORS[res.family])[0]
-    r = res.params["r"]
-    return float(squeezed_bell_fidelity(r, bell_angle(res.family, r, res.params["delta"])))
+    """The kernel's closed-form fidelity, which every resource state carries."""
+    return res.fidelity
 
 
 def _cubature(integrand, tol: float) -> float:

@@ -158,6 +158,35 @@ def test_overflowed_heralding_probability_exit_3(capsys):
     assert "unphysical" in err
 
 
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+def test_unphysical_fidelity_fails_the_state_too(capsys):
+    # P = 4.7e-16 with a NaN fidelity: building the state already fails
+    for command in ("state", "fidelity"):
+        code, out, err = run(capsys, command, "--r", "20", "--s", "0.05",
+                             "--loss", "0.1")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "unphysical" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--family", "twin-beam", "--r", "nan"),
+    ("state", "--family", "twin-beam", "--r", "inf"),
+    ("optimize", "--family", "squeezed-bell", "--r", "-1"),
+    ("fidelity", "--family", "squeezed-bell", "--r", "1", "--delta", "nan"),
+    ("fidelity", "--r", "nan"),
+    ("fidelity", "--r", "1", "--s", "inf"),
+    ("state", "--r", "1", "--phi-zeta", "nan"),
+    ("optimize", "--r", "1", "--n-thermal", "nan"),
+    ("sweep", "--r", "nan", "--axis", "s", "--grid", "0:0.1:0.05"),
+])
+def test_non_finite_or_negative_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "finite" in err
+
+
 def test_unknown_target_exit_2(capsys):
     code = main(["reproduce", "table9"])
     capsys.readouterr()

@@ -2,6 +2,7 @@
 polynomial-Gaussian reference and a 50-digit evaluation."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sqbell import fock_sim as fs
 from sqbell import gauss_poly as gp
 from sqbell import kernel
 from sqbell.errors import DegeneratePostselectionError, PhysicalityError
-from sqbell.resources import SchemeConfig
+from sqbell.resources import SchemeConfig, scheme_state
 from sqbell.symplectic import GaussianChar, scheme_four_mode_char
 
 
@@ -64,10 +65,8 @@ def test_unphysical_success_probability():
     # projectors give P = 1.2346 > 1
     S = np.eye(8)
     S[4:, 4:] *= 0.2
-    P, status = kernel.heralding_prob(S[None], "ideal")
-    assert P[0] == pytest.approx(1.2346, abs=1e-4)
-    assert status[0] == kernel.UNPHYSICAL
     P, F, status = kernel.scheme_pf(S[None], "ideal")
+    assert P[0] == pytest.approx(1.2346, abs=1e-4)
     assert status[0] == kernel.UNPHYSICAL and np.isnan(F[0])
     k = cd.DetectorKernel.ideal()
     with pytest.raises(PhysicalityError, match="unphysical"):
@@ -133,11 +132,11 @@ def test_success_probability_consistent_with_condition():
 
 def test_success_probability_monotone_in_eta():
     S = scheme_four_mode_char(SchemeConfig(r=0.8, s=0.05)).exponent[None]
-    probs = [kernel.heralding_prob(S, "on-off", e, e)[0][0]
+    probs = [kernel.scheme_pf(S, "on-off", e, e)[0][0]
              for e in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)]
     assert all(b > a for a, b in zip(probs, probs[1:]))
     # eta -> 0 sends the success probability to zero
-    tiny = kernel.heralding_prob(S, "on-off", 1e-6, 1e-6)[0][0]
+    tiny = kernel.scheme_pf(S, "on-off", 1e-6, 1e-6)[0][0]
     assert tiny < 1e-9
 
 
@@ -147,7 +146,7 @@ def test_success_probability_no_mixing_matches_oracle():
     cfg = SchemeConfig(r=0.5, s=0.3, T1=1.0, T2=1.0)
     S = scheme_four_mode_char(cfg).exponent[None]
     eta = 0.35
-    p = kernel.heralding_prob(S, "on-off", eta, eta)[0][0]
+    p = kernel.scheme_pf(S, "on-off", eta, eta)[0][0]
     anc = fs.apply_two_mode_squeeze(fs.vacuum_state((20, 20)),
                                     fs.SqueezeParam(0.3, np.pi))
     w = fs.on_off_weights(eta, 21)
@@ -179,19 +178,20 @@ def test_onoff_lossy_conditioning_matches_fock_oracle():
 
 
 def test_lossy_projector_emits_warning():
+    # the configuration decides the warning; condition sees only the exponent
     cfg = SchemeConfig(r=0.5, s=0.02, T_loss=0.9)
-    chi4 = scheme_four_mode_char(cfg)
     with pytest.warns(cd.LossyProjectorWarning):
-        cd.condition(chi4, cd.DetectorKernel.ideal(), cd.DetectorKernel.ideal())
+        scheme_state(cfg, "ideal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", cd.LossyProjectorWarning)
+        cd.condition(scheme_four_mode_char(cfg), cd.DetectorKernel.ideal(),
+                     cd.DetectorKernel.ideal())
 
 
 def test_lossless_projector_no_warning():
-    cfg = SchemeConfig(r=0.5, s=0.02)
-    chi4 = scheme_four_mode_char(cfg)
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error", cd.LossyProjectorWarning)
-        cd.condition(chi4, cd.DetectorKernel.ideal(), cd.DetectorKernel.ideal())
+        scheme_state(SchemeConfig(r=0.5, s=0.02), "ideal")
 
 
 def test_condition_requires_one_detector_kind():

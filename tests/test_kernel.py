@@ -186,6 +186,25 @@ def test_lossy_projector_warning_on_kernel_path():
         rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "on-off")
 
 
+@pytest.mark.parametrize("r", [6.0, 8.0, 10.0, 15.0, 20.0])
+def test_lossless_source_never_warns(r):
+    # at these r the log-determinant of S is lost to roundoff
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LossyProjectorWarning)
+        rs.scheme_pf([rs.SchemeConfig(r=r, s=0.05)], "ideal")
+
+
+@pytest.mark.parametrize("noise", [dict(T_loss=0.9), dict(n_thermal=0.1)])
+@pytest.mark.parametrize("r", [3.0, 20.0])
+def test_lossy_source_warns_with_ideal_projectors_only(r, noise):
+    cfg = rs.SchemeConfig(r=r, s=0.05, **noise)
+    with pytest.warns(LossyProjectorWarning):
+        rs.scheme_pf([rs.SchemeConfig(r=0.5), cfg], "ideal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LossyProjectorWarning)
+        rs.scheme_pf([cfg], "on-off")
+
+
 def test_lossy_projector_warning_points_at_the_caller():
     cfg = rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)
     for call in (lambda: rs.scheme_state(cfg, "ideal"),

@@ -43,6 +43,12 @@ def test_conditioning_imports_no_higher_layer():
     assert not imported("conditioning") & higher
 
 
+def test_teleport_imports_nothing_from_the_kernel():
+    # the closed-form fidelity is read from the state; the cubature
+    # integrates chi only
+    assert "sqbell.kernel" not in imported("teleport")
+
+
 def test_fock_oracle_imports_none_of_the_paths_it_checks():
     checked = {f"sqbell.{m}" for m in ("kernel", "conditioning", "teleport",
                                        "optimize", "cli")}

@@ -8,6 +8,7 @@ import pytest
 from sqbell import optimize as op
 from sqbell import resources as rs
 from sqbell import teleport as tp
+from sqbell.conditioning import status_error
 from sqbell.errors import DegeneratePostselectionError
 from sqbell.kernel import LossyProjectorWarning
 
@@ -91,18 +92,28 @@ def _outcome(cfg, detector, optimize=op.optimize_s):
         return type(exc), str(exc)
 
 
+def _fidelities(cfgs, detector):
+    """resources.scheme_pf's F of each configuration; raises the
+    status_error of the first configuration that is not OK."""
+    P, F, status = rs.scheme_pf(cfgs, detector)
+    for p, st in zip(P, status):
+        error = status_error(p, st)
+        if error is not None:
+            raise error
+    return [float(f) for f in F]
+
+
 def scalar_optimize_s(cfg, detector):
     """The optimizer one point per kernel call: the coarse grid, then a
     golden-section loop on the bracket around its maximum."""
     def f(s):
-        return rs.scheme_fidelities([cfg.with_(s=float(s))], detector)[0]
+        return _fidelities([cfg.with_(s=float(s))], detector)[0]
 
     if cfg.r == 0.0:
         f0 = f(0.0)
         return op.OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
     grid = np.linspace(0.0, cfg.r, op.COARSE_POINTS)
-    values = np.array(rs.scheme_fidelities([cfg.with_(s=float(s)) for s in grid],
-                                           detector))
+    values = np.array(_fidelities([cfg.with_(s=float(s)) for s in grid], detector))
     trace = [(float(s), float(v)) for s, v in zip(grid, values)]
     if values.max() - values.min() < 1e-12:
         return op.OptResult(0.0, float(values[0]), tuple(trace), (0.0, 0.0),

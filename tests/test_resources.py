@@ -2,13 +2,17 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from sqbell import fock_sim as fs
+from sqbell import kernel
 from sqbell import resources as rs
-from sqbell.errors import ZeroNormStateError
+from sqbell.errors import PhysicalityError, ZeroNormStateError
+from sqbell.kernel import LossyProjectorWarning
+from sqbell.optimize import optimize_delta
 from sqbell.symplectic import SqueezeParam, two_mode_squeezed_char
 
 RNG = np.random.default_rng(77)
@@ -97,6 +101,9 @@ def test_oracle_rejects_what_theoretical_state_rejects(family):
 def test_family_argument_validation():
     with pytest.raises(ValueError):
         rs.theoretical_state("squeezed-bell", 1.0)  # missing delta
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rs.theoretical_state("squeezed-bell", 1.0, delta)
     with pytest.raises(ValueError):
         rs.theoretical_state("twin-beam", 1.0, 0.3)  # spurious delta
     with pytest.raises(ValueError):
@@ -170,6 +177,65 @@ def test_scheme_config_validation():
         rs.SchemeConfig(r=1.0, eta3=1.5)
     with pytest.raises(ValueError):
         rs.SchemeConfig(r=1.0, T_loss=1.2)
+
+
+@pytest.mark.parametrize("field", ["r", "s", "phi_zeta", "phi_xi", "T1", "T2",
+                                   "T_loss", "eta3", "eta4", "n_thermal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scheme_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError):
+        rs.SchemeConfig(**{"r": 1.0, field: value})
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, -1.0])
+def test_theoretical_families_reject_bad_squeezing(r):
+    for family in rs.THEORETICAL_FAMILIES:
+        delta = 0.3 if family == "squeezed-bell" else None
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            rs.theoretical_state(family, r, delta)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        optimize_delta(r)
+
+
+# the scheme configurations of the oracle cross-check
+CROSSCHECK_SCHEME = (
+    ("ideal", rs.SchemeConfig(r=0.6, s=0.01)),
+    ("ideal", rs.SchemeConfig(r=0.8, s=0.005, T1=0.995, T2=0.995)),
+    ("ideal", rs.SchemeConfig(r=0.6, s=0.01, T_loss=0.85)),
+    ("on-off", rs.SchemeConfig(r=0.6, s=0.01)),
+    ("on-off", rs.SchemeConfig(r=0.8, s=0.05, eta3=0.3, eta4=0.2)),
+    ("on-off", rs.SchemeConfig(r=0.6, s=0.01, T_loss=0.85)),
+    ("on-off", rs.SchemeConfig(r=0.8, s=0.02, T_loss=0.85)),
+)
+
+
+@pytest.mark.parametrize("detector, cfg", CROSSCHECK_SCHEME)
+def test_scheme_state_carries_the_kernel_fidelity(detector, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        state = rs.scheme_state(cfg, detector)
+        P, F, _ = rs.scheme_pf([cfg], detector)
+    assert np.float64(state.fidelity).tobytes() == F[0].tobytes()
+    assert np.float64(state.success_prob).tobytes() == P[0].tobytes()
+
+
+def test_theoretical_state_carries_the_squeezed_bell_fidelity():
+    for family, r in itertools.product(rs.THEORETICAL_FAMILIES, (0.3, 1.6)):
+        delta = 0.7 if family == "squeezed-bell" else None
+        state = rs.theoretical_state(family, r, delta)
+        expected = kernel.squeezed_bell_fidelity(r, rs.bell_angle(family, r, delta))
+        assert state.fidelity == expected
+
+
+def test_scheme_state_judges_the_fidelity_too():
+    # P = 4.7e-16 is no degeneracy, but the fidelity is NaN
+    cfg = rs.SchemeConfig(r=20.0, s=0.05, T_loss=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        P, F, status = rs.scheme_pf([cfg], "ideal")
+        assert P[0] > 0.0 and np.isnan(F[0]) and status[0] == kernel.UNPHYSICAL
+        with pytest.raises(PhysicalityError):
+            rs.scheme_state(cfg, "ideal")
 
 
 def test_scheme_config_roundtrip():
