@@ -33,7 +33,7 @@ polynomial, each exponent and polynomial a quadratic form in (b1, b2).
 
 `scheme_pf` alone decides each point's status, from its P and F together.
 Nothing that takes exponents warns; :func:`warn_if_lossy` reads a lossy
-source from the configurations.
+source from the T_loss row of the parameter columns.
 
 The squeezed Bell family, which holds every analytic reference resource,
 has a closed-form characteristic function and fidelity,
@@ -44,6 +44,7 @@ This module imports nothing beyond numpy.
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 import warnings
@@ -61,6 +62,9 @@ _PACKAGE_DIR = os.path.dirname(__file__)
 
 SOURCE_FIELDS = ("r", "s", "phi_zeta", "phi_xi", "T1", "T2", "T_loss",
                  "n_thermal", "loss_on_detector_modes")
+# the rows of a parameter column array: the source fields, then the detectors'
+COLUMN_FIELDS = SOURCE_FIELDS + ("eta3", "eta4")
+_T_LOSS_ROW = COLUMN_FIELDS.index("T_loss")
 
 # (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v
 _LAMBDA_MAP = np.zeros((8, 6))
@@ -72,15 +76,22 @@ class LossyProjectorWarning(UserWarning):
     """Ideal single-photon projectors combined with a lossy source function."""
 
 
-def warn_if_lossy(detector: str, cfgs) -> None:
+def warn_if_lossy(detector: str, columns) -> None:
     """Warn when ideal projectors see a mixed source: `detector` is 'ideal'
-    and any of the objects `cfgs` has T_loss < 1 or n_thermal > 0.
+    and any entry of the T_loss row of the parameter columns `columns` (as
+    :func:`columns_of` gives) is below one.  Thermal noise enters the source
+    only through (2 n_thermal + 1)(1 - T_loss), so at T_loss = 1 the source
+    is pure whatever n_thermal is.
 
-    The warning points at the first caller outside this package."""
-    if detector == "ideal" and any(c.T_loss < 1.0 or c.n_thermal > 0.0 for c in cfgs):
+    The warning points at the first caller outside this package; where that
+    frame is no source file (runpy's, under ``python -m``), at the outermost
+    frame inside the package instead."""
+    if detector == "ideal" and np.any(columns[_T_LOSS_ROW] < 1.0):
         frame, level = sys._getframe(1), 2
         while frame and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
             frame, level = frame.f_back, level + 1
+        if frame and frame.f_code.co_filename.startswith("<"):
+            level -= 1
         warnings.warn("ideal single-photon projectors combined with a lossy source",
                       LossyProjectorWarning, stacklevel=level)
 
@@ -152,10 +163,17 @@ def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
     return 0.5 * (S + np.swapaxes(S, 1, 2))
 
 
+def columns_of(cfgs) -> np.ndarray:
+    """Parameter columns of a sequence of objects carrying COLUMN_FIELDS:
+    shape (len(COLUMN_FIELDS), n), one row per field."""
+    fields = operator.attrgetter(*COLUMN_FIELDS)
+    return np.array([fields(c) for c in cfgs], dtype=float).reshape(
+        -1, len(COLUMN_FIELDS)).T
+
+
 def exponents_of(cfgs) -> np.ndarray:
-    """source_exponents over a sequence of objects carrying SOURCE_FIELDS."""
-    return source_exponents(*(np.array([getattr(c, f) for c in cfgs], dtype=float)
-                              for f in SOURCE_FIELDS))
+    """source_exponents over a sequence of objects carrying COLUMN_FIELDS."""
+    return source_exponents(*columns_of(cfgs)[:len(SOURCE_FIELDS)])
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +186,11 @@ def _det2(X):
 
 
 def _inv2(X):
-    adj = np.stack([np.stack([X[:, 1, 1], -X[:, 0, 1]], -1),
-                    np.stack([-X[:, 1, 0], X[:, 0, 0]], -1)], -2)
+    adj = np.empty_like(X)
+    adj[:, 0, 0] = X[:, 1, 1]
+    adj[:, 0, 1] = -X[:, 0, 1]
+    adj[:, 1, 0] = -X[:, 1, 0]
+    adj[:, 1, 1] = X[:, 0, 0]
     return adj / _det2(X)[:, None, None]
 
 
@@ -354,6 +375,14 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     status = _status(P, p_scale, F)
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status
+
+
+def columns_pf(columns, detector: str):
+    """:func:`scheme_pf` of the points whose parameters are the columns of
+    `columns` (one row per COLUMN_FIELDS entry, as :func:`columns_of`
+    gives)."""
+    n = len(SOURCE_FIELDS)
+    return scheme_pf(source_exponents(*columns[:n]), detector, *columns[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The optimizer is a deterministic coarse grid followed by golden-section
 refinement of the bracket around the grid maximum.  The searches of many
 configurations run in lockstep, each stage of all of them one batched call
-of the closed-form kernel.  Sweeps evaluate all their rows in one batched
-call, optionally nesting the optimizer, and record per-point errors without
-aborting the campaign.
+of the closed-form kernel on parameter columns (one float row per field,
+one column per point; no configuration object per point).  Sweeps
+evaluate all their rows in one batched call, optionally nesting the
+optimizer, and record per-point errors without aborting the campaign.
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ import numpy as np
 from . import kernel
 from .conditioning import status_error
 from .errors import DegeneratePostselectionError
-from .resources import SCHEME_DETECTORS, SchemeConfig, scheme_pf
+from .resources import SCHEME_DETECTORS, SchemeConfig
 
 COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_S_ROW, _R_ROW = kernel.COLUMN_FIELDS.index("s"), kernel.COLUMN_FIELDS.index("r")
+# the parameter rows each sweep axis sets
+_AXIS_ROWS = {axis: [kernel.COLUMN_FIELDS.index(f) for f in fields]
+              for axis, fields in (("s", ("s",)), ("r", ("r",)), ("loss", ("T_loss",)),
+                                   ("T", ("T1", "T2")), ("eta", ("eta3", "eta4")))}
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,15 @@ class SweepSpec:
             return self.base.with_(T1=value, T2=value)
         return self.base.with_(eta3=value, eta4=value)
 
+    def columns(self) -> np.ndarray:
+        """Parameter columns of every grid point (see
+        :func:`sqbell.kernel.columns_of`): the base configuration's, with the
+        axis rows set to the floats :meth:`config_at` gives."""
+        columns = np.repeat(kernel.columns_of([self.base]), len(self.grid), axis=1)
+        grid = np.array(self.grid)
+        columns[_AXIS_ROWS[self.axis]] = 1.0 - grid if self.axis == "loss" else grid
+        return columns
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -71,22 +86,15 @@ class OptResult:
     multi_peak: bool = False
 
 
-def _s_evaluator(cfgs, detector: str):
-    """The function (idx, s) -> (F, errors) of the configurations cfgs[idx]
-    with s replaced: one kernel call over the whole batch of points, whose
-    exponents are built from the configurations' field arrays.  `errors`
-    holds the :func:`status_error` of each point, or None where it is OK."""
-    fields = np.array([[getattr(c, f) for f in kernel.SOURCE_FIELDS] for c in cfgs],
-                      dtype=float)
-    eta3 = np.array([c.eta3 for c in cfgs], dtype=float)
-    eta4 = np.array([c.eta4 for c in cfgs], dtype=float)
-    s_col = kernel.SOURCE_FIELDS.index("s")
-
+def _s_evaluator(columns, detector: str):
+    """The function (idx, s) -> (F, errors) of the points columns[:, idx]
+    with s replaced: one kernel call over the whole batch of points.
+    `errors` holds the :func:`status_error` of each point, or None where it
+    is OK."""
     def evaluate(idx, s):
-        columns = fields[idx].T.copy()
-        columns[s_col] = s
-        P, F, status = kernel.scheme_pf(kernel.source_exponents(*columns), detector,
-                                        eta3[idx], eta4[idx])
+        points = columns[:, idx]
+        points[_S_ROW] = s
+        P, F, status = kernel.columns_pf(points, detector)
         return F, [status_error(p, st) for p, st in zip(P, status)]
 
     return evaluate
@@ -115,18 +123,26 @@ def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception
     error in place of its result; the other searches go on.  Warns as
     :func:`sqbell.resources.scheme_pf` does.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
+    columns = kernel.columns_of(cfgs)
+    kernel.warn_if_lossy(detector, columns)
+    return _optimize_columns(columns, detector)
+
+
+def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
+    """:func:`optimize_s_many` of the points of the parameter columns
+    `columns`; does not warn."""
+    n = columns.shape[1]
+    if not n:
         return []
-    kernel.warn_if_lossy(detector, cfgs)
-    evaluate = _s_evaluator(cfgs, detector)
-    results: list[OptResult | Exception | None] = [None] * len(cfgs)
+    r = columns[_R_ROW].tolist()
+    evaluate = _s_evaluator(columns, detector)
+    results: list[OptResult | Exception | None] = [None] * n
 
     # one point at s = 0 where r = 0, else the coarse grid
-    grids = [np.linspace(0.0, c.r, COARSE_POINTS) if c.r != 0.0 else np.zeros(1)
-             for c in cfgs]
+    grids = [np.linspace(0.0, ri, COARSE_POINTS) if ri != 0.0 else np.zeros(1)
+             for ri in r]
     sizes = [len(g) for g in grids]
-    F, errors = evaluate(np.repeat(np.arange(len(cfgs)), sizes), np.concatenate(grids))
+    F, errors = evaluate(np.repeat(np.arange(n), sizes), np.concatenate(grids))
     traces: list[list[tuple[float, float]]] = []
     multi_peak: dict[int, bool] = {}
     search = []  # (index, lo, hi) of each bracket to refine
@@ -139,7 +155,7 @@ def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception
         if error is not None:
             results[i] = error
             continue
-        if cfgs[i].r == 0.0:
+        if r[i] == 0.0:
             results[i] = OptResult(0.0, trace[0][1], tuple(trace), (0.0, 0.0),
                                    plateau=True)
             continue
@@ -252,36 +268,42 @@ def _describe(exc: Exception) -> str:
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point of the spec; rows keep their grid order.
 
-    All points go through the closed-form kernel in one batched call (after
-    :func:`optimize_s_many` over all points when `optimize_s_at_each`); a
-    point that fails records its error in its own row.
+    The points are the parameter columns of :meth:`SweepSpec.columns`; one
+    batched kernel call evaluates all of them (after the lockstep search of
+    :func:`optimize_s_many` over all of them when `optimize_s_at_each`, at
+    the s* of each point it optimized); a point that fails records its
+    error in its own row.  Warns as :func:`sqbell.resources.scheme_pf` does.
     """
     rows = [SweepRow(axis=spec.axis, value=v) for v in spec.grid]
-    cfgs = [spec.config_at(row.value) for row in rows]
-    todo = list(zip(rows, cfgs))
+    columns = spec.columns()
+    kernel.warn_if_lossy(spec.detector, columns)
+    todo = rows
     if spec.optimize_s_at_each:
         try:
-            opts = optimize_s_many(cfgs, spec.detector)
+            opts = _optimize_columns(columns, spec.detector)
         except Exception as exc:  # recorded in every row, sweep returns
             for row in rows:
                 row.error = _describe(exc)
             return rows
-        todo = []
-        for row, cfg, opt in zip(rows, cfgs, opts):
+        ok = []
+        for i, (row, opt) in enumerate(zip(rows, opts)):
             if isinstance(opt, Exception):  # recorded in-row, sweep continues
                 row.error = _describe(opt)
             else:
                 row.s_star = opt.s_star
-                todo.append((row, cfg.with_(s=opt.s_star)))
+                ok.append(i)
+        todo = [rows[i] for i in ok]
+        columns = columns[:, ok]
+        columns[_S_ROW] = [row.s_star for row in todo]
     if not todo:
         return rows
     try:
-        P, F, status = scheme_pf([cfg for _, cfg in todo], spec.detector)
+        P, F, status = kernel.columns_pf(columns, spec.detector)
     except Exception as exc:  # recorded in every row, sweep returns
-        for row, _ in todo:
+        for row in todo:
             row.error = _describe(exc)
         return rows
-    for (row, _), p, f, st in zip(todo, P, F, status):
+    for row, p, f, st in zip(todo, P, F, status):
         exc = status_error(p, st)
         if exc is not None:
             row.error = _describe(exc)

@@ -152,7 +152,7 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
         d4 = DetectorKernel.on_off(cfg.eta4)
     else:
         raise ValueError(f"unknown detector kind {detector!r}")
-    kernel.warn_if_lossy(detector, [cfg])
+    kernel.warn_if_lossy(detector, kernel.columns_of([cfg]))
     family = next(f for f, d in SCHEME_DETECTORS.items() if d == detector)
     cond = condition(chi4, d3, d4)
     return ResourceState(family, cond.chi, cfg, cond.fidelity, cond.success_prob)
@@ -165,10 +165,9 @@ def scheme_pf(cfgs, detector: str = "ideal"):
     the closed-form fidelity of a :func:`scheme_state`; warns as
     :func:`scheme_state` does.
     """
-    cfgs = list(cfgs)
-    kernel.warn_if_lossy(detector, cfgs)
-    return kernel.scheme_pf(kernel.exponents_of(cfgs), detector,
-                            [c.eta3 for c in cfgs], [c.eta4 for c in cfgs])
+    columns = kernel.columns_of(cfgs)
+    kernel.warn_if_lossy(detector, columns)
+    return kernel.columns_pf(columns, detector)
 
 
 def delta_equivalent(cfg: SchemeConfig) -> float:

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -317,3 +320,17 @@ def test_json_output_roundtrip(tmp_path, capsys):
     record = json.loads(out_file.read_text())
     assert record["family"] == "twin-beam"
     assert 0.9 < record["fidelity"] < 1.0
+
+
+def test_module_entry_point_attributes_the_warning_to_a_source_file():
+    # under `python -m` the first frame outside the package is runpy's
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(kernel.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "sqbell.cli", "state", "--r", "0.5",
+         "--s", "0.05", "--loss", "0.1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert "LossyProjectorWarning" in proc.stderr
+    assert "<frozen" not in proc.stderr

@@ -194,7 +194,7 @@ def test_lossless_source_never_warns(r):
         rs.scheme_pf([rs.SchemeConfig(r=r, s=0.05)], "ideal")
 
 
-@pytest.mark.parametrize("noise", [dict(T_loss=0.9), dict(n_thermal=0.1)])
+@pytest.mark.parametrize("noise", [dict(T_loss=0.9), dict(T_loss=0.9, n_thermal=0.1)])
 @pytest.mark.parametrize("r", [3.0, 20.0])
 def test_lossy_source_warns_with_ideal_projectors_only(r, noise):
     cfg = rs.SchemeConfig(r=r, s=0.05, **noise)
@@ -205,12 +205,28 @@ def test_lossy_source_warns_with_ideal_projectors_only(r, noise):
         rs.scheme_pf([cfg], "on-off")
 
 
+def test_thermal_occupation_without_loss_does_not_warn():
+    # n_thermal enters only through 1 - T_loss: at T_loss = 1 the source is pure
+    cfg = rs.SchemeConfig(r=0.5, s=0.05, n_thermal=0.1)
+    assert np.array_equal(kernel.exponents_of([cfg]),
+                          kernel.exponents_of([cfg.with_(n_thermal=0.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LossyProjectorWarning)
+        rs.scheme_pf([cfg], "ideal")
+        rs.scheme_state(cfg, "ideal")
+        op.optimize_s(cfg, "ideal")
+        op.sweep(op.SweepSpec(base=cfg, axis="r", grid=(0.5, 1.0)))
+
+
 def test_lossy_projector_warning_points_at_the_caller():
     cfg = rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)
     for call in (lambda: rs.scheme_state(cfg, "ideal"),
                  lambda: rs.scheme_pf([cfg], "ideal"),
                  lambda: op.optimize_s(cfg, "ideal"),
-                 lambda: op.optimize_s_many([cfg], "ideal")):
+                 lambda: op.optimize_s_many([cfg], "ideal"),
+                 lambda: op.sweep(op.SweepSpec(base=cfg, axis="s", grid=(0.0, 0.02))),
+                 lambda: op.sweep(op.SweepSpec(base=cfg, axis="s", grid=(0.0, 0.02),
+                                               optimize_s_at_each=True))):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()

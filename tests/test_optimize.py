@@ -1,5 +1,6 @@
 """Tests for the fidelity optimizer and sweep campaigns."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -219,6 +220,15 @@ def test_sweep_spec_validation():
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="T", grid=(0.5, 1.5))
 
 
+@pytest.mark.parametrize("axis, grid", [
+    ("s", (0.1, float("nan"), 0.3)), ("s", (0.1, float("inf"))),
+    ("loss", (0.1, float("nan"), 0.3)), ("r", (0.5, float("inf")))])
+def test_sweep_spec_rejects_non_finite_grid_points(axis, grid):
+    # every grid point goes through SchemeConfig's rules when the spec is built
+    with pytest.raises(ValueError):
+        op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis=axis, grid=grid)
+
+
 def test_sweep_spec_rejects_unknown_detector():
     with pytest.raises(ValueError, match="unknown detector kind 'pnr'"):
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="s", grid=(0.1,),
@@ -267,3 +277,73 @@ def test_nested_optimization_keeps_per_row_errors():
             assert row.error == f"{prefix}: {message}"
             assert row.s_star is None and row.fidelity is None
     assert [row.error is None for row in rows] == [False, True, False]
+
+
+# a lossy base with thermal noise, and a base with vacuum ancillas whose
+# points fail (degenerate at r = 0 or s = 0, unphysical at r = 30)
+COLUMN_BASES = (rs.SchemeConfig(r=1.2, s=0.05, T1=0.95, T2=0.97, T_loss=0.9,
+                                eta3=0.3, eta4=0.2, n_thermal=0.2),
+                rs.SchemeConfig(r=0.0, T1=0.9, T2=0.9))
+COLUMN_GRIDS = {"s": (0.0, 0.05, 0.3), "r": (0.0, 0.8, 30.0),
+                "loss": (0.0, 0.1, 0.25), "T": (0.9, 0.99, 1.0),
+                "eta": (0.1, 0.5, 1.0)}
+
+
+def _expected_row(spec, value, cfg, s_star=None):
+    """The sweep row of one configuration from resources.scheme_pf."""
+    (p,), (f,), (st,) = rs.scheme_pf([cfg], spec.detector)
+    error = status_error(p, st)
+    if error is not None:
+        return op.SweepRow(spec.axis, value, s_star=s_star, error=op._describe(error))
+    return op.SweepRow(spec.axis, value, float(f), float(p), s_star)
+
+
+@pytest.mark.parametrize("optimize_s_at_each", [False, True])
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_sweep_columns_match_configurations_bit_for_bit(detector, optimize_s_at_each):
+    rows, expected = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        for base, (axis, grid) in itertools.product(COLUMN_BASES, COLUMN_GRIDS.items()):
+            spec = op.SweepSpec(base=base, axis=axis, grid=grid,
+                                detector=detector, optimize_s_at_each=optimize_s_at_each)
+            rows += op.sweep(spec)
+            for value in grid:
+                cfg = spec.config_at(value)
+                if not optimize_s_at_each:
+                    expected.append(_expected_row(spec, value, cfg))
+                    continue
+                try:
+                    opt = op.optimize_s(cfg, detector)
+                except Exception as exc:
+                    expected.append(op.SweepRow(axis, value, error=op._describe(exc)))
+                    continue
+                row = _expected_row(spec, value, cfg.with_(s=opt.s_star), opt.s_star)
+                assert row.fidelity == opt.f_star
+                expected.append(row)
+    assert rows == expected
+    assert any(row.error is not None for row in rows)
+    assert any(row.error is None for row in rows)
+
+
+@pytest.mark.parametrize("optimize_s_at_each", [False, True])
+def test_sweep_builds_no_configuration_per_point(monkeypatch, optimize_s_at_each):
+    base = rs.SchemeConfig(r=1.0, T_loss=0.9, eta3=0.3, eta4=0.3)
+    specs = [op.SweepSpec(base=base, axis="T", grid=tuple(np.linspace(0.9, 0.99, n)),
+                          detector="on-off", optimize_s_at_each=optimize_s_at_each)
+             for n in (3, 61)]
+    post_init = rs.SchemeConfig.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(rs.SchemeConfig, "__post_init__", counting)
+    counts = []
+    for spec in specs:
+        built.clear()
+        rows = op.sweep(spec)
+        assert all(row.error is None for row in rows)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
