@@ -25,7 +25,14 @@ from .errors import (
     ZeroNormStateError,
 )
 from .kernel import squeezed_bell_fidelity
-from .optimize import SweepSpec, optimize_delta, optimize_s, optimize_s_many, sweep
+from .optimize import (
+    SWEEP_AXES,
+    SweepSpec,
+    optimize_delta,
+    optimize_s,
+    optimize_s_many,
+    sweep,
+)
 from .resources import (
     SCHEME_DETECTORS,
     SCHEME_FAMILIES,
@@ -416,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="scan one parameter axis")
     _add_scheme_args(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
-                         choices=("s", "r", "loss", "T", "eta"))
+    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--grid", required=True, help="start:stop:step")
     p_sweep.add_argument("--optimize", action="store_true",
                          help="optimize s at each grid point")

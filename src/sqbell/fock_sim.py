@@ -385,15 +385,6 @@ def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _shift_order(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices row * dim + col of a dim x dim matrix ordered by the shift
-    row - col, from -(dim - 1) to dim - 1, and by col within a shift; and the
-    2 dim edges of the shift blocks in that order."""
-    rows, cols = np.indices((dim, dim)).reshape(2, -1)
-    sizes = dim - np.abs(np.arange(1 - dim, dim))
-    return np.lexsort((cols, rows - cols)), np.concatenate([[0], np.cumsum(sizes)])
-
-
 def _phases(alphas: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
     """The complex factor P_q of every displacement element of shift q = m - n,
     row q + dim - 1 for q = -(dim - 1) .. dim - 1, one column per amplitude:
@@ -445,28 +436,17 @@ def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _displacement_diagonals(alphas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Displacement matrix elements <m|D(alpha)|n> = P_(m-n) R_|m-n|(min(m, n))
-    in `_shift_order` of (m, n), shape (dim^2, batch); R is computed once per
-    distinct |alpha|^2."""
+def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
+    """Displacement matrices <m|D(alpha)|n> = P_(m-n) R_|m-n|(min(m, n)),
+    shape (dim, dim, batch); R is computed once per distinct |alpha|^2."""
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     dim = cutoff + 1
     x = np.abs(alphas) ** 2
     xs, point = np.unique(x, return_inverse=True)
-    rows, cols = np.divmod(_shift_order(dim)[0], dim)
-    shift = rows - cols
-    P = _phases(alphas, x, dim)[shift + dim - 1]
-    R = _laguerre_factors(xs, dim)[_tri_index(np.abs(shift), np.minimum(rows, cols), dim)]
-    return P * R[:, point]
-
-
-def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Displacement matrices <m|D(alpha)|n>, shape (dim, dim, batch)."""
-    dim = cutoff + 1
-    diagonals = _displacement_diagonals(alphas, cutoff)
-    out = np.empty_like(diagonals)
-    out[_shift_order(dim)[0]] = diagonals
-    return out.reshape(dim, dim, -1)
+    m, n = np.indices((dim, dim))
+    P = _phases(alphas, x, dim)[m - n + dim - 1]
+    R = _laguerre_factors(xs, dim)[_tri_index(np.abs(m - n), np.minimum(m, n), dim)]
+    return P * R[..., point]
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Fidelity maximization over the ancillary squeezing, and sweep campaigns.
 
 The optimizer is a deterministic coarse grid followed by golden-section
-refinement of the bracket around the grid maximum.  The searches of many
-configurations run in lockstep, each stage of all of them one batched call
-of the closed-form kernel on parameter columns (one float row per field,
-one column per point; no configuration object per point).  Sweeps
+refinement of the bracket around the grid maximum, written once as a
+generator per configuration.  The searches of many configurations run in
+lockstep, each round of all of them one batched call of the closed-form
+kernel on parameter columns (one float row per field, one column per point;
+no configuration object per point).  Sweeps
 evaluate all their rows in one batched call, optionally nesting the
 optimizer, and record per-point errors without aborting the campaign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,12 +25,13 @@ from .resources import SCHEME_DETECTORS, SchemeConfig
 
 COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _S_ROW, _R_ROW = kernel.COLUMN_FIELDS.index("s"), kernel.COLUMN_FIELDS.index("r")
-# the parameter rows each sweep axis sets
-_AXIS_ROWS = {axis: [kernel.COLUMN_FIELDS.index(f) for f in fields]
-              for axis, fields in (("s", ("s",)), ("r", ("r",)), ("loss", ("T_loss",)),
-                                   ("T", ("T1", "T2")), ("eta", ("eta3", "eta4")))}
+# each sweep axis: the configuration fields it sets, and their value at an
+# axis value (a float or an array of them)
+SWEEP_AXES = {"s": (("s",), lambda v: v), "r": (("r",), lambda v: v),
+              "loss": (("T_loss",), lambda v: 1.0 - v),
+              "T": (("T1", "T2"), lambda v: v), "eta": (("eta3", "eta4"), lambda v: v)}
 
 
 @dataclass(frozen=True)
@@ -36,43 +39,40 @@ class SweepSpec:
     """One sweep campaign: a base configuration and the axis to scan."""
 
     base: SchemeConfig
-    axis: str  # 's' | 'r' | 'loss' | 'T' | 'eta'
+    axis: str  # a key of SWEEP_AXES
     grid: tuple[float, ...]
     detector: str = "ideal"
     optimize_s_at_each: bool = False
 
     def __post_init__(self):
-        if self.axis not in ("s", "r", "loss", "T", "eta"):
+        if self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if self.detector not in SCHEME_DETECTORS.values():
             raise ValueError(f"unknown detector kind {self.detector!r}")
         g = tuple(float(v) for v in self.grid)
         if not g:
             raise ValueError("sweep grid is empty")
+        if not all(math.isfinite(v) for v in g):
+            raise ValueError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", g)
-        for v in g:
-            self.config_at(v)  # validates range via SchemeConfig
+        # each SchemeConfig rule is an interval, and each axis sets its fields
+        # monotonically, so the endpoints validate every point between them
+        self.config_at(g[0])
+        self.config_at(g[-1])
 
     def config_at(self, value: float) -> SchemeConfig:
-        if self.axis == "s":
-            return self.base.with_(s=value)
-        if self.axis == "r":
-            return self.base.with_(r=value)
-        if self.axis == "loss":
-            return self.base.with_(T_loss=1.0 - value)
-        if self.axis == "T":
-            return self.base.with_(T1=value, T2=value)
-        return self.base.with_(eta3=value, eta4=value)
+        fields, at = SWEEP_AXES[self.axis]
+        return self.base.with_(**dict.fromkeys(fields, at(value)))
 
     def columns(self) -> np.ndarray:
         """Parameter columns of every grid point (see
         :func:`sqbell.kernel.columns_of`): the base configuration's, with the
         axis rows set to the floats :meth:`config_at` gives."""
         columns = np.repeat(kernel.columns_of([self.base]), len(self.grid), axis=1)
-        grid = np.array(self.grid)
-        columns[_AXIS_ROWS[self.axis]] = 1.0 - grid if self.axis == "loss" else grid
+        fields, at = SWEEP_AXES[self.axis]
+        columns[[kernel.COLUMN_FIELDS.index(f) for f in fields]] = at(np.array(self.grid))
         return columns
 
 
@@ -84,20 +84,6 @@ class OptResult:
     bracket: tuple[float, float]
     plateau: bool = False
     multi_peak: bool = False
-
-
-def _s_evaluator(columns, detector: str):
-    """The function (idx, s) -> (F, errors) of the points columns[:, idx]
-    with s replaced: one kernel call over the whole batch of points.
-    `errors` holds the :func:`status_error` of each point, or None where it
-    is OK."""
-    def evaluate(idx, s):
-        points = columns[:, idx]
-        points[_S_ROW] = s
-        P, F, status = kernel.columns_pf(points, detector)
-        return F, [status_error(p, st) for p, st in zip(P, status)]
-
-    return evaluate
 
 
 def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
@@ -114,13 +100,13 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
 def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception]:
     """:func:`optimize_s` of each configuration, the searches run in lockstep.
 
-    One kernel call evaluates the coarse grids of all configurations, one
-    the opening points of every golden-section bracket, one each later step
-    of the brackets still wider than BRACKET_TOL, and one the final
-    midpoints.  The kernel is batch-invariant bit for bit, so each search
-    visits the same points, and returns the same result, as on its own.  A
-    configuration whose point is degenerate or unphysical gets that point's
-    error in place of its result; the other searches go on.  Warns as
+    Each round is one kernel call on the points every unfinished search asks
+    for next: the coarse grids, then the opening points of the brackets,
+    then one golden-section step or final midpoint per search.  The kernel
+    is batch-invariant bit for bit, so each search visits the same points,
+    and returns the same result, as on its own.  A configuration whose point
+    is degenerate or unphysical gets that point's error in place of its
+    result; the other searches go on.  Warns as
     :func:`sqbell.resources.scheme_pf` does.
     """
     columns = kernel.columns_of(cfgs)
@@ -128,101 +114,72 @@ def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception
     return _optimize_columns(columns, detector)
 
 
+def _search(r: float):
+    """The search of one configuration at squeezing r: yields each array of
+    s it needs evaluated, is sent their F, and returns its OptResult."""
+    if r == 0.0:  # [0, r] is the one point s = 0
+        (f0,) = (yield np.zeros(1)).tolist()
+        return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
+    grid = np.linspace(0.0, r, COARSE_POINTS)
+    values = yield grid
+    trace = list(zip(grid.tolist(), values.tolist()))
+    if float(values.max() - values.min()) < 1e-12:
+        return OptResult(0.0, float(values[0]), tuple(trace), (0.0, 0.0), plateau=True)
+    # unimodality on [0, r] is assumed by the bracketing step, not proven;
+    # flag any coarse-grid evidence against it
+    k = int(np.argmax(values))
+    peaks = sum(1 for j in range(1, COARSE_POINTS - 1)
+                if values[j - 1] < values[j] > values[j + 1])
+    multi_peak = peaks > 1 or (peaks == 1 and k in (0, COARSE_POINTS - 1))
+    a, b = float(grid[max(0, k - 1)]), float(grid[min(COARSE_POINTS - 1, k + 1)])
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = (yield np.array([c, d])).tolist()
+    trace += [(c, fc), (d, fd)]
+    while b - a > BRACKET_TOL:
+        if fc > fd:  # the maximum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            (fc,) = (yield np.array([c])).tolist()
+            trace.append((c, fc))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            (fd,) = (yield np.array([d])).tolist()
+            trace.append((d, fd))
+    s_star = 0.5 * (a + b)
+    (f_star,) = (yield np.array([s_star])).tolist()
+    trace.append((s_star, f_star))
+    best_s, best_f = max(trace, key=lambda t: t[1])
+    if best_f > f_star:
+        s_star, f_star = best_s, best_f
+    return OptResult(s_star, f_star, tuple(trace), (a, b), multi_peak=multi_peak)
+
+
 def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
     """:func:`optimize_s_many` of the points of the parameter columns
     `columns`; does not warn."""
-    n = columns.shape[1]
-    if not n:
-        return []
-    r = columns[_R_ROW].tolist()
-    evaluate = _s_evaluator(columns, detector)
-    results: list[OptResult | Exception | None] = [None] * n
-
-    # one point at s = 0 where r = 0, else the coarse grid
-    grids = [np.linspace(0.0, ri, COARSE_POINTS) if ri != 0.0 else np.zeros(1)
-             for ri in r]
-    sizes = [len(g) for g in grids]
-    F, errors = evaluate(np.repeat(np.arange(n), sizes), np.concatenate(grids))
-    traces: list[list[tuple[float, float]]] = []
-    multi_peak: dict[int, bool] = {}
-    search = []  # (index, lo, hi) of each bracket to refine
-    for i, (grid, start) in enumerate(zip(grids, np.cumsum([0] + sizes[:-1]))):
-        values = F[start:start + len(grid)]
-        trace = [(float(s), float(f)) for s, f in zip(grid, values)]
-        traces.append(trace)
-        error = next((e for e in errors[start:start + len(grid)] if e is not None),
-                     None)
-        if error is not None:
-            results[i] = error
-            continue
-        if r[i] == 0.0:
-            results[i] = OptResult(0.0, trace[0][1], tuple(trace), (0.0, 0.0),
-                                   plateau=True)
-            continue
-        i_best = int(np.argmax(values))
-        if float(values.max() - values.min()) < 1e-12:
-            results[i] = OptResult(float(grid[0]), float(values[0]), tuple(trace),
-                                   (float(grid[0]), float(grid[0])), plateau=True)
-            continue
-        # unimodality on [0, r] is assumed by the bracketing step, not proven;
-        # flag any coarse-grid evidence against it
-        peaks = sum(1 for k in range(1, COARSE_POINTS - 1)
-                    if values[k] > values[k - 1] and values[k] > values[k + 1])
-        edge_max = i_best in (0, COARSE_POINTS - 1)
-        multi_peak[i] = peaks > 1 or (peaks == 1 and edge_max)
-        search.append((i, float(grid[max(0, i_best - 1)]),
-                       float(grid[min(COARSE_POINTS - 1, i_best + 1)])))
-    if not search:
-        return results
-
-    def step(ids, points):
-        """Evaluate points of the searches ids and trace them; a search's
-        first failing point ends it, with that point's error."""
-        f, errs = evaluate(ids, points)
-        for i, x, fx, e in zip(ids.tolist(), points, f, errs):
-            traces[i].append((float(x), float(fx)))
-            if e is not None and results[i] is None:
-                results[i] = e
-        return f, np.array([e is None for e in errs], dtype=bool)
-
-    ids = np.array([i for i, _, _ in search])
-    a = np.array([lo for _, lo, _ in search])
-    b = np.array([hi for _, _, hi in search])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    # every c comes before every d, so an opening point c's error wins
-    f, ok = step(np.concatenate([ids, ids]), np.concatenate([c, d]))
-    fc, fd = f[:len(ids)], f[len(ids):]
-    keep = ok[:len(ids)] & ok[len(ids):]
-    brackets: dict[int, tuple[float, float]] = {}
-    while True:
-        ids, a, b, c, d, fc, fd = (x[keep] for x in (ids, a, b, c, d, fc, fd))
-        done = (b - a) <= BRACKET_TOL
-        brackets.update(zip(ids[done].tolist(), zip(a[done].tolist(),
-                                                    b[done].tolist())))
-        ids, a, b, c, d, fc, fd = (x[~done] for x in (ids, a, b, c, d, fc, fd))
-        if not len(ids):
-            break
-        left = fc > fd  # the maximum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fx, keep = step(ids, x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-
-    if not brackets:
-        return results
-    ids = np.array(sorted(brackets))
-    mid = [0.5 * (brackets[i][0] + brackets[i][1]) for i in ids.tolist()]
-    f_mid, ok = step(ids, np.array(mid))
-    for i, s_star, f_star, good in zip(ids.tolist(), mid, f_mid, ok):
-        if not good:
-            continue
-        best_s, best_f = max(traces[i], key=lambda t: t[1])
-        if best_f > f_star:
-            s_star, f_star = best_s, best_f
-        results[i] = OptResult(float(s_star), float(f_star), tuple(traces[i]),
-                               brackets[i], plateau=False, multi_peak=multi_peak[i])
+    results: list[OptResult | Exception | None] = [None] * columns.shape[1]
+    searches = [_search(r) for r in columns[_R_ROW].tolist()]
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    while asks:
+        ids = list(asks)
+        sizes = [len(asks[i]) for i in ids]
+        points = columns[:, np.repeat(ids, sizes)]
+        points[_S_ROW] = np.concatenate([asks[i] for i in ids])
+        P, F, status = kernel.columns_pf(points, detector)
+        edges = np.cumsum([0] + sizes).tolist()
+        for i, lo, hi in zip(ids, edges, edges[1:]):
+            # a search ends at its first failing point, in the order it asked
+            result = next((e for e in map(status_error, P[lo:hi], status[lo:hi])
+                           if e is not None), None)
+            if result is None:
+                try:
+                    asks[i] = searches[i].send(F[lo:hi])
+                    continue
+                except StopIteration as stop:
+                    result = stop.value
+            results[i] = result
+            del asks[i]
     return results
 
 

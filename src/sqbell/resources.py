@@ -188,8 +188,8 @@ def delta_equivalent(cfg: SchemeConfig) -> float:
 def effective_squeezing(r: float, T_loss: float) -> float:
     """Squeezing amplitude actually observed after a loss channel of
     transmissivity T_loss:  r' = -1/2 ln[1 - T_loss (1 - e^(-2r))]."""
-    if r < 0:
-        raise ValueError("squeezing amplitude must be nonnegative")
+    if not 0.0 <= r < np.inf:
+        raise ValueError("squeezing amplitude must be finite and nonnegative")
     if not 0.0 < T_loss <= 1.0:
         raise ValueError("loss transmissivity must lie in (0, 1]")
     return float(-0.5 * np.log1p(-T_loss * (1.0 - np.exp(-2.0 * r))))

@@ -30,8 +30,10 @@ class SqueezeParam:
     phase: float = np.pi
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("squeezing amplitude must be nonnegative")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError("squeezing amplitude must be finite and nonnegative")
+        if not np.isfinite(self.phase):
+            raise ValueError("squeezing phase must be finite")
 
 
 class GaussianChar:

@@ -547,23 +547,6 @@ def test_char_function_batch_builds_no_displacement_array():
     assert peak < array_bytes
 
 
-def test_displacement_diagonals_follow_shift_order():
-    alphas = np.array([0.0, 0.4 - 1.1j, 3.0 + 2.0j])
-    for cutoff in (0, 1, 6):
-        dim = cutoff + 1
-        order, edges = fs._shift_order(dim)
-        rows, cols = np.divmod(order, dim)
-        shifts = rows - cols
-        assert list(edges) == [0] + list(np.cumsum(
-            [np.sum(shifts == q) for q in range(-cutoff, dim)]))
-        assert np.all(np.diff(shifts) >= 0)
-        full = fs._displacement_batch(alphas, cutoff)
-        assert np.array_equal(fs._displacement_diagonals(alphas, cutoff),
-                              full[rows, cols])
-        assert np.array_equal(fs.displacement_matrix(alphas[1], cutoff),
-                              full[:, :, 1])
-
-
 def test_cutoff_convergence_of_oracle_numbers():
     cfg = SchemeConfig(r=0.5, s=0.02)
     rho_a, succ_a = fs.scheme_oracle(cfg, "on-off", cutoff=14)
@@ -619,6 +602,16 @@ def test_theoretical_oracle_refuses_cutoff_below_one(family, cutoff):
     delta = 0.6 if family == "squeezed-bell" else None
     with pytest.raises(ValueError, match="below 1"):
         fs.theoretical_oracle(family, 0.5, delta, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+@pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell", "photon-added"])
+def test_theoretical_oracle_refuses_non_finite_squeezing(family, r):
+    delta = 0.6 if family == "squeezed-bell" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on r
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fs.theoretical_oracle(family, r, delta)
 
 
 @pytest.mark.parametrize("family, r, cutoff", [

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sqbell import kernel
 from sqbell import optimize as op
 from sqbell import resources as rs
 from sqbell import teleport as tp
@@ -165,6 +166,23 @@ def test_optimize_s_many_equals_optimize_s_and_the_scalar_loop(detector):
     assert op.optimize_s_many([], detector) == []
 
 
+def test_optimize_s_many_makes_one_kernel_call_per_round(monkeypatch):
+    # fig4's configurations; the longest search sets the number of rounds:
+    # its coarse grid, opening pair, golden-section steps and midpoint
+    cfgs = [rs.SchemeConfig(r=round(float(r), 10)) for r in np.arange(0.1, 2.01, 0.05)]
+    columns_pf, calls = kernel.columns_pf, []
+
+    def counting(columns, detector):
+        calls.append(columns.shape[1])
+        return columns_pf(columns, detector)
+
+    monkeypatch.setattr(kernel, "columns_pf", counting)
+    results = op.optimize_s_many(cfgs, "ideal")
+    assert len(cfgs) == 39 and len(calls) == 18
+    assert len(calls) == max(len(res.trace) for res in results) - op.COARSE_POINTS
+    assert sum(calls) == sum(len(res.trace) for res in results)
+
+
 def test_optimize_delta_matches_scan():
     res = op.optimize_delta(1.6)
     deltas = np.linspace(0, np.pi / 2, 200)
@@ -220,11 +238,24 @@ def test_sweep_spec_validation():
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="T", grid=(0.5, 1.5))
 
 
+def test_sweep_spec_validates_the_grid_at_its_endpoints(monkeypatch):
+    base = rs.SchemeConfig(r=1.0)
+    post_init = rs.SchemeConfig.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(rs.SchemeConfig, "__post_init__", counting)
+    spec = op.SweepSpec(base=base, axis="loss", grid=tuple(np.linspace(0.0, 0.3, 61)))
+    assert len(spec.grid) == 61 and len(built) <= 2
+
+
 @pytest.mark.parametrize("axis, grid", [
     ("s", (0.1, float("nan"), 0.3)), ("s", (0.1, float("inf"))),
     ("loss", (0.1, float("nan"), 0.3)), ("r", (0.5, float("inf")))])
 def test_sweep_spec_rejects_non_finite_grid_points(axis, grid):
-    # every grid point goes through SchemeConfig's rules when the spec is built
     with pytest.raises(ValueError):
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis=axis, grid=grid)
 

@@ -172,6 +172,18 @@ def test_scheme_exponent_stays_psd(r, s, T_loss, T1, T2):
 def test_squeeze_param_validation():
     with pytest.raises(ValueError):
         sp.SqueezeParam(-0.1)
+    for amplitude in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sp.SqueezeParam(amplitude)
+    for phase in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            sp.SqueezeParam(0.5, phase)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, -0.1])
+def test_effective_squeezing_rejects_bad_squeezing(r):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        effective_squeezing(r, 0.9)
 
 
 def test_effective_squeezing_grid_properties():
