@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate every published dataset (table2, fig3..fig7) in one run.
+"""Regenerate every published dataset in one run: each target of
+`sqbell.cli.DATASETS`, in the table's order.
 
 Prints the wall time of each target and the total.
 
@@ -9,14 +10,12 @@ Usage: python scripts/reproduce_all.py [outdir]
 import sys
 import time
 
-from sqbell.cli import main
-
-TARGETS = ("table2", "fig3", "fig4", "fig5", "fig6", "fig7")
+from sqbell.cli import DATASETS, main
 
 
 def run(outdir: str) -> int:
     start = time.perf_counter()
-    for target in TARGETS:
+    for target in DATASETS:
         t0 = time.perf_counter()
         code = main(["reproduce", target, "--outdir", outdir])
         print(f"  {target}: exit {code} ({time.perf_counter() - t0:.2f}s)")

@@ -1,5 +1,6 @@
 """Command-line front end: state reports, fidelities, optimization, sweeps,
-and the datasets reproducing the published tables and figures.
+and the datasets reproducing the published tables and figures, one builder
+per target in `DATASETS`.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical/physicality
 failure, 4 degenerate postselection.
@@ -8,6 +9,7 @@ failure, 4 degenerate postselection.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -68,7 +70,7 @@ def _fmt(x) -> str:
 def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", default="scheme-ideal",
                    choices=THEORETICAL_FAMILIES + SCHEME_FAMILIES)
-    p.add_argument("--r", type=float, default=None, help="principal squeezing")
+    p.add_argument("--r", type=float, required=True, help="principal squeezing")
     p.add_argument("--s", type=float, default=0.0, help="ancillary squeezing")
     p.add_argument("--delta", type=float, default=None,
                    help="squeezed-bell mixing angle")
@@ -90,8 +92,6 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> SchemeConfig:
-    if args.r is None:
-        raise ValueError("--r is required")
     T1 = args.T if args.T is not None else args.T1
     T2 = args.T if args.T is not None else args.T2
     eta3 = args.eta if args.eta is not None else args.eta3
@@ -107,17 +107,12 @@ def _config_from_args(args) -> SchemeConfig:
 
 def _build_state(args):
     if args.family in THEORETICAL_FAMILIES:
-        if args.r is None:
-            raise ValueError("--r is required")
         return theoretical_state(args.family, args.r, args.delta)
     return scheme_state(_config_from_args(args), SCHEME_DETECTORS[args.family])
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv(header: list[str], rows: list[list]) -> str:
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in [header, *rows])
 
 
 def _write_sidecar(path: Path, payload: dict) -> None:
@@ -141,9 +136,9 @@ def _config_flags(cfg: SchemeConfig, **extra) -> dict:
 
 
 def _emit(args, record: dict) -> None:
-    if getattr(args, "format", "text") == "json" or getattr(args, "output", None):
+    if args.format == "json" or args.output:
         text = json.dumps(record, indent=2, sort_keys=True, default=str)
-        if getattr(args, "output", None):
+        if args.output:
             Path(args.output).write_text(text + "\n")
         else:
             print(text)
@@ -157,27 +152,25 @@ def _emit(args, record: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _provenance(state) -> dict:
+    if state.family in SCHEME_FAMILIES:
+        return asdict(state.params)
+    return dict(state.params)
+
+
 def cmd_state(args) -> int:
     state = _build_state(args)
-    record: dict = {"family": state.family}
+    record = {"family": state.family, **_provenance(state)}
     if state.family in SCHEME_FAMILIES:
         cfg: SchemeConfig = state.params
-        record.update(asdict(cfg))
         record["success_prob"] = state.success_prob
         record["delta_equivalent"] = delta_equivalent(cfg)
         record["r_effective"] = effective_squeezing(cfg.r, cfg.T_loss)
         record["r_effective_db"] = squeezing_db(record["r_effective"])
     else:
-        record.update(state.params)
         record["r_db"] = squeezing_db(args.r)
     _emit(args, record)
     return EXIT_OK
-
-
-def _provenance(state) -> dict:
-    if state.family in SCHEME_FAMILIES:
-        return asdict(state.params)
-    return dict(state.params)
 
 
 def cmd_fidelity(args) -> int:
@@ -205,8 +198,6 @@ def _scheme_detector(family: str) -> str:
 
 def cmd_optimize(args) -> int:
     if args.family == "squeezed-bell":
-        if args.r is None:
-            raise ValueError("--r is required")
         res = optimize_delta(args.r)
         record = {"family": "squeezed-bell", "r": args.r,
                   "delta_star": res.s_star, "fidelity": res.f_star,
@@ -244,18 +235,17 @@ def cmd_sweep(args) -> int:
     header = [args.axis, "fidelity", "success_prob", "s_star", "error"]
     data = [[row.value, row.fidelity, row.success_prob, row.s_star, row.error]
             for row in rows]
-    out = Path(args.output) if args.output else None
-    if out:
-        _write_rows(out, header, data)
-        _write_sidecar(out.with_suffix(".config.json"), {
-            "command": "sweep", "config": asdict(cfg), "columns": header,
-            "flags": _config_flags(cfg, family=args.family, axis=args.axis,
-                                   grid=args.grid, optimize=args.optimize)})
-        print(f"wrote {out}")
-    else:
-        print(",".join(header))
-        for row in data:
-            print(",".join(_fmt(v) for v in row))
+    text = _csv(header, data)
+    if not args.output:
+        print(text, end="")
+        return EXIT_OK
+    out = Path(args.output)
+    out.write_text(text)
+    _write_sidecar(out.with_suffix(".config.json"), {
+        "command": "sweep", "config": asdict(cfg), "columns": header,
+        "flags": _config_flags(cfg, family=args.family, axis=args.axis,
+                               grid=args.grid, optimize=args.optimize)})
+    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -284,39 +274,39 @@ def _scheme_points(cfgs, detector: str = "ideal") -> list:
     return points
 
 
-def _reproduce_table2(outdir: Path) -> Path:
-    opts = optimize_s_many([SchemeConfig(r=r) for r in TABLE2_R], "ideal")
-    rows = []
-    for r, opt in zip(TABLE2_R, opts):
-        res = _checked(opt)
-        rows.append([r, res.s_star, res.f_star])
-    path = outdir / "table2.csv"
-    _write_rows(path, ["r", "s_star", "fidelity"], rows)
-    _write_sidecar(outdir / "table2.config.json", {
-        "target": "table2", "detector": "ideal",
-        "config": asdict(SchemeConfig(r=1.0)),
-        "columns": ["r", "s_star", "fidelity"],
-        "tolerances": {"s_star": "max(10% relative, 0.002) or fidelity within 1e-3"}})
+def _write_dataset(outdir: Path, name: str, header: list[str], rows: list[list],
+                   **provenance) -> Path:
+    """Write `name`.csv and its sidecar `name`.config.json, which records the
+    target, its columns and `provenance`."""
+    path = outdir / f"{name}.csv"
+    path.write_text(_csv(header, rows))
+    _write_sidecar(outdir / f"{name}.config.json",
+                   {"target": name, "columns": header, **provenance})
     return path
 
 
+def _table2(outdir: Path) -> Path:
+    opts = optimize_s_many([SchemeConfig(r=r) for r in TABLE2_R], "ideal")
+    rows = [[r, res.s_star, res.f_star] for r, res in zip(TABLE2_R, map(_checked, opts))]
+    return _write_dataset(
+        outdir, "table2", ["r", "s_star", "fidelity"], rows, detector="ideal",
+        config=asdict(SchemeConfig(r=1.0)),
+        tolerances={"s_star": "max(10% relative, 0.002) or fidelity within 1e-3"})
+
+
 def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
+    detector = "on-off" if lossy else "ideal"
     rows = []
     for r in TABLE2_R:
         base = SchemeConfig(r=r, T_loss=0.85 if lossy else 1.0)
-        detector = "on-off" if lossy else "ideal"
         grid = np.linspace(0.0, r, 61)
         spec = SweepSpec(base=base, axis="s", grid=tuple(grid), detector=detector)
         for row in sweep(spec):
             rows.append([f"r={r}", row.value, row.fidelity, row.success_prob,
                          row.error])
-    path = outdir / f"{name}.csv"
-    _write_rows(path, ["series", "s", "fidelity", "success_prob", "error"], rows)
-    _write_sidecar(outdir / f"{name}.config.json", {
-        "target": name, "detector": "on-off" if lossy else "ideal",
-        "loss": 0.15 if lossy else 0.0, "r_values": list(TABLE2_R),
-        "columns": ["series", "s", "fidelity", "success_prob", "error"]})
-    return path
+    return _write_dataset(
+        outdir, name, ["series", "s", "fidelity", "success_prob", "error"], rows,
+        detector=detector, loss=0.15 if lossy else 0.0, r_values=list(TABLE2_R))
 
 
 def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
@@ -332,18 +322,14 @@ def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
         for family in ("photon-subtracted", "twin-beam"):
             rows.append([f"theory-{family}", r, float(
                 squeezed_bell_fidelity(r, bell_angle(family, r)))])
-    path = outdir / f"{name}.csv"
-    _write_rows(path, ["series", "r", "fidelity"], rows)
-    _write_sidecar(outdir / f"{name}.config.json", {
-        "target": name, "detector": "ideal",
-        "note": "theoretical-state curves are computed from this package's"
-                " own constructions",
-        "r_grid": [round(float(r), 10) for r in r_grid],
-        "columns": ["series", "r", "fidelity"]})
-    return path
+    return _write_dataset(
+        outdir, name, ["series", "r", "fidelity"], rows, detector="ideal",
+        note="theoretical-state curves are computed from this package's own"
+             " constructions",
+        r_grid=rs)
 
 
-def _reproduce_fig7(outdir: Path) -> Path:
+def _fig7(outdir: Path) -> Path:
     base = SchemeConfig(r=1.6, eta3=0.15, eta4=0.15)
     losses = [round(float(ell), 10) for ell in np.arange(0.0, 0.301, 0.02)]
     cfgs = [base.with_(T_loss=1.0 - ell) for ell in losses]
@@ -357,33 +343,26 @@ def _reproduce_fig7(outdir: Path) -> Path:
         rows.append(["optimized", ell, opt.f_star, opt.s_star])
         rows.append(["s=0", ell, _checked(f0), 0.0])
         rows.append(["s=r", ell, _checked(fr), cfg.r])
-    path = outdir / "fig7.csv"
-    _write_rows(path, ["series", "loss", "fidelity", "s"], rows)
-    _write_sidecar(outdir / "fig7.config.json", {
-        "target": "fig7", "detector": "on-off", "config": asdict(base),
-        "columns": ["series", "loss", "fidelity", "s"]})
-    return path
+    return _write_dataset(outdir, "fig7", ["series", "loss", "fidelity", "s"], rows,
+                          detector="on-off", config=asdict(base))
+
+
+# each published dataset: its target name and the builder that writes it into
+# an output directory and returns the CSV's path
+DATASETS = {
+    "table2": _table2,
+    "fig3": functools.partial(_fig_s_sweep, name="fig3", lossy=False),
+    "fig4": functools.partial(_fig_vs_r, name="fig4", r_grid=np.arange(0.1, 2.01, 0.05)),
+    "fig5": functools.partial(_fig_vs_r, name="fig5", r_grid=np.arange(1.0, 2.001, 0.05)),
+    "fig6": functools.partial(_fig_s_sweep, name="fig6", lossy=True),
+    "fig7": _fig7,
+}
 
 
 def cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    target = args.target
-    if target == "table2":
-        path = _reproduce_table2(outdir)
-    elif target == "fig3":
-        path = _fig_s_sweep(outdir, "fig3", lossy=False)
-    elif target == "fig4":
-        path = _fig_vs_r(outdir, "fig4", np.arange(0.1, 2.01, 0.05))
-    elif target == "fig5":
-        path = _fig_vs_r(outdir, "fig5", np.arange(1.0, 2.001, 0.05))
-    elif target == "fig6":
-        path = _fig_s_sweep(outdir, "fig6", lossy=True)
-    elif target == "fig7":
-        path = _reproduce_fig7(outdir)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown target {target!r}")
-    print(f"wrote {path}")
+    print(f"wrote {DATASETS[args.target](outdir)}")
     return EXIT_OK
 
 
@@ -401,28 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_state = sub.add_parser("state", help="build a resource and report it")
-    _add_scheme_args(p_state)
-    p_state.add_argument("--format", choices=("text", "json"), default="text")
-    p_state.add_argument("--output", default=None)
+    scheme = argparse.ArgumentParser(add_help=False)
+    _add_scheme_args(scheme)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("text", "json"), default="text")
+    report.add_argument("--output", default=None)
+
+    p_state = sub.add_parser("state", parents=[scheme, report],
+                             help="build a resource and report it")
     p_state.set_defaults(func=cmd_state)
 
-    p_fid = sub.add_parser("fidelity", help="teleportation fidelity of a resource")
-    _add_scheme_args(p_fid)
+    p_fid = sub.add_parser("fidelity", parents=[scheme, report],
+                           help="teleportation fidelity of a resource")
     p_fid.add_argument("--no-cross-check", action="store_true",
                        help="skip the quadrature cross-check")
-    p_fid.add_argument("--format", choices=("text", "json"), default="text")
-    p_fid.add_argument("--output", default=None)
     p_fid.set_defaults(func=cmd_fidelity)
 
-    p_opt = sub.add_parser("optimize", help="maximize fidelity over s (or delta)")
-    _add_scheme_args(p_opt)
-    p_opt.add_argument("--format", choices=("text", "json"), default="text")
-    p_opt.add_argument("--output", default=None)
+    p_opt = sub.add_parser("optimize", parents=[scheme, report],
+                           help="maximize fidelity over s (or delta)")
     p_opt.set_defaults(func=cmd_optimize)
 
-    p_sweep = sub.add_parser("sweep", help="scan one parameter axis")
-    _add_scheme_args(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[scheme], help="scan one parameter axis")
     p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--grid", required=True, help="start:stop:step")
     p_sweep.add_argument("--optimize", action="store_true",
@@ -431,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="write a published dataset")
-    p_rep.add_argument("target",
-                       choices=("table2", "fig3", "fig4", "fig5", "fig6", "fig7"))
+    p_rep.add_argument("target", choices=tuple(DATASETS))
     p_rep.add_argument("--outdir", default="reproductions")
     p_rep.set_defaults(func=cmd_reproduce)
     return parser

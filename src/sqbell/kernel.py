@@ -277,12 +277,16 @@ def _ideal_prob(M, W=None):
     mu = -A^-1 w and covariance A^-1, and it returns the function of x that
     Wick's theorem gives: 4 g e^{-w.mu/2} [(1 - a - |mu3|^2)
     (1 - b - |mu4|^2) + 2c + 4 mu3^T (A^-1)_34 mu4].
+
+    A block whose g is not finite (det A zero, negative or NaN) is inverted
+    as the identity, so that its P is not finite and only that point is
+    unphysical.
     """
     delta = M - np.eye(4)
     A = delta + 2.0 * np.eye(4)
     with np.errstate(invalid="ignore", divide="ignore"):
         g = 1.0 / np.sqrt(np.linalg.det(A))
-    Ainv = np.linalg.inv(A)
+    Ainv = np.linalg.inv(np.where(np.isfinite(g)[:, None, None], A, np.eye(4)))
     R = 0.5 * Ainv @ delta
     one_minus_a = np.trace(R[:, :2, :2], axis1=1, axis2=2)
     one_minus_b = np.trace(R[:, 2:, 2:], axis1=1, axis2=2)

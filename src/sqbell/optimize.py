@@ -236,12 +236,7 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     kernel.warn_if_lossy(spec.detector, columns)
     todo = rows
     if spec.optimize_s_at_each:
-        try:
-            opts = _optimize_columns(columns, spec.detector)
-        except Exception as exc:  # recorded in every row, sweep returns
-            for row in rows:
-                row.error = _describe(exc)
-            return rows
+        opts = _optimize_columns(columns, spec.detector)
         ok = []
         for i, (row, opt) in enumerate(zip(rows, opts)):
             if isinstance(opt, Exception):  # recorded in-row, sweep continues
@@ -254,12 +249,7 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         columns[_S_ROW] = [row.s_star for row in todo]
     if not todo:
         return rows
-    try:
-        P, F, status = kernel.columns_pf(columns, spec.detector)
-    except Exception as exc:  # recorded in every row, sweep returns
-        for row in todo:
-            row.error = _describe(exc)
-        return rows
+    P, F, status = kernel.columns_pf(columns, spec.detector)
     for row, p, f, st in zip(todo, P, F, status):
         exc = status_error(p, st)
         if exc is not None:

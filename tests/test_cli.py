@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 from sqbell import kernel
 from sqbell import resources as rs
 from sqbell import teleport as tp
-from sqbell.cli import EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from sqbell.cli import (DATASETS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                        main)
 
 
 def run(capsys, *argv):
@@ -82,6 +84,17 @@ def test_fidelity_of_theoretical_families_is_squeezed_bell(capsys, family):
     assert record["residual"] <= 1e-9
 
 
+def test_state_of_a_theoretical_family(capsys):
+    code, out, _ = run(capsys, "state", "--family", "squeezed-bell", "--r", "0.8",
+                       "--delta", "0.3", "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["family"] == "squeezed-bell"
+    assert record["r"] == 0.8 and record["delta"] == 0.3
+    assert record["phase"] == math.pi
+    assert record["r_db"] == rs.squeezing_db(0.8)
+
+
 def test_state_reports_equivalent_angle(capsys):
     code, out, _ = run(capsys, "state", "--family", "scheme-ideal",
                        "--r", "1", "--s", "0.011", "--T", "0.99")
@@ -143,8 +156,12 @@ def test_invalid_params_exit_2(capsys):
 
 
 def test_missing_r_exit_2(capsys):
-    code, _, err = run(capsys, "fidelity", "--family", "twin-beam")
-    assert code == EXIT_USAGE
+    for argv in (("fidelity", "--family", "twin-beam"), ("state",),
+                 ("optimize", "--family", "squeezed-bell"),
+                 ("sweep", "--axis", "s", "--grid", "0:0.1:0.05")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "--r" in err
 
 
 def test_degenerate_postselection_exit_4(capsys):
@@ -156,6 +173,19 @@ def test_degenerate_postselection_exit_4(capsys):
 def test_overflowed_heralding_probability_exit_3(capsys):
     code, out, err = run(capsys, "optimize", "--family", "scheme-realistic",
                          "--r", "30")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "unphysical" in err
+
+
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+@pytest.mark.parametrize("command", ["fidelity", "optimize"])
+def test_singular_ideal_ancilla_block_exit_3(capsys, command):
+    # det(M + I) is zero here: a numerical failure, not a usage error
+    code, out, err = run(capsys, command, "--r", "26.738066258189228",
+                         "--T1", "0.7543225662876089", "--T2", "0.5682437175769997",
+                         "--loss", "0.20131574833272692",
+                         "--n-thermal", "0.32242675107167806", "--signal-loss-only")
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert "unphysical" in err
@@ -213,6 +243,17 @@ def test_sweep_command_monotone(tmp_path, capsys):
     assert sidecar["version"]
 
 
+def test_sweep_without_output_prints_the_csv(tmp_path, capsys):
+    argv = ("sweep", "--family", "scheme-realistic", "--r", "1.3", "--eta", "0.2",
+            "--axis", "s", "--grid", "0:0.2:0.1")
+    code, printed, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    out_file = tmp_path / "s.csv"
+    assert run(capsys, *argv, "--output", str(out_file))[0] == EXIT_OK
+    assert printed == out_file.read_text()
+    assert printed.count("\n") == 4
+
+
 def test_reproduce_table2_schema_and_values(tmp_path, capsys):
     code, out, _ = run(capsys, "reproduce", "table2", "--outdir", str(tmp_path))
     assert code == EXIT_OK
@@ -235,7 +276,7 @@ def test_reproduce_fig7_series(tmp_path, capsys):
     assert losses[0] == 0.0 and losses[-1] == pytest.approx(0.30)
 
 
-@pytest.mark.parametrize("target", ["table2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+@pytest.mark.parametrize("target", list(DATASETS))
 def test_byte_identical_reruns(tmp_path, capsys, target):
     for outdir in ("a", "b"):
         assert run(capsys, "reproduce", target, "--outdir",
@@ -247,15 +288,35 @@ def test_byte_identical_reruns(tmp_path, capsys, target):
 
 # the datasets and sidecars as written before the optimizer's searches ran
 # in lockstep; a change to the search must not move a byte of them
-DATASETS = Path(__file__).parent / "data" / "reproduce"
+COMMITTED = Path(__file__).parent / "data" / "reproduce"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("target", ["table2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+@pytest.mark.parametrize("target", list(DATASETS))
 def test_reproduce_matches_committed_datasets(tmp_path, capsys, target):
     assert run(capsys, "reproduce", target, "--outdir", str(tmp_path))[0] == EXIT_OK
     for suffix in (".csv", ".config.json"):
         assert (tmp_path / (target + suffix)).read_bytes() == \
-            (DATASETS / (target + suffix)).read_bytes()
+            (COMMITTED / (target + suffix)).read_bytes()
+
+
+def test_committed_datasets_and_reproduce_all_follow_the_table():
+    # one CSV and one sidecar per target of cli.DATASETS, and nothing else;
+    # scripts/reproduce_all.py takes its targets from the table
+    expected = {target + suffix for target in DATASETS
+                for suffix in (".csv", ".config.json")}
+    assert {p.name for p in COMMITTED.iterdir()} == expected
+    script = (ROOT / "scripts" / "reproduce_all.py").read_text()
+    assert [target for target in DATASETS if target in script] == []
+
+
+def test_dataset_sidecar_is_not_a_config_file(capsys):
+    # a dataset sidecar records provenance; its keys are no flags of the CLI
+    code, out, err = run(capsys, "--config", str(COMMITTED / "table2.config.json"),
+                         "reproduce", "table2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):

@@ -288,6 +288,31 @@ def test_overflowed_heralding_probability_is_unphysical():
         op.optimize_s(cfg, "on-off")
 
 
+# its ideal-projector ancilla block A = M + I is singular: det(A) is zero
+SINGULAR_IDEAL = rs.SchemeConfig(
+    r=26.738066258189228, T1=0.7543225662876089, T2=0.5682437175769997,
+    T_loss=0.7986842516672731, n_thermal=0.32242675107167806,
+    loss_on_detector_modes=False)
+
+
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+def test_singular_ideal_block_fails_only_its_own_point():
+    fine = rs.SchemeConfig(r=1.0)
+    P, F, status = rs.scheme_pf([fine, SINGULAR_IDEAL], "ideal")
+    assert status.tolist() == [kernel.OK, kernel.UNPHYSICAL]
+    assert not np.isfinite(P[1]) and np.isnan(F[1])
+    for got, alone in zip((P, F, status), rs.scheme_pf([fine], "ideal")):
+        assert got[:1].tobytes() == alone.tobytes()
+    opt, err = op.optimize_s_many([fine, SINGULAR_IDEAL], "ideal")
+    assert isinstance(opt, op.OptResult) and isinstance(err, PhysicalityError)
+    assert opt == op.optimize_s(fine, "ideal")
+    spec = op.SweepSpec(base=SINGULAR_IDEAL, axis="r",
+                        grid=(1.0, SINGULAR_IDEAL.r), detector="ideal")
+    first, second = op.sweep(spec)
+    assert first.error is None and first.fidelity > 0.5
+    assert second.error.startswith("PhysicalityError")
+
+
 def test_unknown_detector_rejected():
     cfg = rs.SchemeConfig(r=1.0)
     for detector in ("pnr", "onoff"):
