@@ -18,7 +18,7 @@ their reference conditioning and fidelity from it.
 __version__ = "0.1.0"
 
 from .conditioning import ConditionedState, DetectorKernel, condition
-from .optimize import OptResult, SweepSpec, optimize_delta, optimize_s, optimize_s_many, sweep
+from .optimize import OptResult, SweepSpec, optimize_delta, optimize_s, sweep
 from .resources import (
     ResourceState,
     SchemeConfig,
@@ -44,8 +44,7 @@ __all__ = [
     "OptResult", "ResourceState", "SchemeConfig", "SqueezeParam", "SweepSpec",
     "beam_splitter_substitute", "condition", "delta_equivalent",
     "effective_squeezing", "fidelity", "fidelity_alpha_explicit",
-    "loss_channel", "optimize_delta", "optimize_s", "optimize_s_many",
-    "scheme_four_mode_char",
+    "loss_channel", "optimize_delta", "optimize_s", "scheme_four_mode_char",
     "scheme_state", "sweep", "theoretical_state", "twin_beam_fidelity",
     "two_mode_squeezed_char", "vacuum_char",
 ]

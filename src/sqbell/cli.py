@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -18,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conditioning import status_error
 from .errors import (
     CutoffTooSmallError,
     DegeneratePostselectionError,
@@ -32,7 +32,6 @@ from .optimize import (
     SweepSpec,
     optimize_delta,
     optimize_s,
-    optimize_s_many,
     sweep,
 )
 from .resources import (
@@ -43,7 +42,6 @@ from .resources import (
     bell_angle,
     delta_equivalent,
     effective_squeezing,
-    scheme_pf,
     scheme_state,
     squeezing_db,
     theoretical_state,
@@ -57,6 +55,8 @@ EXIT_DEGENERATE = 4
 
 # the squeezing amplitudes of Table 2, also the series of Figs. 3 and 6
 TABLE2_R = (0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
+# the most points a --grid may give; the published datasets sweep at most 61
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(x) -> str:
@@ -71,22 +71,22 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", default="scheme-ideal",
                    choices=THEORETICAL_FAMILIES + SCHEME_FAMILIES)
     p.add_argument("--r", type=float, required=True, help="principal squeezing")
-    p.add_argument("--s", type=float, default=0.0, help="ancillary squeezing")
+    p.add_argument("--s", type=float, default=SchemeConfig.s, help="ancillary squeezing")
     p.add_argument("--delta", type=float, default=None,
                    help="squeezed-bell mixing angle")
-    p.add_argument("--phi-zeta", type=float, default=np.pi)
-    p.add_argument("--phi-xi", type=float, default=np.pi)
+    p.add_argument("--phi-zeta", type=float, default=SchemeConfig.phi_zeta)
+    p.add_argument("--phi-xi", type=float, default=SchemeConfig.phi_xi)
     p.add_argument("--T", type=float, default=None,
                    help="set both scheme transmissivities")
-    p.add_argument("--T1", type=float, default=0.99)
-    p.add_argument("--T2", type=float, default=0.99)
+    p.add_argument("--T1", type=float, default=SchemeConfig.T1)
+    p.add_argument("--T2", type=float, default=SchemeConfig.T2)
     p.add_argument("--loss", type=float, default=0.0,
                    help="loss level ell; the channel transmissivity is 1 - ell")
     p.add_argument("--eta", type=float, default=None,
                    help="set both detector efficiencies")
-    p.add_argument("--eta3", type=float, default=0.15)
-    p.add_argument("--eta4", type=float, default=0.15)
-    p.add_argument("--n-thermal", type=float, default=0.0)
+    p.add_argument("--eta3", type=float, default=SchemeConfig.eta3)
+    p.add_argument("--eta4", type=float, default=SchemeConfig.eta4)
+    p.add_argument("--n-thermal", type=float, default=SchemeConfig.n_thermal)
     p.add_argument("--signal-loss-only", action="store_true",
                    help="apply the loss channel to the signal modes only")
 
@@ -115,11 +115,15 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "".join(",".join(map(_fmt, line)) + "\n" for line in [header, *rows])
 
 
-def _write_sidecar(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
-    payload["seedless"] = True  # no RNG anywhere; reruns are byte-identical
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+def _write_csv(path: Path, header: list[str], rows: list[list], **sidecar) -> Path:
+    """Write the CSV of `rows` to `path` and its sidecar beside it, at
+    `path`.config.json, which records the columns and `sidecar`."""
+    path.write_text(_csv(header, rows))
+    # no RNG anywhere; reruns are byte-identical
+    payload = {**sidecar, "columns": header, "version": __version__, "seedless": True}
+    path.with_suffix(".config.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    return path
 
 
 def _config_flags(cfg: SchemeConfig, **extra) -> dict:
@@ -220,10 +224,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
     start, stop, step = (float(v) for v in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + k * step for k in range(n))
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+    return tuple(start + k * step for k in range(int(n)))
 
 
 def cmd_sweep(args) -> int:
@@ -235,16 +243,13 @@ def cmd_sweep(args) -> int:
     header = [args.axis, "fidelity", "success_prob", "s_star", "error"]
     data = [[row.value, row.fidelity, row.success_prob, row.s_star, row.error]
             for row in rows]
-    text = _csv(header, data)
     if not args.output:
-        print(text, end="")
+        print(_csv(header, data), end="")
         return EXIT_OK
-    out = Path(args.output)
-    out.write_text(text)
-    _write_sidecar(out.with_suffix(".config.json"), {
-        "command": "sweep", "config": asdict(cfg), "columns": header,
-        "flags": _config_flags(cfg, family=args.family, axis=args.axis,
-                               grid=args.grid, optimize=args.optimize)})
+    out = _write_csv(Path(args.output), header, data, command="sweep",
+                     config=asdict(cfg),
+                     flags=_config_flags(cfg, family=args.family, axis=args.axis,
+                                         grid=args.grid, optimize=args.optimize))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -252,45 +257,23 @@ def cmd_sweep(args) -> int:
 # -- reproduction targets ----------------------------------------------------
 
 
-def _checked(result):
-    """A result of :func:`optimize_s_many` or `_scheme_points`; raises it
-    where it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _scheme_points(cfgs, detector: str = "ideal") -> list:
-    """Closed-form fidelity of each configuration, in one kernel call: None
-    where it is degenerate, the error where it is unphysical."""
-    P, F, status = scheme_pf(cfgs, detector)
-    points = []
-    for p, f, st in zip(P, F, status):
-        error = status_error(p, st)
-        if isinstance(error, DegeneratePostselectionError):
-            points.append(None)
-        else:
-            points.append(error or float(f))
-    return points
-
-
-def _write_dataset(outdir: Path, name: str, header: list[str], rows: list[list],
-                   **provenance) -> Path:
-    """Write `name`.csv and its sidecar `name`.config.json, which records the
-    target, its columns and `provenance`."""
-    path = outdir / f"{name}.csv"
-    path.write_text(_csv(header, rows))
-    _write_sidecar(outdir / f"{name}.config.json",
-                   {"target": name, "columns": header, **provenance})
-    return path
+def _scheme_rows(spec: SweepSpec) -> list:
+    """The rows of `sweep(spec)`; raises PhysicalityError naming the first
+    point that failed, since a published dataset has no gaps."""
+    rows = sweep(spec)
+    for row in rows:
+        if row.error is not None:
+            raise PhysicalityError(f"{spec.axis} = {_fmt(row.value)}: {row.error}")
+    return rows
 
 
 def _table2(outdir: Path) -> Path:
-    opts = optimize_s_many([SchemeConfig(r=r) for r in TABLE2_R], "ideal")
-    rows = [[r, res.s_star, res.f_star] for r, res in zip(TABLE2_R, map(_checked, opts))]
-    return _write_dataset(
-        outdir, "table2", ["r", "s_star", "fidelity"], rows, detector="ideal",
-        config=asdict(SchemeConfig(r=1.0)),
+    rows = _scheme_rows(SweepSpec(base=SchemeConfig(r=TABLE2_R[0]), axis="r",
+                                  grid=TABLE2_R, optimize_s_at_each=True))
+    return _write_csv(
+        outdir / "table2.csv", ["r", "s_star", "fidelity"],
+        [[row.value, row.s_star, row.fidelity] for row in rows],
+        target="table2", detector="ideal", config=asdict(SchemeConfig(r=1.0)),
         tolerances={"s_star": "max(10% relative, 0.002) or fidelity within 1e-3"})
 
 
@@ -304,26 +287,29 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
         for row in sweep(spec):
             rows.append([f"r={r}", row.value, row.fidelity, row.success_prob,
                          row.error])
-    return _write_dataset(
-        outdir, name, ["series", "s", "fidelity", "success_prob", "error"], rows,
-        detector=detector, loss=0.15 if lossy else 0.0, r_values=list(TABLE2_R))
+    return _write_csv(
+        outdir / f"{name}.csv", ["series", "s", "fidelity", "success_prob", "error"],
+        rows, target=name, detector=detector, loss=0.15 if lossy else 0.0,
+        r_values=list(TABLE2_R))
 
 
 def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
-    rs = [round(float(r), 10) for r in r_grid]
-    opts = optimize_s_many([SchemeConfig(r=r) for r in rs], "ideal")
-    s0 = _scheme_points([SchemeConfig(r=r, s=0.0) for r in rs])
+    rs = tuple(round(float(r), 10) for r in r_grid)
+    spec = functools.partial(SweepSpec, base=SchemeConfig(r=rs[0]), axis="r", grid=rs)
+    optimized = _scheme_rows(spec(optimize_s_at_each=True))
+    s0 = _scheme_rows(spec())
     rows = []
-    for r, opt, f0 in zip(rs, opts, s0):
-        rows.append(["scheme-optimized", r, _checked(opt).f_star])
-        rows.append(["scheme-s0", r, _checked(f0)])
+    for r, opt, plain in zip(rs, optimized, s0):
+        rows.append(["scheme-optimized", r, opt.fidelity])
+        rows.append(["scheme-s0", r, plain.fidelity])
         sb = optimize_delta(r)
         rows.append(["theory-squeezed-bell-opt", r, sb.f_star])
         for family in ("photon-subtracted", "twin-beam"):
             rows.append([f"theory-{family}", r, float(
                 squeezed_bell_fidelity(r, bell_angle(family, r)))])
-    return _write_dataset(
-        outdir, name, ["series", "r", "fidelity"], rows, detector="ideal",
+    return _write_csv(
+        outdir / f"{name}.csv", ["series", "r", "fidelity"], rows, target=name,
+        detector="ideal",
         note="theoretical-state curves are computed from this package's own"
              " constructions",
         r_grid=rs)
@@ -331,20 +317,18 @@ def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
 
 def _fig7(outdir: Path) -> Path:
     base = SchemeConfig(r=1.6, eta3=0.15, eta4=0.15)
-    losses = [round(float(ell), 10) for ell in np.arange(0.0, 0.301, 0.02)]
-    cfgs = [base.with_(T_loss=1.0 - ell) for ell in losses]
-    opts = optimize_s_many(cfgs, "on-off")
-    ends = _scheme_points([cfg.with_(s=0.0) for cfg in cfgs]
-                          + [cfg.with_(s=cfg.r) for cfg in cfgs], "on-off")
+    losses = tuple(round(float(ell), 10) for ell in np.arange(0.0, 0.301, 0.02))
+    spec = functools.partial(SweepSpec, axis="loss", grid=losses, detector="on-off")
+    optimized = _scheme_rows(spec(base=base, optimize_s_at_each=True))
+    s0 = _scheme_rows(spec(base=base))
+    sr = _scheme_rows(spec(base=base.with_(s=base.r)))
     rows = []
-    for ell, cfg, opt, f0, fr in zip(losses, cfgs, opts, ends[:len(cfgs)],
-                                     ends[len(cfgs):]):
-        opt = _checked(opt)
-        rows.append(["optimized", ell, opt.f_star, opt.s_star])
-        rows.append(["s=0", ell, _checked(f0), 0.0])
-        rows.append(["s=r", ell, _checked(fr), cfg.r])
-    return _write_dataset(outdir, "fig7", ["series", "loss", "fidelity", "s"], rows,
-                          detector="on-off", config=asdict(base))
+    for ell, opt, f0, fr in zip(losses, optimized, s0, sr):
+        rows.append(["optimized", ell, opt.fidelity, opt.s_star])
+        rows.append(["s=0", ell, f0.fidelity, 0.0])
+        rows.append(["s=r", ell, fr.fidelity, base.r])
+    return _write_csv(outdir / "fig7.csv", ["series", "loss", "fidelity", "s"], rows,
+                      target="fig7", detector="on-off", config=asdict(base))
 
 
 # each published dataset: its target name and the builder that writes it into

@@ -49,6 +49,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if self.detector not in SCHEME_DETECTORS.values():
             raise ValueError(f"unknown detector kind {self.detector!r}")
+        if self.axis == "s" and self.optimize_s_at_each:
+            raise ValueError("a sweep along s cannot also optimize s at each point")
         g = tuple(float(v) for v in self.grid)
         if not g:
             raise ValueError("sweep grid is empty")
@@ -90,28 +92,14 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
     """Maximize the teleportation fidelity over the ancillary squeezing s in
     [0, r]: COARSE_POINTS grid points, then golden section to BRACKET_TOL.
 
-    Raises the error of the first point that is degenerate or unphysical."""
-    (result,) = optimize_s_many([cfg], detector)
+    Raises the error of the first point that is degenerate or unphysical.
+    Warns as :func:`sqbell.resources.scheme_pf` does."""
+    columns = kernel.columns_of([cfg])
+    kernel.warn_if_lossy(detector, columns)
+    (result,) = _optimize_columns(columns, detector)
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def optimize_s_many(cfgs, detector: str = "ideal") -> list[OptResult | Exception]:
-    """:func:`optimize_s` of each configuration, the searches run in lockstep.
-
-    Each round is one kernel call on the points every unfinished search asks
-    for next: the coarse grids, then the opening points of the brackets,
-    then one golden-section step or final midpoint per search.  The kernel
-    is batch-invariant bit for bit, so each search visits the same points,
-    and returns the same result, as on its own.  A configuration whose point
-    is degenerate or unphysical gets that point's error in place of its
-    result; the other searches go on.  Warns as
-    :func:`sqbell.resources.scheme_pf` does.
-    """
-    columns = kernel.columns_of(cfgs)
-    kernel.warn_if_lossy(detector, columns)
-    return _optimize_columns(columns, detector)
 
 
 def _search(r: float):
@@ -156,8 +144,17 @@ def _search(r: float):
 
 
 def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
-    """:func:`optimize_s_many` of the points of the parameter columns
-    `columns`; does not warn."""
+    """:func:`optimize_s` of each point of the parameter columns `columns`,
+    the searches run in lockstep; does not warn.
+
+    Each round is one kernel call on the points every unfinished search asks
+    for next: the coarse grids, then the opening points of the brackets,
+    then one golden-section step or final midpoint per search.  The kernel
+    is batch-invariant bit for bit, so each search visits the same points,
+    and returns the same result, as on its own.  A point whose search meets a
+    degenerate or unphysical point gets that point's error in place of its
+    result; the other searches go on.
+    """
     results: list[OptResult | Exception | None] = [None] * columns.shape[1]
     searches = [_search(r) for r in columns[_R_ROW].tolist()]
     asks = {i: next(search) for i, search in enumerate(searches)}
@@ -226,8 +223,8 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point of the spec; rows keep their grid order.
 
     The points are the parameter columns of :meth:`SweepSpec.columns`; one
-    batched kernel call evaluates all of them (after the lockstep search of
-    :func:`optimize_s_many` over all of them when `optimize_s_at_each`, at
+    batched kernel call evaluates all of them (after the lockstep searches of
+    :func:`_optimize_columns` over all of them when `optimize_s_at_each`, at
     the s* of each point it optimized); a point that fails records its
     error in its own row.  Warns as :func:`sqbell.resources.scheme_pf` does.
     """
@@ -236,19 +233,15 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     kernel.warn_if_lossy(spec.detector, columns)
     todo = rows
     if spec.optimize_s_at_each:
-        opts = _optimize_columns(columns, spec.detector)
-        ok = []
-        for i, (row, opt) in enumerate(zip(rows, opts)):
+        for row, opt in zip(rows, _optimize_columns(columns, spec.detector)):
             if isinstance(opt, Exception):  # recorded in-row, sweep continues
                 row.error = _describe(opt)
             else:
                 row.s_star = opt.s_star
-                ok.append(i)
+        ok = [i for i, row in enumerate(rows) if row.error is None]
         todo = [rows[i] for i in ok]
         columns = columns[:, ok]
         columns[_S_ROW] = [row.s_star for row in todo]
-    if not todo:
-        return rows
     P, F, status = kernel.columns_pf(columns, spec.detector)
     for row, p, f, st in zip(todo, P, F, status):
         exc = status_error(p, st)

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqbell import kernel
 from sqbell import resources as rs
 from sqbell import teleport as tp
 from sqbell.cli import (DATASETS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                        main)
+                        MAX_GRID_POINTS, _config_from_args, build_parser, main)
 
 
 def run(capsys, *argv):
@@ -218,6 +219,62 @@ def test_non_finite_or_negative_parameters_exit_2(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert "finite" in err
+
+
+def test_scheme_flags_default_to_the_config_defaults():
+    args = build_parser().parse_args(["state", "--r", "1"])
+    assert _config_from_args(args) == rs.SchemeConfig(r=1.0)
+
+
+def test_sweep_refuses_to_optimize_along_s_exit_2(capsys):
+    code, out, err = run(capsys, "sweep", "--r", "1", "--axis", "s",
+                         "--grid", "0:1:0.25", "--optimize")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "along s" in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0:inf:0.1", "finite"), ("nan:1:0.1", "finite"), ("0:1:-inf", "finite"),
+    (f"0:{MAX_GRID_POINTS}:1", "MAX_GRID_POINTS")])
+def test_non_finite_or_oversized_grid_exit_2(capsys, grid, message):
+    code, out, err = run(capsys, "sweep", "--r", "1", "--axis", "s", "--grid", grid)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+def test_largest_grid_is_accepted(capsys):
+    code, out, _ = run(capsys, "sweep", "--r", "1", "--axis", "T",
+                       "--grid", f"0.5:{0.5 + (MAX_GRID_POINTS - 1) * 5e-5}:5e-5")
+    assert code == EXIT_OK
+    assert out.count("\n") == MAX_GRID_POINTS + 1
+
+
+# a point of each dataset of scheme rows: its column field and value, and
+# how the error names it
+FAILING_POINTS = {"table2": ("r", 1.6, "r = 1.6"), "fig4": ("r", 1.6, "r = 1.6"),
+                  "fig5": ("r", 1.6, "r = 1.6"), "fig7": ("T_loss", 0.9, "loss = 0.1")}
+
+
+@pytest.mark.parametrize("target", FAILING_POINTS)
+def test_failed_dataset_point_exit_3_and_writes_nothing(tmp_path, capsys,
+                                                        monkeypatch, target):
+    field, value, name = FAILING_POINTS[target]
+    columns_pf = kernel.columns_pf
+
+    def failing(columns, detector):
+        P, F, status = columns_pf(columns, detector)
+        status[np.isclose(columns[kernel.COLUMN_FIELDS.index(field)], value)] = \
+            kernel.UNPHYSICAL
+        return P, F, status
+
+    monkeypatch.setattr(kernel, "columns_pf", failing)
+    code, out, err = run(capsys, "reproduce", target, "--outdir", str(tmp_path))
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert name in err and "PhysicalityError" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_target_exit_2(capsys):

@@ -2,6 +2,7 @@
 and a 50-digit evaluation of the same Gaussian sums."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,9 +224,8 @@ def test_lossy_projector_warning_points_at_the_caller():
     for call in (lambda: rs.scheme_state(cfg, "ideal"),
                  lambda: rs.scheme_pf([cfg], "ideal"),
                  lambda: op.optimize_s(cfg, "ideal"),
-                 lambda: op.optimize_s_many([cfg], "ideal"),
                  lambda: op.sweep(op.SweepSpec(base=cfg, axis="s", grid=(0.0, 0.02))),
-                 lambda: op.sweep(op.SweepSpec(base=cfg, axis="s", grid=(0.0, 0.02),
+                 lambda: op.sweep(op.SweepSpec(base=cfg, axis="T", grid=(0.98, 0.99),
                                                optimize_s_at_each=True))):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -303,14 +303,14 @@ def test_singular_ideal_block_fails_only_its_own_point():
     assert not np.isfinite(P[1]) and np.isnan(F[1])
     for got, alone in zip((P, F, status), rs.scheme_pf([fine], "ideal")):
         assert got[:1].tobytes() == alone.tobytes()
-    opt, err = op.optimize_s_many([fine, SINGULAR_IDEAL], "ideal")
-    assert isinstance(opt, op.OptResult) and isinstance(err, PhysicalityError)
-    assert opt == op.optimize_s(fine, "ideal")
     spec = op.SweepSpec(base=SINGULAR_IDEAL, axis="r",
                         grid=(1.0, SINGULAR_IDEAL.r), detector="ideal")
-    first, second = op.sweep(spec)
-    assert first.error is None and first.fidelity > 0.5
-    assert second.error.startswith("PhysicalityError")
+    for optimize in (False, True):
+        first, second = op.sweep(replace(spec, optimize_s_at_each=optimize))
+        assert first.error is None and first.fidelity > 0.5
+        assert second.error.startswith("PhysicalityError")
+        assert second.fidelity is None and second.s_star is None
+    assert first.s_star == op.optimize_s(spec.config_at(1.0), "ideal").s_star
 
 
 def test_unknown_detector_rejected():

@@ -152,10 +152,10 @@ def scalar_optimize_s(cfg, detector):
 
 
 @pytest.mark.parametrize("detector", ["ideal", "on-off"])
-def test_optimize_s_many_equals_optimize_s_and_the_scalar_loop(detector):
+def test_lockstep_searches_equal_optimize_s_and_the_scalar_loop(detector):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
-        many = op.optimize_s_many(MIXED, detector)
+        many = op._optimize_columns(kernel.columns_of(MIXED), detector)
         single = [_outcome(cfg, detector) for cfg in MIXED]
         scalar = [_outcome(cfg, detector, scalar_optimize_s) for cfg in MIXED]
     assert [(type(m), str(m)) if isinstance(m, Exception) else m
@@ -163,13 +163,17 @@ def test_optimize_s_many_equals_optimize_s_and_the_scalar_loop(detector):
     kinds = {type(m).__name__ if isinstance(m, Exception) else m.plateau
              for m in many}
     assert {True, False, "DegeneratePostselectionError"} <= kinds
-    assert op.optimize_s_many([], detector) == []
+    assert op._optimize_columns(kernel.columns_of([]), detector) == []
 
 
-def test_optimize_s_many_makes_one_kernel_call_per_round(monkeypatch):
-    # fig4's configurations; the longest search sets the number of rounds:
-    # its coarse grid, opening pair, golden-section steps and midpoint
-    cfgs = [rs.SchemeConfig(r=round(float(r), 10)) for r in np.arange(0.1, 2.01, 0.05)]
+def test_optimizing_sweep_makes_one_kernel_call_per_round(monkeypatch):
+    # fig4's optimizing sweep; the longest search sets the number of rounds
+    # (its coarse grid, opening pair, golden-section steps and midpoint),
+    # and one more call evaluates every point at its s*
+    rgrid = tuple(round(float(r), 10) for r in np.arange(0.1, 2.01, 0.05))
+    spec = op.SweepSpec(base=rs.SchemeConfig(r=rgrid[0]), axis="r", grid=rgrid,
+                        optimize_s_at_each=True)
+    results = [op.optimize_s(spec.config_at(r)) for r in rgrid]
     columns_pf, calls = kernel.columns_pf, []
 
     def counting(columns, detector):
@@ -177,10 +181,12 @@ def test_optimize_s_many_makes_one_kernel_call_per_round(monkeypatch):
         return columns_pf(columns, detector)
 
     monkeypatch.setattr(kernel, "columns_pf", counting)
-    results = op.optimize_s_many(cfgs, "ideal")
-    assert len(cfgs) == 39 and len(calls) == 18
-    assert len(calls) == max(len(res.trace) for res in results) - op.COARSE_POINTS
-    assert sum(calls) == sum(len(res.trace) for res in results)
+    rows = op.sweep(spec)
+    assert len(rows) == 39 and len(calls) == 19 and calls[-1] == 39
+    assert len(calls) - 1 == max(len(res.trace) for res in results) - op.COARSE_POINTS
+    assert sum(calls[:-1]) == sum(len(res.trace) for res in results)
+    assert [(row.s_star, row.fidelity) for row in rows] == \
+        [(res.s_star, res.f_star) for res in results]
 
 
 def test_optimize_delta_matches_scan():
@@ -236,6 +242,14 @@ def test_sweep_spec_validation():
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="s", grid=(0.2, 0.1))
     with pytest.raises(ValueError):
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="T", grid=(0.5, 1.5))
+
+
+def test_sweep_spec_refuses_optimizing_along_s():
+    # each row would be labelled with an s it never evaluated, the optimum
+    # over s in [0, r] of the same configuration
+    with pytest.raises(ValueError, match="along s"):
+        op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="s", grid=(0.0, 0.5),
+                     optimize_s_at_each=True)
 
 
 def test_sweep_spec_validates_the_grid_at_its_endpoints(monkeypatch):
@@ -336,6 +350,8 @@ def test_sweep_columns_match_configurations_bit_for_bit(detector, optimize_s_at_
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         for base, (axis, grid) in itertools.product(COLUMN_BASES, COLUMN_GRIDS.items()):
+            if axis == "s" and optimize_s_at_each:
+                continue  # refused by SweepSpec
             spec = op.SweepSpec(base=base, axis=axis, grid=grid,
                                 detector=detector, optimize_s_at_each=optimize_s_at_each)
             rows += op.sweep(spec)
