@@ -7,7 +7,9 @@ timings.  The oracle's fidelity is the 48 x 48 Gauss-Hermite quadrature of
 (1/pi) int d^2 lam e^(-|lam|^2) chi(-conj(lam), -lam) over its chi, held to
 `teleport.fidelity_closed_form`.  Exits 1 when any exceeds criterion 6's
 tolerance: 1e-6 on |dchi|, 1e-6 on the success probability's relative
-deviation, and 1e-5 on |dF|.
+deviation, and 1e-5 on |dF|.  The signal-only-loss row runs at the cutoff
+clamped to `fock_sim.SIGNAL_LOSS_MAX_CUTOFF`, the cap of its Kraus-branch
+path.
 
 Usage: python scripts/oracle_crosscheck.py [cutoff]
 """
@@ -29,6 +31,7 @@ CONFIGS = [
     ("ideal", rs.SchemeConfig(r=0.6, s=0.01, T_loss=0.85)),
     ("on-off", rs.SchemeConfig(r=0.6, s=0.01, eta3=0.15, eta4=0.15)),
     ("on-off", rs.SchemeConfig(r=0.8, s=0.03, T_loss=0.85)),
+    ("ideal", rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.85, loss_on_detector_modes=False)),
 ]
 GH_ORDER = 48
 
@@ -48,16 +51,17 @@ def main(cutoff: int) -> int:
     b1s = np.array([b1 for b1, _ in grid])
     b2s = np.array([b2 for _, b2 in grid])
     print(f"cutoff {cutoff}, {len(grid)} grid points per configuration")
-    print(f"{'detector':8s} {'r':>4s} {'s':>6s} {'T_loss':>6s}  "
+    print(f"{'detector':8s} {'r':>4s} {'s':>6s} {'T_loss':>6s} {'cutoff':>6s}  "
           f"{'max |dchi|':>11s} {'dsuccess':>10s} {'rel':>9s} {'|dF|':>9s} "
           f"{'seconds':>8s}")
     worst, worst_rel, worst_fid = 0.0, 0.0, 0.0
     for detector, cfg in CONFIGS:
         t0 = time.time()
+        c = cutoff if cfg.loss_on_detector_modes else min(cutoff, fs.SIGNAL_LOSS_MAX_CUTOFF)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LossyProjectorWarning)
             state = rs.scheme_state(cfg, detector)
-            rho, succ = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
+            rho, succ = fs.scheme_oracle(cfg, detector, cutoff=c)
         chi_o = fs.char_function_batch(rho, b1s, b2s)
         dev = float(np.max(np.abs(chi_o - state.chi(b1s, b2s))))
         dsucc = abs(succ - state.success_prob)
@@ -66,7 +70,7 @@ def main(cutoff: int) -> int:
         worst = max(worst, dev)
         worst_rel = max(worst_rel, rel)
         worst_fid = max(worst_fid, dfid)
-        print(f"{detector:8s} {cfg.r:4.1f} {cfg.s:6.3f} {cfg.T_loss:6.2f}  "
+        print(f"{detector:8s} {cfg.r:4.1f} {cfg.s:6.3f} {cfg.T_loss:6.2f} {rho.cutoffs[0]:6d}  "
               f"{dev:11.3e} {dsucc:10.3e} {rel:9.2e} {dfid:9.2e} "
               f"{time.time() - t0:8.2f}")
     print(f"worst characteristic-function deviation: {worst:.3e}")

@@ -6,9 +6,12 @@ code on photon-number tensors, with one path per operation:
 - pair unitaries: `two_mode_squeeze_operator` and `beam_splitter_operator`,
   exact exponentials of the truncated generators taken block by block of
   their conserved quantity, cached on their exact arguments;
-- the squeezer: `apply_two_mode_squeeze`, on two-mode states only, the
-  operator built on a padded pair space and the norm it pushes above the
-  cutoffs measured as the leak;
+- the squeezer: `apply_two_mode_squeeze`, on two-mode states only, built
+  on a padded pair space from the blocks of n1 - n2 where the state has a
+  nonzero amplitude only, and the norm it pushes above the cutoffs
+  measured as the leak; it does not go through the cached
+  `two_mode_squeeze_operator`, which builds every block for its direct
+  callers;
 - loss: `loss_kraus`, banded Kraus maps;
 - conditioning: `condition_with_diagonal_weights` on diagonal POVM weights
   (`lossy_projector_weights`, `on_off_weights`), normalized by
@@ -16,7 +19,9 @@ code on photon-number tensors, with one path per operation:
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
-  distinct |beta|^2 (`_phases`, `_laguerre_factors`);
+  distinct |beta|^2 (`_phases`, `_laguerre_factors`); `char_function_state`
+  takes two-mode states only and builds both displacement matrices in one
+  `_displacement_batch`;
 - `scheme_oracle` and `theoretical_oracle`, built from the steps above.
 
 The scheme is the paper's: linear optics and photon detection on a pair of
@@ -25,7 +30,10 @@ the signal twin beam t = S(r)|0,0> and the ancilla twin beam
 u = S(s)|0,0> as one sparse product B1 X B2^T, with
 X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] and B1, B2 the mixing beam
 splitters of modes (1, 3) and (2, 4); its leak is the twin beams' leaks
-summed.
+summed.  The product's entries are rearranged into the sparse matrix
+Psi[(n1, n2), (n3, n4)] and heralded as such (`_herald`): the scheme
+oracle never holds a dense four-mode tensor, and `scheme_proto_state` is
+the one place that densifies one.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
@@ -47,6 +55,7 @@ up to the cap of its path, and a leak at the cap is raised.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,7 +68,9 @@ from .resources import SchemeConfig
 from .symplectic import SqueezeParam
 
 DEFAULT_LEAK_TOL = 1e-8
-# pair unitaries kept per process; one oracle cross-check campaign uses ~10
+# pair unitaries kept per process: the scheme oracle's beam splitters, and
+# the squeezers of direct `two_mode_squeeze_operator` callers; the oracle's
+# squeezer builds only the blocks its state occupies, uncached
 UNITARY_CACHE_SIZE = 64
 # largest scheme-oracle cutoff, with loss on the signal modes only / otherwise
 SIGNAL_LOSS_MAX_CUTOFF = 16
@@ -158,10 +169,17 @@ def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]) -> sparse.
     The generator conserves n_i - n_j, so the exponential is taken block by
     block; the result is exactly unitary on the truncated space.
     """
+    return _squeeze_unitary(p, dims, range(-(dims[1] - 1), dims[0]))
+
+
+def _squeeze_unitary(p: SqueezeParam, dims: tuple[int, int], qs) -> sparse.csr_matrix:
+    """The squeezer on the truncated pair space restricted to the blocks
+    q = n_i - n_j in `qs`: its rows and columns in those blocks are the full
+    operator's, every other entry is zero."""
     d1, d2 = dims
     z = p.amplitude * np.exp(1j * p.phase)
     blocks = []
-    for q in range(-(d2 - 1), d1):
+    for q in qs:
         if q >= 0:
             n2s = np.arange(0, min(d2, d1 - q))
             n1s = n2s + q
@@ -202,6 +220,8 @@ def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
     and the subdiagonal of its generator, which is tridiagonal and
     anti-Hermitian (its superdiagonal is -conj(lower)).
     """
+    if not blocks:
+        return sparse.csr_matrix((D, D), dtype=complex)
     rows, cols, vals = [], [], []
     for idx, lower in blocks:
         size = len(idx)
@@ -229,8 +249,10 @@ def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
     """S(p) on a two-mode state, as amplitudes on its pair space padded by
     max(8, cutoff // 2) levels per mode: the padded operator's columns of
     the state's pair space times its amplitudes, each row summed by scipy
-    in the order of the full product.  A state of more modes raises
-    ValueError."""
+    in the order of the full product.  The squeezer conserves n1 - n2, so
+    only the blocks of that quantity where the state has a nonzero
+    amplitude are exponentiated; every other row of the full product sums
+    exact zeros.  A state of more modes raises ValueError."""
     if state.n_modes != 2:
         raise ValueError("the two-mode squeezer expects a two-mode state")
     dims = state.amps.shape
@@ -238,7 +260,9 @@ def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
     padded = (dims[0] + pad, dims[1] + pad)
     # flat indices of the state's pair space within the padded one
     inner = (np.arange(dims[0])[:, None] * padded[1] + np.arange(dims[1])).ravel()
-    big = two_mode_squeeze_operator(p, padded)[:, inner] @ state.amps.reshape(-1)
+    n1, n2 = np.nonzero(state.amps)
+    op = _squeeze_unitary(p, padded, np.unique(n1 - n2))
+    big = op[:, inner] @ state.amps.reshape(-1)
     return big.reshape(padded)
 
 
@@ -367,13 +391,18 @@ def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
 
 
 def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, with the
-    amplitudes as a sparse matrix Psi[(a, b), (k, l)] of their nonzero
-    entries, summed over the (k, l) of nonzero weight only (one for ideal
+    """`_herald` of a dense four-mode state, its amplitudes read as the
+    sparse matrix Psi[(a, b), (k, l)] of their nonzero entries."""
+    d0, d1 = state.amps.shape[:2]
+    return _herald(sparse.csr_matrix(state.amps.reshape(d0 * d1, -1)), w3, w4)
+
+
+def _herald(psi: sparse.csr_matrix, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, from the
+    amplitudes as a sparse matrix Psi[(a, b), (k, l)] with sorted indices,
+    summed over the (k, l) of nonzero weight only (one for ideal
     projectors).  The cost is set by the nonzero products, not by a
     d^2 x d^2 x d^2 GEMM."""
-    d0, d1 = state.amps.shape[:2]
-    psi = sparse.csr_matrix(state.amps.reshape(d0 * d1, -1))
     weighted = psi.copy()
     weighted.data *= np.outer(w3, w4).reshape(-1)[weighted.indices]
     weighted.eliminate_zeros()
@@ -460,9 +489,14 @@ def char_function(rho: FockDensity, beta1: complex, beta2: complex) -> complex:
 
 
 def char_function_state(state: FockTensor, beta1: complex, beta2: complex) -> complex:
-    """<psi| D1(b1) D2(b2) |psi> for a two-mode pure state."""
-    D1 = displacement_matrix(beta1, state.cutoffs[0])
-    D2 = displacement_matrix(beta2, state.cutoffs[1])
+    """<psi| D1(b1) D2(b2) |psi> for a two-mode pure state; a state of any
+    other mode count raises ValueError."""
+    if state.n_modes != 2:
+        raise ValueError("char_function_state expects a two-mode state")
+    d0, d1 = state.amps.shape
+    D = _displacement_batch(np.array([beta1, beta2]), max(state.cutoffs))
+    D1 = np.ascontiguousarray(D[:d0, :d0, 0])
+    D2 = np.ascontiguousarray(D[:d1, :d1, 1])
     return complex(np.vdot(state.amps, D1 @ state.amps @ D2.T))
 
 
@@ -559,10 +593,11 @@ def _twin_beams(cfg: SchemeConfig, cutoff: int,
             apply_two_mode_squeeze(vacuum, SqueezeParam(cfg.s, cfg.phi_xi), leak_tol))
 
 
-def _mixed(t: np.ndarray, u: np.ndarray, cfg: SchemeConfig) -> FockTensor:
+def _mixed(t: np.ndarray, u: np.ndarray, cfg: SchemeConfig) -> sparse.csr_matrix:
     """The four-mode state after the mixing beam splitters B1 of modes
     (1, 3) and B2 of modes (2, 4), from signal pair amplitudes t and
-    ancilla pair amplitudes u: the sparse product B1 X B2^T, with
+    ancilla pair amplitudes u, as the sparse matrix Psi[(n1, n2), (n3, n4)]
+    with sorted indices: the entries of the sparse product B1 X B2^T, with
     X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] over the nonzero entries
     of t and u."""
     d = t.shape[0]
@@ -573,21 +608,21 @@ def _mixed(t: np.ndarray, u: np.ndarray, cfg: SchemeConfig) -> FockTensor:
                           shape=(d * d, d * d))
     Y = (beam_splitter_operator(cfg.T1, (d, d)) @ X
          @ beam_splitter_operator(cfg.T2, (d, d)).T).tocoo()
-    amps = np.zeros((d,) * 4, dtype=complex)
     n1, n3 = np.divmod(Y.row, d)
     n2, n4 = np.divmod(Y.col, d)
-    amps[n1, n2, n3, n4] = Y.data
-    return FockTensor((d - 1,) * 4, amps)
+    # built from COO, so its indices are sorted
+    return sparse.csr_matrix((Y.data, (n1 * d + n2, n3 * d + n4)), shape=(d * d, d * d))
 
 
 def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Four-mode state after both squeezers and both mixing beam splitters,
-    with the two twin beams' leaks summed."""
+    with the two twin beams' leaks summed; the one place the oracle holds a
+    dense four-mode tensor."""
     t, u = _twin_beams(cfg, cutoff, leak_tol)
-    state = _mixed(t.amps, u.amps, cfg)
-    state.leak = t.leak + u.leak
-    return state
+    d = cutoff + 1
+    amps = _mixed(t.amps, u.amps, cfg).toarray().reshape((d,) * 4)
+    return FockTensor((cutoff,) * 4, amps, leak=t.leak + u.leak)
 
 
 def _signal_loss_only(cfg: SchemeConfig) -> bool:
@@ -659,9 +694,9 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
                       cutoff: int) -> tuple[FockDensity, float]:
     w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
     t, u = _twin_beams(cfg, cutoff, DEFAULT_LEAK_TOL)
-    # reduce, not sum: a single branch's density is used as is, not copied
+    # the first branch's density is used as is and the others added into it
     rho = FockDensity((cutoff, cutoff), functools.reduce(
-        np.add, (_heralded(_mixed(b, u.amps, cfg), w3, w4) for b in _branches(t, cfg))))
+        operator.iadd, (_herald(_mixed(b, u.amps, cfg), w3, w4) for b in _branches(t, cfg))))
     success = rho.trace()
     rho = rho.normalized()
     if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:

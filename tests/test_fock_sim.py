@@ -93,6 +93,37 @@ def test_squeezer_refuses_a_four_mode_state():
         fs.apply_two_mode_squeeze(fs.vacuum_state((4,) * 4), SqueezeParam(0.3, np.pi))
 
 
+def _squeezer_block_states():
+    """States in several n1 - n2 blocks at once, in one, and in none."""
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+    two_blocks = np.zeros((7, 6), dtype=complex)
+    two_blocks[2, 0] = 0.6
+    two_blocks[0, 3] = 0.8j
+    # |2,0> + |0,3> occupies blocks 2 and -3, |1,1> block 0
+    return {"dense": dense, "two-blocks": two_blocks,
+            "one-one": fs.basis_state((6, 5), (1, 1)).amps,
+            "zero": np.zeros((7, 6), dtype=complex)}
+
+
+@pytest.mark.parametrize("name", list(_squeezer_block_states()))
+def test_block_restricted_squeezer_matches_full_padded_operator(name):
+    # only the occupied n1 - n2 blocks are exponentiated; amplitudes and leak
+    # are those of the full padded operator's columns, bit for bit
+    amps = _squeezer_block_states()[name]
+    state = fs.FockTensor((6, 5), amps)
+    p = SqueezeParam(0.7, 2.0)
+    padded = (7 + 8, 6 + 8)  # max(8, cutoff // 2) levels added per mode
+    inner = (np.arange(7)[:, None] * padded[1] + np.arange(6)).ravel()
+    full = fs.two_mode_squeeze_operator(p, padded)[:, inner] @ amps.reshape(-1)
+    ref = fs._truncated(full.reshape(padded), state.cutoffs, 0.0, np.inf)
+    got = fs.apply_two_mode_squeeze(state, p, leak_tol=np.inf)
+    assert got.amps.tobytes() == ref.amps.tobytes()
+    assert got.leak == ref.leak
+    if name == "zero":
+        assert not np.any(got.amps) and got.leak == 0.0
+
+
 # ---------------------------------------------------------------------------
 # beam splitter
 # ---------------------------------------------------------------------------
@@ -412,6 +443,13 @@ def test_char_function_batch_matches_scalar():
         assert fs.char_function(rho, b1[k], b2[k]) == pytest.approx(
             batch[k], rel=1e-12, abs=1e-12)
     assert batch[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cutoffs, occupations", [
+    ((3,) * 3, (1, 0, 0)), ((3,) * 4, (1, 0, 0, 0))], ids=["three-mode", "four-mode"])
+def test_char_function_state_refuses_other_mode_counts(cutoffs, occupations):
+    with pytest.raises(ValueError, match="two-mode"):
+        fs.char_function_state(fs.basis_state(cutoffs, occupations), 0.3, 0.2j)
 
 
 def test_char_function_state_matches_batch_on_pure_density():
@@ -880,3 +918,45 @@ def test_scheme_oracle_matches_dense_pipeline(detector, cfg):
     ref_rho, ref_success = fock_dense.scheme_oracle(cfg, detector, 12)
     assert success == pytest.approx(ref_success, rel=1e-14)
     assert np.max(np.abs(rho.matrix - ref_rho)) < 1e-14
+
+
+@pytest.mark.parametrize("detector, cfg", [
+    ("ideal", SchemeConfig(r=0.4, s=0.05, T_loss=0.85)),
+    ("on-off", SchemeConfig(r=0.4, s=0.05, eta3=0.3, eta4=0.2, T_loss=0.85)),
+], ids=["ideal-all-mode-loss", "onoff-all-mode-loss"])
+def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
+    # the oracle heralds the sparse mixed state; conditioning the dense
+    # four-mode state gives the same density and probability, bit for bit
+    cutoff = 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
+    assert rho.cutoffs == (cutoff, cutoff)
+    w3, w4 = fs._detector_weights(cfg, detector, cutoff + 1)
+    ref, ref_success = fs.condition_with_diagonal_weights(
+        fs.scheme_proto_state(cfg, cutoff), w3, w4)
+    for mode in (0, 1):
+        ref = fs.loss_kraus(ref, mode, cfg.T_loss)
+    assert success == ref_success
+    assert rho.matrix.tobytes() == ref.normalized().matrix.tobytes()
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_sparse_heralding_matches_dense_branch_sum(detector):
+    # with signal-only loss, the per-branch heralding of dense four-mode
+    # states, summed over the Kraus branches, is the oracle's, bit for bit
+    cutoff = 10
+    cfg = SchemeConfig(r=0.4, s=0.05, T_loss=0.85, loss_on_detector_modes=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
+    assert rho.cutoffs == (cutoff, cutoff)
+    w3, w4 = fs._detector_weights(cfg, detector, cutoff + 1)
+    t, u = fs._twin_beams(cfg, cutoff, fs.DEFAULT_LEAK_TOL)
+    total = 0.0
+    for branch in fs._branches(t, cfg):
+        amps = fs._mixed(branch, u.amps, cfg).toarray().reshape((cutoff + 1,) * 4)
+        total = total + fs._heralded(fs.FockTensor((cutoff,) * 4, amps), w3, w4)
+    ref = fs.FockDensity((cutoff, cutoff), total)
+    assert success == ref.trace()
+    assert rho.matrix.tobytes() == ref.normalized().matrix.tobytes()
