@@ -400,18 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Load --config JSON defaults; explicit command-line flags still win."""
-    for idx, arg in enumerate(argv):
-        if arg == "--config":
-            if idx + 1 == len(argv):
-                raise ValueError("--config needs a path")
-            path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
-            break
-        if arg.startswith("--config="):
-            path, argv = arg[len("--config="):], argv[:idx] + argv[idx + 1:]
-            break
-    else:
+    """Load --config JSON defaults; explicit command-line flags still win.
+    A second --config raises ValueError rather than being ignored."""
+    found = [idx for idx, arg in enumerate(argv)
+             if arg == "--config" or arg.startswith("--config=")]
+    if not found:
         return argv
+    if len(found) > 1:
+        raise ValueError("--config is given more than once")
+    idx = found[0]
+    if argv[idx] == "--config":
+        if idx + 1 == len(argv):
+            raise ValueError("--config needs a path")
+        path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+    else:
+        path, argv = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")

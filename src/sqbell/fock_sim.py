@@ -12,7 +12,8 @@ code on photon-number tensors, with one path per operation:
   measured as the leak; it does not go through the cached
   `two_mode_squeeze_operator`, which builds every block for its direct
   callers;
-- loss: `loss_kraus`, banded Kraus maps;
+- loss: `loss_kraus` on two-mode densities, one shifted, weighted
+  indexed add of the nonzero entries per Kraus order;
 - conditioning: `condition_with_diagonal_weights` on diagonal POVM weights
   (`lossy_projector_weights`, `on_off_weights`), normalized by
   `FockDensity.normalized`, which raises on a zero heralding probability;
@@ -46,10 +47,12 @@ asked to check.
 
 The scheme oracle models pure loss only and has one pipeline: twin beams,
 loss branches of the signal pair, the beam-splitter product, heralded
-densities summed over branches.  Loss on every mode needs one branch; loss
-on the signal modes alone needs one per pair of Kraus orders, which caps
-that path at cutoff 16 (48 for the others).  A leaking cutoff is escalated
-up to the cap of its path, and a leak at the cap is raised.
+densities summed over branches.  Loss on every mode needs one branch,
+and its signal-mode part is applied to the heralded density before its one
+normalization; loss on the signal modes alone needs one per pair of Kraus
+orders, which caps that path at cutoff 16 (48 for the others).  A leaking
+cutoff is escalated up to the cap of its path, and a leak at the cap is
+raised.
 """
 
 from __future__ import annotations
@@ -313,46 +316,32 @@ def _loss_kraus_bands(T: float, dim: int) -> list[np.ndarray]:
     return bands
 
 
-def loss_kraus(obj, mode: int, T: float) -> FockDensity:
-    """Loss channel on one mode of a two-mode pure state or density operator.
+def loss_kraus(rho: FockDensity, mode: int, T: float) -> FockDensity:
+    """Loss channel on one mode of a two-mode density operator.
 
     Sum over m of K_m rho K_m^dag.  K_m has the single band K_m[i, i + m],
-    so a nonzero entry whose lossy-mode ket and bra photon numbers are p and
-    q feeds the entry (p - m, q - m) of every order m <= min(p, q); all
-    those terms are scattered with one `np.bincount`.  The cost is set by
-    the nonzero entries times their orders, not d^4 per order, and each
-    output entry sums its orders in turn, as the order-by-order sum would.
+    so order m moves every nonzero entry whose lossy-mode ket and bra photon
+    numbers p and q are both at least m to (p - m, q - m), weighted by
+    band[p - m] band[q - m]: one indexed add per order, whose destinations
+    are distinct.  The orders are added in rising m, as the order-by-order
+    sum would, and the cost is set by the nonzero entries times their
+    orders, not d^4 per order.
     """
-    cutoffs = obj.cutoffs
-    if isinstance(obj, FockTensor):
-        if obj.n_modes != 2:
-            raise ValueError("loss_kraus expects a two-mode object")
-        rho = np.einsum("ab,cd->abcd", obj.amps, obj.amps.conj())
-    else:
-        rho = obj.as_tensor()
-    dim = cutoffs[mode] + 1
-    bands = _loss_kraus_bands(T, dim)
-    table = np.zeros((len(bands), dim))
-    for m, band in enumerate(bands):
-        table[m, :len(band)] = band
-    flat = np.flatnonzero(rho != 0)
-    idx = np.unravel_index(flat, rho.shape)
+    tensor = rho.as_tensor()
+    flat = np.flatnonzero(tensor)
+    idx = np.unravel_index(flat, tensor.shape)
     p, q = idx[mode], idx[mode + 2]
-    # entry e feeds orders 0..n_orders[e] - 1, as consecutive terms; with the
-    # entries in C order, the terms of one output entry come by rising m
-    n_orders = np.minimum(np.minimum(p, q) + 1, len(bands))
-    e = np.repeat(np.arange(len(flat)), n_orders)
-    m = np.arange(len(e)) - np.repeat(np.cumsum(n_orders) - n_orders, n_orders)
-    terms = table[m, p[e] - m] * table[m, q[e] - m] * rho.reshape(-1)[flat[e]]
+    values = tensor.reshape(-1)[flat]
     # order m lowers the ket and bra photon numbers of the lossy mode by m
     shift = np.zeros(4, dtype=int)
     shift[[mode, mode + 2]] = 1
-    dest = flat[e] - m * np.ravel_multi_index(shift, rho.shape)
-    # real and imaginary parts interleaved, one bin each
-    out = np.bincount(np.stack([2 * dest, 2 * dest + 1], axis=-1).ravel(),
-                      weights=terms.view(float), minlength=2 * rho.size)
-    d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
-    return FockDensity(tuple(cutoffs), out.view(complex).reshape(d, d))
+    step = np.ravel_multi_index(shift, tensor.shape)
+    out = np.zeros(tensor.size, dtype=complex)
+    for m, band in enumerate(_loss_kraus_bands(T, rho.cutoffs[mode] + 1)):
+        keep = np.minimum(p, q) >= m
+        flat, p, q, values = flat[keep], p[keep], q[keep], values[keep]
+        out[flat - m * step] += band[p - m] * band[q - m] * values
+    return FockDensity(rho.cutoffs, out.reshape(rho.matrix.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +418,10 @@ def _phases(alphas: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([upper[:0:-1], lower])
 
 
-def _tri_index(k, n, dim: int):
-    """Row of order k and step n in `_laguerre_factors`: the orders in turn,
-    steps 0 .. dim - 1 - k within each."""
-    return k * dim - k * (k - 1) // 2 + n
-
-
 def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
     """The real factor R_k(n) = sqrt(k! n! / (n+k)!) L_n^(k)(x) of the
-    displacement elements <n+k|D|n> and <n|D|n+k>, for n + k < dim, rows in
-    `_tri_index` order, one column per x = |alpha|^2.
+    displacement elements <n+k|D|n> and <n|D|n+k>, as the table R[k, n, x]
+    for each x = |alpha|^2, zero where n + k >= dim.
 
     The normalized Laguerre recurrence in n,
 
@@ -451,13 +434,12 @@ def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
     diagonal = 2 * n + 1 + k
     back = np.sqrt(n * (n + k))
     scale = np.sqrt((n + 1) * (n + 1 + k))
-    starts = _tri_index(np.arange(dim), 0, dim)
-    out = np.empty((dim * (dim + 1) // 2, len(x)))
+    out = np.zeros((dim, dim, len(x)))
     h_prev = np.zeros((dim, len(x)))
     h = np.ones((dim, len(x)))
     for step in range(dim):
         ks = dim - step                                    # orders with n + k <= cutoff
-        out[starts[:ks] + step] = h
+        out[:ks, step] = h
         kn = slice(ks - 1)                                 # orders still needed at n + 1
         h_next = ((diagonal[step, kn] - x) * h[:-1] - back[step, kn] * h_prev[kn]
                   ) / scale[step, kn]
@@ -474,7 +456,7 @@ def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     xs, point = np.unique(x, return_inverse=True)
     m, n = np.indices((dim, dim))
     P = _phases(alphas, x, dim)[m - n + dim - 1]
-    R = _laguerre_factors(xs, dim)[_tri_index(np.abs(m - n), np.minimum(m, n), dim)]
+    R = _laguerre_factors(xs, dim)[np.abs(m - n), np.minimum(m, n)]
     return P * R[..., point]
 
 
@@ -558,8 +540,7 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
     R = _laguerre_factors(xs, dim)
     P1, P2 = _phases(b1, x1, d0), _phases(b2, x2, d1)
 
-    rows2 = _tri_index(np.abs(q2), j2, dim)
-    R2 = R[:, p2]
+    R2 = R[:, :, p2]
     # column edges of the |q1| groups, and of the (q1, q2) blocks in each
     groups = np.flatnonzero(np.diff(order1, prepend=-1, append=d0))
     blocks = np.flatnonzero(np.diff(block, prepend=-1))
@@ -567,10 +548,11 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
     shift1, shift2 = q1[blocks] + d0 - 1, q2[blocks] + d1 - 1
     for a, z, first, last in zip(groups[:-1], groups[1:], within[:-1], within[1:]):
         o = order1[a]
-        r1 = R[_tri_index(o, 0, dim):_tri_index(o, d0 - o, dim)]
+        r1 = R[o, :d0 - o]
         # real GEMM on the interleaved real and imaginary parts of t
         A = (r1.T @ t[:d0 - o, a:z].view(float)).view(complex)
-        S = np.add.reduceat(A[p1] * R2[rows2[a:z]].T, blocks[first:last] - a, axis=1)
+        S = np.add.reduceat(A[p1] * R2[np.abs(q2[a:z]), j2[a:z]].T,
+                            blocks[first:last] - a, axis=1)
         chi += np.sum(P1[shift1[first:last]] * (P2[shift2[first:last]] * S[pair].T), axis=0)
     return chi
 
@@ -664,7 +646,9 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     Pure loss only: `n_thermal > 0` raises ValueError.  Loss of equal
     transmissivity on every mode commutes with the mixing beam splitters, so
     the detector-mode loss is folded into the diagonal POVM weights and the
-    signal-mode loss is applied after conditioning.  Signal-only loss is kept
+    signal-mode loss is applied to the heralded density, which is
+    normalized once, after it; the success probability is the heralded
+    trace.  Signal-only loss is kept
     ahead of the beam splitters as a sum over Kraus branches, which limits
     that path to cutoff 16 (48 otherwise).  A cutoff above that limit, or
     below 1 (heralding needs the n = 1 outcome), raises ValueError; a
@@ -698,12 +682,11 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
     rho = FockDensity((cutoff, cutoff), functools.reduce(
         operator.iadd, (_herald(_mixed(b, u.amps, cfg), w3, w4) for b in _branches(t, cfg))))
     success = rho.trace()
-    rho = rho.normalized()
     if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:
+        # the loss is linear and trace-preserving: one normalization after it
         rho = loss_kraus(rho, 0, cfg.T_loss)
         rho = loss_kraus(rho, 1, cfg.T_loss)
-        rho = rho.normalized()
-    return rho, success
+    return rho.normalized(), success
 
 
 def theoretical_oracle(family: str, r: float, delta: float | None = None,

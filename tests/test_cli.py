@@ -409,6 +409,19 @@ def test_config_without_path_exit_2(capsys):
     assert "--config" in err
 
 
+def test_repeated_config_exit_2(tmp_path, capsys):
+    # a second --config is refused in either form, not silently dropped
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps({"r": 0.5}))
+    second.write_text(json.dumps({"r": 0.9}))
+    for argv in (("--config", str(first), "--config", str(second)),
+                 (f"--config={first}", f"--config={second}"),
+                 ("--config", str(first), f"--config={second}")):
+        code, out, err = run(capsys, *argv, "state", "--family", "twin-beam")
+        assert code == EXIT_USAGE
+        assert "--config" in err and not out
+
+
 def test_config_path_unreadable_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "fidelity", "--config", str(tmp_path))
     assert code == EXIT_USAGE

@@ -198,15 +198,20 @@ def test_beam_splitter_conserves_photon_number():
 # ---------------------------------------------------------------------------
 
 
+def _pure_density(state):
+    """|psi><psi| of a two-mode pure state."""
+    flat = state.amps.reshape(-1)
+    return fs.FockDensity(state.cutoffs, np.outer(flat, flat.conj()))
+
+
 def test_loss_identity_channel():
-    st = fs.basis_state((4, 4), (2, 1))
-    rho = fs.loss_kraus(st, 0, 1.0)
-    pure = np.outer(st.amps.reshape(-1), st.amps.conj().reshape(-1))
-    assert np.allclose(rho.matrix, pure)
+    pure = _pure_density(fs.basis_state((4, 4), (2, 1)))
+    rho = fs.loss_kraus(pure, 0, 1.0)
+    assert np.allclose(rho.matrix, pure.matrix)
 
 
 def test_loss_single_photon():
-    rho = fs.loss_kraus(fs.basis_state((3, 3), (1, 0)), 0, 0.7).as_tensor()
+    rho = fs.loss_kraus(_pure_density(fs.basis_state((3, 3), (1, 0))), 0, 0.7).as_tensor()
     assert rho[1, 0, 1, 0] == pytest.approx(0.7)
     assert rho[0, 0, 0, 0] == pytest.approx(0.3)
 
@@ -217,7 +222,7 @@ def test_loss_kraus_vs_ancilla_route():
     amps /= np.linalg.norm(amps)
     st = fs.FockTensor((8, 8), amps)
     for mode, T in ((0, 0.85), (1, 0.6)):
-        a = fs.loss_kraus(st, mode, T)
+        a = fs.loss_kraus(_pure_density(st), mode, T)
         b = fock_dense.loss_via_ancilla(st, mode, T)
         assert np.max(np.abs(a.matrix - b)) < 1e-12
 
@@ -709,6 +714,19 @@ def test_cutoff_below_one_is_refused(cutoff):
         fs.scheme_oracle(SchemeConfig(r=0.5, s=0.05), "ideal", cutoff=cutoff)
 
 
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+@pytest.mark.parametrize("T_loss", [1.0, 0.85], ids=["lossless", "all-mode-loss"])
+def test_scheme_oracle_degenerate_heralding(detector, T_loss):
+    # with no ancilla squeezing and unit mixing transmissivities the
+    # detector modes stay in vacuum, so P = 0 exactly, before the signal-mode
+    # loss and after it
+    cfg = SchemeConfig(r=0.5, s=0.0, T1=1.0, T2=1.0, T_loss=T_loss)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        with pytest.raises(DegeneratePostselectionError):
+            fs.scheme_oracle(cfg, detector, cutoff=8)
+
+
 def test_density_validate():
     cfg = SchemeConfig(r=0.5, s=0.05, T_loss=0.85)
     rho, _ = fs.scheme_oracle(cfg, "on-off", cutoff=12)
@@ -853,11 +871,15 @@ def test_scheme_proto_state_matches_dense_reference(cfg):
     assert state.leak == pytest.approx(leak, rel=1e-10)
 
 
-def test_scheme_oracle_peak_memory():
+@pytest.mark.parametrize("cfg", [
+    SchemeConfig(r=0.6, s=0.01),
+    SchemeConfig(r=0.6, s=0.01, T_loss=0.85),
+], ids=["lossless", "all-mode-loss"])
+def test_scheme_oracle_peak_memory(cfg):
     # one dense four-mode tensor at cutoff 25 holds 26^4 amplitudes, 7.0 MiB;
-    # the oracle builds one per branch, and its heralded density is as large
+    # the oracle builds one per branch, and its heralded density is as large,
+    # as is each density the signal-mode loss makes from it
     cutoff = 25
-    cfg = SchemeConfig(r=0.6, s=0.01)
     fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)  # operators cached, not measured
     tensor_bytes = (cutoff + 1) ** 4 * np.dtype(complex).itemsize
     tracemalloc.start()
@@ -880,15 +902,14 @@ def _two_mode_densities():
 def test_loss_kraus_matches_band_loop(T):
     rng = np.random.default_rng(17)
     amps = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
-    pure = fs.FockTensor((6, 8), amps / np.linalg.norm(amps))
-    flat = pure.amps.reshape(-1)
-    pure_density = fs.FockDensity(pure.cutoffs, np.outer(flat, flat.conj()))
+    pure = _pure_density(fs.FockTensor((6, 8), amps / np.linalg.norm(amps)))
     for mode in (0, 1):
-        for rho in _two_mode_densities():
+        for rho in _two_mode_densities() + [pure]:
             ref = fock_dense.loss_kraus(rho, mode, T)
-            assert np.max(np.abs(fs.loss_kraus(rho, mode, T).matrix - ref)) < 1e-14
-        ref = fock_dense.loss_kraus(pure_density, mode, T)
-        assert np.max(np.abs(fs.loss_kraus(pure, mode, T).matrix - ref)) < 1e-14
+            lost = fs.loss_kraus(rho, mode, T)
+            assert np.max(np.abs(lost.matrix - ref)) < 1e-14
+            # the Kraus maps are trace-preserving on the truncated space
+            assert lost.trace() == pytest.approx(rho.trace(), abs=1e-14)
 
 
 @pytest.mark.parametrize("weights", [
@@ -933,11 +954,10 @@ def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
         rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
     assert rho.cutoffs == (cutoff, cutoff)
     w3, w4 = fs._detector_weights(cfg, detector, cutoff + 1)
-    ref, ref_success = fs.condition_with_diagonal_weights(
-        fs.scheme_proto_state(cfg, cutoff), w3, w4)
+    ref = fs.FockDensity(rho.cutoffs, fs._heralded(fs.scheme_proto_state(cfg, cutoff), w3, w4))
+    assert success == ref.trace()
     for mode in (0, 1):
         ref = fs.loss_kraus(ref, mode, cfg.T_loss)
-    assert success == ref_success
     assert rho.matrix.tobytes() == ref.normalized().matrix.tobytes()
 
 
