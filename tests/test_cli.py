@@ -142,7 +142,7 @@ def test_sweep_rejects_non_scheme_family_exit_2(capsys, family):
 
 
 def test_quadrature_not_converged_exit_3(capsys, monkeypatch):
-    # the cross-check needs about ten subdivisions; one is not enough
+    # the cross-check needs eight subdivisions at this r; one is not enough
     monkeypatch.setattr(tp, "QUADRATURE_MAX_SUBDIVISIONS", 1)
     code, out, err = run(capsys, "fidelity", "--family", "twin-beam", "--r", "1.0")
     assert code == EXIT_NUMERICAL

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -31,6 +33,23 @@ def imported(module: str) -> set[str]:
 def test_kernel_imports_only_numpy_and_the_standard_library():
     tops = {name.split(".")[0] for name in imported("kernel")}
     assert tops <= set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_only_the_fock_oracle_imports_scipy():
+    assert [m for m in MODULES
+            if any(name.split(".")[0] == "scipy" for name in imported(m))] == ["fock_sim"]
+
+
+def test_package_and_cli_load_no_scipy_module():
+    # scipy belongs to the Fock oracle; the CLI, its cross-check included,
+    # starts without it
+    code = ("import sys, sqbell, sqbell.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "gauss_poly"])

@@ -1,7 +1,12 @@
 """Tests for the teleportation-fidelity functional."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
+from test_acceptance import _oracle_configs
 
 from sqbell import fock_sim as fs
 from sqbell import resources as rs
@@ -81,6 +86,78 @@ def test_quadrature_raises_when_not_converged(monkeypatch):
         tp.fidelity_closed_form(state), abs=1e-3)
     with pytest.raises(QuadratureConvergenceError):
         tp.fidelity_alpha_explicit(state, 0.5j)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, complex("nanj")])
+def test_alpha_explicit_refuses_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        tp.fidelity_alpha_explicit(rs.theoretical_state("twin-beam", 0.5), alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cubature_raises_on_a_non_finite_integrand(bad):
+    # NaN compares false against any tolerance, so it must not pass for converged
+    def integrand(uv):
+        return np.where(uv[:, 0] > 5.0, bad, 1.0)
+
+    with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+        tp._cubature(integrand, tp.QUADRATURE_TOL)
+
+
+def counted(integrand, calls):
+    def wrapped(uv):
+        calls.append(len(uv))
+        return integrand(uv)
+    return wrapped
+
+
+def test_cubature_single_region_is_exact_to_degree_31():
+    # qk21 integrates u^30 v^30 exactly; the loose tolerance stops after the
+    # first region, whose 21 x 21 product nodes are the only call
+    calls = []
+    scale = tp.LAMBDA_MAX
+    value = tp._cubature(counted(lambda uv: np.prod((uv / scale) ** 30, axis=1),
+                                 calls), 1.0)
+    assert calls == [441]
+    assert value == pytest.approx((2 * scale / 31) ** 2, rel=1e-13)
+
+
+def test_cubature_gaussian_over_the_square():
+    value = tp._cubature(lambda uv: np.exp(-np.sum(uv ** 2, axis=1)), tp.QUADRATURE_TOL)
+    assert value == pytest.approx(np.pi * math.erf(tp.LAMBDA_MAX) ** 2, rel=1e-13)
+
+
+def oracle_states():
+    """The twelve resource states of acceptance criterion 6."""
+    theory, scheme = _oracle_configs()
+    states = [rs.theoretical_state(family, kw["r"], kw.get("delta"))
+              for family, kw in theory]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ideal projectors on a lossy source
+        states += [rs.scheme_state(cfg, detector) for detector, cfg in scheme]
+    return states
+
+
+@pytest.mark.parametrize("state", oracle_states())
+def test_cubature_matches_scipy_in_few_batched_calls(state, monkeypatch):
+    # every round's new regions go to the integrand in one call
+    found = {}
+    cubature = tp._cubature
+
+    def recording(integrand, tol):
+        calls = []
+        found["value"] = cubature(counted(integrand, calls), tol)
+        found["integrand"], found["tol"], found["calls"] = integrand, tol, calls
+        return found["value"]
+
+    monkeypatch.setattr(tp, "_cubature", recording)
+    tp.fidelity_quadrature(state)
+    tol = found["tol"]
+    reference = integrate.cubature(found["integrand"], [-tp.LAMBDA_MAX] * 2,
+                                   [tp.LAMBDA_MAX] * 2, rule="gk21", atol=tol, rtol=tol)
+    assert reference.status == "converged"
+    assert found["value"] == pytest.approx(float(reference.estimate), abs=1e-12)
+    assert len(found["calls"]) <= 5
 
 
 def test_alpha_independence_spread():
