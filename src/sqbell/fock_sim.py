@@ -3,15 +3,17 @@
 Everything the closed-form pipeline computes is re-derived here by array
 code on photon-number tensors, with one path per operation:
 
-- pair unitaries: `two_mode_squeeze_operator` and `beam_splitter_operator`,
-  exact exponentials of the truncated generators taken block by block of
-  their conserved quantity, cached on their exact arguments;
+- pair unitaries: each a list of dense blocks of its conserved quantity
+  (`_block_unitary`), the exact exponentials of the truncated generator's
+  blocks from numpy's `eigh`; the beam splitters' blocks cached on their
+  exact arguments.  `two_mode_squeeze_operator` and
+  `beam_splitter_operator` assemble every block into a cached scipy
+  csr_matrix for their direct callers; they are the only code that loads
+  scipy, and the oracle calls neither;
 - the squeezer: `apply_two_mode_squeeze`, on two-mode states only, built
   on a padded pair space from the blocks of n1 - n2 where the state has a
-  nonzero amplitude only, and the norm it pushes above the cutoffs
-  measured as the leak; it does not go through the cached
-  `two_mode_squeeze_operator`, which builds every block for its direct
-  callers;
+  nonzero amplitude only, one dense product per block, and the norm it
+  pushes above the cutoffs measured as the leak;
 - loss: `loss_kraus` on two-mode densities, one shifted, weighted
   indexed add of the nonzero entries per Kraus order;
 - conditioning: `condition_with_diagonal_weights` on diagonal POVM weights
@@ -28,13 +30,14 @@ code on photon-number tensors, with one path per operation:
 The scheme is the paper's: linear optics and photon detection on a pair of
 uncorrelated two-mode squeezed states.  Its four-mode state is built from
 the signal twin beam t = S(r)|0,0> and the ancilla twin beam
-u = S(s)|0,0> as one sparse product B1 X B2^T, with
+u = S(s)|0,0> as the product B1 X B2^T, with
 X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] and B1, B2 the mixing beam
-splitters of modes (1, 3) and (2, 4); its leak is the twin beams' leaks
-summed.  The product's entries are rearranged into the sparse matrix
-Psi[(n1, n2), (n3, n4)] and heralded as such (`_herald`): the scheme
-oracle never holds a dense four-mode tensor, and `scheme_proto_state` is
-the one place that densifies one.
+splitters of modes (1, 3) and (2, 4), taken block by block of
+(n1 + n3, n2 + n4) (`_mixed`); its leak is the twin beams' leaks summed.
+The product's nonzero entries, as those of the matrix
+Psi[(n1, n2), (n3, n4)], are heralded group by group of n3 - n4
+(`_herald`): the scheme oracle never holds a dense four-mode tensor, and
+`scheme_proto_state` is the one place that densifies one.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
@@ -50,7 +53,8 @@ loss branches of the signal pair, the beam-splitter product, heralded
 densities summed over branches.  Loss on every mode needs one branch,
 and its signal-mode part is applied to the heralded density before its one
 normalization; loss on the signal modes alone needs one per pair of Kraus
-orders, which caps that path at cutoff 16 (48 for the others).  A leaking
+orders, mixed and heralded in stacks of equal m2 - m1, which caps that
+path at cutoff 16 (48 for the others).  A leaking
 cutoff is escalated up to the cap of its path, and a leak at the cap is
 raised.
 """
@@ -63,16 +67,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CutoffTooSmallError, DegeneratePostselectionError, ZeroNormStateError
 from .resources import SchemeConfig
 from .symplectic import SqueezeParam
 
 DEFAULT_LEAK_TOL = 1e-8
-# pair unitaries kept per process: the scheme oracle's beam splitters, and
-# the squeezers of direct `two_mode_squeeze_operator` callers; the oracle's
+# pair unitaries kept per process, per builder: the scheme oracle's beam
+# splitter blocks, and the csr operators of direct callers; the oracle's
 # squeezer builds only the blocks its state occupies, uncached
 UNITARY_CACHE_SIZE = 64
 # largest scheme-oracle cutoff, with loss on the signal modes only / otherwise
@@ -166,19 +168,19 @@ def annihilator(dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]) -> sparse.csr_matrix:
-    """exp(-z adag_i adag_j + conj(z) a_i a_j) on the truncated pair space.
+def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]):
+    """exp(-z adag_i adag_j + conj(z) a_i a_j) on the truncated pair space,
+    as a scipy csr_matrix.
 
     The generator conserves n_i - n_j, so the exponential is taken block by
     block; the result is exactly unitary on the truncated space.
     """
-    return _squeeze_unitary(p, dims, range(-(dims[1] - 1), dims[0]))
+    return _csr(_squeeze_blocks(p, dims, range(-(dims[1] - 1), dims[0])), dims)
 
 
-def _squeeze_unitary(p: SqueezeParam, dims: tuple[int, int], qs) -> sparse.csr_matrix:
-    """The squeezer on the truncated pair space restricted to the blocks
-    q = n_i - n_j in `qs`: its rows and columns in those blocks are the full
-    operator's, every other entry is zero."""
+def _squeeze_blocks(p: SqueezeParam, dims: tuple[int, int], qs) -> list:
+    """The squeezer's blocks q = n_i - n_j in `qs` on the truncated pair
+    space, as `_block_unitary` returns them."""
     d1, d2 = dims
     z = p.amplitude * np.exp(1j * p.phase)
     blocks = []
@@ -192,16 +194,24 @@ def _squeeze_unitary(p: SqueezeParam, dims: tuple[int, int], qs) -> sparse.csr_m
         # raising both photon numbers by one within the block
         amps = -z * np.sqrt((n1s[:-1] + 1.0) * (n2s[:-1] + 1.0))
         blocks.append((n1s * d2 + n2s, amps))
-    return _block_unitary(blocks, d1 * d2)
+    return _block_unitary(blocks)
 
 
 @functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix:
-    """exp(kappa (adag_l a_k - a_l adag_k)) with tan(kappa) = sqrt((1-T)/T).
+def beam_splitter_operator(T: float, dims: tuple[int, int]):
+    """exp(kappa (adag_l a_k - a_l adag_k)) with tan(kappa) = sqrt((1-T)/T),
+    as a scipy csr_matrix.
 
     Photon-number conserving, hence exactly unitary and leak-free on the
     truncated pair space.
     """
+    return _csr(_beam_splitter_blocks(T, dims), dims)
+
+
+@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
+def _beam_splitter_blocks(T: float, dims: tuple[int, int]) -> list:
+    """The beam splitter's blocks N = n_k + n_l, N = 0 .. d1 + d2 - 2 in
+    order, as `_block_unitary` returns them; cached, not to be modified."""
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     d1, d2 = dims
@@ -213,19 +223,19 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]) -> sparse.csr_matrix
         # raising n1 by one lowers n2 by one within the block
         amps = kappa * np.sqrt((n1s[:-1] + 1.0) * n2s[:-1])
         blocks.append((n1s * d2 + n2s, amps))
-    return _block_unitary(blocks, d1 * d2)
+    return _block_unitary(blocks)
 
 
-def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
-    """Sparse exp(G) of a generator that is block diagonal in the pair basis.
+def _block_unitary(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(G) of a generator that is block diagonal in the pair basis, as
+    the list of (indices, U): each block's flat pair-basis indices and its
+    dense exponential.
 
-    Each block is (indices, lower): the flat pair-basis indices of the block
-    and the subdiagonal of its generator, which is tridiagonal and
-    anti-Hermitian (its superdiagonal is -conj(lower)).
+    Each block is given as (indices, lower): the indices and the subdiagonal
+    of its generator, which is tridiagonal and anti-Hermitian (its
+    superdiagonal is -conj(lower)).
     """
-    if not blocks:
-        return sparse.csr_matrix((D, D), dtype=complex)
-    rows, cols, vals = [], [], []
+    out = []
     for idx, lower in blocks:
         size = len(idx)
         if size == 1:
@@ -236,36 +246,49 @@ def _block_unitary(blocks, D: int) -> sparse.csr_matrix:
             # phase of iG's superdiagonal -i conj(lower); so
             # exp(G) = D V e^{-i w} V^T D^* from the eigenpairs (w, V) of T
             theta = np.concatenate([[0.0], -np.cumsum(np.angle(-1j * np.conj(lower)))])
-            w, V = eigh_tridiagonal(np.zeros(size), np.abs(lower))
+            off = np.diag(np.abs(lower), 1)
+            w, V = np.linalg.eigh(off + off.T)
             DV = np.exp(1j * theta)[:, None] * V
             U = (DV * np.exp(-1j * w)) @ DV.conj().T
+        out.append((idx, U))
+    return out
+
+
+def _csr(blocks, dims: tuple[int, int]):
+    """The pair operator of `_block_unitary` blocks as a scipy csr_matrix of
+    its nonzero entries; the oracle itself never builds one."""
+    from scipy import sparse
+
+    rows, cols, vals = [], [], []
+    for idx, U in blocks:
         a, b = np.nonzero(U)
         rows.append(idx[a])
         cols.append(idx[b])
         vals.append(U[a, b])
+    D = dims[0] * dims[1]
     return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(D, D))
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(D, D))
 
 
 def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
     """S(p) on a two-mode state, as amplitudes on its pair space padded by
-    max(8, cutoff // 2) levels per mode: the padded operator's columns of
-    the state's pair space times its amplitudes, each row summed by scipy
-    in the order of the full product.  The squeezer conserves n1 - n2, so
+    max(8, cutoff // 2) levels per mode.  The squeezer conserves n1 - n2, so
     only the blocks of that quantity where the state has a nonzero
-    amplitude are exponentiated; every other row of the full product sums
-    exact zeros.  A state of more modes raises ValueError."""
+    amplitude are exponentiated, each one applied as one dense product of
+    its columns inside the state's pair space; every other block of the
+    full product maps exact zeros.  A state of more modes raises
+    ValueError."""
     if state.n_modes != 2:
         raise ValueError("the two-mode squeezer expects a two-mode state")
     dims = state.amps.shape
     pad = max(8, max(state.cutoffs) // 2)
     padded = (dims[0] + pad, dims[1] + pad)
-    # flat indices of the state's pair space within the padded one
-    inner = (np.arange(dims[0])[:, None] * padded[1] + np.arange(dims[1])).ravel()
     n1, n2 = np.nonzero(state.amps)
-    op = _squeeze_unitary(p, padded, np.unique(n1 - n2))
-    big = op[:, inner] @ state.amps.reshape(-1)
+    big = np.zeros(padded[0] * padded[1], dtype=complex)
+    for idx, U in _squeeze_blocks(p, padded, np.unique(n1 - n2)):
+        m1, m2 = np.divmod(idx, padded[1])
+        inside = (m1 < dims[0]) & (m2 < dims[1])
+        big[idx] = U[:, inside] @ state.amps[m1[inside], m2[inside]]
     return big.reshape(padded)
 
 
@@ -328,7 +351,7 @@ def loss_kraus(rho: FockDensity, mode: int, T: float) -> FockDensity:
     orders, not d^4 per order.
     """
     tensor = rho.as_tensor()
-    flat = np.flatnonzero(tensor)
+    flat = np.flatnonzero(tensor != 0)
     idx = np.unravel_index(flat, tensor.shape)
     p, q = idx[mode], idx[mode + 2]
     values = tensor.reshape(-1)[flat]
@@ -381,21 +404,62 @@ def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
 
 def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     """`_herald` of a dense four-mode state, its amplitudes read as the
-    sparse matrix Psi[(a, b), (k, l)] of their nonzero entries."""
+    nonzero entries of the matrix Psi[(a, b), (k, l)]."""
     d0, d1 = state.amps.shape[:2]
-    return _herald(sparse.csr_matrix(state.amps.reshape(d0 * d1, -1)), w3, w4)
+    psi = state.amps.reshape(d0 * d1, -1)
+    rows, cols = np.nonzero(psi)
+    return _herald((rows, cols, psi[rows, cols]), d0 * d1, w3, w4)
 
 
-def _herald(psi: sparse.csr_matrix, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, from the
-    amplitudes as a sparse matrix Psi[(a, b), (k, l)] with sorted indices,
-    summed over the (k, l) of nonzero weight only (one for ideal
-    projectors).  The cost is set by the nonzero products, not by a
+def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
+            w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, of
+    size `dim`, from the distinct entries (rows, cols, values) of
+    Psi[(a, b), (j, k, l)], whose columns may stack several states j.
+
+    Psi W Psi^dag is a sum of one outer product per column, weighted by
+    w3[k] w4[l]; it is summed over groups of columns, one per k - l, each
+    group one dense product of its nonzero rows and columns, all groups in
+    one batched GEMM.  Rows and columns are taken in sorted order, so the
+    result does not depend on the order of the entries.  Entries of zero
+    value or zero weight are skipped (for ideal projectors all but
+    k = l = 1), so the cost is set by the nonzero products, not by a
     d^2 x d^2 x d^2 GEMM."""
-    weighted = psi.copy()
-    weighted.data *= np.outer(w3, w4).reshape(-1)[weighted.indices]
-    weighted.eliminate_zeros()
-    return (weighted @ psi.conj().T).toarray()
+    rows, cols, vals = psi
+    k, l = np.divmod(cols, len(w4))
+    k %= len(w3)
+    weight = w3[k] * w4[l]
+    keep = (vals != 0) & (weight != 0)
+    # group k - l as 0 .. len(w3) + len(w4) - 2
+    rows, cols, vals, weight, g = (a[keep] for a in (rows, cols, vals, weight, k - l + len(w4) - 1))
+    groups = len(w3) + len(w4) - 1
+    row_of, i = _ranked(g, rows, (groups, dim))
+    col_of, j = _ranked(g, cols, (groups, cols.max(initial=0) + 1))
+    A = np.zeros(row_of.shape + col_of.shape[1:], dtype=complex)
+    A[g, i, j] = vals
+    W = np.zeros(col_of.shape)
+    W[g, j] = weight
+    G = (A * W[:, None]) @ A.conj().transpose(0, 2, 1)
+    # the padding of the groups' rows takes no part
+    pair = (row_of[:, :, None] >= 0) & (row_of[:, None, :] >= 0)
+    rho = np.zeros((dim, dim), dtype=complex)
+    np.add.at(rho.reshape(-1), (row_of[:, :, None] * dim + row_of[:, None, :])[pair], G[pair])
+    return rho
+
+
+def _ranked(group: np.ndarray, x: np.ndarray,
+            shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct x of each group in rising order, as the rows of a table
+    padded with -1, and the place of each entry among its group's; groups
+    and x lie in `shape`."""
+    key = group * shape[1] + x
+    present = np.zeros(shape, dtype=bool)
+    present.reshape(-1)[key] = True
+    rank = np.cumsum(present, axis=1).reshape(-1) - 1
+    table = np.full((shape[0], rank.max(initial=-1) + 1), -1)
+    at = np.flatnonzero(present)
+    table[at // shape[1], rank[at]] = at % shape[1]
+    return table, rank[key]
 
 
 # ---------------------------------------------------------------------------
@@ -575,25 +639,35 @@ def _twin_beams(cfg: SchemeConfig, cutoff: int,
             apply_two_mode_squeeze(vacuum, SqueezeParam(cfg.s, cfg.phi_xi), leak_tol))
 
 
-def _mixed(t: np.ndarray, u: np.ndarray, cfg: SchemeConfig) -> sparse.csr_matrix:
-    """The four-mode state after the mixing beam splitters B1 of modes
-    (1, 3) and B2 of modes (2, 4), from signal pair amplitudes t and
-    ancilla pair amplitudes u, as the sparse matrix Psi[(n1, n2), (n3, n4)]
-    with sorted indices: the entries of the sparse product B1 X B2^T, with
-    X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] over the nonzero entries
-    of t and u."""
-    d = t.shape[0]
-    i, j = np.nonzero(t)
+def _mixed(t: np.ndarray, u: np.ndarray,
+           cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four-mode states after the mixing beam splitters B1 of modes
+    (1, 3) and B2 of modes (2, 4), from a stack t[j] of signal pair
+    amplitudes and the ancilla pair amplitudes u, as the nonzero entries
+    (rows, cols, values) of Psi[(n1, n2), (j, n3, n4)]: row n1 d + n2,
+    column (j d + n3) d + n4.  Each state is B1 X B2^T with
+    X[(n1, n3), (n2, n4)] = t[j, n1, n2] u[n3, n4], taken block by block of
+    (n1 + n3, n2 + n4), the quantities B1 and B2 conserve: one dense
+    product per block pair where some t[j] and u have a nonzero product,
+    for the whole stack at once."""
+    d = t.shape[1]
+    B1 = _beam_splitter_blocks(cfg.T1, (d, d))
+    B2 = _beam_splitter_blocks(cfg.T2, (d, d))
+    _, i, j = np.nonzero(t)
     k, l = np.nonzero(u)
-    X = sparse.csr_matrix(((t[i, j][:, None] * u[k, l]).ravel(),
-                           ((i[:, None] * d + k).ravel(), (j[:, None] * d + l).ravel())),
-                          shape=(d * d, d * d))
-    Y = (beam_splitter_operator(cfg.T1, (d, d)) @ X
-         @ beam_splitter_operator(cfg.T2, (d, d)).T).tocoo()
-    n1, n3 = np.divmod(Y.row, d)
-    n2, n4 = np.divmod(Y.col, d)
-    # built from COO, so its indices are sorted
-    return sparse.csr_matrix((Y.data, (n1 * d + n2, n3 * d + n4)), shape=(d * d, d * d))
+    occupied = np.unique((i[:, None] + k) * (2 * d - 1) + (j[:, None] + l))
+    # with no occupied block pair, no entries
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for N, M in zip(*np.divmod(occupied, 2 * d - 1)):
+        (idx1, U1), (idx2, U2) = B1[N], B2[M]
+        n1, n3 = np.divmod(idx1, d)
+        n2, n4 = np.divmod(idx2, d)
+        Y = U1 @ (t[:, n1[:, None], n2] * u[n3[:, None], n4]) @ U2.T
+        s, a, b = np.nonzero(Y)
+        rows.append(n1[a] * d + n2[b])
+        cols.append((s * d + n3[a]) * d + n4[b])
+        vals.append(Y[s, a, b])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
@@ -603,8 +677,10 @@ def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
     dense four-mode tensor."""
     t, u = _twin_beams(cfg, cutoff, leak_tol)
     d = cutoff + 1
-    amps = _mixed(t.amps, u.amps, cfg).toarray().reshape((d,) * 4)
-    return FockTensor((cutoff,) * 4, amps, leak=t.leak + u.leak)
+    rows, cols, vals = _mixed(t.amps[None], u.amps, cfg)
+    amps = np.zeros((d * d, d * d), dtype=complex)
+    amps[rows, cols] = vals
+    return FockTensor((cutoff,) * 4, amps.reshape((d,) * 4), leak=t.leak + u.leak)
 
 
 def _signal_loss_only(cfg: SchemeConfig) -> bool:
@@ -623,19 +699,25 @@ def _detector_weights(cfg: SchemeConfig, detector: str,
 
 
 def _branches(t: FockTensor, cfg: SchemeConfig):
-    """The signal pair amplitudes whose mixed, heralded densities sum to the
-    scheme's: one Kraus branch of t per pair of signal loss orders (m1, m2)
-    with signal-only loss, else t's own."""
+    """Stacks of signal pair amplitudes whose mixed, heralded densities sum
+    to the scheme's: with signal-only loss, the Kraus branches of t, one per
+    pair of signal loss orders (m1, m2), stacked by m2 - m1 (the branches of
+    one twin beam with equal m2 - m1 occupy the same blocks of the mixing
+    and of the heralding), else t's own."""
     if not _signal_loss_only(cfg):
-        yield t.amps
+        yield t.amps[None]
         return
     bands = _loss_kraus_bands(cfg.T_loss, t.cutoffs[0] + 1)
-    for m1, band1 in enumerate(bands):
-        for m2, band2 in enumerate(bands):
+    orders = len(bands)
+    for shift in range(1 - orders, orders):
+        stack = []
+        for m1 in range(max(0, -shift), min(orders, orders - shift)):
+            band1, band2 = bands[m1], bands[m1 + shift]
             # K_m1 x K_m2, whose only entries are K_m[i, i + m] = band[i]
             amps = np.zeros_like(t.amps)
-            amps[:len(band1), :len(band2)] = band1[:, None] * t.amps[m1:, m2:] * band2
-            yield amps
+            amps[:len(band1), :len(band2)] = band1[:, None] * t.amps[m1:, m1 + shift:] * band2
+            stack.append(amps)
+        yield np.stack(stack)
 
 
 def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
@@ -679,8 +761,9 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
     w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
     t, u = _twin_beams(cfg, cutoff, DEFAULT_LEAK_TOL)
     # the first branch's density is used as is and the others added into it
-    rho = FockDensity((cutoff, cutoff), functools.reduce(
-        operator.iadd, (_herald(_mixed(b, u.amps, cfg), w3, w4) for b in _branches(t, cfg))))
+    dim = (cutoff + 1) ** 2
+    rho = FockDensity((cutoff, cutoff), functools.reduce(operator.iadd, (
+        _herald(_mixed(stack, u.amps, cfg), dim, w3, w4) for stack in _branches(t, cfg))))
     success = rho.trace()
     if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:
         # the loss is linear and trace-preserving: one normalization after it

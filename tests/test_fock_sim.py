@@ -106,20 +106,34 @@ def _squeezer_block_states():
             "zero": np.zeros((7, 6), dtype=complex)}
 
 
+def _every_block_product(amps, p, padded):
+    """The squeezer on the `padded` pair space applied to the two-mode
+    amplitudes `amps` block by block over every n1 - n2 block: each block's
+    columns inside the pair space of `amps` times their amplitudes."""
+    big = np.zeros(padded[0] * padded[1], dtype=complex)
+    for idx, U in fs._squeeze_blocks(p, padded, range(-(padded[1] - 1), padded[0])):
+        m1, m2 = np.divmod(idx, padded[1])
+        inside = (m1 < amps.shape[0]) & (m2 < amps.shape[1])
+        big[idx] = U[:, inside] @ amps[m1[inside], m2[inside]]
+    return big.reshape(padded)
+
+
 @pytest.mark.parametrize("name", list(_squeezer_block_states()))
 def test_block_restricted_squeezer_matches_full_padded_operator(name):
     # only the occupied n1 - n2 blocks are exponentiated; amplitudes and leak
-    # are those of the full padded operator's columns, bit for bit
+    # are those of the product over every block, bit for bit
     amps = _squeezer_block_states()[name]
     state = fs.FockTensor((6, 5), amps)
     p = SqueezeParam(0.7, 2.0)
     padded = (7 + 8, 6 + 8)  # max(8, cutoff // 2) levels added per mode
-    inner = (np.arange(7)[:, None] * padded[1] + np.arange(6)).ravel()
-    full = fs.two_mode_squeeze_operator(p, padded)[:, inner] @ amps.reshape(-1)
-    ref = fs._truncated(full.reshape(padded), state.cutoffs, 0.0, np.inf)
+    ref = fs._truncated(_every_block_product(amps, p, padded), state.cutoffs, 0.0, np.inf)
     got = fs.apply_two_mode_squeeze(state, p, leak_tol=np.inf)
     assert got.amps.tobytes() == ref.amps.tobytes()
     assert got.leak == ref.leak
+    # the full padded operator's columns, summed in another order
+    inner = (np.arange(7)[:, None] * padded[1] + np.arange(6)).ravel()
+    full = fs.two_mode_squeeze_operator(p, padded).toarray()[:, inner] @ amps.reshape(-1)
+    assert np.max(np.abs(got.amps - full.reshape(padded)[:7, :6])) < 1e-14
     if name == "zero":
         assert not np.any(got.amps) and got.leak == 0.0
 
@@ -757,14 +771,14 @@ def test_pair_operator_skips_zero_columns_exactly(modes):
     # the squeezer is built on 6 + 8 levels per mode and applied by its
     # columns of the 6-level pair space; the state is given in `modes` order
     inner = (np.arange(6)[:, None] * 14 + np.arange(6)).ravel()
-    op = fs.two_mode_squeeze_operator(p, (14, 14))[inner][:, inner]
+    op = fs.two_mode_squeeze_operator(p, (14, 14)).toarray()[np.ix_(inner, inner)]
     for amps in _pair_states(rng):
         x = np.moveaxis(amps, modes, (0, 1))
         got = fs.apply_two_mode_squeeze(fs.FockTensor((5, 5), x), p, leak_tol=np.inf)
-        # the full sparse product, bit for bit
-        assert got.amps.reshape(-1).tobytes() == (op @ x.reshape(-1)).tobytes()
+        # the product over every block, bit for bit
+        assert got.amps.tobytes() == _every_block_product(x, p, (14, 14))[:6, :6].tobytes()
         # a dense product sums in another order
-        assert np.max(np.abs(got.amps.reshape(-1) - op.toarray() @ x.reshape(-1))) < 1e-14
+        assert np.max(np.abs(got.amps.reshape(-1) - op @ x.reshape(-1))) < 1e-14
 
 
 def _conditioning_state():
@@ -930,7 +944,8 @@ def test_heralded_matches_dense_gemm(weights):
     ("ideal", SchemeConfig(r=0.5, s=0.02)),
     ("on-off", SchemeConfig(r=0.5, s=0.05, eta3=0.3, eta4=0.2, T_loss=0.85)),
     ("ideal", SchemeConfig(r=0.5, s=0.02, T_loss=0.85, loss_on_detector_modes=False)),
-], ids=["ideal-lossless", "onoff-all-mode-loss", "signal-only-loss"])
+    ("on-off", SchemeConfig(r=0.0, s=0.05, T_loss=0.85, loss_on_detector_modes=False)),
+], ids=["ideal-lossless", "onoff-all-mode-loss", "signal-only-loss", "signal-only-loss-vacuum"])
 def test_scheme_oracle_matches_dense_pipeline(detector, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
@@ -963,20 +978,60 @@ def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
 
 @pytest.mark.parametrize("detector", ["ideal", "on-off"])
 def test_sparse_heralding_matches_dense_branch_sum(detector):
-    # with signal-only loss, the per-branch heralding of dense four-mode
-    # states, summed over the Kraus branches, is the oracle's, bit for bit
+    # with signal-only loss, the heralding of each stack of Kraus branches
+    # from its densified entries, summed over the stacks, is the oracle's,
+    # bit for bit; each branch mixed and heralded on its own as a dense
+    # four-mode state sums the same outer products in another order
     cutoff = 10
+    d = cutoff + 1
     cfg = SchemeConfig(r=0.4, s=0.05, T_loss=0.85, loss_on_detector_modes=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
     assert rho.cutoffs == (cutoff, cutoff)
-    w3, w4 = fs._detector_weights(cfg, detector, cutoff + 1)
+    w3, w4 = fs._detector_weights(cfg, detector, d)
     t, u = fs._twin_beams(cfg, cutoff, fs.DEFAULT_LEAK_TOL)
-    total = 0.0
-    for branch in fs._branches(t, cfg):
-        amps = fs._mixed(branch, u.amps, cfg).toarray().reshape((cutoff + 1,) * 4)
-        total = total + fs._heralded(fs.FockTensor((cutoff,) * 4, amps), w3, w4)
+    total, per_branch, branches = 0.0, 0.0, 0
+    for stack in fs._branches(t, cfg):
+        rows, cols, vals = fs._mixed(stack, u.amps, cfg)
+        psi = np.zeros((d * d, len(stack) * d * d), dtype=complex)
+        psi[rows, cols] = vals
+        rows, cols = np.nonzero(psi)
+        total = total + fs._herald((rows, cols, psi[rows, cols]), d * d, w3, w4)
+        for branch in stack:
+            rows, cols, vals = fs._mixed(branch[None], u.amps, cfg)
+            amps = np.zeros((d * d, d * d), dtype=complex)
+            amps[rows, cols] = vals
+            per_branch = per_branch + fs._heralded(
+                fs.FockTensor((cutoff,) * 4, amps.reshape((d,) * 4)), w3, w4)
+            branches += 1
+    assert branches == d * d  # one per pair of loss orders
     ref = fs.FockDensity((cutoff, cutoff), total)
     assert success == ref.trace()
     assert rho.matrix.tobytes() == ref.normalized().matrix.tobytes()
+    assert np.max(np.abs(per_branch - total)) < 1e-15 * np.max(np.abs(total))
+
+
+@pytest.mark.parametrize("weights", [
+    lambda dim: ((np.arange(dim) == 1).astype(float),) * 2,
+    lambda dim: (fs.on_off_weights(0.3, dim), fs.on_off_weights(0.7, dim)),
+], ids=["ideal", "on-off"])
+def test_herald_does_not_depend_on_entry_order(weights):
+    # the dense path reads Psi's entries row by row and the oracle's mixing
+    # block by block; permuted entries, and explicit zeros among them, give
+    # the same density, bit for bit
+    rng = np.random.default_rng(23)
+    for state in _four_mode_states():
+        d0, d1, d2, d3 = state.amps.shape
+        w3, w4 = weights(d2)[0], weights(d3)[1]
+        psi = state.amps.reshape(d0 * d1, -1)
+        rows, cols = np.nonzero(psi)
+        ref = fs._herald((rows, cols, psi[rows, cols]), d0 * d1, w3, w4)
+        assert np.max(np.abs(ref)) > 1e-5
+        zero_rows, zero_cols = np.nonzero(psi == 0)
+        rows, cols = np.concatenate([rows, zero_rows]), np.concatenate([cols, zero_cols])
+        for _ in range(3):
+            order = rng.permutation(len(rows))
+            got = fs._herald((rows[order], cols[order], psi[rows[order], cols[order]]),
+                             d0 * d1, w3, w4)
+            assert got.tobytes() == ref.tobytes()

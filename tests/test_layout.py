@@ -40,16 +40,40 @@ def test_only_the_fock_oracle_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in imported(m))] == ["fock_sim"]
 
 
-def test_package_and_cli_load_no_scipy_module():
-    # scipy belongs to the Fock oracle; the CLI, its cross-check included,
-    # starts without it
-    code = ("import sys, sqbell, sqbell.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once `code` has run in a fresh interpreter
+    on this checkout's sources, as printed."""
+    code += "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_package_and_cli_load_no_scipy_module():
+    # scipy belongs to the Fock oracle's csr builders; the CLI, its
+    # cross-check included, starts without it
+    assert scipy_modules_after("import sqbell, sqbell.cli") == "[]"
+
+
+def test_fock_oracle_path_loads_no_scipy_module():
+    # only the two csr builders load scipy, and the oracle calls neither
+    code = """
+import warnings
+import numpy as np
+from sqbell import fock_sim as fs
+from sqbell.resources import SchemeConfig
+warnings.simplefilter("ignore")
+for detector in ("ideal", "on-off"):
+    for loss in ({}, {"loss_on_detector_modes": False}):
+        cfg = SchemeConfig(r=0.3, s=0.05, T_loss=0.85, **loss)
+        rho, _ = fs.scheme_oracle(cfg, detector, cutoff=8)
+        fs.char_function_batch(rho, np.array([0.1, 0.2j]), np.array([0.3, -0.1]))
+state = fs.theoretical_oracle("photon-subtracted", 0.5)
+fs.char_function_state(state, 0.1, 0.2j)
+"""
+    assert scipy_modules_after(code) == "[]"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "gauss_poly"])
