@@ -401,7 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Load --config JSON defaults; explicit command-line flags still win.
-    A second --config raises ValueError rather than being ignored."""
+    A second --config raises ValueError rather than being ignored.
+
+    The file's flags go ahead of the command line's first option, so that
+    argparse, where the last occurrence of a flag wins, keeps every explicit
+    flag, abbreviated or not.  `T` and `eta` stand for their two fields, so
+    that an explicit `--T1` or `--eta3` beats a file's shortcut too."""
     found = [idx for idx, arg in enumerate(argv)
              if arg == "--config" or arg.startswith("--config=")]
     if not found:
@@ -420,17 +425,19 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise ValueError("config file must hold a JSON object")
     if isinstance(data.get("flags"), dict):
         data = data["flags"]  # sidecars carry their flags under this key
+    for short, fields in (("T", ("T1", "T2")), ("eta", ("eta3", "eta4"))):
+        if short in data:
+            data.update(dict.fromkeys(fields, data.pop(short)))
     extra: list[str] = []
     for key, value in sorted(data.items()):
         flag = "--" + key.replace("_", "-")
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
         else:
             extra.extend([flag, str(value)])
-    return argv + extra
+    first = next((i for i, arg in enumerate(argv) if arg.startswith("-")), len(argv))
+    return argv[:first] + extra + argv[first:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,9 +16,10 @@ code on photon-number tensors, with one path per operation:
   pushes above the cutoffs measured as the leak;
 - loss: `loss_kraus` on two-mode densities, one shifted, weighted
   indexed add of the nonzero entries per Kraus order;
-- conditioning: `condition_with_diagonal_weights` on diagonal POVM weights
-  (`lossy_projector_weights`, `on_off_weights`), normalized by
-  `FockDensity.normalized`, which raises on a zero heralding probability;
+- heralding: `_herald` of the four-mode state's nonzero entries on
+  diagonal POVM weights (`lossy_projector_weights`, `on_off_weights`),
+  normalized by `FockDensity.normalized`, which raises on a zero heralding
+  probability;
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
@@ -36,8 +37,7 @@ splitters of modes (1, 3) and (2, 4), taken block by block of
 (n1 + n3, n2 + n4) (`_mixed`); its leak is the twin beams' leaks summed.
 The product's nonzero entries, as those of the matrix
 Psi[(n1, n2), (n3, n4)], are heralded group by group of n3 - n4
-(`_herald`): the scheme oracle never holds a dense four-mode tensor, and
-`scheme_proto_state` is the one place that densifies one.
+(`_herald`): the oracle never holds a dense four-mode tensor.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
@@ -387,30 +387,6 @@ def lossy_projector_weights(T: float, dim: int) -> np.ndarray:
     return n * T * (1.0 - T) ** np.clip(n - 1, 0, None)
 
 
-def condition_with_diagonal_weights(state: FockTensor, w3: np.ndarray,
-                                    w4: np.ndarray) -> tuple[FockDensity, float]:
-    """Condition a pure four-mode state on a diagonal POVM of modes 3 and 4.
-
-    Returns the normalized reduced density operator on modes 1 and 2 and
-    the success probability Tr[rho (W3 x W4)].  Ideal single-photon
-    projectors are `lossy_projector_weights(1.0, dim)`, on/off detectors
-    `on_off_weights(eta, dim)`.
-    """
-    if state.n_modes != 4:
-        raise ValueError("conditioning expects a four-mode state")
-    rho = FockDensity(state.cutoffs[:2], _heralded(state, w3, w4))
-    return rho.normalized(), rho.trace()
-
-
-def _heralded(state: FockTensor, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """`_herald` of a dense four-mode state, its amplitudes read as the
-    nonzero entries of the matrix Psi[(a, b), (k, l)]."""
-    d0, d1 = state.amps.shape[:2]
-    psi = state.amps.reshape(d0 * d1, -1)
-    rows, cols = np.nonzero(psi)
-    return _herald((rows, cols, psi[rows, cols]), d0 * d1, w3, w4)
-
-
 def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
             w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, of
@@ -668,19 +644,6 @@ def _mixed(t: np.ndarray, u: np.ndarray,
         cols.append((s * d + n3[a]) * d + n4[b])
         vals.append(Y[s, a, b])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def scheme_proto_state(cfg: SchemeConfig, cutoff: int,
-                       leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Four-mode state after both squeezers and both mixing beam splitters,
-    with the two twin beams' leaks summed; the one place the oracle holds a
-    dense four-mode tensor."""
-    t, u = _twin_beams(cfg, cutoff, leak_tol)
-    d = cutoff + 1
-    rows, cols, vals = _mixed(t.amps[None], u.amps, cfg)
-    amps = np.zeros((d * d, d * d), dtype=complex)
-    amps[rows, cols] = vals
-    return FockTensor((cutoff,) * 4, amps.reshape((d,) * 4), leak=t.leak + u.leak)
 
 
 def _signal_loss_only(cfg: SchemeConfig) -> bool:

@@ -51,6 +51,8 @@ class SweepSpec:
             raise ValueError(f"unknown detector kind {self.detector!r}")
         if self.axis == "s" and self.optimize_s_at_each:
             raise ValueError("a sweep along s cannot also optimize s at each point")
+        if self.axis == "eta" and self.detector == "ideal":
+            raise ValueError("ideal projectors have no efficiency to sweep along eta")
         g = tuple(float(v) for v in self.grid)
         if not g:
             raise ValueError("sweep grid is empty")

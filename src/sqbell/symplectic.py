@@ -50,26 +50,10 @@ class GaussianChar:
         self.n_modes = n_modes
         self.exponent = 0.5 * (S + S.T)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.exponent).min())
-
     def evaluate(self, betas) -> float:
         b = np.asarray(betas, dtype=complex)
         v = np.stack([b.real, b.imag], axis=-1).reshape(-1)
         return np.exp(-0.5 * v @ self.exponent @ v)
-
-    def mean_photons(self, mode: int) -> float:
-        """<a^dag a> of one mode, from the second derivatives of chi at zero."""
-        S = self.exponent
-        return 0.25 * (S[2 * mode, 2 * mode] + S[2 * mode + 1, 2 * mode + 1]) - 0.5
-
-    def total_mean_photons(self) -> float:
-        return sum(self.mean_photons(m) for m in range(self.n_modes))
-
-    def quadrature_variances(self, mode: int) -> tuple[float, float]:
-        """(Var X, Var Y) of one mode with X = (a + a^dag)/sqrt(2)."""
-        S = self.exponent
-        return (0.5 * S[2 * mode + 1, 2 * mode + 1], 0.5 * S[2 * mode, 2 * mode])
 
 
 def vacuum_char(n_modes: int) -> GaussianChar:

@@ -6,9 +6,9 @@ product; these are the same sums taken in full on dense tensors, one GEMM,
 einsum or shifted-slice product each, for the tests to compare against:
 the characteristic function, the conditioning, a pair operator on any two
 modes of a state, the padded squeezer with its leak, the loss channel (and
-loss by a beam splitter with a vacuum ancilla), and the scheme pipeline
-built from them, squeezing and mixing one pair of the four-mode state at a
-time.
+loss by a beam splitter with a vacuum ancilla), the scheme's four-mode
+state built from them, squeezing and mixing one pair of modes at a time,
+and the scheme pipeline that heralds it.
 """
 
 import numpy as np
@@ -115,16 +115,43 @@ def heralded(amps: np.ndarray, w3, w4) -> np.ndarray:
     return (psi * np.outer(w3, w4).reshape(-1)) @ psi.conj().T
 
 
-def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
-    """Normalized density matrix and success probability of the scheme at a
-    fixed cutoff, built from the dense steps above: squeezers, signal-loss
-    Kraus branches, mixing beam splitters, heralding, then the signal-mode
-    loss when the loss is on every mode (its detector part folded into the
-    weights)."""
+def scheme_state(cfg, cutoff: int, T_signal: float = 1.0):
+    """The scheme's four-mode state at `cutoff` from the dense steps above:
+    both squeezers padded on the whole tensor, then, for each pair (m1, m2)
+    of loss Kraus orders of transmissivity `T_signal` on modes 1 and 2 (the
+    one pair (0, 0), the identity, at T_signal = 1), that branch mixed by
+    both beam splitters as full products on one pair of modes each.
+    Returns the branches, built one at a time, and the squared norm the two
+    squeezers pushed above the cutoff."""
     state = fs.vacuum_state((cutoff,) * 4)
+    leak = 0.0
     for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
                      ((2, 3), SqueezeParam(cfg.s, cfg.phi_xi))):
-        state = fs.FockTensor(state.cutoffs, apply_two_mode_squeeze(state, modes, p)[0])
+        amps, deficit = apply_two_mode_squeeze(state, modes, p)
+        state = fs.FockTensor(state.cutoffs, amps)
+        leak += deficit
+    dim = cutoff + 1
+    bands = fs._loss_kraus_bands(T_signal, dim)
+
+    def mixed(m1, m2):
+        branch = np.zeros_like(state.amps)
+        lost = bands[m1][:, None, None, None] * state.amps[m1:]
+        branch[:dim - m1, :dim - m2] = bands[m2][:, None, None] * lost[:, m2:]
+        for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
+            branch = apply_pair_operator(
+                branch, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
+        return branch
+
+    orders = range(len(bands))
+    return (mixed(m1, m2) for m1 in orders for m2 in orders), leak
+
+
+def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
+    """Normalized density matrix and success probability of the scheme at a
+    fixed cutoff: the branches of `scheme_state` (Kraus branches of the
+    signal-mode loss when only the signal modes are lossy) heralded and
+    summed, then the signal-mode loss when the loss is on every mode (its
+    detector part folded into the weights)."""
     dim = cutoff + 1
     lossy_detectors = cfg.T_loss < 1.0 and cfg.loss_on_detector_modes
     T_det = cfg.T_loss if lossy_detectors else 1.0
@@ -134,17 +161,10 @@ def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
         w3 = fs.on_off_weights(cfg.eta3 * T_det, dim)
         w4 = fs.on_off_weights(cfg.eta4 * T_det, dim)
     signal_only = cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes
-    bands = fs._loss_kraus_bands(cfg.T_loss if signal_only else 1.0, dim)
+    branches, _ = scheme_state(cfg, cutoff, cfg.T_loss if signal_only else 1.0)
     rho = 0.0
-    for m1, band1 in enumerate(bands):
-        for m2, band2 in enumerate(bands):
-            branch = np.zeros_like(state.amps)
-            lost = band1[:, None, None, None] * state.amps[m1:]
-            branch[:dim - m1, :dim - m2] = band2[:, None, None] * lost[:, m2:]
-            for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
-                branch = apply_pair_operator(
-                    branch, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
-            rho = rho + heralded(branch, w3, w4)
+    for branch in branches:
+        rho = rho + heralded(branch, w3, w4)
     success = float(np.trace(rho).real)
     rho = fs.FockDensity((cutoff, cutoff), rho / success)
     if lossy_detectors:

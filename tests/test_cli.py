@@ -234,6 +234,15 @@ def test_sweep_refuses_to_optimize_along_s_exit_2(capsys):
     assert "along s" in err
 
 
+@pytest.mark.parametrize("optimize", [(), ("--optimize",)])
+def test_sweep_refuses_eta_with_ideal_projectors_exit_2(capsys, optimize):
+    code, out, err = run(capsys, "sweep", "--family", "scheme-ideal", "--r", "1",
+                         "--s", "0.01", "--axis", "eta", "--grid", "0.1:0.5:0.2", *optimize)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "along eta" in err
+
+
 @pytest.mark.parametrize("grid, message", [
     ("0:inf:0.1", "finite"), ("nan:1:0.1", "finite"), ("0:1:-inf", "finite"),
     (f"0:{MAX_GRID_POINTS}:1", "MAX_GRID_POINTS")])
@@ -401,6 +410,31 @@ def test_config_file_equals_form(tmp_path, capsys):
                        "--no-cross-check", "--r=0")
     assert code == EXIT_OK
     assert float(parse_kv(out)["fidelity"]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("explicit, expected", [
+    (("--T1", "0.9", "--eta3", "0.5"), (0.9, 0.95, 0.5, 0.3)),
+    (("--T2", "0.9", "--eta4", "0.5"), (0.95, 0.9, 0.3, 0.5)),
+])
+def test_explicit_field_flag_beats_a_config_shortcut(tmp_path, capsys, explicit, expected):
+    # the file's T and eta set both fields; an explicit field keeps its value
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"T": 0.95, "eta": 0.3}))
+    code, out, _ = run(capsys, "state", "--config", str(cfg_file), "--family",
+                       "scheme-realistic", "--r", "0.5", "--s", "0.05", *explicit,
+                       "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert (record["T1"], record["T2"], record["eta3"], record["eta4"]) == expected
+
+
+def test_abbreviated_flag_beats_config(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"n-thermal": 0.2}))
+    code, out, _ = run(capsys, "state", "--config", str(cfg_file), "--r", "0.5",
+                       "--s", "0.05", "--n-therm", "0.1", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["n_thermal"] == 0.1
 
 
 def test_config_without_path_exit_2(capsys):

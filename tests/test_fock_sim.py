@@ -250,17 +250,33 @@ def _single_photon(dim):
     return (fs.lossy_projector_weights(1.0, dim),) * 2
 
 
+def _dense_scheme_state(cfg, cutoff):
+    """The scheme's lossless four-mode state, squeezed and mixed by the
+    dense reference steps."""
+    (amps,), leak = fock_dense.scheme_state(cfg, cutoff)
+    return fs.FockTensor((cutoff,) * 4, amps, leak=leak)
+
+
+def _psi_entries(state):
+    """The nonzero entries (rows, cols, values) of a four-mode state's
+    matrix Psi[(a, b), (k, l)], row by row, and its row count."""
+    d0, d1 = state.amps.shape[:2]
+    psi = state.amps.reshape(d0 * d1, -1)
+    rows, cols = np.nonzero(psi)
+    return (rows, cols, psi[rows, cols]), d0 * d1
+
+
 def test_project_single_photon_trivial_factor():
     st = fs.basis_state((3, 3, 3, 3), (2, 0, 1, 1))
-    rho, success = fs.condition_with_diagonal_weights(st, *_single_photon(4))
+    rho, success = fock_dense.condition_with_diagonal_weights(st, *_single_photon(4))
     assert success == pytest.approx(1.0)
-    assert rho.as_tensor()[2, 0, 2, 0] == pytest.approx(1.0)
+    assert rho.reshape((4,) * 4)[2, 0, 2, 0] == pytest.approx(1.0)
 
 
 def test_project_single_photon_degenerate():
     with pytest.raises(DegeneratePostselectionError):
-        fs.condition_with_diagonal_weights(fs.vacuum_state((3, 3, 3, 3)),
-                                           *_single_photon(4))
+        fock_dense.condition_with_diagonal_weights(fs.vacuum_state((3, 3, 3, 3)),
+                                                   *_single_photon(4))
 
 
 def test_small_kappa_amplitudes_match_leading_order():
@@ -269,7 +285,7 @@ def test_small_kappa_amplitudes_match_leading_order():
     kappa2 = np.arctan(np.sqrt((1 - T) / T)) ** 2
     s = 1.1 * kappa2
     cfg = SchemeConfig(r=r, s=s, T1=T, T2=T)
-    st4 = fs.scheme_proto_state(cfg, 36)
+    st4 = _dense_scheme_state(cfg, 36)
     psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
     un = fs.apply_two_mode_squeeze(psi, SqueezeParam(r, 0.0), leak_tol=1e-3)
     c00, c11 = un.amps[0, 0].real, un.amps[1, 1].real
@@ -288,7 +304,7 @@ def test_delta_formula_error_shrinks_with_kappa():
     def mismatch(T):
         kappa2 = np.arctan(np.sqrt((1 - T) / T)) ** 2
         cfg = SchemeConfig(r=r, s=1.1 * kappa2, T1=T, T2=T)
-        st4 = fs.scheme_proto_state(cfg, 36)
+        st4 = _dense_scheme_state(cfg, 36)
         psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
         un = fs.apply_two_mode_squeeze(psi, SqueezeParam(r, 0.0), leak_tol=1e-3)
         measured = np.arctan2(un.amps[1, 1].real, un.amps[0, 0].real)
@@ -300,7 +316,7 @@ def test_delta_formula_error_shrinks_with_kappa():
 def test_povm_degenerate_on_vacuum_ancillas():
     st = fs.vacuum_state((4, 4, 4, 4))
     with pytest.raises(DegeneratePostselectionError):
-        fs.condition_with_diagonal_weights(st, *(fs.on_off_weights(0.5, 5),) * 2)
+        fock_dense.condition_with_diagonal_weights(st, *(fs.on_off_weights(0.5, 5),) * 2)
 
 
 def test_on_povm_at_unit_efficiency():
@@ -311,21 +327,22 @@ def test_on_povm_at_unit_efficiency():
 
 def test_povm_majorizes_single_photon_projection():
     cfg = SchemeConfig(r=0.5, s=0.02)
-    st4 = fs.scheme_proto_state(cfg, 14)
-    _, n_on = fs.condition_with_diagonal_weights(st4, *(fs.on_off_weights(1.0, 15),) * 2)
-    _, n_11 = fs.condition_with_diagonal_weights(st4, *_single_photon(15))
+    st4 = _dense_scheme_state(cfg, 14)
+    _, n_on = fock_dense.condition_with_diagonal_weights(
+        st4, *(fs.on_off_weights(1.0, 15),) * 2)
+    _, n_11 = fock_dense.condition_with_diagonal_weights(st4, *_single_photon(15))
     assert n_on >= n_11
 
 
 def test_povm_no_mixing_recovers_signal_tmsv():
     # T = 1: detectors see only the ancilla pair; signal stays a twin beam
     cfg = SchemeConfig(r=0.6, s=0.3, T1=1.0, T2=1.0)
-    st4 = fs.scheme_proto_state(cfg, 16)
+    st4 = _dense_scheme_state(cfg, 16)
     w = fs.on_off_weights(0.4, 17)
-    rho, success = fs.condition_with_diagonal_weights(st4, w, w)
+    rho, success = fock_dense.condition_with_diagonal_weights(st4, w, w)
     tb = fs.apply_two_mode_squeeze(fs.vacuum_state((16, 16)), SqueezeParam(0.6, np.pi))
     pure = np.outer(tb.amps.reshape(-1), tb.amps.conj().reshape(-1))
-    assert np.max(np.abs(rho.matrix - pure)) < 1e-9
+    assert np.max(np.abs(rho - pure)) < 1e-9
     # heralding rate equals the on/off coincidence rate of the bare ancilla
     anc = fs.apply_two_mode_squeeze(fs.vacuum_state((16, 16)), SqueezeParam(0.3, np.pi))
     direct = np.einsum("kl,kl,k,l->", anc.amps, anc.amps.conj(), w, w).real
@@ -336,14 +353,14 @@ def test_povm_on_explicit_density_matches_pure_route():
     # both routes see the same truncated state, so they must agree exactly;
     # the explicit four-mode density is reduced here, by einsum
     cfg = SchemeConfig(r=0.4, s=0.05)
-    st4 = fs.scheme_proto_state(cfg, 6, leak_tol=1e-5)
+    st4 = _dense_scheme_state(cfg, 6)
     rho4 = np.einsum("abcd,efgh->abcdefgh", st4.amps, st4.amps.conj())
     w3, w4 = fs.on_off_weights(0.3, 7), fs.on_off_weights(0.25, 7)
-    r1, s1 = fs.condition_with_diagonal_weights(st4, w3, w4)
+    r1, s1 = fock_dense.condition_with_diagonal_weights(st4, w3, w4)
     red = np.einsum("abklcdkl,k,l->abcd", rho4, w3, w4).reshape(49, 49)
     s2 = np.trace(red).real
     assert s1 == pytest.approx(s2, rel=1e-12)
-    assert np.max(np.abs(r1.matrix - red / s2)) < 1e-12
+    assert np.max(np.abs(r1 - red / s2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +799,14 @@ def test_pair_operator_skips_zero_columns_exactly(modes):
 
 
 def _conditioning_state():
-    cfg = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9)
-    return fs.scheme_proto_state(cfg, 10, leak_tol=1e-6)
+    return _dense_scheme_state(SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9), 10)
+
+
+def _oracle_conditioned(state, w3, w4):
+    """The oracle's heralded density of a four-mode state, from its entries
+    row by row, normalized, and the heralding probability."""
+    rho = fs.FockDensity(state.cutoffs[:2], fs._herald(*_psi_entries(state), w3, w4))
+    return rho.normalized(), rho.trace()
 
 
 @pytest.mark.parametrize("weights", [
@@ -794,7 +817,7 @@ def _conditioning_state():
 def test_conditioning_matches_full_einsum(weights):
     state = _conditioning_state()
     w3, w4 = weights(11)
-    rho, success = fs.condition_with_diagonal_weights(state, w3, w4)
+    rho, success = _oracle_conditioned(state, w3, w4)
     ref_rho, ref_success = fock_dense.condition_with_diagonal_weights(state, w3, w4)
     assert success == pytest.approx(ref_success, rel=1e-14)
     assert np.max(np.abs(rho.matrix - ref_rho)) < 1e-14
@@ -803,8 +826,7 @@ def test_conditioning_matches_full_einsum(weights):
 def test_conditioning_on_zero_weights_is_degenerate():
     state = _conditioning_state()
     zero = np.zeros(11)
-    for conditioner in (fs.condition_with_diagonal_weights,
-                        fock_dense.condition_with_diagonal_weights):
+    for conditioner in (_oracle_conditioned, fock_dense.condition_with_diagonal_weights):
         with pytest.raises(DegeneratePostselectionError):
             conditioner(state, zero, zero)
 
@@ -864,25 +886,19 @@ def test_squeeze_matches_padded_dense_reference(modes):
     SchemeConfig(r=0.6, s=0.3, T1=0.7, T2=0.95, phi_zeta=np.pi, phi_xi=0.4),
 ], ids=["default-phases", "other-phases"])
 def test_scheme_proto_state_matches_dense_reference(cfg):
-    # squeezers padded on the dense four-mode tensor and beam splitters as
-    # full products on one pair of modes each
+    # the oracle's mixed four-mode state, as the entries of Psi, and its
+    # twin beams' leaks against squeezers padded on the dense four-mode
+    # tensor and beam splitters as full products on one pair of modes each
     cutoff = 10
-    state = fs.scheme_proto_state(cfg, cutoff, leak_tol=1e-4)
-    ref = fs.vacuum_state((cutoff,) * 4)
-    leak = 0.0
-    for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
-                     ((2, 3), SqueezeParam(cfg.s, cfg.phi_xi))):
-        amps, deficit = fock_dense.apply_two_mode_squeeze(ref, modes, p)
-        ref = fs.FockTensor(ref.cutoffs, amps)
-        leak += deficit
-    dim = cutoff + 1
-    amps = ref.amps
-    for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
-        amps = fock_dense.apply_pair_operator(
-            amps, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
-    assert np.max(np.abs(state.amps - amps)) < 1e-14
-    assert leak > 1e-12
-    assert state.leak == pytest.approx(leak, rel=1e-10)
+    d = cutoff + 1
+    t, u = fs._twin_beams(cfg, cutoff, 1e-4)
+    rows, cols, vals = fs._mixed(t.amps[None], u.amps, cfg)
+    psi = np.zeros((d * d, d * d), dtype=complex)
+    psi[rows, cols] = vals
+    ref = _dense_scheme_state(cfg, cutoff)
+    assert np.max(np.abs(psi - ref.amps.reshape(d * d, d * d))) < 1e-14
+    assert ref.leak > 1e-12
+    assert t.leak + u.leak == pytest.approx(ref.leak, rel=1e-10)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -890,9 +906,9 @@ def test_scheme_proto_state_matches_dense_reference(cfg):
     SchemeConfig(r=0.6, s=0.01, T_loss=0.85),
 ], ids=["lossless", "all-mode-loss"])
 def test_scheme_oracle_peak_memory(cfg):
-    # one dense four-mode tensor at cutoff 25 holds 26^4 amplitudes, 7.0 MiB;
-    # the oracle builds one per branch, and its heralded density is as large,
-    # as is each density the signal-mode loss makes from it
+    # the heralded density at cutoff 25 holds 26^4 entries, 7.0 MiB, as many
+    # as a dense four-mode tensor, which the oracle never builds; each
+    # density the signal-mode loss makes from it is as large
     cutoff = 25
     fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)  # operators cached, not measured
     tensor_bytes = (cutoff + 1) ** 4 * np.dtype(complex).itemsize
@@ -907,8 +923,8 @@ def test_scheme_oracle_peak_memory(cfg):
 
 def _two_mode_densities():
     """An oracle-structured heralded density and a dense random one."""
-    heralded, _ = fs.condition_with_diagonal_weights(
-        _conditioning_state(), fs.on_off_weights(0.4, 11), fs.on_off_weights(0.3, 11))
+    cfg = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9, eta3=0.4, eta4=0.3)
+    heralded, _ = fs.scheme_oracle(cfg, "on-off", cutoff=10)
     return [heralded, _random_density(np.random.default_rng(13), (6, 8))]
 
 
@@ -937,7 +953,7 @@ def test_heralded_matches_dense_gemm(weights):
         w3, w4 = weights(state.amps.shape[2])[0], weights(state.amps.shape[3])[1]
         ref = fock_dense.heralded(state.amps, w3, w4)
         assert np.max(np.abs(ref)) > 1e-5
-        assert np.max(np.abs(fs._heralded(state, w3, w4) - ref)) < 1e-14
+        assert np.max(np.abs(fs._herald(*_psi_entries(state), w3, w4) - ref)) < 1e-14
 
 
 @pytest.mark.parametrize("detector, cfg", [
@@ -961,15 +977,22 @@ def test_scheme_oracle_matches_dense_pipeline(detector, cfg):
     ("on-off", SchemeConfig(r=0.4, s=0.05, eta3=0.3, eta4=0.2, T_loss=0.85)),
 ], ids=["ideal-all-mode-loss", "onoff-all-mode-loss"])
 def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
-    # the oracle heralds the sparse mixed state; conditioning the dense
-    # four-mode state gives the same density and probability, bit for bit
+    # the oracle heralds the mixed state's entries block by block; the same
+    # entries densified and read back row by row give the same density and
+    # probability, bit for bit
     cutoff = 10
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
     assert rho.cutoffs == (cutoff, cutoff)
-    w3, w4 = fs._detector_weights(cfg, detector, cutoff + 1)
-    ref = fs.FockDensity(rho.cutoffs, fs._heralded(fs.scheme_proto_state(cfg, cutoff), w3, w4))
+    d = cutoff + 1
+    w3, w4 = fs._detector_weights(cfg, detector, d)
+    t, u = fs._twin_beams(cfg, cutoff, fs.DEFAULT_LEAK_TOL)
+    rows, cols, vals = fs._mixed(t.amps[None], u.amps, cfg)
+    psi = np.zeros((d * d, d * d), dtype=complex)
+    psi[rows, cols] = vals
+    rows, cols = np.nonzero(psi)
+    ref = fs.FockDensity(rho.cutoffs, fs._herald((rows, cols, psi[rows, cols]), d * d, w3, w4))
     assert success == ref.trace()
     for mode in (0, 1):
         ref = fs.loss_kraus(ref, mode, cfg.T_loss)
@@ -1002,8 +1025,7 @@ def test_sparse_heralding_matches_dense_branch_sum(detector):
             rows, cols, vals = fs._mixed(branch[None], u.amps, cfg)
             amps = np.zeros((d * d, d * d), dtype=complex)
             amps[rows, cols] = vals
-            per_branch = per_branch + fs._heralded(
-                fs.FockTensor((cutoff,) * 4, amps.reshape((d,) * 4)), w3, w4)
+            per_branch = per_branch + fock_dense.heralded(amps.reshape((d,) * 4), w3, w4)
             branches += 1
     assert branches == d * d  # one per pair of loss orders
     ref = fs.FockDensity((cutoff, cutoff), total)
@@ -1017,21 +1039,20 @@ def test_sparse_heralding_matches_dense_branch_sum(detector):
     lambda dim: (fs.on_off_weights(0.3, dim), fs.on_off_weights(0.7, dim)),
 ], ids=["ideal", "on-off"])
 def test_herald_does_not_depend_on_entry_order(weights):
-    # the dense path reads Psi's entries row by row and the oracle's mixing
-    # block by block; permuted entries, and explicit zeros among them, give
-    # the same density, bit for bit
+    # entries read from a dense Psi come row by row and the oracle's mixing
+    # gives them block by block; permuted entries, and explicit zeros among
+    # them, give the same density, bit for bit
     rng = np.random.default_rng(23)
     for state in _four_mode_states():
-        d0, d1, d2, d3 = state.amps.shape
-        w3, w4 = weights(d2)[0], weights(d3)[1]
-        psi = state.amps.reshape(d0 * d1, -1)
-        rows, cols = np.nonzero(psi)
-        ref = fs._herald((rows, cols, psi[rows, cols]), d0 * d1, w3, w4)
+        w3, w4 = weights(state.amps.shape[2])[0], weights(state.amps.shape[3])[1]
+        (rows, cols, vals), dim = _psi_entries(state)
+        ref = fs._herald((rows, cols, vals), dim, w3, w4)
         assert np.max(np.abs(ref)) > 1e-5
+        psi = state.amps.reshape(dim, -1)
         zero_rows, zero_cols = np.nonzero(psi == 0)
         rows, cols = np.concatenate([rows, zero_rows]), np.concatenate([cols, zero_cols])
         for _ in range(3):
             order = rng.permutation(len(rows))
             got = fs._herald((rows[order], cols[order], psi[rows[order], cols[order]]),
-                             d0 * d1, w3, w4)
+                             dim, w3, w4)
             assert got.tobytes() == ref.tobytes()

@@ -242,6 +242,9 @@ def test_sweep_spec_validation():
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="s", grid=(0.2, 0.1))
     with pytest.raises(ValueError):
         op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="T", grid=(0.5, 1.5))
+    # ideal projectors have no efficiency: every row would be the same
+    with pytest.raises(ValueError, match="along eta"):
+        op.SweepSpec(base=rs.SchemeConfig(r=1.0), axis="eta", grid=(0.1, 0.5))
 
 
 def test_sweep_spec_refuses_optimizing_along_s():
@@ -350,7 +353,7 @@ def test_sweep_columns_match_configurations_bit_for_bit(detector, optimize_s_at_
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         for base, (axis, grid) in itertools.product(COLUMN_BASES, COLUMN_GRIDS.items()):
-            if axis == "s" and optimize_s_at_each:
+            if (axis == "s" and optimize_s_at_each) or (axis == "eta" and detector == "ideal"):
                 continue  # refused by SweepSpec
             spec = op.SweepSpec(base=base, axis=axis, grid=grid,
                                 detector=detector, optimize_s_at_each=optimize_s_at_each)

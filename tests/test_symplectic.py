@@ -19,6 +19,17 @@ def plus_minus_mix(chi):
     return sp.beam_splitter_substitute(chi, (0, 1), 0.5)
 
 
+def var_x(chi, mode):
+    """Var X of one mode, X = (a + a^dag)/sqrt(2), from the second
+    derivative of chi at zero."""
+    return 0.5 * chi.exponent[2 * mode + 1, 2 * mode + 1]
+
+
+def total_mean_photons(chi):
+    """Sum over modes of <a^dag a> = (S[2m, 2m] + S[2m+1, 2m+1]) / 4 - 1/2."""
+    return 0.25 * np.trace(chi.exponent) - 0.5 * chi.n_modes
+
+
 # ---------------------------------------------------------------------------
 # sources
 # ---------------------------------------------------------------------------
@@ -33,8 +44,8 @@ def test_zero_squeezing_is_vacuum():
 
 def test_tmsv_combined_mode_variances():
     mixed = plus_minus_mix(tmsv(1.0))
-    var_x = {round(mixed.quadrature_variances(m)[0], 6) for m in (0, 1)}
-    assert var_x == {round(np.exp(2) / 2, 6), round(np.exp(-2) / 2, 6)}
+    variances = {round(var_x(mixed, m), 6) for m in (0, 1)}
+    assert variances == {round(np.exp(2) / 2, 6), round(np.exp(-2) / 2, 6)}
     assert np.exp(2) / 2 == pytest.approx(3.6945, abs=5e-5)
     assert np.exp(-2) / 2 == pytest.approx(0.067668, abs=5e-7)
 
@@ -44,7 +55,7 @@ def test_lossy_squeezed_variance_and_effective_r():
     for mode in (0, 1):
         chi = sp.loss_channel(chi, mode, 0.85)
     mixed = plus_minus_mix(chi)
-    squeezed = min(mixed.quadrature_variances(0)[0], mixed.quadrature_variances(1)[0])
+    squeezed = min(var_x(mixed, 0), var_x(mixed, 1))
     assert squeezed == pytest.approx((1 - 0.85 * (1 - np.exp(-4))) / 2, rel=1e-12)
     assert squeezed == pytest.approx(0.082787, abs=5e-6)
     r_eff = -0.5 * np.log(2 * squeezed)
@@ -78,8 +89,7 @@ def test_beam_splitter_preserves_chi0_and_photon_number():
     chi = tmsv(1.3)
     out = sp.beam_splitter_substitute(chi, (0, 1), 0.77)
     assert out.evaluate([0, 0]) == pytest.approx(1.0)
-    assert out.total_mean_photons() == pytest.approx(
-        chi.total_mean_photons(), abs=1e-10)
+    assert total_mean_photons(out) == pytest.approx(total_mean_photons(chi), abs=1e-10)
 
 
 def test_beam_splitter_acts_on_polygauss():
@@ -165,7 +175,7 @@ def test_scheme_char_loss_restriction_switch():
 def test_scheme_exponent_stays_psd(r, s, T_loss, T1, T2):
     cfg = SchemeConfig(r=r, s=s, T1=T1, T2=T2, T_loss=T_loss)
     chi = sp.scheme_four_mode_char(cfg)
-    assert chi.min_eigenvalue() >= -1e-10
+    assert np.linalg.eigvalsh(chi.exponent).min() >= -1e-10
     assert chi.evaluate([0, 0, 0, 0]) == pytest.approx(1.0)
 
 
