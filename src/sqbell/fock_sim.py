@@ -15,16 +15,21 @@ code on photon-number tensors, with one path per operation:
   nonzero amplitude only, one dense product per block, and the norm it
   pushes above the cutoffs measured as the leak;
 - loss: `loss_kraus` on two-mode densities, one shifted, weighted
-  indexed add of the nonzero entries per Kraus order;
+  indexed add per Kraus order of a suffix of the nonzero entries, sorted
+  once by min(p, q);
 - heralding: `_herald` of the four-mode state's nonzero entries on
-  diagonal POVM weights (`lossy_projector_weights`, `on_off_weights`),
-  normalized by `FockDensity.normalized`, which raises on a zero heralding
-  probability;
+  diagonal POVM weights (`lossy_projector_weights`, `on_off_weights`), its
+  products merged in order by one bincount, and the oracle's own density
+  divided in place by its trace, which raises on a zero heralding
+  probability (`FockDensity.normalized` is the copying form);
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
-  distinct |beta|^2 (`_phases`, `_laguerre_factors`); `char_function_state`
-  takes two-mode states only and builds both displacement matrices in one
+  distinct |beta|^2 (`_phases`, `_laguerre_factors`, the recurrence's
+  coefficients cached read-only per dimension); the sums of every shift
+  block are gathered first and contracted with the phases over the points
+  in fixed chunks of a few hundred; `char_function_state` takes two-mode
+  states only and builds both displacement matrices in one
   `_displacement_batch`;
 - `scheme_oracle` and `theoretical_oracle`, built from the steps above.
 
@@ -86,6 +91,9 @@ MAX_CUTOFF = 48
 # by 1.8e-5 at r = 1e-13 and by 2.4e-13 at r = 1e-8 (cutoff 48), and by at
 # most 1.4e-14 from r = 1e-7 on (cutoffs 1 to 60)
 _MIN_SUBTRACTION_R = 1e-7
+# points per pass of char_function_batch's phase contraction, so that its
+# (blocks, points) products stay in cache
+_CHI_CHUNK = 256
 
 
 @dataclass
@@ -131,11 +139,16 @@ class FockDensity:
     def normalized(self) -> "FockDensity":
         """The density divided by its real trace; a trace of 1e-300 or less
         (a heralding probability of zero) raises DegeneratePostselectionError."""
+        return FockDensity(self.cutoffs, self.matrix / self._checked_trace())
+
+    def _checked_trace(self) -> float:
+        """The real trace, the divisor of `normalized`, which raises
+        DegeneratePostselectionError at 1e-300 or less."""
         success = self.trace()
         if success <= 1e-300:
             raise DegeneratePostselectionError(
                 f"conditioning probability {success:.3e} is degenerate")
-        return FockDensity(self.cutoffs, self.matrix / success)
+        return success
 
     def validate(self) -> None:
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
@@ -284,8 +297,10 @@ def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
     pad = max(8, max(state.cutoffs) // 2)
     padded = (dims[0] + pad, dims[1] + pad)
     n1, n2 = np.nonzero(state.amps)
+    # the occupied n1 - n2 in rising order (a plain np.unique loads numpy.ma)
+    qs = np.flatnonzero(np.bincount(n1 - n2 + dims[1] - 1)) - (dims[1] - 1)
     big = np.zeros(padded[0] * padded[1], dtype=complex)
-    for idx, U in _squeeze_blocks(p, padded, np.unique(n1 - n2)):
+    for idx, U in _squeeze_blocks(p, padded, qs):
         m1, m2 = np.divmod(idx, padded[1])
         inside = (m1 < dims[0]) & (m2 < dims[1])
         big[idx] = U[:, inside] @ state.amps[m1[inside], m2[inside]]
@@ -346,24 +361,28 @@ def loss_kraus(rho: FockDensity, mode: int, T: float) -> FockDensity:
     so order m moves every nonzero entry whose lossy-mode ket and bra photon
     numbers p and q are both at least m to (p - m, q - m), weighted by
     band[p - m] band[q - m]: one indexed add per order, whose destinations
-    are distinct.  The orders are added in rising m, as the order-by-order
-    sum would, and the cost is set by the nonzero entries times their
-    orders, not d^4 per order.
+    are distinct.  The nonzero entries are sorted once by min(p, q), so the
+    entries of each order are a suffix of them, sliced, not masked.  The
+    orders are added in rising m, as the order-by-order sum would, and the
+    cost is set by the nonzero entries times their orders, not d^4 per
+    order.
     """
     tensor = rho.as_tensor()
     flat = np.flatnonzero(tensor != 0)
     idx = np.unravel_index(flat, tensor.shape)
-    p, q = idx[mode], idx[mode + 2]
+    lowest = np.minimum(idx[mode], idx[mode + 2])
+    order = np.argsort(lowest)
+    flat, lowest = flat[order], lowest[order]
+    p, q = idx[mode][order], idx[mode + 2][order]
     values = tensor.reshape(-1)[flat]
     # order m lowers the ket and bra photon numbers of the lossy mode by m
     shift = np.zeros(4, dtype=int)
     shift[[mode, mode + 2]] = 1
     step = np.ravel_multi_index(shift, tensor.shape)
     out = np.zeros(tensor.size, dtype=complex)
-    for m, band in enumerate(_loss_kraus_bands(T, rho.cutoffs[mode] + 1)):
-        keep = np.minimum(p, q) >= m
-        flat, p, q, values = flat[keep], p[keep], q[keep], values[keep]
-        out[flat - m * step] += band[p - m] * band[q - m] * values
+    bands = _loss_kraus_bands(T, rho.cutoffs[mode] + 1)
+    for m, (band, first) in enumerate(zip(bands, np.searchsorted(lowest, range(len(bands))))):
+        out[flat[first:] - m * step] += band[p[first:] - m] * band[q[first:] - m] * values[first:]
     return FockDensity(rho.cutoffs, out.reshape(rho.matrix.shape))
 
 
@@ -418,9 +437,12 @@ def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
     G = (A * W[:, None]) @ A.conj().transpose(0, 2, 1)
     # the padding of the groups' rows takes no part
     pair = (row_of[:, :, None] >= 0) & (row_of[:, None, :] >= 0)
-    rho = np.zeros((dim, dim), dtype=complex)
-    np.add.at(rho.reshape(-1), (row_of[:, :, None] * dim + row_of[:, None, :])[pair], G[pair])
-    return rho
+    dest = (row_of[:, :, None] * dim + row_of[:, None, :])[pair]
+    # the groups' products merged in order, real and imaginary parts as
+    # interleaved bins, so each entry is summed as an indexed add sums it
+    merged = np.bincount((2 * dest[:, None] + (0, 1)).reshape(-1),
+                         G[pair].view(float), minlength=2 * dim * dim)
+    return merged.view(complex).reshape(dim, dim)
 
 
 def _ranked(group: np.ndarray, x: np.ndarray,
@@ -443,46 +465,69 @@ def _ranked(group: np.ndarray, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _phases(alphas: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
+def _phases(alphas: np.ndarray, dim: int) -> np.ndarray:
     """The complex factor P_q of every displacement element of shift q = m - n,
     row q + dim - 1 for q = -(dim - 1) .. dim - 1, one column per amplitude:
     e^(-x/2) alpha^q / sqrt(q!) for q >= 0 and e^(-x/2) (-conj alpha)^|q| /
-    sqrt(|q|!) below, with x = |alpha|^2."""
-    powers = np.ones((dim, len(alphas)), dtype=complex)
-    for order in range(1, dim):
-        powers[order] = powers[order - 1] * alphas / np.sqrt(order)
-    damp = np.exp(-0.5 * x)
-    k = np.arange(dim, dtype=float)[:, None]
-    lower = powers * damp                                  # alpha^k e^(-x/2) / sqrt(k!)
-    upper = (-1.0) ** k * powers.conj() * damp             # (-conj alpha)^k ...
-    return np.concatenate([upper[:0:-1], lower])
+    sqrt(|q|!) below, with x = |alpha|^2.
+
+    The rows q >= 0 are one cumulative product, down the rows, of e^(-x/2)
+    and the factors alpha / sqrt(q), and the rows below are their conjugates
+    with the sign of (-1)^|q|, all in one preallocated array."""
+    out = np.empty((2 * dim - 1, len(alphas)), dtype=complex)
+    lower = out[dim - 1:]                                  # q = 0 .. dim - 1
+    lower[0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    np.multiply(alphas, 1.0 / np.sqrt(np.arange(1, dim))[:, None], out=lower[1:])
+    np.cumprod(lower, axis=0, out=lower)
+    upper = out[:dim - 1][::-1]                            # q = -1 .. -(dim - 1)
+    np.conjugate(lower[1:], out=upper)
+    np.negative(upper[::2], out=upper[::2])
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _laguerre_steps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients 2n+1+k, sqrt(n(n+k)) and 1 / sqrt((n+1)(n+1+k)) of
+    the recurrence of `_laguerre_factors`, indexed [n, k, None]; cached per
+    dimension, read-only."""
+    n, k = np.indices((dim, dim), dtype=float)[..., None]
+    steps = (2 * n + 1 + k, np.sqrt(n * (n + k)), 1.0 / np.sqrt((n + 1) * (n + 1 + k)))
+    for a in steps:
+        a.flags.writeable = False
+    return steps
+
+
+def _laguerre_row(k, n, dim: int):
+    """The row of R_k(n) in the table of `_laguerre_factors`."""
+    return n * dim - n * (n - 1) // 2 + k
 
 
 def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
     """The real factor R_k(n) = sqrt(k! n! / (n+k)!) L_n^(k)(x) of the
-    displacement elements <n+k|D|n> and <n|D|n+k>, as the table R[k, n, x]
-    for each x = |alpha|^2, zero where n + k >= dim.
+    displacement elements <n+k|D|n> and <n|D|n+k> for n + k < dim, one row
+    per (k, n) (`_laguerre_row`: n by n, k in rising order within each)
+    and one column per x = |alpha|^2.
 
     The normalized Laguerre recurrence in n,
 
         sqrt((n+1)(n+1+k)) R_k(n+1) = (2n+1+k-x) R_k(n) - sqrt(n(n+k)) R_k(n-1),
 
-    runs for every order k and every x at once from R_k(0) = 1.
+    runs for every order k and every x at once from R_k(0) = 1, on the
+    cached coefficients of `_laguerre_steps`: each step is multiplied by
+    the scale's reciprocal, with no division.
     """
-    # the recurrence's coefficients, indexed [n, k, None]
-    n, k = np.indices((dim, dim), dtype=float)[..., None]
-    diagonal = 2 * n + 1 + k
-    back = np.sqrt(n * (n + k))
-    scale = np.sqrt((n + 1) * (n + 1 + k))
-    out = np.zeros((dim, dim, len(x)))
+    diagonal, back, inverse_scale = _laguerre_steps(dim)
+    out = np.empty((dim * (dim + 1) // 2, len(x)))
     h_prev = np.zeros((dim, len(x)))
     h = np.ones((dim, len(x)))
     for step in range(dim):
         ks = dim - step                                    # orders with n + k <= cutoff
-        out[:ks, step] = h
+        first = _laguerre_row(0, step, dim)
+        out[first:first + ks] = h
         kn = slice(ks - 1)                                 # orders still needed at n + 1
-        h_next = ((diagonal[step, kn] - x) * h[:-1] - back[step, kn] * h_prev[kn]
-                  ) / scale[step, kn]
+        h_next = (diagonal[step, kn] - x) * h[:-1]
+        h_next -= back[step, kn] * h_prev[kn]
+        h_next *= inverse_scale[step, kn]
         h_prev, h = h, h_next
     return out
 
@@ -492,11 +537,10 @@ def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     shape (dim, dim, batch); R is computed once per distinct |alpha|^2."""
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     dim = cutoff + 1
-    x = np.abs(alphas) ** 2
-    xs, point = np.unique(x, return_inverse=True)
+    xs, point = np.unique(np.abs(alphas) ** 2, return_inverse=True)
     m, n = np.indices((dim, dim))
-    P = _phases(alphas, x, dim)[m - n + dim - 1]
-    R = _laguerre_factors(xs, dim)[np.abs(m - n), np.minimum(m, n)]
+    P = _phases(alphas, dim)[m - n + dim - 1]
+    R = _laguerre_factors(xs, dim)[_laguerre_row(np.abs(m - n), np.minimum(m, n), dim)]
     return P * R[..., point]
 
 
@@ -522,6 +566,65 @@ def char_function_state(state: FockTensor, beta1: complex, beta2: complex) -> co
     return complex(np.vdot(state.amps, D1 @ state.amps @ D2.T))
 
 
+def _distinct_pairs(b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct |beta|^2 of both modes, the indices into them of each
+    distinct pair (|b1|^2, |b2|^2), and the index of each point's pair."""
+    xs, u = np.unique(np.abs(np.concatenate([b1, b2])) ** 2, return_inverse=True)
+    pairs, pair = np.unique(u[:b1.size] * len(xs) + u[b1.size:], return_inverse=True)
+    return (xs, *np.divmod(pairs, len(xs)), pair)
+
+
+def _shift_columns(rho: FockDensity) -> tuple[np.ndarray, ...]:
+    """The nonzero entries rho[m, n, k, l] as the table t[min(k, m), column],
+    one column per (q1, q2, min(l, n)) with the shifts q1 = k - m and
+    q2 = l - n, ordered by |q1|, then q1, then q2; and per column its q1,
+    q2, min(l, n) and the key of its (q1, q2) block."""
+    d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
+    flat = np.flatnonzero(rho.matrix != 0)
+    m, n, k, l = np.unravel_index(flat, (d0, d1, d0, d1))
+    q = k - m
+    key = ((2 * np.abs(q) + (q > 0)) * (2 * d1 - 1) + l - n + d1 - 1) * d1 + np.minimum(l, n)
+    keys, col = np.unique(key, return_inverse=True)
+    t = np.zeros((d0, len(keys)), dtype=complex)
+    t[np.minimum(k, m), col] = rho.matrix.reshape(-1)[flat]
+    block, j2 = np.divmod(keys, d1)
+    signed, q2 = np.divmod(block, 2 * d1 - 1)
+    order1, positive = np.divmod(signed, 2)
+    return t, np.where(positive, order1, -order1), q2 - (d1 - 1), j2, block
+
+
+def _block_sums(columns: tuple[np.ndarray, ...], xs: np.ndarray, p1: np.ndarray,
+                p2: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S[block, pair] = sum R_|q1|(i, x1) R_|q2|(j, x2) t[i, column] over the
+    columns of each (q1, q2) block of `_shift_columns`, at the pairs
+    (x1, x2) = (xs[p1], xs[p2]) of distinct |beta|^2; and the q1 and q2 of
+    each block.  The columns are grouped by q1: each group is one real GEMM
+    of R_|q1| against its columns, for every pair at once, multiplied by
+    R_|q2| per column and summed by block; a group holds one q1's columns
+    only, which bounds the products a call holds at once.  The Laguerre
+    table lives only here."""
+    t, q1, q2, j2, block = columns
+    d0 = t.shape[0]
+    R = _laguerre_factors(xs, dim)
+    rows1 = _laguerre_row(0, np.arange(d0), dim)          # R_|q1|(i): row i + |q1|
+    rows2 = _laguerre_row(np.abs(q2), j2, dim)
+    # column edges of the q1 groups, and of the (q1, q2) blocks in each
+    groups = np.flatnonzero(np.diff(q1, prepend=d0, append=d0))
+    blocks = np.flatnonzero(np.diff(block, prepend=-1))
+    within = np.searchsorted(blocks, groups)
+    S = np.empty((len(blocks), len(p1)), dtype=complex)
+    for a, z, first, last in zip(groups[:-1], groups[1:], within[:-1], within[1:]):
+        o = abs(q1[a])
+        # real GEMM of R_|q1| on the interleaved real and imaginary parts of t
+        A = (R[rows1[:d0 - o] + o][:, p1].T @ t[:d0 - o, a:z].view(float)).view(complex)
+        r2 = R[rows2[a:z]][:, p2].T
+        A.real *= r2
+        A.imag *= r2
+        S[first:last] = np.add.reduceat(A, blocks[first:last] - a, axis=1).T
+        del A, r2                                  # freed before the next group's
+    return S, q1[blocks], q2[blocks]
+
+
 def char_function_batch(rho: FockDensity, betas1: np.ndarray,
                         betas2: np.ndarray) -> np.ndarray:
     """Vectorized chi over paired arrays of amplitudes.
@@ -535,17 +638,15 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
 
     and the real factors are needed only per distinct |beta|^2 (R) and per
     distinct (|beta1|^2, |beta2|^2) pair (S).  R is one recurrence over the
-    distinct |beta|^2 of both modes.  The nonzero entries of rho are grouped
-    by |q1|; each group is one real GEMM of R against the group's nonzero
-    columns (q1, q2, min(l, n)), whose product is multiplied by R2 per
-    distinct pair and summed by (q1, q2); the phases are applied per point
-    last.  The cost is the nonzero entries times the distinct |beta|^2, plus
-    their columns times the distinct pairs, plus the (q1, q2) blocks times
-    the batch; the fidelity's 48 x 48 Gauss-Hermite grid has 2304 points but
-    300 distinct pairs.  No (d^2, batch) displacement array is built.  Only
-    exact zeros are skipped and only exactly equal |beta|^2 merged, so the
-    result is the full contraction's for any density and any amplitudes.
-    Arrays of different sizes raise ValueError.
+    distinct |beta|^2 of both modes, and S of every (q1, q2) block is
+    gathered first (`_shift_columns`, `_block_sums`).  The phases are then
+    contracted with S over the points in fixed chunks of a few hundred, so
+    the (blocks, points) products of a pass stay cache-sized; the
+    fidelity's 48 x 48 Gauss-Hermite grid has 2304 points but 300 distinct
+    pairs.  No (d^2, batch), (blocks, batch) or (2d - 1, batch) array is
+    built.  Only exact zeros are skipped and only exactly equal |beta|^2
+    merged, so the result is the full contraction's for any density and
+    any amplitudes.  Arrays of different sizes raise ValueError.
     """
     b1 = np.asarray(betas1, dtype=complex).reshape(-1)
     b2 = np.asarray(betas2, dtype=complex).reshape(-1)
@@ -553,47 +654,15 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
         raise ValueError(f"betas1 holds {b1.size} amplitudes and betas2 "
                          f"{b2.size}; chi pairs them one to one")
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
-    chi = np.zeros(b1.size, dtype=complex)
-    flat = np.flatnonzero(rho.matrix != 0)
-    if not flat.size or not b1.size:
-        return chi
-    m, n, k, l = np.unravel_index(flat, (d0, d1, d0, d1))
-    q = k - m
-    # one column per (q1, q2, min(l, n)), ordered by |q1|, then q1, then q2
-    key = ((2 * np.abs(q) + (q > 0)) * (2 * d1 - 1) + l - n + d1 - 1) * d1 + np.minimum(l, n)
-    keys, col = np.unique(key, return_inverse=True)
-    t = np.zeros((d0, len(keys)), dtype=complex)
-    t[np.minimum(k, m), col] = rho.matrix.reshape(-1)[flat]
-    # the (q1, q2) block, q1, q2 and min(l, n) of each column
-    block, j2 = np.divmod(keys, d1)
-    signed, q2 = np.divmod(block, 2 * d1 - 1)
-    q2 -= d1 - 1
-    order1, positive = np.divmod(signed, 2)
-    q1 = np.where(positive, order1, -order1)
-
-    # one recurrence over the distinct |beta|^2 of both modes
-    x1, x2 = np.abs(b1) ** 2, np.abs(b2) ** 2
-    xs, u = np.unique(np.concatenate([x1, x2]), return_inverse=True)
-    pairs, pair = np.unique(u[:b1.size] * len(xs) + u[b1.size:], return_inverse=True)
-    p1, p2 = np.divmod(pairs, len(xs))
-    dim = max(d0, d1)
-    R = _laguerre_factors(xs, dim)
-    P1, P2 = _phases(b1, x1, d0), _phases(b2, x2, d1)
-
-    R2 = R[:, :, p2]
-    # column edges of the |q1| groups, and of the (q1, q2) blocks in each
-    groups = np.flatnonzero(np.diff(order1, prepend=-1, append=d0))
-    blocks = np.flatnonzero(np.diff(block, prepend=-1))
-    within = np.searchsorted(blocks, groups)
-    shift1, shift2 = q1[blocks] + d0 - 1, q2[blocks] + d1 - 1
-    for a, z, first, last in zip(groups[:-1], groups[1:], within[:-1], within[1:]):
-        o = order1[a]
-        r1 = R[o, :d0 - o]
-        # real GEMM on the interleaved real and imaginary parts of t
-        A = (r1.T @ t[:d0 - o, a:z].view(float)).view(complex)
-        S = np.add.reduceat(A[p1] * R2[np.abs(q2[a:z]), j2[a:z]].T,
-                            blocks[first:last] - a, axis=1)
-        chi += np.sum(P1[shift1[first:last]] * (P2[shift2[first:last]] * S[pair].T), axis=0)
+    xs, p1, p2, pair = _distinct_pairs(b1, b2)
+    S, q1, q2 = _block_sums(_shift_columns(rho), xs, p1, p2, max(d0, d1))
+    chi = np.empty(b1.size, dtype=complex)
+    for c in range(0, b1.size, _CHI_CHUNK):
+        points = slice(c, c + _CHI_CHUNK)
+        terms = _phases(b2[points], d1)[q2 + d1 - 1]
+        terms *= S[:, pair[points]]
+        terms *= _phases(b1[points], d0)[q1 + d0 - 1]
+        chi[points] = terms.sum(axis=0)
     return chi
 
 
@@ -631,7 +700,9 @@ def _mixed(t: np.ndarray, u: np.ndarray,
     B2 = _beam_splitter_blocks(cfg.T2, (d, d))
     _, i, j = np.nonzero(t)
     k, l = np.nonzero(u)
-    occupied = np.unique((i[:, None] + k) * (2 * d - 1) + (j[:, None] + l))
+    # the occupied block pairs in rising order (a plain np.unique loads numpy.ma)
+    occupied = np.flatnonzero(np.bincount(
+        ((i[:, None] + k) * (2 * d - 1) + (j[:, None] + l)).reshape(-1)))
     # with no occupied block pair, no entries
     rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for N, M in zip(*np.divmod(occupied, 2 * d - 1)):
@@ -732,7 +803,12 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
         # the loss is linear and trace-preserving: one normalization after it
         rho = loss_kraus(rho, 0, cfg.T_loss)
         rho = loss_kraus(rho, 1, cfg.T_loss)
-    return rho.normalized(), success
+    # rho's complex matrix was built here, so it is normalized in place,
+    # with no copy: numpy divides a complex by a real as both parts times
+    # the reciprocal, so this is that division bit for bit (up to the sign
+    # of a zero)
+    rho.matrix.view(float)[...] *= 1.0 / rho._checked_trace()
+    return rho, success
 
 
 def theoretical_oracle(family: str, r: float, delta: float | None = None,

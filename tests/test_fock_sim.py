@@ -1,5 +1,6 @@
 """Tests for the truncated-Fock-space oracle."""
 
+import functools
 import itertools
 import tracemalloc
 import warnings
@@ -250,10 +251,13 @@ def _single_photon(dim):
     return (fs.lossy_projector_weights(1.0, dim),) * 2
 
 
+@functools.lru_cache(maxsize=2)
 def _dense_scheme_state(cfg, cutoff):
     """The scheme's lossless four-mode state, squeezed and mixed by the
-    dense reference steps."""
+    dense reference steps; cached on (cfg, cutoff) and read-only, so the
+    tests at cutoff 36, whose builds are the slowest, share theirs."""
     (amps,), leak = fock_dense.scheme_state(cfg, cutoff)
+    amps.flags.writeable = False
     return fs.FockTensor((cutoff,) * 4, amps, leak=leak)
 
 
@@ -603,14 +607,49 @@ def test_char_function_batch_sizes():
     assert fs.char_function_batch(rho, np.zeros(0), np.zeros(0)).shape == (0,)
 
 
+@pytest.mark.parametrize("size", [fs._CHI_CHUNK - 1, fs._CHI_CHUNK + 1, 2 * fs._CHI_CHUNK + 3])
+@pytest.mark.parametrize("density", [
+    lambda rng: _random_density(rng, (8, 11)),
+    lambda rng: _lossy_oracle_density("on-off"),
+], ids=["dense", "onoff-lossy"])
+def test_char_function_batch_across_chunk_boundaries(density, size):
+    # points of the fidelity's grid, whose distinct pairs recur in every
+    # chunk of the phase contraction, and a last chunk of 1, 255 or 3
+    rng = np.random.default_rng(size)
+    rho = density(rng)
+    nodes = np.polynomial.hermite.hermgauss(48)[0]
+    lam = rng.permutation((nodes[:, None] + 1j * nodes[None, :]).ravel())[:size]
+    got = fs.char_function_batch(rho, -np.conj(lam), -lam)
+    ref = fock_dense.char_function_batch(rho, -np.conj(lam), -lam)
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("cutoffs", [(0, 0), (0, 2), (1, 0)])
+def test_char_function_at_dimension_one_matches_dense(cutoffs):
+    # a mode of one level has the phases of shift 0 only
+    rng = np.random.default_rng(sum(cutoffs))
+    rho = _random_density(rng, cutoffs)
+    b1 = 0.8 * (rng.normal(size=7) + 1j * rng.normal(size=7))
+    b2 = 0.8 * (rng.normal(size=7) + 1j * rng.normal(size=7))
+    got = fs.char_function_batch(rho, b1, b2)
+    ref = fock_dense.char_function_batch(rho, b1, b2)
+    assert np.max(np.abs(got - ref)) < 1e-14
+    for beta, cutoff in ((b1[0], cutoffs[0]), (b2[0], cutoffs[1])):
+        assert np.max(np.abs(fs.displacement_matrix(beta, cutoff)
+                             - expm_displacement(beta, cutoff))) < 1e-12
+
+
 def test_char_function_batch_builds_no_displacement_array():
-    # one (d^2, batch) complex array for the 48 x 48 Gauss-Hermite grid at
-    # cutoff 25 holds 676 x 2304 elements, 24.9 MB
+    # one (2d - 1, batch) complex array of phases for the 48 x 48
+    # Gauss-Hermite grid at cutoff 25 holds 51 x 2304 elements, 1.9 MB (a
+    # (d^2, batch) displacement array 676 x 2304, 24.9 MB); the phases are
+    # taken in chunks of points, and R and S per distinct |beta|^2 and pair
     rho, _ = fs.scheme_oracle(SchemeConfig(r=0.6, s=0.01), "on-off", cutoff=25)
     nodes = np.polynomial.hermite.hermgauss(48)[0]
     lam = (nodes[:, None] + 1j * nodes[None, :]).ravel()
     b1, b2 = -np.conj(lam), -lam
-    array_bytes = rho.matrix.shape[0] * lam.size * np.dtype(complex).itemsize
+    array_bytes = (2 * 26 - 1) * lam.size * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         chi = fs.char_function_batch(rho, b1, b2)

@@ -40,10 +40,11 @@ def test_only_the_fock_oracle_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in imported(m))] == ["fock_sim"]
 
 
-def scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded once `code` has run in a fresh interpreter
-    on this checkout's sources, as printed."""
-    code += "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def modules_after(code: str, package: str) -> str:
+    """The modules of `package` (it and its submodules) loaded once `code`
+    has run in a fresh interpreter on this checkout's sources, as printed."""
+    code += ("\nimport sys; print([m for m in sys.modules"
+             f" if m == {package!r} or m.startswith({package + '.'!r})])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -51,15 +52,9 @@ def scipy_modules_after(code: str) -> str:
     return out.strip().splitlines()[-1]
 
 
-def test_package_and_cli_load_no_scipy_module():
-    # scipy belongs to the Fock oracle's csr builders; the CLI, its
-    # cross-check included, starts without it
-    assert scipy_modules_after("import sqbell, sqbell.cli") == "[]"
-
-
-def test_fock_oracle_path_loads_no_scipy_module():
-    # only the two csr builders load scipy, and the oracle calls neither
-    code = """
+# the Fock oracle's path: both scheme pipelines for both detector kinds, chi
+# of a density and of a pure state
+ORACLE_PATH = """
 import warnings
 import numpy as np
 from sqbell import fock_sim as fs
@@ -73,7 +68,24 @@ for detector in ("ideal", "on-off"):
 state = fs.theoretical_oracle("photon-subtracted", 0.5)
 fs.char_function_state(state, 0.1, 0.2j)
 """
-    assert scipy_modules_after(code) == "[]"
+
+
+def test_package_and_cli_load_no_scipy_module():
+    # scipy belongs to the Fock oracle's csr builders; the CLI, its
+    # cross-check included, starts without it
+    assert modules_after("import sqbell, sqbell.cli", "scipy") == "[]"
+
+
+def test_fock_oracle_path_loads_no_scipy_module():
+    # only the two csr builders load scipy, and the oracle calls neither
+    assert modules_after(ORACLE_PATH, "scipy") == "[]"
+
+
+def test_fock_oracle_path_loads_no_numpy_ma():
+    # a plain np.unique(x) imports numpy.ma (through np.ma.is_masked), which
+    # costs a fresh process 11-17 ms; the oracle takes distinct small
+    # integers from a bincount instead
+    assert modules_after(ORACLE_PATH, "numpy.ma") == "[]"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "gauss_poly"])
