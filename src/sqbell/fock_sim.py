@@ -5,11 +5,11 @@ code on photon-number tensors, with one path per operation:
 
 - pair unitaries: each a list of dense blocks of its conserved quantity
   (`_block_unitary`), the exact exponentials of the truncated generator's
-  blocks from numpy's `eigh`; the beam splitters' blocks cached on their
-  exact arguments.  `two_mode_squeeze_operator` and
-  `beam_splitter_operator` assemble every block into a cached scipy
-  csr_matrix for their direct callers; they are the only code that loads
-  scipy, and the oracle calls neither;
+  blocks from numpy's `eigh`; the beam splitters' blocks cached read-only
+  on their exact arguments.  `two_mode_squeeze_operator` and
+  `beam_splitter_operator` assemble every block into a new scipy
+  csr_matrix on every call, for their direct callers; they are the only
+  code that loads scipy, and the oracle calls neither;
 - the squeezer: `apply_two_mode_squeeze`, on two-mode states only, built
   on a padded pair space from the blocks of n1 - n2 where the state has a
   nonzero amplitude only, one dense product per block, and the norm it
@@ -19,14 +19,13 @@ code on photon-number tensors, with one path per operation:
   once by min(p, q);
 - heralding: `_herald` of the four-mode state's nonzero entries on
   diagonal POVM weights (`lossy_projector_weights`, `on_off_weights`), its
-  products merged in order by one bincount, and the oracle's own density
+  products added in order by one indexed add, and the oracle's own density
   divided in place by its trace, which raises on a zero heralding
   probability (`FockDensity.normalized` is the copying form);
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
-  distinct |beta|^2 (`_phases`, `_laguerre_factors`, the recurrence's
-  coefficients cached read-only per dimension); the sums of every shift
+  distinct |beta|^2 (`_phases`, `_laguerre_factors`); the sums of every shift
   block are gathered first and contracted with the phases over the points
   in fixed chunks of a few hundred; `char_function_state` takes two-mode
   states only and builds both displacement matrices in one
@@ -78,9 +77,9 @@ from .resources import SchemeConfig
 from .symplectic import SqueezeParam
 
 DEFAULT_LEAK_TOL = 1e-8
-# pair unitaries kept per process, per builder: the scheme oracle's beam
-# splitter blocks, and the csr operators of direct callers; the oracle's
-# squeezer builds only the blocks its state occupies, uncached
+# beam-splitter blocks kept per process, for the scheme oracle's mixing; its
+# squeezer builds only the blocks its state occupies, uncached, and the csr
+# operators are built anew on every call
 UNITARY_CACHE_SIZE = 64
 # largest scheme-oracle cutoff, with loss on the signal modes only / otherwise
 SIGNAL_LOSS_MAX_CUTOFF = 16
@@ -180,7 +179,6 @@ def annihilator(dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
 def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]):
     """exp(-z adag_i adag_j + conj(z) a_i a_j) on the truncated pair space,
     as a scipy csr_matrix.
@@ -210,7 +208,6 @@ def _squeeze_blocks(p: SqueezeParam, dims: tuple[int, int], qs) -> list:
     return _block_unitary(blocks)
 
 
-@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
 def beam_splitter_operator(T: float, dims: tuple[int, int]):
     """exp(kappa (adag_l a_k - a_l adag_k)) with tan(kappa) = sqrt((1-T)/T),
     as a scipy csr_matrix.
@@ -224,7 +221,7 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]):
 @functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
 def _beam_splitter_blocks(T: float, dims: tuple[int, int]) -> list:
     """The beam splitter's blocks N = n_k + n_l, N = 0 .. d1 + d2 - 2 in
-    order, as `_block_unitary` returns them; cached, not to be modified."""
+    order, as `_block_unitary` returns them; cached, with read-only arrays."""
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     d1, d2 = dims
@@ -236,7 +233,10 @@ def _beam_splitter_blocks(T: float, dims: tuple[int, int]) -> list:
         # raising n1 by one lowers n2 by one within the block
         amps = kappa * np.sqrt((n1s[:-1] + 1.0) * n2s[:-1])
         blocks.append((n1s * d2 + n2s, amps))
-    return _block_unitary(blocks)
+    out = _block_unitary(blocks)
+    for idx, U in out:
+        idx.flags.writeable = U.flags.writeable = False
+    return out
 
 
 def _block_unitary(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -311,7 +311,10 @@ def _truncated(big: np.ndarray, cutoffs: tuple[int, int], leak: float,
                leak_tol: float) -> FockTensor:
     """The block of a two-mode amplitude array within the cutoffs, with the
     squared norm outside it added to `leak`; CutoffTooSmallError when that
-    norm exceeds `leak_tol`.  Nothing is renormalized."""
+    norm exceeds `leak_tol`, ValueError on a non-finite amplitude or a NaN
+    `leak_tol`.  Nothing is renormalized."""
+    if not np.isfinite(big).all() or np.isnan(leak_tol):
+        raise ValueError("non-finite amplitudes or a NaN leak tolerance")
     box = (slice(cutoffs[0] + 1), slice(cutoffs[1] + 1))
     outside = np.ones(big.shape, dtype=bool)
     outside[box] = False
@@ -365,8 +368,10 @@ def loss_kraus(rho: FockDensity, mode: int, T: float) -> FockDensity:
     entries of each order are a suffix of them, sliced, not masked.  The
     orders are added in rising m, as the order-by-order sum would, and the
     cost is set by the nonzero entries times their orders, not d^4 per
-    order.
+    order.  A mode other than 0 or 1 raises ValueError.
     """
+    if mode not in (0, 1):
+        raise ValueError(f"mode {mode} is not 0 or 1")
     tensor = rho.as_tensor()
     flat = np.flatnonzero(tensor != 0)
     idx = np.unravel_index(flat, tensor.shape)
@@ -401,7 +406,10 @@ def on_off_weights(eta: float, dim: int) -> np.ndarray:
 def lossy_projector_weights(T: float, dim: int) -> np.ndarray:
     """Diagonal weights of a single-photon projector preceded by loss T:
     the probability n T (1-T)^(n-1) that exactly one of n photons survives
-    (with 0^0 = 1, the single-photon projector at T = 1)."""
+    (with 0^0 = 1, the single-photon projector at T = 1).  A T outside
+    [0, 1] raises ValueError."""
+    if not 0.0 <= T <= 1.0:
+        raise ValueError("transmissivity must lie in [0, 1]")
     n = np.arange(dim)
     return n * T * (1.0 - T) ** np.clip(n - 1, 0, None)
 
@@ -415,11 +423,12 @@ def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
     Psi W Psi^dag is a sum of one outer product per column, weighted by
     w3[k] w4[l]; it is summed over groups of columns, one per k - l, each
     group one dense product of its nonzero rows and columns, all groups in
-    one batched GEMM.  Rows and columns are taken in sorted order, so the
-    result does not depend on the order of the entries.  Entries of zero
-    value or zero weight are skipped (for ideal projectors all but
-    k = l = 1), so the cost is set by the nonzero products, not by a
-    d^2 x d^2 x d^2 GEMM."""
+    one batched GEMM, and the groups' products are added into the density
+    in order by one indexed add.  Rows and columns are taken in sorted
+    order, so the result does not depend on the order of the entries.
+    Entries of zero value or zero weight are skipped (for ideal projectors
+    all but k = l = 1), so the cost is set by the nonzero products, not by
+    a d^2 x d^2 x d^2 GEMM."""
     rows, cols, vals = psi
     k, l = np.divmod(cols, len(w4))
     k %= len(w3)
@@ -437,12 +446,9 @@ def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
     G = (A * W[:, None]) @ A.conj().transpose(0, 2, 1)
     # the padding of the groups' rows takes no part
     pair = (row_of[:, :, None] >= 0) & (row_of[:, None, :] >= 0)
-    dest = (row_of[:, :, None] * dim + row_of[:, None, :])[pair]
-    # the groups' products merged in order, real and imaginary parts as
-    # interleaved bins, so each entry is summed as an indexed add sums it
-    merged = np.bincount((2 * dest[:, None] + (0, 1)).reshape(-1),
-                         G[pair].view(float), minlength=2 * dim * dim)
-    return merged.view(complex).reshape(dim, dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    np.add.at(rho.reshape(-1), (row_of[:, :, None] * dim + row_of[:, None, :])[pair], G[pair])
+    return rho
 
 
 def _ranked(group: np.ndarray, x: np.ndarray,
@@ -485,18 +491,6 @@ def _phases(alphas: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _laguerre_steps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficients 2n+1+k, sqrt(n(n+k)) and 1 / sqrt((n+1)(n+1+k)) of
-    the recurrence of `_laguerre_factors`, indexed [n, k, None]; cached per
-    dimension, read-only."""
-    n, k = np.indices((dim, dim), dtype=float)[..., None]
-    steps = (2 * n + 1 + k, np.sqrt(n * (n + k)), 1.0 / np.sqrt((n + 1) * (n + 1 + k)))
-    for a in steps:
-        a.flags.writeable = False
-    return steps
-
-
 def _laguerre_row(k, n, dim: int):
     """The row of R_k(n) in the table of `_laguerre_factors`."""
     return n * dim - n * (n - 1) // 2 + k
@@ -512,11 +506,13 @@ def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
 
         sqrt((n+1)(n+1+k)) R_k(n+1) = (2n+1+k-x) R_k(n) - sqrt(n(n+k)) R_k(n-1),
 
-    runs for every order k and every x at once from R_k(0) = 1, on the
-    cached coefficients of `_laguerre_steps`: each step is multiplied by
-    the scale's reciprocal, with no division.
+    runs for every order k and every x at once from R_k(0) = 1, its
+    coefficients indexed [n, k, None]: each step is multiplied by the
+    scale's reciprocal, with no division.
     """
-    diagonal, back, inverse_scale = _laguerre_steps(dim)
+    n, k = np.indices((dim, dim), dtype=float)[..., None]
+    diagonal, back, inverse_scale = (
+        2 * n + 1 + k, np.sqrt(n * (n + k)), 1.0 / np.sqrt((n + 1) * (n + 1 + k)))
     out = np.empty((dim * (dim + 1) // 2, len(x)))
     h_prev = np.zeros((dim, len(x)))
     h = np.ones((dim, len(x)))
@@ -577,20 +573,18 @@ def _distinct_pairs(b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, ...]:
 def _shift_columns(rho: FockDensity) -> tuple[np.ndarray, ...]:
     """The nonzero entries rho[m, n, k, l] as the table t[min(k, m), column],
     one column per (q1, q2, min(l, n)) with the shifts q1 = k - m and
-    q2 = l - n, ordered by |q1|, then q1, then q2; and per column its q1,
-    q2, min(l, n) and the key of its (q1, q2) block."""
+    q2 = l - n, ordered by q1, then q2, then min(l, n); and per column its
+    q1, q2, min(l, n) and the key of its (q1, q2) block."""
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
     flat = np.flatnonzero(rho.matrix != 0)
     m, n, k, l = np.unravel_index(flat, (d0, d1, d0, d1))
-    q = k - m
-    key = ((2 * np.abs(q) + (q > 0)) * (2 * d1 - 1) + l - n + d1 - 1) * d1 + np.minimum(l, n)
+    key = ((k - m + d0 - 1) * (2 * d1 - 1) + l - n + d1 - 1) * d1 + np.minimum(l, n)
     keys, col = np.unique(key, return_inverse=True)
     t = np.zeros((d0, len(keys)), dtype=complex)
     t[np.minimum(k, m), col] = rho.matrix.reshape(-1)[flat]
     block, j2 = np.divmod(keys, d1)
-    signed, q2 = np.divmod(block, 2 * d1 - 1)
-    order1, positive = np.divmod(signed, 2)
-    return t, np.where(positive, order1, -order1), q2 - (d1 - 1), j2, block
+    q1, q2 = np.divmod(block, 2 * d1 - 1)
+    return t, q1 - (d0 - 1), q2 - (d1 - 1), j2, block
 
 
 def _block_sums(columns: tuple[np.ndarray, ...], xs: np.ndarray, p1: np.ndarray,
@@ -816,11 +810,12 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
                        leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Fock-space construction of the analytic two-mode resource families.
 
-    Only `squeezed-bell` takes delta.  A cutoff below 1 raises ValueError.
-    The ladder families apply a1 a2 or a1^dag a2^dag to the squeezed vacuum
-    on the squeezer's padded pair space and normalize there, so no amplitude
-    within the cutoff is missing and `leak` is the norm above it; above
-    `leak_tol` that norm raises CutoffTooSmallError.  Photon subtraction at r below 1e-7, where the
+    Only `squeezed-bell` takes delta; a non-finite delta, or a cutoff below
+    1, raises ValueError.  The ladder families apply a1 a2 or a1^dag a2^dag
+    to the squeezed vacuum on the squeezer's padded pair space and
+    normalize there, so no amplitude within the cutoff is missing and
+    `leak` is the norm above it; above `leak_tol` that norm raises
+    CutoffTooSmallError.  Photon subtraction at r below 1e-7, where the
     subtracted state would be the squeezer's rounding divided by r (from
     the vacuum itself at r = 0), raises ZeroNormStateError.
     """
@@ -835,8 +830,8 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
         raise ValueError(f"cutoff {c} is below 1")
     p = SqueezeParam(r, np.pi)
     if family == "squeezed-bell":
-        if delta is None:
-            raise ValueError("squeezed-bell requires delta")
+        if delta is None or not np.isfinite(delta):
+            raise ValueError("squeezed-bell requires a finite mixing angle delta")
         bare = basis_state((c, c), (0, 0))
         bare.amps[0, 0] = np.cos(delta)
         bare.amps[1, 1] = np.sin(delta)
@@ -849,10 +844,7 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
         a = annihilator(len(sq))
         op = a if family == "photon-subtracted" else a.conj().T
         amps = op @ sq @ op.T
-        nrm = np.linalg.norm(amps)
-        if nrm < 1e-15:
-            raise ZeroNormStateError("ladder action annihilated the state")
-        return _truncated(amps / nrm, (c, c), 0.0, leak_tol)
+        return _truncated(amps / np.linalg.norm(amps), (c, c), 0.0, leak_tol)
     else:
         raise ValueError(f"unknown family {family!r}")
     return apply_two_mode_squeeze(bare, p, leak_tol)

@@ -94,6 +94,14 @@ def test_squeezer_refuses_a_four_mode_state():
         fs.apply_two_mode_squeeze(fs.vacuum_state((4,) * 4), SqueezeParam(0.3, np.pi))
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+def test_squeezer_refuses_non_finite_amplitudes(bad):
+    state = fs.basis_state((4, 4), (1, 1))
+    state.amps[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fs.apply_two_mode_squeeze(state, SqueezeParam(0.3, np.pi))
+
+
 def _squeezer_block_states():
     """States in several n1 - n2 blocks at once, in one, and in none."""
     rng = np.random.default_rng(11)
@@ -150,16 +158,32 @@ def test_beam_splitter_identity():
 
 
 def test_pair_unitary_cache_is_bounded():
-    # repeated parameters hit the cache; distinct ones evict beyond the bound
-    U = fs.beam_splitter_operator(0.7, (4, 4))
-    assert fs.beam_splitter_operator(0.7, (4, 4)) is U
-    p = SqueezeParam(0.3, 1.0)
-    assert fs.two_mode_squeeze_operator(SqueezeParam(0.3, 1.0), (4, 4)) is \
-        fs.two_mode_squeeze_operator(p, (4, 4))
+    # the beam splitter's blocks, the only cached pair unitary: repeated
+    # parameters hit the cache, distinct ones evict beyond the bound, and
+    # every cached array is read-only
+    blocks = fs._beam_splitter_blocks(0.7, (4, 4))
+    hits = fs._beam_splitter_blocks.cache_info().hits
+    assert fs._beam_splitter_blocks(0.7, (4, 4)) is blocks
+    assert fs._beam_splitter_blocks.cache_info().hits == hits + 1
+    for idx, U in blocks:
+        assert not idx.flags.writeable and not U.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            U[0, 0] = 0.0
     for k in range(fs.UNITARY_CACHE_SIZE + 5):
-        fs.beam_splitter_operator(0.5 + 1e-3 * k, (3, 3))
-    info = fs.beam_splitter_operator.cache_info()
+        fs._beam_splitter_blocks(0.5 + 1e-3 * k, (3, 3))
+    info = fs._beam_splitter_blocks.cache_info()
     assert info.currsize == info.maxsize == fs.UNITARY_CACHE_SIZE
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fs.beam_splitter_operator(0.5, (3, 3)),
+    lambda: fs.two_mode_squeeze_operator(SqueezeParam(0.3, 1.0), (3, 3)),
+], ids=["beam-splitter", "squeezer"])
+def test_csr_operator_is_a_new_matrix_per_call(build):
+    # a caller that modifies its operator leaves the next caller's intact
+    expected = build().toarray()
+    build().data[:] = 0
+    assert np.array_equal(build().toarray(), expected)
 
 
 @pytest.mark.parametrize("cutoff", [25, 40])
@@ -229,6 +253,12 @@ def test_loss_single_photon():
     rho = fs.loss_kraus(_pure_density(fs.basis_state((3, 3), (1, 0))), 0, 0.7).as_tensor()
     assert rho[1, 0, 1, 0] == pytest.approx(0.7)
     assert rho[0, 0, 0, 0] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("mode", [2, -1])
+def test_loss_refuses_a_mode_outside_the_pair(mode):
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        fs.loss_kraus(_pure_density(fs.basis_state((3, 3), (1, 0))), mode, 0.5)
 
 
 def test_loss_kraus_vs_ancilla_route():
@@ -321,6 +351,12 @@ def test_povm_degenerate_on_vacuum_ancillas():
     st = fs.vacuum_state((4, 4, 4, 4))
     with pytest.raises(DegeneratePostselectionError):
         fock_dense.condition_with_diagonal_weights(st, *(fs.on_off_weights(0.5, 5),) * 2)
+
+
+@pytest.mark.parametrize("T", [1.5, -0.1, np.nan])
+def test_lossy_projector_refuses_transmissivity_outside_unit_interval(T):
+    with pytest.raises(ValueError, match="transmissivity"):
+        fs.lossy_projector_weights(T, 4)
 
 
 def test_on_povm_at_unit_efficiency():
@@ -727,6 +763,20 @@ def test_theoretical_oracle_refuses_non_finite_squeezing(family, r):
             fs.theoretical_oracle(family, r, delta)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_theoretical_oracle_refuses_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite mixing angle"):
+        fs.theoretical_oracle("squeezed-bell", 0.5, delta)
+
+
+def test_theoretical_oracle_refuses_a_nan_leak_tolerance():
+    # the 0.42 of the norm above cutoff 5 is no pass under a NaN tolerance
+    with pytest.raises(ValueError, match="NaN leak tolerance"):
+        fs.theoretical_oracle("twin-beam", 2.5, cutoff=5, leak_tol=np.nan)
+    with pytest.raises(CutoffTooSmallError):
+        fs.theoretical_oracle("twin-beam", 2.5, cutoff=5)
+
+
 @pytest.mark.parametrize("family, r, cutoff", [
     ("photon-subtracted", 0.7, 20),
     ("photon-added", 0.75, 20),
@@ -949,7 +999,7 @@ def test_scheme_oracle_peak_memory(cfg):
     # as a dense four-mode tensor, which the oracle never builds; each
     # density the signal-mode loss makes from it is as large
     cutoff = 25
-    fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)  # operators cached, not measured
+    fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)  # beam-splitter blocks cached, not measured
     tensor_bytes = (cutoff + 1) ** 4 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
