@@ -9,6 +9,7 @@ failure, 4 degenerate postselection.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -168,7 +169,9 @@ def cmd_state(args) -> int:
     if state.family in SCHEME_FAMILIES:
         cfg: SchemeConfig = state.params
         record["success_prob"] = state.success_prob
-        record["delta_equivalent"] = delta_equivalent(cfg)
+        if state.family == "scheme-ideal":
+            with contextlib.suppress(ValueError):  # outside the angle's regime
+                record["delta_equivalent"] = delta_equivalent(cfg)
         record["r_effective"] = effective_squeezing(cfg.r, cfg.T_loss)
         record["r_effective_db"] = squeezing_db(record["r_effective"])
     else:

@@ -20,8 +20,8 @@ code on photon-number tensors, with one path per operation:
 - heralding: `_herald` of the four-mode state's nonzero entries on
   diagonal POVM weights (`lossy_projector_weights`, `on_off_weights`), its
   products added in order by one indexed add, and the oracle's own density
-  divided in place by its trace, which raises on a zero heralding
-  probability (`FockDensity.normalized` is the copying form);
+  divided in place by its trace, its one normalization, which raises on a
+  zero heralding probability;
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
@@ -112,13 +112,6 @@ class FockTensor:
         if self.amps.shape != expected:
             raise ValueError(f"amplitude shape {self.amps.shape} != {expected}")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.cutoffs)
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
 
 @dataclass
 class FockDensity:
@@ -134,20 +127,6 @@ class FockDensity:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def normalized(self) -> "FockDensity":
-        """The density divided by its real trace; a trace of 1e-300 or less
-        (a heralding probability of zero) raises DegeneratePostselectionError."""
-        return FockDensity(self.cutoffs, self.matrix / self._checked_trace())
-
-    def _checked_trace(self) -> float:
-        """The real trace, the divisor of `normalized`, which raises
-        DegeneratePostselectionError at 1e-300 or less."""
-        success = self.trace()
-        if success <= 1e-300:
-            raise DegeneratePostselectionError(
-                f"conditioning probability {success:.3e} is degenerate")
-        return success
 
     def validate(self) -> None:
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
@@ -291,7 +270,7 @@ def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
     its columns inside the state's pair space; every other block of the
     full product maps exact zeros.  A state of more modes raises
     ValueError."""
-    if state.n_modes != 2:
+    if state.amps.ndim != 2:
         raise ValueError("the two-mode squeezer expects a two-mode state")
     dims = state.amps.shape
     pad = max(8, max(state.cutoffs) // 2)
@@ -553,7 +532,7 @@ def char_function(rho: FockDensity, beta1: complex, beta2: complex) -> complex:
 def char_function_state(state: FockTensor, beta1: complex, beta2: complex) -> complex:
     """<psi| D1(b1) D2(b2) |psi> for a two-mode pure state; a state of any
     other mode count raises ValueError."""
-    if state.n_modes != 2:
+    if state.amps.ndim != 2:
         raise ValueError("char_function_state expects a two-mode state")
     d0, d1 = state.amps.shape
     D = _displacement_batch(np.array([beta1, beta2]), max(state.cutoffs))
@@ -757,10 +736,10 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     transmissivity on every mode commutes with the mixing beam splitters, so
     the detector-mode loss is folded into the diagonal POVM weights and the
     signal-mode loss is applied to the heralded density, which is
-    normalized once, after it; the success probability is the heralded
-    trace.  Signal-only loss is kept
-    ahead of the beam splitters as a sum over Kraus branches, which limits
-    that path to cutoff 16 (48 otherwise).  A cutoff above that limit, or
+    normalized once, after it (a trace of 1e-300 or less raises
+    DegeneratePostselectionError); the success probability is the heralded
+    trace.  Signal-only loss is kept ahead of the beam splitters as a sum
+    over Kraus branches, which limits that path to cutoff 16 (48 otherwise).  A cutoff above that limit, or
     below 1 (heralding needs the n = 1 outcome), raises ValueError; a
     leaking cutoff is escalated by half, clamped to the limit, and
     CutoffTooSmallError is raised when the limit itself leaks.
@@ -797,11 +776,14 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
         # the loss is linear and trace-preserving: one normalization after it
         rho = loss_kraus(rho, 0, cfg.T_loss)
         rho = loss_kraus(rho, 1, cfg.T_loss)
-    # rho's complex matrix was built here, so it is normalized in place,
-    # with no copy: numpy divides a complex by a real as both parts times
-    # the reciprocal, so this is that division bit for bit (up to the sign
-    # of a zero)
-    rho.matrix.view(float)[...] *= 1.0 / rho._checked_trace()
+    trace = rho.trace()
+    if trace <= 1e-300:
+        raise DegeneratePostselectionError(f"conditioning probability {trace:.3e} is degenerate")
+    # the oracle's one normalization: rho's complex matrix was built here, so
+    # it is divided in place, with no copy; numpy divides a complex by a real
+    # as both parts times the reciprocal, so this is rho.matrix / trace bit
+    # for bit (up to the sign of a zero)
+    rho.matrix.view(float)[...] *= 1.0 / trace
     return rho, success
 
 

@@ -306,12 +306,15 @@ def _ideal_prob(M, W=None):
 
 def _ancilla_prob(detector: str, eta3, eta4, n: int):
     """`_ideal_prob` or `_onoff_prob` of one detector kind, as a function of
-    the ancilla block and the optional map W."""
+    the ancilla block and the optional map W; an on/off efficiency outside
+    (0, 1], or omitted, raises ValueError."""
     if detector == "ideal":
         return _ideal_prob
     if detector == "on-off":
         eta3 = np.broadcast_to(np.asarray(eta3, dtype=float), (n,))
         eta4 = np.broadcast_to(np.asarray(eta4, dtype=float), (n,))
+        if not np.all((0.0 < eta3) & (eta3 <= 1.0) & (0.0 < eta4) & (eta4 <= 1.0)):
+            raise ValueError("detector efficiencies must lie in (0, 1]")
         return lambda M, W=None: _onoff_prob(M, eta3, eta4, W)
     raise ValueError(f"unknown detector kind {detector!r}")
 
@@ -359,9 +362,10 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     """Heralding probability P, fidelity F and status of each source exponent.
 
     `S` has shape (n, 8, 8); `detector` is 'ideal' or 'on-off';
-    `eta3`, `eta4` (on/off only) broadcast to n.  Status is that of
-    `_status` (a block that is not positive definite makes P or F NaN, and
-    so UNPHYSICAL); F is capped at one and is NaN wherever status is not OK.
+    `eta3`, `eta4` (on/off only) broadcast to n, each in (0, 1], else
+    ValueError.  Status is that of `_status` (a block that is not positive
+    definite makes P or F NaN, and so UNPHYSICAL); F is capped at one and
+    is NaN wherever status is not OK.
     """
     S = np.asarray(S, dtype=float)
     prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])

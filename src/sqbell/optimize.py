@@ -207,7 +207,6 @@ def optimize_delta(r: float) -> OptResult:
 
 @dataclass
 class SweepRow:
-    axis: str
     value: float
     fidelity: Optional[float] = None
     success_prob: Optional[float] = None
@@ -230,7 +229,7 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     the s* of each point it optimized); a point that fails records its
     error in its own row.  Warns as :func:`sqbell.resources.scheme_pf` does.
     """
-    rows = [SweepRow(axis=spec.axis, value=v) for v in spec.grid]
+    rows = [SweepRow(value=v) for v in spec.grid]
     columns = spec.columns()
     kernel.warn_if_lossy(spec.detector, columns)
     todo = rows

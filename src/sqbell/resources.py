@@ -174,8 +174,11 @@ def delta_equivalent(cfg: SchemeConfig) -> float:
     """Mixing angle of the squeezed Bell state the small-mixing scheme approximates.
 
     Valid in the lossless, ideal-detector regime with T1 = T2; the mixing angle
-    kappa obeys tan(kappa) = sqrt((1 - T)/T).
+    kappa obeys tan(kappa) = sqrt((1 - T)/T).  A configuration with T1 != T2
+    or T_loss < 1 raises ValueError.
     """
+    if cfg.T1 != cfg.T2 or cfg.T_loss < 1.0:
+        raise ValueError("delta_equivalent needs T1 = T2 and no loss (T_loss = 1)")
     kappa = np.arctan(np.sqrt((1.0 - cfg.T1) / cfg.T1))
     k2 = kappa ** 2
     num = k2 * np.sinh(cfg.r) ** 2

@@ -45,6 +45,8 @@ class GaussianChar:
         S = np.asarray(exponent, dtype=float)
         if S.shape != (2 * n_modes, 2 * n_modes):
             raise DimensionMismatchError("exponent matrix shape mismatch")
+        if not np.isfinite(S).all():
+            raise PhysicalityError("exponent matrix is not finite")
         if np.max(np.abs(S - S.T)) > 1e-10:
             raise PhysicalityError("exponent matrix is not symmetric")
         self.n_modes = n_modes
@@ -60,11 +62,19 @@ def vacuum_char(n_modes: int) -> GaussianChar:
     return GaussianChar(n_modes, np.eye(2 * n_modes))
 
 
+def _check_modes(modes, n_modes: int) -> None:
+    """ValueError unless the modes are distinct and each lies in 0 .. n_modes - 1."""
+    if len(set(modes)) != len(modes) or not all(0 <= m < n_modes for m in modes):
+        raise ValueError(f"modes {tuple(modes)} must be distinct and lie in 0 .. {n_modes - 1}")
+
+
 def squeeze_matrix(p: SqueezeParam, modes: tuple[int, int], n_modes: int) -> np.ndarray:
     """Real linear map v -> v' realizing chi -> chi(v') for a two-mode squeezer.
 
     Each transformed amplitude is  b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|.
+    Two equal modes, or a mode outside 0 .. n_modes - 1, raise ValueError.
     """
+    _check_modes(modes, n_modes)
     L = np.eye(2 * n_modes)
     squeeze_into(L, p.amplitude, p.phase, *modes)
     return L
@@ -72,9 +82,11 @@ def squeeze_matrix(p: SqueezeParam, modes: tuple[int, int], n_modes: int) -> np.
 
 def beam_splitter_matrix(modes: tuple[int, int], T: float, n_modes: int) -> np.ndarray:
     """Variable map of a beam splitter: b_k -> sqrt(T) b_k - sqrt(R) b_l on the
-    first named mode and b_l -> sqrt(T) b_l + sqrt(R) b_k on the second."""
+    first named mode and b_l -> sqrt(T) b_l + sqrt(R) b_k on the second.
+    Two equal modes, or a mode outside 0 .. n_modes - 1, raise ValueError."""
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
+    _check_modes(modes, n_modes)
     M = np.eye(2 * n_modes)
     mix_into(M, T, *modes)
     return M
@@ -100,7 +112,9 @@ def loss_channel(chi: GaussianChar, mode: int, T_loss: float,
     """Mix one mode with a (thermal) environment of transmissivity T_loss.
 
     chi'(b) = chi(sqrt(T) b on the mode) * exp(-1/2 (2 n + 1)(1 - T)|b_mode|^2).
+    A mode outside 0 .. n_modes - 1 raises ValueError.
     """
+    _check_modes((mode,), chi.n_modes)
     if not 0.0 < T_loss <= 1.0:
         raise ValueError("loss transmissivity must lie in (0, 1]")
     if n_thermal < 0:

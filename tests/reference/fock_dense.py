@@ -170,5 +170,5 @@ def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
     if lossy_detectors:
         for mode in (0, 1):
             rho = fs.FockDensity(rho.cutoffs, loss_kraus(rho, mode, cfg.T_loss))
-        rho = rho.normalized()
+        rho = fs.FockDensity(rho.cutoffs, rho.matrix / rho.trace())
     return rho.matrix, success

@@ -105,6 +105,19 @@ def test_state_reports_equivalent_angle(capsys):
     assert float(record["success_prob"]) > 0
 
 
+@pytest.mark.parametrize("argv", [("--family", "scheme-ideal", "--T2", "0.5"),
+                                  ("--family", "scheme-ideal", "--loss", "0.1"),
+                                  ("--family", "scheme-realistic",)])
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+def test_state_omits_equivalent_angle_outside_its_regime(capsys, argv):
+    # the angle holds for ideal detectors, T1 = T2 and no loss only
+    code, out, _ = run(capsys, "state", *argv, "--r", "1", "--s", "0.1")
+    assert code == EXIT_OK
+    record = parse_kv(out)
+    assert "delta_equivalent" not in record
+    assert float(record["success_prob"]) > 0
+
+
 def test_optimize_command(capsys):
     code, out, _ = run(capsys, "optimize", "--r", "0.8")
     assert code == EXIT_OK

@@ -321,6 +321,18 @@ def test_unknown_detector_rejected():
                 build([cfg] if build is rs.scheme_pf else cfg, detector)
 
 
+@pytest.mark.parametrize("eta", [2.0, 1.0 + 1e-12, 0.0, -0.1, np.nan, None])
+def test_onoff_efficiency_outside_unit_interval_rejected(eta):
+    # eta = 2 read OK (P = 0.0427, F = 0.735), eta = 0 DEGENERATE and an
+    # omitted eta UNPHYSICAL; SchemeConfig and DetectorKernel refuse them all
+    S = kernel.exponents_of([rs.SchemeConfig(r=0.5, s=0.1)] * 2)
+    for etas in ((eta, eta), (0.5, eta), ([0.5, eta], 0.5)):
+        with pytest.raises(ValueError, match=r"efficiencies must lie in \(0, 1\]"):
+            kernel.scheme_pf(S, "on-off", *etas)
+    with pytest.raises(ValueError, match=r"efficiencies must lie in \(0, 1\]"):
+        kernel.heralded_chi(S, "on-off", eta, eta)
+
+
 def test_optimize_s_trace_order_and_length():
     cfg = rs.SchemeConfig(r=1.2, T_loss=0.9)
     res = op.optimize_s(cfg, "on-off")

@@ -342,8 +342,8 @@ def _expected_row(spec, value, cfg, s_star=None):
     (p,), (f,), (st,) = rs.scheme_pf([cfg], spec.detector)
     error = status_error(p, st)
     if error is not None:
-        return op.SweepRow(spec.axis, value, s_star=s_star, error=op._describe(error))
-    return op.SweepRow(spec.axis, value, float(f), float(p), s_star)
+        return op.SweepRow(value, s_star=s_star, error=op._describe(error))
+    return op.SweepRow(value, float(f), float(p), s_star)
 
 
 @pytest.mark.parametrize("optimize_s_at_each", [False, True])
@@ -366,7 +366,7 @@ def test_sweep_columns_match_configurations_bit_for_bit(detector, optimize_s_at_
                 try:
                     opt = op.optimize_s(cfg, detector)
                 except Exception as exc:
-                    expected.append(op.SweepRow(axis, value, error=op._describe(exc)))
+                    expected.append(op.SweepRow(value, error=op._describe(exc)))
                     continue
                 row = _expected_row(spec, value, cfg.with_(s=opt.s_star), opt.s_star)
                 assert row.fidelity == opt.f_star

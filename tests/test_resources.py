@@ -160,6 +160,17 @@ def test_delta_equivalent_limits():
     assert rs.delta_equivalent(cfg1) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [rs.SchemeConfig(r=1.0, s=0.1, T2=0.5),
+                                 rs.SchemeConfig(r=1.0, s=0.1, T_loss=0.5),
+                                 rs.SchemeConfig(r=1.0, s=0.1, T1=0.9, T_loss=0.99,
+                                                 loss_on_detector_modes=False)])
+def test_delta_equivalent_refuses_configurations_outside_its_regime(cfg):
+    # it reads T1 only: T2 = 0.5 or T_loss = 0.5 gave the lossless symmetric
+    # configuration's 0.116708
+    with pytest.raises(ValueError, match="T1 = T2 and no loss"):
+        rs.delta_equivalent(cfg)
+
+
 def test_effective_squeezing_values():
     assert rs.effective_squeezing(1.4, 1.0) == pytest.approx(1.4)
     assert rs.effective_squeezing(2.0, 0.85) == pytest.approx(0.8991, abs=2e-4)

@@ -7,6 +7,7 @@ from reference import polygauss as ref
 
 from sqbell import gauss_poly as gp
 from sqbell import symplectic as sp
+from sqbell.errors import PhysicalityError
 from sqbell.resources import SchemeConfig, effective_squeezing
 
 
@@ -188,6 +189,35 @@ def test_squeeze_param_validation():
     for phase in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="phase must be finite"):
             sp.SqueezeParam(0.5, phase)
+
+
+@pytest.mark.parametrize("modes", [(0, 0), (1, 1), (0, -1), (-1, 1), (0, 2), (3, 1)])
+def test_pair_builders_reject_invalid_modes(modes):
+    # (0, 0) only scaled mode 0 by sqrt(T), (0, -1) acted as (0, 1), and a
+    # mode past the end raised IndexError
+    p = sp.SqueezeParam(0.5)
+    for build in (lambda: sp.squeeze_matrix(p, modes, 2),
+                  lambda: sp.beam_splitter_matrix(modes, 0.5, 2),
+                  lambda: sp.beam_splitter_substitute(tmsv(0.5), modes, 0.5)):
+        with pytest.raises(ValueError, match="must be distinct and lie in 0 .. 1"):
+            build()
+
+
+@pytest.mark.parametrize("mode", [-1, -2, 2, 5])
+def test_loss_channel_rejects_invalid_mode(mode):
+    # mode -1 acted on the last mode, and a mode past the end raised IndexError
+    with pytest.raises(ValueError, match="must be distinct and lie in 0 .. 1"):
+        sp.loss_channel(tmsv(0.5), mode, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gaussian_char_rejects_non_finite_exponent(bad):
+    with pytest.raises(PhysicalityError, match="not finite"):
+        sp.GaussianChar(2, np.full((4, 4), bad))
+    S = np.eye(4)
+    S[1, 1] = bad
+    with pytest.raises(PhysicalityError, match="not finite"):
+        sp.GaussianChar(2, S)
 
 
 @pytest.mark.parametrize("r", [np.nan, np.inf, -0.1])
