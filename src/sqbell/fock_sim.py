@@ -52,21 +52,17 @@ skipped term is an exact zero, so the result is the full contraction's for
 any input, and none of the steps assumes the structure of the states it is
 asked to check.
 
-The scheme oracle models pure loss only and has one pipeline: twin beams,
-loss branches of the signal pair, the beam-splitter product, heralded
-densities summed over branches.  Loss on every mode needs one branch,
-and its signal-mode part is applied to the heralded density before its one
-normalization; loss on the signal modes alone needs one per pair of Kraus
-orders, mixed and heralded in stacks of equal m2 - m1, which caps that
-path at cutoff 16 (48 for the others).  A leaking
-cutoff is escalated up to the cap of its path, and a leak at the cap is
-raised.
+The scheme oracle models pure loss of one transmissivity on every mode
+only and has one pipeline: twin beams, the beam-splitter product, the
+heralded density.  The loss commutes with the mixing, so its
+detector-mode part is folded into the POVM weights and its signal-mode
+part applied to the heralded density before its one normalization.  A
+leaking cutoff is escalated up to cutoff 48, and a leak there is raised.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,8 +77,7 @@ DEFAULT_LEAK_TOL = 1e-8
 # squeezer builds only the blocks its state occupies, uncached, and the csr
 # operators are built anew on every call
 UNITARY_CACHE_SIZE = 64
-# largest scheme-oracle cutoff, with loss on the signal modes only / otherwise
-SIGNAL_LOSS_MAX_CUTOFF = 16
+# largest scheme-oracle cutoff
 MAX_CUTOFF = 48
 # smallest r the photon-subtracted oracle accepts.  a1 a2 leaves amplitudes
 # of order r, each carrying the squeezer's rounding of about 1e-16, so the
@@ -397,7 +392,7 @@ def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
             w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, of
     size `dim`, from the distinct entries (rows, cols, values) of
-    Psi[(a, b), (j, k, l)], whose columns may stack several states j.
+    Psi[(a, b), (k, l)].
 
     Psi W Psi^dag is a sum of one outer product per column, weighted by
     w3[k] w4[l]; it is summed over groups of columns, one per k - l, each
@@ -410,7 +405,6 @@ def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
     a d^2 x d^2 x d^2 GEMM."""
     rows, cols, vals = psi
     k, l = np.divmod(cols, len(w4))
-    k %= len(w3)
     weight = w3[k] * w4[l]
     keep = (vals != 0) & (weight != 0)
     # group k - l as 0 .. len(w3) + len(w4) - 2
@@ -659,19 +653,18 @@ def _twin_beams(cfg: SchemeConfig, cutoff: int,
 
 def _mixed(t: np.ndarray, u: np.ndarray,
            cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four-mode states after the mixing beam splitters B1 of modes
-    (1, 3) and B2 of modes (2, 4), from a stack t[j] of signal pair
-    amplitudes and the ancilla pair amplitudes u, as the nonzero entries
-    (rows, cols, values) of Psi[(n1, n2), (j, n3, n4)]: row n1 d + n2,
-    column (j d + n3) d + n4.  Each state is B1 X B2^T with
-    X[(n1, n3), (n2, n4)] = t[j, n1, n2] u[n3, n4], taken block by block of
-    (n1 + n3, n2 + n4), the quantities B1 and B2 conserve: one dense
-    product per block pair where some t[j] and u have a nonzero product,
-    for the whole stack at once."""
-    d = t.shape[1]
+    """The four-mode state after the mixing beam splitters B1 of modes
+    (1, 3) and B2 of modes (2, 4), from the signal pair amplitudes t and the
+    ancilla pair amplitudes u, as the nonzero entries (rows, cols, values)
+    of Psi[(n1, n2), (n3, n4)]: row n1 d + n2, column n3 d + n4.  The state
+    is B1 X B2^T with X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4], taken
+    block by block of (n1 + n3, n2 + n4), the quantities B1 and B2
+    conserve: one dense product per block pair where t and u have a
+    nonzero product."""
+    d = t.shape[0]
     B1 = _beam_splitter_blocks(cfg.T1, (d, d))
     B2 = _beam_splitter_blocks(cfg.T2, (d, d))
-    _, i, j = np.nonzero(t)
+    i, j = np.nonzero(t)
     k, l = np.nonzero(u)
     # the occupied block pairs in rising order (a plain np.unique loads numpy.ma)
     occupied = np.flatnonzero(np.bincount(
@@ -682,49 +675,26 @@ def _mixed(t: np.ndarray, u: np.ndarray,
         (idx1, U1), (idx2, U2) = B1[N], B2[M]
         n1, n3 = np.divmod(idx1, d)
         n2, n4 = np.divmod(idx2, d)
-        Y = U1 @ (t[:, n1[:, None], n2] * u[n3[:, None], n4]) @ U2.T
-        s, a, b = np.nonzero(Y)
+        # the leading axis keeps a 1 x 1 block on numpy's vectorized complex
+        # product, which larger blocks take, so that every block rounds alike
+        X = (t[None, n1[:, None], n2] * u[n3[:, None], n4])[0]
+        Y = U1 @ X @ U2.T
+        a, b = np.nonzero(Y)
         rows.append(n1[a] * d + n2[b])
-        cols.append((s * d + n3[a]) * d + n4[b])
-        vals.append(Y[s, a, b])
+        cols.append(n3[a] * d + n4[b])
+        vals.append(Y[a, b])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _signal_loss_only(cfg: SchemeConfig) -> bool:
-    return cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes
 
 
 def _detector_weights(cfg: SchemeConfig, detector: str,
                       dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal POVM weights of modes 3 and 4, with the detector-mode loss
-    folded in when the loss is on every mode."""
-    T = cfg.T_loss if cfg.loss_on_detector_modes else 1.0
+    folded in."""
     if detector == "ideal":
-        w = lossy_projector_weights(T, dim)
+        w = lossy_projector_weights(cfg.T_loss, dim)
         return w, w
-    return on_off_weights(cfg.eta3 * T, dim), on_off_weights(cfg.eta4 * T, dim)
-
-
-def _branches(t: FockTensor, cfg: SchemeConfig):
-    """Stacks of signal pair amplitudes whose mixed, heralded densities sum
-    to the scheme's: with signal-only loss, the Kraus branches of t, one per
-    pair of signal loss orders (m1, m2), stacked by m2 - m1 (the branches of
-    one twin beam with equal m2 - m1 occupy the same blocks of the mixing
-    and of the heralding), else t's own."""
-    if not _signal_loss_only(cfg):
-        yield t.amps[None]
-        return
-    bands = _loss_kraus_bands(cfg.T_loss, t.cutoffs[0] + 1)
-    orders = len(bands)
-    for shift in range(1 - orders, orders):
-        stack = []
-        for m1 in range(max(0, -shift), min(orders, orders - shift)):
-            band1, band2 = bands[m1], bands[m1 + shift]
-            # K_m1 x K_m2, whose only entries are K_m[i, i + m] = band[i]
-            amps = np.zeros_like(t.amps)
-            amps[:len(band1), :len(band2)] = band1[:, None] * t.amps[m1:, m1 + shift:] * band2
-            stack.append(amps)
-        yield np.stack(stack)
+    return (on_off_weights(cfg.eta3 * cfg.T_loss, dim),
+            on_off_weights(cfg.eta4 * cfg.T_loss, dim))
 
 
 def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
@@ -732,47 +702,46 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     """Conditioned two-mode density operator of the scheme, built in Fock space,
     and its success probability.
 
-    Pure loss only: `n_thermal > 0` raises ValueError.  Loss of equal
-    transmissivity on every mode commutes with the mixing beam splitters, so
-    the detector-mode loss is folded into the diagonal POVM weights and the
-    signal-mode loss is applied to the heralded density, which is
-    normalized once, after it (a trace of 1e-300 or less raises
-    DegeneratePostselectionError); the success probability is the heralded
-    trace.  Signal-only loss is kept ahead of the beam splitters as a sum
-    over Kraus branches, which limits that path to cutoff 16 (48 otherwise).  A cutoff above that limit, or
-    below 1 (heralding needs the n = 1 outcome), raises ValueError; a
-    leaking cutoff is escalated by half, clamped to the limit, and
-    CutoffTooSmallError is raised when the limit itself leaks.
+    Pure loss on every mode only: `n_thermal > 0`, or loss on the signal
+    modes alone, raises ValueError.  Loss of equal transmissivity on every
+    mode commutes with the mixing beam splitters, so the detector-mode loss
+    is folded into the diagonal POVM weights and the signal-mode loss is
+    applied to the heralded density, which is normalized once, after it (a
+    trace of 1e-300 or less raises DegeneratePostselectionError); the
+    success probability is the heralded trace.  A cutoff above MAX_CUTOFF,
+    or below 1 (heralding needs the n = 1 outcome), raises ValueError; a
+    leaking cutoff is escalated by half, clamped to MAX_CUTOFF, and
+    CutoffTooSmallError is raised when MAX_CUTOFF itself leaks.
     """
     if detector not in ("ideal", "on-off"):
         raise ValueError(f"unknown detector kind {detector!r}")
     if cfg.n_thermal > 0:
         raise ValueError("the Fock oracle models pure loss only (n_thermal = 0)")
-    cap = SIGNAL_LOSS_MAX_CUTOFF if _signal_loss_only(cfg) else MAX_CUTOFF
-    c = cutoff if cutoff is not None else min(default_cutoff(max(cfg.r, cfg.s)), cap)
-    if c > cap:
-        raise ValueError(f"cutoff {c} exceeds this configuration's limit {cap}")
+    if cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes:
+        raise ValueError("the Fock oracle models loss on every mode only "
+                         "(loss_on_detector_modes)")
+    c = cutoff if cutoff is not None else default_cutoff(max(cfg.r, cfg.s))
+    if c > MAX_CUTOFF:
+        raise ValueError(f"cutoff {c} exceeds the limit {MAX_CUTOFF}")
     if c < 1:
         raise ValueError(f"cutoff {c} is below 1, the photon number heralding needs")
     while True:
         try:
             return _scheme_oracle_at(cfg, detector, c)
         except CutoffTooSmallError:
-            if c >= cap:
+            if c >= MAX_CUTOFF:
                 raise
-            c = min(int(np.ceil(c * 1.5)), cap)
+            c = min(int(np.ceil(c * 1.5)), MAX_CUTOFF)
 
 
 def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
                       cutoff: int) -> tuple[FockDensity, float]:
     w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
     t, u = _twin_beams(cfg, cutoff, DEFAULT_LEAK_TOL)
-    # the first branch's density is used as is and the others added into it
-    dim = (cutoff + 1) ** 2
-    rho = FockDensity((cutoff, cutoff), functools.reduce(operator.iadd, (
-        _herald(_mixed(stack, u.amps, cfg), dim, w3, w4) for stack in _branches(t, cfg))))
+    rho = FockDensity((cutoff, cutoff), _herald(_mixed(t.amps, u.amps, cfg),
+                                                (cutoff + 1) ** 2, w3, w4))
     success = rho.trace()
-    if cfg.T_loss < 1.0 and cfg.loss_on_detector_modes:
+    if cfg.T_loss < 1.0:
         # the loss is linear and trace-preserving: one normalization after it
         rho = loss_kraus(rho, 0, cfg.T_loss)
         rho = loss_kraus(rho, 1, cfg.T_loss)

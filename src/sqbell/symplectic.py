@@ -1,11 +1,11 @@
-"""Zero-mean Gaussian characteristic functions and their linear-optics evolution.
+"""Zero-mean Gaussian characteristic functions.
 
 A GaussianChar stores the real symmetric exponent matrix S of
 chi(v) = exp(-1/2 v^T S v) in the interleaved coordinate order
-(Re b1, Im b1, ..., Re bn, Im bn).  Squeezers and beam splitters act as
-exact linear variable substitutions; loss channels rescale a mode and add
-the environment exponent.  The module ends in the four-mode source function feeding the
-detector-conditioning stage.
+(Re b1, Im b1, ..., Re bn, Im bn).  The two-mode squeezed vacuum is the
+vacuum under the squeezer's exact linear variable substitution; a loss
+channel rescales a mode and adds the environment exponent.  The four-mode
+source function of the scheme is one of :func:`sqbell.kernel.exponents_of`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, PhysicalityError
-from .kernel import exponents_of, mix_into, squeeze_into
+from .kernel import exponents_of, squeeze_into
 
 if TYPE_CHECKING:
     from .resources import SchemeConfig
@@ -58,53 +58,12 @@ class GaussianChar:
         return np.exp(-0.5 * v @ self.exponent @ v)
 
 
-def vacuum_char(n_modes: int) -> GaussianChar:
-    return GaussianChar(n_modes, np.eye(2 * n_modes))
-
-
-def _check_modes(modes, n_modes: int) -> None:
-    """ValueError unless the modes are distinct and each lies in 0 .. n_modes - 1."""
-    if len(set(modes)) != len(modes) or not all(0 <= m < n_modes for m in modes):
-        raise ValueError(f"modes {tuple(modes)} must be distinct and lie in 0 .. {n_modes - 1}")
-
-
-def squeeze_matrix(p: SqueezeParam, modes: tuple[int, int], n_modes: int) -> np.ndarray:
-    """Real linear map v -> v' realizing chi -> chi(v') for a two-mode squeezer.
-
-    Each transformed amplitude is  b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|.
-    Two equal modes, or a mode outside 0 .. n_modes - 1, raise ValueError.
-    """
-    _check_modes(modes, n_modes)
-    L = np.eye(2 * n_modes)
-    squeeze_into(L, p.amplitude, p.phase, *modes)
-    return L
-
-
-def beam_splitter_matrix(modes: tuple[int, int], T: float, n_modes: int) -> np.ndarray:
-    """Variable map of a beam splitter: b_k -> sqrt(T) b_k - sqrt(R) b_l on the
-    first named mode and b_l -> sqrt(T) b_l + sqrt(R) b_k on the second.
-    Two equal modes, or a mode outside 0 .. n_modes - 1, raise ValueError."""
-    if not 0.0 <= T <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1]")
-    _check_modes(modes, n_modes)
-    M = np.eye(2 * n_modes)
-    mix_into(M, T, *modes)
-    return M
-
-
-def apply_linear(chi: GaussianChar, L: np.ndarray) -> GaussianChar:
-    return GaussianChar(chi.n_modes, L.T @ chi.exponent @ L)
-
-
 def two_mode_squeezed_char(p: SqueezeParam) -> GaussianChar:
-    """Two-mode squeezed vacuum."""
-    return apply_linear(vacuum_char(2), squeeze_matrix(p, (0, 1), 2))
-
-
-def beam_splitter_substitute(chi: GaussianChar, modes: tuple[int, int],
-                             T: float) -> GaussianChar:
-    """Mix two modes of a GaussianChar exactly."""
-    return apply_linear(chi, beam_splitter_matrix(modes, T, chi.n_modes))
+    """Two-mode squeezed vacuum: the vacuum exponent I under the squeezer's
+    substitution L, b_i -> b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|."""
+    L = np.eye(4)
+    squeeze_into(L, p.amplitude, p.phase, 0, 1)
+    return GaussianChar(2, L.T @ L)
 
 
 def loss_channel(chi: GaussianChar, mode: int, T_loss: float,
@@ -114,7 +73,8 @@ def loss_channel(chi: GaussianChar, mode: int, T_loss: float,
     chi'(b) = chi(sqrt(T) b on the mode) * exp(-1/2 (2 n + 1)(1 - T)|b_mode|^2).
     A mode outside 0 .. n_modes - 1 raises ValueError.
     """
-    _check_modes((mode,), chi.n_modes)
+    if not 0 <= mode < chi.n_modes:
+        raise ValueError(f"modes {(mode,)} must be distinct and lie in 0 .. {chi.n_modes - 1}")
     if not 0.0 < T_loss <= 1.0:
         raise ValueError("loss transmissivity must lie in (0, 1]")
     if n_thermal < 0:

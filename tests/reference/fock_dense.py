@@ -8,7 +8,7 @@ the characteristic function, the conditioning, a pair operator on any two
 modes of a state, the padded squeezer with its leak, the loss channel (and
 loss by a beam splitter with a vacuum ancilla), the scheme's four-mode
 state built from them, squeezing and mixing one pair of modes at a time,
-and the scheme pipeline that heralds it.
+and the scheme pipeline that heralds it, with loss on every mode.
 """
 
 import numpy as np
@@ -115,14 +115,11 @@ def heralded(amps: np.ndarray, w3, w4) -> np.ndarray:
     return (psi * np.outer(w3, w4).reshape(-1)) @ psi.conj().T
 
 
-def scheme_state(cfg, cutoff: int, T_signal: float = 1.0):
+def scheme_state(cfg, cutoff: int):
     """The scheme's four-mode state at `cutoff` from the dense steps above:
-    both squeezers padded on the whole tensor, then, for each pair (m1, m2)
-    of loss Kraus orders of transmissivity `T_signal` on modes 1 and 2 (the
-    one pair (0, 0), the identity, at T_signal = 1), that branch mixed by
-    both beam splitters as full products on one pair of modes each.
-    Returns the branches, built one at a time, and the squared norm the two
-    squeezers pushed above the cutoff."""
+    both squeezers padded on the whole tensor, then both beam splitters as
+    full products on one pair of modes each.  Returns the amplitudes and
+    the squared norm the two squeezers pushed above the cutoff."""
     state = fs.vacuum_state((cutoff,) * 4)
     leak = 0.0
     for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
@@ -131,43 +128,29 @@ def scheme_state(cfg, cutoff: int, T_signal: float = 1.0):
         state = fs.FockTensor(state.cutoffs, amps)
         leak += deficit
     dim = cutoff + 1
-    bands = fs._loss_kraus_bands(T_signal, dim)
-
-    def mixed(m1, m2):
-        branch = np.zeros_like(state.amps)
-        lost = bands[m1][:, None, None, None] * state.amps[m1:]
-        branch[:dim - m1, :dim - m2] = bands[m2][:, None, None] * lost[:, m2:]
-        for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
-            branch = apply_pair_operator(
-                branch, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
-        return branch
-
-    orders = range(len(bands))
-    return (mixed(m1, m2) for m1 in orders for m2 in orders), leak
+    amps = state.amps
+    for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
+        amps = apply_pair_operator(
+            amps, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
+    return amps, leak
 
 
 def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
     """Normalized density matrix and success probability of the scheme at a
-    fixed cutoff: the branches of `scheme_state` (Kraus branches of the
-    signal-mode loss when only the signal modes are lossy) heralded and
-    summed, then the signal-mode loss when the loss is on every mode (its
-    detector part folded into the weights)."""
+    fixed cutoff: the state of `scheme_state` heralded, then the signal-mode
+    part of the loss on every mode (its detector part folded into the
+    weights)."""
     dim = cutoff + 1
-    lossy_detectors = cfg.T_loss < 1.0 and cfg.loss_on_detector_modes
-    T_det = cfg.T_loss if lossy_detectors else 1.0
     if detector == "ideal":
-        w3 = w4 = fs.lossy_projector_weights(T_det, dim)
+        w3 = w4 = fs.lossy_projector_weights(cfg.T_loss, dim)
     else:
-        w3 = fs.on_off_weights(cfg.eta3 * T_det, dim)
-        w4 = fs.on_off_weights(cfg.eta4 * T_det, dim)
-    signal_only = cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes
-    branches, _ = scheme_state(cfg, cutoff, cfg.T_loss if signal_only else 1.0)
-    rho = 0.0
-    for branch in branches:
-        rho = rho + heralded(branch, w3, w4)
+        w3 = fs.on_off_weights(cfg.eta3 * cfg.T_loss, dim)
+        w4 = fs.on_off_weights(cfg.eta4 * cfg.T_loss, dim)
+    amps, _ = scheme_state(cfg, cutoff)
+    rho = heralded(amps, w3, w4)
     success = float(np.trace(rho).real)
     rho = fs.FockDensity((cutoff, cutoff), rho / success)
-    if lossy_detectors:
+    if cfg.T_loss < 1.0:
         for mode in (0, 1):
             rho = fs.FockDensity(rho.cutoffs, loss_kraus(rho, mode, cfg.T_loss))
         rho = fs.FockDensity(rho.cutoffs, rho.matrix / rho.trace())

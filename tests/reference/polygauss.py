@@ -4,8 +4,9 @@ Every characteristic function here is a :mod:`sqbell.gauss_poly` sum of
 polynomial-times-Gaussian terms.  Conditioning multiplies the Gaussian
 four-mode source by the embedded detector kernels (an on/off kernel carries
 an exact point mass) and integrates the ancillas out by Schur complements
-and Wick moments; the fidelity integral is taken the same way.  None of it
-calls :mod:`sqbell.kernel` beyond the source exponent it is given.
+and Wick moments; the fidelity integral is taken the same way.  The source
+exponent and the squeezer and beam-splitter substitutions come from the
+covariance reference, so none of it calls :mod:`sqbell.kernel`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from sqbell import gauss_poly as gp
-from sqbell.symplectic import (
-    SqueezeParam,
-    beam_splitter_matrix,
-    scheme_four_mode_char,
-    squeeze_matrix,
-)
+
+from . import covariance as cov
 
 # (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v
 IDENTIFY = np.array([
@@ -34,10 +31,10 @@ def gaussian(S) -> gp.PolyGaussFunction:
     return gp.PolyGaussFunction.gaussian(np.asarray(S, dtype=float))
 
 
-def beam_splitter_substitute(f: gp.PolyGaussFunction, modes: tuple[int, int],
-                             T: float) -> gp.PolyGaussFunction:
+def mix_modes(f: gp.PolyGaussFunction, modes: tuple[int, int],
+              T: float) -> gp.PolyGaussFunction:
     """Mix two modes of a polynomial-Gaussian function by substitution."""
-    return gp.substitute(f, beam_splitter_matrix(modes, T, f.n_vars // 2))
+    return gp.substitute(f, cov.variable_map(cov.beam_splitter(T, *modes, f.n_vars // 2)))
 
 
 def ideal_kernel() -> gp.PolyGaussFunction:
@@ -94,7 +91,7 @@ def fidelity(chi: gp.PolyGaussFunction) -> float:
 
 def scheme(cfg, detector: str):
     """Normalized heralded chi, P and the sum of the magnitudes of P's terms."""
-    S = scheme_four_mode_char(cfg).exponent
+    S = cov.exponent(cov.covariance_of([cfg]))[0]
     if detector == "ideal":
         k3, k4 = ideal_kernel(), ideal_kernel()
     else:
@@ -118,4 +115,4 @@ def squeezed_bell(r: float, delta: float) -> gp.PolyGaussFunction:
     })
     vac = gp.PolyGaussFunction(4, [gp.GaussPolyTerm(
         1.0, bare, np.eye(4), np.zeros(4, dtype=complex))])
-    return gp.substitute(vac, squeeze_matrix(SqueezeParam(r, np.pi), (0, 1), 2))
+    return gp.substitute(vac, cov.variable_map(cov.squeezer(r, np.pi, 0, 1, 2)))

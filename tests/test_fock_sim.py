@@ -1,7 +1,6 @@
 """Tests for the truncated-Fock-space oracle."""
 
 import functools
-import itertools
 import tracemalloc
 import warnings
 
@@ -10,13 +9,11 @@ import numpy as np
 import pytest
 from reference import fock_dense
 from scipy.linalg import expm
-from test_acceptance import BETA_GRID_1, BETA_GRID_2, oracle_fidelity
 
 from sqbell import fock_sim as fs
-from sqbell import teleport as tp
 from sqbell.conditioning import LossyProjectorWarning
 from sqbell.errors import CutoffTooSmallError, DegeneratePostselectionError, ZeroNormStateError
-from sqbell.resources import SchemeConfig, delta_equivalent, scheme_state
+from sqbell.resources import SchemeConfig, delta_equivalent
 from sqbell.symplectic import SqueezeParam, two_mode_squeezed_char
 
 
@@ -286,7 +283,7 @@ def _dense_scheme_state(cfg, cutoff):
     """The scheme's lossless four-mode state, squeezed and mixed by the
     dense reference steps; cached on (cfg, cutoff) and read-only, so the
     tests at cutoff 36, whose builds are the slowest, share theirs."""
-    (amps,), leak = fock_dense.scheme_state(cfg, cutoff)
+    amps, leak = fock_dense.scheme_state(cfg, cutoff)
     amps.flags.writeable = False
     return fs.FockTensor((cutoff,) * 4, amps, leak=leak)
 
@@ -707,28 +704,6 @@ def test_cutoff_convergence_of_oracle_numbers():
             fs.char_function(rho_b, b1, b2), abs=1e-8)
 
 
-def _signal_loss(r, s):
-    return SchemeConfig(r=r, s=s, T_loss=0.85, loss_on_detector_modes=False)
-
-
-@pytest.mark.parametrize("detector", ["ideal", "on-off"])
-def test_signal_only_loss_oracle_matches_kernel(detector):
-    # criterion 6's grid and tolerances, on the Kraus-branch path it omits
-    cfg = _signal_loss(0.6, 0.01)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LossyProjectorWarning)
-        state = scheme_state(cfg, detector)
-    # cutoff 12 leaks: escalation lands on 16, the cap of this path, not past it
-    rho, success = fs.scheme_oracle(cfg, detector, cutoff=12)
-    assert rho.cutoffs == (16, 16)
-    b1, b2 = np.array(list(itertools.product(BETA_GRID_1, BETA_GRID_2))).T
-    chi = fs.char_function_batch(rho, b1, b2)
-    assert np.max(np.abs(chi - state.chi(b1, b2))) <= 1e-6
-    assert oracle_fidelity(rho) == pytest.approx(tp.fidelity_closed_form(state),
-                                                 abs=1e-5)
-    assert success == pytest.approx(state.success_prob, rel=1e-6)
-
-
 @pytest.mark.parametrize("cutoff", [8, 48])
 def test_photon_subtraction_refused_below_its_bound(cutoff):
     # a1 a2 on the squeezed vacuum leaves n tanh(r)^(n-1) |n-1, n-1>
@@ -810,17 +785,25 @@ def test_oracle_refuses_thermal_noise():
         fs.scheme_oracle(cfg, "ideal", cutoff=12)
 
 
-def test_leak_at_the_signal_loss_cap_is_raised():
-    with pytest.raises(CutoffTooSmallError):
-        fs.scheme_oracle(_signal_loss(0.8, 0.05), "on-off", cutoff=12)
-    with pytest.raises(CutoffTooSmallError):
-        fs.scheme_oracle(_signal_loss(0.8, 0.05), "on-off", cutoff=16)
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_oracle_refuses_signal_only_loss(detector):
+    # signal-only loss is proved against the kernel by the covariance
+    # reference (tests/test_covariance.py)
+    cfg = SchemeConfig(r=0.5, s=0.05, T_loss=0.85, loss_on_detector_modes=False)
+    with pytest.raises(ValueError, match="loss on every mode"):
+        fs.scheme_oracle(cfg, detector, cutoff=12)
+
+
+def test_leak_at_the_cutoff_cap_is_raised():
+    # 12 leaks and escalates through 18, 27 and 41 to the cap, 48, not past
+    # it, and the cap's leak is raised
+    with pytest.raises(CutoffTooSmallError, match=r"cutoffs \(48, 48\)"):
+        fs.scheme_oracle(SchemeConfig(r=2.0, s=0.05, T_loss=0.85), "on-off", cutoff=12)
 
 
 @pytest.mark.parametrize("cfg, cutoff", [
-    (_signal_loss(0.6, 0.01), 17),
     (SchemeConfig(r=0.6, s=0.01, T_loss=0.85), 49),
-], ids=["signal-loss", "all-mode-loss"])
+], ids=["all-mode-loss"])
 def test_cutoff_above_the_cap_is_refused(cfg, cutoff):
     with pytest.raises(ValueError, match="exceeds"):
         fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)
@@ -981,7 +964,7 @@ def test_scheme_proto_state_matches_dense_reference(cfg):
     cutoff = 10
     d = cutoff + 1
     t, u = fs._twin_beams(cfg, cutoff, 1e-4)
-    rows, cols, vals = fs._mixed(t.amps[None], u.amps, cfg)
+    rows, cols, vals = fs._mixed(t.amps, u.amps, cfg)
     psi = np.zeros((d * d, d * d), dtype=complex)
     psi[rows, cols] = vals
     ref = _dense_scheme_state(cfg, cutoff)
@@ -1048,9 +1031,7 @@ def test_heralded_matches_dense_gemm(weights):
 @pytest.mark.parametrize("detector, cfg", [
     ("ideal", SchemeConfig(r=0.5, s=0.02)),
     ("on-off", SchemeConfig(r=0.5, s=0.05, eta3=0.3, eta4=0.2, T_loss=0.85)),
-    ("ideal", SchemeConfig(r=0.5, s=0.02, T_loss=0.85, loss_on_detector_modes=False)),
-    ("on-off", SchemeConfig(r=0.0, s=0.05, T_loss=0.85, loss_on_detector_modes=False)),
-], ids=["ideal-lossless", "onoff-all-mode-loss", "signal-only-loss", "signal-only-loss-vacuum"])
+], ids=["ideal-lossless", "onoff-all-mode-loss"])
 def test_scheme_oracle_matches_dense_pipeline(detector, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
@@ -1077,7 +1058,7 @@ def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
     d = cutoff + 1
     w3, w4 = fs._detector_weights(cfg, detector, d)
     t, u = fs._twin_beams(cfg, cutoff, fs.DEFAULT_LEAK_TOL)
-    rows, cols, vals = fs._mixed(t.amps[None], u.amps, cfg)
+    rows, cols, vals = fs._mixed(t.amps, u.amps, cfg)
     psi = np.zeros((d * d, d * d), dtype=complex)
     psi[rows, cols] = vals
     rows, cols = np.nonzero(psi)
@@ -1086,41 +1067,6 @@ def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
     for mode in (0, 1):
         ref = fs.loss_kraus(ref, mode, cfg.T_loss)
     assert rho.matrix.tobytes() == (ref.matrix / ref.trace()).tobytes()
-
-
-@pytest.mark.parametrize("detector", ["ideal", "on-off"])
-def test_sparse_heralding_matches_dense_branch_sum(detector):
-    # with signal-only loss, the heralding of each stack of Kraus branches
-    # from its densified entries, summed over the stacks, is the oracle's,
-    # bit for bit; each branch mixed and heralded on its own as a dense
-    # four-mode state sums the same outer products in another order
-    cutoff = 10
-    d = cutoff + 1
-    cfg = SchemeConfig(r=0.4, s=0.05, T_loss=0.85, loss_on_detector_modes=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LossyProjectorWarning)
-        rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
-    assert rho.cutoffs == (cutoff, cutoff)
-    w3, w4 = fs._detector_weights(cfg, detector, d)
-    t, u = fs._twin_beams(cfg, cutoff, fs.DEFAULT_LEAK_TOL)
-    total, per_branch, branches = 0.0, 0.0, 0
-    for stack in fs._branches(t, cfg):
-        rows, cols, vals = fs._mixed(stack, u.amps, cfg)
-        psi = np.zeros((d * d, len(stack) * d * d), dtype=complex)
-        psi[rows, cols] = vals
-        rows, cols = np.nonzero(psi)
-        total = total + fs._herald((rows, cols, psi[rows, cols]), d * d, w3, w4)
-        for branch in stack:
-            rows, cols, vals = fs._mixed(branch[None], u.amps, cfg)
-            amps = np.zeros((d * d, d * d), dtype=complex)
-            amps[rows, cols] = vals
-            per_branch = per_branch + fock_dense.heralded(amps.reshape((d,) * 4), w3, w4)
-            branches += 1
-    assert branches == d * d  # one per pair of loss orders
-    ref = fs.FockDensity((cutoff, cutoff), total)
-    assert success == ref.trace()
-    assert rho.matrix.tobytes() == (ref.matrix / ref.trace()).tobytes()
-    assert np.max(np.abs(per_branch - total)) < 1e-15 * np.max(np.abs(total))
 
 
 @pytest.mark.parametrize("weights", [

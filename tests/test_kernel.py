@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import covariance as cov
 from reference import mpgauss
 from reference import polygauss as ref
 
@@ -65,19 +66,18 @@ def _assert_matches(cfgs, detector):
 
 
 def test_source_exponents_match_stepwise_construction():
-    from sqbell import symplectic as sy
-
-    cfg = rs.SchemeConfig(r=0.9, s=0.3, phi_zeta=0.4, phi_xi=2.1, T1=0.93,
-                          T2=0.97, T_loss=0.8, n_thermal=0.2)
-    chi = sy.vacuum_char(4)
-    chi = sy.apply_linear(chi, sy.squeeze_matrix(sy.SqueezeParam(cfg.r, cfg.phi_zeta), (0, 1), 4))
-    chi = sy.apply_linear(chi, sy.squeeze_matrix(sy.SqueezeParam(cfg.s, cfg.phi_xi), (2, 3), 4))
-    for mode in range(4):
-        chi = sy.loss_channel(chi, mode, cfg.T_loss, cfg.n_thermal)
-    chi = sy.beam_splitter_substitute(chi, (0, 2), cfg.T1)
-    chi = sy.beam_splitter_substitute(chi, (1, 3), cfg.T2)
-    assert np.allclose(scheme_four_mode_char(cfg).exponent, chi.exponent,
-                       rtol=0.0, atol=1e-13)
+    # the covariance reference builds the source step by step from the
+    # symplectic matrices of its squeezers and beam splitters, sharing none
+    # of the kernel's variable maps; S = 2 Omega V Omega^T
+    cfgs = [rs.SchemeConfig(r=0.9, s=0.3, phi_zeta=0.4, phi_xi=2.1, T1=0.93,
+                            T2=0.97, T_loss=0.8, n_thermal=0.2),
+            rs.SchemeConfig(r=1.7, s=0.6, phi_zeta=5.0, phi_xi=0.3, T1=0.6,
+                            T2=0.85, T_loss=0.7, n_thermal=0.9,
+                            loss_on_detector_modes=False)]
+    ref = cov.exponent(cov.covariance_of(cfgs))
+    S = kernel.exponents_of(cfgs)
+    assert np.all(np.max(np.abs(S - ref), axis=(1, 2))
+                  <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
 
 
 @pytest.mark.parametrize("detector", ["ideal", "on-off"])

@@ -15,11 +15,12 @@ SRC = ROOT / "src" / "sqbell"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
-def imported(module: str) -> set[str]:
-    """Every module name `module` imports, relative names resolved
-    (`from . import x` gives both 'sqbell' and 'sqbell.x')."""
+def imported(module: str, directory: Path = SRC) -> set[str]:
+    """Every module name `module` of `directory` imports, relative names
+    resolved as the package's (`from . import x` gives both 'sqbell' and
+    'sqbell.x')."""
     names = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(ast.parse((directory / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -32,6 +33,13 @@ def imported(module: str) -> set[str]:
 
 def test_kernel_imports_only_numpy_and_the_standard_library():
     tops = {name.split(".")[0] for name in imported("kernel")}
+    assert tops <= set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_covariance_reference_imports_only_numpy_and_the_standard_library():
+    # it shares no code with the package it checks
+    tops = {name.split(".")[0]
+            for name in imported("covariance", ROOT / "tests" / "reference")}
     assert tops <= set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -52,8 +60,8 @@ def modules_after(code: str, package: str) -> str:
     return out.strip().splitlines()[-1]
 
 
-# the Fock oracle's path: both scheme pipelines for both detector kinds, chi
-# of a density and of a pure state
+# the Fock oracle's path: the lossy scheme for both detector kinds, chi of a
+# density and of a pure state
 ORACLE_PATH = """
 import warnings
 import numpy as np
@@ -61,10 +69,9 @@ from sqbell import fock_sim as fs
 from sqbell.resources import SchemeConfig
 warnings.simplefilter("ignore")
 for detector in ("ideal", "on-off"):
-    for loss in ({}, {"loss_on_detector_modes": False}):
-        cfg = SchemeConfig(r=0.3, s=0.05, T_loss=0.85, **loss)
-        rho, _ = fs.scheme_oracle(cfg, detector, cutoff=8)
-        fs.char_function_batch(rho, np.array([0.1, 0.2j]), np.array([0.3, -0.1]))
+    cfg = SchemeConfig(r=0.3, s=0.05, T_loss=0.85)
+    rho, _ = fs.scheme_oracle(cfg, detector, cutoff=8)
+    fs.char_function_batch(rho, np.array([0.1, 0.2j]), np.array([0.3, -0.1]))
 state = fs.theoretical_oracle("photon-subtracted", 0.5)
 fs.char_function_state(state, 0.1, 0.2j)
 """

@@ -1,8 +1,10 @@
-"""Tests for Gaussian characteristic functions and their linear-optics evolution."""
+"""Tests for Gaussian characteristic functions, with the beam splitters of
+the covariance reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import covariance as cov
 from reference import polygauss as ref
 
 from sqbell import gauss_poly as gp
@@ -15,9 +17,20 @@ def tmsv(r, phi=np.pi):
     return sp.two_mode_squeezed_char(sp.SqueezeParam(r, phi))
 
 
+def beam_splitter_map(T, n_modes=2):
+    """The reference's variable map of a beam splitter on modes (0, 1)."""
+    return cov.variable_map(cov.beam_splitter(T, 0, 1, n_modes))
+
+
+def mixed(chi, T):
+    """chi after the reference's beam splitter on modes (0, 1)."""
+    L = beam_splitter_map(T, chi.n_modes)
+    return sp.GaussianChar(chi.n_modes, L.T @ chi.exponent @ L)
+
+
 def plus_minus_mix(chi):
     """Rotate to the +-45 degree combined modes (balanced mixing)."""
-    return sp.beam_splitter_substitute(chi, (0, 1), 0.5)
+    return mixed(chi, 0.5)
 
 
 def var_x(chi, mode):
@@ -70,10 +83,11 @@ def test_lossy_squeezed_variance_and_effective_r():
 
 
 def test_beam_splitter_identity_and_swap():
+    # the kernel's convention, b_k -> sqrt(T) b_k - sqrt(1 - T) b_l
     chi = tmsv(0.7)
-    same = sp.beam_splitter_substitute(chi, (0, 1), 1.0)
+    same = mixed(chi, 1.0)
     assert np.allclose(same.exponent, chi.exponent)
-    M = sp.beam_splitter_matrix((0, 1), 0.0, 2)
+    M = beam_splitter_map(0.0)
     swap = np.zeros((4, 4))
     swap[0, 2] = swap[1, 3] = -1.0  # first mode reads the second, negated
     swap[2, 0] = swap[3, 1] = 1.0
@@ -81,14 +95,14 @@ def test_beam_splitter_identity_and_swap():
 
 
 def test_beam_splitter_preserves_vacuum():
-    vac = sp.vacuum_char(2)
-    out = sp.beam_splitter_substitute(vac, (0, 1), 0.99)
+    vac = sp.GaussianChar(2, np.eye(4))
+    out = mixed(vac, 0.99)
     assert np.allclose(out.exponent, np.eye(4), atol=1e-14)
 
 
 def test_beam_splitter_preserves_chi0_and_photon_number():
     chi = tmsv(1.3)
-    out = sp.beam_splitter_substitute(chi, (0, 1), 0.77)
+    out = mixed(chi, 0.77)
     assert out.evaluate([0, 0]) == pytest.approx(1.0)
     assert total_mean_photons(out) == pytest.approx(total_mean_photons(chi), abs=1e-10)
 
@@ -96,8 +110,8 @@ def test_beam_splitter_preserves_chi0_and_photon_number():
 def test_beam_splitter_acts_on_polygauss():
     chi = tmsv(0.9)
     f = ref.gaussian(chi.exponent)
-    g = ref.beam_splitter_substitute(f, (0, 1), 0.8)
-    direct = sp.beam_splitter_substitute(chi, (0, 1), 0.8)
+    g = ref.mix_modes(f, (0, 1), 0.8)
+    direct = mixed(chi, 0.8)
     for _ in range(10):
         b = np.random.default_rng(4).normal(size=4)
         assert gp.evaluate(g, b) == pytest.approx(
@@ -116,7 +130,7 @@ def test_loss_identity_at_full_transmission():
 
 
 def test_vacuum_is_loss_fixed_point():
-    vac = sp.vacuum_char(3)
+    vac = sp.GaussianChar(3, np.eye(6))
     out = sp.loss_channel(vac, 1, 0.4)
     assert np.allclose(out.exponent, np.eye(6))
 
@@ -189,18 +203,6 @@ def test_squeeze_param_validation():
     for phase in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="phase must be finite"):
             sp.SqueezeParam(0.5, phase)
-
-
-@pytest.mark.parametrize("modes", [(0, 0), (1, 1), (0, -1), (-1, 1), (0, 2), (3, 1)])
-def test_pair_builders_reject_invalid_modes(modes):
-    # (0, 0) only scaled mode 0 by sqrt(T), (0, -1) acted as (0, 1), and a
-    # mode past the end raised IndexError
-    p = sp.SqueezeParam(0.5)
-    for build in (lambda: sp.squeeze_matrix(p, modes, 2),
-                  lambda: sp.beam_splitter_matrix(modes, 0.5, 2),
-                  lambda: sp.beam_splitter_substitute(tmsv(0.5), modes, 0.5)):
-        with pytest.raises(ValueError, match="must be distinct and lie in 0 .. 1"):
-            build()
 
 
 @pytest.mark.parametrize("mode", [-1, -2, 2, 5])
