@@ -38,9 +38,8 @@ the signal twin beam t = S(r)|0,0> and the ancilla twin beam
 u = S(s)|0,0> as the product B1 X B2^T, with
 X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] and B1, B2 the mixing beam
 splitters of modes (1, 3) and (2, 4), taken block by block of
-(n1 + n3, n2 + n4) (`_mixed`); its leak is the twin beams' leaks summed.
-The product's nonzero entries, as those of the matrix
-Psi[(n1, n2), (n3, n4)], are heralded group by group of n3 - n4
+(n1 + n3, n2 + n4) (`_mixed`).  The product's nonzero entries, as those of
+the matrix Psi[(n1, n2), (n3, n4)], are heralded group by group of n3 - n4
 (`_herald`): the oracle never holds a dense four-mode tensor.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
@@ -56,8 +55,10 @@ The scheme oracle models pure loss of one transmissivity on every mode
 only and has one pipeline: twin beams, the beam-splitter product, the
 heralded density.  The loss commutes with the mixing, so its
 detector-mode part is folded into the POVM weights and its signal-mode
-part applied to the heralded density before its one normalization.  A
-leaking cutoff is escalated up to cutoff 48, and a leak there is raised.
+part applied to the heralded density before its one normalization.
+
+Both oracles answer at the cutoff they are given, which the caller names:
+a norm leaked above it beyond the tolerance raises CutoffTooSmallError.
 """
 
 from __future__ import annotations
@@ -638,10 +639,6 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def default_cutoff(amplitude: float) -> int:
-    return 20 if amplitude <= 1.0 else 30
-
-
 def _twin_beams(cfg: SchemeConfig, cutoff: int,
                 leak_tol: float) -> tuple[FockTensor, FockTensor]:
     """The signal twin beam S(r)|0,0> of modes 1, 2 and the ancilla twin
@@ -697,8 +694,8 @@ def _detector_weights(cfg: SchemeConfig, detector: str,
             on_off_weights(cfg.eta4 * cfg.T_loss, dim))
 
 
-def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
-                  cutoff: int | None = None) -> tuple[FockDensity, float]:
+def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal", *,
+                  cutoff: int) -> tuple[FockDensity, float]:
     """Conditioned two-mode density operator of the scheme, built in Fock space,
     and its success probability.
 
@@ -709,9 +706,8 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     applied to the heralded density, which is normalized once, after it (a
     trace of 1e-300 or less raises DegeneratePostselectionError); the
     success probability is the heralded trace.  A cutoff above MAX_CUTOFF,
-    or below 1 (heralding needs the n = 1 outcome), raises ValueError; a
-    leaking cutoff is escalated by half, clamped to MAX_CUTOFF, and
-    CutoffTooSmallError is raised when MAX_CUTOFF itself leaks.
+    or below 1 (heralding needs the n = 1 outcome), raises ValueError, and
+    a twin beam leaking above the cutoff raises CutoffTooSmallError.
     """
     if detector not in ("ideal", "on-off"):
         raise ValueError(f"unknown detector kind {detector!r}")
@@ -720,22 +716,10 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal",
     if cfg.T_loss < 1.0 and not cfg.loss_on_detector_modes:
         raise ValueError("the Fock oracle models loss on every mode only "
                          "(loss_on_detector_modes)")
-    c = cutoff if cutoff is not None else default_cutoff(max(cfg.r, cfg.s))
-    if c > MAX_CUTOFF:
-        raise ValueError(f"cutoff {c} exceeds the limit {MAX_CUTOFF}")
-    if c < 1:
-        raise ValueError(f"cutoff {c} is below 1, the photon number heralding needs")
-    while True:
-        try:
-            return _scheme_oracle_at(cfg, detector, c)
-        except CutoffTooSmallError:
-            if c >= MAX_CUTOFF:
-                raise
-            c = min(int(np.ceil(c * 1.5)), MAX_CUTOFF)
-
-
-def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
-                      cutoff: int) -> tuple[FockDensity, float]:
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the limit {MAX_CUTOFF}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff {cutoff} is below 1, the photon number heralding needs")
     w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
     t, u = _twin_beams(cfg, cutoff, DEFAULT_LEAK_TOL)
     rho = FockDensity((cutoff, cutoff), _herald(_mixed(t.amps, u.amps, cfg),
@@ -756,9 +740,8 @@ def _scheme_oracle_at(cfg: SchemeConfig, detector: str,
     return rho, success
 
 
-def theoretical_oracle(family: str, r: float, delta: float | None = None,
-                       cutoff: int | None = None,
-                       leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
+def theoretical_oracle(family: str, r: float, delta: float | None = None, *,
+                       cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Fock-space construction of the analytic two-mode resource families.
 
     Only `squeezed-bell` takes delta; a non-finite delta, or a cutoff below
@@ -776,26 +759,26 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None,
         raise ZeroNormStateError(
             f"photon subtraction at r = {r:.3g} < {_MIN_SUBTRACTION_R:g} is lost "
             "to rounding (at r = 0 it annihilates the vacuum)")
-    c = cutoff if cutoff is not None else default_cutoff(r)
-    if c < 1:
-        raise ValueError(f"cutoff {c} is below 1")
+    if cutoff < 1:
+        raise ValueError(f"cutoff {cutoff} is below 1")
+    cutoffs = (cutoff, cutoff)
     p = SqueezeParam(r, np.pi)
     if family == "squeezed-bell":
         if delta is None or not np.isfinite(delta):
             raise ValueError("squeezed-bell requires a finite mixing angle delta")
-        bare = basis_state((c, c), (0, 0))
+        bare = basis_state(cutoffs, (0, 0))
         bare.amps[0, 0] = np.cos(delta)
         bare.amps[1, 1] = np.sin(delta)
     elif family == "twin-beam":
-        bare = vacuum_state((c, c))
+        bare = vacuum_state(cutoffs)
     elif family == "squeezed-number":
-        bare = basis_state((c, c), (1, 1))
+        bare = basis_state(cutoffs, (1, 1))
     elif family in ("photon-subtracted", "photon-added"):
-        sq = _squeezed_padded(vacuum_state((c, c)), p)
+        sq = _squeezed_padded(vacuum_state(cutoffs), p)
         a = annihilator(len(sq))
         op = a if family == "photon-subtracted" else a.conj().T
         amps = op @ sq @ op.T
-        return _truncated(amps / np.linalg.norm(amps), (c, c), 0.0, leak_tol)
+        return _truncated(amps / np.linalg.norm(amps), cutoffs, 0.0, leak_tol)
     else:
         raise ValueError(f"unknown family {family!r}")
     return apply_two_mode_squeeze(bare, p, leak_tol)

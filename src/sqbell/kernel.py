@@ -209,6 +209,33 @@ def _inclusion_exclusion(l3, l4, l34):
     return total, scale
 
 
+def _exp_expm1(A, b):
+    """e^A expm1(b), with the exponent of its larger term, A or A + b,
+    formed whole before exp is taken."""
+    m = np.expm1(-np.abs(b))
+    return np.exp(A + np.maximum(b, 0.0)) * np.where(b > 0.0, -m, m)
+
+
+def _onoff_chi(E, a3, a4, d):
+    """e^E [(1 - x3)(1 - x4) + x3 x4 expm1(d)] with x_K = e^{a_K}, as the
+    factored sum of `_inclusion_exclusion` or the nested one,
+    -expm1(a3) + x4 expm1(a3 + d).
+
+    Where the x_K are large and e^E small the factored sum cancels x3 x4,
+    or overflows, while the nested one has every exponent formed whole.
+    The nested sum is taken where the magnitudes of its terms sum to less
+    than half those of the factored one.  At E = 0, where every x_K is at
+    most one, the factored sum's magnitudes never exceed the nested sum's,
+    so there the factored sum is taken and is P's, bit for bit."""
+    h3 = _exp_expm1(E, a3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = h3 * np.expm1(a4)
+        f2 = np.exp(E + a3) * np.exp(a4) * np.expm1(d)
+        factored, f_scale = f1 + f2, np.abs(f1) + np.abs(f2)
+    n2 = _exp_expm1(E + a4, a3 + d)
+    return np.where(f_scale <= 2.0 * (np.abs(h3) + np.abs(n2)), factored, n2 - h3)
+
+
 def _onoff_prob(M, eta3, eta4, W=None):
     """P of on/off detectors on the ancilla block M (shape (n, 4, 4), modes
     b3 then b4), and the sum of the magnitudes of its four signed terms.
@@ -221,8 +248,9 @@ def _onoff_prob(M, eta3, eta4, W=None):
     its relative accuracy when the heralding probability is small.
 
     Given the map W from the signal coordinates x to the ancillas' linear
-    terms w = W x, it returns instead the function x (shape (m, 4)) -> the
-    sum, shape (n, m), with each x_K times e^{u_K}, where
+    terms w = W x, it returns instead the function (x, E) -> e^E times the
+    sum (`_onoff_chi`), x of shape (m, 4) and E and the result of shape
+    (n, m), with each x_K times e^{u_K}, where
     u_K = 1/2 z_K^T (I + Delta_K)^-1 z_K and z = D w / sqrt(2).  With
     Z = I + Delta_4 - Delta_43 (I + Delta_3)^-1 Delta_34, the block inverse
     gives u34 - u3 - u4 from Z^-1 - (I + Delta_4)^-1
@@ -252,9 +280,9 @@ def _onoff_prob(M, eta3, eta4, W=None):
         Q4 = 0.5 * np.swapaxes(Z4, 1, 2) @ E4 @ Z4
         Q34 = 0.5 * (np.swapaxes(Z4, 1, 2) @ Zinv @ K @ (D34 @ E4 @ Z4 - 2.0 * Z3)
                      + np.swapaxes(H, 1, 2) @ Zinv @ H)
-    return lambda x: _inclusion_exclusion(
-        l3[:, None] + _qform(x, Q3), l4[:, None] + _qform(x, Q4),
-        l34[:, None] + _qform(x, Q34))[0]
+    return lambda x, envelope: _onoff_chi(
+        envelope, l3[:, None] + _qform(x, Q3), l4[:, None] + _qform(x, Q4),
+        l34[:, None] + _qform(x, Q34))
 
 
 def _jacobi(g, one_minus_a, one_minus_b, c):
@@ -274,9 +302,10 @@ def _ideal_prob(M, W=None):
     keeps its relative accuracy near the vacuum, where a -> 1.
 
     Given W as in `_onoff_prob`, the ancillas are Gaussian with mean
-    mu = -A^-1 w and covariance A^-1, and it returns the function of x that
-    Wick's theorem gives: 4 g e^{-w.mu/2} [(1 - a - |mu3|^2)
-    (1 - b - |mu4|^2) + 2c + 4 mu3^T (A^-1)_34 mu4].
+    mu = -A^-1 w and covariance A^-1, and it returns the function of x and
+    E that Wick's theorem gives, e^E times: 4 g e^{-w.mu/2}
+    [(1 - a - |mu3|^2) (1 - b - |mu4|^2) + 2c + 4 mu3^T (A^-1)_34 mu4],
+    with -w.mu/2 + E one exponent.
 
     A block whose g is not finite (det A zero, negative or NaN) is inverted
     as the identity, so that its P is not finite and only that point is
@@ -299,8 +328,8 @@ def _ideal_prob(M, W=None):
     N3 = np.swapaxes(Mu3, 1, 2) @ Mu3
     N4 = np.swapaxes(Mu4, 1, 2) @ Mu4
     Q34 = 2.0 * np.swapaxes(Mu3, 1, 2) @ Ainv[:, :2, 2:] @ Mu4
-    return lambda x: _jacobi(
-        g[:, None] * np.exp(_qform(x, U)), one_minus_a[:, None] - _qform(x, N3),
+    return lambda x, envelope: _jacobi(
+        g[:, None] * np.exp(_qform(x, U) + envelope), one_minus_a[:, None] - _qform(x, N3),
         one_minus_b[:, None] - _qform(x, N4), c[:, None] + _qform(x, Q34))[0]
 
 
@@ -338,10 +367,12 @@ def heralded_chi(S, detector: str, eta3=None, eta4=None):
     shape of b1 and b2, of the state heralded from each source exponent S
     (shape (n, 8, 8)).
 
-    With x = (Re b1, Im b1, Re b2, Im b2) it is e^{-1/2 x^T S_xx x} times
-    the ancilla sum taken with the linear terms w = S_yx x; what does not
-    depend on x is computed once, here.  At b1 = b2 = 0 it is P, bit for
-    bit.
+    With x = (Re b1, Im b1, Re b2, Im b2) it is the envelope
+    e^{-1/2 x^T S_xx x} times the ancilla sum taken with the linear terms
+    w = S_yx x, the envelope's exponent added to each Gaussian term's
+    before exp is taken: far from the origin the envelope underflows where
+    the ancilla terms overflow.  What does not depend on x is computed
+    once, here.  At b1 = b2 = 0 it is P, bit for bit.
     """
     S = np.asarray(S, dtype=float)
     ancillas = _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:],
@@ -352,7 +383,7 @@ def heralded_chi(S, detector: str, eta3=None, eta4=None):
         b1, b2 = np.broadcast_arrays(np.asarray(b1, dtype=complex),
                                      np.asarray(b2, dtype=complex))
         x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1).reshape(-1, 4)
-        values = np.exp(-0.5 * _qform(x, Sxx)) * ancillas(x)
+        values = ancillas(x, -0.5 * _qform(x, Sxx))
         return values.reshape(S.shape[:1] + b1.shape)
 
     return chi

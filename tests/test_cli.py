@@ -512,3 +512,42 @@ def test_module_entry_point_attributes_the_warning_to_a_source_file():
     assert proc.returncode == EXIT_OK
     assert "LossyProjectorWarning" in proc.stderr
     assert "<frozen" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("state", "--r", "1", "--loss", "1"), None, "--loss must lie in [0, 1)"),
+    (("state", "--r", "1", "--loss", "-0.1"), None, "--loss must lie in [0, 1)"),
+    (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1"), None, "start:stop:step"),
+    (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:0.1:2"), None, "start:stop:step"),
+    (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:0"), None, "step must be positive"),
+    (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:-0.1"), None, "step must be positive"),
+    (("state",), "[0.5, 0.05]", "JSON object"),
+], ids=["loss-one", "loss-negative", "grid-two-parts", "grid-four-parts", "step-zero",
+        "step-negative", "config-list"])
+def test_refusals_exit_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        argv = ("--config", str(path), *argv)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+def test_signal_loss_only_sidecar_round_trip(tmp_path, capsys):
+    # the sidecar records the flag, and --config feeds it back
+    first = tmp_path / "first.csv"
+    code, _, _ = run(capsys, "sweep", "--family", "scheme-realistic", "--r", "1.0",
+                     "--eta", "0.3", "--loss", "0.2", "--signal-loss-only",
+                     "--axis", "s", "--grid", "0:0.1:0.05", "--output", str(first))
+    assert code == EXIT_OK
+    sidecar = json.loads(first.with_suffix(".config.json").read_text())
+    assert sidecar["flags"]["signal-loss-only"] is True
+    assert sidecar["config"]["loss_on_detector_modes"] is False
+    second = tmp_path / "second.csv"
+    code, _, _ = run(capsys, "sweep", "--config", str(first.with_suffix(".config.json")),
+                     "--output", str(second))
+    assert code == EXIT_OK
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(second.with_suffix(".config.json").read_text()) == sidecar

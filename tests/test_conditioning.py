@@ -237,3 +237,10 @@ def test_conditioned_state_physicality_property(r, s, T, T_loss, eta, seed):
         assert abs(val) <= 1.0 + 1e-7
         assert state.chi_at(-np.conj(b1), -np.conj(b2)) == pytest.approx(
             np.conj(val), abs=1e-10)
+
+
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_condition_refuses_a_source_that_is_not_four_mode(n_modes):
+    source = GaussianChar(n_modes, np.eye(2 * n_modes))
+    with pytest.raises(PhysicalityError, match="four-mode source"):
+        cd.condition(source, cd.DetectorKernel.ideal(), cd.DetectorKernel.ideal())

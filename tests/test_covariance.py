@@ -193,20 +193,22 @@ def test_random_box_matches_kernel(detector):
 @pytest.mark.parametrize("detector", ["ideal", "on-off"])
 def test_heralded_chi_matches_kernel(detector):
     # the heralded P chi on criterion 6's amplitudes, where the Fock oracle
-    # once checked signal-only loss, and with thermal noise on either set
-    # of modes
+    # once checked signal-only loss, with thermal noise on either set of
+    # modes, and on the random box up to r = 3, where the on/off sum must
+    # not cancel the large x3 x4 of the Gaussian terms
     cfgs = [SchemeConfig(r=0.6, s=0.01, T_loss=0.85, loss_on_detector_modes=False),
             SchemeConfig(r=0.5, s=0.02, T_loss=0.85, loss_on_detector_modes=False),
             SchemeConfig(r=0.8, s=0.05, T1=0.9, T2=0.95, T_loss=0.9, n_thermal=0.3,
                          eta3=0.3, eta4=0.2),
             SchemeConfig(r=0.8, s=0.05, T_loss=0.9, n_thermal=0.3,
                          loss_on_detector_modes=False)]
-    etas = [c.eta3 for c in cfgs], [c.eta4 for c in cfgs]
+    columns = np.concatenate([kernel.columns_of(cfgs), random_box(128, seed=31)], axis=1)
+    source, etas = columns[:len(kernel.SOURCE_FIELDS)], columns[len(kernel.SOURCE_FIELDS):]
     b1, b2 = np.array(list(itertools.product(BETA_GRID_1, BETA_GRID_2))).T
-    V = cov.covariance_of(cfgs)
+    V = cov.covariance(*source)
     P, _, scale = cov.scheme_pf(V, detector, *etas)
     chi = cov.heralded_chi(V, detector, b1, b2, *etas)
-    chi_k = kernel.heralded_chi(kernel.exponents_of(cfgs), detector, *etas)(b1, b2)
+    chi_k = kernel.heralded_chi(kernel.source_exponents(*source), detector, *etas)(b1, b2)
     assert np.all(np.abs(chi_k - chi) <= (bound(P, scale, detector) * P)[:, None])
 
 

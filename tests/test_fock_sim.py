@@ -735,13 +735,13 @@ def test_theoretical_oracle_refuses_non_finite_squeezing(family, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any arithmetic on r
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            fs.theoretical_oracle(family, r, delta)
+            fs.theoretical_oracle(family, r, delta, cutoff=20)
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
 def test_theoretical_oracle_refuses_non_finite_delta(delta):
     with pytest.raises(ValueError, match="finite mixing angle"):
-        fs.theoretical_oracle("squeezed-bell", 0.5, delta)
+        fs.theoretical_oracle("squeezed-bell", 0.5, delta, cutoff=20)
 
 
 def test_theoretical_oracle_refuses_a_nan_leak_tolerance():
@@ -794,11 +794,12 @@ def test_oracle_refuses_signal_only_loss(detector):
         fs.scheme_oracle(cfg, detector, cutoff=12)
 
 
-def test_leak_at_the_cutoff_cap_is_raised():
-    # 12 leaks and escalates through 18, 27 and 41 to the cap, 48, not past
-    # it, and the cap's leak is raised
-    with pytest.raises(CutoffTooSmallError, match=r"cutoffs \(48, 48\)"):
+def test_leak_at_the_requested_cutoff_is_raised():
+    # the signal twin beam at r = 2 leaves 0.29 of its norm above cutoff 12;
+    # the oracle answers at the cutoff it is given, so that leak is raised
+    with pytest.raises(CutoffTooSmallError, match=r"cutoffs \(12, 12\)") as err:
         fs.scheme_oracle(SchemeConfig(r=2.0, s=0.05, T_loss=0.85), "on-off", cutoff=12)
+    assert err.value.deficit == pytest.approx(0.2917, rel=1e-3)
 
 
 @pytest.mark.parametrize("cfg, cutoff", [
@@ -811,8 +812,7 @@ def test_cutoff_above_the_cap_is_refused(cfg, cutoff):
 
 @pytest.mark.parametrize("cutoff", [0, -3])
 def test_cutoff_below_one_is_refused(cutoff):
-    # heralding needs the n = 1 outcome; a cutoff of 0 used to escalate to
-    # ceil(0 * 1.5) = 0 for ever
+    # heralding needs the n = 1 outcome
     with pytest.raises(ValueError, match="below 1"):
         fs.scheme_oracle(SchemeConfig(r=0.5, s=0.05), "ideal", cutoff=cutoff)
 
@@ -822,12 +822,12 @@ def test_cutoff_below_one_is_refused(cutoff):
 def test_scheme_oracle_degenerate_heralding(detector, T_loss):
     # with no ancilla squeezing and unit mixing transmissivities the
     # detector modes stay in vacuum, so P = 0 exactly, before the signal-mode
-    # loss and after it
+    # loss and after it; the signal twin beam at r = 0.5 fits in cutoff 12
     cfg = SchemeConfig(r=0.5, s=0.0, T1=1.0, T2=1.0, T_loss=T_loss)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         with pytest.raises(DegeneratePostselectionError):
-            fs.scheme_oracle(cfg, detector, cutoff=8)
+            fs.scheme_oracle(cfg, detector, cutoff=12)
 
 
 def test_density_validate():
@@ -996,7 +996,7 @@ def test_scheme_oracle_peak_memory(cfg):
 def _two_mode_densities():
     """An oracle-structured heralded density and a dense random one."""
     cfg = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9, eta3=0.4, eta4=0.3)
-    heralded, _ = fs.scheme_oracle(cfg, "on-off", cutoff=10)
+    heralded, _ = fs.scheme_oracle(cfg, "on-off", cutoff=15)
     return [heralded, _random_density(np.random.default_rng(13), (6, 8))]
 
 
@@ -1091,3 +1091,35 @@ def test_herald_does_not_depend_on_entry_order(weights):
             got = fs._herald((rows[order], cols[order], psi[rows[order], cols[order]]),
                              dim, w3, w4)
             assert got.tobytes() == ref.tobytes()
+
+
+def _asymmetric_density():
+    rho = fs.FockDensity((1, 0), np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+    rho.validate()
+
+
+def _negative_density():
+    rho = fs.FockDensity((1, 0), np.diag([1.5, -0.5]).astype(complex))
+    rho.validate()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fs.FockTensor((2, 2), np.zeros((3, 4), dtype=complex)), "amplitude shape"),
+    (lambda: fs.FockDensity((1, 1), np.zeros((3, 3), dtype=complex)), "shape mismatch"),
+    (_asymmetric_density, "not Hermitian"),
+    (_negative_density, "negative eigenvalue"),
+    (lambda: fs.beam_splitter_operator(1.5, (3, 3)), r"\[0, 1\]"),
+    (lambda: fs.beam_splitter_operator(-0.1, (3, 3)), r"\[0, 1\]"),
+    (lambda: fs.loss_kraus(_random_density(np.random.default_rng(3), (2, 2)), 0, 0.0),
+     r"\(0, 1\]"),
+    (lambda: fs.loss_kraus(_random_density(np.random.default_rng(3), (2, 2)), 1, 1.5),
+     r"\(0, 1\]"),
+    (lambda: fs.on_off_weights(0.0, 4), r"\(0, 1\]"),
+    (lambda: fs.on_off_weights(1.5, 4), r"\(0, 1\]"),
+    (lambda: fs.theoretical_oracle("cat", 0.5, cutoff=5), "unknown family"),
+], ids=["tensor-shape", "density-shape", "non-hermitian", "negative", "splitter-above",
+        "splitter-below", "loss-zero", "loss-above", "efficiency-zero", "efficiency-above",
+        "unknown-family"])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

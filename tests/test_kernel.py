@@ -316,7 +316,9 @@ def test_singular_ideal_block_fails_only_its_own_point():
 def test_unknown_detector_rejected():
     cfg = rs.SchemeConfig(r=1.0)
     for detector in ("pnr", "onoff"):
-        for build in (rs.scheme_pf, rs.scheme_state, fs.scheme_oracle):
+        with pytest.raises(ValueError, match="unknown detector kind"):
+            fs.scheme_oracle(cfg, detector, cutoff=20)
+        for build in (rs.scheme_pf, rs.scheme_state):
             with pytest.raises(ValueError, match="unknown detector kind"):
                 build([cfg] if build is rs.scheme_pf else cfg, detector)
 

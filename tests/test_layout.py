@@ -72,7 +72,7 @@ for detector in ("ideal", "on-off"):
     cfg = SchemeConfig(r=0.3, s=0.05, T_loss=0.85)
     rho, _ = fs.scheme_oracle(cfg, detector, cutoff=8)
     fs.char_function_batch(rho, np.array([0.1, 0.2j]), np.array([0.3, -0.1]))
-state = fs.theoretical_oracle("photon-subtracted", 0.5)
+state = fs.theoretical_oracle("photon-subtracted", 0.5, cutoff=20)
 fs.char_function_state(state, 0.1, 0.2j)
 """
 

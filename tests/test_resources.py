@@ -78,10 +78,10 @@ def test_photon_addition_to_vacuum_is_two_photon_state():
     assert chi_distance(added, number) < 1e-12
 
 
-def _error_class(build, *args):
-    """The class of the error `build(*args)` raises, or None."""
+def _error_class(build, *args, **kwargs):
+    """The class of the error `build(*args, **kwargs)` raises, or None."""
     try:
-        build(*args)
+        build(*args, **kwargs)
     except Exception as exc:
         return type(exc)
     return None
@@ -92,7 +92,7 @@ def test_oracle_rejects_what_theoretical_state_rejects(family):
     rejected = 0
     for r, delta in itertools.product((0.0, 0.5, -0.2), (None, 0.3)):
         expected = _error_class(rs.theoretical_state, family, r, delta)
-        got = _error_class(fs.theoretical_oracle, family, r, delta)
+        got = _error_class(fs.theoretical_oracle, family, r, delta, cutoff=20)
         assert got is expected, (r, delta)
         rejected += expected is not None
     assert rejected >= 3
@@ -253,3 +253,14 @@ def test_scheme_config_roundtrip():
     cfg = rs.SchemeConfig(r=1.6, s=0.056, T_loss=0.85)
     again = rs.SchemeConfig(**dataclasses.asdict(cfg))
     assert again == cfg
+
+
+@pytest.mark.parametrize("T_loss", [0.0, -0.2, 1.0 + 1e-12, np.nan])
+def test_effective_squeezing_refuses_a_transmissivity_outside_the_unit_interval(T_loss):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        rs.effective_squeezing(0.5, T_loss)
+
+
+def test_delta_equivalent_of_no_squeezing_is_zero():
+    # both arguments of the angle's arctan2 vanish at r = s = 0
+    assert rs.delta_equivalent(rs.SchemeConfig(r=0.0, s=0.0)) == 0.0

@@ -9,7 +9,7 @@ from reference import polygauss as ref
 
 from sqbell import gauss_poly as gp
 from sqbell import symplectic as sp
-from sqbell.errors import PhysicalityError
+from sqbell.errors import DimensionMismatchError, PhysicalityError
 from sqbell.resources import SchemeConfig, effective_squeezing
 
 
@@ -238,3 +238,15 @@ def test_effective_squeezing_grid_properties():
             assert rp > prev  # strictly increasing in r
             prev = rp
     assert effective_squeezing(1.5, 1.0) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: sp.GaussianChar(2, np.eye(3)), DimensionMismatchError, "shape"),
+    (lambda: sp.GaussianChar(1, [[1.0, 0.5], [0.0, 1.0]]), PhysicalityError, "not symmetric"),
+    (lambda: sp.loss_channel(tmsv(0.5), 0, 0.0), ValueError, r"\(0, 1\]"),
+    (lambda: sp.loss_channel(tmsv(0.5), 1, 1.5), ValueError, r"\(0, 1\]"),
+    (lambda: sp.loss_channel(tmsv(0.5), 0, 0.8, n_thermal=-0.1), ValueError, "nonnegative"),
+], ids=["shape", "asymmetric", "loss-zero", "loss-above", "negative-thermal"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

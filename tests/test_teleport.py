@@ -66,6 +66,19 @@ def test_scheme_state_cross_check():
     assert res.residual < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_cross_check_converges_on_a_strongly_mixed_scheme_state(detector):
+    # away from phase pi at r = 2 the heralded chi's envelope underflows
+    # where its ancilla factor overflows; both are one exponent, and the
+    # cubature sees a finite integrand with no overflow warning, which the
+    # suite's warning filter would raise
+    cfg = rs.SchemeConfig(r=2.0, s=0.35, phi_zeta=0.627, phi_xi=0.196,
+                          T1=0.711, T2=0.787, eta3=0.5, eta4=0.5)
+    res = tp.fidelity(rs.scheme_state(cfg, detector), cross_check=True)
+    assert res.residual < 1e-12
+
+
 def test_alpha_explicit_matches_alpha_free():
     state = rs.theoretical_state("twin-beam", 0.5)
     base = tp.fidelity_closed_form(state)
