@@ -2,6 +2,10 @@
 and the datasets reproducing the published tables and figures, one builder
 per target in `DATASETS`.
 
+One table, `_FLAGS`, maps each scheme flag to the fields it sets; of two
+flags that set one field the last wins.  A flag that sets no field its
+command reads for its family exits with 2 rather than change nothing.
+
 Exit codes: 0 success, 2 usage or validation error, 3 numerical/physicality
 failure, 4 degenerate postselection.
 """
@@ -15,38 +19,19 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CutoffTooSmallError,
-    DegeneratePostselectionError,
-    PhysicalityError,
-    QuadratureConvergenceError,
-    ZeroNormStateError,
-)
+from .errors import (DegeneratePostselectionError, PhysicalityError,
+                     QuadratureConvergenceError, ZeroNormStateError)
 from .kernel import squeezed_bell_fidelity
-from .optimize import (
-    SWEEP_AXES,
-    SweepSpec,
-    optimize_delta,
-    optimize_s,
-    sweep,
-)
-from .resources import (
-    SCHEME_DETECTORS,
-    SCHEME_FAMILIES,
-    THEORETICAL_FAMILIES,
-    SchemeConfig,
-    bell_angle,
-    delta_equivalent,
-    effective_squeezing,
-    scheme_state,
-    squeezing_db,
-    theoretical_state,
-)
+from .optimize import SWEEP_AXES, SweepSpec, optimize_delta, optimize_s, sweep
+from .resources import (SCHEME_DETECTORS, SCHEME_FAMILIES, THEORETICAL_FAMILIES,
+                        SchemeConfig, bell_angle, delta_equivalent, effective_squeezing,
+                        scheme_state, squeezing_db, theoretical_state)
 from .teleport import fidelity
 
 EXIT_OK = 0
@@ -68,47 +53,82 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _add_scheme_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="scheme-ideal",
-                   choices=THEORETICAL_FAMILIES + SCHEME_FAMILIES)
-    p.add_argument("--r", type=float, required=True, help="principal squeezing")
-    p.add_argument("--s", type=float, default=SchemeConfig.s, help="ancillary squeezing")
-    p.add_argument("--delta", type=float, default=None,
-                   help="squeezed-bell mixing angle")
-    p.add_argument("--phi-zeta", type=float, default=SchemeConfig.phi_zeta)
-    p.add_argument("--phi-xi", type=float, default=SchemeConfig.phi_xi)
-    p.add_argument("--T", type=float, default=None,
-                   help="set both scheme transmissivities")
-    p.add_argument("--T1", type=float, default=SchemeConfig.T1)
-    p.add_argument("--T2", type=float, default=SchemeConfig.T2)
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="loss level ell; the channel transmissivity is 1 - ell")
-    p.add_argument("--eta", type=float, default=None,
-                   help="set both detector efficiencies")
-    p.add_argument("--eta3", type=float, default=SchemeConfig.eta3)
-    p.add_argument("--eta4", type=float, default=SchemeConfig.eta4)
-    p.add_argument("--n-thermal", type=float, default=SchemeConfig.n_thermal)
-    p.add_argument("--signal-loss-only", action="store_true",
-                   help="apply the loss channel to the signal modes only")
+# each scheme flag: the fields it sets, and its help.  --delta sets the angle
+# of the squeezed Bell family, which no SchemeConfig holds.
+_FLAGS = {
+    "r": (("r",), "principal squeezing"),
+    "s": (("s",), "ancillary squeezing"),
+    "delta": (("delta",), "squeezed-bell mixing angle"),
+    "phi-zeta": (("phi_zeta",), None),
+    "phi-xi": (("phi_xi",), None),
+    "T": (("T1", "T2"), "set both scheme transmissivities"),
+    "T1": (("T1",), None),
+    "T2": (("T2",), None),
+    "loss": (("T_loss",), "loss level ell; the channel transmissivity is 1 - ell"),
+    "eta": (("eta3", "eta4"), "set both detector efficiencies"),
+    "eta3": (("eta3",), None),
+    "eta4": (("eta4",), None),
+    "n-thermal": (("n_thermal",), None),
+    "signal-loss-only": (("loss_on_detector_modes",),
+                         "apply the loss channel to the signal modes only"),
+}
+
+
+class _Flag(argparse.Action):
+    """Records its flag's value in `args.flags`, dropping the flags given
+    before whose fields it sets again.  So the last flag to set a field wins,
+    and `args.flags` set every field as the command line did, replayed in
+    order or in key order, as a sweep sidecar is (a shortcut `T` or `eta`
+    sorts ahead of the flags of its fields)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        flag = self.option_strings[0][2:]
+        fields = set(_FLAGS[flag][0])
+        namespace.flags = {**{f: v for f, v in namespace.flags.items()
+                              if not fields.issuperset(_FLAGS[f][0])},
+                           flag: True if self.nargs == 0 else value}
 
 
 def _config_from_args(args) -> SchemeConfig:
-    T1 = args.T if args.T is not None else args.T1
-    T2 = args.T if args.T is not None else args.T2
-    eta3 = args.eta if args.eta is not None else args.eta3
-    eta4 = args.eta if args.eta is not None else args.eta4
-    if not 0.0 <= args.loss < 1.0:
-        raise ValueError("--loss must lie in [0, 1)")
-    return SchemeConfig(
-        r=args.r, s=args.s, phi_zeta=args.phi_zeta, phi_xi=args.phi_xi,
-        T1=T1, T2=T2, T_loss=1.0 - args.loss, eta3=eta3, eta4=eta4,
-        n_thermal=args.n_thermal,
-        loss_on_detector_modes=not args.signal_loss_only)
+    fields = {}
+    for flag, value in args.flags.items():
+        if flag == "loss":
+            if not 0.0 <= value < 1.0:
+                raise ValueError("--loss must lie in [0, 1)")
+            value = 1.0 - value
+        elif flag == "signal-loss-only":
+            value = False
+        fields.update(dict.fromkeys(_FLAGS[flag][0], value))
+    fields.pop("delta", None)  # refused for a scheme family, by sweep after SweepSpec
+    return SchemeConfig(**fields)
+
+
+def _refuse_unread(args) -> None:
+    """Raise ValueError naming a given flag that sets no field `args.command`
+    reads for `args.family`."""
+    if args.family in THEORETICAL_FAMILIES:
+        # optimize maximizes the squeezed Bell family over its angle
+        takes_delta = args.family == "squeezed-bell" and args.command != "optimize"
+        reads = {"r", "delta"} if takes_delta else {"r"}
+    else:
+        reads = {f.name for f in dataclass_fields(SchemeConfig)}
+        if args.family == "scheme-ideal":
+            reads -= {"eta3", "eta4"}  # single-photon projectors have no efficiency
+        if args.command == "optimize" or getattr(args, "optimize", False):
+            reads -= {"s"}  # the search covers [0, r] whatever s is
+        if args.command == "sweep":
+            # the axis sets its fields; --r stays required, as the base of axis r
+            reads -= set(SWEEP_AXES[args.axis][0]) - {"r"}
+    for flag in args.flags:
+        if reads.isdisjoint(_FLAGS[flag][0]):
+            what = f"sweep along {args.axis}" if args.command == "sweep" else args.command
+            raise ValueError(f"{what} does not read --{flag} for family {args.family}")
 
 
 def _build_state(args):
+    _refuse_unread(args)
     if args.family in THEORETICAL_FAMILIES:
-        return theoretical_state(args.family, args.r, args.delta)
+        return theoretical_state(args.family, args.flags["r"], args.flags.get("delta"))
     return scheme_state(_config_from_args(args), SCHEME_DETECTORS[args.family])
 
 
@@ -125,19 +145,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list], **sidecar) -> Pa
     path.with_suffix(".config.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
     return path
-
-
-def _config_flags(cfg: SchemeConfig, **extra) -> dict:
-    """Flat flag dict a sidecar can feed back through ``--config``."""
-    flags = {
-        "r": cfg.r, "s": cfg.s, "phi-zeta": cfg.phi_zeta, "phi-xi": cfg.phi_xi,
-        "T1": cfg.T1, "T2": cfg.T2, "loss": round(1.0 - cfg.T_loss, 12),
-        "eta3": cfg.eta3, "eta4": cfg.eta4, "n-thermal": cfg.n_thermal,
-    }
-    if not cfg.loss_on_detector_modes:
-        flags["signal-loss-only"] = True
-    flags.update(extra)
-    return flags
 
 
 def _emit(args, record: dict) -> None:
@@ -175,7 +182,7 @@ def cmd_state(args) -> int:
         record["r_effective"] = effective_squeezing(cfg.r, cfg.T_loss)
         record["r_effective_db"] = squeezing_db(record["r_effective"])
     else:
-        record["r_db"] = squeezing_db(args.r)
+        record["r_db"] = squeezing_db(state.params["r"])
     _emit(args, record)
     return EXIT_OK
 
@@ -195,24 +202,16 @@ def cmd_fidelity(args) -> int:
     return EXIT_OK
 
 
-def _scheme_detector(family: str) -> str:
-    """Detector kind of a scheme family; other families have no s to tune."""
-    if family not in SCHEME_DETECTORS:
-        raise ValueError(f"family {family!r} has no ancillary squeezing s to "
-                         f"tune; use {' or '.join(SCHEME_FAMILIES)}")
-    return SCHEME_DETECTORS[family]
-
-
 def cmd_optimize(args) -> int:
+    _refuse_unread(args)
     if args.family == "squeezed-bell":
-        res = optimize_delta(args.r)
-        record = {"family": "squeezed-bell", "r": args.r,
+        res = optimize_delta(args.flags["r"])
+        record = {"family": "squeezed-bell", "r": args.flags["r"],
                   "delta_star": res.s_star, "fidelity": res.f_star,
                   "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1]}
     else:
-        detector = _scheme_detector(args.family)
         cfg = _config_from_args(args)
-        res = optimize_s(cfg, detector)
+        res = optimize_s(cfg, SCHEME_DETECTORS[args.family])
         record = {"family": args.family, "r": cfg.r,
                   "s_star": res.s_star, "fidelity": res.f_star,
                   "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1],
@@ -238,10 +237,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
-    detector = _scheme_detector(args.family)
     cfg = _config_from_args(args)
+    # the scans SweepSpec refuses are named before any flag they leave unread
     spec = SweepSpec(base=cfg, axis=args.axis, grid=_parse_grid(args.grid),
-                     detector=detector, optimize_s_at_each=args.optimize)
+                     detector=SCHEME_DETECTORS[args.family],
+                     optimize_s_at_each=args.optimize)
+    _refuse_unread(args)
     rows = sweep(spec)
     header = [args.axis, "fidelity", "success_prob", "s_star", "error"]
     data = [[row.value, row.fidelity, row.success_prob, row.s_star, row.error]
@@ -251,8 +252,8 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
     out = _write_csv(Path(args.output), header, data, command="sweep",
                      config=asdict(cfg),
-                     flags=_config_flags(cfg, family=args.family, axis=args.axis,
-                                         grid=args.grid, optimize=args.optimize))
+                     flags={**args.flags, "family": args.family, "axis": args.axis,
+                            "grid": args.grid, "optimize": args.optimize})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -368,26 +369,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scheme = argparse.ArgumentParser(add_help=False)
-    _add_scheme_args(scheme)
+    scheme.set_defaults(flags={})
+    for flag, (_, help_text) in _FLAGS.items():
+        kind = {"nargs": 0} if flag == "signal-loss-only" else {"type": float}
+        scheme.add_argument("--" + flag, action=_Flag, default=argparse.SUPPRESS,
+                            required=flag == "r", help=help_text, **kind)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("text", "json"), default="text")
     report.add_argument("--output", default=None)
 
+    # each command on a resource takes the --family choices it accepts
+    families = THEORETICAL_FAMILIES + SCHEME_FAMILIES
     p_state = sub.add_parser("state", parents=[scheme, report],
                              help="build a resource and report it")
+    p_state.add_argument("--family", default="scheme-ideal", choices=families)
     p_state.set_defaults(func=cmd_state)
 
     p_fid = sub.add_parser("fidelity", parents=[scheme, report],
                            help="teleportation fidelity of a resource")
+    p_fid.add_argument("--family", default="scheme-ideal", choices=families)
     p_fid.add_argument("--no-cross-check", action="store_true",
                        help="skip the quadrature cross-check")
     p_fid.set_defaults(func=cmd_fidelity)
 
     p_opt = sub.add_parser("optimize", parents=[scheme, report],
                            help="maximize fidelity over s (or delta)")
+    p_opt.add_argument("--family", default="scheme-ideal",
+                       choices=("squeezed-bell",) + SCHEME_FAMILIES)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", parents=[scheme], help="scan one parameter axis")
+    p_sweep.add_argument("--family", default="scheme-ideal", choices=SCHEME_FAMILIES)
     p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--grid", required=True, help="start:stop:step")
     p_sweep.add_argument("--optimize", action="store_true",
@@ -407,9 +419,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     A second --config raises ValueError rather than being ignored.
 
     The file's flags go ahead of the command line's first option, so that
-    argparse, where the last occurrence of a flag wins, keeps every explicit
-    flag, abbreviated or not.  `T` and `eta` stand for their two fields, so
-    that an explicit `--T1` or `--eta3` beats a file's shortcut too."""
+    every explicit flag, abbreviated or not, is parsed after them and wins
+    (see `_FLAGS`).  They go in key order, so a file's `T` or `eta` comes
+    ahead of its `T1` or `eta3`, which then wins."""
     found = [idx for idx, arg in enumerate(argv)
              if arg == "--config" or arg.startswith("--config=")]
     if not found:
@@ -428,9 +440,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise ValueError("config file must hold a JSON object")
     if isinstance(data.get("flags"), dict):
         data = data["flags"]  # sidecars carry their flags under this key
-    for short, fields in (("T", ("T1", "T2")), ("eta", ("eta3", "eta4"))):
-        if short in data:
-            data.update(dict.fromkeys(fields, data.pop(short)))
     extra: list[str] = []
     for key, value in sorted(data.items()):
         flag = "--" + key.replace("_", "-")
@@ -458,8 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneratePostselectionError as exc:
         print(f"degenerate postselection: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (PhysicalityError, CutoffTooSmallError, QuadratureConvergenceError,
-            ZeroNormStateError) as exc:
+    except (PhysicalityError, QuadratureConvergenceError, ZeroNormStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

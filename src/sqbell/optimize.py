@@ -95,7 +95,7 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
     [0, r]: COARSE_POINTS grid points, then golden section to BRACKET_TOL.
 
     Raises the error of the first point that is degenerate or unphysical.
-    Warns as :func:`sqbell.resources.scheme_pf` does."""
+    Warns as :func:`sqbell.resources.scheme_state` does."""
     columns = kernel.columns_of([cfg])
     kernel.warn_if_lossy(detector, columns)
     (result,) = _optimize_columns(columns, detector)
@@ -227,7 +227,7 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     batched kernel call evaluates all of them (after the lockstep searches of
     :func:`_optimize_columns` over all of them when `optimize_s_at_each`, at
     the s* of each point it optimized); a point that fails records its
-    error in its own row.  Warns as :func:`sqbell.resources.scheme_pf` does.
+    error in its own row.  Warns as :func:`sqbell.resources.scheme_state` does.
     """
     rows = [SweepRow(value=v) for v in spec.grid]
     columns = spec.columns()

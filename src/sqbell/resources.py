@@ -158,18 +158,6 @@ def scheme_state(cfg: SchemeConfig, detector: str = "ideal") -> ResourceState:
     return ResourceState(family, cond.chi, cfg, cond.fidelity, cond.success_prob)
 
 
-def scheme_pf(cfgs, detector: str = "ideal"):
-    """Heralding probability, fidelity and status of each configuration.
-
-    One batched call of :func:`sqbell.kernel.scheme_pf`, which also gives
-    the closed-form fidelity of a :func:`scheme_state`; warns as
-    :func:`scheme_state` does.
-    """
-    columns = kernel.columns_of(cfgs)
-    kernel.warn_if_lossy(detector, columns)
-    return kernel.columns_pf(columns, detector)
-
-
 def delta_equivalent(cfg: SchemeConfig) -> float:
     """Mixing angle of the squeezed Bell state the small-mixing scheme approximates.
 

@@ -59,7 +59,7 @@ EDGE_ARGS = ("--family", "scheme-realistic", "--r", "1", "--s", "0",
 
 def test_fidelity_and_state_at_small_heralding_probability(capsys):
     cfg = rs.SchemeConfig(r=1.0, s=0.0, T1=0.99999, T2=0.99999, eta3=0.25, eta4=0.25)
-    P, F, status = rs.scheme_pf([cfg], "on-off")
+    P, F, status = kernel.columns_pf(kernel.columns_of([cfg]), "on-off")
     assert status[0] == kernel.OK
     code, out, _ = run(capsys, "fidelity", *EDGE_ARGS)
     assert code == EXIT_OK
@@ -237,6 +237,99 @@ def test_non_finite_or_negative_parameters_exit_2(capsys, argv):
 def test_scheme_flags_default_to_the_config_defaults():
     args = build_parser().parse_args(["state", "--r", "1"])
     assert _config_from_args(args) == rs.SchemeConfig(r=1.0)
+
+
+# every scheme flag and a value it moves the base to; the base, r = 1,
+# s = 0.05, loss 0.1 and eta 0.3 (delta 0.3 for the squeezed Bell family),
+# is one where each flag moves the fidelity
+FLAG_VALUES = {"r": "1.2", "s": "0.1", "delta": "0.5", "phi-zeta": "1", "phi-xi": "1",
+               "T": "0.9", "T1": "0.9", "T2": "0.9", "loss": "0.2", "eta": "0.5",
+               "eta3": "0.5", "eta4": "0.5", "n-thermal": "0.3",
+               "signal-loss-only": None}
+BASE = {"r": "1", "s": "0.05", "delta": "0.3", "loss": "0.1", "eta": "0.3"}
+# each sweep axis: a grid, and the flags that set the fields it scans
+SWEEP_GRIDS = {"s": ("0:0.1:0.05", {"s"}), "r": ("0.8:1.2:0.4", set()),
+               "loss": ("0:0.2:0.1", {"loss"}), "T": ("0.9:0.99:0.09", {"T", "T1", "T2"}),
+               "eta": ("0.2:0.6:0.4", {"eta", "eta3", "eta4"})}
+# (command, family, sweep axis, optimize) of every command a family can run
+RUNS = ([(command, family, None, False) for command in ("state", "fidelity")
+         for family in rs.THEORETICAL_FAMILIES + rs.SCHEME_FAMILIES]
+        + [("optimize", family, None, False)
+           for family in ("squeezed-bell",) + rs.SCHEME_FAMILIES]
+        + [("sweep", family, axis, optimize) for family in rs.SCHEME_FAMILIES
+           for axis in SWEEP_GRIDS for optimize in (False, True)
+           if not (axis == "s" and optimize)
+           and not (axis == "eta" and family == "scheme-ideal")])
+
+
+def flags_read(command, family, axis, optimize):
+    """The flags `command` reads for `family`, as the README states them."""
+    if family in rs.THEORETICAL_FAMILIES:
+        takes_delta = family == "squeezed-bell" and command != "optimize"
+        return {"r", "delta"} if takes_delta else {"r"}
+    flags = set(FLAG_VALUES) - {"delta"}
+    if family == "scheme-ideal":
+        flags -= {"eta", "eta3", "eta4"}
+    if command == "optimize" or optimize:
+        flags -= {"s"}
+    if axis is not None:
+        flags -= SWEEP_GRIDS[axis][1]
+    return flags
+
+
+def computed(command, out):
+    """What a run printed that it computed: a sweep's rows, else the
+    fidelity, success probability and optimum of its record; `state` of an
+    analytic family reports only r in dB and its angle."""
+    if command == "sweep":
+        return out
+    record = json.loads(out)
+    return [record.get(key) for key in
+            ("fidelity", "success_prob", "s_star", "delta_star", "r_db", "delta")]
+
+
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("command, family, axis, optimize", RUNS)
+def test_every_flag_moves_the_output_or_exits_2(capsys, command, family, axis, optimize,
+                                                flag):
+    reads = flags_read(command, family, axis, optimize)
+    argv = [command, "--family", family]
+    if command == "sweep":
+        argv += ["--axis", axis, "--grid", SWEEP_GRIDS[axis][0]]
+        argv += ["--optimize"] if optimize else []
+    else:
+        argv += ["--format", "json"]
+        argv += ["--no-cross-check"] if command == "fidelity" else []
+    for name, value in BASE.items():
+        if name in reads:
+            argv += [f"--{name}", value]
+    code, base, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    argv += [f"--{flag}"] + ([FLAG_VALUES[flag]] if FLAG_VALUES[flag] else [])
+    code, out, err = run(capsys, *argv)
+    if flag not in reads:
+        assert code == EXIT_USAGE
+        assert out == "" and f"--{flag} " in err and family in err
+    elif flag == "r" and axis == "r":
+        # the one exception: --r is required, but the axis sets r at every row
+        assert (code, out) == (EXIT_OK, base)
+    else:
+        assert code == EXIT_OK
+        assert computed(command, out) != computed(command, base)
+
+
+@pytest.mark.parametrize("order, expected", [
+    (("--T", "0.9", "--T1", "0.95"), (0.95, 0.9)),
+    (("--T1", "0.95", "--T", "0.9"), (0.9, 0.9)),
+    (("--T2", "0.8", "--T", "0.9", "--T1", "0.95"), (0.95, 0.9)),
+])
+def test_the_last_flag_to_set_a_field_wins(capsys, order, expected):
+    code, out, _ = run(capsys, "state", "--r", "1", "--s", "0.05", *order,
+                       "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert (record["T1"], record["T2"]) == expected
 
 
 def test_sweep_refuses_to_optimize_along_s_exit_2(capsys):
@@ -488,6 +581,32 @@ def test_sidecar_reproduces_sweep(tmp_path, capsys):
                      "--output", str(second))
     assert code == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("--family", "scheme-ideal", "--r", "1", "--s", "0.05", "--loss", "0.1",
+      "--n-thermal", "0.2", "--axis", "T", "--grid", "0.9:0.99:0.03"),
+     {"r": 1.0, "s": 0.05, "loss": 0.1, "n-thermal": 0.2}),
+    (("--family", "scheme-realistic", "--r", "1", "--T1", "0.8", "--T", "0.9",
+      "--T2", "0.95", "--eta", "0.3", "--axis", "loss", "--grid", "0:0.2:0.1",
+      "--optimize"),
+     {"r": 1.0, "T": 0.9, "T2": 0.95, "eta": 0.3}),
+], ids=["ideal-along-T", "optimize"])
+@pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
+def test_sidecar_holds_the_flags_read_and_reproduces_sweep(tmp_path, capsys, argv, flags):
+    # the sidecar of a sweep holds the flags its command read, less those a
+    # later flag overrode, so feeding it back passes none the command refuses
+    first = tmp_path / "first.csv"
+    assert run(capsys, "sweep", *argv, "--output", str(first))[0] == EXIT_OK
+    sidecar = json.loads(first.with_suffix(".config.json").read_text())
+    assert {k: v for k, v in sidecar["flags"].items()
+            if k not in ("family", "axis", "grid", "optimize")} == flags
+    second = tmp_path / "second.csv"
+    code, _, _ = run(capsys, "sweep", "--config", str(first.with_suffix(".config.json")),
+                     "--output", str(second))
+    assert code == EXIT_OK
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(second.with_suffix(".config.json").read_text()) == sidecar
 
 
 def test_json_output_roundtrip(tmp_path, capsys):

@@ -54,10 +54,18 @@ def _reference(cfg, detector):
     return P, ref.fidelity(chi), REFERENCE_ULPS * np.finfo(float).eps * scale / P
 
 
+def columns_pf(cfgs, detector):
+    """P, F and status of each configuration from one kernel call, after the
+    LossyProjectorWarning check every front end of the kernel makes."""
+    columns = kernel.columns_of(cfgs)
+    kernel.warn_if_lossy(detector, columns)
+    return kernel.columns_pf(columns, detector)
+
+
 def _assert_matches(cfgs, detector):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
-        P, F, status = rs.scheme_pf(cfgs, detector)
+        P, F, status = columns_pf(cfgs, detector)
     assert list(status) == [kernel.OK] * len(cfgs)
     for cfg, p, f in zip(cfgs, P, F):
         p_ref, f_ref, roundoff = _reference(cfg, detector)
@@ -180,11 +188,11 @@ def test_squeezed_bell_chi_matches_gauss_poly():
 
 def test_lossy_projector_warning_on_kernel_path():
     with pytest.warns(LossyProjectorWarning):
-        rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "ideal")
+        columns_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "ideal")
     with warnings.catch_warnings():
         warnings.simplefilter("error", LossyProjectorWarning)
-        rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02)], "ideal")
-        rs.scheme_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "on-off")
+        columns_pf([rs.SchemeConfig(r=0.5, s=0.02)], "ideal")
+        columns_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "on-off")
 
 
 @pytest.mark.parametrize("r", [6.0, 8.0, 10.0, 15.0, 20.0])
@@ -192,7 +200,7 @@ def test_lossless_source_never_warns(r):
     # at these r the log-determinant of S is lost to roundoff
     with warnings.catch_warnings():
         warnings.simplefilter("error", LossyProjectorWarning)
-        rs.scheme_pf([rs.SchemeConfig(r=r, s=0.05)], "ideal")
+        columns_pf([rs.SchemeConfig(r=r, s=0.05)], "ideal")
 
 
 @pytest.mark.parametrize("noise", [dict(T_loss=0.9), dict(T_loss=0.9, n_thermal=0.1)])
@@ -200,10 +208,10 @@ def test_lossless_source_never_warns(r):
 def test_lossy_source_warns_with_ideal_projectors_only(r, noise):
     cfg = rs.SchemeConfig(r=r, s=0.05, **noise)
     with pytest.warns(LossyProjectorWarning):
-        rs.scheme_pf([rs.SchemeConfig(r=0.5), cfg], "ideal")
+        columns_pf([rs.SchemeConfig(r=0.5), cfg], "ideal")
     with warnings.catch_warnings():
         warnings.simplefilter("error", LossyProjectorWarning)
-        rs.scheme_pf([cfg], "on-off")
+        columns_pf([cfg], "on-off")
 
 
 def test_thermal_occupation_without_loss_does_not_warn():
@@ -213,7 +221,7 @@ def test_thermal_occupation_without_loss_does_not_warn():
                           kernel.exponents_of([cfg.with_(n_thermal=0.0)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", LossyProjectorWarning)
-        rs.scheme_pf([cfg], "ideal")
+        columns_pf([cfg], "ideal")
         rs.scheme_state(cfg, "ideal")
         op.optimize_s(cfg, "ideal")
         op.sweep(op.SweepSpec(base=cfg, axis="r", grid=(0.5, 1.0)))
@@ -222,7 +230,7 @@ def test_thermal_occupation_without_loss_does_not_warn():
 def test_lossy_projector_warning_points_at_the_caller():
     cfg = rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)
     for call in (lambda: rs.scheme_state(cfg, "ideal"),
-                 lambda: rs.scheme_pf([cfg], "ideal"),
+                 lambda: columns_pf([cfg], "ideal"),
                  lambda: op.optimize_s(cfg, "ideal"),
                  lambda: op.sweep(op.SweepSpec(base=cfg, axis="s", grid=(0.0, 0.02))),
                  lambda: op.sweep(op.SweepSpec(base=cfg, axis="T", grid=(0.98, 0.99),
@@ -265,7 +273,7 @@ def test_vacuum_ancillas_degenerate_on_both_paths(eta):
     cfg = rs.SchemeConfig(r=0.0, s=0.0, T1=0.9, T2=0.9, eta3=eta, eta4=eta)
     with pytest.raises(DegeneratePostselectionError):
         rs.scheme_state(cfg, "on-off")
-    P, F, status = rs.scheme_pf([cfg], "on-off")
+    P, F, status = columns_pf([cfg], "on-off")
     assert status[0] == kernel.DEGENERATE and np.isnan(F[0])
     with pytest.raises(DegeneratePostselectionError):
         op.optimize_s(cfg, "on-off")
@@ -275,13 +283,13 @@ def test_ideal_vacuum_ancillas_degenerate_on_both_paths():
     cfg = rs.SchemeConfig(r=0.0, s=0.0, T1=0.9, T2=0.9)
     with pytest.raises(DegeneratePostselectionError):
         rs.scheme_state(cfg, "ideal")
-    assert rs.scheme_pf([cfg], "ideal")[2][0] == kernel.DEGENERATE
+    assert columns_pf([cfg], "ideal")[2][0] == kernel.DEGENERATE
 
 
 def test_overflowed_heralding_probability_is_unphysical():
     # on/off heralding at r = 30 overflows P to inf, which is no degeneracy
     cfg = rs.SchemeConfig(r=30.0)
-    P, F, status = rs.scheme_pf([cfg], "on-off")
+    P, F, status = columns_pf([cfg], "on-off")
     assert np.isinf(P[0]) and np.isnan(F[0])
     assert status[0] == kernel.UNPHYSICAL
     with pytest.raises(PhysicalityError):
@@ -298,10 +306,10 @@ SINGULAR_IDEAL = rs.SchemeConfig(
 @pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
 def test_singular_ideal_block_fails_only_its_own_point():
     fine = rs.SchemeConfig(r=1.0)
-    P, F, status = rs.scheme_pf([fine, SINGULAR_IDEAL], "ideal")
+    P, F, status = columns_pf([fine, SINGULAR_IDEAL], "ideal")
     assert status.tolist() == [kernel.OK, kernel.UNPHYSICAL]
     assert not np.isfinite(P[1]) and np.isnan(F[1])
-    for got, alone in zip((P, F, status), rs.scheme_pf([fine], "ideal")):
+    for got, alone in zip((P, F, status), columns_pf([fine], "ideal")):
         assert got[:1].tobytes() == alone.tobytes()
     spec = op.SweepSpec(base=SINGULAR_IDEAL, axis="r",
                         grid=(1.0, SINGULAR_IDEAL.r), detector="ideal")
@@ -318,9 +326,10 @@ def test_unknown_detector_rejected():
     for detector in ("pnr", "onoff"):
         with pytest.raises(ValueError, match="unknown detector kind"):
             fs.scheme_oracle(cfg, detector, cutoff=20)
-        for build in (rs.scheme_pf, rs.scheme_state):
-            with pytest.raises(ValueError, match="unknown detector kind"):
-                build([cfg] if build is rs.scheme_pf else cfg, detector)
+        with pytest.raises(ValueError, match="unknown detector kind"):
+            columns_pf([cfg], detector)
+        with pytest.raises(ValueError, match="unknown detector kind"):
+            rs.scheme_state(cfg, detector)
 
 
 @pytest.mark.parametrize("eta", [2.0, 1.0 + 1e-12, 0.0, -0.1, np.nan, None])

@@ -120,7 +120,7 @@ def test_fock_oracle_imports_none_of_the_paths_it_checks():
 def test_cli_evaluates_scheme_points_only_through_the_optimizer_front_ends():
     # every scheme row of the CLI comes from sweep or optimize_s, and the
     # optimizer's lockstep driver stays private to them
-    evaluators = {"sqbell.resources.scheme_pf", "sqbell.kernel.scheme_pf",
+    evaluators = {"sqbell.kernel.scheme_pf",
                   "sqbell.kernel.columns_pf", "sqbell.optimize._optimize_columns",
                   "sqbell.conditioning"}
     assert not imported("cli") & evaluators

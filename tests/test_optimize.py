@@ -95,9 +95,9 @@ def _outcome(cfg, detector, optimize=op.optimize_s):
 
 
 def _fidelities(cfgs, detector):
-    """resources.scheme_pf's F of each configuration; raises the
+    """kernel.columns_pf's F of each configuration; raises the
     status_error of the first configuration that is not OK."""
-    P, F, status = rs.scheme_pf(cfgs, detector)
+    P, F, status = kernel.columns_pf(kernel.columns_of(cfgs), detector)
     for p, st in zip(P, status):
         error = status_error(p, st)
         if error is not None:
@@ -338,8 +338,8 @@ COLUMN_GRIDS = {"s": (0.0, 0.05, 0.3), "r": (0.0, 0.8, 30.0),
 
 
 def _expected_row(spec, value, cfg, s_star=None):
-    """The sweep row of one configuration from resources.scheme_pf."""
-    (p,), (f,), (st,) = rs.scheme_pf([cfg], spec.detector)
+    """The sweep row of one configuration from kernel.columns_pf."""
+    (p,), (f,), (st,) = kernel.columns_pf(kernel.columns_of([cfg]), spec.detector)
     error = status_error(p, st)
     if error is not None:
         return op.SweepRow(value, s_star=s_star, error=op._describe(error))

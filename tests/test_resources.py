@@ -225,7 +225,7 @@ def test_scheme_state_carries_the_kernel_fidelity(detector, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         state = rs.scheme_state(cfg, detector)
-        P, F, _ = rs.scheme_pf([cfg], detector)
+        P, F, _ = kernel.columns_pf(kernel.columns_of([cfg]), detector)
     assert np.float64(state.fidelity).tobytes() == F[0].tobytes()
     assert np.float64(state.success_prob).tobytes() == P[0].tobytes()
 
@@ -243,7 +243,7 @@ def test_scheme_state_judges_the_fidelity_too():
     cfg = rs.SchemeConfig(r=20.0, s=0.05, T_loss=0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
-        P, F, status = rs.scheme_pf([cfg], "ideal")
+        P, F, status = kernel.columns_pf(kernel.columns_of([cfg]), "ideal")
         assert P[0] > 0.0 and np.isnan(F[0]) and status[0] == kernel.UNPHYSICAL
         with pytest.raises(PhysicalityError):
             rs.scheme_state(cfg, "ideal")
