@@ -231,6 +231,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if step <= 0:
         raise ValueError("grid step must be positive")
     n = np.floor((stop - start) / step + 1e-9) + 1
+    if not math.isfinite(n):
+        raise ValueError("grid point count (stop - start) / step is not finite")
     if n > MAX_GRID_POINTS:
         raise ValueError(f"grid has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
     return tuple(start + k * step for k in range(int(n)))

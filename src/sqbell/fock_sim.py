@@ -5,8 +5,7 @@ code on photon-number tensors, with one path per operation:
 
 - pair unitaries: each a list of dense blocks of its conserved quantity
   (`_block_unitary`), the exact exponentials of the truncated generator's
-  blocks from numpy's `eigh`; the beam splitters' blocks cached read-only
-  on their exact arguments.  `two_mode_squeeze_operator` and
+  blocks from numpy's `eigh`.  `two_mode_squeeze_operator` and
   `beam_splitter_operator` assemble every block into a new scipy
   csr_matrix on every call, for their direct callers; they are the only
   code that loads scipy, and the oracle calls neither;
@@ -14,14 +13,16 @@ code on photon-number tensors, with one path per operation:
   on a padded pair space from the blocks of n1 - n2 where the state has a
   nonzero amplitude only, one dense product per block, and the norm it
   pushes above the cutoffs measured as the leak;
+- the scheme's four-mode state: `_scheme_amplitudes`, from the exact
+  recurrence of its Gaussian amplitudes, no operator built;
 - loss: `loss_kraus` on two-mode densities, one shifted, weighted
   indexed add per Kraus order of a suffix of the nonzero entries, sorted
   once by min(p, q);
-- heralding: `_herald` of the four-mode state's nonzero entries on
-  diagonal POVM weights (`lossy_projector_weights`, `on_off_weights`), its
-  products added in order by one indexed add, and the oracle's own density
-  divided in place by its trace, its one normalization, which raises on a
-  zero heralding probability;
+- heralding: `_herald` of the scheme's amplitudes on diagonal POVM weights
+  (`lossy_projector_weights`, `on_off_weights`), one batched GEMM over the
+  groups of n3 - n4, and the oracle's own density divided in place by its
+  trace, its one normalization, which raises on a zero heralding
+  probability;
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
@@ -33,29 +34,27 @@ code on photon-number tensors, with one path per operation:
 - `scheme_oracle` and `theoretical_oracle`, built from the steps above.
 
 The scheme is the paper's: linear optics and photon detection on a pair of
-uncorrelated two-mode squeezed states.  Its four-mode state is built from
-the signal twin beam t = S(r)|0,0> and the ancilla twin beam
-u = S(s)|0,0> as the product B1 X B2^T, with
-X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4] and B1, B2 the mixing beam
-splitters of modes (1, 3) and (2, 4), taken block by block of
-(n1 + n3, n2 + n4) (`_mixed`).  The product's nonzero entries, as those of
-the matrix Psi[(n1, n2), (n3, n4)], are heralded group by group of n3 - n4
-(`_herald`): the oracle never holds a dense four-mode tensor.
+uncorrelated two-mode squeezed states.  Its four-mode state
+B1 B2 S(r) S(s)|0>, with B1, B2 the mixing beam splitters of modes (1, 3)
+and (2, 4), is a pure Gaussian state, so its amplitudes in the box follow
+exactly from a two-term recurrence (`_scheme_amplitudes`).  They are
+heralded group by group of n3 - n4 (`_herald`): the oracle never holds a
+dense four-mode tensor.
 
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
 POVMs shift ket and bra together, so the scheme's four-mode state is
-nonzero only where n0 + n2 = n1 + n3 (11.7k of 457k amplitudes at cutoff
-25).  Every costly contraction runs over the nonzero entries only.  Each
-skipped term is an exact zero, so the result is the full contraction's for
-any input, and none of the steps assumes the structure of the states it is
-asked to check.
+nonzero only where n1 + n3 = n2 + n4 (11.7k of 457k amplitudes at cutoff
+25).  Every costly contraction runs over the nonzero entries only, and
+each skipped term is an exact zero.  The loss and characteristic-function
+steps take any density; `_herald` relies on n1 + n3 = n2 + n4, which its
+only input, `_scheme_amplitudes`, has by construction.
 
 The scheme oracle models pure loss of one transmissivity on every mode
-only and has one pipeline: twin beams, the beam-splitter product, the
-heralded density.  The loss commutes with the mixing, so its
-detector-mode part is folded into the POVM weights and its signal-mode
-part applied to the heralded density before its one normalization.
+only and has one pipeline: the recurrence's amplitudes, the heralded
+density.  The loss commutes with the mixing, so its detector-mode part is
+folded into the POVM weights and its signal-mode part applied to the
+heralded density before its one normalization.
 
 Both oracles answer at the cutoff they are given, which the caller names:
 a norm leaked above it beyond the tolerance raises CutoffTooSmallError.
@@ -63,7 +62,6 @@ a norm leaked above it beyond the tolerance raises CutoffTooSmallError.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,10 +72,6 @@ from .resources import SchemeConfig
 from .symplectic import SqueezeParam
 
 DEFAULT_LEAK_TOL = 1e-8
-# beam-splitter blocks kept per process, for the scheme oracle's mixing; its
-# squeezer builds only the blocks its state occupies, uncached, and the csr
-# operators are built anew on every call
-UNITARY_CACHE_SIZE = 64
 # largest scheme-oracle cutoff
 MAX_CUTOFF = 48
 # smallest r the photon-subtracted oracle accepts.  a1 a2 leaves amplitudes
@@ -188,15 +182,8 @@ def beam_splitter_operator(T: float, dims: tuple[int, int]):
     as a scipy csr_matrix.
 
     Photon-number conserving, hence exactly unitary and leak-free on the
-    truncated pair space.
+    truncated pair space: its blocks are those of N = n_k + n_l.
     """
-    return _csr(_beam_splitter_blocks(T, dims), dims)
-
-
-@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def _beam_splitter_blocks(T: float, dims: tuple[int, int]) -> list:
-    """The beam splitter's blocks N = n_k + n_l, N = 0 .. d1 + d2 - 2 in
-    order, as `_block_unitary` returns them; cached, with read-only arrays."""
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     d1, d2 = dims
@@ -208,10 +195,7 @@ def _beam_splitter_blocks(T: float, dims: tuple[int, int]) -> list:
         # raising n1 by one lowers n2 by one within the block
         amps = kappa * np.sqrt((n1s[:-1] + 1.0) * n2s[:-1])
         blocks.append((n1s * d2 + n2s, amps))
-    out = _block_unitary(blocks)
-    for idx, U in out:
-        idx.flags.writeable = U.flags.writeable = False
-    return out
+    return _csr(_block_unitary(blocks), dims)
 
 
 def _block_unitary(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -387,57 +371,6 @@ def lossy_projector_weights(T: float, dim: int) -> np.ndarray:
         raise ValueError("transmissivity must lie in [0, 1]")
     n = np.arange(dim)
     return n * T * (1.0 - T) ** np.clip(n - 1, 0, None)
-
-
-def _herald(psi: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int,
-            w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Unnormalized heralded density Psi W Psi^dag of modes 1 and 2, of
-    size `dim`, from the distinct entries (rows, cols, values) of
-    Psi[(a, b), (k, l)].
-
-    Psi W Psi^dag is a sum of one outer product per column, weighted by
-    w3[k] w4[l]; it is summed over groups of columns, one per k - l, each
-    group one dense product of its nonzero rows and columns, all groups in
-    one batched GEMM, and the groups' products are added into the density
-    in order by one indexed add.  Rows and columns are taken in sorted
-    order, so the result does not depend on the order of the entries.
-    Entries of zero value or zero weight are skipped (for ideal projectors
-    all but k = l = 1), so the cost is set by the nonzero products, not by
-    a d^2 x d^2 x d^2 GEMM."""
-    rows, cols, vals = psi
-    k, l = np.divmod(cols, len(w4))
-    weight = w3[k] * w4[l]
-    keep = (vals != 0) & (weight != 0)
-    # group k - l as 0 .. len(w3) + len(w4) - 2
-    rows, cols, vals, weight, g = (a[keep] for a in (rows, cols, vals, weight, k - l + len(w4) - 1))
-    groups = len(w3) + len(w4) - 1
-    row_of, i = _ranked(g, rows, (groups, dim))
-    col_of, j = _ranked(g, cols, (groups, cols.max(initial=0) + 1))
-    A = np.zeros(row_of.shape + col_of.shape[1:], dtype=complex)
-    A[g, i, j] = vals
-    W = np.zeros(col_of.shape)
-    W[g, j] = weight
-    G = (A * W[:, None]) @ A.conj().transpose(0, 2, 1)
-    # the padding of the groups' rows takes no part
-    pair = (row_of[:, :, None] >= 0) & (row_of[:, None, :] >= 0)
-    rho = np.zeros((dim, dim), dtype=complex)
-    np.add.at(rho.reshape(-1), (row_of[:, :, None] * dim + row_of[:, None, :])[pair], G[pair])
-    return rho
-
-
-def _ranked(group: np.ndarray, x: np.ndarray,
-            shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct x of each group in rising order, as the rows of a table
-    padded with -1, and the place of each entry among its group's; groups
-    and x lie in `shape`."""
-    key = group * shape[1] + x
-    present = np.zeros(shape, dtype=bool)
-    present.reshape(-1)[key] = True
-    rank = np.cumsum(present, axis=1).reshape(-1) - 1
-    table = np.full((shape[0], rank.max(initial=-1) + 1), -1)
-    at = np.flatnonzero(present)
-    table[at // shape[1], rank[at]] = at % shape[1]
-    return table, rank[key]
 
 
 # ---------------------------------------------------------------------------
@@ -639,48 +572,70 @@ def char_function_batch(rho: FockDensity, betas1: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _twin_beams(cfg: SchemeConfig, cutoff: int,
-                leak_tol: float) -> tuple[FockTensor, FockTensor]:
-    """The signal twin beam S(r)|0,0> of modes 1, 2 and the ancilla twin
-    beam S(s)|0,0> of modes 3, 4."""
-    vacuum = vacuum_state((cutoff, cutoff))
-    return (apply_two_mode_squeeze(vacuum, SqueezeParam(cfg.r, cfg.phi_zeta), leak_tol),
-            apply_two_mode_squeeze(vacuum, SqueezeParam(cfg.s, cfg.phi_xi), leak_tol))
+def _scheme_amplitudes(cfg: SchemeConfig, cutoff: int) -> np.ndarray:
+    """The scheme's four-mode state B1 B2 S(r) S(s)|0> in the box of
+    `cutoff` photons per mode, as psi[M, n1, n2] = <n1, n2, M - n1, M - n2|psi>
+    for M = 0 .. 2 cutoff.  The squeezers make photons in pairs of modes
+    (1, 2) and (3, 4), and B1 mixes modes (1, 3) and B2 modes (2, 4), so
+    n1 + n3 = n2 + n4 = M on every nonzero amplitude.
+
+    S(r) S(s)|0> = exp(l_r a1^dag a2^dag + l_s a3^dag a4^dag)|0> / (cosh r cosh s)
+    with l = -e^(i phase) tanh|z|, and the beam splitters map
+    a_k^dag -> sqrt(T) a_k^dag - sqrt(1-T) a_l^dag and
+    a_l^dag -> sqrt(1-T) a_k^dag + sqrt(T) a_l^dag, which turns the exponent
+    into sum C_ij a_i^dag a_j^dag over (i, j) = (1, 2), (1, 4), (3, 2), (3, 4).
+    Commuting a1 (a3 at n1 = 0) through the exponential gives the recurrence
+
+        sqrt(n1) psi(n) = C12 sqrt(n2) psi(n - e1 - e2) + C14 sqrt(n4) psi(n - e1 - e4)
+
+    (Miatto and Quesada, Quantum 4, 366 (2020)).  Each step lowers photon
+    numbers only, so every amplitude in the box is exact up to rounding,
+    and 1 - sum |psi|^2 is the norm outside it."""
+    d = cutoff + 1
+    l_r = -np.exp(1j * cfg.phi_zeta) * np.tanh(cfg.r)
+    l_s = -np.exp(1j * cfg.phi_xi) * np.tanh(cfg.s)
+    t1, q1, t2, q2 = np.sqrt([cfg.T1, 1.0 - cfg.T1, cfg.T2, 1.0 - cfg.T2])
+    c12, c14 = l_r * t1 * t2 + l_s * q1 * q2, l_s * q1 * t2 - l_r * t1 * q2
+    c32, c34 = l_s * t1 * q2 - l_r * q1 * t2, l_r * q1 * q2 + l_s * t1 * t2
+    root = np.sqrt(np.arange(2 * d - 1))
+    psi = np.zeros((2 * d - 1, d, d), dtype=complex)
+    psi[0, 0, 0] = 1.0 / (np.cosh(cfg.r) * np.cosh(cfg.s))
+    for M in range(1, 2 * d - 1):
+        # sqrt(n2) psi[M - 1, :, n2 - 1] and sqrt(n4) psi[M - 1, :, n2], n4 = M - n2
+        pair2 = np.zeros((d, d), dtype=complex)
+        pair2[:, 1:] = psi[M - 1, :, :-1] * root[1:d]
+        pair4 = psi[M - 1] * root[np.clip(M - np.arange(d), 0, None)]
+        psi[M, 1:] = (c12 * pair2[:-1] + c14 * pair4[:-1]) / root[1:d, None]
+        psi[M, 0] = (c32 * pair2[0] + c34 * pair4[0]) / root[M]
+        # n3 = M - n1 and n4 = M - n2 above the cutoff lie outside the box
+        outside = slice(max(0, M - cutoff))
+        psi[M, outside] = psi[M, :, outside] = 0.0
+    return psi
 
 
-def _mixed(t: np.ndarray, u: np.ndarray,
-           cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four-mode state after the mixing beam splitters B1 of modes
-    (1, 3) and B2 of modes (2, 4), from the signal pair amplitudes t and the
-    ancilla pair amplitudes u, as the nonzero entries (rows, cols, values)
-    of Psi[(n1, n2), (n3, n4)]: row n1 d + n2, column n3 d + n4.  The state
-    is B1 X B2^T with X[(n1, n3), (n2, n4)] = t[n1, n2] u[n3, n4], taken
-    block by block of (n1 + n3, n2 + n4), the quantities B1 and B2
-    conserve: one dense product per block pair where t and u have a
-    nonzero product."""
-    d = t.shape[0]
-    B1 = _beam_splitter_blocks(cfg.T1, (d, d))
-    B2 = _beam_splitter_blocks(cfg.T2, (d, d))
-    i, j = np.nonzero(t)
-    k, l = np.nonzero(u)
-    # the occupied block pairs in rising order (a plain np.unique loads numpy.ma)
-    occupied = np.flatnonzero(np.bincount(
-        ((i[:, None] + k) * (2 * d - 1) + (j[:, None] + l)).reshape(-1)))
-    # with no occupied block pair, no entries
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for N, M in zip(*np.divmod(occupied, 2 * d - 1)):
-        (idx1, U1), (idx2, U2) = B1[N], B2[M]
-        n1, n3 = np.divmod(idx1, d)
-        n2, n4 = np.divmod(idx2, d)
-        # the leading axis keeps a 1 x 1 block on numpy's vectorized complex
-        # product, which larger blocks take, so that every block rounds alike
-        X = (t[None, n1[:, None], n2] * u[n3[:, None], n4])[0]
-        Y = U1 @ X @ U2.T
-        a, b = np.nonzero(Y)
-        rows.append(n1[a] * d + n2[b])
-        cols.append(n3[a] * d + n4[b])
-        vals.append(Y[a, b])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+def _herald(psi: np.ndarray, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Unnormalized heralded density of modes 1 and 2, the sum over (n3, n4)
+    of w3[n3] w4[n4] <n3, n4|psi><psi|n3, n4>, from the amplitudes
+    psi[M, n1, n2] of `_scheme_amplitudes`.
+
+    An outcome (n3, n4) heralds only the rows of its group
+    g = n2 - n1 = n3 - n4, so the density is block diagonal in g: each block
+    is A_g diag(w3[n3] w4[n3 - g]) A_g^dag with A_g[n1, n3] =
+    psi[n1 + n3, n1, n1 + g], every block in one batched GEMM, and each is
+    placed by plain assignment, since no two groups share a row."""
+    d = psi.shape[1]
+    g = np.arange(1 - d, d)[:, None, None]
+    n1, n3 = np.ogrid[:d, :d]
+    n2, n4 = n1 + g, (n3 - g)[:, 0]
+    row = (0 <= n2) & (n2 < d)
+    A = psi[n1 + n3, n1, np.where(row, n2, 0)] * row
+    W = np.where((0 <= n4) & (n4 < d), w3 * w4[np.clip(n4, 0, d - 1)], 0.0)
+    G = (A * W[:, None]) @ A.conj().transpose(0, 2, 1)
+    pair = row & row.transpose(0, 2, 1)
+    flat = n1 * d + n2
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho.reshape(-1)[(flat * d * d + flat.transpose(0, 2, 1))[pair]] = G[pair]
+    return rho
 
 
 def _detector_weights(cfg: SchemeConfig, detector: str,
@@ -706,8 +661,9 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal", *,
     applied to the heralded density, which is normalized once, after it (a
     trace of 1e-300 or less raises DegeneratePostselectionError); the
     success probability is the heralded trace.  A cutoff above MAX_CUTOFF,
-    or below 1 (heralding needs the n = 1 outcome), raises ValueError, and
-    a twin beam leaking above the cutoff raises CutoffTooSmallError.
+    or below 1 (heralding needs the n = 1 outcome), raises ValueError.  The
+    four-mode norm outside the box of `cutoff` photons per mode,
+    1 - sum |psi|^2, above DEFAULT_LEAK_TOL raises CutoffTooSmallError.
     """
     if detector not in ("ideal", "on-off"):
         raise ValueError(f"unknown detector kind {detector!r}")
@@ -720,10 +676,13 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal", *,
         raise ValueError(f"cutoff {cutoff} exceeds the limit {MAX_CUTOFF}")
     if cutoff < 1:
         raise ValueError(f"cutoff {cutoff} is below 1, the photon number heralding needs")
-    w3, w4 = _detector_weights(cfg, detector, cutoff + 1)
-    t, u = _twin_beams(cfg, cutoff, DEFAULT_LEAK_TOL)
-    rho = FockDensity((cutoff, cutoff), _herald(_mixed(t.amps, u.amps, cfg),
-                                                (cutoff + 1) ** 2, w3, w4))
+    psi = _scheme_amplitudes(cfg, cutoff)
+    deficit = 1.0 - float(np.vdot(psi, psi).real)
+    if deficit > DEFAULT_LEAK_TOL:
+        raise CutoffTooSmallError(f"{deficit:.3e} of the four-mode norm lies above "
+                                  f"cutoffs {(cutoff,) * 4}", deficit=deficit)
+    rho = FockDensity((cutoff, cutoff),
+                      _herald(psi, *_detector_weights(cfg, detector, cutoff + 1)))
     success = rho.trace()
     if cfg.T_loss < 1.0:
         # the loss is linear and trace-preserving: one normalization after it

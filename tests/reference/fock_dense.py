@@ -1,14 +1,15 @@
 """The Fock oracle's contractions as dense products over every entry.
 
 `sqbell.fock_sim` contracts only over the nonzero entries of its states
-and builds the scheme from two twin beams and one sparse beam-splitter
-product; these are the same sums taken in full on dense tensors, one GEMM,
-einsum or shifted-slice product each, for the tests to compare against:
-the characteristic function, the conditioning, a pair operator on any two
-modes of a state, the padded squeezer with its leak, the loss channel (and
-loss by a beam splitter with a vacuum ancilla), the scheme's four-mode
-state built from them, squeezing and mixing one pair of modes at a time,
-and the scheme pipeline that heralds it, with loss on every mode.
+and builds the scheme's state from the recurrence of its Gaussian
+amplitudes; these are the same sums taken in full on dense tensors, one
+GEMM, einsum or shifted-slice product each, for the tests to compare
+against: the characteristic function, the conditioning, a pair operator
+on any two modes of a state, the padded squeezer with its leak, the loss
+channel (and loss by a beam splitter with a vacuum ancilla), the scheme's
+four-mode state built from them, squeezing and mixing one pair of modes
+at a time, and the scheme pipeline that heralds it, with loss on every
+mode.
 """
 
 import numpy as np
@@ -115,39 +116,39 @@ def heralded(amps: np.ndarray, w3, w4) -> np.ndarray:
     return (psi * np.outer(w3, w4).reshape(-1)) @ psi.conj().T
 
 
-def scheme_state(cfg, cutoff: int):
-    """The scheme's four-mode state at `cutoff` from the dense steps above:
-    both squeezers padded on the whole tensor, then both beam splitters as
-    full products on one pair of modes each.  Returns the amplitudes and
-    the squared norm the two squeezers pushed above the cutoff."""
-    state = fs.vacuum_state((cutoff,) * 4)
-    leak = 0.0
+def scheme_state(cfg, cutoff: int, pad: int = 0) -> np.ndarray:
+    """The scheme's four-mode state in the box of `cutoff` from the dense
+    steps above: both squeezers padded on the whole tensor, then both beam
+    splitters as full products on one pair of modes each, all built `pad`
+    levels above the cutoff and cut to the box.  The beam splitters,
+    truncated where they are built, mix the amplitudes near that edge
+    wrongly: by up to 3e-4 at cutoff 10 with no pad, and by rounding only
+    12 levels above it."""
+    state = fs.vacuum_state((cutoff + pad,) * 4)
     for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
                      ((2, 3), SqueezeParam(cfg.s, cfg.phi_xi))):
-        amps, deficit = apply_two_mode_squeeze(state, modes, p)
+        amps, _ = apply_two_mode_squeeze(state, modes, p)
         state = fs.FockTensor(state.cutoffs, amps)
-        leak += deficit
-    dim = cutoff + 1
+    dim = cutoff + pad + 1
     amps = state.amps
     for modes, T in (((0, 2), cfg.T1), ((1, 3), cfg.T2)):
         amps = apply_pair_operator(
             amps, modes, fs.beam_splitter_operator(T, (dim, dim)), (dim, dim))
-    return amps, leak
+    return amps[(slice(cutoff + 1),) * 4]
 
 
 def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
     """Normalized density matrix and success probability of the scheme at a
-    fixed cutoff: the state of `scheme_state` heralded, then the signal-mode
-    part of the loss on every mode (its detector part folded into the
-    weights)."""
+    fixed cutoff: the state of `scheme_state`, built 12 levels above the
+    cutoff, heralded, then the signal-mode part of the loss on every mode
+    (its detector part folded into the weights)."""
     dim = cutoff + 1
     if detector == "ideal":
         w3 = w4 = fs.lossy_projector_weights(cfg.T_loss, dim)
     else:
         w3 = fs.on_off_weights(cfg.eta3 * cfg.T_loss, dim)
         w4 = fs.on_off_weights(cfg.eta4 * cfg.T_loss, dim)
-    amps, _ = scheme_state(cfg, cutoff)
-    rho = heralded(amps, w3, w4)
+    rho = heralded(scheme_state(cfg, cutoff, pad=12), w3, w4)
     success = float(np.trace(rho).real)
     rho = fs.FockDensity((cutoff, cutoff), rho / success)
     if cfg.T_loss < 1.0:

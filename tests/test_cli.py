@@ -640,9 +640,11 @@ def test_module_entry_point_attributes_the_warning_to_a_source_file():
     (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:0.1:2"), None, "start:stop:step"),
     (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:0"), None, "step must be positive"),
     (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:-0.1"), None, "step must be positive"),
+    (("sweep", "--r", "1", "--axis", "s", "--grid", "1e308:-1e308:1e-300"), None,
+     "point count (stop - start) / step is not finite"),
     (("state",), "[0.5, 0.05]", "JSON object"),
 ], ids=["loss-one", "loss-negative", "grid-two-parts", "grid-four-parts", "step-zero",
-        "step-negative", "config-list"])
+        "step-negative", "grid-span-overflow", "config-list"])
 def test_refusals_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         path = tmp_path / "run.json"

@@ -154,24 +154,6 @@ def test_beam_splitter_identity():
     assert np.allclose(U.toarray(), np.eye(36))
 
 
-def test_pair_unitary_cache_is_bounded():
-    # the beam splitter's blocks, the only cached pair unitary: repeated
-    # parameters hit the cache, distinct ones evict beyond the bound, and
-    # every cached array is read-only
-    blocks = fs._beam_splitter_blocks(0.7, (4, 4))
-    hits = fs._beam_splitter_blocks.cache_info().hits
-    assert fs._beam_splitter_blocks(0.7, (4, 4)) is blocks
-    assert fs._beam_splitter_blocks.cache_info().hits == hits + 1
-    for idx, U in blocks:
-        assert not idx.flags.writeable and not U.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            U[0, 0] = 0.0
-    for k in range(fs.UNITARY_CACHE_SIZE + 5):
-        fs._beam_splitter_blocks(0.5 + 1e-3 * k, (3, 3))
-    info = fs._beam_splitter_blocks.cache_info()
-    assert info.currsize == info.maxsize == fs.UNITARY_CACHE_SIZE
-
-
 @pytest.mark.parametrize("build", [
     lambda: fs.beam_splitter_operator(0.5, (3, 3)),
     lambda: fs.two_mode_squeeze_operator(SqueezeParam(0.3, 1.0), (3, 3)),
@@ -279,22 +261,27 @@ def _single_photon(dim):
 
 
 @functools.lru_cache(maxsize=2)
-def _dense_scheme_state(cfg, cutoff):
+def _dense_scheme_state(cfg, cutoff, pad=0):
     """The scheme's lossless four-mode state, squeezed and mixed by the
-    dense reference steps; cached on (cfg, cutoff) and read-only, so the
-    tests at cutoff 36, whose builds are the slowest, share theirs."""
-    amps, leak = fock_dense.scheme_state(cfg, cutoff)
+    dense reference steps `pad` levels above the cutoff and cut to its box;
+    cached on (cfg, cutoff, pad) and read-only, so the tests at cutoff 36,
+    whose builds are the slowest, share theirs."""
+    amps = fock_dense.scheme_state(cfg, cutoff, pad)
     amps.flags.writeable = False
-    return fs.FockTensor((cutoff,) * 4, amps, leak=leak)
+    return fs.FockTensor((cutoff,) * 4, amps)
 
 
-def _psi_entries(state):
-    """The nonzero entries (rows, cols, values) of a four-mode state's
-    matrix Psi[(a, b), (k, l)], row by row, and its row count."""
-    d0, d1 = state.amps.shape[:2]
-    psi = state.amps.reshape(d0 * d1, -1)
-    rows, cols = np.nonzero(psi)
-    return (rows, cols, psi[rows, cols]), d0 * d1
+def _boxed_scheme_state(cfg, cutoff):
+    """The dense reference state built 12 levels above the cutoff, where
+    every amplitude of its box is exact to rounding."""
+    return _dense_scheme_state(cfg, cutoff, 12)
+
+
+def _four_mode(psi):
+    """The amplitudes psi[M, n1, n2] of `fs._scheme_amplitudes` as the dense
+    tensor [n1, n2, n3, n4], zero off n1 + n3 = n2 + n4."""
+    n1, n2, n3, n4 = np.indices((psi.shape[1],) * 4)
+    return np.where(n1 + n3 == n2 + n4, psi[n1 + n3, n1, n2], 0.0)
 
 
 def test_project_single_photon_trivial_factor():
@@ -795,11 +782,22 @@ def test_oracle_refuses_signal_only_loss(detector):
 
 
 def test_leak_at_the_requested_cutoff_is_raised():
-    # the signal twin beam at r = 2 leaves 0.29 of its norm above cutoff 12;
-    # the oracle answers at the cutoff it is given, so that leak is raised
-    with pytest.raises(CutoffTooSmallError, match=r"cutoffs \(12, 12\)") as err:
+    # the signal twin beam at r = 2 alone leaves tanh(2)^26 = 0.3857 of its
+    # norm above cutoff 12, and the mixed four-mode state 0.3851 outside the
+    # box; the oracle answers at the cutoff it is given, so that leak is raised
+    with pytest.raises(CutoffTooSmallError, match=r"cutoffs \(12, 12, 12, 12\)") as err:
         fs.scheme_oracle(SchemeConfig(r=2.0, s=0.05, T_loss=0.85), "on-off", cutoff=12)
-    assert err.value.deficit == pytest.approx(0.2917, rel=1e-3)
+    assert err.value.deficit == pytest.approx(0.3851, rel=1e-3)
+
+
+def test_leak_without_mixing_is_the_twin_beams_tails():
+    # at T1 = T2 = 1 the box holds the first c + 1 terms of each twin beam,
+    # whose norms are 1 - tanh^(2(c + 1)) of their squeezing
+    r, s, cutoff = 2.0, 0.5, 12
+    with pytest.raises(CutoffTooSmallError) as err:
+        fs.scheme_oracle(SchemeConfig(r=r, s=s, T1=1.0, T2=1.0), "on-off", cutoff=cutoff)
+    kept = (1.0 - np.tanh(r) ** (2 * cutoff + 2)) * (1.0 - np.tanh(s) ** (2 * cutoff + 2))
+    assert abs(err.value.deficit - (1.0 - kept)) < 1e-14
 
 
 @pytest.mark.parametrize("cfg, cutoff", [
@@ -870,16 +868,11 @@ def test_pair_operator_skips_zero_columns_exactly(modes):
         assert np.max(np.abs(got.amps.reshape(-1) - op @ x.reshape(-1))) < 1e-14
 
 
+_CONDITIONING_CFG = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9)
+
+
 def _conditioning_state():
-    return _dense_scheme_state(SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9), 10)
-
-
-def _oracle_conditioned(state, w3, w4):
-    """The oracle's heralded density of a four-mode state, from its entries
-    row by row, normalized, and the heralding probability."""
-    rho = fs._herald(*_psi_entries(state), w3, w4)
-    success = float(np.trace(rho).real)
-    return rho / success, success
+    return _boxed_scheme_state(_CONDITIONING_CFG, 10)
 
 
 @pytest.mark.parametrize("weights", [
@@ -888,12 +881,15 @@ def _oracle_conditioned(state, w3, w4):
     lambda dim: (fs.lossy_projector_weights(0.8, dim),) * 2,
 ], ids=["ideal", "on-off", "lossy-projector"])
 def test_conditioning_matches_full_einsum(weights):
-    state = _conditioning_state()
+    # the oracle's heralding of its own amplitudes, normalized, against the
+    # einsum conditioning of the dense reference state
     w3, w4 = weights(11)
-    rho, success = _oracle_conditioned(state, w3, w4)
-    ref_rho, ref_success = fock_dense.condition_with_diagonal_weights(state, w3, w4)
+    rho = fs._herald(fs._scheme_amplitudes(_CONDITIONING_CFG, 10), w3, w4)
+    success = float(np.trace(rho).real)
+    ref_rho, ref_success = fock_dense.condition_with_diagonal_weights(
+        _conditioning_state(), w3, w4)
     assert success == pytest.approx(ref_success, rel=1e-14)
-    assert np.max(np.abs(rho - ref_rho)) < 1e-14
+    assert np.max(np.abs(rho / success - ref_rho)) < 1e-14
 
 
 def test_conditioning_on_zero_weights_is_degenerate():
@@ -906,18 +902,6 @@ def test_conditioning_on_zero_weights_is_degenerate():
 # ---------------------------------------------------------------------------
 # sparse contractions against the dense references
 # ---------------------------------------------------------------------------
-
-
-def _random_four_mode(rng):
-    """A normalized four-mode state with every amplitude nonzero."""
-    dims = (6, 7, 5, 6)
-    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-    return fs.FockTensor(tuple(d - 1 for d in dims), amps / np.linalg.norm(amps))
-
-
-def _four_mode_states():
-    """An oracle-structured state (squeezed and mixed) and a dense random one."""
-    return [_conditioning_state(), _random_four_mode(np.random.default_rng(3))]
 
 
 def _two_mode_states():
@@ -953,24 +937,28 @@ def test_squeeze_matches_padded_dense_reference(modes):
         assert abs(got.leak - state.leak - deficit) < 1e-15
 
 
-@pytest.mark.parametrize("cfg", [
-    SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.8),
-    SchemeConfig(r=0.6, s=0.3, T1=0.7, T2=0.95, phi_zeta=np.pi, phi_xi=0.4),
-], ids=["default-phases", "other-phases"])
+_PROTO_CONFIGS = {
+    "default-phases": SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.8),
+    "other-phases": SchemeConfig(r=0.6, s=0.3, T1=0.7, T2=0.95, phi_zeta=np.pi, phi_xi=0.4),
+}
+
+
+@pytest.mark.parametrize("cfg", list(_PROTO_CONFIGS.values()), ids=list(_PROTO_CONFIGS))
 def test_scheme_proto_state_matches_dense_reference(cfg):
-    # the oracle's mixed four-mode state, as the entries of Psi, and its
-    # twin beams' leaks against squeezers padded on the dense four-mode
-    # tensor and beam splitters as full products on one pair of modes each
+    # the oracle's four-mode state from the Gaussian recurrence against
+    # squeezers padded on the dense four-mode tensor and beam splitters as
+    # full products on one pair of modes each, built 12 levels above the box
+    # and cut to it; built at the box's own cutoff, the reference's
+    # truncated beam splitters are off by more than 1e-5 at its edge
     cutoff = 10
-    d = cutoff + 1
-    t, u = fs._twin_beams(cfg, cutoff, 1e-4)
-    rows, cols, vals = fs._mixed(t.amps, u.amps, cfg)
-    psi = np.zeros((d * d, d * d), dtype=complex)
-    psi[rows, cols] = vals
-    ref = _dense_scheme_state(cfg, cutoff)
-    assert np.max(np.abs(psi - ref.amps.reshape(d * d, d * d))) < 1e-14
-    assert ref.leak > 1e-12
-    assert t.leak + u.leak == pytest.approx(ref.leak, rel=1e-10)
+    psi = fs._scheme_amplitudes(cfg, cutoff)
+    ref = _boxed_scheme_state(cfg, cutoff).amps
+    assert np.max(np.abs(_four_mode(psi) - ref)) < 1e-14
+    assert np.max(np.abs(fock_dense.scheme_state(cfg, cutoff) - ref)) > 1e-5
+    # no amplitude outside the box, nor off n1 + n3 = n2 + n4
+    M, n1, n2 = np.indices(psi.shape)
+    outside = (n1 > M) | (n2 > M) | (M - n1 > cutoff) | (M - n2 > cutoff)
+    assert not np.any(psi[outside])
 
 
 @pytest.mark.parametrize("cfg", [
@@ -982,7 +970,6 @@ def test_scheme_oracle_peak_memory(cfg):
     # as a dense four-mode tensor, which the oracle never builds; each
     # density the signal-mode loss makes from it is as large
     cutoff = 25
-    fs.scheme_oracle(cfg, "ideal", cutoff=cutoff)  # beam-splitter blocks cached, not measured
     tensor_bytes = (cutoff + 1) ** 4 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -1021,11 +1008,14 @@ def test_loss_kraus_matches_band_loop(T):
     lambda dim: (np.arange(dim) % 2 * 0.5, np.linspace(0.0, 1.0, dim)),
 ], ids=["ideal", "on-off", "lossy-projector", "gapped"])
 def test_heralded_matches_dense_gemm(weights):
-    for state in _four_mode_states():
-        w3, w4 = weights(state.amps.shape[2])[0], weights(state.amps.shape[3])[1]
-        ref = fock_dense.heralded(state.amps, w3, w4)
+    # the oracle's grouped heralding against one dense GEMM over every
+    # detector outcome of the same amplitudes, scattered into a dense tensor
+    w3, w4 = weights(11)
+    for cfg in _PROTO_CONFIGS.values():
+        psi = fs._scheme_amplitudes(cfg, 10)
+        ref = fock_dense.heralded(_four_mode(psi), w3, w4)
         assert np.max(np.abs(ref)) > 1e-5
-        assert np.max(np.abs(fs._herald(*_psi_entries(state), w3, w4) - ref)) < 1e-14
+        assert np.max(np.abs(fs._herald(psi, w3, w4) - ref)) < 1e-14
 
 
 @pytest.mark.parametrize("detector, cfg", [
@@ -1047,50 +1037,21 @@ def test_scheme_oracle_matches_dense_pipeline(detector, cfg):
     ("on-off", SchemeConfig(r=0.4, s=0.05, eta3=0.3, eta4=0.2, T_loss=0.85)),
 ], ids=["ideal-all-mode-loss", "onoff-all-mode-loss"])
 def test_sparse_heralding_matches_dense_conditioning(detector, cfg):
-    # the oracle heralds the mixed state's entries block by block; the same
-    # entries densified and read back row by row give the same density and
-    # probability, bit for bit
+    # the oracle heralds its amplitudes group by group of n3 - n4; one dense
+    # GEMM over the reference state, then the oracle's own signal-mode loss,
+    # gives the same density and probability
     cutoff = 10
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         rho, success = fs.scheme_oracle(cfg, detector, cutoff=cutoff)
     assert rho.cutoffs == (cutoff, cutoff)
-    d = cutoff + 1
-    w3, w4 = fs._detector_weights(cfg, detector, d)
-    t, u = fs._twin_beams(cfg, cutoff, fs.DEFAULT_LEAK_TOL)
-    rows, cols, vals = fs._mixed(t.amps, u.amps, cfg)
-    psi = np.zeros((d * d, d * d), dtype=complex)
-    psi[rows, cols] = vals
-    rows, cols = np.nonzero(psi)
-    ref = fs.FockDensity(rho.cutoffs, fs._herald((rows, cols, psi[rows, cols]), d * d, w3, w4))
-    assert success == ref.trace()
+    w3, w4 = fs._detector_weights(cfg, detector, cutoff + 1)
+    ref = fs.FockDensity(rho.cutoffs, fock_dense.heralded(
+        _boxed_scheme_state(cfg, cutoff).amps, w3, w4))
+    assert success == pytest.approx(ref.trace(), rel=1e-14)
     for mode in (0, 1):
         ref = fs.loss_kraus(ref, mode, cfg.T_loss)
-    assert rho.matrix.tobytes() == (ref.matrix / ref.trace()).tobytes()
-
-
-@pytest.mark.parametrize("weights", [
-    lambda dim: ((np.arange(dim) == 1).astype(float),) * 2,
-    lambda dim: (fs.on_off_weights(0.3, dim), fs.on_off_weights(0.7, dim)),
-], ids=["ideal", "on-off"])
-def test_herald_does_not_depend_on_entry_order(weights):
-    # entries read from a dense Psi come row by row and the oracle's mixing
-    # gives them block by block; permuted entries, and explicit zeros among
-    # them, give the same density, bit for bit
-    rng = np.random.default_rng(23)
-    for state in _four_mode_states():
-        w3, w4 = weights(state.amps.shape[2])[0], weights(state.amps.shape[3])[1]
-        (rows, cols, vals), dim = _psi_entries(state)
-        ref = fs._herald((rows, cols, vals), dim, w3, w4)
-        assert np.max(np.abs(ref)) > 1e-5
-        psi = state.amps.reshape(dim, -1)
-        zero_rows, zero_cols = np.nonzero(psi == 0)
-        rows, cols = np.concatenate([rows, zero_rows]), np.concatenate([cols, zero_cols])
-        for _ in range(3):
-            order = rng.permutation(len(rows))
-            got = fs._herald((rows[order], cols[order], psi[rows[order], cols[order]]),
-                             dim, w3, w4)
-            assert got.tobytes() == ref.tobytes()
+    assert np.max(np.abs(rho.matrix - ref.matrix / ref.trace())) < 1e-14
 
 
 def _asymmetric_density():
