@@ -416,6 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built at the first `main` call: parsing leaves no
+# state on it (`_Flag` rebinds `args.flags`, never mutating the shared default)
+_parser = functools.cache(build_parser)
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Load --config JSON defaults; explicit command-line flags still win.
     A second --config raises ValueError rather than being ignored.
@@ -456,10 +461,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -683,6 +683,7 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal", *,
                                   f"cutoffs {(cutoff,) * 4}", deficit=deficit)
     rho = FockDensity((cutoff, cutoff),
                       _herald(psi, *_detector_weights(cfg, detector, cutoff + 1)))
+    del psi  # heralded: the amplitudes need not outlive the loss step
     success = rho.trace()
     if cfg.T_loss < 1.0:
         # the loss is linear and trace-preserving: one normalization after it

@@ -25,6 +25,10 @@ over a whole batch of exponents at once:
 For P the ancilla block is that of S; for P F, integrating lam first leaves
 the Schur complement of the lam block of the 6x6 exponent over
 (lam, b3, b4), and P F = 2 P(Schur complement) / sqrt(det(lam block)).
+`scheme_pf` evaluates the ancilla probability once per call, on the n
+ancilla blocks and the n Schur complements stacked into one (2n, 4, 4)
+array, so each determinant, inverse and elementwise step runs once over
+both.
 The heralded P chi(b1, b2) is the same ancilla integral with the signal
 amplitudes held fixed, so each Gaussian gains a linear term in the
 ancillas (:func:`heralded_chi`): on/off detectors give a signed sum of four
@@ -70,6 +74,7 @@ _T_LOSS_ROW = COLUMN_FIELDS.index("T_loss")
 _LAMBDA_MAP = np.zeros((8, 6))
 _LAMBDA_MAP[:4, :2] = [[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 _LAMBDA_MAP[4:, 2:] = np.eye(4)
+_LAMBDA_MAP_T = np.ascontiguousarray(_LAMBDA_MAP.T)
 
 
 class LossyProjectorWarning(UserWarning):
@@ -146,20 +151,23 @@ def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
     L = np.zeros((n, 8, 8))
     squeeze_into(L, r, phi_zeta, 0, 1)
     squeeze_into(L, s, phi_xi, 2, 3)
-    S = np.swapaxes(L, 1, 2) @ L
+    # L is symmetric, so L^T L is L @ L, which takes the BLAS path that a
+    # transposed view does not
+    S = L @ L
 
     # loss: S -> D S D + (2 n + 1)(1 - T) on each lossy mode's diagonal
     lossy = np.ones((n, 8))
     lossy[:, 4:] = on_det[:, None]
     scale = np.where(lossy > 0, np.sqrt(T_loss)[:, None], 1.0)
-    S = S * scale[:, :, None] * scale[:, None, :]
+    S *= scale[:, :, None]
+    S *= scale[:, None, :]
     add = ((2.0 * n_thermal + 1.0) * (1.0 - T_loss))[:, None] * lossy
-    S[:, np.arange(8), np.arange(8)] += add
+    S.reshape(n, 64)[:, ::9] += add  # the diagonal, as a strided view
 
     B = np.zeros((n, 8, 8))
     mix_into(B, T1, 0, 2)
     mix_into(B, T2, 1, 3)
-    S = np.swapaxes(B, 1, 2) @ S @ B
+    S = np.ascontiguousarray(np.swapaxes(B, 1, 2)) @ S @ B
     return 0.5 * (S + np.swapaxes(S, 1, 2))
 
 
@@ -397,20 +405,31 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     ValueError.  Status is that of `_status` (a block that is not positive
     definite makes P or F NaN, and so UNPHYSICAL); F is capped at one and
     is NaN wherever status is not OK.
+
+    One ancilla evaluation covers both integrals: the ancilla blocks of S
+    (for P) and the Schur complements of the lam blocks (for P F), stacked
+    into one (2n, 4, 4) array, with the efficiencies tiled to match.  Each
+    point's values are those of two separate evaluations, bit for bit,
+    since every step acts on each matrix of the stack alone.
     """
     S = np.asarray(S, dtype=float)
-    prob = _ancilla_prob(detector, eta3, eta4, S.shape[0])
-    P, p_scale = prob(S[:, 4:, 4:])
+    n = S.shape[0]
+    if detector == "on-off":  # both blocks of a point see its detectors
+        eta3, eta4 = (np.tile(np.broadcast_to(np.asarray(eta, dtype=float), (n,)), 2)
+                      for eta in (eta3, eta4))
+    prob = _ancilla_prob(detector, eta3, eta4, 2 * n)
 
     # P F: the lam integral first, which leaves the Schur complement of its
     # block as the ancilla block and a factor (2 pi) / sqrt(det) / pi
-    MF = np.swapaxes(_LAMBDA_MAP, 0, 1) @ S @ _LAMBDA_MAP
+    MF = _LAMBDA_MAP_T @ S @ _LAMBDA_MAP
     MF[:, 0, 0] += 2.0  # e^{-|lam|^2}
     MF[:, 1, 1] += 2.0
     lam, C = MF[:, :2, :2], MF[:, :2, 2:]
     schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
+    values, scale = prob(np.concatenate([S[:, 4:, 4:], schur]))
+    P, p_scale = values[:n], scale[:n]
     with np.errstate(invalid="ignore", divide="ignore"):
-        F = 2.0 * prob(schur)[0] / np.sqrt(_det2(lam)) / P
+        F = 2.0 * values[n:] / np.sqrt(_det2(lam)) / P
     status = _status(P, p_scale, F)
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status

@@ -166,12 +166,15 @@ def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
         points = columns[:, np.repeat(ids, sizes)]
         points[_S_ROW] = np.concatenate([asks[i] for i in ids])
         P, F, status = kernel.columns_pf(points, detector)
-        edges = np.cumsum([0] + sizes).tolist()
-        for i, lo, hi in zip(ids, edges, edges[1:]):
-            # a search ends at its first failing point, in the order it asked
-            result = next((e for e in map(status_error, P[lo:hi], status[lo:hi])
-                           if e is not None), None)
-            if result is None:
+        edges = np.cumsum([0] + sizes)
+        failing = np.add.reduceat(status != kernel.OK, edges[:-1])
+        for i, lo, hi, fails in zip(ids, edges[:-1].tolist(), edges[1:].tolist(),
+                                    failing.tolist()):
+            if fails:
+                # a search ends at its first failing point, in the order it asked
+                result = next(e for e in map(status_error, P[lo:hi], status[lo:hi])
+                              if e is not None)
+            else:
                 try:
                     asks[i] = searches[i].send(F[lo:hi])
                     continue
@@ -244,10 +247,9 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         columns = columns[:, ok]
         columns[_S_ROW] = [row.s_star for row in todo]
     P, F, status = kernel.columns_pf(columns, spec.detector)
-    for row, p, f, st in zip(todo, P, F, status):
-        exc = status_error(p, st)
-        if exc is not None:
-            row.error = _describe(exc)
+    for row, p, f, st, fails in zip(todo, P, F, status, (status != kernel.OK).tolist()):
+        if fails:
+            row.error = _describe(status_error(p, st))
         else:
             row.fidelity, row.success_prob = float(f), float(p)
     return rows

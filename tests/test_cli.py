@@ -14,7 +14,7 @@ from sqbell import kernel
 from sqbell import resources as rs
 from sqbell import teleport as tp
 from sqbell.cli import (DATASETS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                        MAX_GRID_POINTS, _config_from_args, build_parser, main)
+                        MAX_GRID_POINTS, _config_from_args, _parser, build_parser, main)
 
 
 def run(capsys, *argv):
@@ -237,6 +237,20 @@ def test_non_finite_or_negative_parameters_exit_2(capsys, argv):
 def test_scheme_flags_default_to_the_config_defaults():
     args = build_parser().parse_args(["state", "--r", "1"])
     assert _config_from_args(args) == rs.SchemeConfig(r=1.0)
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main parses with one cached parser; a flag given to one call, or a
+    # call refused with exit 2, must leave nothing behind for the next
+    assert _parser() is _parser()
+    code, out, _ = run(capsys, "state", "--r", "1", "--s", "0.2", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["s"] == 0.2
+    code, plain, _ = run(capsys, "state", "--r", "1", "--format", "json")
+    assert code == EXIT_OK and json.loads(plain)["s"] == 0.0
+    code, out, err = run(capsys, "fidelity", "--family", "twin-beam", "--r", "1",
+                         "--s", "0.3")
+    assert code == EXIT_USAGE and out == "" and "--s" in err
+    assert run(capsys, "state", "--r", "1", "--format", "json") == (EXIT_OK, plain, "")
 
 
 # every scheme flag and a value it moves the base to; the base, r = 1,

@@ -267,6 +267,46 @@ def test_scheme_pf_is_batch_invariant(cfgs, detector):
         assert got.tobytes() == np.concatenate(alone).tobytes()
 
 
+def _two_block_pf(S, detector, eta3, eta4):
+    """scheme_pf with the ancilla probability evaluated twice, on S's
+    ancilla block and on the Schur complement of the lam block."""
+    prob = kernel._ancilla_prob(detector, eta3, eta4, len(S))
+    P, p_scale = prob(S[:, 4:, 4:])
+    lam_map = kernel._LAMBDA_MAP
+    MF = np.swapaxes(lam_map, 0, 1) @ S @ lam_map
+    MF[:, 0, 0] += 2.0
+    MF[:, 1, 1] += 2.0
+    lam, C = MF[:, :2, :2], MF[:, :2, 2:]
+    schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ kernel._inv2(lam) @ C
+    with np.errstate(invalid="ignore", divide="ignore"):
+        F = 2.0 * prob(schur)[0] / np.sqrt(kernel._det2(lam)) / P
+    status = kernel._status(P, p_scale, F)
+    return P, np.where(status == kernel.OK, np.minimum(F, 1.0), np.nan), status
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_stacked_ancilla_evaluation_equals_two_evaluations(detector):
+    # scheme_pf evaluates both ancilla blocks of every point in one stacked
+    # call; a box reaching r = 30 overflows or singularizes some points,
+    # and vacuum ancillas (r = s = 0, no thermal noise) are degenerate
+    rng = np.random.default_rng(35)
+    n = 400
+    r = rng.uniform(0.0, 30.0, n)
+    columns = np.array([
+        r, r * rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2 * np.pi, n),
+        rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0.5, 1.0, n),
+        rng.uniform(0.5, 1.0, n), rng.uniform(0.3, 1.0, n), rng.uniform(0.0, 1.0, n),
+        rng.integers(0, 2, n), rng.uniform(0.01, 1.0, n), rng.uniform(0.01, 1.0, n)])
+    columns[[0, 1, 7], :8] = 0.0
+    columns[:, 8] = kernel.columns_of([SINGULAR_IDEAL])[:, 0]
+    S = kernel.source_exponents(*columns[:len(kernel.SOURCE_FIELDS)])
+    etas = columns[len(kernel.SOURCE_FIELDS):]
+    stacked = kernel.scheme_pf(S, detector, *etas)
+    assert set(stacked[2].tolist()) == {kernel.OK, kernel.DEGENERATE, kernel.UNPHYSICAL}
+    for got, expected in zip(stacked, _two_block_pf(S, detector, *etas)):
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("eta", [0.15, 0.3, 0.5, 0.77])
 def test_vacuum_ancillas_degenerate_on_both_paths(eta):
     # r = 0 and s = 0: nothing reaches the detectors, whatever the roundoff

@@ -166,6 +166,30 @@ def test_lockstep_searches_equal_optimize_s_and_the_scalar_loop(detector):
     assert op._optimize_columns(kernel.columns_of([]), detector) == []
 
 
+def test_search_with_two_failing_points_in_one_round_ends_at_the_first(monkeypatch):
+    # the middle search's coarse grid holds a degenerate point and, after
+    # it, an unphysical one: the search ends with the error of the one it
+    # asked for first, and the searches beside it go on to their optima
+    cfgs = [rs.SchemeConfig(r=r) for r in (1.0, 1.2, 1.4)]
+    expected = [op.optimize_s(cfg) for cfg in cfgs]
+    grid = np.linspace(0.0, 1.2, op.COARSE_POINTS)
+    failing = {grid[5]: kernel.DEGENERATE, grid[20]: kernel.UNPHYSICAL}
+    columns_pf = kernel.columns_pf
+    first_p = columns_pf(kernel.columns_of([cfgs[1].with_(s=grid[5])]), "ideal")[0][0]
+
+    def failing_pf(columns, detector):
+        P, F, status = columns_pf(columns, detector)
+        for s, st in failing.items():
+            status[(columns[op._R_ROW] == 1.2) & (columns[op._S_ROW] == s)] = st
+        return P, F, status
+
+    monkeypatch.setattr(kernel, "columns_pf", failing_pf)
+    first, middle, last = op._optimize_columns(kernel.columns_of(cfgs), "ideal")
+    assert (first, last) == (expected[0], expected[2])
+    assert type(middle) is DegeneratePostselectionError
+    assert str(middle) == str(status_error(first_p, kernel.DEGENERATE))
+
+
 def test_optimizing_sweep_makes_one_kernel_call_per_round(monkeypatch):
     # fig4's optimizing sweep; the longest search sets the number of rounds
     # (its coarse grid, opening pair, golden-section steps and midpoint),
