@@ -26,9 +26,9 @@ For P the ancilla block is that of S; for P F, integrating lam first leaves
 the Schur complement of the lam block of the 6x6 exponent over
 (lam, b3, b4), and P F = 2 P(Schur complement) / sqrt(det(lam block)).
 `scheme_pf` evaluates the ancilla probability once per call, on the n
-ancilla blocks and the n Schur complements stacked into one (2n, 4, 4)
+ancilla blocks and the n Schur complements stacked into one (2, n, 4, 4)
 array, so each determinant, inverse and elementwise step runs once over
-both.
+both; the on/off sum stacks the two diagonal 2x2 blocks of each in turn.
 The heralded P chi(b1, b2) is the same ancilla integral with the signal
 amplitudes held fixed, so each Gaussian gains a linear term in the
 ancillas (:func:`heralded_chi`): on/off detectors give a signed sum of four
@@ -70,10 +70,15 @@ SOURCE_FIELDS = ("r", "s", "phi_zeta", "phi_xi", "T1", "T2", "T_loss",
 COLUMN_FIELDS = SOURCE_FIELDS + ("eta3", "eta4")
 _T_LOSS_ROW = COLUMN_FIELDS.index("T_loss")
 
-# (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v
-_LAMBDA_MAP = np.zeros((8, 6))
-_LAMBDA_MAP[:4, :2] = [[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
-_LAMBDA_MAP[4:, 2:] = np.eye(4)
+_DEGENERACY_FLOOR = DEGENERACY_ULPS * np.finfo(float).eps
+_EYE2, _EYE4 = np.eye(2), np.eye(4)
+_TWO_EYE4 = 2.0 * _EYE4
+# the entries of a 2x2 matrix, flattened, in the order of its adjugate's
+_ADJUGATE_ORDER = np.array([3, 1, 2, 0])
+
+# (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v; the
+# ancilla coordinates map to themselves
+_LAMBDA_MAP = np.array([[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 _LAMBDA_MAP_T = np.ascontiguousarray(_LAMBDA_MAP.T)
 
 
@@ -123,17 +128,6 @@ def squeeze_into(L, amplitude, phase, i: int, j: int) -> None:
         L[..., 2 * a + 1, 2 * b + 1] = -sc
 
 
-def mix_into(B, T, k: int, l: int) -> None:
-    """Write the beam splitter b_k -> sqrt(T) b_k - sqrt(1-T) b_l,
-    b_l -> sqrt(T) b_l + sqrt(1-T) b_k into the variable map B."""
-    rt, rr = np.sqrt(T), np.sqrt(1.0 - T)
-    for d in range(2):
-        B[..., 2 * k + d, 2 * k + d] = rt
-        B[..., 2 * k + d, 2 * l + d] = -rr
-        B[..., 2 * l + d, 2 * l + d] = rt
-        B[..., 2 * l + d, 2 * k + d] = rr
-
-
 def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
                      loss_on_detector_modes) -> np.ndarray:
     """Exponents S, shape (n, 8, 8), of the scheme's four-mode source function.
@@ -143,10 +137,10 @@ def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
     n_thermal on modes 1, 2 (and 3, 4 where loss_on_detector_modes); then
     beam splitters T1 on (1, 3) and T2 on (2, 4).
     """
-    r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal, on_det = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (
+    r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal, on_det = np.atleast_1d(
+        *np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
             r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
-            loss_on_detector_modes)))
+            loss_on_detector_modes))))
     n = r.shape[0]
     L = np.zeros((n, 8, 8))
     squeeze_into(L, r, phi_zeta, 0, 1)
@@ -164,9 +158,17 @@ def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
     add = ((2.0 * n_thermal + 1.0) * (1.0 - T_loss))[:, None] * lossy
     S.reshape(n, 64)[:, ::9] += add  # the diagonal, as a strided view
 
+    # beam splitters b_k -> sqrt(T) b_k - sqrt(1-T) b_l and
+    # b_l -> sqrt(T) b_l + sqrt(1-T) b_k on (k, l) = (1, 3) and (2, 4),
+    # written along the strided diagonals of the flattened variable map
+    T = np.array([T1, T1, T2, T2]).T  # per coordinate of modes 1, 2 (and 3, 4)
+    rt, rr = np.sqrt(T), np.sqrt(1.0 - T)
     B = np.zeros((n, 8, 8))
-    mix_into(B, T1, 0, 2)
-    mix_into(B, T2, 1, 3)
+    flat = B.reshape(n, 64)
+    flat[:, :32:9] = rt    # diagonal, modes 1 and 2
+    flat[:, 36::9] = rt    # diagonal, modes 3 and 4
+    flat[:, 4:32:9] = -rr  # b1 from b3, b2 from b4
+    flat[:, 32::9] = rr    # b3 from b1, b4 from b2
     S = np.ascontiguousarray(np.swapaxes(B, 1, 2)) @ S @ B
     return 0.5 * (S + np.swapaxes(S, 1, 2))
 
@@ -190,16 +192,19 @@ def exponents_of(cfgs) -> np.ndarray:
 
 
 def _det2(X):
-    return X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
+    return X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0]
+
+
+def _trace2(X):
+    return X[..., 0, 0] + X[..., 1, 1]
 
 
 def _inv2(X):
-    adj = np.empty_like(X)
-    adj[:, 0, 0] = X[:, 1, 1]
-    adj[:, 0, 1] = -X[:, 0, 1]
-    adj[:, 1, 0] = -X[:, 1, 0]
-    adj[:, 1, 1] = X[:, 0, 0]
-    return adj / _det2(X)[:, None, None]
+    """Inverses of a stack of 2x2 matrices, as adjugate over determinant."""
+    adj = X.reshape(-1, 4)[:, _ADJUGATE_ORDER]
+    np.negative(adj[:, 1:3], out=adj[:, 1:3])
+    adj /= _det2(X).reshape(-1, 1)
+    return adj.reshape(X.shape)
 
 
 def _qform(x, Q):
@@ -208,12 +213,14 @@ def _qform(x, Q):
     return np.sum((x @ Q) * x, axis=-1)
 
 
-def _inclusion_exclusion(l3, l4, l34):
-    """(1 - x3)(1 - x4) + x3 x4 expm1(l34) with x_K = e^{l_K}, and the sum of
-    the magnitudes of its four terms."""
-    x3, x4 = np.exp(l3), np.exp(l4)
-    total = np.expm1(l3) * np.expm1(l4) + x3 * x4 * np.expm1(l34)
-    scale = 1.0 + x3 + x4 + x3 * x4 * np.exp(l34)
+def _inclusion_exclusion(l, l34):
+    """(1 - x3)(1 - x4) + x3 x4 expm1(l34) with x_K = e^{l_K} and
+    (l3, l4) = l, and the sum of the magnitudes of its four terms."""
+    x3, x4 = np.exp(l)
+    e3, e4 = np.expm1(l)
+    x34 = x3 * x4
+    total = e3 * e4 + x34 * np.expm1(l34)
+    scale = 1.0 + x3 + x4 + x34 * np.exp(l34)
     return total, scale
 
 
@@ -244,50 +251,55 @@ def _onoff_chi(E, a3, a4, d):
     return np.where(f_scale <= 2.0 * (np.abs(h3) + np.abs(n2)), factored, n2 - h3)
 
 
-def _onoff_prob(M, eta3, eta4, W=None):
-    """P of on/off detectors on the ancilla block M (shape (n, 4, 4), modes
-    b3 then b4), and the sum of the magnitudes of its four signed terms.
+def _onoff_prob(M, d, W=None):
+    """P of on/off detectors on the ancilla blocks M (shape (..., n, 4, 4),
+    modes b3 then b4, of n points), and the sum of the magnitudes of its
+    four signed terms, both of shape (..., n); d (shape (n, 4)) holds each
+    point's sqrt(eta) per ancilla coordinate.
 
     The term of the set K of modes taking the Gaussian piece is
     (-1)^|K| x_K with x_K = det(I + Delta_K)^{-1/2}, where
     Delta = D (M - I) D / 2 and D scales mode k by sqrt(eta_k).  The sum is
     formed as (1 - x3)(1 - x4) + x3 x4 expm1(log x34 - log x3 - log x4),
     with every small difference taken by log1p and expm1, so that it keeps
-    its relative accuracy when the heralding probability is small.
+    its relative accuracy when the heralding probability is small.  The
+    blocks Delta_3 and Delta_4 of all N ancilla blocks form one contiguous
+    (2, N, 2, 2) stack, so each 2x2 step on them runs once.
 
     Given the map W from the signal coordinates x to the ancillas' linear
-    terms w = W x, it returns instead the function (x, E) -> e^E times the
-    sum (`_onoff_chi`), x of shape (m, 4) and E and the result of shape
-    (n, m), with each x_K times e^{u_K}, where
+    terms w = W x (M of shape (n, 4, 4)), it returns instead the function
+    (x, E) -> e^E times the sum (`_onoff_chi`), x of shape (m, 4) and E
+    and the result of shape (n, m), with each x_K times e^{u_K}, where
     u_K = 1/2 z_K^T (I + Delta_K)^-1 z_K and z = D w / sqrt(2).  With
     Z = I + Delta_4 - Delta_43 (I + Delta_3)^-1 Delta_34, the block inverse
     gives u34 - u3 - u4 from Z^-1 - (I + Delta_4)^-1
     = Z^-1 Delta_43 (I + Delta_3)^-1 Delta_34 (I + Delta_4)^-1, with no
     difference of nearly equal quadratics.
     """
-    d = np.sqrt(np.concatenate([np.repeat(eta3[:, None], 2, 1),
-                                np.repeat(eta4[:, None], 2, 1)], 1))
-    delta = 0.5 * (M - np.eye(4)) * d[:, :, None] * d[:, None, :]
-    D3, D4 = delta[:, :2, :2], delta[:, 2:, 2:]
+    delta = (0.5 * (M - _EYE4) * d[:, :, None] * d[:, None, :]).reshape(-1, 4, 4)
+    # diagonal[j] = delta[:, 2j:2j+2, 2j:2j+2]
+    diagonal = np.ascontiguousarray(
+        delta.reshape(-1, 2, 2, 2, 2).diagonal(axis1=1, axis2=3).transpose(3, 0, 1, 2))
     D34, D43 = delta[:, :2, 2:], delta[:, 2:, :2]
     with np.errstate(invalid="ignore", divide="ignore"):
-        E3, E4 = _inv2(np.eye(2) + D3), _inv2(np.eye(2) + D4)
-        l3 = -0.5 * np.log1p(np.trace(D3, axis1=1, axis2=2) + _det2(D3))
-        l4 = -0.5 * np.log1p(np.trace(D4, axis1=1, axis2=2) + _det2(D4))
+        E3, E4 = _inv2(_EYE2 + diagonal)
+        l = -0.5 * np.log1p(_trace2(diagonal) + _det2(diagonal))
         # log x34 - log x3 - log x4 = -1/2 log det(I - X) by the Schur complement
         X = E4 @ D43 @ E3 @ D34
-        l34 = -0.5 * np.log1p(_det2(X) - np.trace(X, axis1=1, axis2=2))
+        l34 = -0.5 * np.log1p(_det2(X) - _trace2(X))
         if W is None:
-            return _inclusion_exclusion(l3, l4, l34)
+            shape = M.shape[:-2]
+            return _inclusion_exclusion(l.reshape((2,) + shape), l34.reshape(shape))
         Z = W * d[:, :, None] / np.sqrt(2.0)
         Z3, Z4 = Z[:, :2], Z[:, 2:]
         K = D43 @ E3
-        Zinv = _inv2(np.eye(2) + D4 - K @ D34)
+        Zinv = _inv2(_EYE2 + diagonal[1] - K @ D34)
         H = K @ Z3
         Q3 = 0.5 * np.swapaxes(Z3, 1, 2) @ E3 @ Z3
         Q4 = 0.5 * np.swapaxes(Z4, 1, 2) @ E4 @ Z4
         Q34 = 0.5 * (np.swapaxes(Z4, 1, 2) @ Zinv @ K @ (D34 @ E4 @ Z4 - 2.0 * Z3)
                      + np.swapaxes(H, 1, 2) @ Zinv @ H)
+    l3, l4 = l
     return lambda x, envelope: _onoff_chi(
         envelope, l3[:, None] + _qform(x, Q3), l4[:, None] + _qform(x, Q4),
         l34[:, None] + _qform(x, Q34))
@@ -301,8 +313,8 @@ def _jacobi(g, one_minus_a, one_minus_b, c):
 
 
 def _ideal_prob(M, W=None):
-    """P of ideal projectors on the ancilla block M (shape (n, 4, 4)), and
-    the sum of the magnitudes of its signed terms.
+    """P of ideal projectors on the ancilla blocks M (shape (..., 4, 4)),
+    and the sum of the magnitudes of its signed terms.
 
     P = 4 (1 + 2 d/dt3)(1 + 2 d/dt4) det(M + t3 E3 + t4 E4)^{-1/2} at t = 1
     = 4 g [(1 - a)(1 - b) + 2c]; the magnitudes sum to
@@ -319,15 +331,15 @@ def _ideal_prob(M, W=None):
     as the identity, so that its P is not finite and only that point is
     unphysical.
     """
-    delta = M - np.eye(4)
-    A = delta + 2.0 * np.eye(4)
+    delta = M - _EYE4
+    A = delta + _TWO_EYE4
     with np.errstate(invalid="ignore", divide="ignore"):
         g = 1.0 / np.sqrt(np.linalg.det(A))
-    Ainv = np.linalg.inv(np.where(np.isfinite(g)[:, None, None], A, np.eye(4)))
+    Ainv = np.linalg.inv(np.where(np.isfinite(g)[..., None, None], A, _EYE4))
     R = 0.5 * Ainv @ delta
-    one_minus_a = np.trace(R[:, :2, :2], axis1=1, axis2=2)
-    one_minus_b = np.trace(R[:, 2:, 2:], axis1=1, axis2=2)
-    c = np.sum(Ainv[:, :2, 2:] ** 2, axis=(1, 2))
+    one_minus_a = _trace2(R[..., :2, :2])
+    one_minus_b = _trace2(R[..., 2:, 2:])
+    c = np.sum(Ainv[..., :2, 2:] ** 2, axis=(-2, -1))
     if W is None:
         return _jacobi(g, one_minus_a, one_minus_b, c)
     Mu = -Ainv @ W
@@ -343,16 +355,18 @@ def _ideal_prob(M, W=None):
 
 def _ancilla_prob(detector: str, eta3, eta4, n: int):
     """`_ideal_prob` or `_onoff_prob` of one detector kind, as a function of
-    the ancilla block and the optional map W; an on/off efficiency outside
+    the ancilla blocks of n points (shape (..., n, 4, 4)) and the optional
+    map W; eta3 and eta4 broadcast to n, and an on/off efficiency outside
     (0, 1], or omitted, raises ValueError."""
     if detector == "ideal":
         return _ideal_prob
     if detector == "on-off":
-        eta3 = np.broadcast_to(np.asarray(eta3, dtype=float), (n,))
-        eta4 = np.broadcast_to(np.asarray(eta4, dtype=float), (n,))
-        if not np.all((0.0 < eta3) & (eta3 <= 1.0) & (0.0 < eta4) & (eta4 <= 1.0)):
+        etas = np.empty((2, n))
+        etas[0], etas[1] = np.asarray(eta3, dtype=float), np.asarray(eta4, dtype=float)
+        if not ((0.0 < etas) & (etas <= 1.0)).all():
             raise ValueError("detector efficiencies must lie in (0, 1]")
-        return lambda M, W=None: _onoff_prob(M, eta3, eta4, W)
+        d = np.sqrt(etas)[[0, 0, 1, 1]].T
+        return lambda M, W=None: _onoff_prob(M, d, W)
     raise ValueError(f"unknown detector kind {detector!r}")
 
 
@@ -364,10 +378,18 @@ def _status(P, p_scale, F):
     (0, 1]; else OK."""
     status = np.full(P.shape, OK)
     status[~((F > 0.0) & (F <= 1.0 + 1e-9) & (P <= 1.0 + 1e-9))] = UNPHYSICAL
-    status[P <= np.maximum(MIN_SUCCESS_PROB,
-                           DEGENERACY_ULPS * np.finfo(float).eps * p_scale)] = DEGENERATE
+    status[P <= np.maximum(MIN_SUCCESS_PROB, _DEGENERACY_FLOOR * p_scale)] = DEGENERATE
     status[~np.isfinite(P)] = UNPHYSICAL
     return status
+
+
+def _lambda_blocks(S):
+    """The lam block (shape (n, 2, 2)) of each exponent S over (lam, b3, b4),
+    and its coupling C (shape (n, 2, 4)) to the ancillas.  The map from lam
+    to the signal coordinates leaves the ancillas alone, so both come from
+    the signal rows of S, and the ancilla block is S's own."""
+    rows = _LAMBDA_MAP_T @ S[:, :4]
+    return rows[:, :, :4] @ _LAMBDA_MAP, rows[:, :, 4:]
 
 
 def heralded_chi(S, detector: str, eta3=None, eta4=None):
@@ -408,28 +430,23 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
 
     One ancilla evaluation covers both integrals: the ancilla blocks of S
     (for P) and the Schur complements of the lam blocks (for P F), stacked
-    into one (2n, 4, 4) array, with the efficiencies tiled to match.  Each
-    point's values are those of two separate evaluations, bit for bit,
-    since every step acts on each matrix of the stack alone.
+    into one (2, n, 4, 4) array, whose two halves both see the n points'
+    efficiencies.  Each point's values are those of two separate
+    evaluations, bit for bit, since every step acts on each matrix of the
+    stack alone.
     """
     S = np.asarray(S, dtype=float)
     n = S.shape[0]
-    if detector == "on-off":  # both blocks of a point see its detectors
-        eta3, eta4 = (np.tile(np.broadcast_to(np.asarray(eta, dtype=float), (n,)), 2)
-                      for eta in (eta3, eta4))
-    prob = _ancilla_prob(detector, eta3, eta4, 2 * n)
+    prob = _ancilla_prob(detector, eta3, eta4, n)
 
     # P F: the lam integral first, which leaves the Schur complement of its
     # block as the ancilla block and a factor (2 pi) / sqrt(det) / pi
-    MF = _LAMBDA_MAP_T @ S @ _LAMBDA_MAP
-    MF[:, 0, 0] += 2.0  # e^{-|lam|^2}
-    MF[:, 1, 1] += 2.0
-    lam, C = MF[:, :2, :2], MF[:, :2, 2:]
-    schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
-    values, scale = prob(np.concatenate([S[:, 4:, 4:], schur]))
-    P, p_scale = values[:n], scale[:n]
+    lam, C = _lambda_blocks(S)
+    lam.reshape(n, 4)[:, ::3] += 2.0  # e^{-|lam|^2}, on the diagonal
+    schur = S[:, 4:, 4:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
+    (P, PF), (p_scale, _) = prob(np.concatenate([S[None, :, 4:, 4:], schur[None]]))
     with np.errstate(invalid="ignore", divide="ignore"):
-        F = 2.0 * values[n:] / np.sqrt(_det2(lam)) / P
+        F = 2.0 * PF / np.sqrt(_det2(lam)) / P
     status = _status(P, p_scale, F)
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status

@@ -247,9 +247,9 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         columns = columns[:, ok]
         columns[_S_ROW] = [row.s_star for row in todo]
     P, F, status = kernel.columns_pf(columns, spec.detector)
-    for row, p, f, st, fails in zip(todo, P, F, status, (status != kernel.OK).tolist()):
-        if fails:
+    for row, p, f, st in zip(todo, P.tolist(), F.tolist(), status.tolist()):
+        if st != kernel.OK:
             row.error = _describe(status_error(p, st))
         else:
-            row.fidelity, row.success_prob = float(f), float(p)
+            row.fidelity, row.success_prob = f, p
     return rows

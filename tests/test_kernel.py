@@ -267,28 +267,83 @@ def test_scheme_pf_is_batch_invariant(cfgs, detector):
         assert got.tobytes() == np.concatenate(alone).tobytes()
 
 
+# the map over (lam, b3, b4) as one 8x6 matrix: the kernel takes only its
+# lam columns, on the signal rows of S
+_FULL_LAMBDA_MAP = np.zeros((8, 6))
+_FULL_LAMBDA_MAP[:4, :2] = [[-1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+_FULL_LAMBDA_MAP[4:, 2:] = np.eye(4)
+
+
+def _separate_det2(X):
+    return X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
+
+
+def _separate_inv2(X):
+    adj = np.empty_like(X)
+    adj[:, 0, 0] = X[:, 1, 1]
+    adj[:, 0, 1] = -X[:, 0, 1]
+    adj[:, 1, 0] = -X[:, 1, 0]
+    adj[:, 1, 1] = X[:, 0, 0]
+    return adj / _separate_det2(X)[:, None, None]
+
+
+def _separate_onoff_prob(M, eta3, eta4, W=None):
+    """kernel._onoff_prob step by step, with the blocks Delta_3 and Delta_4
+    taken one after the other, where the kernel stacks them."""
+    d = np.sqrt(np.concatenate([np.repeat(eta3[:, None], 2, 1),
+                                np.repeat(eta4[:, None], 2, 1)], 1))
+    delta = 0.5 * (M - np.eye(4)) * d[:, :, None] * d[:, None, :]
+    D3, D4 = delta[:, :2, :2], delta[:, 2:, 2:]
+    D34, D43 = delta[:, :2, 2:], delta[:, 2:, :2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        E3, E4 = _separate_inv2(np.eye(2) + D3), _separate_inv2(np.eye(2) + D4)
+        l3 = -0.5 * np.log1p(np.trace(D3, axis1=1, axis2=2) + _separate_det2(D3))
+        l4 = -0.5 * np.log1p(np.trace(D4, axis1=1, axis2=2) + _separate_det2(D4))
+        X = E4 @ D43 @ E3 @ D34
+        l34 = -0.5 * np.log1p(_separate_det2(X) - np.trace(X, axis1=1, axis2=2))
+        if W is None:
+            x3, x4 = np.exp(l3), np.exp(l4)
+            return (np.expm1(l3) * np.expm1(l4) + x3 * x4 * np.expm1(l34),
+                    1.0 + x3 + x4 + x3 * x4 * np.exp(l34))
+        Z = W * d[:, :, None] / np.sqrt(2.0)
+        Z3, Z4 = Z[:, :2], Z[:, 2:]
+        K = D43 @ E3
+        Zinv = _separate_inv2(np.eye(2) + D4 - K @ D34)
+        H = K @ Z3
+        Q3 = 0.5 * np.swapaxes(Z3, 1, 2) @ E3 @ Z3
+        Q4 = 0.5 * np.swapaxes(Z4, 1, 2) @ E4 @ Z4
+        Q34 = 0.5 * (np.swapaxes(Z4, 1, 2) @ Zinv @ K @ (D34 @ E4 @ Z4 - 2.0 * Z3)
+                     + np.swapaxes(H, 1, 2) @ Zinv @ H)
+    return lambda x, envelope: kernel._onoff_chi(
+        envelope, l3[:, None] + kernel._qform(x, Q3), l4[:, None] + kernel._qform(x, Q4),
+        l34[:, None] + kernel._qform(x, Q34))
+
+
 def _two_block_pf(S, detector, eta3, eta4):
     """scheme_pf with the ancilla probability evaluated twice, on S's
-    ancilla block and on the Schur complement of the lam block."""
-    prob = kernel._ancilla_prob(detector, eta3, eta4, len(S))
+    ancilla block and on the Schur complement of the lam block, the lam
+    block taken from the full map product."""
+    if detector == "on-off":
+        prob = lambda M: _separate_onoff_prob(M, eta3, eta4)
+    else:
+        prob = kernel._ideal_prob
     P, p_scale = prob(S[:, 4:, 4:])
-    lam_map = kernel._LAMBDA_MAP
-    MF = np.swapaxes(lam_map, 0, 1) @ S @ lam_map
+    MF = _FULL_LAMBDA_MAP.T @ S @ _FULL_LAMBDA_MAP
     MF[:, 0, 0] += 2.0
     MF[:, 1, 1] += 2.0
     lam, C = MF[:, :2, :2], MF[:, :2, 2:]
-    schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ kernel._inv2(lam) @ C
+    schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ _separate_inv2(lam) @ C
     with np.errstate(invalid="ignore", divide="ignore"):
-        F = 2.0 * prob(schur)[0] / np.sqrt(kernel._det2(lam)) / P
+        F = 2.0 * prob(schur)[0] / np.sqrt(_separate_det2(lam)) / P
     status = kernel._status(P, p_scale, F)
     return P, np.where(status == kernel.OK, np.minimum(F, 1.0), np.nan), status
 
 
-@pytest.mark.parametrize("detector", ["ideal", "on-off"])
-def test_stacked_ancilla_evaluation_equals_two_evaluations(detector):
-    # scheme_pf evaluates both ancilla blocks of every point in one stacked
-    # call; a box reaching r = 30 overflows or singularizes some points,
-    # and vacuum ancillas (r = s = 0, no thermal noise) are degenerate
+def _box():
+    """Source exponents and on/off efficiencies of 400 seeded points.  A box
+    reaching r = 30 overflows or singularizes some points, vacuum ancillas
+    (r = s = 0, no thermal noise) are degenerate, and SINGULAR_IDEAL's
+    ideal-projector block is singular."""
     rng = np.random.default_rng(35)
     n = 400
     r = rng.uniform(0.0, 30.0, n)
@@ -299,12 +354,61 @@ def test_stacked_ancilla_evaluation_equals_two_evaluations(detector):
         rng.integers(0, 2, n), rng.uniform(0.01, 1.0, n), rng.uniform(0.01, 1.0, n)])
     columns[[0, 1, 7], :8] = 0.0
     columns[:, 8] = kernel.columns_of([SINGULAR_IDEAL])[:, 0]
-    S = kernel.source_exponents(*columns[:len(kernel.SOURCE_FIELDS)])
-    etas = columns[len(kernel.SOURCE_FIELDS):]
+    return (kernel.source_exponents(*columns[:len(kernel.SOURCE_FIELDS)]),
+            columns[len(kernel.SOURCE_FIELDS):])
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_stacked_ancilla_evaluation_equals_two_evaluations(detector):
+    # scheme_pf evaluates both ancilla blocks of every point in one stacked
+    # call, and the on/off probability both diagonal blocks of each
+    S, etas = _box()
     stacked = kernel.scheme_pf(S, detector, *etas)
     assert set(stacked[2].tolist()) == {kernel.OK, kernel.DEGENERATE, kernel.UNPHYSICAL}
     for got, expected in zip(stacked, _two_block_pf(S, detector, *etas)):
         assert got.tobytes() == expected.tobytes()
+
+
+def test_stacked_diagonal_blocks_give_the_heralded_chi_of_separate_blocks():
+    S, etas = _box()
+    b1 = np.array([0.0, 0.3 + 0.1j, 1.5, -2.0 + 0.5j])
+    b2 = np.array([0.0, -0.2j, 0.7 - 1.0j, 0.1])
+    x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the points near r = 30
+        ancillas = _separate_onoff_prob(S[:, 4:, 4:], *etas, W=S[:, 4:, :4])
+        expected = ancillas(x, -0.5 * kernel._qform(x, S[:, :4, :4]))
+        got = kernel.heralded_chi(S, "on-off", *etas)(b1, b2)
+    assert not np.isfinite(got).all()
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_inv2_is_the_adjugate_over_the_determinant():
+    # entry by entry in Python floats, the quotient in numpy's, so that a
+    # zero determinant gives inf and nan; a NaN entry keeps its negated sign
+    rng = np.random.default_rng(36)
+    X = rng.standard_normal((64, 2, 2))
+    X[:16, 1] = 2.0 * X[:16, 0]  # determinant exactly zero
+    X[16:48] *= rng.integers(0, 2, (32, 2, 2))  # signed zeros
+    X[48:52] = np.where(rng.random((4, 2, 2)) < 0.5, 0.0, -0.0)
+    X[52, 0, 1], X[53, 1, 0], X[54, 1, 1] = np.nan, -np.nan, np.inf
+    expected = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (a, b), (c, d) in X.tolist():
+            det = a * d - b * c
+            expected.append([[np.float64(d) / det, np.float64(-b) / det],
+                             [np.float64(-c) / det, np.float64(a) / det]])
+        got = kernel._inv2(X)
+    expected = np.array(expected)
+    assert np.isinf(expected).any() and np.isnan(expected).any()
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_lambda_blocks_are_those_of_the_full_map_product():
+    S, _ = _box()
+    MF = _FULL_LAMBDA_MAP.T @ S @ _FULL_LAMBDA_MAP
+    lam, C = kernel._lambda_blocks(S)
+    assert np.array_equal(lam, MF[:, :2, :2]) and np.array_equal(C, MF[:, :2, 2:])
+    assert np.array_equal(S[:, 4:, 4:], MF[:, 2:, 2:])
 
 
 @pytest.mark.parametrize("eta", [0.15, 0.3, 0.5, 0.77])
