@@ -3,16 +3,9 @@
 Everything the closed-form pipeline computes is re-derived here by array
 code on photon-number tensors, with one path per operation:
 
-- pair unitaries: each a list of dense blocks of its conserved quantity
-  (`_block_unitary`), the exact exponentials of the truncated generator's
-  blocks from numpy's `eigh`.  `two_mode_squeeze_operator` and
-  `beam_splitter_operator` assemble every block into a new scipy
-  csr_matrix on every call, for their direct callers; they are the only
-  code that loads scipy, and the oracle calls neither;
-- the squeezer: `apply_two_mode_squeeze`, on two-mode states only, built
-  on a padded pair space from the blocks of n1 - n2 where the state has a
-  nonzero amplitude only, one dense product per block, and the norm it
-  pushes above the cutoffs measured as the leak;
+- the theoretical families: `theoretical_oracle`, each state
+  sum_n c_n |n, n> from the closed form of its Fock amplitudes, exactly
+  normalized, so the norm outside the box is its leak;
 - the scheme's four-mode state: `_scheme_amplitudes`, from the exact
   recurrence of its Gaussian amplitudes, no operator built;
 - loss: `loss_kraus` on two-mode densities, one shifted, weighted
@@ -31,7 +24,14 @@ code on photon-number tensors, with one path per operation:
   in fixed chunks of a few hundred; `char_function_state` takes two-mode
   states only and builds both displacement matrices in one
   `_displacement_batch`;
-- `scheme_oracle` and `theoretical_oracle`, built from the steps above.
+- `scheme_oracle`, built from the steps above.
+
+The pair unitaries are test instruments, which neither oracle calls:
+`two_mode_squeeze_operator` and `beam_splitter_operator` build each block
+of their conserved quantity as the exact exponential of the truncated
+generator's block (`_block_unitary`, from numpy's `eigh`) and assemble
+every block into a new scipy csr_matrix on every call; they are the only
+code that loads scipy.
 
 The scheme is the paper's: linear optics and photon detection on a pair of
 uncorrelated two-mode squeezed states.  Its four-mode state
@@ -57,7 +57,7 @@ folded into the POVM weights and its signal-mode part applied to the
 heralded density before its one normalization.
 
 Both oracles answer at the cutoff they are given, which the caller names:
-a norm leaked above it beyond the tolerance raises CutoffTooSmallError.
+a norm outside its box beyond the tolerance raises CutoffTooSmallError.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ from .symplectic import SqueezeParam
 DEFAULT_LEAK_TOL = 1e-8
 # largest scheme-oracle cutoff
 MAX_CUTOFF = 48
-# smallest r the photon-subtracted oracle accepts.  a1 a2 leaves amplitudes
-# of order r, each carrying the squeezer's rounding of about 1e-16, so the
-# normalized state errs like 1e-32 / r^2: |amps[0, 0]| is off its exact value
-# by 1.8e-5 at r = 1e-13 and by 2.4e-13 at r = 1e-8 (cutoff 48), and by at
-# most 1.4e-14 from r = 1e-7 on (cutoffs 1 to 60)
-_MIN_SUBTRACTION_R = 1e-7
 # points per pass of char_function_batch's phase contraction, so that its
 # (blocks, points) products stay in cache
 _CHI_CHUNK = 256
@@ -89,8 +83,8 @@ _CHI_CHUNK = 256
 class FockTensor:
     """Pure-state amplitude tensor indexed by photon numbers, one axis per mode.
 
-    `leak` accumulates the squared-norm deficits incurred by truncated
-    squeezing operations; it is diagnostic and never renormalized away.
+    `leak` is the squared norm of the state outside the box of its cutoffs
+    (0 for a basis state); it is diagnostic and never renormalized away.
     """
 
     cutoffs: tuple[int, ...]
@@ -152,29 +146,19 @@ def two_mode_squeeze_operator(p: SqueezeParam, dims: tuple[int, int]):
     """exp(-z adag_i adag_j + conj(z) a_i a_j) on the truncated pair space,
     as a scipy csr_matrix.
 
-    The generator conserves n_i - n_j, so the exponential is taken block by
-    block; the result is exactly unitary on the truncated space.
+    The generator conserves q = n_i - n_j, so the exponential is taken block
+    by block; the result is exactly unitary on the truncated space.
     """
-    return _csr(_squeeze_blocks(p, dims, range(-(dims[1] - 1), dims[0])), dims)
-
-
-def _squeeze_blocks(p: SqueezeParam, dims: tuple[int, int], qs) -> list:
-    """The squeezer's blocks q = n_i - n_j in `qs` on the truncated pair
-    space, as `_block_unitary` returns them."""
     d1, d2 = dims
     z = p.amplitude * np.exp(1j * p.phase)
     blocks = []
-    for q in qs:
-        if q >= 0:
-            n2s = np.arange(0, min(d2, d1 - q))
-            n1s = n2s + q
-        else:
-            n1s = np.arange(0, min(d1, d2 + q))
-            n2s = n1s - q
+    for q in range(1 - d2, d1):
+        n1s = np.arange(max(0, q), min(d1, d2 + q))
+        n2s = n1s - q
         # raising both photon numbers by one within the block
         amps = -z * np.sqrt((n1s[:-1] + 1.0) * (n2s[:-1] + 1.0))
         blocks.append((n1s * d2 + n2s, amps))
-    return _block_unitary(blocks)
+    return _csr(_block_unitary(blocks), dims)
 
 
 def beam_splitter_operator(T: float, dims: tuple[int, int]):
@@ -240,58 +224,6 @@ def _csr(blocks, dims: tuple[int, int]):
     D = dims[0] * dims[1]
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(D, D))
-
-
-def _squeezed_padded(state: FockTensor, p: SqueezeParam) -> np.ndarray:
-    """S(p) on a two-mode state, as amplitudes on its pair space padded by
-    max(8, cutoff // 2) levels per mode.  The squeezer conserves n1 - n2, so
-    only the blocks of that quantity where the state has a nonzero
-    amplitude are exponentiated, each one applied as one dense product of
-    its columns inside the state's pair space; every other block of the
-    full product maps exact zeros.  A state of more modes raises
-    ValueError."""
-    if state.amps.ndim != 2:
-        raise ValueError("the two-mode squeezer expects a two-mode state")
-    dims = state.amps.shape
-    pad = max(8, max(state.cutoffs) // 2)
-    padded = (dims[0] + pad, dims[1] + pad)
-    n1, n2 = np.nonzero(state.amps)
-    # the occupied n1 - n2 in rising order (a plain np.unique loads numpy.ma)
-    qs = np.flatnonzero(np.bincount(n1 - n2 + dims[1] - 1)) - (dims[1] - 1)
-    big = np.zeros(padded[0] * padded[1], dtype=complex)
-    for idx, U in _squeeze_blocks(p, padded, qs):
-        m1, m2 = np.divmod(idx, padded[1])
-        inside = (m1 < dims[0]) & (m2 < dims[1])
-        big[idx] = U[:, inside] @ state.amps[m1[inside], m2[inside]]
-    return big.reshape(padded)
-
-
-def _truncated(big: np.ndarray, cutoffs: tuple[int, int], leak: float,
-               leak_tol: float) -> FockTensor:
-    """The block of a two-mode amplitude array within the cutoffs, with the
-    squared norm outside it added to `leak`; CutoffTooSmallError when that
-    norm exceeds `leak_tol`, ValueError on a non-finite amplitude or a NaN
-    `leak_tol`.  Nothing is renormalized."""
-    if not np.isfinite(big).all() or np.isnan(leak_tol):
-        raise ValueError("non-finite amplitudes or a NaN leak tolerance")
-    box = (slice(cutoffs[0] + 1), slice(cutoffs[1] + 1))
-    outside = np.ones(big.shape, dtype=bool)
-    outside[box] = False
-    leaked = big[outside]
-    deficit = float(np.vdot(leaked, leaked).real)
-    if deficit > leak_tol:
-        raise CutoffTooSmallError(
-            f"{deficit:.3e} of the norm leaked above cutoffs {cutoffs}", deficit=deficit)
-    return FockTensor(cutoffs, big[box].copy(), leak=leak + deficit)
-
-
-def apply_two_mode_squeeze(state: FockTensor, p: SqueezeParam,
-                           leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
-    """Apply the two-mode squeezer to a two-mode state, exponentiated on a
-    pair space padded by max(8, cutoff // 2) levels per mode; raise
-    CutoffTooSmallError when the norm leaked above the cutoffs exceeds
-    `leak_tol`, else add it to `leak`."""
-    return _truncated(_squeezed_padded(state, p), state.cutoffs, state.leak, leak_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -704,41 +636,60 @@ def theoretical_oracle(family: str, r: float, delta: float | None = None, *,
                        cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> FockTensor:
     """Fock-space construction of the analytic two-mode resource families.
 
-    Only `squeezed-bell` takes delta; a non-finite delta, or a cutoff below
-    1, raises ValueError.  The ladder families apply a1 a2 or a1^dag a2^dag
-    to the squeezed vacuum on the squeezer's padded pair space and
-    normalize there, so no amplitude within the cutoff is missing and
-    `leak` is the norm above it; above `leak_tol` that norm raises
-    CutoffTooSmallError.  Photon subtraction at r below 1e-7, where the
-    subtracted state would be the squeezer's rounding divided by r (from
-    the vacuum itself at r = 0), raises ZeroNormStateError.
+    Every family is S(r)[cos d|0,0> + sin d|1,1>] with S(r) the squeezer of
+    phase pi, so its state is sum_n c_n |n, n> with closed-form c_n.  With
+    t = tanh r and v_n = t^n / cosh r, the squeezed vacuum:
+
+        twin beam          c_n = v_n
+        a1 a2 S|0,0>       c_n = (n + 1) v_(n+1) / (sinh r sqrt(cosh 2r))
+        a1^dag a2^dag      c_n = n v_(n-1) / (cosh r sqrt(cosh 2r))
+        S|1,1>             c_n = t^(n-1) (n - sinh^2 r) / cosh^3 r
+                           (c_0 = -sinh r / cosh^2 r)
+        squeezed Bell      cos delta v_n + sin delta (S|1,1>)_n
+
+    Each state is exactly normalized, so `leak`, 1 - sum c_n^2 over the box
+    of `cutoff` photons per mode, is the norm outside the box to rounding;
+    above `leak_tol` it raises CutoffTooSmallError.  The amplitudes are
+    taken in t and 1 / cosh r, which are finite at every r, so none
+    overflows where cosh r does.  Only `squeezed-bell` takes delta; a
+    non-finite delta, a cutoff below 1, an r that is negative or not
+    finite, or a NaN `leak_tol` raises ValueError.  Photon subtraction at
+    r = 0 annihilates the vacuum and raises ZeroNormStateError.
     """
     if family != "squeezed-bell" and delta is not None:
         raise ValueError(f"family {family!r} does not take delta")
-    if family == "photon-subtracted" and 0.0 <= r < _MIN_SUBTRACTION_R:
-        raise ZeroNormStateError(
-            f"photon subtraction at r = {r:.3g} < {_MIN_SUBTRACTION_R:g} is lost "
-            "to rounding (at r = 0 it annihilates the vacuum)")
     if cutoff < 1:
         raise ValueError(f"cutoff {cutoff} is below 1")
-    cutoffs = (cutoff, cutoff)
-    p = SqueezeParam(r, np.pi)
-    if family == "squeezed-bell":
+    if not 0.0 <= r < np.inf:
+        raise ValueError("squeezing amplitude must be finite and nonnegative")
+    if np.isnan(leak_tol):
+        raise ValueError("a NaN leak tolerance bounds no leak")
+    n = np.arange(cutoff + 1)
+    t = np.tanh(r)
+    sech = 2.0 * np.exp(-r) / (1.0 + np.exp(-2.0 * r))   # 1 / cosh r, at every r
+    power = t ** n
+    # 1 / (cosh^2 r sqrt(cosh 2r)), with cosh 2r = cosh^2 r (1 + t^2)
+    ladder = sech ** 3 / np.sqrt(1.0 + t * t)
+    vacuum = power * sech
+    number = np.concatenate([[-t], power[:-1] * (n[1:] * sech ** 2 - t * t)]) * sech
+    if family == "twin-beam":
+        c = vacuum
+    elif family == "squeezed-number":
+        c = number
+    elif family == "squeezed-bell":
         if delta is None or not np.isfinite(delta):
             raise ValueError("squeezed-bell requires a finite mixing angle delta")
-        bare = basis_state(cutoffs, (0, 0))
-        bare.amps[0, 0] = np.cos(delta)
-        bare.amps[1, 1] = np.sin(delta)
-    elif family == "twin-beam":
-        bare = vacuum_state(cutoffs)
-    elif family == "squeezed-number":
-        bare = basis_state(cutoffs, (1, 1))
-    elif family in ("photon-subtracted", "photon-added"):
-        sq = _squeezed_padded(vacuum_state(cutoffs), p)
-        a = annihilator(len(sq))
-        op = a if family == "photon-subtracted" else a.conj().T
-        amps = op @ sq @ op.T
-        return _truncated(amps / np.linalg.norm(amps), cutoffs, 0.0, leak_tol)
+        c = np.cos(delta) * vacuum + np.sin(delta) * number
+    elif family == "photon-subtracted":
+        if r == 0.0:
+            raise ZeroNormStateError("photon subtraction annihilates the vacuum")
+        c = (n + 1) * power * ladder
+    elif family == "photon-added":
+        c = n * np.concatenate([[0.0], power[:-1]]) * ladder
     else:
         raise ValueError(f"unknown family {family!r}")
-    return apply_two_mode_squeeze(bare, p, leak_tol)
+    leak = 1.0 - float(c @ c)
+    if leak > leak_tol:
+        raise CutoffTooSmallError(
+            f"{leak:.3e} of the norm lies above cutoffs {(cutoff, cutoff)}", deficit=leak)
+    return FockTensor((cutoff, cutoff), np.diag(c.astype(complex)), leak=leak)

@@ -63,7 +63,7 @@ def apply_pair_operator(amps: np.ndarray, modes, op, out_dims) -> np.ndarray:
     return np.moveaxis(y.reshape(*out_dims, *rest), (0, 1), (i, j))
 
 
-def apply_two_mode_squeeze(state: fs.FockTensor, modes, p) -> tuple[np.ndarray, float]:
+def dense_two_mode_squeeze(state: fs.FockTensor, modes, p) -> tuple[np.ndarray, float]:
     """The squeezer on a dense state padded in both modes of the pair, and
     the squared norm that the padded result holds outside the requested
     cutoffs."""
@@ -127,7 +127,7 @@ def scheme_state(cfg, cutoff: int, pad: int = 0) -> np.ndarray:
     state = fs.vacuum_state((cutoff + pad,) * 4)
     for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
                      ((2, 3), SqueezeParam(cfg.s, cfg.phi_xi))):
-        amps, _ = apply_two_mode_squeeze(state, modes, p)
+        amps, _ = dense_two_mode_squeeze(state, modes, p)
         state = fs.FockTensor(state.cutoffs, amps)
     dim = cutoff + pad + 1
     amps = state.amps

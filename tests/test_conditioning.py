@@ -147,8 +147,7 @@ def test_success_probability_no_mixing_matches_oracle():
     S = scheme_four_mode_char(cfg).exponent[None]
     eta = 0.35
     p = kernel.scheme_pf(S, "on-off", eta, eta)[0][0]
-    anc = fs.apply_two_mode_squeeze(fs.vacuum_state((20, 20)),
-                                    fs.SqueezeParam(0.3, np.pi))
+    anc = fs.theoretical_oracle("twin-beam", 0.3, cutoff=20)
     w = fs.on_off_weights(eta, 21)
     direct = np.einsum("kl,kl,k,l->", anc.amps, anc.amps.conj(), w, w).real
     assert p == pytest.approx(direct, rel=1e-8)

@@ -1,6 +1,7 @@
 """Tests for the truncated-Fock-space oracle."""
 
 import functools
+import itertools
 import tracemalloc
 import warnings
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 from reference import fock_dense
 from scipy.linalg import expm
+from test_acceptance import BETA_GRID_1, BETA_GRID_2
 
 from sqbell import fock_sim as fs
+from sqbell import resources as rs
 from sqbell.conditioning import LossyProjectorWarning
 from sqbell.errors import CutoffTooSmallError, DegeneratePostselectionError, ZeroNormStateError
 from sqbell.resources import SchemeConfig, delta_equivalent
@@ -24,19 +27,31 @@ def dense_squeeze_generator(z, dim):
 
 
 # ---------------------------------------------------------------------------
-# squeezer
+# squeezed states
 # ---------------------------------------------------------------------------
 
 
+_FAMILIES = [("twin-beam", None), ("squeezed-number", None), ("squeezed-bell", 1.1),
+             ("photon-subtracted", None), ("photon-added", None)]
+
+
 def test_squeeze_zero_is_identity():
-    st = fs.basis_state((6, 6), (2, 1))
-    out = fs.apply_two_mode_squeeze(st, SqueezeParam(0.0, np.pi))
-    assert np.allclose(out.amps, st.amps)
+    # at r = 0 every family but photon subtraction (refused there) is its
+    # unsqueezed state
+    bare = {"twin-beam": (1.0, 0.0), "squeezed-number": (0.0, 1.0),
+            "squeezed-bell": (np.cos(1.1), np.sin(1.1)), "photon-added": (0.0, 1.0)}
+    for family, (c00, c11) in bare.items():
+        delta = 1.1 if family == "squeezed-bell" else None
+        expected = fs.basis_state((6, 6), (0, 0)).amps * c00
+        expected[1, 1] = c11
+        st = fs.theoretical_oracle(family, 0.0, delta, cutoff=6)
+        assert np.array_equal(st.amps, expected), family
+        assert st.leak == 0.0
 
 
 def test_squeeze_geometric_profile():
     r = 0.6
-    st = fs.apply_two_mode_squeeze(fs.vacuum_state((18, 18)), SqueezeParam(r, np.pi))
+    st = fs.theoretical_oracle("twin-beam", r, cutoff=18)
     expected = np.array([np.tanh(r) ** n / np.cosh(r) for n in range(10)])
     assert np.max(np.abs(np.diag(st.amps)[:10] - expected)) < 1e-12
     off = st.amps.copy()
@@ -55,8 +70,7 @@ def test_squeeze_matches_naive_power_series():
     for k in range(1, 60):
         term = G @ term / k
         acc += term
-    st = fs.apply_two_mode_squeeze(fs.vacuum_state((dim - 1, dim - 1)),
-                                   SqueezeParam(abs(z), np.pi))
+    st = fs.theoretical_oracle("twin-beam", abs(z), cutoff=dim - 1)
     assert np.max(np.abs(st.amps.reshape(-1)[:60] - acc[:60])) < 1e-10
 
 
@@ -75,73 +89,48 @@ def test_bogoliubov_identity_on_interior():
 
 
 def test_squeeze_norm_preserved_within_leak():
-    st = fs.apply_two_mode_squeeze(fs.vacuum_state((20, 20)), SqueezeParam(0.5, np.pi))
+    st = fs.theoretical_oracle("twin-beam", 0.5, cutoff=20)
     assert np.vdot(st.amps, st.amps).real == pytest.approx(1.0, abs=1e-10)
     assert st.leak < 1e-10
+    # the twin beam's norm above cutoff c is tanh(r)^(2(c + 1)), 8.3e-15
+    # here; the leak is 1 minus the norm in the box, exact to rounding
+    assert abs(st.leak - np.tanh(0.5) ** 42) < 1e-15
 
 
 def test_squeeze_cutoff_too_small():
     with pytest.raises(CutoffTooSmallError) as err:
-        fs.apply_two_mode_squeeze(fs.vacuum_state((4, 4)), SqueezeParam(1.2, np.pi))
+        fs.theoretical_oracle("twin-beam", 1.2, cutoff=4)
     assert err.value.deficit > 1e-8
 
 
-def test_squeezer_refuses_a_four_mode_state():
-    with pytest.raises(ValueError, match="two-mode"):
-        fs.apply_two_mode_squeeze(fs.vacuum_state((4,) * 4), SqueezeParam(0.3, np.pi))
+def test_families_match_the_pair_unitary_at_the_box_edge():
+    # the state reaches the edge of the box (3e-3 of the ladder families'
+    # norm lies above it); the csr squeezer on 180 levels per mode holds it
+    # to rounding, and a1 a2 and a1^dag a2^dag are taken on those levels
+    r, cutoff, dim = 1.5, 48, 180
+    columns = fs.two_mode_squeeze_operator(SqueezeParam(r, np.pi), (dim, dim))[
+        :, [0, dim + 1]].toarray()
+    vacuum, number = columns.T.reshape(2, dim, dim)
+    a = fs.annihilator(dim)
+    expected = {"twin-beam": vacuum, "squeezed-number": number,
+                "squeezed-bell": np.cos(1.1) * vacuum + np.sin(1.1) * number}
+    for family, op in (("photon-subtracted", a), ("photon-added", a.conj().T)):
+        laddered = op @ vacuum @ op.T
+        expected[family] = laddered / np.linalg.norm(laddered)
+    box = slice(cutoff + 1)
+    for family, delta in _FAMILIES:
+        st = fs.theoretical_oracle(family, r, delta, cutoff=cutoff, leak_tol=1e-2)
+        assert np.max(np.abs(st.amps - expected[family][box, box])) < 1e-13, family
+        assert st.leak > 5e-5
 
 
-@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
-def test_squeezer_refuses_non_finite_amplitudes(bad):
-    state = fs.basis_state((4, 4), (1, 1))
-    state.amps[0, 0] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        fs.apply_two_mode_squeeze(state, SqueezeParam(0.3, np.pi))
-
-
-def _squeezer_block_states():
-    """States in several n1 - n2 blocks at once, in one, and in none."""
-    rng = np.random.default_rng(11)
-    dense = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
-    two_blocks = np.zeros((7, 6), dtype=complex)
-    two_blocks[2, 0] = 0.6
-    two_blocks[0, 3] = 0.8j
-    # |2,0> + |0,3> occupies blocks 2 and -3, |1,1> block 0
-    return {"dense": dense, "two-blocks": two_blocks,
-            "one-one": fs.basis_state((6, 5), (1, 1)).amps,
-            "zero": np.zeros((7, 6), dtype=complex)}
-
-
-def _every_block_product(amps, p, padded):
-    """The squeezer on the `padded` pair space applied to the two-mode
-    amplitudes `amps` block by block over every n1 - n2 block: each block's
-    columns inside the pair space of `amps` times their amplitudes."""
-    big = np.zeros(padded[0] * padded[1], dtype=complex)
-    for idx, U in fs._squeeze_blocks(p, padded, range(-(padded[1] - 1), padded[0])):
-        m1, m2 = np.divmod(idx, padded[1])
-        inside = (m1 < amps.shape[0]) & (m2 < amps.shape[1])
-        big[idx] = U[:, inside] @ amps[m1[inside], m2[inside]]
-    return big.reshape(padded)
-
-
-@pytest.mark.parametrize("name", list(_squeezer_block_states()))
-def test_block_restricted_squeezer_matches_full_padded_operator(name):
-    # only the occupied n1 - n2 blocks are exponentiated; amplitudes and leak
-    # are those of the product over every block, bit for bit
-    amps = _squeezer_block_states()[name]
-    state = fs.FockTensor((6, 5), amps)
-    p = SqueezeParam(0.7, 2.0)
-    padded = (7 + 8, 6 + 8)  # max(8, cutoff // 2) levels added per mode
-    ref = fs._truncated(_every_block_product(amps, p, padded), state.cutoffs, 0.0, np.inf)
-    got = fs.apply_two_mode_squeeze(state, p, leak_tol=np.inf)
-    assert got.amps.tobytes() == ref.amps.tobytes()
-    assert got.leak == ref.leak
-    # the full padded operator's columns, summed in another order
-    inner = (np.arange(7)[:, None] * padded[1] + np.arange(6)).ravel()
-    full = fs.two_mode_squeeze_operator(p, padded).toarray()[:, inner] @ amps.reshape(-1)
-    assert np.max(np.abs(got.amps - full.reshape(padded)[:7, :6])) < 1e-14
-    if name == "zero":
-        assert not np.any(got.amps) and got.leak == 0.0
+@pytest.mark.parametrize("r", [30.0, 800.0])
+def test_families_leak_everything_at_large_squeezing(r):
+    # the in-box norm is below 1e-24 at r = 30 and cosh r overflows at
+    # r = 800; either way the leak is the whole norm, with no warning
+    for family, delta in _FAMILIES:
+        st = fs.theoretical_oracle(family, r, delta, cutoff=20, leak_tol=1.0)
+        assert abs(st.leak - 1.0) < 1e-12, family
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +286,26 @@ def test_project_single_photon_degenerate():
                                                    *_single_photon(4))
 
 
+def _unsqueezed_herald(cfg, r):
+    """Modes 1 and 2 of the dense scheme state at cutoff 36 heralded on
+    |1, 1> and squeezed back by S(r) of phase 0, the inverse of the phase-pi
+    squeezer: a squeezer on modes 1 and 2 commutes with projecting modes 3
+    and 4, so it acts on the projected pair."""
+    st4 = _dense_scheme_state(cfg, 36)
+    psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
+    un, deficit = fock_dense.dense_two_mode_squeeze(psi, (0, 1), SqueezeParam(r, 0.0))
+    assert deficit < 1e-3
+    return un
+
+
 def test_small_kappa_amplitudes_match_leading_order():
     # conditioned amplitudes approach (s + k^2 sh ch, k^2 sh^2) as T -> 1
     r, T = 1.0, 0.999
     kappa2 = np.arctan(np.sqrt((1 - T) / T)) ** 2
     s = 1.1 * kappa2
     cfg = SchemeConfig(r=r, s=s, T1=T, T2=T)
-    st4 = _dense_scheme_state(cfg, 36)
-    psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
-    un = fs.apply_two_mode_squeeze(psi, SqueezeParam(r, 0.0), leak_tol=1e-3)
-    c00, c11 = un.amps[0, 0].real, un.amps[1, 1].real
+    un = _unsqueezed_herald(cfg, r)
+    c00, c11 = un[0, 0].real, un[1, 1].real
     lam = -s / kappa2
     c00_th = -lam + np.sinh(r) * np.cosh(r)
     c11_th = np.sinh(r) ** 2
@@ -322,10 +321,8 @@ def test_delta_formula_error_shrinks_with_kappa():
     def mismatch(T):
         kappa2 = np.arctan(np.sqrt((1 - T) / T)) ** 2
         cfg = SchemeConfig(r=r, s=1.1 * kappa2, T1=T, T2=T)
-        st4 = _dense_scheme_state(cfg, 36)
-        psi = fs.FockTensor(st4.cutoffs[:2], st4.amps[:, :, 1, 1])
-        un = fs.apply_two_mode_squeeze(psi, SqueezeParam(r, 0.0), leak_tol=1e-3)
-        measured = np.arctan2(un.amps[1, 1].real, un.amps[0, 0].real)
+        un = _unsqueezed_herald(cfg, r)
+        measured = np.arctan2(un[1, 1].real, un[0, 0].real)
         return abs(measured - delta_equivalent(cfg)) / kappa2
 
     assert mismatch(0.999) == pytest.approx(mismatch(0.99), rel=0.35)
@@ -364,11 +361,11 @@ def test_povm_no_mixing_recovers_signal_tmsv():
     st4 = _dense_scheme_state(cfg, 16)
     w = fs.on_off_weights(0.4, 17)
     rho, success = fock_dense.condition_with_diagonal_weights(st4, w, w)
-    tb = fs.apply_two_mode_squeeze(fs.vacuum_state((16, 16)), SqueezeParam(0.6, np.pi))
+    tb = fs.theoretical_oracle("twin-beam", 0.6, cutoff=16)
     pure = np.outer(tb.amps.reshape(-1), tb.amps.conj().reshape(-1))
     assert np.max(np.abs(rho - pure)) < 1e-9
     # heralding rate equals the on/off coincidence rate of the bare ancilla
-    anc = fs.apply_two_mode_squeeze(fs.vacuum_state((16, 16)), SqueezeParam(0.3, np.pi))
+    anc = fs.theoretical_oracle("twin-beam", 0.3, cutoff=16)
     direct = np.einsum("kl,kl,k,l->", anc.amps, anc.amps.conj(), w, w).real
     assert success == pytest.approx(direct, rel=1e-8)
 
@@ -430,7 +427,7 @@ def test_char_function_vacuum():
 
 
 def test_char_function_tmsv_vs_closed_form():
-    st = fs.apply_two_mode_squeeze(fs.vacuum_state((30, 30)), SqueezeParam(0.5, np.pi))
+    st = fs.theoretical_oracle("twin-beam", 0.5, cutoff=30)
     chi = two_mode_squeezed_char(SqueezeParam(0.5, np.pi))
     for b1, b2 in ((0.8 + 0.6j, -1.0 + 0.5j), (1.5, 1.2j), (0.0, 0.0)):
         assert fs.char_function_state(st, b1, b2) == pytest.approx(
@@ -693,15 +690,18 @@ def test_cutoff_convergence_of_oracle_numbers():
 
 @pytest.mark.parametrize("cutoff", [8, 48])
 def test_photon_subtraction_refused_below_its_bound(cutoff):
-    # a1 a2 on the squeezed vacuum leaves n tanh(r)^(n-1) |n-1, n-1>
-    # before normalization, so |amps[0, 0]| is 1 - 2 r^2 + O(r^4)
-    bound = fs._MIN_SUBTRACTION_R
-    st = fs.theoretical_oracle("photon-subtracted", bound, cutoff=cutoff)
-    n = np.arange(1, cutoff + 1)
-    exact = 1.0 / np.sqrt(np.sum(n ** 2 * np.tanh(bound) ** (2 * n - 2)))
-    assert abs(abs(st.amps[0, 0]) - exact) < 1e-12
-    assert abs(abs(st.amps[0, 0]) - 1.0) < 1e-12
-    for r in (np.nextafter(bound, 0.0), 1e-13, 0.0):
+    # a1 a2 S(r)|0,0> / (sinh r sqrt(cosh 2r)) has the amplitude
+    # 1 / (cosh^2 r sqrt(cosh 2r)) on |0, 0> at every r with sinh r > 0,
+    # down to the smallest subnormal; only r = 0 annihilates the vacuum
+    b1, b2 = np.array(list(itertools.product(BETA_GRID_1, BETA_GRID_2))).T
+    for r in (1e-7, 1e-13, 1e-300, 5e-324):
+        st = fs.theoretical_oracle("photon-subtracted", r, cutoff=cutoff)
+        exact = 1.0 / (np.cosh(r) ** 2 * np.sqrt(np.cosh(2 * r)))
+        assert abs(abs(st.amps[0, 0]) - exact) < 1e-15
+        chi = rs.theoretical_state("photon-subtracted", r).chi(b1, b2)
+        assert np.max(np.abs([fs.char_function_state(st, x, y) for x, y in zip(b1, b2)]
+                             - chi)) < 1e-12
+    for r in (0.0, -0.0):
         with pytest.raises(ZeroNormStateError, match="photon subtraction"):
             fs.theoretical_oracle("photon-subtracted", r, cutoff=cutoff)
 
@@ -754,9 +754,8 @@ def test_ladder_leak_is_the_norm_outside_the_box(family, r, cutoff):
     assert st.leak == pytest.approx(outside, rel=1e-3)
     assert np.vdot(st.amps, st.amps).real + st.leak == pytest.approx(1.0, abs=1e-14)
     # every amplitude of the box is kept: squeezing only up to the cutoff
-    # misses photon subtraction's (20, 20) one, 3.8e-4 at r = 0.7; what is
-    # left is the padded squeezer's own truncation, 3e-9 at that corner
-    assert np.max(np.abs(st.amps - box)) < 1e-8
+    # misses photon subtraction's (20, 20) one, 3.8e-4 at r = 0.7
+    assert np.max(np.abs(st.amps - box)) < 1e-14
 
 
 def test_ladder_leak_above_tolerance_is_raised():
@@ -836,36 +835,8 @@ def test_density_validate():
 
 
 # ---------------------------------------------------------------------------
-# skipped zeros: the squeezer and conditioning
+# skipped zeros: conditioning
 # ---------------------------------------------------------------------------
-
-
-def _pair_states(rng):
-    """Two-mode amplitude arrays with and without all-zero columns."""
-    dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    sparse_cols = dense.copy()
-    sparse_cols[:, 1::2] = 0.0
-    vacuum = fs.vacuum_state((5, 5)).amps
-    squeezed = fs.apply_two_mode_squeeze(fs.vacuum_state((5, 5)), SqueezeParam(0.3, np.pi),
-                                         leak_tol=1.0).amps
-    return [dense, sparse_cols, vacuum, squeezed]
-
-
-@pytest.mark.parametrize("modes", [(0, 1), (1, 0)])
-def test_pair_operator_skips_zero_columns_exactly(modes):
-    rng = np.random.default_rng(5)
-    p = SqueezeParam(0.7, 2.0)
-    # the squeezer is built on 6 + 8 levels per mode and applied by its
-    # columns of the 6-level pair space; the state is given in `modes` order
-    inner = (np.arange(6)[:, None] * 14 + np.arange(6)).ravel()
-    op = fs.two_mode_squeeze_operator(p, (14, 14)).toarray()[np.ix_(inner, inner)]
-    for amps in _pair_states(rng):
-        x = np.moveaxis(amps, modes, (0, 1))
-        got = fs.apply_two_mode_squeeze(fs.FockTensor((5, 5), x), p, leak_tol=np.inf)
-        # the product over every block, bit for bit
-        assert got.amps.tobytes() == _every_block_product(x, p, (14, 14))[:6, :6].tobytes()
-        # a dense product sums in another order
-        assert np.max(np.abs(got.amps.reshape(-1) - op @ x.reshape(-1))) < 1e-14
 
 
 _CONDITIONING_CFG = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9)
@@ -902,39 +873,6 @@ def test_conditioning_on_zero_weights_is_degenerate():
 # ---------------------------------------------------------------------------
 # sparse contractions against the dense references
 # ---------------------------------------------------------------------------
-
-
-def _two_mode_states():
-    """A squeezed vacuum, a basis state and a dense random two-mode state."""
-    rng = np.random.default_rng(3)
-    dense = rng.normal(size=(11, 9)) + 1j * rng.normal(size=(11, 9))
-    return [fs.apply_two_mode_squeeze(fs.vacuum_state((10, 10)), SqueezeParam(0.5, np.pi),
-                                      leak_tol=1e-6),
-            fs.basis_state((12, 9), (1, 1)),
-            fs.FockTensor((10, 8), dense / np.linalg.norm(dense))]
-
-
-@pytest.mark.parametrize("modes", [(0, 1), (2, 3), (3, 1)])
-def test_squeeze_matches_padded_dense_reference(modes):
-    # the twin beam squeezed on its own, then set on `modes` of a four-mode
-    # product state, against the dense squeezer padded on those modes
-    p = SqueezeParam(0.4, 2.5)
-    rng = np.random.default_rng(4)
-    spectator = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    spectator /= np.linalg.norm(spectator)
-    rest = tuple(m for m in range(4) if m not in modes)
-
-    def on_modes(pair):
-        return np.moveaxis(np.multiply.outer(pair, spectator), (0, 1, 2, 3), modes + rest)
-
-    for state in _two_mode_states():
-        # a dense random state leaks a lot; the deficit is compared, not gated
-        got = fs.apply_two_mode_squeeze(state, p, leak_tol=1.0)
-        amps = on_modes(state.amps)
-        four = fs.FockTensor(tuple(d - 1 for d in amps.shape), amps, leak=state.leak)
-        ref, deficit = fock_dense.apply_two_mode_squeeze(four, modes, p)
-        assert np.max(np.abs(on_modes(got.amps) - ref)) < 1e-14
-        assert abs(got.leak - state.leak - deficit) < 1e-15
 
 
 _PROTO_CONFIGS = {

@@ -60,8 +60,8 @@ def modules_after(code: str, package: str) -> str:
     return out.strip().splitlines()[-1]
 
 
-# the Fock oracle's path: the lossy scheme for both detector kinds, chi of a
-# density and of a pure state
+# the Fock oracle's path: the lossy scheme for both detector kinds, every
+# theoretical family, chi of a density and of a pure state
 ORACLE_PATH = """
 import warnings
 import numpy as np
@@ -72,7 +72,10 @@ for detector in ("ideal", "on-off"):
     cfg = SchemeConfig(r=0.3, s=0.05, T_loss=0.85)
     rho, _ = fs.scheme_oracle(cfg, detector, cutoff=8)
     fs.char_function_batch(rho, np.array([0.1, 0.2j]), np.array([0.3, -0.1]))
-state = fs.theoretical_oracle("photon-subtracted", 0.5, cutoff=20)
+for family in ("twin-beam", "photon-subtracted", "photon-added", "squeezed-number"):
+    state = fs.theoretical_oracle(family, 0.5, cutoff=20)
+    fs.char_function_state(state, 0.1, 0.2j)
+state = fs.theoretical_oracle("squeezed-bell", 0.5, 0.6, cutoff=20)
 fs.char_function_state(state, 0.1, 0.2j)
 """
 
@@ -90,8 +93,8 @@ def test_fock_oracle_path_loads_no_scipy_module():
 
 def test_fock_oracle_path_loads_no_numpy_ma():
     # a plain np.unique(x) imports numpy.ma (through np.ma.is_masked), which
-    # costs a fresh process 11-17 ms; the oracle takes distinct small
-    # integers from a bincount instead
+    # costs a fresh process 11-17 ms; the oracle calls np.unique only with
+    # return_inverse, which does not
     assert modules_after(ORACLE_PATH, "numpy.ma") == "[]"
 
 
