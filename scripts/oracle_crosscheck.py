@@ -10,7 +10,7 @@ Gauss-Hermite quadrature of (1/pi) int d^2 lam e^(-|lam|^2) chi(-conj(lam),
 
 At the default cutoff, 40, the worst deviations are 8.4e-13 on |dchi|,
 1.3e-13 on the success probability's relative deviation and 6.0e-12 on
-|dF|.  The script exits 1 when any exceeds 1e-11, 1e-11 or 1e-10
+|dF|; at the largest, 48, 2.3e-15, 3.1e-15 and 2.5e-14.  The script exits 1 when any exceeds 1e-11, 1e-11 or 1e-10
 respectively; criterion 6 of the acceptance tests allows 1e-6, 1e-6 and
 1e-5 at cutoff 25.  A smaller cutoff leaves more of the state truncated
 and may exit 1.

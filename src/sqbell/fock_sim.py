@@ -8,22 +8,23 @@ code on photon-number tensors, with one path per operation:
   normalized, so the norm outside the box is its leak;
 - the scheme's four-mode state: `_scheme_amplitudes`, from the exact
   recurrence of its Gaussian amplitudes, no operator built;
-- loss: `loss_kraus` on two-mode densities, one shifted, weighted
-  indexed add per Kraus order of a suffix of the nonzero entries, sorted
-  once by min(p, q);
+- loss: `loss_kraus` on two-mode densities, entries in and entries out:
+  one shifted, weighted indexed add per Kraus order of a suffix of the
+  nonzero entries, sorted once by min(p, q), into compact slots, one per
+  point of each ray the entries move along;
 - heralding: `_herald` of the scheme's amplitudes on diagonal POVM weights
   (`lossy_projector_weights`, `on_off_weights`), one batched GEMM over the
-  groups of n3 - n4, and the oracle's own density divided in place by its
-  trace, its one normalization, which raises on a zero heralding
-  probability;
+  groups of n3 - n4, whose block entries are the density's, and the
+  oracle's own density's values divided in place by its trace, its one
+  normalization, which raises on a zero heralding probability;
 - characteristic functions: `char_function_batch` (`char_function` and
   `char_function_state` at one point), Tr[rho D1 D2] with every displacement
   element a complex phase per amplitude times a real Laguerre factor per
   distinct |beta|^2 (`_phases`, `_laguerre_factors`); the sums of every shift
-  block are gathered first and contracted with the phases over the points
-  in fixed chunks of a few hundred; `char_function_state` takes two-mode
-  states only and builds both displacement matrices in one
-  `_displacement_batch`;
+  block are gathered first, from the density's entries, and contracted with
+  the phases over the points in fixed chunks of a few hundred;
+  `char_function_state` takes two-mode states only and builds both
+  displacement matrices in one `_displacement_batch`;
 - `scheme_oracle`, built from the steps above.
 
 The pair unitaries are test instruments, which neither oracle calls:
@@ -44,11 +45,15 @@ dense four-mode tensor.
 The states the oracle builds are mostly exact zeros: squeezers conserve
 n_i - n_j, beam splitters n_k + n_l, and the loss Kraus maps and diagonal
 POVMs shift ket and bra together, so the scheme's four-mode state is
-nonzero only where n1 + n3 = n2 + n4 (11.7k of 457k amplitudes at cutoff
-25).  Every costly contraction runs over the nonzero entries only, and
-each skipped term is an exact zero.  The loss and characteristic-function
-steps take any density; `_herald` relies on n1 + n3 = n2 + n4, which its
-only input, `_scheme_amplitudes`, has by construction.
+nonzero only where n1 + n3 = n2 + n4, and its heralded density only where
+n2 - n1 = n2' - n1' (11.7k of 457k entries at cutoff 25).  So a
+`FockDensity` is held as its nonzero entries, and each step makes its
+output's entries from its input's: no step scans or allocates a dense
+d^2 x d^2 matrix, every costly contraction runs over the nonzero entries
+only, and each skipped term is an exact zero.  The loss and
+characteristic-function steps take any density; `_herald` relies on
+n1 + n3 = n2 + n4, which its only input, `_scheme_amplitudes`, has by
+construction.
 
 The scheme oracle models pure loss of one transmissivity on every mode
 only and has one pipeline: the recurrence's amplitudes, the heralded
@@ -97,20 +102,57 @@ class FockTensor:
             raise ValueError(f"amplitude shape {self.amps.shape} != {expected}")
 
 
-@dataclass
 class FockDensity:
-    """Two-mode density operator in the product Fock basis."""
+    """Two-mode density operator in the product Fock basis, held as its
+    nonzero entries: `flat`, each entry's index into the flattened (d, d)
+    matrix, d = (cutoffs[0] + 1)(cutoffs[1] + 1), once each and in any
+    order, and `values`, the entries.
 
-    cutoffs: tuple[int, int]
-    matrix: np.ndarray
+    `FockDensity(cutoffs, matrix)` takes the entries of a dense matrix with
+    one scan and keeps no reference to it; the oracle's own steps build
+    their densities from entries they already know (`from_entries`), so
+    none scans or allocates a d^2-element array.  `matrix` is built from
+    the entries on first access and cached, read-only.
+    """
 
-    def __post_init__(self):
-        d = (self.cutoffs[0] + 1) * (self.cutoffs[1] + 1)
-        if self.matrix.shape != (d, d):
+    def __init__(self, cutoffs: tuple[int, int], matrix: np.ndarray):
+        self.cutoffs = tuple(cutoffs)
+        if matrix.shape != (self.dim, self.dim):
             raise ValueError("density matrix shape mismatch")
+        self.flat = np.flatnonzero(matrix)
+        self.values = matrix.reshape(-1)[self.flat]
+        self._matrix = None
+
+    @classmethod
+    def from_entries(cls, cutoffs: tuple[int, int], flat: np.ndarray,
+                     values: np.ndarray) -> FockDensity:
+        """The density whose nonzero entries are `values` at the distinct
+        flat indices `flat`, both taken as they are, without a copy."""
+        rho = cls.__new__(cls)
+        rho.cutoffs, rho.flat, rho.values, rho._matrix = tuple(cutoffs), flat, values, None
+        return rho
+
+    @property
+    def dim(self) -> int:
+        return (self.cutoffs[0] + 1) * (self.cutoffs[1] + 1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            matrix = np.zeros(self.dim ** 2, dtype=self.values.dtype)
+            matrix[self.flat] = self.values
+            matrix.flags.writeable = False
+            self._matrix = matrix.reshape(self.dim, self.dim)
+        return self._matrix
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        # the diagonal's entries, as the complex vector np.trace would sum,
+        # so that the rounding is the same
+        d = self.dim
+        diagonal = self.flat % (d + 1) == 0
+        vector = np.zeros(d, dtype=complex)
+        vector[self.flat[diagonal] // (d + 1)] = self.values[diagonal]
+        return float(vector.sum().real)
 
     def validate(self) -> None:
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
@@ -251,35 +293,46 @@ def _loss_kraus_bands(T: float, dim: int) -> list[np.ndarray]:
 def loss_kraus(rho: FockDensity, mode: int, T: float) -> FockDensity:
     """Loss channel on one mode of a two-mode density operator.
 
-    Sum over m of K_m rho K_m^dag.  K_m has the single band K_m[i, i + m],
+    Sum over m of K_m rho K_m^dag, from the density's entries to the
+    output's, with no dense matrix.  K_m has the single band K_m[i, i + m],
     so order m moves every nonzero entry whose lossy-mode ket and bra photon
     numbers p and q are both at least m to (p - m, q - m), weighted by
-    band[p - m] band[q - m]: one indexed add per order, whose destinations
-    are distinct.  The nonzero entries are sorted once by min(p, q), so the
+    band[p - m] band[q - m]: it moves flat index f to f - m step.  So each
+    entry lies on a ray that ends at f - min(p, q) step, and the entries on
+    one ray share a compact run of slots, one per point from the ray's end
+    to its highest entry, in which order m adds to slot - m: one indexed
+    add per order, whose destinations are distinct, into an array as long
+    as the rays, not d^4.  The entries are sorted once by min(p, q), so the
     entries of each order are a suffix of them, sliced, not masked.  The
     orders are added in rising m, as the order-by-order sum would, and the
-    cost is set by the nonzero entries times their orders, not d^4 per
-    order.  A mode other than 0 or 1 raises ValueError.
+    exact zeros of the sum are dropped.  A mode other than 0 or 1 raises
+    ValueError.
     """
     if mode not in (0, 1):
         raise ValueError(f"mode {mode} is not 0 or 1")
-    tensor = rho.as_tensor()
-    flat = np.flatnonzero(tensor != 0)
-    idx = np.unravel_index(flat, tensor.shape)
+    shape = (rho.cutoffs[0] + 1, rho.cutoffs[1] + 1) * 2
+    idx = np.unravel_index(rho.flat, shape)
     lowest = np.minimum(idx[mode], idx[mode + 2])
     order = np.argsort(lowest)
-    flat, lowest = flat[order], lowest[order]
+    flat, lowest, values = rho.flat[order], lowest[order], rho.values[order]
     p, q = idx[mode][order], idx[mode + 2][order]
-    values = tensor.reshape(-1)[flat]
     # order m lowers the ket and bra photon numbers of the lossy mode by m
     shift = np.zeros(4, dtype=int)
     shift[[mode, mode + 2]] = 1
-    step = np.ravel_multi_index(shift, tensor.shape)
-    out = np.zeros(tensor.size, dtype=complex)
+    step = np.ravel_multi_index(shift, shape)
+    ends, ray = np.unique(flat - lowest * step, return_inverse=True)
+    length = np.zeros(len(ends), dtype=int)
+    np.maximum.at(length, ray, lowest + 1)
+    start = np.cumsum(length) - length                    # each ray's first slot
+    slot = start[ray] + lowest
+    out = np.zeros(length.sum(), dtype=complex)
     bands = _loss_kraus_bands(T, rho.cutoffs[mode] + 1)
     for m, (band, first) in enumerate(zip(bands, np.searchsorted(lowest, range(len(bands))))):
-        out[flat[first:] - m * step] += band[p[first:] - m] * band[q[first:] - m] * values[first:]
-    return FockDensity(rho.cutoffs, out.reshape(rho.matrix.shape))
+        out[slot[first:] - m] += band[p[first:] - m] * band[q[first:] - m] * values[first:]
+    # slot s of a ray starting at slot `start` is its end plus (s - start) steps
+    out_flat = np.repeat(ends - start * step, length) + np.arange(len(out)) * step
+    kept = out != 0
+    return FockDensity.from_entries(rho.cutoffs, out_flat[kept], out[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +463,17 @@ def _distinct_pairs(b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _shift_columns(rho: FockDensity) -> tuple[np.ndarray, ...]:
-    """The nonzero entries rho[m, n, k, l] as the table t[min(k, m), column],
-    one column per (q1, q2, min(l, n)) with the shifts q1 = k - m and
-    q2 = l - n, ordered by q1, then q2, then min(l, n); and per column its
-    q1, q2, min(l, n) and the key of its (q1, q2) block."""
+    """The density's entries rho[m, n, k, l], read from `rho.flat` and
+    `rho.values` with no scan of its matrix, as the table t[min(k, m),
+    column], one column per (q1, q2, min(l, n)) with the shifts q1 = k - m
+    and q2 = l - n, ordered by q1, then q2, then min(l, n); and per column
+    its q1, q2, min(l, n) and the key of its (q1, q2) block."""
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
-    flat = np.flatnonzero(rho.matrix != 0)
-    m, n, k, l = np.unravel_index(flat, (d0, d1, d0, d1))
+    m, n, k, l = np.unravel_index(rho.flat, (d0, d1, d0, d1))
     key = ((k - m + d0 - 1) * (2 * d1 - 1) + l - n + d1 - 1) * d1 + np.minimum(l, n)
     keys, col = np.unique(key, return_inverse=True)
     t = np.zeros((d0, len(keys)), dtype=complex)
-    t[np.minimum(k, m), col] = rho.matrix.reshape(-1)[flat]
+    t[np.minimum(k, m), col] = rho.values
     block, j2 = np.divmod(keys, d1)
     q1, q2 = np.divmod(block, 2 * d1 - 1)
     return t, q1 - (d0 - 1), q2 - (d1 - 1), j2, block
@@ -545,16 +598,20 @@ def _scheme_amplitudes(cfg: SchemeConfig, cutoff: int) -> np.ndarray:
     return psi
 
 
-def _herald(psi: np.ndarray, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
+def _herald(psi: np.ndarray, w3: np.ndarray,
+            w4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized heralded density of modes 1 and 2, the sum over (n3, n4)
     of w3[n3] w4[n4] <n3, n4|psi><psi|n3, n4>, from the amplitudes
-    psi[M, n1, n2] of `_scheme_amplitudes`.
+    psi[M, n1, n2] of `_scheme_amplitudes`, as its nonzero entries: their
+    flat indices into the (d^2, d^2) matrix and their values.
 
     An outcome (n3, n4) heralds only the rows of its group
     g = n2 - n1 = n3 - n4, so the density is block diagonal in g: each block
     is A_g diag(w3[n3] w4[n3 - g]) A_g^dag with A_g[n1, n3] =
-    psi[n1 + n3, n1, n1 + g], every block in one batched GEMM, and each is
-    placed by plain assignment, since no two groups share a row."""
+    psi[n1 + n3, n1, n1 + g], every block in one batched GEMM.  No two
+    groups share a row, so the entries of the blocks' rows that lie in the
+    box are the density's, each once; its exact zeros are dropped, and no
+    (d^2, d^2) array is built."""
     d = psi.shape[1]
     g = np.arange(1 - d, d)[:, None, None]
     n1, n3 = np.ogrid[:d, :d]
@@ -565,9 +622,9 @@ def _herald(psi: np.ndarray, w3: np.ndarray, w4: np.ndarray) -> np.ndarray:
     G = (A * W[:, None]) @ A.conj().transpose(0, 2, 1)
     pair = row & row.transpose(0, 2, 1)
     flat = n1 * d + n2
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    rho.reshape(-1)[(flat * d * d + flat.transpose(0, 2, 1))[pair]] = G[pair]
-    return rho
+    values = G[pair]
+    kept = values != 0
+    return (flat * d * d + flat.transpose(0, 2, 1))[pair][kept], values[kept]
 
 
 def _detector_weights(cfg: SchemeConfig, detector: str,
@@ -613,8 +670,8 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal", *,
     if deficit > DEFAULT_LEAK_TOL:
         raise CutoffTooSmallError(f"{deficit:.3e} of the four-mode norm lies above "
                                   f"cutoffs {(cutoff,) * 4}", deficit=deficit)
-    rho = FockDensity((cutoff, cutoff),
-                      _herald(psi, *_detector_weights(cfg, detector, cutoff + 1)))
+    rho = FockDensity.from_entries(
+        (cutoff, cutoff), *_herald(psi, *_detector_weights(cfg, detector, cutoff + 1)))
     del psi  # heralded: the amplitudes need not outlive the loss step
     success = rho.trace()
     if cfg.T_loss < 1.0:
@@ -624,11 +681,11 @@ def scheme_oracle(cfg: SchemeConfig, detector: str = "ideal", *,
     trace = rho.trace()
     if trace <= 1e-300:
         raise DegeneratePostselectionError(f"conditioning probability {trace:.3e} is degenerate")
-    # the oracle's one normalization: rho's complex matrix was built here, so
-    # it is divided in place, with no copy; numpy divides a complex by a real
-    # as both parts times the reciprocal, so this is rho.matrix / trace bit
+    # the oracle's one normalization: rho's entries were built here, so they
+    # are divided in place, with no copy; numpy divides a complex by a real
+    # as both parts times the reciprocal, so this is rho.values / trace bit
     # for bit (up to the sign of a zero)
-    rho.matrix.view(float)[...] *= 1.0 / trace
+    rho.values.view(float)[...] *= 1.0 / trace
     return rho, success
 
 

@@ -563,9 +563,27 @@ def test_char_function_batch_matches_dense_contraction(density):
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
+def _zero_densities():
+    """Densities with no nonzero entry, scanned from a zero matrix and
+    built from no entries, as the oracle's degenerate heralding makes one."""
+    return [fs.FockDensity((4, 6), np.zeros((35, 35), dtype=complex)),
+            fs.FockDensity.from_entries((4, 6), np.zeros(0, dtype=int),
+                                        np.zeros(0, dtype=complex))]
+
+
 def test_char_function_batch_of_zero_density_is_zero():
-    rho = fs.FockDensity((4, 6), np.zeros((35, 35), dtype=complex))
-    assert not np.any(fs.char_function_batch(rho, [0.0, 0.3j], [0.5, -0.2]))
+    for rho in _zero_densities():
+        assert len(rho.flat) == 0
+        assert not np.any(fs.char_function_batch(rho, [0.0, 0.3j], [0.5, -0.2]))
+
+
+def test_loss_of_zero_density_is_zero():
+    for rho in _zero_densities():
+        assert rho.trace() == 0.0
+        for mode in (0, 1):
+            lost = fs.loss_kraus(rho, mode, 0.7)
+            assert len(lost.flat) == 0 and lost.trace() == 0.0
+            assert lost.matrix.shape == (35, 35) and not np.any(lost.matrix)
 
 
 def _repeated_moduli_batches(rng):
@@ -825,6 +843,10 @@ def test_scheme_oracle_degenerate_heralding(detector, T_loss):
         warnings.simplefilter("ignore", LossyProjectorWarning)
         with pytest.raises(DegeneratePostselectionError):
             fs.scheme_oracle(cfg, detector, cutoff=12)
+        # the heralded density has no nonzero entry, which the loss takes
+        flat, values = fs._herald(fs._scheme_amplitudes(cfg, 12),
+                                  *fs._detector_weights(cfg, detector, 13))
+    assert flat.size == values.size == 0
 
 
 def test_density_validate():
@@ -846,6 +868,17 @@ def _conditioning_state():
     return _boxed_scheme_state(_CONDITIONING_CFG, 10)
 
 
+def _heralded_matrix(psi, w3, w4):
+    """The entries `fs._herald` returns, each a distinct nonzero one,
+    scattered into the dense heralded matrix."""
+    flat, values = fs._herald(psi, w3, w4)
+    assert len(np.unique(flat)) == len(flat) and np.all(values != 0)
+    d = psi.shape[1] ** 2
+    rho = np.zeros(d * d, dtype=complex)
+    rho[flat] = values
+    return rho.reshape(d, d)
+
+
 @pytest.mark.parametrize("weights", [
     lambda dim: ((np.arange(dim) == 1).astype(float),) * 2,
     lambda dim: (fs.on_off_weights(0.3, dim), fs.on_off_weights(0.7, dim)),
@@ -855,7 +888,7 @@ def test_conditioning_matches_full_einsum(weights):
     # the oracle's heralding of its own amplitudes, normalized, against the
     # einsum conditioning of the dense reference state
     w3, w4 = weights(11)
-    rho = fs._herald(fs._scheme_amplitudes(_CONDITIONING_CFG, 10), w3, w4)
+    rho = _heralded_matrix(fs._scheme_amplitudes(_CONDITIONING_CFG, 10), w3, w4)
     success = float(np.trace(rho).real)
     ref_rho, ref_success = fock_dense.condition_with_diagonal_weights(
         _conditioning_state(), w3, w4)
@@ -904,9 +937,10 @@ def test_scheme_proto_state_matches_dense_reference(cfg):
     SchemeConfig(r=0.6, s=0.01, T_loss=0.85),
 ], ids=["lossless", "all-mode-loss"])
 def test_scheme_oracle_peak_memory(cfg):
-    # the heralded density at cutoff 25 holds 26^4 entries, 7.0 MiB, as many
-    # as a dense four-mode tensor, which the oracle never builds; each
-    # density the signal-mode loss makes from it is as large
+    # a dense four-mode tensor at cutoff 25, or the heralded density as a
+    # dense matrix, holds 26^4 entries, 7.0 MiB; the oracle builds neither,
+    # and no density of its loss step either, only their nonzero entries
+    # (11.7k of the 457k)
     cutoff = 25
     tensor_bytes = (cutoff + 1) ** 4 * np.dtype(complex).itemsize
     tracemalloc.start()
@@ -915,7 +949,7 @@ def test_scheme_oracle_peak_memory(cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * tensor_bytes
+    assert peak < 0.5 * tensor_bytes
 
 
 def _two_mode_densities():
@@ -923,6 +957,36 @@ def _two_mode_densities():
     cfg = SchemeConfig(r=0.5, s=0.05, T1=0.9, T2=0.9, eta3=0.4, eta4=0.3)
     heralded, _ = fs.scheme_oracle(cfg, "on-off", cutoff=15)
     return [heralded, _random_density(np.random.default_rng(13), (6, 8))]
+
+
+@pytest.mark.parametrize("rho", [
+    lambda: _lossy_oracle_density("ideal"),
+    lambda: _lossy_oracle_density("on-off"),
+    lambda: _two_mode_densities()[0],
+    lambda: _two_mode_densities()[1],
+], ids=["ideal-lossy", "onoff-lossy", "heralded", "dense"])
+def test_density_from_its_matrix_is_bit_for_bit(rho):
+    # a density built from entries, in the order its step made them, and
+    # the same density scanned from its dense matrix give the same bytes
+    rho = rho()
+    # the matrix is built once, from the entries, and cannot drift from them
+    assert rho.matrix is rho.matrix and not rho.matrix.flags.writeable
+    scanned = fs.FockDensity(rho.cutoffs, rho.matrix.copy())
+    assert np.array_equal(np.sort(rho.flat), scanned.flat)
+    nodes = np.polynomial.hermite.hermgauss(24)[0]
+    lam = (nodes[:, None] + 1j * nodes[None, :]).ravel()
+    rng = np.random.default_rng(23)
+    b1 = np.concatenate([-np.conj(lam), rng.normal(size=25) + 1j * rng.normal(size=25)])
+    b2 = np.concatenate([-lam, rng.normal(size=25) + 1j * rng.normal(size=25)])
+    assert (fs.char_function_batch(rho, b1, b2).tobytes()
+            == fs.char_function_batch(scanned, b1, b2).tobytes())
+    for mode in (0, 1):
+        assert (fs.loss_kraus(rho, mode, 0.7).matrix.tobytes()
+                == fs.loss_kraus(scanned, mode, 0.7).matrix.tobytes())
+    # the trace sums the diagonal as np.trace does
+    trace = float(np.trace(rho.matrix).real)
+    assert np.float64(rho.trace()).tobytes() == np.float64(trace).tobytes()
+    assert np.float64(scanned.trace()).tobytes() == np.float64(trace).tobytes()
 
 
 @pytest.mark.parametrize("T", [0.85, 0.3, 1.0])
@@ -953,7 +1017,7 @@ def test_heralded_matches_dense_gemm(weights):
         psi = fs._scheme_amplitudes(cfg, 10)
         ref = fock_dense.heralded(_four_mode(psi), w3, w4)
         assert np.max(np.abs(ref)) > 1e-5
-        assert np.max(np.abs(fs._herald(psi, w3, w4) - ref)) < 1e-14
+        assert np.max(np.abs(_heralded_matrix(psi, w3, w4) - ref)) < 1e-14
 
 
 @pytest.mark.parametrize("detector, cfg", [
