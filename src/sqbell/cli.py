@@ -361,13 +361,19 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    # the one --config, found anywhere in argv; the main parser's parent
+    parser = argparse.ArgumentParser(prog="sqbell", add_help=False)
+    parser.add_argument("--config", action="append", help="JSON file of default flag values")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sqbell",
+        prog="sqbell", parents=[_config_parser()],
         description="Tunable two-mode entangled resources and their"
                     " teleportation fidelity")
-    parser.add_argument("--config", default=None,
-                        help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scheme = argparse.ArgumentParser(add_help=False)
@@ -423,25 +429,18 @@ _parser = functools.cache(build_parser)
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Load --config JSON defaults; explicit command-line flags still win.
-    A second --config raises ValueError rather than being ignored.
+    --config may come anywhere, abbreviated or not; a second raises ValueError.
 
     The file's flags go ahead of the command line's first option, so that
     every explicit flag, abbreviated or not, is parsed after them and wins
     (see `_FLAGS`).  They go in key order, so a file's `T` or `eta` comes
     ahead of its `T1` or `eta3`, which then wins."""
-    found = [idx for idx, arg in enumerate(argv)
-             if arg == "--config" or arg.startswith("--config=")]
-    if not found:
+    known, argv = _config_parser().parse_known_args(argv)
+    if not known.config:
         return argv
-    if len(found) > 1:
+    path, *more = known.config
+    if more:
         raise ValueError("--config is given more than once")
-    idx = found[0]
-    if argv[idx] == "--config":
-        if idx + 1 == len(argv):
-            raise ValueError("--config needs a path")
-        path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2:]
-    else:
-        path, argv = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")

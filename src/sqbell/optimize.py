@@ -188,24 +188,17 @@ def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
 def optimize_delta(r: float) -> OptResult:
     """Maximize the fidelity of the analytic squeezed Bell family over its angle.
 
-    The fidelity of S(r)[cos d|0,0> + sin d|1,1>] is the quadratic form
-    A cos^2 d + B sin^2 d + 2 C sin d cos d of
-    :func:`sqbell.kernel.squeezed_bell_fidelity`, with A and B its values at
-    d = 0 and pi/2 and C = x / (1 + x)^2 > 0 (x = e^{-2r}); the trace holds
-    its values at d = 0, pi/2 and pi/4.  The optimum is the top eigenpair of
-    [[A, C], [C, B]]: d* = atan2(2C, A - B) / 2, which lies in (0, pi/2)
-    because C > 0, and F* = (A + B) / 2 + hypot((A - B) / 2, C).
+    The fidelity of S(r)[cos d|0,0> + sin d|1,1>] is A cos^2 d + B sin^2 d
+    + 2C sin d cos d (:func:`sqbell.kernel.squeezed_bell_fidelity`), where
+    A - B = 2x / (1 + x)^3 and C = x / (1 + x)^2 > 0 with x = e^{-2r}.  Its
+    maximum lies at tan 2d* = 2C / (A - B) = 1 + e^{-2r}, so d* falls from
+    atan(2) / 2 = 0.553574 at r = 0 toward pi/8.  The trace is (d*, F*).
     """
     if not 0.0 <= r < np.inf:
         raise ValueError("squeezing amplitude must be finite and nonnegative")
-    angles = (0.0, np.pi / 2.0, np.pi / 4.0)
-    trace = tuple((d, float(f)) for d, f in
-                  zip(angles, kernel.squeezed_bell_fidelity(r, angles)))
-    (_, A), (_, B), (_, F45) = trace
-    C = F45 - 0.5 * (A + B)
-    d_star = float(0.5 * np.arctan2(2.0 * C, A - B))
-    f_star = float(0.5 * (A + B) + np.hypot(0.5 * (A - B), C))
-    return OptResult(d_star, f_star, trace, (d_star, d_star))
+    d_star = 0.5 * math.atan(1.0 + math.exp(-2.0 * r))
+    f_star = float(kernel.squeezed_bell_fidelity(r, d_star))
+    return OptResult(d_star, f_star, ((d_star, f_star),), (d_star, d_star))
 
 
 @dataclass

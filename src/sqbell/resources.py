@@ -95,9 +95,9 @@ def bell_angle(family: str, r: float, delta: float | None = None) -> float:
         a1 a2 S|0,0>         = sinh r S(cosh r|0,0> + sinh r|1,1>),
         a1^dag a2^dag S|0,0> = cosh r S(sinh r|0,0> + cosh r|1,1>):
 
-    tan d = tanh r for photon subtraction, coth r for photon addition, and
-    d = 0 and pi/2 for the twin beam and the squeezed number state.  Only
-    `squeezed-bell` takes delta.
+    d = atan(tanh r) for photon subtraction and atan2(1, tanh r) for photon
+    addition (no sinh or cosh to overflow), and d = 0 and pi/2 for the twin
+    beam and the squeezed number state.  Only `squeezed-bell` takes delta.
     """
     if family not in THEORETICAL_FAMILIES:
         raise ValueError(f"unknown theoretical family {family!r}")
@@ -110,11 +110,11 @@ def bell_angle(family: str, r: float, delta: float | None = None) -> float:
     if family == "twin-beam":
         return 0.0
     if family == "photon-subtracted":
-        if np.sinh(r) == 0.0:
+        if r == 0.0:
             raise ZeroNormStateError("photon subtraction annihilates the vacuum")
-        return float(np.arctan2(np.sinh(r), np.cosh(r)))
+        return math.atan(math.tanh(r))
     if family == "photon-added":
-        return float(np.arctan2(np.cosh(r), np.sinh(r)))
+        return math.atan2(1.0, math.tanh(r))
     return np.pi / 2.0  # squeezed-number
 
 
@@ -178,14 +178,20 @@ def delta_equivalent(cfg: SchemeConfig) -> float:
 
 def effective_squeezing(r: float, T_loss: float) -> float:
     """Squeezing amplitude actually observed after a loss channel of
-    transmissivity T_loss:  r' = -1/2 ln[1 - T_loss (1 - e^(-2r))]."""
+    transmissivity T_loss:  r' = -1/2 ln[(1 - T_loss) + T_loss e^(-2r)], as
+    log1p(T_loss expm1(-2r)) while that argument is at least -1/2."""
     if not 0.0 <= r < np.inf:
         raise ValueError("squeezing amplitude must be finite and nonnegative")
     if not 0.0 < T_loss <= 1.0:
         raise ValueError("loss transmissivity must lie in (0, 1]")
-    return float(-0.5 * np.log1p(-T_loss * (1.0 - np.exp(-2.0 * r))))
+    if T_loss == 1.0:
+        return float(r)
+    u = T_loss * math.expm1(-2.0 * r)
+    if u >= -0.5:
+        return -0.5 * math.log1p(u)
+    return -0.5 * math.log((1.0 - T_loss) + T_loss * math.exp(-2.0 * r))
 
 
 def squeezing_db(r: float) -> float:
-    """Squeezing amplitude expressed in decibels, 10 log10(e^(2r))."""
-    return float(10.0 * np.log10(np.exp(2.0 * r)))
+    """Squeezing amplitude expressed in decibels, 10 log10(e^(2r)) = 20 r / ln 10."""
+    return float(20.0 * r / math.log(10.0))

@@ -570,10 +570,25 @@ def test_repeated_config_exit_2(tmp_path, capsys):
     second.write_text(json.dumps({"r": 0.9}))
     for argv in (("--config", str(first), "--config", str(second)),
                  (f"--config={first}", f"--config={second}"),
-                 ("--config", str(first), f"--config={second}")):
+                 ("--config", str(first), f"--config={second}"),
+                 ("--conf", str(first), "--config", str(second))):
         code, out, err = run(capsys, *argv, "state", "--family", "twin-beam")
         assert code == EXIT_USAGE
-        assert "--config" in err and not out
+        assert "--config is given more than once" in err and not out
+
+
+@pytest.mark.parametrize("config", [("--conf", "{}"), ("--conf={}",), ("--c", "{}")])
+@pytest.mark.parametrize("before_command", [True, False])
+def test_abbreviated_config_applies_the_file(tmp_path, capsys, config, before_command):
+    # an abbreviated --config is read like any other abbreviated flag
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"s": 0.3}))
+    config = tuple(arg.format(cfg_file) for arg in config)
+    command = ("state", "--r", "1", "--format", "json")
+    argv = config + command if before_command else command + config
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["s"] == 0.3
 
 
 def test_config_path_unreadable_exit_2(tmp_path, capsys):

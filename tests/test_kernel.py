@@ -508,13 +508,28 @@ def test_optimize_s_trace_order_and_length():
 def test_optimize_delta_closed_form():
     r = 1.1
     res = op.optimize_delta(r)
-    assert [d for d, _ in res.trace] == [0.0, np.pi / 2, np.pi / 4]
+    assert res.trace == ((res.s_star, res.f_star),)
     assert res.bracket == (res.s_star, res.s_star)
     f_at = fidelity_closed_form(rs.theoretical_state("squeezed-bell", r, res.s_star))
     assert res.f_star == pytest.approx(f_at, abs=1e-12)
     for d in np.linspace(0.0, np.pi / 2, 13):
         f = fidelity_closed_form(rs.theoretical_state("squeezed-bell", r, float(d)))
         assert f <= res.f_star + 1e-12
+
+
+@pytest.mark.parametrize("r", [15.0, 17.0, 19.0, 25.0, 30.0, 800.0])
+def test_optimize_delta_is_the_optimum_at_large_r(r):
+    # tan 2d* = 1 + e^{-2r}; an eigen-solve on the fidelity sampled at 0,
+    # pi/2 and pi/4 lost its off-diagonal term to cancellation, and gave
+    # d* = 0.376576 at r = 17 and 0 from r ~ 19 in place of about pi/8
+    res = op.optimize_delta(r)
+    expected = 0.5 * np.arctan(1.0 + np.exp(-2.0 * r))
+    assert abs(res.s_star - expected) <= 2 * np.spacing(expected)
+    assert res.f_star == kernel.squeezed_bell_fidelity(r, res.s_star)
+    # past r ~ 17 the fidelity at every angle is c^2 + s^2 = 1 to rounding,
+    # which reaches 1 + eps at some angles: the comparison allows that eps
+    angles = np.linspace(0.0, np.pi / 2, 1001)
+    assert res.f_star >= kernel.squeezed_bell_fidelity(r, angles).max() - np.finfo(float).eps
 
 
 def test_squeezed_bell_fidelity_matches_gauss_poly():

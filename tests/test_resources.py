@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -177,6 +178,27 @@ def test_effective_squeezing_values():
     assert rs.squeezing_db(rs.effective_squeezing(2.0, 0.85)) == pytest.approx(
         7.81, abs=0.01)
     assert rs.squeezing_db(2.0) == pytest.approx(17.37, abs=0.01)
+
+
+def test_effective_squeezing_matches_mpmath():
+    # 1 - e^{-2r} cancelled at small r, and the loss-free r' = r came out as
+    # 10.00000001 at r = 10 and inf from r ~ 18.7
+    for T_loss in (1.0, 0.999, 0.85):
+        for r in (1e-12, 1e-8, 1e-4, 0.5, 2.0, 10.0, 14.0, 18.0, 30.0, 300.0, 700.0):
+            with mpmath.workdps(50):
+                T = mpmath.mpf(T_loss)
+                exact = float(-mpmath.log((1 - T) + T * mpmath.exp(-2 * mpmath.mpf(r))) / 2)
+            assert rs.effective_squeezing(r, T_loss) == pytest.approx(
+                exact, rel=1e-15, abs=0.0), (r, T_loss)
+    for r in (1e-12, 10.0, 18.0, 700.0):
+        assert rs.effective_squeezing(r, 1.0) == r
+
+
+def test_family_angles_and_decibels_at_large_r():
+    # sinh and cosh overflow past r ~ 710, and e^{2r} past r ~ 355
+    assert rs.bell_angle("photon-subtracted", 800.0) == np.pi / 4
+    assert rs.bell_angle("photon-added", 800.0) == np.pi / 4
+    assert rs.squeezing_db(400.0) == 8000.0 / np.log(10.0)
 
 
 def test_scheme_config_validation():
