@@ -432,11 +432,6 @@ def _displacement_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     return P * R[..., point]
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Matrix elements <m|D(alpha)|n> via the associated-Laguerre closed form."""
-    return _displacement_batch(np.array([alpha]), cutoff)[:, :, 0]
-
-
 def char_function(rho: FockDensity, beta1: complex, beta2: complex) -> complex:
     """chi(b1, b2) = Tr[rho D1(b1) D2(b2)]."""
     return complex(char_function_batch(rho, [beta1], [beta2])[0])

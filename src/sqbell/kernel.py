@@ -128,19 +128,19 @@ def squeeze_into(L, amplitude, phase, i: int, j: int) -> None:
         L[..., 2 * a + 1, 2 * b + 1] = -sc
 
 
-def source_exponents(r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
-                     loss_on_detector_modes) -> np.ndarray:
-    """Exponents S, shape (n, 8, 8), of the scheme's four-mode source function.
+@np.errstate(over="ignore", invalid="ignore")
+def source_exponents(columns) -> np.ndarray:
+    """Exponents S, shape (n, 8, 8), of the scheme's four-mode source function
+    at the parameter columns `columns` (as :func:`columns_of` gives), read
+    from their leading SOURCE_FIELDS rows; any further rows are ignored.
 
-    Arguments broadcast to one batch.  Squeezers r on modes (1, 2) and s on
-    (3, 4); a loss channel of transmissivity T_loss and thermal occupation
-    n_thermal on modes 1, 2 (and 3, 4 where loss_on_detector_modes); then
-    beam splitters T1 on (1, 3) and T2 on (2, 4).
+    Squeezers r on modes (1, 2) and s on (3, 4); a loss channel of
+    transmissivity T_loss and thermal occupation n_thermal on modes 1, 2
+    (and 3, 4 where loss_on_detector_modes); then beam splitters T1 on
+    (1, 3) and T2 on (2, 4).  From r of about 355 the squeezers' product
+    overflows: S holds inf or NaN, with no warning.
     """
-    r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal, on_det = np.atleast_1d(
-        *np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
-            r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal,
-            loss_on_detector_modes))))
+    r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal, on_det = columns[:len(SOURCE_FIELDS)]
     n = r.shape[0]
     L = np.zeros((n, 8, 8))
     squeeze_into(L, r, phi_zeta, 0, 1)
@@ -179,11 +179,6 @@ def columns_of(cfgs) -> np.ndarray:
     fields = operator.attrgetter(*COLUMN_FIELDS)
     return np.array([fields(c) for c in cfgs], dtype=float).reshape(
         -1, len(COLUMN_FIELDS)).T
-
-
-def exponents_of(cfgs) -> np.ndarray:
-    """source_exponents over a sequence of objects carrying COLUMN_FIELDS."""
-    return source_exponents(*columns_of(cfgs)[:len(SOURCE_FIELDS)])
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +420,10 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     `S` has shape (n, 8, 8); `detector` is 'ideal' or 'on-off';
     `eta3`, `eta4` (on/off only) broadcast to n, each in (0, 1], else
     ValueError.  Status is that of `_status` (a block that is not positive
-    definite makes P or F NaN, and so UNPHYSICAL); F is capped at one and
-    is NaN wherever status is not OK.
+    definite makes P or F NaN, and so UNPHYSICAL), and UNPHYSICAL where the
+    square of the sum of squares of the ancilla blocks' entries overflows,
+    as a 4x4 determinant's products of four entries then may, and a step
+    that overflows can read OK.  F is capped at one, NaN where not OK.
 
     One ancilla evaluation covers both integrals: the ancilla blocks of S
     (for P) and the Schur complements of the lam blocks (for P F), stacked
@@ -441,13 +438,15 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
 
     # P F: the lam integral first, which leaves the Schur complement of its
     # block as the ancilla block and a factor (2 pi) / sqrt(det) / pi
-    lam, C = _lambda_blocks(S)
-    lam.reshape(n, 4)[:, ::3] += 2.0  # e^{-|lam|^2}, on the diagonal
-    schur = S[:, 4:, 4:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
-    (P, PF), (p_scale, _) = prob(np.concatenate([S[None, :, 4:, 4:], schur[None]]))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam, C = _lambda_blocks(S)
+        lam.reshape(n, 4)[:, ::3] += 2.0  # e^{-|lam|^2}, on the diagonal
+        schur = S[:, 4:, 4:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
+        blocks = np.concatenate([S[None, :, 4:, 4:], schur[None]])
+        (P, PF), (p_scale, _) = prob(blocks)
         F = 2.0 * PF / np.sqrt(_det2(lam)) / P
-    status = _status(P, p_scale, F)
+        in_range = np.isfinite(np.sum(blocks * blocks, axis=(0, 2, 3)) ** 2)
+    status = _status(np.where(in_range, P, np.nan), p_scale, F)
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status
 
@@ -455,9 +454,8 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
 def columns_pf(columns, detector: str):
     """:func:`scheme_pf` of the points whose parameters are the columns of
     `columns` (one row per COLUMN_FIELDS entry, as :func:`columns_of`
-    gives)."""
-    n = len(SOURCE_FIELDS)
-    return scheme_pf(source_exponents(*columns[:n]), detector, *columns[n:])
+    gives), passed whole to :func:`source_exponents`."""
+    return scheme_pf(source_exponents(columns), detector, *columns[len(SOURCE_FIELDS):])
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +492,24 @@ def squeezed_bell_fidelity(r, delta):
     return c * c / a + s * s * (1.0 + x * x) / a ** 3 + 2.0 * c * s * x / a ** 2
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def squeezed_bell_chi(r, delta, b1, b2):
     """chi(b1, b2) of S(r)[cos d|0,0> + sin d|1,1>] (squeezer phase pi).
 
-    The bare characteristic function of the squeezed_bell_fidelity docstring,
-    at the squeezer-mapped arguments b1 cosh r - conj(b2) sinh r and
-    b2 cosh r - conj(b1) sinh r.  b1 and b2 broadcast; returns a real array.
+    The bare characteristic function of the squeezed_bell_fidelity docstring
+    at the squeezer-mapped arguments a1 = e^r u + e^{-r} v and
+    conj(a2) = e^{-r} v - e^r u, u, v = (b1 -+ conj b2)/2.  With x = e^{2r}|u|^2
+    = exp(2 (log|u| + r)), y = e^{-2r}|v|^2 likewise and w = 2 Re(u conj v),
+    chi = e^{-(x + y)} [c^2 + s^2 ((1 - x - y)^2 - w^2) + 2 c s (y - x)], and 0
+    where that envelope underflows: finite, with no warning, at every r.
+    b1 and b2 broadcast; returns a real array.
     """
-    ch, sh = np.cosh(r), np.sinh(r)
     b1, b2 = np.asarray(b1, dtype=complex), np.asarray(b2, dtype=complex)
-    a1 = b1 * ch - np.conj(b2) * sh
-    a2 = b2 * ch - np.conj(b1) * sh
-    n1, n2 = np.abs(a1) ** 2, np.abs(a2) ** 2
+    u, v = 0.5 * (b1 - np.conj(b2)), 0.5 * (b1 + np.conj(b2))
     c, s = np.cos(delta), np.sin(delta)
-    return np.exp(-0.5 * (n1 + n2)) * (c * c + s * s * (1.0 - n1) * (1.0 - n2)
-                                       + 2.0 * c * s * (a1 * a2).real)
+    x = np.exp(2.0 * (np.log(np.abs(u)) + r))
+    y = np.exp(2.0 * (np.log(np.abs(v)) - r))
+    w = 2.0 * (u * np.conj(v)).real
+    envelope = np.exp(-(x + y))
+    chi = envelope * (c * c + s * s * ((1.0 - x - y) ** 2 - w * w) + 2.0 * c * s * (y - x))
+    return np.where(envelope == 0.0, 0.0, chi)

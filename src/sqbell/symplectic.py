@@ -5,7 +5,7 @@ chi(v) = exp(-1/2 v^T S v) in the interleaved coordinate order
 (Re b1, Im b1, ..., Re bn, Im bn).  The two-mode squeezed vacuum is the
 vacuum under the squeezer's exact linear variable substitution; a loss
 channel rescales a mode and adds the environment exponent.  The four-mode
-source function of the scheme is one of :func:`sqbell.kernel.exponents_of`.
+source function of the scheme is one of :func:`sqbell.kernel.source_exponents`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, PhysicalityError
-from .kernel import exponents_of, squeeze_into
+from .kernel import columns_of, source_exponents, squeeze_into
 
 if TYPE_CHECKING:
     from .resources import SchemeConfig
@@ -97,4 +97,4 @@ def scheme_four_mode_char(cfg: "SchemeConfig") -> GaussianChar:
     couple (1,3) and (2,4).  A batch of one of
     :func:`sqbell.kernel.source_exponents`.
     """
-    return GaussianChar(4, exponents_of([cfg])[0])
+    return GaussianChar(4, source_exponents(columns_of([cfg]))[0])

@@ -48,7 +48,7 @@ def test_on_off_kernel_matches_povm_trace():
     dim = 130  # (1 - eta)^n tail must be negligible
     off_diag = np.diag((1 - eta) ** np.arange(dim)).astype(complex)
     for b in (0.4, 0.3 - 0.5j, 1.0j):
-        D = fs.displacement_matrix(-b, dim - 1)
+        D = fs._displacement_batch(np.array([-b]), dim - 1)[:, :, 0]
         direct = -np.trace(off_diag @ D)
         assert gp.evaluate_at_betas(smooth, [b]) == pytest.approx(direct, abs=1e-12)
 

@@ -208,7 +208,7 @@ def test_heralded_chi_matches_kernel(detector):
     V = cov.covariance(*source)
     P, _, scale = cov.scheme_pf(V, detector, *etas)
     chi = cov.heralded_chi(V, detector, b1, b2, *etas)
-    chi_k = kernel.heralded_chi(kernel.source_exponents(*source), detector, *etas)(b1, b2)
+    chi_k = kernel.heralded_chi(kernel.source_exponents(source), detector, *etas)(b1, b2)
     assert np.all(np.abs(chi_k - chi) <= (bound(P, scale, detector) * P)[:, None])
 
 

@@ -389,13 +389,18 @@ def test_povm_on_explicit_density_matches_pure_route():
 # ---------------------------------------------------------------------------
 
 
+def _displacement(alpha, cutoff):
+    """<m|D(alpha)|n> for m, n <= cutoff."""
+    return fs._displacement_batch(np.array([alpha]), cutoff)[:, :, 0]
+
+
 def test_displacement_zero_is_identity():
-    assert np.allclose(fs.displacement_matrix(0.0, 10), np.eye(11))
+    assert np.allclose(_displacement(0.0, 10), np.eye(11))
 
 
 def test_displacement_diagonal_element():
     al = 0.37 - 0.21j
-    D = fs.displacement_matrix(-al, 6)
+    D = _displacement(-al, 6)
     assert D[1, 1] == pytest.approx((1 - abs(al) ** 2) * np.exp(-abs(al) ** 2 / 2))
 
 
@@ -403,8 +408,8 @@ def test_displacement_unitarity_on_interior():
     # |n> displaced by |alpha| <= 2 must stay well below the cutoff, so the
     # product is checked on an interior block with that margin
     for al in (0.5, 1.2 - 0.7j, 2.0j):
-        D = fs.displacement_matrix(al, 40)
-        Dm = fs.displacement_matrix(-al, 40)
+        D = _displacement(al, 40)
+        Dm = _displacement(-al, 40)
         assert np.max(np.abs((Dm @ D)[:10, :10] - np.eye(10))) < 1e-8
 
 
@@ -413,7 +418,7 @@ def test_displacement_matches_expm_oracle():
     dim = 40
     a = fs.annihilator(dim)
     ref = expm(al * a.conj().T - np.conj(al) * a)
-    D = fs.displacement_matrix(al, dim - 1)
+    D = _displacement(al, dim - 1)
     assert np.max(np.abs(D[:25, :25] - ref[:25, :25])) < 1e-12
 
 
@@ -671,7 +676,7 @@ def test_char_function_at_dimension_one_matches_dense(cutoffs):
     ref = fock_dense.char_function_batch(rho, b1, b2)
     assert np.max(np.abs(got - ref)) < 1e-14
     for beta, cutoff in ((b1[0], cutoffs[0]), (b2[0], cutoffs[1])):
-        assert np.max(np.abs(fs.displacement_matrix(beta, cutoff)
+        assert np.max(np.abs(_displacement(beta, cutoff)
                              - expm_displacement(beta, cutoff))) < 1e-12
 
 

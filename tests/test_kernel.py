@@ -1,6 +1,7 @@
 """The batched closed-form kernel against the polynomial-Gaussian reference
 and a 50-digit evaluation of the same Gaussian sums."""
 
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -83,7 +84,7 @@ def test_source_exponents_match_stepwise_construction():
                             T2=0.85, T_loss=0.7, n_thermal=0.9,
                             loss_on_detector_modes=False)]
     ref = cov.exponent(cov.covariance_of(cfgs))
-    S = kernel.exponents_of(cfgs)
+    S = kernel.source_exponents(kernel.columns_of(cfgs))
     assert np.all(np.max(np.abs(S - ref), axis=(1, 2))
                   <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
 
@@ -186,6 +187,31 @@ def test_squeezed_bell_chi_matches_gauss_poly():
         assert np.max(np.abs(got - expected)) < 1e-13, (r, d)
 
 
+def test_squeezed_bell_chi_matches_mpmath():
+    # half the points in the squeezer's normal modes u ~ e^{-r}, v ~ e^{r},
+    # where chi is not negligible but b1 cosh r - conj(b2) sinh r cancels
+    mp = mpgauss.mp
+    rng = np.random.default_rng(11)
+    for k in range(120):
+        r, d = rng.uniform(0.0, 15.0), rng.uniform(-np.pi, np.pi)
+        z = rng.normal(size=4) @ np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
+        if k % 2:
+            b1, b2 = 0.7 * z
+        else:
+            u, v = np.exp(-r) * z[0], 0.3 * np.exp(r) * z[1]
+            b1, b2 = u + v, np.conj(v - u)
+        with mp.workdps(50):
+            ch, sh = mp.cosh(r), mp.sinh(r)
+            a1 = mp.mpc(b1) * ch - mp.conj(mp.mpc(b2)) * sh
+            a2 = mp.mpc(b2) * ch - mp.conj(mp.mpc(b1)) * sh
+            n1, n2 = abs(a1) ** 2, abs(a2) ** 2
+            c, s = mp.cos(d), mp.sin(d)
+            exact = mp.exp(-(n1 + n2) / 2) * (c * c + s * s * (1 - n1) * (1 - n2)
+                                              + 2 * c * s * mp.re(a1 * a2))
+        got = kernel.squeezed_bell_chi(r, d, b1, b2)
+        assert abs(float(got) - float(exact)) <= 1e-15, (r, d, b1, b2)
+
+
 def test_lossy_projector_warning_on_kernel_path():
     with pytest.warns(LossyProjectorWarning):
         columns_pf([rs.SchemeConfig(r=0.5, s=0.02, T_loss=0.9)], "ideal")
@@ -203,6 +229,24 @@ def test_lossless_source_never_warns(r):
         columns_pf([rs.SchemeConfig(r=r, s=0.05)], "ideal")
 
 
+@pytest.mark.parametrize("detector, r", [
+    *itertools.product(["ideal", "on-off"], [300.0, 355.0, 400.0, 800.0]),
+    ("on-off", 182.0), ("on-off", 190.0), ("on-off", 197.0), ("ideal", 83.0)])
+def test_large_r_points_are_refused_without_a_warning(detector, r):
+    # cosh r overflows from r ~ 710, the squeezers' product L @ L from
+    # r ~ 355 (where S mixes inf and finite entries, so the lam blocks'
+    # products are invalid) and the Schur complement's before that.  At
+    # r = 182-197 the on/off blocks are finite but their 2x2 determinants
+    # overflow, and the points would read P = 1, F = 1; at r = 83 nothing
+    # overflows, but ideal Schur complement entries of order 1e109 would
+    # read P = 1.2e-107, F = 1.8e-40.  The entries' fourth powers overflow
+    # at every one of these points, and none may leak a RuntimeWarning
+    cfg = rs.SchemeConfig(r=r, s=0.05, eta3=0.15, eta4=0.15)
+    assert columns_pf([cfg], detector)[2][0] == kernel.UNPHYSICAL
+    with pytest.raises(PhysicalityError):
+        rs.scheme_state(cfg, detector)
+
+
 @pytest.mark.parametrize("noise", [dict(T_loss=0.9), dict(T_loss=0.9, n_thermal=0.1)])
 @pytest.mark.parametrize("r", [3.0, 20.0])
 def test_lossy_source_warns_with_ideal_projectors_only(r, noise):
@@ -217,8 +261,9 @@ def test_lossy_source_warns_with_ideal_projectors_only(r, noise):
 def test_thermal_occupation_without_loss_does_not_warn():
     # n_thermal enters only through 1 - T_loss: at T_loss = 1 the source is pure
     cfg = rs.SchemeConfig(r=0.5, s=0.05, n_thermal=0.1)
-    assert np.array_equal(kernel.exponents_of([cfg]),
-                          kernel.exponents_of([cfg.with_(n_thermal=0.0)]))
+    assert np.array_equal(
+        kernel.source_exponents(kernel.columns_of([cfg])),
+        kernel.source_exponents(kernel.columns_of([cfg.with_(n_thermal=0.0)])))
     with warnings.catch_warnings():
         warnings.simplefilter("error", LossyProjectorWarning)
         columns_pf([cfg], "ideal")
@@ -259,10 +304,8 @@ def test_scheme_pf_is_batch_invariant(cfgs, detector):
     # each point's P, F and status do not depend on the rest of its batch
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
-        batch = kernel.scheme_pf(kernel.exponents_of(cfgs), detector,
-                                 [c.eta3 for c in cfgs], [c.eta4 for c in cfgs])
-        singles = [kernel.scheme_pf(kernel.exponents_of([c]), detector,
-                                    [c.eta3], [c.eta4]) for c in cfgs]
+        batch = kernel.columns_pf(kernel.columns_of(cfgs), detector)
+        singles = [kernel.columns_pf(kernel.columns_of([c]), detector) for c in cfgs]
     for got, alone in zip(batch, zip(*singles)):
         assert got.tobytes() == np.concatenate(alone).tobytes()
 
@@ -354,7 +397,7 @@ def _box():
         rng.integers(0, 2, n), rng.uniform(0.01, 1.0, n), rng.uniform(0.01, 1.0, n)])
     columns[[0, 1, 7], :8] = 0.0
     columns[:, 8] = kernel.columns_of([SINGULAR_IDEAL])[:, 0]
-    return (kernel.source_exponents(*columns[:len(kernel.SOURCE_FIELDS)]),
+    return (kernel.source_exponents(columns),
             columns[len(kernel.SOURCE_FIELDS):])
 
 
@@ -480,7 +523,7 @@ def test_unknown_detector_rejected():
 def test_onoff_efficiency_outside_unit_interval_rejected(eta):
     # eta = 2 read OK (P = 0.0427, F = 0.735), eta = 0 DEGENERATE and an
     # omitted eta UNPHYSICAL; SchemeConfig and DetectorKernel refuse them all
-    S = kernel.exponents_of([rs.SchemeConfig(r=0.5, s=0.1)] * 2)
+    S = kernel.source_exponents(kernel.columns_of([rs.SchemeConfig(r=0.5, s=0.1)] * 2))
     for etas in ((eta, eta), (0.5, eta), ([0.5, eta], 0.5)):
         with pytest.raises(ValueError, match=r"efficiencies must lie in \(0, 1\]"):
             kernel.scheme_pf(S, "on-off", *etas)

@@ -48,14 +48,20 @@ def test_squeezed_bell_zero_angle_is_twin_beam():
 
 
 def test_families_normalized_and_hermitian():
+    # from r ~ 354 the squeezer-mapped norms |b1 cosh r - conj(b2) sinh r|^2
+    # overflow where the envelope underflows, and from r ~ 710 cosh r itself
     for family in rs.THEORETICAL_FAMILIES:
         delta = 0.7 if family == "squeezed-bell" else None
-        state = rs.theoretical_state(family, 0.8, delta)
-        assert state.chi_at(0, 0) == pytest.approx(1.0)
-        for b1, b2 in random_betas(6):
-            lhs = state.chi_at(-np.conj(b1), -np.conj(b2))
-            assert lhs == pytest.approx(np.conj(state.chi_at(b1, b2)), abs=1e-10)
-            assert abs(state.chi_at(b1, b2)) <= 1.0 + 1e-9
+        betas = random_betas(6)
+        for r in (0.8, 354.0, 400.0, 711.0, 800.0):
+            state = rs.theoretical_state(family, r, delta)
+            assert state.chi_at(0, 0) == pytest.approx(1.0)
+            if r > 1.0:
+                assert state.chi_at(0.1, 0.2) == 0.0
+            for b1, b2 in betas:
+                lhs = state.chi_at(-np.conj(b1), -np.conj(b2))
+                assert lhs == pytest.approx(np.conj(state.chi_at(b1, b2)), abs=1e-10)
+                assert abs(state.chi_at(b1, b2)) <= 1.0 + 1e-9
 
 
 def test_families_match_fock_constructions():

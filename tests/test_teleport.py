@@ -51,7 +51,8 @@ def test_fidelity_monotone_in_r_and_limits():
 
 
 def test_closed_form_vs_quadrature_all_families():
-    for r in (1.0, 1.9):
+    # at r = 800 cosh r overflows; chi and the cubature's integrand stay finite
+    for r in (1.0, 1.9, 800.0):
         for family in rs.THEORETICAL_FAMILIES:
             delta = 0.5 if family == "squeezed-bell" else None
             state = rs.theoretical_state(family, r, delta)
