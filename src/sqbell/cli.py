@@ -2,8 +2,8 @@
 and the datasets reproducing the published tables and figures, one builder
 per target in `DATASETS`.
 
-One table, `_FLAGS`, maps each scheme flag to the fields it sets; of two
-flags that set one field the last wins.  A flag that sets no field its
+The scheme flags and sweep axes come from one table, `resources.SCHEME_FLAGS`;
+of two flags that set one field the last wins.  A flag that sets no field its
 command reads for its family exits with 2 rather than change nothing.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical/physicality
@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +27,10 @@ from . import __version__
 from .errors import (DegeneratePostselectionError, PhysicalityError,
                      QuadratureConvergenceError, ZeroNormStateError)
 from .kernel import squeezed_bell_fidelity
-from .optimize import SWEEP_AXES, SweepSpec, optimize_delta, optimize_s, sweep
-from .resources import (SCHEME_DETECTORS, SCHEME_FAMILIES, THEORETICAL_FAMILIES,
-                        SchemeConfig, bell_angle, delta_equivalent, effective_squeezing,
-                        scheme_state, squeezing_db, theoretical_state)
+from .optimize import SweepSpec, optimize_delta, optimize_s, sweep
+from .resources import (SCHEME_DETECTORS, SCHEME_FAMILIES, SCHEME_FLAGS, SWEEP_FLAGS,
+                        THEORETICAL_FAMILIES, SchemeConfig, bell_angle, delta_equivalent,
+                        effective_squeezing, scheme_state, squeezing_db, theoretical_state)
 from .teleport import fidelity
 
 EXIT_OK = 0
@@ -53,27 +52,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# each scheme flag: the fields it sets, and its help.  --delta sets the angle
-# of the squeezed Bell family, which no SchemeConfig holds.
-_FLAGS = {
-    "r": (("r",), "principal squeezing"),
-    "s": (("s",), "ancillary squeezing"),
-    "delta": (("delta",), "squeezed-bell mixing angle"),
-    "phi-zeta": (("phi_zeta",), None),
-    "phi-xi": (("phi_xi",), None),
-    "T": (("T1", "T2"), "set both scheme transmissivities"),
-    "T1": (("T1",), None),
-    "T2": (("T2",), None),
-    "loss": (("T_loss",), "loss level ell; the channel transmissivity is 1 - ell"),
-    "eta": (("eta3", "eta4"), "set both detector efficiencies"),
-    "eta3": (("eta3",), None),
-    "eta4": (("eta4",), None),
-    "n-thermal": (("n_thermal",), None),
-    "signal-loss-only": (("loss_on_detector_modes",),
-                         "apply the loss channel to the signal modes only"),
-}
-
-
 class _Flag(argparse.Action):
     """Records its flag's value in `args.flags`, dropping the flags given
     before whose fields it sets again.  So the last flag to set a field wins,
@@ -83,22 +61,19 @@ class _Flag(argparse.Action):
 
     def __call__(self, parser, namespace, value, option_string=None):
         flag = self.option_strings[0][2:]
-        fields = set(_FLAGS[flag][0])
+        fields = set(SCHEME_FLAGS[flag].fields)
         namespace.flags = {**{f: v for f, v in namespace.flags.items()
-                              if not fields.issuperset(_FLAGS[f][0])},
+                              if not fields.issuperset(SCHEME_FLAGS[f].fields)},
                            flag: True if self.nargs == 0 else value}
 
 
 def _config_from_args(args) -> SchemeConfig:
     fields = {}
     for flag, value in args.flags.items():
-        if flag == "loss":
-            if not 0.0 <= value < 1.0:
-                raise ValueError("--loss must lie in [0, 1)")
-            value = 1.0 - value
-        elif flag == "signal-loss-only":
-            value = False
-        fields.update(dict.fromkeys(_FLAGS[flag][0], value))
+        if flag == "loss" and not 0.0 <= value < 1.0:
+            raise ValueError("--loss must lie in [0, 1)")
+        row = SCHEME_FLAGS[flag]
+        fields.update(dict.fromkeys(row.fields, row.at(value)))
     fields.pop("delta", None)  # refused for a scheme family, by sweep after SweepSpec
     return SchemeConfig(**fields)
 
@@ -107,20 +82,18 @@ def _refuse_unread(args) -> None:
     """Raise ValueError naming a given flag that sets no field `args.command`
     reads for `args.family`."""
     if args.family in THEORETICAL_FAMILIES:
-        # optimize maximizes the squeezed Bell family over its angle
-        takes_delta = args.family == "squeezed-bell" and args.command != "optimize"
-        reads = {"r", "delta"} if takes_delta else {"r"}
+        reads = {"r", "delta"} if args.family == "squeezed-bell" else {"r"}
     else:
-        reads = {f.name for f in dataclass_fields(SchemeConfig)}
-        if args.family == "scheme-ideal":
-            reads -= {"eta3", "eta4"}  # single-photon projectors have no efficiency
-        if args.command == "optimize" or getattr(args, "optimize", False):
-            reads -= {"s"}  # the search covers [0, r] whatever s is
-        if args.command == "sweep":
-            # the axis sets its fields; --r stays required, as the base of axis r
-            reads -= set(SWEEP_AXES[args.axis][0]) - {"r"}
+        detector = SCHEME_DETECTORS[args.family]
+        reads = {field for row in SCHEME_FLAGS.values() if detector in row.detectors
+                 for field in row.fields}
+    if args.command == "optimize" or getattr(args, "optimize", False):
+        reads -= {"s", "delta"}  # the search covers s in [0, r], or every angle
+    if args.command == "sweep":
+        # the axis sets its fields; --r stays required, as the base of axis r
+        reads -= set(SCHEME_FLAGS[args.axis].fields) - {"r"}
     for flag in args.flags:
-        if reads.isdisjoint(_FLAGS[flag][0]):
+        if reads.isdisjoint(SCHEME_FLAGS[flag].fields):
             what = f"sweep along {args.axis}" if args.command == "sweep" else args.command
             raise ValueError(f"{what} does not read --{flag} for family {args.family}")
 
@@ -378,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     scheme = argparse.ArgumentParser(add_help=False)
     scheme.set_defaults(flags={})
-    for flag, (_, help_text) in _FLAGS.items():
-        kind = {"nargs": 0} if flag == "signal-loss-only" else {"type": float}
+    for flag, row in SCHEME_FLAGS.items():
+        kind = {"nargs": 0} if row.switch else {"type": float}
         scheme.add_argument("--" + flag, action=_Flag, default=argparse.SUPPRESS,
-                            required=flag == "r", help=help_text, **kind)
+                            required=flag == "r", help=row.help, **kind)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("text", "json"), default="text")
     report.add_argument("--output", default=None)
@@ -408,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[scheme], help="scan one parameter axis")
     p_sweep.add_argument("--family", default="scheme-ideal", choices=SCHEME_FAMILIES)
-    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_FLAGS)
     p_sweep.add_argument("--grid", required=True, help="start:stop:step")
     p_sweep.add_argument("--optimize", action="store_true",
                          help="optimize s at each grid point")
@@ -433,7 +406,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
     The file's flags go ahead of the command line's first option, so that
     every explicit flag, abbreviated or not, is parsed after them and wins
-    (see `_FLAGS`).  They go in key order, so a file's `T` or `eta` comes
+    (see `_Flag`).  They go in key order, so a file's `T` or `eta` comes
     ahead of its `T1` or `eta3`, which then wins."""
     known, argv = _config_parser().parse_known_args(argv)
     if not known.config:

@@ -67,8 +67,8 @@ def status_error(success_prob: float, status: int) -> Exception | None:
         return DegeneratePostselectionError(
             f"conditioning probability {success_prob:.3e} is degenerate")
     if status == kernel.UNPHYSICAL:
-        return PhysicalityError(
-            f"success probability {success_prob} or its fidelity is unphysical")
+        return PhysicalityError(f"unphysical point: success probability {success_prob}"
+                                " or fidelity out of range, or a kernel step overflowed")
     return None
 
 

@@ -5,7 +5,7 @@ refinement of the bracket around the grid maximum, written once as a
 generator per configuration.  The searches of many configurations run in
 lockstep, each round of all of them one batched call of the closed-form
 kernel on parameter columns (one float row per field, one column per point;
-no configuration object per point).  Sweeps
+no configuration object per point).  Sweeps scan an axis of `SCHEME_FLAGS`,
 evaluate all their rows in one batched call, optionally nesting the
 optimizer, and record per-point errors without aborting the campaign.
 """
@@ -21,17 +21,12 @@ import numpy as np
 from . import kernel
 from .conditioning import status_error
 from .errors import DegeneratePostselectionError
-from .resources import SCHEME_DETECTORS, SchemeConfig
+from .resources import SCHEME_DETECTORS, SCHEME_FLAGS, SWEEP_FLAGS, SchemeConfig
 
 COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _S_ROW, _R_ROW = kernel.COLUMN_FIELDS.index("s"), kernel.COLUMN_FIELDS.index("r")
-# each sweep axis: the configuration fields it sets, and their value at an
-# axis value (a float or an array of them)
-SWEEP_AXES = {"s": (("s",), lambda v: v), "r": (("r",), lambda v: v),
-              "loss": (("T_loss",), lambda v: 1.0 - v),
-              "T": (("T1", "T2"), lambda v: v), "eta": (("eta3", "eta4"), lambda v: v)}
 
 
 @dataclass(frozen=True)
@@ -39,20 +34,20 @@ class SweepSpec:
     """One sweep campaign: a base configuration and the axis to scan."""
 
     base: SchemeConfig
-    axis: str  # a key of SWEEP_AXES
+    axis: str  # one of SWEEP_FLAGS
     grid: tuple[float, ...]
     detector: str = "ideal"
     optimize_s_at_each: bool = False
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
+        if self.axis not in SWEEP_FLAGS:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if self.detector not in SCHEME_DETECTORS.values():
             raise ValueError(f"unknown detector kind {self.detector!r}")
         if self.axis == "s" and self.optimize_s_at_each:
             raise ValueError("a sweep along s cannot also optimize s at each point")
-        if self.axis == "eta" and self.detector == "ideal":
-            raise ValueError("ideal projectors have no efficiency to sweep along eta")
+        if self.detector not in SCHEME_FLAGS[self.axis].detectors:
+            raise ValueError(f"ideal projectors have no efficiency to sweep along {self.axis}")
         g = tuple(float(v) for v in self.grid)
         if not g:
             raise ValueError("sweep grid is empty")
@@ -67,16 +62,16 @@ class SweepSpec:
         self.config_at(g[-1])
 
     def config_at(self, value: float) -> SchemeConfig:
-        fields, at = SWEEP_AXES[self.axis]
-        return self.base.with_(**dict.fromkeys(fields, at(value)))
+        row = SCHEME_FLAGS[self.axis]
+        return self.base.with_(**dict.fromkeys(row.fields, row.at(value)))
 
     def columns(self) -> np.ndarray:
         """Parameter columns of every grid point (see
         :func:`sqbell.kernel.columns_of`): the base configuration's, with the
         axis rows set to the floats :meth:`config_at` gives."""
         columns = np.repeat(kernel.columns_of([self.base]), len(self.grid), axis=1)
-        fields, at = SWEEP_AXES[self.axis]
-        columns[[kernel.COLUMN_FIELDS.index(f) for f in fields]] = at(np.array(self.grid))
+        row = SCHEME_FLAGS[self.axis]
+        columns[[kernel.COLUMN_FIELDS.index(f) for f in row.fields]] = row.at(np.array(self.grid))
         return columns
 
 

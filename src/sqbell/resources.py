@@ -12,9 +12,10 @@ S(r)[cos d|0,0> + sin d|1,1>]; `bell_angle` gives each one's angle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +31,45 @@ THEORETICAL_FAMILIES = (
 # detector kind of each scheme family
 SCHEME_DETECTORS = {"scheme-ideal": "ideal", "scheme-realistic": "on-off"}
 SCHEME_FAMILIES = tuple(SCHEME_DETECTORS)
+
+
+class SchemeFlag(NamedTuple):
+    """One scheme flag: the fields it sets, all to `at` of its value (a float,
+    or an array of them along a sweep), its help, its place among the sweep
+    axes (None where no sweep scans it) and the detector kinds that read it.
+    A switch takes no value; given, its value is True."""
+
+    fields: tuple[str, ...]
+    help: Optional[str] = None
+    at: Callable = lambda v: v
+    axis: Optional[int] = None
+    detectors: tuple[str, ...] = ("ideal", "on-off")
+    switch: bool = False
+
+
+# every scheme flag.  --delta sets the angle of the squeezed Bell family, which
+# no SchemeConfig holds, and single-photon projectors have no efficiency
+SCHEME_FLAGS = {
+    "r": SchemeFlag(("r",), "principal squeezing", axis=1),
+    "s": SchemeFlag(("s",), "ancillary squeezing", axis=0),
+    "delta": SchemeFlag(("delta",), "squeezed-bell mixing angle", detectors=()),
+    "phi-zeta": SchemeFlag(("phi_zeta",)),
+    "phi-xi": SchemeFlag(("phi_xi",)),
+    "T": SchemeFlag(("T1", "T2"), "set both scheme transmissivities", axis=3),
+    "T1": SchemeFlag(("T1",)),
+    "T2": SchemeFlag(("T2",)),
+    "loss": SchemeFlag(("T_loss",), "loss level ell; the channel transmissivity is 1 - ell",
+                       lambda v: 1.0 - v, axis=2),
+    "eta": SchemeFlag(("eta3", "eta4"), "set both detector efficiencies", axis=4,
+                      detectors=("on-off",)),
+    "eta3": SchemeFlag(("eta3",), detectors=("on-off",)),
+    "eta4": SchemeFlag(("eta4",), detectors=("on-off",)),
+    "n-thermal": SchemeFlag(("n_thermal",)),
+    "signal-loss-only": SchemeFlag(("loss_on_detector_modes",), "apply the loss channel"
+                                   " to the signal modes only", operator.not_, switch=True),
+}
+SWEEP_FLAGS = tuple(sorted((f for f, row in SCHEME_FLAGS.items() if row.axis is not None),
+                           key=lambda f: SCHEME_FLAGS[f].axis))
 
 
 @dataclass(frozen=True)
@@ -58,6 +98,8 @@ class SchemeConfig:
         for name in ("T1", "T2", "T_loss", "eta3", "eta4"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
+        if not isinstance(self.loss_on_detector_modes, (bool, np.bool_)):
+            raise ValueError("loss_on_detector_modes must be a bool")
 
     def with_(self, **kwargs) -> "SchemeConfig":
         return replace(self, **kwargs)

@@ -216,6 +216,16 @@ def test_unphysical_fidelity_fails_the_state_too(capsys):
         assert "unphysical" in err
 
 
+def test_unphysical_point_names_every_cause_exit_3(capsys):
+    # refused because its ancilla blocks' fourth powers overflow, not for
+    # its P = 1; the status does not say which cause it was
+    code, out, err = run(capsys, "fidelity", "--family", "scheme-realistic", "--r", "190",
+                         "--no-cross-check")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: unphysical point: success probability 1.0 or"
+                   " fidelity out of range, or a kernel step overflowed\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("fidelity", "--family", "twin-beam", "--r", "nan"),
     ("state", "--family", "twin-beam", "--r", "inf"),
@@ -361,6 +371,28 @@ def test_sweep_refuses_eta_with_ideal_projectors_exit_2(capsys, optimize):
     assert code == EXIT_USAGE
     assert out == ""
     assert "along eta" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("state", "--r", "-1"), "r must be finite and nonnegative"),
+    (("state", "--r", "1", "--phi-zeta", "inf"), "phi_zeta must be finite"),
+    (("state", "--r", "1", "--T", "0"), "T1 must lie in (0, 1]"),
+    (("state", "--r", "1", "--n-thermal", "-1"), "n_thermal must be finite and nonnegative"),
+    (("state", "--family", "scheme-realistic", "--r", "1", "--eta3", "0"),
+     "eta3 must lie in (0, 1]"),
+    (("sweep", "--r", "1", "--axis", "s", "--grid", "0:1:0.5", "--optimize"),
+     "a sweep along s cannot also optimize s at each point"),
+    (("sweep", "--r", "1", "--axis", "eta", "--grid", "0.1:0.5:0.2"),
+     "ideal projectors have no efficiency to sweep along eta"),
+    (("sweep", "--r", "1", "--axis", "loss", "--grid", "0:1:0.5"),
+     "T_loss must lie in (0, 1]"),
+    (("sweep", "--r", "1", "--axis", "r", "--grid", "0.5:1:0.5", "--optimize", "--s", "0.5"),
+     "sweep along r does not read --s for family scheme-ideal"),
+])
+def test_refusal_messages_are_exact(capsys, argv, message):
+    # the whole stderr line of each refusal the flag table and the
+    # configuration checks decide, so a rewrite of either keeps it as it is
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -1,6 +1,7 @@
 """The package's layering, read from the import statements of its sources."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -9,6 +10,9 @@ import types
 from pathlib import Path
 
 import pytest
+
+from sqbell import kernel
+from sqbell import resources as rs
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sqbell"
@@ -101,6 +105,30 @@ def test_fock_oracle_path_loads_no_numpy_ma():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "gauss_poly"])
 def test_only_gauss_poly_imports_gauss_poly(module):
     assert "sqbell.gauss_poly" not in imported(module)
+
+
+SCHEME_FIELDS = [f.name for f in dataclasses.fields(rs.SchemeConfig)]
+
+
+def test_parameter_columns_follow_the_scheme_config_fields():
+    # the kernel's rows are SchemeConfig's fields in its order, but for the
+    # fields only some detector kinds read (the efficiencies), which follow
+    # the source's so that a source reads the leading rows
+    every_kind = set(rs.SCHEME_DETECTORS.values())
+    detector_fields = {f for row in rs.SCHEME_FLAGS.values()
+                       if row.detectors and set(row.detectors) != every_kind
+                       for f in row.fields}
+    assert detector_fields == {"eta3", "eta4"}
+    assert kernel.SOURCE_FIELDS == tuple(f for f in SCHEME_FIELDS
+                                         if f not in detector_fields)
+    assert kernel.COLUMN_FIELDS == kernel.SOURCE_FIELDS + tuple(
+        f for f in SCHEME_FIELDS if f in detector_fields)
+
+
+def test_flag_table_sets_exactly_the_scheme_config_fields():
+    # and the squeezed Bell angle, which no SchemeConfig holds
+    named = {f for row in rs.SCHEME_FLAGS.values() for f in row.fields}
+    assert named == set(SCHEME_FIELDS) | {"delta"}
 
 
 def test_conditioning_imports_no_higher_layer():

@@ -226,6 +226,21 @@ def test_scheme_config_rejects_non_finite_fields(field, value):
         rs.SchemeConfig(**{"r": 1.0, field: value})
 
 
+@pytest.mark.parametrize("value", [0.5, 2, 1, 0, None, "False"])
+def test_scheme_config_refuses_a_non_bool_detector_loss_switch(value):
+    # the kernel uses the switch as a noise mask and the Fock oracle as a
+    # truth value: 0.5 scaled the detector modes by sqrt(T_loss) but added
+    # half the loss noise, and read OK with a P and F of neither channel
+    with pytest.raises(ValueError, match="loss_on_detector_modes must be a bool"):
+        rs.SchemeConfig(r=1.0, s=0.1, T_loss=0.8, loss_on_detector_modes=value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_scheme_config_takes_a_python_or_numpy_bool_switch(value):
+    cfg = rs.SchemeConfig(r=1.0, s=0.1, T_loss=0.8, loss_on_detector_modes=value)
+    assert cfg.loss_on_detector_modes == value
+
+
 @pytest.mark.parametrize("r", [np.nan, np.inf, -1.0])
 def test_theoretical_families_reject_bad_squeezing(r):
     for family in rs.THEORETICAL_FAMILIES:
