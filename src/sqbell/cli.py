@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -70,8 +71,6 @@ class _Flag(argparse.Action):
 def _config_from_args(args) -> SchemeConfig:
     fields = {}
     for flag, value in args.flags.items():
-        if flag == "loss" and not 0.0 <= value < 1.0:
-            raise ValueError("--loss must lie in [0, 1)")
         row = SCHEME_FLAGS[flag]
         fields.update(dict.fromkeys(row.fields, row.at(value)))
     fields.pop("delta", None)  # refused for a scheme family, by sweep after SweepSpec
@@ -236,19 +235,26 @@ def cmd_sweep(args) -> int:
 # -- reproduction targets ----------------------------------------------------
 
 
-def _scheme_rows(spec: SweepSpec) -> list:
-    """The rows of `sweep(spec)`; raises PhysicalityError naming the first
-    point that failed, since a published dataset has no gaps."""
-    rows = sweep(spec)
-    for row in rows:
-        if row.error is not None:
-            raise PhysicalityError(f"{spec.axis} = {_fmt(row.value)}: {row.error}")
+def _by_spec(specs: tuple[SweepSpec, ...], rows: list) -> list[list]:
+    """The flat rows of `sweep(*specs)`, one list per spec."""
+    rows = iter(rows)
+    return [list(itertools.islice(rows, len(spec.grid))) for spec in specs]
+
+
+def _scheme_rows(*specs: SweepSpec) -> list[list]:
+    """The rows of `sweep(*specs)`, one list per spec; raises PhysicalityError
+    naming the first point that failed, since a published dataset has no gaps."""
+    rows = _by_spec(specs, sweep(*specs))
+    for spec, spec_rows in zip(specs, rows):
+        for row in spec_rows:
+            if row.error is not None:
+                raise PhysicalityError(f"{spec.axis} = {_fmt(row.value)}: {row.error}")
     return rows
 
 
 def _table2(outdir: Path) -> Path:
-    rows = _scheme_rows(SweepSpec(base=SchemeConfig(r=TABLE2_R[0]), axis="r",
-                                  grid=TABLE2_R, optimize_s_at_each=True))
+    (rows,) = _scheme_rows(SweepSpec(base=SchemeConfig(r=TABLE2_R[0]), axis="r",
+                                     grid=TABLE2_R, optimize_s_at_each=True))
     return _write_csv(
         outdir / "table2.csv", ["r", "s_star", "fidelity"],
         [[row.value, row.s_star, row.fidelity] for row in rows],
@@ -258,14 +264,12 @@ def _table2(outdir: Path) -> Path:
 
 def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
     detector = "on-off" if lossy else "ideal"
-    rows = []
-    for r in TABLE2_R:
-        base = SchemeConfig(r=r, T_loss=0.85 if lossy else 1.0)
-        grid = np.linspace(0.0, r, 61)
-        spec = SweepSpec(base=base, axis="s", grid=tuple(grid), detector=detector)
-        for row in sweep(spec):
-            rows.append([f"r={r}", row.value, row.fidelity, row.success_prob,
-                         row.error])
+    specs = tuple(SweepSpec(base=SchemeConfig(r=r, T_loss=0.85 if lossy else 1.0), axis="s",
+                            grid=tuple(np.linspace(0.0, r, 61)), detector=detector)
+                  for r in TABLE2_R)
+    rows = [[f"r={r}", row.value, row.fidelity, row.success_prob, row.error]
+            for r, spec_rows in zip(TABLE2_R, _by_spec(specs, sweep(*specs)))
+            for row in spec_rows]
     return _write_csv(
         outdir / f"{name}.csv", ["series", "s", "fidelity", "success_prob", "error"],
         rows, target=name, detector=detector, loss=0.15 if lossy else 0.0,
@@ -275,8 +279,7 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
 def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
     rs = tuple(round(float(r), 10) for r in r_grid)
     spec = functools.partial(SweepSpec, base=SchemeConfig(r=rs[0]), axis="r", grid=rs)
-    optimized = _scheme_rows(spec(optimize_s_at_each=True))
-    s0 = _scheme_rows(spec())
+    optimized, s0 = _scheme_rows(spec(optimize_s_at_each=True), spec())
     rows = []
     for r, opt, plain in zip(rs, optimized, s0):
         rows.append(["scheme-optimized", r, opt.fidelity])
@@ -298,9 +301,8 @@ def _fig7(outdir: Path) -> Path:
     base = SchemeConfig(r=1.6, eta3=0.15, eta4=0.15)
     losses = tuple(round(float(ell), 10) for ell in np.arange(0.0, 0.301, 0.02))
     spec = functools.partial(SweepSpec, axis="loss", grid=losses, detector="on-off")
-    optimized = _scheme_rows(spec(base=base, optimize_s_at_each=True))
-    s0 = _scheme_rows(spec(base=base))
-    sr = _scheme_rows(spec(base=base.with_(s=base.r)))
+    optimized, s0, sr = _scheme_rows(spec(base=base, optimize_s_at_each=True), spec(base=base),
+                                     spec(base=base.with_(s=base.r)))
     rows = []
     for ell, opt, f0, fr in zip(losses, optimized, s0, sr):
         rows.append(["optimized", ell, opt.fidelity, opt.s_star])

@@ -6,8 +6,9 @@ generator per configuration.  The searches of many configurations run in
 lockstep, each round of all of them one batched call of the closed-form
 kernel on parameter columns (one float row per field, one column per point;
 no configuration object per point).  Sweeps scan an axis of `SCHEME_FLAGS`,
-evaluate all their rows in one batched call, optionally nesting the
-optimizer, and record per-point errors without aborting the campaign.
+optionally nesting the optimizer, and record per-point errors without
+aborting the campaign; one `sweep` call evaluates the points of several
+specs together, in one batched call or in the rounds of their searches.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ COARSE_POINTS = 41
 BRACKET_TOL = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _S_ROW, _R_ROW = kernel.COLUMN_FIELDS.index("s"), kernel.COLUMN_FIELDS.index("r")
+# the parameter column rows each sweep axis sets
+_AXIS_ROWS = {flag: [kernel.COLUMN_FIELDS.index(f) for f in SCHEME_FLAGS[flag].fields]
+              for flag in SWEEP_FLAGS}
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,9 @@ class SweepSpec:
         """Parameter columns of every grid point (see
         :func:`sqbell.kernel.columns_of`): the base configuration's, with the
         axis rows set to the floats :meth:`config_at` gives."""
-        columns = np.repeat(kernel.columns_of([self.base]), len(self.grid), axis=1)
-        row = SCHEME_FLAGS[self.axis]
-        columns[[kernel.COLUMN_FIELDS.index(f) for f in row.fields]] = row.at(np.array(self.grid))
+        columns = np.empty((len(kernel.COLUMN_FIELDS), len(self.grid)))
+        columns[:] = kernel.columns_of([self.base])
+        columns[_AXIS_ROWS[self.axis]] = SCHEME_FLAGS[self.axis].at(np.array(self.grid))
         return columns
 
 
@@ -101,59 +105,80 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
 
 def _search(r: float):
     """The search of one configuration at squeezing r: yields each array of
-    s it needs evaluated, is sent their F, and returns its OptResult."""
+    s it needs evaluated, is sent the lists of their P and F, and returns
+    its OptResult and the P at its s*."""
     if r == 0.0:  # [0, r] is the one point s = 0
-        (f0,) = (yield np.zeros(1)).tolist()
-        return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
+        (p0,), (f0,) = yield np.zeros(1)
+        return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True), p0
     grid = np.linspace(0.0, r, COARSE_POINTS)
-    values = yield grid
-    trace = list(zip(grid.tolist(), values.tolist()))
-    if float(values.max() - values.min()) < 1e-12:
-        return OptResult(0.0, float(values[0]), tuple(trace), (0.0, 0.0), plateau=True)
+    probs, values = yield grid  # probs: the P of each point of the trace
+    trace = list(zip(grid.tolist(), values))
+    top = max(values)
+    if top - min(values) < 1e-12:
+        return OptResult(0.0, values[0], tuple(trace), (0.0, 0.0), plateau=True), probs[0]
     # unimodality on [0, r] is assumed by the bracketing step, not proven;
     # flag any coarse-grid evidence against it
-    k = int(np.argmax(values))
+    k = values.index(top)
     peaks = sum(1 for j in range(1, COARSE_POINTS - 1)
                 if values[j - 1] < values[j] > values[j + 1])
     multi_peak = peaks > 1 or (peaks == 1 and k in (0, COARSE_POINTS - 1))
     a, b = float(grid[max(0, k - 1)]), float(grid[min(COARSE_POINTS - 1, k + 1)])
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = (yield np.array([c, d])).tolist()
+    (pc, pd), (fc, fd) = yield np.array([c, d])
     trace += [(c, fc), (d, fd)]
+    probs += [pc, pd]
     while b - a > BRACKET_TOL:
         if fc > fd:  # the maximum lies in [a, d]
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            (fc,) = (yield np.array([c])).tolist()
+            (p,), (fc,) = yield np.array([c])
             trace.append((c, fc))
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            (fd,) = (yield np.array([d])).tolist()
+            (p,), (fd,) = yield np.array([d])
             trace.append((d, fd))
+        probs.append(p)
     s_star = 0.5 * (a + b)
-    (f_star,) = (yield np.array([s_star])).tolist()
+    (p_star,), (f_star,) = yield np.array([s_star])
     trace.append((s_star, f_star))
-    best_s, best_f = max(trace, key=lambda t: t[1])
+    probs.append(p_star)
+    (best_s, best_f), best_p = max(zip(trace, probs), key=lambda t: t[0][1])
     if best_f > f_star:
-        s_star, f_star = best_s, best_f
-    return OptResult(s_star, f_star, tuple(trace), (a, b), multi_peak=multi_peak)
+        s_star, f_star, p_star = best_s, best_f, best_p
+    return OptResult(s_star, f_star, tuple(trace), (a, b), multi_peak=multi_peak), p_star
+
+
+def _point(s: float):
+    """The one point s: yields it, is sent the lists of its P and F, and
+    returns the two."""
+    (p,), (f,) = yield np.array([s])
+    return p, f
 
 
 def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
     """:func:`optimize_s` of each point of the parameter columns `columns`,
-    the searches run in lockstep; does not warn.
+    the searches run in :func:`_lockstep`; does not warn."""
+    return [out if isinstance(out, Exception) else out[0]
+            for out in _lockstep(columns, detector, map(_search, columns[_R_ROW].tolist()))]
+
+
+def _lockstep(columns, detector: str, searches) -> list:
+    """Run `searches`, one generator per point of the parameter columns
+    `columns` (each a :func:`_search`, or a :func:`_point` at the point's
+    own s), in lockstep; returns what each returns.
 
     Each round is one kernel call on the points every unfinished search asks
-    for next: the coarse grids, then the opening points of the brackets,
-    then one golden-section step or final midpoint per search.  The kernel
-    is batch-invariant bit for bit, so each search visits the same points,
-    and returns the same result, as on its own.  A point whose search meets a
+    for next, at its column's parameters with the s it asks for: the coarse
+    grids and plain points, then the opening points of the brackets, then
+    one golden-section step or final midpoint per search.  The kernel is
+    batch-invariant bit for bit, so each search visits the same points, and
+    returns the same result, as on its own.  A search that meets a
     degenerate or unphysical point gets that point's error in place of its
     result; the other searches go on.
     """
-    results: list[OptResult | Exception | None] = [None] * columns.shape[1]
-    searches = [_search(r) for r in columns[_R_ROW].tolist()]
+    searches = list(searches)
+    results: list = [None] * len(searches)
     asks = {i: next(search) for i, search in enumerate(searches)}
     while asks:
         ids = list(asks)
@@ -161,6 +186,7 @@ def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
         points = columns[:, np.repeat(ids, sizes)]
         points[_S_ROW] = np.concatenate([asks[i] for i in ids])
         P, F, status = kernel.columns_pf(points, detector)
+        p_list, f_list = P.tolist(), F.tolist()
         edges = np.cumsum([0] + sizes)
         failing = np.add.reduceat(status != kernel.OK, edges[:-1])
         for i, lo, hi, fails in zip(ids, edges[:-1].tolist(), edges[1:].tolist(),
@@ -171,7 +197,7 @@ def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
                               if e is not None)
             else:
                 try:
-                    asks[i] = searches[i].send(F[lo:hi])
+                    asks[i] = searches[i].send((p_list[lo:hi], f_list[lo:hi]))
                     continue
                 except StopIteration as stop:
                     result = stop.value
@@ -211,33 +237,42 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every grid point of the spec; rows keep their grid order.
+def sweep(*specs: SweepSpec) -> list[SweepRow]:
+    """Evaluate every grid point of each spec; returns the rows of every
+    spec, in order, each spec's in its grid order.
 
-    The points are the parameter columns of :meth:`SweepSpec.columns`; one
-    batched kernel call evaluates all of them (after the lockstep searches of
-    :func:`_optimize_columns` over all of them when `optimize_s_at_each`, at
-    the s* of each point it optimized); a point that fails records its
-    error in its own row.  Warns as :func:`sqbell.resources.scheme_state` does.
+    The specs must share one detector kind, else ValueError.  The points are
+    the parameter columns of :meth:`SweepSpec.columns`.  Where no spec
+    optimizes, one batched kernel call evaluates all of them.  Otherwise the
+    searches over s of the points of the specs that do (`optimize_s_at_each`)
+    run in :func:`_lockstep`, the other specs' points joining their first
+    round, and each optimized row takes its P and F from its search, at its
+    s*.  A point that fails records its error in its own row.  Warns as
+    :func:`sqbell.resources.scheme_state` does.
     """
-    rows = [SweepRow(value=v) for v in spec.grid]
-    columns = spec.columns()
-    kernel.warn_if_lossy(spec.detector, columns)
-    todo = rows
-    if spec.optimize_s_at_each:
-        for row, opt in zip(rows, _optimize_columns(columns, spec.detector)):
-            if isinstance(opt, Exception):  # recorded in-row, sweep continues
-                row.error = _describe(opt)
-            else:
-                row.s_star = opt.s_star
-        ok = [i for i, row in enumerate(rows) if row.error is None]
-        todo = [rows[i] for i in ok]
-        columns = columns[:, ok]
-        columns[_S_ROW] = [row.s_star for row in todo]
-    P, F, status = kernel.columns_pf(columns, spec.detector)
-    for row, p, f, st in zip(todo, P.tolist(), F.tolist(), status.tolist()):
-        if st != kernel.OK:
-            row.error = _describe(status_error(p, st))
+    detectors = {spec.detector for spec in specs}
+    if len(detectors) != 1:
+        raise ValueError("a sweep takes one or more specs of one detector kind")
+    (detector,) = detectors
+    columns = np.concatenate([spec.columns() for spec in specs], axis=1)
+    kernel.warn_if_lossy(detector, columns)
+    values = [v for spec in specs for v in spec.grid]
+    if not any(spec.optimize_s_at_each for spec in specs):
+        P, F, status = kernel.columns_pf(columns, detector)
+        return [SweepRow(v, f, p) if st == kernel.OK
+                else SweepRow(v, error=_describe(status_error(p, st)))
+                for v, p, f, st in zip(values, P.tolist(), F.tolist(), status.tolist())]
+    optimizing = [spec.optimize_s_at_each for spec in specs for _ in spec.grid]
+    searches = [_search(r) if opt else _point(s) for opt, r, s in
+                zip(optimizing, columns[_R_ROW].tolist(), columns[_S_ROW].tolist())]
+    rows = []
+    for v, opt, out in zip(values, optimizing, _lockstep(columns, detector, searches)):
+        if isinstance(out, Exception):  # recorded in-row, sweep continues
+            rows.append(SweepRow(v, error=_describe(out)))
+        elif opt:
+            result, p = out
+            rows.append(SweepRow(v, result.f_star, p, result.s_star))
         else:
-            row.fidelity, row.success_prob = f, p
+            p, f = out
+            rows.append(SweepRow(v, f, p))
     return rows

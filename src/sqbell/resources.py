@@ -35,9 +35,10 @@ SCHEME_FAMILIES = tuple(SCHEME_DETECTORS)
 
 class SchemeFlag(NamedTuple):
     """One scheme flag: the fields it sets, all to `at` of its value (a float,
-    or an array of them along a sweep), its help, its place among the sweep
-    axes (None where no sweep scans it) and the detector kinds that read it.
-    A switch takes no value; given, its value is True."""
+    or an array of them along a sweep; `at` raises ValueError, naming the
+    flag, for a value the map cannot take), its help, its place among the
+    sweep axes (None where no sweep scans it) and the detector kinds that
+    read it.  A switch takes no value; given, its value is True."""
 
     fields: tuple[str, ...]
     help: Optional[str] = None
@@ -45,6 +46,14 @@ class SchemeFlag(NamedTuple):
     axis: Optional[int] = None
     detectors: tuple[str, ...] = ("ideal", "on-off")
     switch: bool = False
+
+
+def _transmissivity(loss):
+    """The channel transmissivity 1 - ell of loss level ell (a float, or an
+    array of them along a sweep); ValueError unless ell lies in [0, 1)."""
+    if not np.all((loss >= 0.0) & (loss < 1.0)):
+        raise ValueError("--loss must lie in [0, 1)")
+    return 1.0 - loss
 
 
 # every scheme flag.  --delta sets the angle of the squeezed Bell family, which
@@ -59,7 +68,7 @@ SCHEME_FLAGS = {
     "T1": SchemeFlag(("T1",)),
     "T2": SchemeFlag(("T2",)),
     "loss": SchemeFlag(("T_loss",), "loss level ell; the channel transmissivity is 1 - ell",
-                       lambda v: 1.0 - v, axis=2),
+                       _transmissivity, axis=2),
     "eta": SchemeFlag(("eta3", "eta4"), "set both detector efficiencies", axis=4,
                       detectors=("on-off",)),
     "eta3": SchemeFlag(("eta3",), detectors=("on-off",)),

@@ -385,9 +385,11 @@ def test_sweep_refuses_eta_with_ideal_projectors_exit_2(capsys, optimize):
     (("sweep", "--r", "1", "--axis", "eta", "--grid", "0.1:0.5:0.2"),
      "ideal projectors have no efficiency to sweep along eta"),
     (("sweep", "--r", "1", "--axis", "loss", "--grid", "0:1:0.5"),
-     "T_loss must lie in (0, 1]"),
+     "--loss must lie in [0, 1)"),
     (("sweep", "--r", "1", "--axis", "r", "--grid", "0.5:1:0.5", "--optimize", "--s", "0.5"),
      "sweep along r does not read --s for family scheme-ideal"),
+    # the flag and the sweep axis name the loss level alike
+    (("state", "--r", "1", "--loss", "1"), "--loss must lie in [0, 1)"),
 ])
 def test_refusal_messages_are_exact(capsys, argv, message):
     # the whole stderr line of each refusal the flag table and the
@@ -516,6 +518,25 @@ def test_reproduce_matches_committed_datasets(tmp_path, capsys, target):
     for suffix in (".csv", ".config.json"):
         assert (tmp_path / (target + suffix)).read_bytes() == \
             (COMMITTED / (target + suffix)).read_bytes()
+
+
+# kernel calls of each dataset: one plain call for the s sweeps of fig3 and
+# fig6 (all eight series), and otherwise one per round of the longest
+# search, the plain series joining the first round
+KERNEL_CALLS = {"table2": 18, "fig3": 1, "fig4": 18, "fig5": 18, "fig6": 1, "fig7": 17}
+
+
+@pytest.mark.parametrize("target", list(DATASETS))
+def test_each_dataset_makes_one_kernel_call_per_search_round(tmp_path, monkeypatch, target):
+    columns_pf, calls = kernel.columns_pf, []
+
+    def counting(columns, detector):
+        calls.append(columns.shape[1])
+        return columns_pf(columns, detector)
+
+    monkeypatch.setattr(kernel, "columns_pf", counting)
+    DATASETS[target](tmp_path)
+    assert len(calls) == KERNEL_CALLS[target]
 
 
 def test_committed_datasets_and_reproduce_all_follow_the_table():

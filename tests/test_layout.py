@@ -153,7 +153,7 @@ def test_cli_evaluates_scheme_points_only_through_the_optimizer_front_ends():
     # optimizer's lockstep driver stays private to them
     evaluators = {"sqbell.kernel.scheme_pf",
                   "sqbell.kernel.columns_pf", "sqbell.optimize._optimize_columns",
-                  "sqbell.conditioning"}
+                  "sqbell.optimize._lockstep", "sqbell.conditioning"}
     assert not imported("cli") & evaluators
 
 

@@ -193,7 +193,7 @@ def test_search_with_two_failing_points_in_one_round_ends_at_the_first(monkeypat
 def test_optimizing_sweep_makes_one_kernel_call_per_round(monkeypatch):
     # fig4's optimizing sweep; the longest search sets the number of rounds
     # (its coarse grid, opening pair, golden-section steps and midpoint),
-    # and one more call evaluates every point at its s*
+    # and each row takes its P and F from its search, with no call at its s*
     rgrid = tuple(round(float(r), 10) for r in np.arange(0.1, 2.01, 0.05))
     spec = op.SweepSpec(base=rs.SchemeConfig(r=rgrid[0]), axis="r", grid=rgrid,
                         optimize_s_at_each=True)
@@ -206,9 +206,9 @@ def test_optimizing_sweep_makes_one_kernel_call_per_round(monkeypatch):
 
     monkeypatch.setattr(kernel, "columns_pf", counting)
     rows = op.sweep(spec)
-    assert len(rows) == 39 and len(calls) == 19 and calls[-1] == 39
-    assert len(calls) - 1 == max(len(res.trace) for res in results) - op.COARSE_POINTS
-    assert sum(calls[:-1]) == sum(len(res.trace) for res in results)
+    assert len(rows) == 39 and len(calls) == 18 and calls[-1] < 39
+    assert len(calls) == max(len(res.trace) for res in results) - op.COARSE_POINTS
+    assert sum(calls) == sum(len(res.trace) for res in results)
     assert [(row.s_star, row.fidelity) for row in rows] == \
         [(res.s_star, res.f_star) for res in results]
 
@@ -398,6 +398,37 @@ def test_sweep_columns_match_configurations_bit_for_bit(detector, optimize_s_at_
     assert rows == expected
     assert any(row.error is not None for row in rows)
     assert any(row.error is None for row in rows)
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_sweep_of_several_specs_equals_their_sweeps_one_by_one(detector):
+    # optimizing and plain specs, on every axis of both bases, failing
+    # points among them: one sweep gives every spec's rows, in order, each
+    # as its own sweep does, errors in their own rows
+    specs = [op.SweepSpec(base=base, axis=axis, grid=grid, detector=detector,
+                          optimize_s_at_each=optimize_s_at_each)
+             for base, (axis, grid) in itertools.product(COLUMN_BASES, COLUMN_GRIDS.items())
+             for optimize_s_at_each in (True, False)
+             if not (axis == "s" and optimize_s_at_each)
+             and not (axis == "eta" and detector == "ideal")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        rows = op.sweep(*specs)
+        expected = [row for spec in specs for row in op.sweep(spec)]
+    assert rows == expected
+    assert any(row.error is not None for row in rows)
+    assert any(row.s_star is not None for row in rows)
+    assert any(row.error is None and row.s_star is None for row in rows)
+
+
+def test_sweep_refuses_specs_of_two_detector_kinds():
+    base = rs.SchemeConfig(r=1.0)
+    specs = [op.SweepSpec(base=base, axis="s", grid=(0.0, 0.5), detector=detector)
+             for detector in ("ideal", "on-off")]
+    with pytest.raises(ValueError, match="one detector kind"):
+        op.sweep(*specs)
+    with pytest.raises(ValueError, match="one detector kind"):
+        op.sweep()
 
 
 @pytest.mark.parametrize("optimize_s_at_each", [False, True])
