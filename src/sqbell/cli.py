@@ -235,16 +235,11 @@ def cmd_sweep(args) -> int:
 # -- reproduction targets ----------------------------------------------------
 
 
-def _by_spec(specs: tuple[SweepSpec, ...], rows: list) -> list[list]:
-    """The flat rows of `sweep(*specs)`, one list per spec."""
-    rows = iter(rows)
-    return [list(itertools.islice(rows, len(spec.grid))) for spec in specs]
-
-
 def _scheme_rows(*specs: SweepSpec) -> list[list]:
     """The rows of `sweep(*specs)`, one list per spec; raises PhysicalityError
     naming the first point that failed, since a published dataset has no gaps."""
-    rows = _by_spec(specs, sweep(*specs))
+    flat = iter(sweep(*specs))
+    rows = [list(itertools.islice(flat, len(spec.grid))) for spec in specs]
     for spec, spec_rows in zip(specs, rows):
         for row in spec_rows:
             if row.error is not None:
@@ -268,7 +263,7 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
                             grid=tuple(np.linspace(0.0, r, 61)), detector=detector)
                   for r in TABLE2_R)
     rows = [[f"r={r}", row.value, row.fidelity, row.success_prob, row.error]
-            for r, spec_rows in zip(TABLE2_R, _by_spec(specs, sweep(*specs)))
+            for r, spec_rows in zip(TABLE2_R, _scheme_rows(*specs))
             for row in spec_rows]
     return _write_csv(
         outdir / f"{name}.csv", ["series", "s", "fidelity", "success_prob", "error"],

@@ -97,25 +97,26 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
     Warns as :func:`sqbell.resources.scheme_state` does."""
     columns = kernel.columns_of([cfg])
     kernel.warn_if_lossy(detector, columns)
-    (result,) = _optimize_columns(columns, detector)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    (out,) = _lockstep(columns, detector, [_search(cfg.r)])
+    if isinstance(out, Exception):
+        raise out
+    return out[2]
 
 
 def _search(r: float):
     """The search of one configuration at squeezing r: yields each array of
     s it needs evaluated, is sent the lists of their P and F, and returns
-    its OptResult and the P at its s*."""
+    (P, F, OptResult): the P and F at its s*, and its result."""
     if r == 0.0:  # [0, r] is the one point s = 0
         (p0,), (f0,) = yield np.zeros(1)
-        return OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True), p0
+        return p0, f0, OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
     grid = np.linspace(0.0, r, COARSE_POINTS)
     probs, values = yield grid  # probs: the P of each point of the trace
     trace = list(zip(grid.tolist(), values))
     top = max(values)
     if top - min(values) < 1e-12:
-        return OptResult(0.0, values[0], tuple(trace), (0.0, 0.0), plateau=True), probs[0]
+        return probs[0], values[0], OptResult(0.0, values[0], tuple(trace), (0.0, 0.0),
+                                              plateau=True)
     # unimodality on [0, r] is assumed by the bracketing step, not proven;
     # flag any coarse-grid evidence against it
     k = values.index(top)
@@ -146,27 +147,22 @@ def _search(r: float):
     (best_s, best_f), best_p = max(zip(trace, probs), key=lambda t: t[0][1])
     if best_f > f_star:
         s_star, f_star, p_star = best_s, best_f, best_p
-    return OptResult(s_star, f_star, tuple(trace), (a, b), multi_peak=multi_peak), p_star
+    return p_star, f_star, OptResult(s_star, f_star, tuple(trace), (a, b),
+                                     multi_peak=multi_peak)
 
 
 def _point(s: float):
     """The one point s: yields it, is sent the lists of its P and F, and
-    returns the two."""
+    returns (P, F, None), as a search with no result."""
     (p,), (f,) = yield np.array([s])
-    return p, f
-
-
-def _optimize_columns(columns, detector: str) -> list[OptResult | Exception]:
-    """:func:`optimize_s` of each point of the parameter columns `columns`,
-    the searches run in :func:`_lockstep`; does not warn."""
-    return [out if isinstance(out, Exception) else out[0]
-            for out in _lockstep(columns, detector, map(_search, columns[_R_ROW].tolist()))]
+    return p, f, None
 
 
 def _lockstep(columns, detector: str, searches) -> list:
     """Run `searches`, one generator per point of the parameter columns
     `columns` (each a :func:`_search`, or a :func:`_point` at the point's
-    own s), in lockstep; returns what each returns.
+    own s), in lockstep; returns what each returns, (P, F, OptResult | None),
+    or the error of the point it failed at.  Does not warn.
 
     Each round is one kernel call on the points every unfinished search asks
     for next, at its column's parameters with the s it asks for: the coarse
@@ -246,8 +242,9 @@ def sweep(*specs: SweepSpec) -> list[SweepRow]:
     optimizes, one batched kernel call evaluates all of them.  Otherwise the
     searches over s of the points of the specs that do (`optimize_s_at_each`)
     run in :func:`_lockstep`, the other specs' points joining their first
-    round, and each optimized row takes its P and F from its search, at its
-    s*.  A point that fails records its error in its own row.  Warns as
+    round.  Each point's (P, F, OptResult | None) makes its row, an optimized
+    row taking the P and F its search found at its s*.  A point that fails
+    records its error in its own row.  Warns as
     :func:`sqbell.resources.scheme_state` does.
     """
     detectors = {spec.detector for spec in specs}
@@ -265,14 +262,7 @@ def sweep(*specs: SweepSpec) -> list[SweepRow]:
     optimizing = [spec.optimize_s_at_each for spec in specs for _ in spec.grid]
     searches = [_search(r) if opt else _point(s) for opt, r, s in
                 zip(optimizing, columns[_R_ROW].tolist(), columns[_S_ROW].tolist())]
-    rows = []
-    for v, opt, out in zip(values, optimizing, _lockstep(columns, detector, searches)):
-        if isinstance(out, Exception):  # recorded in-row, sweep continues
-            rows.append(SweepRow(v, error=_describe(out)))
-        elif opt:
-            result, p = out
-            rows.append(SweepRow(v, result.f_star, p, result.s_star))
-        else:
-            p, f = out
-            rows.append(SweepRow(v, f, p))
-    return rows
+    # an error is recorded in its row, and the sweep continues
+    return [SweepRow(v, error=_describe(out)) if isinstance(out, Exception)
+            else SweepRow(v, out[1], out[0], out[2].s_star if out[2] else None)
+            for v, out in zip(values, _lockstep(columns, detector, searches))]

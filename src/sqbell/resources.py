@@ -218,13 +218,13 @@ def delta_equivalent(cfg: SchemeConfig) -> float:
     """
     if cfg.T1 != cfg.T2 or cfg.T_loss < 1.0:
         raise ValueError("delta_equivalent needs T1 = T2 and no loss (T_loss = 1)")
-    kappa = np.arctan(np.sqrt((1.0 - cfg.T1) / cfg.T1))
-    k2 = kappa ** 2
-    num = k2 * np.sinh(cfg.r) ** 2
-    den = cfg.s + k2 * np.sinh(cfg.r) * np.cosh(cfg.r)
-    if num == 0.0 and den == 0.0:
+    if cfg.r == 0.0:
         return 0.0
-    return float(np.arctan2(num, den))
+    k2 = math.atan(math.sqrt((1.0 - cfg.T1) / cfg.T1)) ** 2
+    # atan2(k2 sinh^2 r, s + k2 sinh r cosh r), both arguments divided by
+    # sinh r cosh r = -expm1(-4r) e^{2r} / 4, which overflows nothing
+    return math.atan2(k2 * math.tanh(cfg.r),
+                      k2 - 4.0 * cfg.s * math.exp(-2.0 * cfg.r) / math.expm1(-4.0 * cfg.r))
 
 
 def effective_squeezing(r: float, T_loss: float) -> float:

@@ -176,5 +176,8 @@ def fidelity_alpha_explicit(res: ResourceState, alpha: complex) -> float:
 
 
 def twin_beam_fidelity(r: float) -> float:
-    """Closed form 1/(1 + e^(-2r)) for the pure twin-beam resource."""
+    """Closed form 1/(1 + e^(-2r)) for the pure twin-beam resource; an r
+    that is negative or not finite raises ValueError."""
+    if not 0.0 <= r < np.inf:
+        raise ValueError("squeezing amplitude must be finite and nonnegative")
     return 1.0 / (1.0 + np.exp(-2.0 * r))

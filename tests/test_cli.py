@@ -415,9 +415,11 @@ def test_largest_grid_is_accepted(capsys):
 
 
 # a point of each dataset of scheme rows: its column field and value, and
-# how the error names it
-FAILING_POINTS = {"table2": ("r", 1.6, "r = 1.6"), "fig4": ("r", 1.6, "r = 1.6"),
-                  "fig5": ("r", 1.6, "r = 1.6"), "fig7": ("T_loss", 0.9, "loss = 0.1")}
+# how the error names it (in fig3 and fig6, s = 0.8 first ends the r = 0.8
+# series)
+FAILING_POINTS = {"table2": ("r", 1.6, "r = 1.6"), "fig3": ("s", 0.8, "s = 0.8"),
+                  "fig4": ("r", 1.6, "r = 1.6"), "fig5": ("r", 1.6, "r = 1.6"),
+                  "fig6": ("s", 0.8, "s = 0.8"), "fig7": ("T_loss", 0.9, "loss = 0.1")}
 
 
 @pytest.mark.parametrize("target", FAILING_POINTS)

@@ -586,6 +586,19 @@ def test_squeezed_bell_fidelity_matches_gauss_poly():
             assert closed[i, j] == pytest.approx(f_ref, rel=1e-11, abs=0.0), (ri, dj)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.5, 10.0, 30.0])
+def test_squeezed_bell_fidelity_matches_its_radial_integral(r):
+    # the integral in the closed form's docstring, at 50 digits
+    mp = mpgauss.mp
+    for d in (0.0, 0.4, np.pi / 8, np.pi / 4, 1.2, np.pi / 2):
+        with mp.workdps(50):
+            x, c, s = mp.exp(-2 * mp.mpf(r)), mp.cos(d), mp.sin(d)
+            exact = mp.quad(lambda t: mp.exp(-(1 + x) * t) * (
+                c * c + s * s * (1 - x * t) ** 2 + 2 * c * s * x * t), [0, mp.inf])
+        got = kernel.squeezed_bell_fidelity(r, d)
+        assert abs(float(got) - float(exact)) <= 1e-15, (r, d)
+
+
 @pytest.mark.parametrize("family", rs.THEORETICAL_FAMILIES)
 @pytest.mark.parametrize("r", [0.5, 0.8])
 def test_squeezed_bell_fidelity_matches_fock_oracle(family, r):

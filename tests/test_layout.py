@@ -40,10 +40,11 @@ def test_kernel_imports_only_numpy_and_the_standard_library():
     assert tops <= set(sys.stdlib_module_names) | {"numpy"}
 
 
-def test_covariance_reference_imports_only_numpy_and_the_standard_library():
-    # it shares no code with the package it checks
-    tops = {name.split(".")[0]
-            for name in imported("covariance", ROOT / "tests" / "reference")}
+def test_references_import_only_numpy_and_the_standard_library():
+    # the covariance reference and the exact squeezed Bell map share no code
+    # with the package they check
+    tops = {name.split(".")[0] for reference in ("covariance", "bell_map")
+            for name in imported(reference, ROOT / "tests" / "reference")}
     assert tops <= set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -151,9 +152,9 @@ def test_fock_oracle_imports_none_of_the_paths_it_checks():
 def test_cli_evaluates_scheme_points_only_through_the_optimizer_front_ends():
     # every scheme row of the CLI comes from sweep or optimize_s, and the
     # optimizer's lockstep driver stays private to them
-    evaluators = {"sqbell.kernel.scheme_pf",
-                  "sqbell.kernel.columns_pf", "sqbell.optimize._optimize_columns",
-                  "sqbell.optimize._lockstep", "sqbell.conditioning"}
+    evaluators = {"sqbell.kernel.scheme_pf", "sqbell.kernel.columns_pf",
+                  "sqbell.optimize._lockstep", "sqbell.optimize._search",
+                  "sqbell.optimize._point", "sqbell.conditioning"}
     assert not imported("cli") & evaluators
 
 

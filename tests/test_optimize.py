@@ -151,11 +151,19 @@ def scalar_optimize_s(cfg, detector):
                         (float(a), float(b)), multi_peak=multi_peak)
 
 
+def lockstep_searches(cfgs, detector):
+    """The OptResult, or the error, of the search of each configuration,
+    all run in one optimize._lockstep; each search's F is its f_star."""
+    outs = op._lockstep(kernel.columns_of(cfgs), detector, [op._search(c.r) for c in cfgs])
+    assert all(out[1] == out[2].f_star for out in outs if not isinstance(out, Exception))
+    return [out if isinstance(out, Exception) else out[2] for out in outs]
+
+
 @pytest.mark.parametrize("detector", ["ideal", "on-off"])
 def test_lockstep_searches_equal_optimize_s_and_the_scalar_loop(detector):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
-        many = op._optimize_columns(kernel.columns_of(MIXED), detector)
+        many = lockstep_searches(MIXED, detector)
         single = [_outcome(cfg, detector) for cfg in MIXED]
         scalar = [_outcome(cfg, detector, scalar_optimize_s) for cfg in MIXED]
     assert [(type(m), str(m)) if isinstance(m, Exception) else m
@@ -163,7 +171,7 @@ def test_lockstep_searches_equal_optimize_s_and_the_scalar_loop(detector):
     kinds = {type(m).__name__ if isinstance(m, Exception) else m.plateau
              for m in many}
     assert {True, False, "DegeneratePostselectionError"} <= kinds
-    assert op._optimize_columns(kernel.columns_of([]), detector) == []
+    assert lockstep_searches([], detector) == []
 
 
 def test_search_with_two_failing_points_in_one_round_ends_at_the_first(monkeypatch):
@@ -184,7 +192,7 @@ def test_search_with_two_failing_points_in_one_round_ends_at_the_first(monkeypat
         return P, F, status
 
     monkeypatch.setattr(kernel, "columns_pf", failing_pf)
-    first, middle, last = op._optimize_columns(kernel.columns_of(cfgs), "ideal")
+    first, middle, last = lockstep_searches(cfgs, "ideal")
     assert (first, last) == (expected[0], expected[2])
     assert type(middle) is DegeneratePostselectionError
     assert str(middle) == str(status_error(first_p, kernel.DEGENERATE))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import warnings
 
 import mpmath
@@ -165,6 +166,22 @@ def test_delta_equivalent_limits():
     cfg1 = rs.SchemeConfig(r=1.0, s=0.011)
     expected = np.arctan(k2 * np.sinh(1) ** 2 / (0.011 + k2 * np.sinh(1) * np.cosh(1)))
     assert rs.delta_equivalent(cfg1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_delta_equivalent_matches_mpmath_at_every_r():
+    # atan2(k^2 sinh^2 r, s + k^2 sinh r cosh r) at 50 digits; at r = 400
+    # and 800 sinh^2 r overflows, which must neither warn nor lose the
+    # limit pi/4
+    for T, s in itertools.product((0.9, 0.99, 0.999), (0.0, 0.011, 0.3, 2.0)):
+        for r in [*np.logspace(-12.0, 2.0, 15), 355.0, 400.0, 800.0]:
+            got = rs.delta_equivalent(rs.SchemeConfig(r=float(r), s=s, T1=T, T2=T))
+            with mpmath.workdps(50):
+                k2 = mpmath.atan(mpmath.sqrt((1 - mpmath.mpf(T)) / T)) ** 2
+                sh, ch = mpmath.sinh(r), mpmath.cosh(r)
+                exact = float(mpmath.atan2(k2 * sh * sh, s + k2 * sh * ch))
+            assert abs(got - exact) <= 1e-15 * exact, (T, s, r)
+            if r >= 355.0:
+                assert got == math.pi / 4
 
 
 @pytest.mark.parametrize("cfg", [rs.SchemeConfig(r=1.0, s=0.1, T2=0.5),

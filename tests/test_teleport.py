@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -25,6 +26,18 @@ def test_twin_beam_closed_form_across_r():
     for r in np.arange(0.0, 2.51, 0.25):
         f = tp.fidelity_closed_form(rs.theoretical_state("twin-beam", r))
         assert f == pytest.approx(tp.twin_beam_fidelity(r), abs=1e-9)
+
+
+def test_twin_beam_fidelity_matches_mpmath_and_refuses_bad_amplitudes():
+    # 1 / (1 + e^{-2r}) at 50 digits; a negative r gave 0.1192, NaN gave
+    # NaN and r = -400 overflowed
+    for r in (0.0, 1e-9, 0.5, 1.6, 20.0, 400.0, 800.0):
+        with mpmath.workdps(50):
+            exact = float(1 / (1 + mpmath.exp(-2 * mpmath.mpf(r))))
+        assert tp.twin_beam_fidelity(r) == pytest.approx(exact, rel=2e-16, abs=0.0)
+    for r in (-1.0, -400.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            tp.twin_beam_fidelity(r)
 
 
 def test_twin_beam_anchor_value():
