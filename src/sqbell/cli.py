@@ -235,15 +235,17 @@ def cmd_sweep(args) -> int:
 # -- reproduction targets ----------------------------------------------------
 
 
-def _scheme_rows(*specs: SweepSpec) -> list[list]:
+def _scheme_rows(*specs: SweepSpec, series: tuple[str, ...] = ()) -> list[list]:
     """The rows of `sweep(*specs)`, one list per spec; raises PhysicalityError
-    naming the first point that failed, since a published dataset has no gaps."""
+    naming the first point that failed, after the label `series` gives its
+    spec in the dataset, since a published dataset has no gaps."""
     flat = iter(sweep(*specs))
     rows = [list(itertools.islice(flat, len(spec.grid))) for spec in specs]
-    for spec, spec_rows in zip(specs, rows):
+    for spec, label, spec_rows in itertools.zip_longest(specs, series, rows):
         for row in spec_rows:
             if row.error is not None:
-                raise PhysicalityError(f"{spec.axis} = {_fmt(row.value)}: {row.error}")
+                prefix = f"{label}: " if label else ""
+                raise PhysicalityError(f"{prefix}{spec.axis} = {_fmt(row.value)}: {row.error}")
     return rows
 
 
@@ -262,8 +264,9 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
     specs = tuple(SweepSpec(base=SchemeConfig(r=r, T_loss=0.85 if lossy else 1.0), axis="s",
                             grid=tuple(np.linspace(0.0, r, 61)), detector=detector)
                   for r in TABLE2_R)
-    rows = [[f"r={r}", row.value, row.fidelity, row.success_prob, row.error]
-            for r, spec_rows in zip(TABLE2_R, _scheme_rows(*specs))
+    series = tuple(f"r={r}" for r in TABLE2_R)
+    rows = [[label, row.value, row.fidelity, row.success_prob, row.error]
+            for label, spec_rows in zip(series, _scheme_rows(*specs, series=series))
             for row in spec_rows]
     return _write_csv(
         outdir / f"{name}.csv", ["series", "s", "fidelity", "success_prob", "error"],
@@ -274,7 +277,8 @@ def _fig_s_sweep(outdir: Path, name: str, lossy: bool) -> Path:
 def _fig_vs_r(outdir: Path, name: str, r_grid: np.ndarray) -> Path:
     rs = tuple(round(float(r), 10) for r in r_grid)
     spec = functools.partial(SweepSpec, base=SchemeConfig(r=rs[0]), axis="r", grid=rs)
-    optimized, s0 = _scheme_rows(spec(optimize_s_at_each=True), spec())
+    optimized, s0 = _scheme_rows(spec(optimize_s_at_each=True), spec(),
+                                 series=("scheme-optimized", "scheme-s0"))
     rows = []
     for r, opt, plain in zip(rs, optimized, s0):
         rows.append(["scheme-optimized", r, opt.fidelity])
@@ -297,7 +301,8 @@ def _fig7(outdir: Path) -> Path:
     losses = tuple(round(float(ell), 10) for ell in np.arange(0.0, 0.301, 0.02))
     spec = functools.partial(SweepSpec, axis="loss", grid=losses, detector="on-off")
     optimized, s0, sr = _scheme_rows(spec(base=base, optimize_s_at_each=True), spec(base=base),
-                                     spec(base=base.with_(s=base.r)))
+                                     spec(base=base.with_(s=base.r)),
+                                     series=("optimized", "s=0", "s=r"))
     rows = []
     for ell, opt, f0, fr in zip(losses, optimized, s0, sr):
         rows.append(["optimized", ell, opt.fidelity, opt.s_star])

@@ -69,6 +69,8 @@ SOURCE_FIELDS = ("r", "s", "phi_zeta", "phi_xi", "T1", "T2", "T_loss",
 # the rows of a parameter column array: the source fields, then the detectors'
 COLUMN_FIELDS = SOURCE_FIELDS + ("eta3", "eta4")
 _T_LOSS_ROW = COLUMN_FIELDS.index("T_loss")
+# the most points columns_pf evaluates at once
+_PASS_POINTS = 4096
 
 _DEGENERACY_FLOOR = DEGENERACY_ULPS * np.finfo(float).eps
 _EYE2, _EYE4 = np.eye(2), np.eye(4)
@@ -454,7 +456,14 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
 def columns_pf(columns, detector: str):
     """:func:`scheme_pf` of the points whose parameters are the columns of
     `columns` (one row per COLUMN_FIELDS entry, as :func:`columns_of`
-    gives), passed whole to :func:`source_exponents`."""
+    gives), in passes of at most _PASS_POINTS columns, each passed whole to
+    :func:`source_exponents`.  The passes bound the working memory, a few
+    KB per point; batch invariance makes their results those of one pass."""
+    n = columns.shape[1]
+    if n > _PASS_POINTS:
+        passes = [columns_pf(columns[:, i:i + _PASS_POINTS], detector)
+                  for i in range(0, n, _PASS_POINTS)]
+        return tuple(map(np.concatenate, zip(*passes)))
     return scheme_pf(source_exponents(columns), detector, *columns[len(SOURCE_FIELDS):])
 
 

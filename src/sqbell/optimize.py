@@ -5,14 +5,19 @@ refinement of the bracket around the grid maximum, written once as a
 generator per configuration.  The searches of many configurations run in
 lockstep, each round of all of them one batched call of the closed-form
 kernel on parameter columns (one float row per field, one column per point;
-no configuration object per point).  Sweeps scan an axis of `SCHEME_FLAGS`,
-optionally nesting the optimizer, and record per-point errors without
-aborting the campaign; one `sweep` call evaluates the points of several
-specs together, in one batched call or in the rounds of their searches.
+no configuration object per point).  Past the coarse grid a search
+speculates one step ahead, asking with each point its path needs for both
+points its next step might need, so each round settles two golden-section
+steps and the path stays that of one point at a time.  Sweeps scan an axis
+of `SCHEME_FLAGS`, optionally nesting the optimizer, and record per-point
+errors without aborting the campaign; one `sweep` call evaluates the points
+of several specs together, in one batched call or in the rounds of their
+searches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,15 +108,44 @@ def optimize_s(cfg: SchemeConfig, detector: str = "ideal") -> OptResult:
     return out[2]
 
 
+def _inner(a: float, b: float) -> tuple[float, float]:
+    """The golden-section points c < d of the bracket [a, b]."""
+    return b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+
+
+def _ahead(a: float, b: float, c: float, d: float) -> list[float]:
+    """The candidates for the point a search takes after its bracket [a, b]
+    with inner points c < d: the new point of the golden step for each
+    outcome of comparing F at c with F at d, or the midpoint once the
+    bracket is closed."""
+    if b - a > BRACKET_TOL:
+        return [_inner(a, d)[0], _inner(c, b)[1]]
+    return [0.5 * (a + b)]
+
+
 def _search(r: float):
     """The search of one configuration at squeezing r: yields each array of
-    s it needs evaluated, is sent the lists of their P and F, and returns
-    (P, F, OptResult): the P and F at its s*, and its result."""
+    s it needs evaluated, is sent the lists of their P, F and status, and
+    returns (P, F, OptResult), the P and F at its s* and its result, or the
+    error of the first failing point on its path, in path order.
+
+    Past the coarse grid the search speculates one step ahead: each array
+    it yields holds the points its path takes next (the opening pair, or
+    the new point of a golden step) and both candidates for the point after
+    them (:func:`_ahead`), so each round settles two steps.  It keeps the
+    candidate its comparison takes and ignores the other, failing or not.
+    Every point is the sequential search's own expression, so its path, its
+    trace (which holds the path alone) and its result are that search's,
+    bit for bit."""
     if r == 0.0:  # [0, r] is the one point s = 0
-        (p0,), (f0,) = yield np.zeros(1)
+        (p0,), (f0,), (st0,) = yield np.zeros(1)
+        if st0:
+            return status_error(p0, st0)
         return p0, f0, OptResult(0.0, f0, ((0.0, f0),), (0.0, 0.0), plateau=True)
     grid = np.linspace(0.0, r, COARSE_POINTS)
-    probs, values = yield grid  # probs: the P of each point of the trace
+    probs, values, status = yield grid  # probs: the P of each point of the trace
+    if any(status):
+        return next(status_error(p, st) for p, st in zip(probs, status) if st)
     trace = list(zip(grid.tolist(), values))
     top = max(values)
     if top - min(values) < 1e-12:
@@ -124,26 +158,34 @@ def _search(r: float):
                 if values[j - 1] < values[j] > values[j + 1])
     multi_peak = peaks > 1 or (peaks == 1 and k in (0, COARSE_POINTS - 1))
     a, b = float(grid[max(0, k - 1)]), float(grid[min(COARSE_POINTS - 1, k + 1)])
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    (pc, pd), (fc, fd) = yield np.array([c, d])
-    trace += [(c, fc), (d, fd)]
-    probs += [pc, pd]
-    while b - a > BRACKET_TOL:
-        if fc > fd:  # the maximum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            (p,), (fc,) = yield np.array([c])
-            trace.append((c, fc))
+    c, d = _inner(a, b)
+    # the points the path takes next, with the candidates for the point after
+    # them; known: s -> (P, F, status) of every point asked for
+    path, ahead, known, s_star = [c, d], _ahead(a, b, c, d), {}, None
+    while True:
+        if path[-1] not in known:  # else a candidate of the last round
+            P, F, status = yield np.array(path + ahead)
+            known.update(zip(path + ahead, zip(P, F, status)))
+        for s in path:
+            p, f, st = known[s]
+            if st:
+                return status_error(p, st)
+            trace.append((s, f))
+            probs.append(p)
+        if s_star is not None:
+            break
+        if b - a > BRACKET_TOL:
+            if known[c][1] > known[d][1]:  # the maximum lies in [a, d]
+                b, d = d, c
+                c = new = _inner(a, b)[0]
+            else:
+                a, c = c, d
+                d = new = _inner(a, b)[1]
+            path, ahead = [new], _ahead(a, b, c, d)
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            (p,), (fd,) = yield np.array([d])
-            trace.append((d, fd))
-        probs.append(p)
-    s_star = 0.5 * (a + b)
-    (p_star,), (f_star,) = yield np.array([s_star])
-    trace.append((s_star, f_star))
-    probs.append(p_star)
+            s_star = 0.5 * (a + b)
+            path, ahead = [s_star], []
+    f_star, p_star = trace[-1][1], probs[-1]
     (best_s, best_f), best_p = max(zip(trace, probs), key=lambda t: t[0][1])
     if best_f > f_star:
         s_star, f_star, p_star = best_s, best_f, best_p
@@ -152,26 +194,27 @@ def _search(r: float):
 
 
 def _point(s: float):
-    """The one point s: yields it, is sent the lists of its P and F, and
-    returns (P, F, None), as a search with no result."""
-    (p,), (f,) = yield np.array([s])
-    return p, f, None
+    """The one point s: yields it, is sent the lists of its P, F and status,
+    and returns (P, F, None), as a search with no result, or its error."""
+    (p,), (f,), (st,) = yield np.array([s])
+    return status_error(p, st) if st else (p, f, None)
 
 
 def _lockstep(columns, detector: str, searches) -> list:
     """Run `searches`, one generator per point of the parameter columns
     `columns` (each a :func:`_search`, or a :func:`_point` at the point's
-    own s), in lockstep; returns what each returns, (P, F, OptResult | None),
+    own s), in lockstep; returns what each returns, (P, F, OptResult | None)
     or the error of the point it failed at.  Does not warn.
 
-    Each round is one kernel call on the points every unfinished search asks
-    for next, at its column's parameters with the s it asks for: the coarse
-    grids and plain points, then the opening points of the brackets, then
-    one golden-section step or final midpoint per search.  The kernel is
-    batch-invariant bit for bit, so each search visits the same points, and
-    returns the same result, as on its own.  A search that meets a
-    degenerate or unphysical point gets that point's error in place of its
-    result; the other searches go on.
+    Each round is one kernel call on the points every unfinished generator
+    asks for next, at its column's parameters with the s it asks for: the
+    coarse grids and plain points, then the opening pairs of the brackets
+    with their candidates, then two golden-section steps per search.  Each
+    generator is sent the lists of its points' P, F and status, and decides
+    from them how it goes on, or which error it ends with; the other
+    generators go on.  The kernel is batch-invariant bit for bit, so each
+    search visits the same points, and returns the same result, as on its
+    own.
     """
     searches = list(searches)
     results: list = [None] * len(searches)
@@ -181,24 +224,14 @@ def _lockstep(columns, detector: str, searches) -> list:
         sizes = [len(asks[i]) for i in ids]
         points = columns[:, np.repeat(ids, sizes)]
         points[_S_ROW] = np.concatenate([asks[i] for i in ids])
-        P, F, status = kernel.columns_pf(points, detector)
-        p_list, f_list = P.tolist(), F.tolist()
-        edges = np.cumsum([0] + sizes)
-        failing = np.add.reduceat(status != kernel.OK, edges[:-1])
-        for i, lo, hi, fails in zip(ids, edges[:-1].tolist(), edges[1:].tolist(),
-                                    failing.tolist()):
-            if fails:
-                # a search ends at its first failing point, in the order it asked
-                result = next(e for e in map(status_error, P[lo:hi], status[lo:hi])
-                              if e is not None)
-            else:
-                try:
-                    asks[i] = searches[i].send((p_list[lo:hi], f_list[lo:hi]))
-                    continue
-                except StopIteration as stop:
-                    result = stop.value
-            results[i] = result
-            del asks[i]
+        answers = [v.tolist() for v in kernel.columns_pf(points, detector)]
+        edges = [0, *itertools.accumulate(sizes)]
+        for i, lo, hi in zip(ids, edges, edges[1:]):
+            try:
+                asks[i] = searches[i].send([v[lo:hi] for v in answers])
+            except StopIteration as stop:
+                results[i] = stop.value
+                del asks[i]
     return results
 
 

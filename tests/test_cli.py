@@ -415,11 +415,15 @@ def test_largest_grid_is_accepted(capsys):
 
 
 # a point of each dataset of scheme rows: its column field and value, and
-# how the error names it (in fig3 and fig6, s = 0.8 first ends the r = 0.8
-# series)
-FAILING_POINTS = {"table2": ("r", 1.6, "r = 1.6"), "fig3": ("s", 0.8, "s = 0.8"),
-                  "fig4": ("r", 1.6, "r = 1.6"), "fig5": ("r", 1.6, "r = 1.6"),
-                  "fig6": ("s", 0.8, "s = 0.8"), "fig7": ("T_loss", 0.9, "loss = 0.1")}
+# how the error names it: after the CSV's label of its series, where the
+# dataset has several (in fig3 and fig6, s = 0.8 first ends the r = 0.8
+# series; in fig4, fig5 and fig7 the optimized series comes first)
+FAILING_POINTS = {"table2": ("r", 1.6, "failure: r = 1.6: "),
+                  "fig3": ("s", 0.8, "failure: r=0.8: s = 0.8: "),
+                  "fig4": ("r", 1.6, "failure: scheme-optimized: r = 1.6: "),
+                  "fig5": ("r", 1.6, "failure: scheme-optimized: r = 1.6: "),
+                  "fig6": ("s", 0.8, "failure: r=0.8: s = 0.8: "),
+                  "fig7": ("T_loss", 0.9, "failure: optimized: loss = 0.1: ")}
 
 
 @pytest.mark.parametrize("target", FAILING_POINTS)
@@ -524,8 +528,9 @@ def test_reproduce_matches_committed_datasets(tmp_path, capsys, target):
 
 # kernel calls of each dataset: one plain call for the s sweeps of fig3 and
 # fig6 (all eight series), and otherwise one per round of the longest
-# search, the plain series joining the first round
-KERNEL_CALLS = {"table2": 18, "fig3": 1, "fig4": 18, "fig5": 18, "fig6": 1, "fig7": 17}
+# search (its coarse grid, its opening pair, then two golden-section steps
+# a round), the plain series joining the first round
+KERNEL_CALLS = {"table2": 10, "fig3": 1, "fig4": 10, "fig5": 10, "fig6": 1, "fig7": 9}
 
 
 @pytest.mark.parametrize("target", list(DATASETS))

@@ -1,10 +1,13 @@
 """Tests for the fidelity optimizer and sweep campaigns."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_kernel import CONFIGS
 
 from sqbell import kernel
 from sqbell import optimize as op
@@ -198,27 +201,116 @@ def test_search_with_two_failing_points_in_one_round_ends_at_the_first(monkeypat
     assert str(middle) == str(status_error(first_p, kernel.DEGENERATE))
 
 
+def _spying(monkeypatch, mark=None):
+    """Patch kernel.columns_pf to record the (r, s) of every point of each
+    call, in a list it returns, and to give the status `mark[(r, s)]` to
+    each point listed there."""
+    columns_pf, calls, mark = kernel.columns_pf, [], mark or {}
+
+    def spy(columns, detector):
+        P, F, status = columns_pf(columns, detector)
+        points = list(zip(columns[op._R_ROW].tolist(), columns[op._S_ROW].tolist()))
+        calls.append(points)
+        status[:] = [mark.get(point, st) for point, st in zip(points, status.tolist())]
+        return P, F, status
+
+    monkeypatch.setattr(kernel, "columns_pf", spy)
+    return calls
+
+
 def test_optimizing_sweep_makes_one_kernel_call_per_round(monkeypatch):
-    # fig4's optimizing sweep; the longest search sets the number of rounds
-    # (its coarse grid, opening pair, golden-section steps and midpoint),
-    # and each row takes its P and F from its search, with no call at its s*
+    # fig4's optimizing sweep; the longest search sets the number of rounds:
+    # its coarse grid, its opening pair with both candidates of its first
+    # step, then one golden-section step and both candidates of the next (or
+    # the midpoint) a round; each row takes its P and F from its search,
+    # with no call at its s*
     rgrid = tuple(round(float(r), 10) for r in np.arange(0.1, 2.01, 0.05))
     spec = op.SweepSpec(base=rs.SchemeConfig(r=rgrid[0]), axis="r", grid=rgrid,
                         optimize_s_at_each=True)
     results = [op.optimize_s(spec.config_at(r)) for r in rgrid]
-    columns_pf, calls = kernel.columns_pf, []
-
-    def counting(columns, detector):
-        calls.append(columns.shape[1])
-        return columns_pf(columns, detector)
-
-    monkeypatch.setattr(kernel, "columns_pf", counting)
+    calls = _spying(monkeypatch)
     rows = op.sweep(spec)
-    assert len(rows) == 39 and len(calls) == 18 and calls[-1] < 39
-    assert len(calls) == max(len(res.trace) for res in results) - op.COARSE_POINTS
-    assert sum(calls) == sum(len(res.trace) for res in results)
+    longest = max(len(res.trace) for res in results)
+    assert len(rows) == 39 and len(calls) == 10
+    assert len(calls) == 1 + (longest - op.COARSE_POINTS) // 2
+    assert [len(points) for points in calls[:3]] == [39 * op.COARSE_POINTS, 39 * 4, 39 * 3]
+    evaluated = set().union(*calls)
+    for r, res in zip(rgrid, results):
+        assert {(r, s) for s, _ in res.trace} <= evaluated
+    assert sum(map(len, calls)) > sum(len(res.trace) for res in results)
     assert [(row.s_star, row.fidelity) for row in rows] == \
         [(res.s_star, res.f_star) for res in results]
+
+
+# a search of each detector kind whose bracket takes many steps
+SEARCHES = (("ideal", rs.SchemeConfig(r=1.6)), ("on-off", rs.SchemeConfig(r=1.2, T_loss=0.9)))
+
+
+@pytest.mark.parametrize("detector, cfg", SEARCHES)
+def test_untaken_failing_candidate_does_not_end_a_search(monkeypatch, detector, cfg):
+    # every point the search asked for and did not take fails: its result
+    # is the unpatched one
+    expected = op.optimize_s(cfg, detector)
+    calls = _spying(monkeypatch)
+    op.optimize_s(cfg, detector)
+    path = {(cfg.r, s) for s, _ in expected.trace}
+    untaken = set().union(*calls) - path
+    # each round that asks for both candidates of a step leaves one of them:
+    # (n + 1) // 2 rounds for the n golden-section steps past c and d
+    steps = len(expected.trace) - op.COARSE_POINTS - 3
+    assert len(untaken) == (steps + 1) // 2 > 0
+    calls = _spying(monkeypatch, dict.fromkeys(untaken, kernel.UNPHYSICAL))
+    assert op.optimize_s(cfg, detector) == expected
+    assert untaken <= set().union(*calls)
+
+
+@pytest.mark.parametrize("detector, cfg", SEARCHES)
+@pytest.mark.parametrize("step", [0, 1, 2, 3, 4, -1])
+def test_failing_golden_point_ends_the_search_with_its_error(monkeypatch, detector,
+                                                             cfg, step):
+    # a degenerate point on the path past the coarse grid (the opening c or
+    # d, a step taken as a candidate or asked for as the next point, the
+    # midpoint), and an unphysical one after it: the search ends with the
+    # first one's error, as the loop that evaluates one point at a time does
+    trace = op.optimize_s(cfg, detector).trace[op.COARSE_POINTS:]
+    mark = {(cfg.r, trace[step][0]): kernel.DEGENERATE}
+    if step != -1:
+        mark[(cfg.r, trace[-1][0])] = kernel.UNPHYSICAL
+    _spying(monkeypatch, mark)
+    outcome = _outcome(cfg, detector)
+    assert outcome[0] is DegeneratePostselectionError
+    assert outcome == _outcome(cfg, detector, scalar_optimize_s)
+
+
+def test_optimizing_sweep_keeps_the_kernel_working_memory_bounded(monkeypatch):
+    # 300 searches send 12300 coarse points to one columns_pf call, which
+    # evaluates them in passes of at most kernel._PASS_POINTS points: its
+    # peak allocation stays below 20 MB (about 36 MB in one pass), and its
+    # rows are those of one pass
+    spec = op.SweepSpec(base=rs.SchemeConfig(r=1.2), axis="T",
+                        grid=tuple(np.linspace(0.9, 0.99, 300)), optimize_s_at_each=True)
+    tracemalloc.start()
+    try:
+        rows = op.sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    monkeypatch.setattr(kernel, "_PASS_POINTS", 10**6)
+    assert rows == op.sweep(spec)
+    assert all(row.error is None for row in rows)
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+@settings(max_examples=25, deadline=None)
+@given(cfg=CONFIGS)
+def test_optimize_s_equals_the_scalar_loop(detector, cfg):
+    # the speculative search, two golden-section steps a kernel call, takes
+    # the path of the loop that evaluates one point at a time: the same
+    # result, trace included, or the same error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossyProjectorWarning)
+        assert _outcome(cfg, detector) == _outcome(cfg, detector, scalar_optimize_s)
 
 
 def test_optimize_delta_matches_scan():
