@@ -12,8 +12,8 @@ are :mod:`sqbell.symplectic`, detector conditioning
 the fidelity functional and its cubature cross-check :mod:`sqbell.teleport`,
 optimization and sweeps :mod:`sqbell.optimize`, and a truncated-Fock
 brute-force oracle :mod:`sqbell.fock_sim`.  The polynomial-Gaussian algebra
-of :mod:`sqbell.gauss_poly` is no longer a production path; the tests build
-their reference conditioning and fidelity from it.
+of :mod:`sqbell.gauss_poly` is neither a production path nor a test
+reference; only its own tests and the benchmark import it.
 """
 
 __version__ = "0.1.0"

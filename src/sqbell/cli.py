@@ -236,16 +236,21 @@ def cmd_sweep(args) -> int:
 
 
 def _scheme_rows(*specs: SweepSpec, series: tuple[str, ...] = ()) -> list[list]:
-    """The rows of `sweep(*specs)`, one list per spec; raises PhysicalityError
-    naming the first point that failed, after the label `series` gives its
-    spec in the dataset, since a published dataset has no gaps."""
+    """The rows of `sweep(*specs)`, one list per spec.  A published dataset
+    has no gaps, so the first point that failed raises, named after the
+    label `series` gives its spec in the dataset: DegeneratePostselectionError
+    where its error is of that class, PhysicalityError otherwise."""
     flat = iter(sweep(*specs))
     rows = [list(itertools.islice(flat, len(spec.grid))) for spec in specs]
     for spec, label, spec_rows in itertools.zip_longest(specs, series, rows):
         for row in spec_rows:
             if row.error is not None:
                 prefix = f"{label}: " if label else ""
-                raise PhysicalityError(f"{prefix}{spec.axis} = {_fmt(row.value)}: {row.error}")
+                # the prefix optimize._describe gives that class
+                error = (DegeneratePostselectionError
+                         if row.error.startswith("degenerate-postselection: ")
+                         else PhysicalityError)
+                raise error(f"{prefix}{spec.axis} = {_fmt(row.value)}: {row.error}")
     return rows
 
 

@@ -472,6 +472,7 @@ def columns_pf(columns, detector: str):
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")
 def squeezed_bell_fidelity(r, delta):
     """Fidelity of S(r)[cos d|0,0> + sin d|1,1>] (squeezer phase pi), batched.
 

@@ -246,7 +246,7 @@ def optimize_delta(r: float) -> OptResult:
     """
     if not 0.0 <= r < np.inf:
         raise ValueError("squeezing amplitude must be finite and nonnegative")
-    d_star = 0.5 * math.atan(1.0 + math.exp(-2.0 * r))
+    d_star = 0.5 * math.atan(1.0 + math.exp(-2.0 * float(r)))
     f_star = float(kernel.squeezed_bell_fidelity(r, d_star))
     return OptResult(d_star, f_star, ((d_star, f_star),), (d_star, d_star))
 

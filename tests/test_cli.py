@@ -426,23 +426,30 @@ FAILING_POINTS = {"table2": ("r", 1.6, "failure: r = 1.6: "),
                   "fig7": ("T_loss", 0.9, "failure: optimized: loss = 0.1: ")}
 
 
-@pytest.mark.parametrize("target", FAILING_POINTS)
+@pytest.mark.parametrize("target, failure", [
+    *(pytest.param(target, kernel.UNPHYSICAL, id=target) for target in FAILING_POINTS),
+    # a degenerate point is refused with the exit code `optimize` gives it
+    pytest.param("table2", kernel.DEGENERATE, id="table2-degenerate")])
 def test_failed_dataset_point_exit_3_and_writes_nothing(tmp_path, capsys,
-                                                        monkeypatch, target):
+                                                        monkeypatch, target, failure):
     field, value, name = FAILING_POINTS[target]
     columns_pf = kernel.columns_pf
 
     def failing(columns, detector):
         P, F, status = columns_pf(columns, detector)
-        status[np.isclose(columns[kernel.COLUMN_FIELDS.index(field)], value)] = \
-            kernel.UNPHYSICAL
+        status[np.isclose(columns[kernel.COLUMN_FIELDS.index(field)], value)] = failure
         return P, F, status
 
     monkeypatch.setattr(kernel, "columns_pf", failing)
     code, out, err = run(capsys, "reproduce", target, "--outdir", str(tmp_path))
-    assert code == EXIT_NUMERICAL
     assert out == ""
-    assert name in err and "PhysicalityError" in err
+    if failure == kernel.DEGENERATE:
+        assert code == EXIT_DEGENERATE
+        assert err.startswith("degenerate postselection: ")
+        assert name.removeprefix("failure: ") + "degenerate-postselection: " in err
+    else:
+        assert code == EXIT_NUMERICAL
+        assert name in err and "PhysicalityError" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -212,29 +212,28 @@ def test_heralded_chi_matches_kernel(detector):
     assert np.all(np.abs(chi_k - chi) <= (bound(P, scale, detector) * P)[:, None])
 
 
-def twin_beam_points():
+def twin_beam_points(detector):
     """s = r without loss at several T1 = T2: the mixing takes the pair of
     equal twin beams to itself, so the signal is S(r)|0,0> and the
-    ancillas its twin."""
+    ancillas its twin.  Returns the configurations and their P and F in
+    closed form: F = 1/(1 + e^-2r); P that of a twin beam's photon pair, for
+    on/off detectors the inclusion-exclusion of its no-click probabilities
+    1/(1 + eta sinh^2 r) and sech^2 r / (1 - tanh^2 r (1 - eta3)(1 - eta4))."""
     r, T = (x.reshape(-1) for x in np.meshgrid(np.linspace(0.1, 3.0, 30), [0.5, 0.9, 0.99]))
     cfgs = [SchemeConfig(r=float(x), s=float(x), T1=float(t), T2=float(t), eta3=0.3, eta4=0.7)
             for x, t in zip(r, T)]
-    return cfgs, r
-
-
-@pytest.mark.parametrize("detector", ["ideal", "on-off"])
-def test_twin_beam_closed_forms(detector):
-    # F = 1/(1 + e^-2r); P that of a twin beam's photon pair, for on/off
-    # detectors the inclusion-exclusion of its no-click probabilities
-    # 1/(1 + eta sinh^2 r) and sech^2 r / (1 - tanh^2 r (1 - eta3)(1 - eta4))
-    cfgs, r = twin_beam_points()
-    F = 1.0 / (1.0 + np.exp(-2.0 * r))
     sh2, th2 = np.sinh(r) ** 2, np.tanh(r) ** 2
     if detector == "ideal":
         P = th2 / np.cosh(r) ** 2
     else:
         P = (1.0 - 1.0 / (1.0 + 0.3 * sh2) - 1.0 / (1.0 + 0.7 * sh2)
              + 1.0 / np.cosh(r) ** 2 / (1.0 - th2 * 0.7 * 0.3))
+    return cfgs, P, 1.0 / (1.0 + np.exp(-2.0 * r))
+
+
+@pytest.mark.parametrize("detector", ["ideal", "on-off"])
+def test_twin_beam_closed_forms(detector):
+    cfgs, P, F = twin_beam_points(detector)
     ref_P, ref_F, scale = cov.scheme_pf(cov.covariance_of(cfgs), detector, 0.3, 0.7)
     tol = bound(ref_P, scale, detector)
     assert np.all(np.abs(ref_P / P - 1.0) <= tol)

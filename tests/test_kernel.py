@@ -1,5 +1,5 @@
-"""The batched closed-form kernel against the polynomial-Gaussian reference
-and a 50-digit evaluation of the same Gaussian sums."""
+"""The batched closed-form kernel against a 50-digit evaluation of the same
+Gaussian integrals, on the source exponent the covariance reference builds."""
 
 import itertools
 import warnings
@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import covariance as cov
 from reference import mpgauss
-from reference import polygauss as ref
 
 from sqbell import fock_sim as fs
-from sqbell import gauss_poly as gp
 from sqbell import kernel
 from sqbell import optimize as op
 from sqbell import resources as rs
@@ -22,14 +20,10 @@ from sqbell.errors import DegeneratePostselectionError, PhysicalityError
 from sqbell.symplectic import scheme_four_mode_char
 from sqbell.teleport import fidelity_closed_form
 
+# the reference works at 50 digits, so these bound the kernel's own error,
+# tiny P (s = 0 with lossy on/off detectors) included
 P_RTOL = 1e-9
 F_ATOL = 1e-10
-# The polynomial-Gaussian reference adds up signed terms whose magnitudes
-# sum to `scale`, so its own roundoff is a few eps * scale / P; where that
-# exceeds the tolerances above (tiny P, e.g. s = 0 with lossy on/off
-# detectors), the comparison allows it.  A 50-digit evaluation of the same
-# determinant sums put the kernel within 1e-15 of the exact F on those grids.
-REFERENCE_ULPS = 8.0
 
 TABLE2_S = {0.6: 0.00057, 0.8: 0.0046, 1.0: 0.011, 1.2: 0.022,
             1.4: 0.036, 1.6: 0.056, 1.8: 0.082, 2.0: 0.12}
@@ -49,10 +43,15 @@ ACCEPTANCE = (
 )
 
 
+def _source(cfg):
+    """The source exponent S of cfg that the covariance reference builds."""
+    return cov.exponent(cov.covariance_of([cfg]))[0]
+
+
 def _reference(cfg, detector):
-    """P, F and the relative roundoff of the polynomial-Gaussian reference."""
-    chi, P, scale = ref.scheme(cfg, detector)
-    return P, ref.fidelity(chi), REFERENCE_ULPS * np.finfo(float).eps * scale / P
+    """P and F of the 50-digit reference."""
+    _, P, PF, _ = mpgauss.scheme(_source(cfg), detector, cfg.eta3, cfg.eta4)
+    return float(P), float(PF / P)
 
 
 def columns_pf(cfgs, detector):
@@ -69,9 +68,9 @@ def _assert_matches(cfgs, detector):
         P, F, status = columns_pf(cfgs, detector)
     assert list(status) == [kernel.OK] * len(cfgs)
     for cfg, p, f in zip(cfgs, P, F):
-        p_ref, f_ref, roundoff = _reference(cfg, detector)
-        assert p == pytest.approx(p_ref, rel=max(P_RTOL, roundoff), abs=0.0), cfg
-        assert f == pytest.approx(f_ref, rel=0.0, abs=max(F_ATOL, roundoff)), cfg
+        p_ref, f_ref = _reference(cfg, detector)
+        assert p == pytest.approx(p_ref, rel=P_RTOL, abs=0.0), cfg
+        assert f == pytest.approx(f_ref, rel=0.0, abs=F_ATOL), cfg
 
 
 def test_source_exponents_match_stepwise_construction():
@@ -109,8 +108,8 @@ def test_fig3_fig6_grids(r):
        T_loss=st.floats(0.6, 1.0), n_thermal=st.floats(0.0, 0.3),
        on_det=st.booleans(), eta3=st.floats(0.1, 1.0), eta4=st.floats(0.1, 1.0),
        detector=st.sampled_from(["ideal", "on-off"]))
-def test_kernel_matches_gauss_poly_property(r, s, phi_zeta, phi_xi, T1, T2, T_loss,
-                                            n_thermal, on_det, eta3, eta4, detector):
+def test_kernel_matches_mpmath_property(r, s, phi_zeta, phi_xi, T1, T2, T_loss,
+                                        n_thermal, on_det, eta3, eta4, detector):
     cfg = rs.SchemeConfig(r=r, s=s, phi_zeta=phi_zeta, phi_xi=phi_xi, T1=T1, T2=T2,
                           T_loss=T_loss, n_thermal=n_thermal, eta3=eta3, eta4=eta4,
                           loss_on_detector_modes=on_det)
@@ -133,10 +132,7 @@ def _assert_chi_matches_mpmath(detector, cfg):
     b2 = np.array([b for _, b in BETAS])
     S = scheme_four_mode_char(cfg).exponent
     x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1)
-    if detector == "ideal":
-        exact, P, _ = mpgauss.ideal(S, x)
-    else:
-        exact, P, _ = mpgauss.onoff(S, cfg.eta3, cfg.eta4, x)
+    exact, P, _, _ = mpgauss.scheme(S, detector, cfg.eta3, cfg.eta4, x)
     got = kernel.heralded_chi(S[None], detector, cfg.eta3, cfg.eta4)(b1, b2)[0]
     worst = max(abs(mpgauss.mp.mpf(float(g)) - e) for g, e in zip(got, exact))
     assert worst <= 1e-12 * P, (cfg, float(worst / P))
@@ -163,28 +159,16 @@ def test_heralded_chi_matches_mpmath_on_acceptance_configurations():
        eta3=st.floats(0.1, 1.0), eta4=st.floats(0.1, 1.0),
        detector=st.sampled_from(["ideal", "on-off"]),
        x=st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4))
-def test_heralded_chi_matches_gauss_poly_property(r, s, phi_zeta, phi_xi, T, T_loss,
-                                                  eta3, eta4, detector, x):
+def test_heralded_chi_matches_mpmath_property(r, s, phi_zeta, phi_xi, T, T_loss,
+                                              eta3, eta4, detector, x):
     cfg = rs.SchemeConfig(r=r, s=s, phi_zeta=phi_zeta, phi_xi=phi_xi, T1=T, T2=T,
                           T_loss=T_loss, eta3=eta3, eta4=eta4)
-    chi_ref, P, scale = ref.scheme(cfg, detector)
+    (value,), P, _, _ = mpgauss.scheme(_source(cfg), detector, eta3, eta4, [x])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LossyProjectorWarning)
         state = rs.scheme_state(cfg, detector)
-    expected = gp.evaluate(chi_ref, np.array(x)).real
-    tol = max(1e-10, REFERENCE_ULPS * np.finfo(float).eps * scale / P)
     assert state.chi_at(x[0] + 1j * x[1], x[2] + 1j * x[3]) == pytest.approx(
-        expected, rel=0.0, abs=tol)
-
-
-def test_squeezed_bell_chi_matches_gauss_poly():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(20, 4)) * 0.7
-    for r, d in ((0.0, 0.3), (0.7, 0.0), (1.3, -1.1), (2.2, 0.9)):
-        got = kernel.squeezed_bell_chi(r, d, x[:, 0] + 1j * x[:, 1],
-                                       x[:, 2] + 1j * x[:, 3])
-        expected = gp.evaluate(ref.squeezed_bell(r, d), x).real
-        assert np.max(np.abs(got - expected)) < 1e-13, (r, d)
+        float(value / P), rel=0.0, abs=1e-10)
 
 
 def test_squeezed_bell_chi_matches_mpmath():
@@ -575,22 +559,24 @@ def test_optimize_delta_is_the_optimum_at_large_r(r):
     assert res.f_star >= kernel.squeezed_bell_fidelity(r, angles).max() - np.finfo(float).eps
 
 
-def test_squeezed_bell_fidelity_matches_gauss_poly():
-    r = np.linspace(0.05, 2.5, 15)
-    d = np.linspace(-1.5, 1.5, 13)
-    closed = kernel.squeezed_bell_fidelity(r[:, None], d[None, :])
-    assert closed.shape == (15, 13)
-    for i, ri in enumerate(r):
-        for j, dj in enumerate(d):
-            f_ref = ref.fidelity(ref.squeezed_bell(float(ri), float(dj)))
-            assert closed[i, j] == pytest.approx(f_ref, rel=1e-11, abs=0.0), (ri, dj)
+@pytest.mark.parametrize("r", [8.99e307, 1e308, np.finfo(float).max])
+def test_fidelity_at_the_top_of_the_float_range(r):
+    # -2r overflows from r ~ 8.99e307, which warned; its limit x = e^{-2r} = 0
+    # gives F = c^2 + s^2 = 1 at every family's angle, and d* = atan(1) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in rs.THEORETICAL_FAMILIES:
+            delta = 0.6 if family == "squeezed-bell" else None
+            assert fidelity_closed_form(rs.theoretical_state(family, r, delta)) == 1.0
+        res = op.optimize_delta(r)
+    assert res.s_star == np.pi / 8 and res.f_star == 1.0
 
 
-@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.5, 10.0, 30.0])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 1.0, 2.5, 10.0, 30.0])
 def test_squeezed_bell_fidelity_matches_its_radial_integral(r):
     # the integral in the closed form's docstring, at 50 digits
     mp = mpgauss.mp
-    for d in (0.0, 0.4, np.pi / 8, np.pi / 4, 1.2, np.pi / 2):
+    for d in (-1.5, -0.7, 0.0, 0.4, np.pi / 8, np.pi / 4, 1.2, np.pi / 2):
         with mp.workdps(50):
             x, c, s = mp.exp(-2 * mp.mpf(r)), mp.cos(d), mp.sin(d)
             exact = mp.quad(lambda t: mp.exp(-(1 + x) * t) * (

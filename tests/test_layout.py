@@ -41,11 +41,11 @@ def test_kernel_imports_only_numpy_and_the_standard_library():
 
 
 def test_references_import_only_numpy_and_the_standard_library():
-    # the covariance reference and the exact squeezed Bell map share no code
-    # with the package they check
-    tops = {name.split(".")[0] for reference in ("covariance", "bell_map")
+    # the covariance reference, the exact squeezed Bell map and the 50-digit
+    # reference (on mpmath) share no code with the package they check
+    tops = {name.split(".")[0] for reference in ("covariance", "bell_map", "mpgauss")
             for name in imported(reference, ROOT / "tests" / "reference")}
-    assert tops <= set(sys.stdlib_module_names) | {"numpy"}
+    assert tops <= set(sys.stdlib_module_names) | {"numpy", "mpmath"}
 
 
 def test_only_the_fock_oracle_imports_scipy():
@@ -106,6 +106,15 @@ def test_fock_oracle_path_loads_no_numpy_ma():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "gauss_poly"])
 def test_only_gauss_poly_imports_gauss_poly(module):
     assert "sqbell.gauss_poly" not in imported(module)
+
+
+def test_only_its_own_tests_import_gauss_poly():
+    # no test checks the package against the polynomial-Gaussian algebra
+    tests = ROOT / "tests"
+    importers = [path.relative_to(tests).as_posix()
+                 for path in sorted(tests.rglob("*.py"))
+                 if "sqbell.gauss_poly" in imported(path.stem, path.parent)]
+    assert importers == ["test_gauss_poly.py"]
 
 
 SCHEME_FIELDS = [f.name for f in dataclasses.fields(rs.SchemeConfig)]

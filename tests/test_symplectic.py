@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import covariance as cov
-from reference import polygauss as ref
 
-from sqbell import gauss_poly as gp
 from sqbell import symplectic as sp
 from sqbell.errors import DimensionMismatchError, PhysicalityError
 from sqbell.resources import SchemeConfig, effective_squeezing
@@ -105,17 +103,6 @@ def test_beam_splitter_preserves_chi0_and_photon_number():
     out = mixed(chi, 0.77)
     assert out.evaluate([0, 0]) == pytest.approx(1.0)
     assert total_mean_photons(out) == pytest.approx(total_mean_photons(chi), abs=1e-10)
-
-
-def test_beam_splitter_acts_on_polygauss():
-    chi = tmsv(0.9)
-    f = ref.gaussian(chi.exponent)
-    g = ref.mix_modes(f, (0, 1), 0.8)
-    direct = mixed(chi, 0.8)
-    for _ in range(10):
-        b = np.random.default_rng(4).normal(size=4)
-        assert gp.evaluate(g, b) == pytest.approx(
-            np.exp(-0.5 * b @ direct.exponent @ b), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
