@@ -27,8 +27,9 @@ the Schur complement of the lam block of the 6x6 exponent over
 (lam, b3, b4), and P F = 2 P(Schur complement) / sqrt(det(lam block)).
 `scheme_pf` evaluates the ancilla probability once per call, on the n
 ancilla blocks and the n Schur complements stacked into one (2, n, 4, 4)
-array, so each determinant, inverse and elementwise step runs once over
-both; the on/off sum stacks the two diagonal 2x2 blocks of each in turn.
+array, so each step runs once over both; the on/off sum stacks the two
+diagonal 2x2 blocks of each in turn, and the ideal sum eliminates the 2x2
+blocks of each, entry by entry, with no per-matrix LAPACK call.
 The heralded P chi(b1, b2) is the same ancilla integral with the signal
 amplitudes held fixed, so each Gaussian gains a linear term in the
 ancillas (:func:`heralded_chi`): on/off detectors give a signed sum of four
@@ -70,13 +71,16 @@ SOURCE_FIELDS = ("r", "s", "phi_zeta", "phi_xi", "T1", "T2", "T_loss",
 COLUMN_FIELDS = SOURCE_FIELDS + ("eta3", "eta4")
 _T_LOSS_ROW = COLUMN_FIELDS.index("T_loss")
 # the most points columns_pf evaluates at once
-_PASS_POINTS = 4096
+_PASS_POINTS = 512
 
 _DEGENERACY_FLOOR = DEGENERACY_ULPS * np.finfo(float).eps
 _EYE2, _EYE4 = np.eye(2), np.eye(4)
-_TWO_EYE4 = 2.0 * _EYE4
 # the entries of a 2x2 matrix, flattened, in the order of its adjugate's
 _ADJUGATE_ORDER = np.array([3, 1, 2, 0])
+# the entries of a symmetric 4x4 matrix's upper triangle, flattened, and
+# each entry's position among them
+_UPPER4 = np.array([0, 1, 2, 3, 5, 6, 7, 10, 11, 15])
+_SYMMETRIC4 = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 # (Re b1, Im b1, Re b2, Im b2) = (-u, v, -u, -v) for lam = u + i v; the
 # ancilla coordinates map to themselves
@@ -250,9 +254,11 @@ def _onoff_chi(E, a3, a4, d):
 
 def _onoff_prob(M, d, W=None):
     """P of on/off detectors on the ancilla blocks M (shape (..., n, 4, 4),
-    modes b3 then b4, of n points), and the sum of the magnitudes of its
-    four signed terms, both of shape (..., n); d (shape (n, 4)) holds each
-    point's sqrt(eta) per ancilla coordinate.
+    modes b3 then b4, of n points), the sum of the magnitudes of its four
+    signed terms, both of shape (..., n), and an all-False mask of that
+    shape in the place of `_ideal_prob`'s lost pivots, a rule of the ideal
+    elimination alone; d (shape (n, 4)) holds each point's sqrt(eta) per
+    ancilla coordinate.
 
     The term of the set K of modes taking the Gaussian piece is
     (-1)^|K| x_K with x_K = det(I + Delta_K)^{-1/2}, where
@@ -286,7 +292,8 @@ def _onoff_prob(M, d, W=None):
         l34 = -0.5 * np.log1p(_det2(X) - _trace2(X))
         if W is None:
             shape = M.shape[:-2]
-            return _inclusion_exclusion(l.reshape((2,) + shape), l34.reshape(shape))
+            return _inclusion_exclusion(l.reshape((2,) + shape),
+                                        l34.reshape(shape)) + (np.zeros(shape, bool),)
         Z = W * d[:, :, None] / np.sqrt(2.0)
         Z3, Z4 = Z[:, :2], Z[:, 2:]
         K = D43 @ E3
@@ -311,34 +318,63 @@ def _jacobi(g, one_minus_a, one_minus_b, c):
 
 def _ideal_prob(M, W=None):
     """P of ideal projectors on the ancilla blocks M (shape (..., 4, 4)),
-    and the sum of the magnitudes of its signed terms.
+    the sum of the magnitudes of its signed terms, and where a pivot is lost
+    to roundoff.
 
     P = 4 (1 + 2 d/dt3)(1 + 2 d/dt4) det(M + t3 E3 + t4 E4)^{-1/2} at t = 1
     = 4 g [(1 - a)(1 - b) + 2c]; the magnitudes sum to
-    4 g [(1 + a)(1 + b) + 2c].  With A = M + I, 1 - a = tr(E3 A^-1 (M - I)) / 2
-    keeps its relative accuracy near the vacuum, where a -> 1.
+    4 g [(1 + a)(1 + b) + 2c].  Every step is elementwise over contiguous
+    arrays of the entries of A = M + I, one per entry of its upper triangle:
+    with the mode blocks A11, A12 and A22, A11^-1 is the adjugate over
+    det(A11), X = A11^-1 A12, the Schur complement is
+    Z = A22 - A12^T X, det A = det(A11) det(Z), and A^-1 has the blocks
+    A11^-1 + X Z^-1 X^T, -X Z^-1 and Z^-1.  So 1 - a = tr(E3 A^-1 (M - I)) / 2,
+    which keeps its relative accuracy near the vacuum, where a -> 1, and
+    1 - b and c are sums of products of those entries.  A singular block
+    divides by a zero determinant, so that its P is not finite, with no
+    warning.
+
+    A pivot is lost where the smaller diagonal entry of Z is at or below
+    DEGENERACY_ULPS eps times the larger of A22's: Z is then roundoff, and
+    so is P, however finite it is.
 
     Given W as in `_onoff_prob`, the ancillas are Gaussian with mean
     mu = -A^-1 w and covariance A^-1, and it returns the function of x and
     E that Wick's theorem gives, e^E times: 4 g e^{-w.mu/2}
     [(1 - a - |mu3|^2) (1 - b - |mu4|^2) + 2c + 4 mu3^T (A^-1)_34 mu4],
     with -w.mu/2 + E one exponent.
-
-    A block whose g is not finite (det A zero, negative or NaN) is inverted
-    as the identity, so that its P is not finite and only that point is
-    unphysical.
     """
-    delta = M - _EYE4
-    A = delta + _TWO_EYE4
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = 1.0 / np.sqrt(np.linalg.det(A))
-    Ainv = np.linalg.inv(np.where(np.isfinite(g)[..., None, None], A, _EYE4))
-    R = 0.5 * Ainv @ delta
-    one_minus_a = _trace2(R[..., :2, :2])
-    one_minus_b = _trace2(R[..., 2:, 2:])
-    c = np.sum(Ainv[..., :2, 2:] ** 2, axis=(-2, -1))
+    m = np.moveaxis(M.reshape(M.shape[:-2] + (16,)), -1, 0)[_UPPER4]
+    m00, m01, m02, m03, m11, m12, m13, m22, m23, m33 = m
+    # A's diagonal, and that of M - I; off it both are M's
+    a00, a11, a22, a33 = m00 + 1.0, m11 + 1.0, m22 + 1.0, m33 + 1.0
+    d00, d11, d22, d33 = m00 - 1.0, m11 - 1.0, m22 - 1.0, m33 - 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det1 = a00 * a11 - m01 * m01
+        x00 = (a11 * m02 - m01 * m12) / det1
+        x01 = (a11 * m03 - m01 * m13) / det1
+        x10 = (a00 * m12 - m01 * m02) / det1
+        x11 = (a00 * m13 - m01 * m03) / det1
+        z00 = a22 - (m02 * x00 + m12 * x10)
+        z01 = m23 - (m02 * x01 + m12 * x11)
+        z11 = a33 - (m03 * x01 + m13 * x11)
+        detz = z00 * z11 - z01 * z01
+        g = 1.0 / np.sqrt(det1 * detz)
+        # the blocks of A^-1: v of A11^-1 + X Z^-1 X^T, b of -X Z^-1, w of Z^-1
+        w00, w01, w11 = z11 / detz, -z01 / detz, z00 / detz
+        b00, b01 = -(x00 * w00 + x01 * w01), -(x00 * w01 + x01 * w11)
+        b10, b11 = -(x10 * w00 + x11 * w01), -(x10 * w01 + x11 * w11)
+        v00 = a11 / det1 - (b00 * x00 + b01 * x01)
+        v01 = -m01 / det1 - (b00 * x10 + b01 * x11)
+        v11 = a00 / det1 - (b10 * x10 + b11 * x11)
+        cross = b00 * m02 + b01 * m03 + b10 * m12 + b11 * m13
+        one_minus_a = 0.5 * (v00 * d00 + 2.0 * v01 * m01 + v11 * d11 + cross)
+        one_minus_b = 0.5 * (cross + w00 * d22 + 2.0 * w01 * m23 + w11 * d33)
+        c = b00 * b00 + b01 * b01 + b10 * b10 + b11 * b11
     if W is None:
-        return _jacobi(g, one_minus_a, one_minus_b, c)
+        lost = np.minimum(z00, z11) <= _DEGENERACY_FLOOR * np.maximum(a22, a33)
+        return _jacobi(g, one_minus_a, one_minus_b, c) + (lost,)
+    Ainv = np.stack([v00, v01, b00, b01, v11, b10, b11, w00, w01, w11], -1)[..., _SYMMETRIC4]
     Mu = -Ainv @ W
     Mu3, Mu4 = Mu[:, :2], Mu[:, 2:]
     U = -0.5 * np.swapaxes(W, 1, 2) @ Mu
@@ -422,10 +458,13 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
     `S` has shape (n, 8, 8); `detector` is 'ideal' or 'on-off';
     `eta3`, `eta4` (on/off only) broadcast to n, each in (0, 1], else
     ValueError.  Status is that of `_status` (a block that is not positive
-    definite makes P or F NaN, and so UNPHYSICAL), and UNPHYSICAL where the
-    square of the sum of squares of the ancilla blocks' entries overflows,
-    as a 4x4 determinant's products of four entries then may, and a step
-    that overflows can read OK.  F is capped at one, NaN where not OK.
+    definite makes P or F NaN, and so UNPHYSICAL), and UNPHYSICAL with P as
+    computed in two more cases: where the square of the sum of squares of
+    the ancilla blocks' entries overflows, as a product of four entries then
+    may, and a step that overflows can read OK; and, for ideal projectors,
+    where either block loses a pivot of its elimination to roundoff
+    (`_ideal_prob`), as P and F are then roundoff too.  F is capped at one,
+    NaN where not OK.
 
     One ancilla evaluation covers both integrals: the ancilla blocks of S
     (for P) and the Schur complements of the lam blocks (for P F), stacked
@@ -445,10 +484,10 @@ def scheme_pf(S, detector: str, eta3=None, eta4=None):
         lam.reshape(n, 4)[:, ::3] += 2.0  # e^{-|lam|^2}, on the diagonal
         schur = S[:, 4:, 4:] - np.swapaxes(C, 1, 2) @ _inv2(lam) @ C
         blocks = np.concatenate([S[None, :, 4:, 4:], schur[None]])
-        (P, PF), (p_scale, _) = prob(blocks)
+        (P, PF), (p_scale, _), lost = prob(blocks)
         F = 2.0 * PF / np.sqrt(_det2(lam)) / P
         in_range = np.isfinite(np.sum(blocks * blocks, axis=(0, 2, 3)) ** 2)
-    status = _status(np.where(in_range, P, np.nan), p_scale, F)
+    status = _status(np.where(in_range & ~lost.any(axis=0), P, np.nan), p_scale, F)
     F = np.where(status == OK, np.minimum(F, 1.0), np.nan)
     return P, F, status
 
@@ -460,11 +499,10 @@ def columns_pf(columns, detector: str):
     :func:`source_exponents`.  The passes bound the working memory, a few
     KB per point; batch invariance makes their results those of one pass."""
     n = columns.shape[1]
-    if n > _PASS_POINTS:
-        passes = [columns_pf(columns[:, i:i + _PASS_POINTS], detector)
-                  for i in range(0, n, _PASS_POINTS)]
-        return tuple(map(np.concatenate, zip(*passes)))
-    return scheme_pf(source_exponents(columns), detector, *columns[len(SOURCE_FIELDS):])
+    passes = [scheme_pf(source_exponents(c), detector, *c[len(SOURCE_FIELDS):])
+              for c in (columns[:, i:i + _PASS_POINTS]
+                        for i in range(0, max(n, 1), _PASS_POINTS))]
+    return passes[0] if n <= _PASS_POINTS else tuple(map(np.concatenate, zip(*passes)))
 
 
 # ---------------------------------------------------------------------------

@@ -351,18 +351,20 @@ def _two_block_pf(S, detector, eta3, eta4):
     ancilla block and on the Schur complement of the lam block, the lam
     block taken from the full map product."""
     if detector == "on-off":
-        prob = lambda M: _separate_onoff_prob(M, eta3, eta4)
+        prob = lambda M: _separate_onoff_prob(M, eta3, eta4) + (False,)
     else:
         prob = kernel._ideal_prob
-    P, p_scale = prob(S[:, 4:, 4:])
+    P, p_scale, lost = prob(S[:, 4:, 4:])
     MF = _FULL_LAMBDA_MAP.T @ S @ _FULL_LAMBDA_MAP
     MF[:, 0, 0] += 2.0
     MF[:, 1, 1] += 2.0
     lam, C = MF[:, :2, :2], MF[:, :2, 2:]
     schur = MF[:, 2:, 2:] - np.swapaxes(C, 1, 2) @ _separate_inv2(lam) @ C
     with np.errstate(invalid="ignore", divide="ignore"):
-        F = 2.0 * prob(schur)[0] / np.sqrt(_separate_det2(lam)) / P
-    status = kernel._status(P, p_scale, F)
+        PF, _, lost_f = prob(schur)
+        F = 2.0 * PF / np.sqrt(_separate_det2(lam)) / P
+    # a pivot lost to roundoff in either block makes the point unphysical
+    status = kernel._status(np.where(lost | lost_f, np.nan, P), p_scale, F)
     return P, np.where(status == kernel.OK, np.minimum(F, 1.0), np.nan), status
 
 
@@ -490,6 +492,20 @@ def test_singular_ideal_block_fails_only_its_own_point():
         assert second.error.startswith("PhysicalityError")
         assert second.fidelity is None and second.s_star is None
     assert first.s_star == op.optimize_s(spec.config_at(1.0), "ideal").s_star
+
+
+def test_perturbed_singular_ideal_block_never_reads_ok():
+    # up to 4 ulps on each entry of SINGULAR_IDEAL's exponent, mirrored to
+    # keep it symmetric: the Schur complement Z of each draw is roundoff, and
+    # so are its P and F (F from 3e-9 to 1e-6, where the true F is 0.668)
+    S = kernel.source_exponents(kernel.columns_of([SINGULAR_IDEAL]))
+    ulps = np.random.default_rng(46).integers(-4, 5, (2000, 8, 8))
+    ulps = np.triu(ulps) + np.swapaxes(np.triu(ulps, 1), 1, 2)
+    perturbed = S + ulps * np.spacing(np.abs(S))
+    assert (perturbed == np.swapaxes(perturbed, 1, 2)).all()
+    P, F, status = kernel.scheme_pf(perturbed, "ideal")
+    assert not (status == kernel.OK).any()
+    assert np.isnan(F).all()
 
 
 def test_unknown_detector_rejected():

@@ -40,6 +40,16 @@ def test_kernel_imports_only_numpy_and_the_standard_library():
     assert tops <= set(sys.stdlib_module_names) | {"numpy"}
 
 
+def test_kernel_makes_no_per_matrix_lapack_call():
+    # every step of the kernel is elementwise over its batch, or a matmul;
+    # np.linalg's per-matrix dispatch costs more than the 2x2 and 4x4
+    # arithmetic it would do
+    tree = ast.parse((SRC / "kernel.py").read_text())
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "linalg"
+                   for node in ast.walk(tree))
+    assert not any("linalg" in name for name in imported("kernel"))
+
+
 def test_references_import_only_numpy_and_the_standard_library():
     # the covariance reference, the exact squeezed Bell map and the 50-digit
     # reference (on mpmath) share no code with the package they check
