@@ -68,7 +68,8 @@ def status_error(success_prob: float, status: int) -> Exception | None:
             f"conditioning probability {success_prob:.3e} is degenerate")
     if status == kernel.UNPHYSICAL:
         return PhysicalityError(f"unphysical point: success probability {success_prob}"
-                                " or fidelity out of range, or a kernel step overflowed")
+                                " or fidelity out of range, a kernel step overflowed,"
+                                " or a pivot was lost to roundoff")
     return None
 
 

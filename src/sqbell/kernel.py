@@ -75,6 +75,10 @@ _PASS_POINTS = 512
 
 _DEGENERACY_FLOOR = DEGENERACY_ULPS * np.finfo(float).eps
 _EYE2, _EYE4 = np.eye(2), np.eye(4)
+# a squeezed pair's reflection R between its modes is cos(phase) times the
+# first plus sin(phase) times the second
+_PAIR_COS = np.array([[0.0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]])
+_PAIR_SIN = np.array([[0.0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 # the entries of a 2x2 matrix, flattened, in the order of its adjugate's
 _ADJUGATE_ORDER = np.array([3, 1, 2, 0])
 # the entries of a symmetric 4x4 matrix's upper triangle, flattened, and
@@ -117,21 +121,17 @@ def warn_if_lossy(detector: str, columns) -> None:
 # ---------------------------------------------------------------------------
 
 
-def squeeze_into(L, amplitude, phase, i: int, j: int) -> None:
-    """Write the two-mode squeezer on modes (i, j) into the variable map L
-    (shape (..., 2n, 2n), amplitude and phase broadcasting over `...`).
-
-    Each transformed amplitude is  b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|.
+def pair_exponent(amplitude, phase, T_loss=1.0, noise=0.0) -> np.ndarray:
+    """Exponent, shape (..., 4, 4), of a two-mode squeezed vacuum after a loss
+    channel of transmissivity T_loss on both modes that adds `noise`,
+    (2 n_thermal + 1)(1 - T_loss), to the diagonal; the arguments broadcast.
+    It is [[d I, x R], [x R, d I]] with d = T_loss cosh 2|z| + noise,
+    x = T_loss sinh 2|z| and R = [[cos phase, sin phase], [sin phase, -cos phase]].
     """
-    c, s = np.cosh(amplitude), np.sinh(amplitude)
-    sc, ss = s * np.cos(phase), s * np.sin(phase)
-    for a, b in ((i, j), (j, i)):
-        L[..., 2 * a, 2 * a] = c
-        L[..., 2 * a + 1, 2 * a + 1] = c
-        L[..., 2 * a, 2 * b] = sc
-        L[..., 2 * a, 2 * b + 1] = ss
-        L[..., 2 * a + 1, 2 * b] = ss
-        L[..., 2 * a + 1, 2 * b + 1] = -sc
+    d = T_loss * np.cosh(2.0 * amplitude) + noise
+    x = T_loss * np.sinh(2.0 * amplitude)
+    return (d[..., None, None] * _EYE4 + (x * np.cos(phase))[..., None, None] * _PAIR_COS
+            + (x * np.sin(phase))[..., None, None] * _PAIR_SIN)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -140,43 +140,28 @@ def source_exponents(columns) -> np.ndarray:
     at the parameter columns `columns` (as :func:`columns_of` gives), read
     from their leading SOURCE_FIELDS rows; any further rows are ignored.
 
-    Squeezers r on modes (1, 2) and s on (3, 4); a loss channel of
-    transmissivity T_loss and thermal occupation n_thermal on modes 1, 2
-    (and 3, 4 where loss_on_detector_modes); then beam splitters T1 on
-    (1, 3) and T2 on (2, 4).  From r of about 355 the squeezers' product
-    overflows: S holds inf or NaN, with no warning.
+    Squeezers r on modes (1, 2) and s on (3, 4) and a loss channel (T_loss,
+    n_thermal) on modes 1, 2, and 3, 4 where loss_on_detector_modes, give
+    the pair exponents P and Q of :func:`pair_exponent`.  Beam splitters T1
+    on (1, 3) and T2 on (2, 4) weight them entry by entry, with t and q each
+    coordinate's sqrt(T) and sqrt(1 - T): S_ss = t P t + q Q q,
+    S_sa = q Q t - t P q, S_aa = q P q + t Q t and S_as = S_sa^T.  Past r or
+    s of about 355.24 cosh 2r overflows: S holds inf or NaN, with no warning.
     """
     r, s, phi_zeta, phi_xi, T1, T2, T_loss, n_thermal, on_det = columns[:len(SOURCE_FIELDS)]
-    n = r.shape[0]
-    L = np.zeros((n, 8, 8))
-    squeeze_into(L, r, phi_zeta, 0, 1)
-    squeeze_into(L, s, phi_xi, 2, 3)
-    # L is symmetric, so L^T L is L @ L, which takes the BLAS path that a
-    # transposed view does not
-    S = L @ L
-
-    # loss: S -> D S D + (2 n + 1)(1 - T) on each lossy mode's diagonal
-    lossy = np.ones((n, 8))
-    lossy[:, 4:] = on_det[:, None]
-    scale = np.where(lossy > 0, np.sqrt(T_loss)[:, None], 1.0)
-    S *= scale[:, :, None]
-    S *= scale[:, None, :]
-    add = ((2.0 * n_thermal + 1.0) * (1.0 - T_loss))[:, None] * lossy
-    S.reshape(n, 64)[:, ::9] += add  # the diagonal, as a strided view
-
-    # beam splitters b_k -> sqrt(T) b_k - sqrt(1-T) b_l and
-    # b_l -> sqrt(T) b_l + sqrt(1-T) b_k on (k, l) = (1, 3) and (2, 4),
-    # written along the strided diagonals of the flattened variable map
+    noise = (2.0 * n_thermal + 1.0) * (1.0 - T_loss)
+    on_det = on_det > 0
+    P = pair_exponent(r, phi_zeta, T_loss, noise)
+    Q = pair_exponent(s, phi_xi, np.where(on_det, T_loss, 1.0), np.where(on_det, noise, 0.0))
     T = np.array([T1, T1, T2, T2]).T  # per coordinate of modes 1, 2 (and 3, 4)
-    rt, rr = np.sqrt(T), np.sqrt(1.0 - T)
-    B = np.zeros((n, 8, 8))
-    flat = B.reshape(n, 64)
-    flat[:, :32:9] = rt    # diagonal, modes 1 and 2
-    flat[:, 36::9] = rt    # diagonal, modes 3 and 4
-    flat[:, 4:32:9] = -rr  # b1 from b3, b2 from b4
-    flat[:, 32::9] = rr    # b3 from b1, b4 from b2
-    S = np.ascontiguousarray(np.swapaxes(B, 1, 2)) @ S @ B
-    return 0.5 * (S + np.swapaxes(S, 1, 2))
+    t, q = np.sqrt(T)[:, :, None], np.sqrt(1.0 - T)[:, :, None]
+    tt, qq, tq = (a * np.swapaxes(b, 1, 2) for a, b in ((t, t), (q, q), (t, q)))
+    S = np.empty((r.shape[0], 8, 8))
+    S[:, :4, :4] = P * tt + Q * qq
+    S[:, :4, 4:] = Q * np.swapaxes(tq, 1, 2) - P * tq
+    S[:, 4:, :4] = np.swapaxes(S[:, :4, 4:], 1, 2)
+    S[:, 4:, 4:] = P * qq + Q * tt
+    return S
 
 
 def columns_of(cfgs) -> np.ndarray:

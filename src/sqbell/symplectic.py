@@ -2,9 +2,9 @@
 
 A GaussianChar stores the real symmetric exponent matrix S of
 chi(v) = exp(-1/2 v^T S v) in the interleaved coordinate order
-(Re b1, Im b1, ..., Re bn, Im bn).  The two-mode squeezed vacuum is the
-vacuum under the squeezer's exact linear variable substitution; a loss
-channel rescales a mode and adds the environment exponent.  The four-mode
+(Re b1, Im b1, ..., Re bn, Im bn).  The two-mode squeezed vacuum's exponent
+is written in closed form, from cosh 2|z| and sinh 2|z|; a loss channel
+rescales a mode and adds the environment exponent.  The four-mode
 source function of the scheme is one of :func:`sqbell.kernel.source_exponents`.
 """
 
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, PhysicalityError
-from .kernel import columns_of, source_exponents, squeeze_into
+from .kernel import columns_of, pair_exponent, source_exponents
 
 if TYPE_CHECKING:
     from .resources import SchemeConfig
@@ -50,7 +50,8 @@ class GaussianChar:
         if np.max(np.abs(S - S.T)) > 1e-10:
             raise PhysicalityError("exponent matrix is not symmetric")
         self.n_modes = n_modes
-        self.exponent = 0.5 * (S + S.T)
+        # halved before the sum, which overflows for entries above about 9e307
+        self.exponent = 0.5 * S + 0.5 * S.T
 
     def evaluate(self, betas) -> float:
         b = np.asarray(betas, dtype=complex)
@@ -58,12 +59,12 @@ class GaussianChar:
         return np.exp(-0.5 * v @ self.exponent @ v)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_mode_squeezed_char(p: SqueezeParam) -> GaussianChar:
-    """Two-mode squeezed vacuum: the vacuum exponent I under the squeezer's
-    substitution L, b_i -> b_i cosh|z| + conj(b_j) e^{i phase} sinh|z|."""
-    L = np.eye(4)
-    squeeze_into(L, p.amplitude, p.phase, 0, 1)
-    return GaussianChar(2, L.T @ L)
+    """Two-mode squeezed vacuum: the lossless pair exponent of
+    :func:`sqbell.kernel.pair_exponent`, cosh 2|z| on each mode and
+    sinh 2|z| times the reflection at the phase between them."""
+    return GaussianChar(2, pair_exponent(p.amplitude, p.phase))
 
 
 def loss_channel(chi: GaussianChar, mode: int, T_loss: float,

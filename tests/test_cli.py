@@ -223,7 +223,8 @@ def test_unphysical_point_names_every_cause_exit_3(capsys):
                          "--no-cross-check")
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err == ("numerical failure: unphysical point: success probability 1.0 or"
-                   " fidelity out of range, or a kernel step overflowed\n")
+                   " fidelity out of range, a kernel step overflowed, or a pivot was"
+                   " lost to roundoff\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -76,16 +76,31 @@ def _assert_matches(cfgs, detector):
 def test_source_exponents_match_stepwise_construction():
     # the covariance reference builds the source step by step from the
     # symplectic matrices of its squeezers and beam splitters, sharing none
-    # of the kernel's variable maps; S = 2 Omega V Omega^T
+    # of the kernel's closed pair blocks; S = 2 Omega V Omega^T.  Two fixed
+    # points and a seeded box: any phases, unequal splitters, thermal noise
+    # and both loss placements
+    rng = np.random.default_rng(47)
+    n = 200
     cfgs = [rs.SchemeConfig(r=0.9, s=0.3, phi_zeta=0.4, phi_xi=2.1, T1=0.93,
                             T2=0.97, T_loss=0.8, n_thermal=0.2),
             rs.SchemeConfig(r=1.7, s=0.6, phi_zeta=5.0, phi_xi=0.3, T1=0.6,
                             T2=0.85, T_loss=0.7, n_thermal=0.9,
                             loss_on_detector_modes=False)]
+    cfgs += [rs.SchemeConfig(r=r, s=s, phi_zeta=pz, phi_xi=px, T1=T1, T2=T2,
+                             T_loss=T_loss, n_thermal=n_th, loss_on_detector_modes=bool(on))
+             for r, s, pz, px, T1, T2, T_loss, n_th, on in zip(
+                 rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n),
+                 rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0.0, 2 * np.pi, n),
+                 rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n),
+                 rng.uniform(0.3, 1.0, n), rng.uniform(0.01, 1.0, n),
+                 rng.integers(0, 2, n))]
+    assert all(c.T1 != c.T2 for c in cfgs)
+    assert {c.loss_on_detector_modes for c in cfgs} == {False, True}
     ref = cov.exponent(cov.covariance_of(cfgs))
     S = kernel.source_exponents(kernel.columns_of(cfgs))
     assert np.all(np.max(np.abs(S - ref), axis=(1, 2))
                   <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
+    assert np.array_equal(S, np.swapaxes(S, 1, 2))
 
 
 @pytest.mark.parametrize("detector", ["ideal", "on-off"])
@@ -217,14 +232,15 @@ def test_lossless_source_never_warns(r):
     *itertools.product(["ideal", "on-off"], [300.0, 355.0, 400.0, 800.0]),
     ("on-off", 182.0), ("on-off", 190.0), ("on-off", 197.0), ("ideal", 83.0)])
 def test_large_r_points_are_refused_without_a_warning(detector, r):
-    # cosh r overflows from r ~ 710, the squeezers' product L @ L from
-    # r ~ 355 (where S mixes inf and finite entries, so the lam blocks'
-    # products are invalid) and the Schur complement's before that.  At
-    # r = 182-197 the on/off blocks are finite but their 2x2 determinants
-    # overflow, and the points would read P = 1, F = 1; at r = 83 nothing
-    # overflows, but ideal Schur complement entries of order 1e109 would
-    # read P = 1.2e-107, F = 1.8e-40.  The entries' fourth powers overflow
-    # at every one of these points, and none may leak a RuntimeWarning
+    # the pair blocks' cosh 2r overflows past r ~ 355.24 (where S mixes inf
+    # and NaN entries, so the lam blocks' products are invalid), the Schur
+    # complement well before: at r = 355 S is finite, with entries near
+    # 1e308, as GaussianChar must keep them.  At r = 182-197 the on/off
+    # blocks are finite but their 2x2 determinants overflow, and the points
+    # would read P = 1, F = 1; at r = 83 nothing overflows, but ideal Schur
+    # complement entries of order 1e109 would read P = 1.2e-107,
+    # F = 1.8e-40.  The entries' fourth powers overflow at every one of
+    # these points, and none may leak a RuntimeWarning
     cfg = rs.SchemeConfig(r=r, s=0.05, eta3=0.15, eta4=0.15)
     assert columns_pf([cfg], detector)[2][0] == kernel.UNPHYSICAL
     with pytest.raises(PhysicalityError):
@@ -469,7 +485,9 @@ def test_overflowed_heralding_probability_is_unphysical():
         op.optimize_s(cfg, "on-off")
 
 
-# its ideal-projector ancilla block A = M + I is singular: det(A) is zero
+# physical, with P = 2.26e-23 and F = 0.668 at 80 digits, but its
+# ideal-projector ancilla block A = M + I is singular to roundoff: the Schur
+# complement of its elimination is lost, and the pivot rule refuses it
 SINGULAR_IDEAL = rs.SchemeConfig(
     r=26.738066258189228, T1=0.7543225662876089, T2=0.5682437175769997,
     T_loss=0.7986842516672731, n_thermal=0.32242675107167806,
@@ -478,12 +496,19 @@ SINGULAR_IDEAL = rs.SchemeConfig(
 
 @pytest.mark.filterwarnings("ignore::sqbell.kernel.LossyProjectorWarning")
 def test_singular_ideal_block_fails_only_its_own_point():
+    # an exponent whose ancilla block A = M + I is exactly singular is no
+    # state: its P is not finite, and the point beside it reads as alone
     fine = rs.SchemeConfig(r=1.0)
-    P, F, status = columns_pf([fine, SINGULAR_IDEAL], "ideal")
+    S = kernel.source_exponents(kernel.columns_of([fine]))
+    singular = np.eye(8)
+    singular[4, 4] = -1.0  # A's first diagonal entry, and its row, are zero
+    P, F, status = kernel.scheme_pf(np.stack([S[0], singular]), "ideal")
     assert status.tolist() == [kernel.OK, kernel.UNPHYSICAL]
     assert not np.isfinite(P[1]) and np.isnan(F[1])
-    for got, alone in zip((P, F, status), columns_pf([fine], "ideal")):
+    for got, alone in zip((P, F, status), kernel.scheme_pf(S, "ideal")):
         assert got[:1].tobytes() == alone.tobytes()
+    P, F, status = columns_pf([fine, SINGULAR_IDEAL], "ideal")
+    assert status.tolist() == [kernel.OK, kernel.UNPHYSICAL] and np.isnan(F[1])
     spec = op.SweepSpec(base=SINGULAR_IDEAL, axis="r",
                         grid=(1.0, SINGULAR_IDEAL.r), detector="ideal")
     for optimize in (False, True):

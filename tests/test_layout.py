@@ -50,6 +50,15 @@ def test_kernel_makes_no_per_matrix_lapack_call():
     assert not any("linalg" in name for name in imported("kernel"))
 
 
+def test_source_exponents_make_no_matrix_product():
+    # S is written from its closed pair blocks, weighted entry by entry by
+    # the beam splitters: no variable map multiplies another
+    tree = ast.parse((SRC / "kernel.py").read_text())
+    source, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "source_exponents")
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(source))
+
+
 def test_references_import_only_numpy_and_the_standard_library():
     # the covariance reference, the exact squeezed Bell map and the 50-digit
     # reference (on mpmath) share no code with the package they check

@@ -1,6 +1,8 @@
 """Tests for Gaussian characteristic functions, with the beam splitters of
 the covariance reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +209,15 @@ def test_gaussian_char_rejects_non_finite_exponent(bad):
     S[1, 1] = bad
     with pytest.raises(PhysicalityError, match="not finite"):
         sp.GaussianChar(2, S)
+
+
+def test_gaussian_char_keeps_entries_near_the_float_limit():
+    # S + S^T overflows for entries above about 9e307, where the source at
+    # r = 355 has them, so the exponent is halved before the sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi = sp.GaussianChar(1, [[1e308, 0.0], [0.0, 1e308]])
+    assert np.array_equal(chi.exponent, np.diag([1e308, 1e308]))
 
 
 @pytest.mark.parametrize("r", [np.nan, np.inf, -0.1])
