@@ -32,7 +32,9 @@ The pair unitaries are test instruments, which neither oracle calls:
 of their conserved quantity as the exact exponential of the truncated
 generator's block (`_block_unitary`, from numpy's `eigh`) and assemble
 every block into a new scipy csr_matrix on every call; they are the only
-code that loads scipy.
+code that loads scipy.  What only the tests read, a density's dense
+matrix, its Hermiticity and positivity check and the Fock basis states,
+is kept with the tests' dense reference, not here.
 
 The scheme is the paper's: linear optics and photon detection on a pair of
 uncorrelated two-mode squeezed states.  Its four-mode state
@@ -68,7 +70,6 @@ a norm outside its box beyond the tolerance raises CutoffTooSmallError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -111,8 +112,7 @@ class FockDensity:
     `FockDensity(cutoffs, matrix)` takes the entries of a dense matrix with
     one scan and keeps no reference to it; the oracle's own steps build
     their densities from entries they already know (`from_entries`), so
-    none scans or allocates a d^2-element array.  `matrix` is built from
-    the entries on first access and cached, read-only.
+    none scans or allocates a d^2-element array.
     """
 
     def __init__(self, cutoffs: tuple[int, int], matrix: np.ndarray):
@@ -121,7 +121,6 @@ class FockDensity:
             raise ValueError("density matrix shape mismatch")
         self.flat = np.flatnonzero(matrix)
         self.values = matrix.reshape(-1)[self.flat]
-        self._matrix = None
 
     @classmethod
     def from_entries(cls, cutoffs: tuple[int, int], flat: np.ndarray,
@@ -129,21 +128,12 @@ class FockDensity:
         """The density whose nonzero entries are `values` at the distinct
         flat indices `flat`, both taken as they are, without a copy."""
         rho = cls.__new__(cls)
-        rho.cutoffs, rho.flat, rho.values, rho._matrix = tuple(cutoffs), flat, values, None
+        rho.cutoffs, rho.flat, rho.values = tuple(cutoffs), flat, values
         return rho
 
     @property
     def dim(self) -> int:
         return (self.cutoffs[0] + 1) * (self.cutoffs[1] + 1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            matrix = np.zeros(self.dim ** 2, dtype=self.values.dtype)
-            matrix[self.flat] = self.values
-            matrix.flags.writeable = False
-            self._matrix = matrix.reshape(self.dim, self.dim)
-        return self._matrix
 
     def trace(self) -> float:
         # the diagonal's entries, as the complex vector np.trace would sum,
@@ -153,26 +143,6 @@ class FockDensity:
         vector = np.zeros(d, dtype=complex)
         vector[self.flat[diagonal] // (d + 1)] = self.values[diagonal]
         return float(vector.sum().real)
-
-    def validate(self) -> None:
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.matrix).min() < -1e-9:
-            raise ValueError("density matrix has a negative eigenvalue")
-
-    def as_tensor(self) -> np.ndarray:
-        d0, d1 = self.cutoffs[0] + 1, self.cutoffs[1] + 1
-        return self.matrix.reshape(d0, d1, d0, d1)
-
-
-def vacuum_state(cutoffs: Sequence[int]) -> FockTensor:
-    return basis_state(cutoffs, (0,) * len(cutoffs))
-
-
-def basis_state(cutoffs: Sequence[int], occupations: Sequence[int]) -> FockTensor:
-    amps = np.zeros(tuple(c + 1 for c in cutoffs), dtype=complex)
-    amps[tuple(occupations)] = 1.0
-    return FockTensor(tuple(cutoffs), amps)
 
 
 def annihilator(dim: int) -> np.ndarray:

@@ -254,6 +254,19 @@ def _onoff_prob(M, d, W=None):
     blocks Delta_3 and Delta_4 of all N ancilla blocks form one contiguous
     (2, N, 2, 2) stack, so each 2x2 step on them runs once.
 
+    Neither term can cancel the other for a state.  x_K is the probability
+    that every detector of K stays off, so x3, x4 <= 1.  And
+    I + Delta = (I + M_eta) / 2, with M_eta = D M D + I - D^2 the ancillas'
+    exponent after the detector loss, is positive definite, so by
+    Fischer's inequality det(I + Delta) <= det(I + Delta_3) det(I + Delta_4):
+    x34 >= x3 x4.  Both terms are then nonnegative, and P keeps the
+    relative accuracy of the logs however small eta makes it.  (On 20,000
+    random sources, r, s <= 3, any phases, T1, T2 and T_loss in [0.3, 1],
+    n_thermal <= 1, both loss placements, eta in [1e-6, 1], log x3 and
+    log x4 stayed negative and log x34 - log x3 - log x4 positive.)  This
+    holds for the ancilla block of S, not for the Schur complements that
+    P F integrates.
+
     Given the map W from the signal coordinates x to the ancillas' linear
     terms w = W x (M of shape (n, 4, 4)), it returns instead the function
     (x, E) -> e^E times the sum (`_onoff_chi`), x of shape (m, 4) and E

@@ -53,11 +53,6 @@ class GaussianChar:
         # halved before the sum, which overflows for entries above about 9e307
         self.exponent = 0.5 * S + 0.5 * S.T
 
-    def evaluate(self, betas) -> float:
-        b = np.asarray(betas, dtype=complex)
-        v = np.stack([b.real, b.imag], axis=-1).reshape(-1)
-        return np.exp(-0.5 * v @ self.exponent @ v)
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def two_mode_squeezed_char(p: SqueezeParam) -> GaussianChar:

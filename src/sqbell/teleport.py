@@ -67,7 +67,6 @@ class FidelityResult:
     fidelity: float
     method: str
     residual: Optional[float] = None
-    tail_bound: Optional[float] = None
 
 
 def fidelity_closed_form(res: ResourceState) -> float:
@@ -125,21 +124,21 @@ def _cubature(integrand, tol: float) -> float:
         new = slice(len(keep), None)
 
 
-def fidelity_quadrature(res: ResourceState) -> tuple[float, float]:
-    """Adaptive 2-D cubature of the fidelity integrand; returns (F, tail bound).
+def fidelity_quadrature(res: ResourceState) -> float:
+    """Adaptive 2-D cubature of the fidelity integrand over the square.
 
     |chi| <= 1 for a characteristic function, so the neglected tail is bounded
-    by (1/pi) times the mass of exp(-|lam|^2) outside the square.  Raises
-    QuadratureConvergenceError if the cubature does not reach QUADRATURE_TOL within
-    QUADRATURE_MAX_SUBDIVISIONS subdivisions, or if chi is not finite at a node.
+    by (1/pi) times the mass of exp(-|lam|^2) outside the square, at most its
+    mass outside the disk of radius LAMBDA_MAX: exp(-LAMBDA_MAX^2) = 2.3e-16.
+    Raises QuadratureConvergenceError if the cubature does not reach
+    QUADRATURE_TOL within QUADRATURE_MAX_SUBDIVISIONS subdivisions, or if chi
+    is not finite at a node.
     """
     def real_part(uv: np.ndarray) -> np.ndarray:
         lam = uv[:, 0] + 1j * uv[:, 1]
         return np.exp(-np.abs(lam) ** 2) * res.chi(-np.conj(lam), -lam).real
 
-    value = _cubature(real_part, QUADRATURE_TOL)
-    tail = float(np.exp(-LAMBDA_MAX ** 2))
-    return value / np.pi, tail
+    return _cubature(real_part, QUADRATURE_TOL) / np.pi
 
 
 def fidelity(res: ResourceState, cross_check: bool = False) -> FidelityResult:
@@ -147,9 +146,8 @@ def fidelity(res: ResourceState, cross_check: bool = False) -> FidelityResult:
     f = fidelity_closed_form(res)
     if not cross_check:
         return FidelityResult(f, "closed-form")
-    fq, tail = fidelity_quadrature(res)
-    return FidelityResult(f, "closed-form+quadrature",
-                          residual=abs(f - fq), tail_bound=tail)
+    fq = fidelity_quadrature(res)
+    return FidelityResult(f, "closed-form+quadrature", residual=abs(f - fq))
 
 
 def fidelity_alpha_explicit(res: ResourceState, alpha: complex) -> float:

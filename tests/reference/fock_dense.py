@@ -9,7 +9,9 @@ on any two modes of a state, the padded squeezer with its leak, the loss
 channel (and loss by a beam splitter with a vacuum ancilla), the scheme's
 four-mode state built from them, squeezing and mixing one pair of modes
 at a time, and the scheme pipeline that heralds it, with loss on every
-mode.
+mode.  Here too are what only the tests read of a `FockDensity` and a
+`FockTensor`: a density's dense matrix and (d0, d1, d0, d1) tensor, its
+Hermiticity and positivity check, and the Fock basis states.
 """
 
 import numpy as np
@@ -19,6 +21,40 @@ from sqbell.errors import DegeneratePostselectionError
 from sqbell.symplectic import SqueezeParam
 
 
+def dense(rho: fs.FockDensity) -> np.ndarray:
+    """The density's dense (d, d) matrix, scattered from its entries."""
+    matrix = np.zeros(rho.dim ** 2, dtype=rho.values.dtype)
+    matrix[rho.flat] = rho.values
+    return matrix.reshape(rho.dim, rho.dim)
+
+
+def as_tensor(rho: fs.FockDensity) -> np.ndarray:
+    """The dense matrix as the tensor rho[m, n, k, l] of <m, n|rho|k, l>."""
+    d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
+    return dense(rho).reshape(d0, d1, d0, d1)
+
+
+def validate(rho: fs.FockDensity) -> None:
+    """Raise ValueError unless the density is Hermitian and positive
+    semidefinite, each to a fixed tolerance."""
+    matrix = dense(rho)
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
+        raise ValueError("density matrix is not Hermitian")
+    if np.linalg.eigvalsh(matrix).min() < -1e-9:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def basis_state(cutoffs, occupations) -> fs.FockTensor:
+    """The Fock basis state |occupations> in the box of `cutoffs`."""
+    amps = np.zeros(tuple(c + 1 for c in cutoffs), dtype=complex)
+    amps[tuple(occupations)] = 1.0
+    return fs.FockTensor(tuple(cutoffs), amps)
+
+
+def vacuum_state(cutoffs) -> fs.FockTensor:
+    return basis_state(cutoffs, (0,) * len(cutoffs))
+
+
 def char_function_batch(rho: fs.FockDensity, betas1, betas2) -> np.ndarray:
     """chi[b] = sum rho[m, n, k, l] D1[k, m, b] D2[l, n, b] as one
     (batch x d^2) (d^2 x d^2) GEMM."""
@@ -26,7 +62,7 @@ def char_function_batch(rho: fs.FockDensity, betas1, betas2) -> np.ndarray:
     D2 = fs._displacement_batch(betas2, rho.cutoffs[1])
     d0, d1 = rho.cutoffs[0] + 1, rho.cutoffs[1] + 1
     # rho as a (k m, n l) matrix for rho[m, n, k, l]
-    t = rho.as_tensor().transpose(2, 0, 1, 3).reshape(d0 * d0, d1 * d1)
+    t = as_tensor(rho).transpose(2, 0, 1, 3).reshape(d0 * d0, d1 * d1)
     # A[b, (n, l)] = sum_{k,m} D1[k, m, b] rho[m, n, k, l]
     A = D1.reshape(d0 * d0, -1).T @ t
     # chi[b] = sum_{n,l} A[b, (n, l)] D2[l, n, b]
@@ -86,12 +122,12 @@ def loss_kraus(rho: fs.FockDensity, mode: int, T: float) -> np.ndarray:
     """Loss on one mode of a two-mode density, one shifted-slice product of
     the whole d^4 tensor per Kraus order."""
     dim = rho.cutoffs[mode] + 1
-    src = np.moveaxis(rho.as_tensor(), (mode, mode + 2), (0, 1))
+    src = np.moveaxis(as_tensor(rho), (mode, mode + 2), (0, 1))
     out = np.zeros_like(src)
     for m, band in enumerate(fs._loss_kraus_bands(T, dim)):
         n = dim - m
         out[:n, :n] += np.outer(band, band)[:, :, None, None] * src[m:, m:]
-    return np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(rho.matrix.shape)
+    return np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(rho.dim, rho.dim)
 
 
 def loss_via_ancilla(state: fs.FockTensor, mode: int, T: float) -> np.ndarray:
@@ -124,7 +160,7 @@ def scheme_state(cfg, cutoff: int, pad: int = 0) -> np.ndarray:
     truncated where they are built, mix the amplitudes near that edge
     wrongly: by up to 3e-4 at cutoff 10 with no pad, and by rounding only
     12 levels above it."""
-    state = fs.vacuum_state((cutoff + pad,) * 4)
+    state = vacuum_state((cutoff + pad,) * 4)
     for modes, p in (((0, 1), SqueezeParam(cfg.r, cfg.phi_zeta)),
                      ((2, 3), SqueezeParam(cfg.s, cfg.phi_xi))):
         amps, _ = dense_two_mode_squeeze(state, modes, p)
@@ -154,5 +190,5 @@ def scheme_oracle(cfg, detector: str, cutoff: int) -> tuple[np.ndarray, float]:
     if cfg.T_loss < 1.0:
         for mode in (0, 1):
             rho = fs.FockDensity(rho.cutoffs, loss_kraus(rho, mode, cfg.T_loss))
-        rho = fs.FockDensity(rho.cutoffs, rho.matrix / rho.trace())
-    return rho.matrix, success
+        rho = fs.FockDensity(rho.cutoffs, dense(rho) / rho.trace())
+    return dense(rho), success

@@ -468,6 +468,22 @@ def test_vacuum_ancillas_degenerate_on_both_paths(eta):
         op.optimize_s(cfg, "on-off")
 
 
+def test_onoff_probability_is_accurate_at_small_efficiency():
+    # both terms of _onoff_prob's sum are nonnegative for a state (x3, x4 <= 1
+    # and, by Fischer's inequality, x34 >= x3 x4), so P keeps the relative
+    # accuracy of its logs however small eta makes it, even at the points the
+    # degeneracy rule refuses
+    points = itertools.product((1e-6, 1e-5, 1e-4), (0.3, 0.6, 1.0, 1.6, 2.0),
+                               (0.0, 0.01, 0.05, 0.2), (1.0, 0.85, 0.7))
+    cfgs = [rs.SchemeConfig(r=r, s=s, T_loss=T_loss, eta3=eta, eta4=eta)
+            for eta, r, s, T_loss in points]
+    P, _, status = columns_pf(cfgs, "on-off")
+    assert kernel.DEGENERATE in status
+    for cfg, p, S in zip(cfgs, P, kernel.source_exponents(kernel.columns_of(cfgs))):
+        _, p_ref, _, _ = mpgauss.onoff(S, cfg.eta3, cfg.eta4, [])
+        assert p == pytest.approx(float(p_ref), rel=P_RTOL, abs=0.0), cfg
+
+
 def test_ideal_vacuum_ancillas_degenerate_on_both_paths():
     cfg = rs.SchemeConfig(r=0.0, s=0.0, T1=0.9, T2=0.9)
     with pytest.raises(DegeneratePostselectionError):

@@ -1,6 +1,7 @@
 """The package's layering, read from the import statements of its sources."""
 
 import ast
+import collections
 import dataclasses
 import importlib
 import os
@@ -219,6 +220,56 @@ def test_no_unused_module_level_imports():
                    for f in (ROOT / d).rglob("*.py"))
     assert len(files) > 20
     assert [u for f in files for u in unused_imports(f)] == []
+
+
+def referenced(node: ast.AST) -> collections.Counter:
+    """Every name `node` reads, as a variable, as an attribute or as a
+    string that is exactly the name (the benchmark's tracer patches by
+    name), counted, leaving out the entries of `__all__`."""
+    names = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names[n.value] += 1
+        elif isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+            names.subtract(ast.literal_eval(n.value))
+    return names
+
+
+def package_definitions(path: Path):
+    """The top-level functions and classes of `path`, and their classes'
+    methods not named `__*__`, as (qualified name, name, node)."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_package_name_has_a_caller_outside_the_tests():
+    # the package holds no API that only tests read: each function, class
+    # and method is read by the package outside its own body, a script, the
+    # benchmark or the acceptance module (an import reads nothing, and
+    # gauss_poly, which has members no one calls, is left out).  Names are
+    # matched by their short name, so one shared with a name in use hides:
+    # a method `GaussianChar.evaluate` would pass unread, beside
+    # gauss_poly.evaluate, which the benchmark's tracer patches by that name
+    readers = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    reads = sum((referenced(ast.parse(path.read_text())) for path in readers),
+                collections.Counter())
+    unread = [f"{path.stem}.{qualified}"
+              for path in sorted(SRC.glob("*.py")) if path.stem != "gauss_poly"
+              for qualified, name, node in package_definitions(path)
+              if reads[name] <= referenced(node)[name]]
+    assert unread == []
 
 
 def bench_module(name: str) -> types.ModuleType:

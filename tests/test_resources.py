@@ -39,7 +39,10 @@ def test_twin_beam_equals_gaussian_char():
     state = rs.theoretical_state("twin-beam", 1.1)
     ref = two_mode_squeezed_char(SqueezeParam(1.1, np.pi))
     for b1, b2 in random_betas():
-        assert state.chi_at(b1, b2) == pytest.approx(ref.evaluate([b1, b2]), abs=1e-12)
+        # (Re b1, Im b1, Re b2, Im b2), the exponent's coordinate order
+        v = np.array([b1, b2], dtype=complex).view(float)
+        assert state.chi_at(b1, b2) == pytest.approx(
+            np.exp(-0.5 * v @ ref.exponent @ v), abs=1e-12)
 
 
 def test_squeezed_bell_zero_angle_is_twin_beam():

