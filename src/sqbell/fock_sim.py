@@ -83,6 +83,9 @@ MAX_CUTOFF = 48
 # points per pass of char_function_batch's phase contraction, so that its
 # (blocks, points) products stay in cache
 _CHI_CHUNK = 256
+# entries per pass of FockDensity's scan of a dense matrix, so that no
+# temporary of the matrix's size is made
+_SCAN_CHUNK = 65536
 
 
 @dataclass
@@ -109,8 +112,10 @@ class FockDensity:
     matrix, d = (cutoffs[0] + 1)(cutoffs[1] + 1), once each and in any
     order, and `values`, the entries.
 
-    `FockDensity(cutoffs, matrix)` takes the entries of a dense matrix with
-    one scan and keeps no reference to it; the oracle's own steps build
+    `FockDensity(cutoffs, matrix)` takes the entries of a dense matrix, the
+    same ones in the same order as np.flatnonzero, with a scan in chunks of
+    _SCAN_CHUNK entries, so that it makes no temporary of the matrix's
+    size, and keeps no reference to the matrix; the oracle's own steps build
     their densities from entries they already know (`from_entries`), so
     none scans or allocates a d^2-element array.
     """
@@ -119,8 +124,11 @@ class FockDensity:
         self.cutoffs = tuple(cutoffs)
         if matrix.shape != (self.dim, self.dim):
             raise ValueError("density matrix shape mismatch")
-        self.flat = np.flatnonzero(matrix)
-        self.values = matrix.reshape(-1)[self.flat]
+        entries = matrix.reshape(-1)
+        self.flat = np.concatenate([
+            np.flatnonzero(entries[c:c + _SCAN_CHUNK] != 0) + c
+            for c in range(0, entries.size, _SCAN_CHUNK)])
+        self.values = entries[self.flat]
 
     @classmethod
     def from_entries(cls, cutoffs: tuple[int, int], flat: np.ndarray,
@@ -370,23 +378,25 @@ def _laguerre_factors(x: np.ndarray, dim: int) -> np.ndarray:
 
     runs for every order k and every x at once from R_k(0) = 1, its
     coefficients indexed [n, k, None]: each step is multiplied by the
-    scale's reciprocal, with no division.
+    scale's reciprocal, with no division, and is computed in place in its
+    rows of the table, which the step after reads.
     """
     n, k = np.indices((dim, dim), dtype=float)[..., None]
     diagonal, back, inverse_scale = (
         2 * n + 1 + k, np.sqrt(n * (n + k)), 1.0 / np.sqrt((n + 1) * (n + 1 + k)))
     out = np.empty((dim * (dim + 1) // 2, len(x)))
-    h_prev = np.zeros((dim, len(x)))
-    h = np.ones((dim, len(x)))
-    for step in range(dim):
-        ks = dim - step                                    # orders with n + k <= cutoff
-        first = _laguerre_row(0, step, dim)
-        out[first:first + ks] = h
-        kn = slice(ks - 1)                                 # orders still needed at n + 1
-        h_next = (diagonal[step, kn] - x) * h[:-1]
-        h_next -= back[step, kn] * h_prev[kn]
-        h_next *= inverse_scale[step, kn]
-        h_prev, h = h, h_next
+    out[:dim] = 1.0
+    h_prev = np.zeros((dim - 1, len(x)))
+    first = 0
+    for step in range(dim - 1):
+        ks = dim - step - 1                                # orders still needed at n + 1
+        h, h_next = out[first:first + ks], out[first + ks + 1:first + 2 * ks + 1]
+        np.subtract(diagonal[step, :ks], x, out=h_next)
+        h_next *= h
+        h_next -= back[step, :ks] * h_prev[:ks]
+        h_next *= inverse_scale[step, :ks]
+        h_prev = h
+        first += ks + 1
     return out
 
 

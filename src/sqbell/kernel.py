@@ -35,6 +35,8 @@ amplitudes held fixed, so each Gaussian gains a linear term in the
 ancillas (:func:`heralded_chi`): on/off detectors give a signed sum of four
 Gaussians in (b1, b2), ideal projectors one Gaussian times a Wick
 polynomial, each exponent and polynomial a quadratic form in (b1, b2).
+The matrices of every form of a call, the envelope's first, are stacked
+once per source, so each call takes all its forms in one stacked product.
 
 `scheme_pf` alone decides each point's status, from its P and F together.
 Nothing that takes exponents warns; :func:`warn_if_lossy` reads a lossy
@@ -194,8 +196,9 @@ def _inv2(X):
 
 
 def _qform(x, Q):
-    """x^T Q x for each row of x (shape (m, 4)) and each Q (shape (n, 4, 4)),
-    shape (n, m)."""
+    """x^T Q x for each row of x (shape (m, 4)) and each Q (shape
+    (..., 4, 4)), shape (..., m); each Q is its own (m, 4) @ (4, 4) product,
+    so a stack of forms gives each form's values bit for bit."""
     return np.sum((x @ Q) * x, axis=-1)
 
 
@@ -268,10 +271,13 @@ def _onoff_prob(M, d, W=None):
     P F integrates.
 
     Given the map W from the signal coordinates x to the ancillas' linear
-    terms w = W x (M of shape (n, 4, 4)), it returns instead the function
-    (x, E) -> e^E times the sum (`_onoff_chi`), x of shape (m, 4) and E
-    and the result of shape (n, m), with each x_K times e^{u_K}, where
-    u_K = 1/2 z_K^T (I + Delta_K)^-1 z_K and z = D w / sqrt(2).  With
+    terms w = W x (M of shape (n, 4, 4)), each x_K gains a factor e^{u_K},
+    where u_K = 1/2 z_K^T (I + Delta_K)^-1 z_K and z = D w / sqrt(2).  It
+    returns instead the matrices of the quadratic forms u3, u4 and
+    u34 - u3 - u4 in x, stacked as (n, 3, 4, 4), and the function
+    (forms, E) -> e^E times the sum (`_onoff_chi`), with the forms
+    evaluated as `_qform` gives them (shape (n, 3, m) for x of shape
+    (m, 4)), and E and the result of shape (n, m).  With
     Z = I + Delta_4 - Delta_43 (I + Delta_3)^-1 Delta_34, the block inverse
     gives u34 - u3 - u4 from Z^-1 - (I + Delta_4)^-1
     = Z^-1 Delta_43 (I + Delta_3)^-1 Delta_34 (I + Delta_4)^-1, with no
@@ -302,9 +308,9 @@ def _onoff_prob(M, d, W=None):
         Q34 = 0.5 * (np.swapaxes(Z4, 1, 2) @ Zinv @ K @ (D34 @ E4 @ Z4 - 2.0 * Z3)
                      + np.swapaxes(H, 1, 2) @ Zinv @ H)
     l3, l4 = l
-    return lambda x, envelope: _onoff_chi(
-        envelope, l3[:, None] + _qform(x, Q3), l4[:, None] + _qform(x, Q4),
-        l34[:, None] + _qform(x, Q34))
+    return np.stack([Q3, Q4, Q34], 1), lambda forms, envelope: _onoff_chi(
+        envelope, l3[:, None] + forms[:, 0], l4[:, None] + forms[:, 1],
+        l34[:, None] + forms[:, 2])
 
 
 def _jacobi(g, one_minus_a, one_minus_b, c):
@@ -337,8 +343,11 @@ def _ideal_prob(M, W=None):
     so is P, however finite it is.
 
     Given W as in `_onoff_prob`, the ancillas are Gaussian with mean
-    mu = -A^-1 w and covariance A^-1, and it returns the function of x and
-    E that Wick's theorem gives, e^E times: 4 g e^{-w.mu/2}
+    mu = -A^-1 w and covariance A^-1, and it returns the matrices of the
+    four quadratic forms -w.mu/2, |mu3|^2, |mu4|^2 and
+    2 mu3^T (A^-1)_34 mu4 in x, stacked as (n, 4, 4, 4), and the function
+    of the evaluated forms and E that Wick's theorem gives, e^E times:
+    4 g e^{-w.mu/2}
     [(1 - a - |mu3|^2) (1 - b - |mu4|^2) + 2c + 4 mu3^T (A^-1)_34 mu4],
     with -w.mu/2 + E one exponent.
     """
@@ -379,9 +388,9 @@ def _ideal_prob(M, W=None):
     N3 = np.swapaxes(Mu3, 1, 2) @ Mu3
     N4 = np.swapaxes(Mu4, 1, 2) @ Mu4
     Q34 = 2.0 * np.swapaxes(Mu3, 1, 2) @ Ainv[:, :2, 2:] @ Mu4
-    return lambda x, envelope: _jacobi(
-        g[:, None] * np.exp(_qform(x, U) + envelope), one_minus_a[:, None] - _qform(x, N3),
-        one_minus_b[:, None] - _qform(x, N4), c[:, None] + _qform(x, Q34))[0]
+    return np.stack([U, N3, N4, Q34], 1), lambda forms, envelope: _jacobi(
+        g[:, None] * np.exp(forms[:, 0] + envelope), one_minus_a[:, None] - forms[:, 1],
+        one_minus_b[:, None] - forms[:, 2], c[:, None] + forms[:, 3])[0]
 
 
 def _ancilla_prob(detector: str, eta3, eta4, n: int):
@@ -433,18 +442,21 @@ def heralded_chi(S, detector: str, eta3=None, eta4=None):
     w = S_yx x, the envelope's exponent added to each Gaussian term's
     before exp is taken: far from the origin the envelope underflows where
     the ancilla terms overflow.  What does not depend on x is computed
-    once, here.  At b1 = b2 = 0 it is P, bit for bit.
+    once, here: the ancilla sum's quadratic forms, stacked behind S_xx as
+    (n, K + 1, 4, 4), so that each call evaluates every form in one
+    `_qform` product.  At b1 = b2 = 0 it is P, bit for bit.
     """
     S = np.asarray(S, dtype=float)
-    ancillas = _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:],
-                                                              S[:, 4:, :4])
-    Sxx = S[:, :4, :4]
+    Q, ancillas = _ancilla_prob(detector, eta3, eta4, S.shape[0])(S[:, 4:, 4:],
+                                                                 S[:, 4:, :4])
+    Q = np.concatenate([S[:, None, :4, :4], Q], 1)
 
     def chi(b1, b2):
         b1, b2 = np.broadcast_arrays(np.asarray(b1, dtype=complex),
                                      np.asarray(b2, dtype=complex))
         x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1).reshape(-1, 4)
-        values = ancillas(x, -0.5 * _qform(x, Sxx))
+        forms = _qform(x, Q)
+        values = ancillas(forms[:, 1:], -0.5 * forms[:, 0])
         return values.reshape(S.shape[:1] + b1.shape)
 
     return chi

@@ -486,6 +486,31 @@ def test_displacement_batch_finite_at_gauss_hermite_extreme():
         assert np.max(np.abs(batch[:, :, 2] - ref)) < 1e-13
 
 
+def _laguerre_orders(x, dim):
+    """fs._laguerre_factors one order k at a time, every row a new array:
+    the same products and differences, in the same order, per element."""
+    out = np.empty((dim * (dim + 1) // 2, len(x)))
+    for k in range(dim):
+        prev, cur = np.zeros(len(x)), np.ones(len(x))
+        for n in range(dim - k):
+            out[fs._laguerre_row(k, n, dim)] = cur
+            nxt = (float(2 * n + 1 + k) - x) * cur
+            nxt -= np.sqrt(float(n * (n + k))) * prev
+            nxt *= 1.0 / np.sqrt(float((n + 1) * (n + 1 + k)))
+            prev, cur = cur, nxt
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 26, 49])
+def test_laguerre_table_equals_the_recurrence_order_by_order(dim):
+    # the table's steps are computed in place in its rows; each row must be
+    # that of the plain recurrence, bit for bit, at any |alpha|^2
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 3.5, 50.0, 700.0, 1e308, np.inf, np.nan],
+                        np.random.default_rng(29).exponential(2.0, 40)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert fs._laguerre_factors(x, dim).tobytes() == _laguerre_orders(x, dim).tobytes()
+
+
 def expm_displacement(alpha, cutoff, dim=40):
     """Displacement block from exp(alpha a^dag - conj(alpha) a) on a larger space."""
     a = fs.annihilator(dim)
@@ -994,6 +1019,33 @@ def test_density_from_its_matrix_is_bit_for_bit(rho):
     trace = float(np.trace(fock_dense.dense(rho)).real)
     assert np.float64(rho.trace()).tobytes() == np.float64(trace).tobytes()
     assert np.float64(scanned.trace()).tobytes() == np.float64(trace).tobytes()
+
+
+def test_dense_constructor_scans_in_chunks():
+    # 26^4 = 456,976 entries, not a multiple of the scan's chunk; the
+    # entries that flatnonzero counts (NaN, imaginary-only, subnormal) and
+    # those it skips (+-0.0) sit on both sides of every chunk boundary
+    M = np.zeros((676, 676), dtype=complex)
+    entries = M.reshape(-1)
+    assert entries.size % fs._SCAN_CHUNK
+    specials = [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), -0.0,
+                complex(-0.0, -0.0), 0.0, 2.5j, -1.5j, 5e-324, 5e-324j, -5e-324]
+    for boundary in range(0, entries.size, fs._SCAN_CHUNK):
+        for offset, value in enumerate(specials):
+            entries[(boundary + offset - len(specials) // 2) % entries.size] = value
+    entries[1::997] = 0.25 - 0.5j
+    tracemalloc.start()
+    try:
+        rho = fs.FockDensity((25, 25), M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.flatnonzero(M)
+    assert rho.flat.tobytes() == expected.tobytes()
+    assert rho.values.tobytes() == entries[expected].tobytes()
+    assert np.isnan(rho.values).any() and (rho.values == 5e-324j).any()
+    # one unchunked scan's boolean temporary alone is 457 KB
+    assert peak < 200_000
 
 
 @pytest.mark.parametrize("T", [0.85, 0.3, 1.0])

@@ -427,6 +427,22 @@ def test_stacked_diagonal_blocks_give_the_heralded_chi_of_separate_blocks():
     assert got.tobytes() == expected.tobytes()
 
 
+def test_stacked_ideal_forms_give_the_heralded_chi_of_separate_forms():
+    # heralded_chi takes the envelope's and the ancillas' quadratic forms in
+    # one stacked product; each form through its own _qform gives its bytes
+    S, _ = _box()
+    b1 = np.array([0.0, 0.3 + 0.1j, 1.5, -2.0 + 0.5j])
+    b2 = np.array([0.0, -0.2j, 0.7 - 1.0j, 0.1])
+    x = np.stack([b1.real, b1.imag, b2.real, b2.imag], -1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Q, ancillas = kernel._ideal_prob(S[:, 4:, 4:], S[:, 4:, :4])
+        forms = np.stack([kernel._qform(x, Q[:, k]) for k in range(Q.shape[1])], 1)
+        expected = ancillas(forms, -0.5 * kernel._qform(x, S[:, :4, :4]))
+        got = kernel.heralded_chi(S, "ideal")(b1, b2)
+    assert not np.isfinite(got).all()
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_inv2_is_the_adjugate_over_the_determinant():
     # entry by entry in Python floats, the quotient in numpy's, so that a
     # zero determinant gives inf and nan; a NaN entry keeps its negated sign
